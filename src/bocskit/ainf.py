@@ -21,8 +21,7 @@ acts first, matching the composition convention everywhere else.
 from __future__ import annotations
 
 from .linalg import ZERO
-from .resolution import (GradedMap, ResolvedSystem, differential, ext_basis,
-                         hodge_data, zero_graded_map)
+from .resolution import GradedMap, ResolvedSystem, ext_basis, hodge_data
 
 
 class ExtClass:

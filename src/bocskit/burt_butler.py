@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bocs import Bocs, bocs_compose, bocs_hom_basis, bocs_identity, \
-    tensor_module
-from .linalg import Matrix, ONE, ZERO, in_span, reduce_against, rref_rows, \
-    vec_is_zero
+from .bocs import Bocs, bocs_compose, bocs_hom_basis, tensor_module
+from .linalg import MapSpace, Matrix, ONE, Span, ZERO
 from .modules import (FDModule, ModuleMap, hom_basis, map_spaces,
                       projective, projective_cover, simple,
                       sum_of_projectives, is_isomorphic)
@@ -23,23 +21,6 @@ from .strata import StandardSystem, standard_modules, theta_filtration
 
 
 # -- generic linear helpers -------------------------------------------------
-
-
-def _flatten(mat: Matrix):
-    return tuple(x for row in mat.data for x in row)
-
-
-def _expand_in_basis(basis, mat: Matrix):
-    """Coordinates of mat in a basis of maps with the same shape."""
-    if not basis:
-        if mat.is_zero():
-            return ()
-        raise ValueError("map outside the empty basis")
-    cols = [_flatten(h.mat) for h in basis]
-    sol = Matrix.from_columns(cols).solve(_flatten(mat))
-    if sol is None:
-        raise ValueError("map outside the spanned hom space")
-    return sol
 
 
 def _module_from_action(alg: Algebra, dim: int, raw_act):
@@ -57,9 +38,9 @@ def _module_from_action(alg: Algebra, dim: int, raw_act):
     for i in range(1, alg.n + 1):
         E = raw_act[alg.unit_index[i - 1]]
         cols = [E.column(j) for j in range(dim)]
-        rows, piv = rref_rows(cols, dim)
-        dims.append(len(rows))
-        new_cols.extend([tuple(r) for r in rows])
+        image = Span(dim, cols)
+        dims.append(len(image))
+        new_cols.extend([tuple(r) for r in image.rows])
     if sum(dims) != dim:
         raise ValueError("idempotent images do not decompose the space")
     to_old = Matrix.from_columns(new_cols)
@@ -90,11 +71,10 @@ def ext_dimension(M: FDModule, N: FDModule, k: int) -> int:
     incl = steps[-1][2]
     cover_source = steps[-1][0].source
     cocycles = hom_basis(omega, N)
-    bound = [_flatten(ModuleMap(omega, N, h.mat @ incl.mat).mat)
-             for h in hom_basis(cover_source, N)]
-    rows, piv = rref_rows(bound, omega.total * N.total) if bound \
-        else ([], [])
-    return len(cocycles) - len(rows)
+    bound = Span(N.total * omega.total,
+                 [(h.mat @ incl.mat).flat()
+                  for h in hom_basis(cover_source, N)])
+    return len(cocycles) - len(bound)
 
 
 # -- the right algebra ------------------------------------------------------
@@ -115,6 +95,8 @@ class RightAlgebra:
         self.XB = sum_of_projectives(B, list(range(1, B.n + 1)), name="B")
         self.tX = tensor_module(bocs, self.XB)
         self.basis = bocs_hom_basis(bocs, self.XB, self.XB)
+        self.space = MapSpace([h.mat for h in self.basis], self.XB.total,
+                              self.tX.module.total)
         # regular-module coordinate of each algebra basis element
         self.coord_of_basis = {}
         for (gcoord, vtx, word_idxs) in self.XB.proj_gens:
@@ -123,32 +105,24 @@ class RightAlgebra:
         if len(self.coord_of_basis) != B.dim:
             raise AssertionError("regular module coordinates degenerate")
 
-        dimr = len(self.basis)
-
         def mult(u, v):
             fu = self._combo(u)
             fv = self._combo(v)
-            return _expand_in_basis(
-                self.basis, bocs_compose(bocs, fv, fu).mat)
+            return self.space.coords(bocs_compose(bocs, fv, fu).mat)
 
-        idems = [tuple(_expand_in_basis(self.basis, self._phi_raw(
-            B.idempotent(i)).mat)) for i in range(1, B.n + 1)]
+        idems = [self.space.coords(self._phi_raw(B.idempotent(i)).mat)
+                 for i in range(1, B.n + 1)]
         self.R = from_structure_constants(B.n, mult, idems)
         emb_cols = []
         for k in range(B.dim):
-            raw = _expand_in_basis(self.basis,
-                                   self._phi_raw(B.basis_vec(k)).mat)
+            raw = self.space.coords(self._phi_raw(B.basis_vec(k)).mat)
             emb_cols.append(list(self.R.old_to_new.apply(raw)))
         self.emb = Matrix.from_columns(emb_cols)
         self._check_embedding()
         self._induced = {}
 
     def _combo(self, rawvec) -> ModuleMap:
-        mat = Matrix.zero(self.XB.total, self.tX.module.total)
-        for k, c in enumerate(rawvec):
-            if c != 0:
-                mat = mat + self.basis[k].mat.scale(c)
-        return ModuleMap(self.tX.module, self.XB, mat)
+        return ModuleMap(self.tX.module, self.XB, self.space.combine(rawvec))
 
     def element_map(self, new_vec) -> ModuleMap:
         """The endomorphism represented by an R coefficient vector."""
@@ -221,8 +195,7 @@ class RightAlgebra:
                             v[pidx(r, xx)] -= c
                     if any(t != 0 for t in v):
                         rel.append(v)
-        rows, piv = rref_rows(rel, npairs)
-        return npairs - len(rows)
+        return npairs - len(Span(npairs, rel))
 
 
 def right_algebra(bocs: Bocs) -> RightAlgebra:
@@ -233,9 +206,10 @@ def right_algebra(bocs: Bocs) -> RightAlgebra:
 
 
 class InducedModule:
-    def __init__(self, module, basis, to_new, to_old, source):
+    def __init__(self, module, basis, space, to_new, to_old, source):
         self.module = module
         self.basis = basis
+        self.space = space
         self.to_new = to_new
         self.to_old = to_old
         self.source = source
@@ -248,19 +222,17 @@ def induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
         return got
     bocs = ralg.bocs
     basis = bocs_hom_basis(bocs, ralg.XB, X)
+    space = MapSpace([h.mat for h in basis], X.total, ralg.tX.module.total)
     m = len(basis)
     raw_act = []
     for k in range(ralg.R.dim):
         rmap = ralg.element_map(ralg.R.basis_vec(k))
-        cols = []
-        for h in basis:
-            comp = bocs_compose(bocs, h, rmap)
-            cols.append(list(_expand_in_basis(basis, comp.mat))
-                        if m else [])
+        cols = [space.coords(bocs_compose(bocs, h, rmap).mat)
+                for h in basis]
         raw_act.append(Matrix.from_columns(cols) if m
                        else Matrix.zero(0, 0))
     module, to_new, to_old = _module_from_action(ralg.R, m, raw_act)
-    out = InducedModule(module, basis, to_new, to_old, X)
+    out = InducedModule(module, basis, space, to_new, to_old, X)
     ralg._induced[id(X)] = out
     tdim = ralg.tensor_dim(X)
     if tdim != module.total:
@@ -288,10 +260,7 @@ def induce_bocs_map(ralg: RightAlgebra, f: ModuleMap,
                     FM: InducedModule, FN: InducedModule) -> ModuleMap:
     """Image of a bocs morphism under induction (post-composition)."""
     bocs = ralg.bocs
-    cols = []
-    for h in FM.basis:
-        comp = bocs_compose(bocs, f, h)
-        cols.append(list(_expand_in_basis(FN.basis, comp.mat)))
+    cols = [FN.space.coords(bocs_compose(bocs, f, h).mat) for h in FM.basis]
     raw = Matrix.from_columns(cols) if cols else \
         Matrix.zero(len(FN.basis), 0)
     return ModuleMap(FM.module, FN.module, FN.to_new @ raw @ FM.to_old)
@@ -411,23 +380,6 @@ def borel_checks(ralg: RightAlgebra):
 # -- the homological comparison ---------------------------------------------
 
 
-def _solve_through(post: ModuleMap, space, rhs: Matrix):
-    """Combination u of space with post.mat @ u.mat == rhs."""
-    if not space:
-        if rhs.is_zero():
-            return Matrix.zero(post.source.total, rhs.cols)
-        return None
-    cols = [_flatten(post.mat @ h.mat) for h in space]
-    sol = Matrix.from_columns(cols).solve(_flatten(rhs))
-    if sol is None:
-        return None
-    out = Matrix.zero(space[0].mat.rows, space[0].mat.cols)
-    for c, h in zip(sol, space):
-        if c != 0:
-            out = out + h.mat.scale(c)
-    return out
-
-
 def _solve_injective(pre: Matrix, rhs: Matrix):
     """psi with pre @ psi == rhs for injective pre."""
     cols = []
@@ -456,11 +408,10 @@ def homological_check(ralg: RightAlgebra, X: FDModule, Y: FDModule,
     incl = steps_b[-1][2]
     cover_src = steps_b[-1][0].source
     cocycles = hom_basis(omega, Y)
-    bound_b = [_flatten(h.mat @ incl.mat)
-               for h in hom_basis(cover_src, Y)]
-    width = omega.total * Y.total
-    rows_b, piv_b = rref_rows(bound_b, width)
-    ext_b = len(cocycles) - len(rows_b)
+    bound_b = Span(Y.total * omega.total,
+                   [(h.mat @ incl.mat).flat()
+                    for h in hom_basis(cover_src, Y)])
+    ext_b = len(cocycles) - len(bound_b)
 
     FX = induce(ralg, X)
     FY = induce(ralg, Y)
@@ -494,32 +445,29 @@ def homological_check(ralg: RightAlgebra, X: FDModule, Y: FDModule,
     psi = None
     for t, (cover, ker, kinc) in enumerate(steps_r):
         rhs = cover.mat if t == 0 else psi @ cover.mat
-        space = hom_basis(cover.source, fp[t].module)
-        u = _solve_through(fcov[t], space, rhs)
-        if u is None:
-            raise AssertionError("chain comparison solve failed")
+        space = MapSpace([h.mat for h in hom_basis(cover.source,
+                                                   fp[t].module)],
+                         fp[t].module.total, cover.source.total)
+        try:
+            u = space.combine(space.through(fcov[t].mat).coords(rhs))
+        except ValueError:
+            raise AssertionError("chain comparison solve failed") from None
         psi = _solve_injective(fincl[t].mat, u @ kinc.mat)
         if psi is None:
             raise AssertionError("chain comparison does not restrict")
     K = steps_r[-1][1]
     kincl = steps_r[-1][2]
     q_src = steps_r[-1][0].source
-    bound_r = [_flatten(h.mat @ kincl.mat)
-               for h in hom_basis(q_src, FY.module)]
-    width_r = K.total * FY.module.total
-    rows_r, piv_r = rref_rows(bound_r, width_r)
-    ext_r = len(hom_basis(K, FY.module)) - len(rows_r)
+    image = Span(FY.module.total * K.total,
+                 [(h.mat @ kincl.mat).flat()
+                  for h in hom_basis(q_src, FY.module)])
+    ext_r = len(hom_basis(K, FY.module)) - len(image)
 
-    rows = [list(r) for r in rows_r]
-    piv = list(piv_r)
     image_rank = 0
     for c in cocycles:
         t_c = induce_map(ralg, c, fo[-1], FY)
-        rep = t_c.mat @ psi
-        vec = _flatten(rep)
-        if not in_span(vec, rows, piv):
+        if image.add((t_c.mat @ psi).flat()):
             image_rank += 1
-            rows, piv = rref_rows(rows + [list(vec)], width_r)
     surjective = (image_rank == ext_r)
     injective = (image_rank == ext_b)
     verdict = {"k": k, "ext_b": ext_b, "ext_r": ext_r,
@@ -677,21 +625,13 @@ def _local_subalgebra(B: Algebra, i: int) -> Algebra:
 
 
 def _endo_algebra(M: FDModule) -> Algebra:
-    basis = hom_basis(M, M)
+    space = MapSpace([h.mat for h in hom_basis(M, M)], M.total, M.total)
 
     def mult(u, v):
-        mu = Matrix.zero(M.total, M.total)
-        mv = Matrix.zero(M.total, M.total)
-        for kk, c in enumerate(u):
-            if c != 0:
-                mu = mu + basis[kk].mat.scale(c)
-        for kk, c in enumerate(v):
-            if c != 0:
-                mv = mv + basis[kk].mat.scale(c)
-        return _expand_in_basis(basis, mu @ mv)
+        return space.coords(space.combine(u) @ space.combine(v))
 
-    idem = _expand_in_basis(basis, Matrix.identity(M.total))
-    return from_structure_constants(1, mult, [tuple(idem)])
+    idem = space.coords(Matrix.identity(M.total))
+    return from_structure_constants(1, mult, [idem])
 
 
 def loop_subalgebra_check(alg: Algebra, order, bocs: Bocs, i: int):

@@ -77,15 +77,13 @@ def _load_algebra(ctx, path):
               help="Write output to this path instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", help="Output format.")
-@click.option("--seed", type=int, default=0,
-              help="Seed for randomized property tests.")
 @click.option("--dim-bound", type=int, default=4,
               help="Dimension bound for module-by-module comparisons.")
 @click.pass_context
-def main(ctx, out, fmt, seed, dim_bound):
+def main(ctx, out, fmt, dim_bound):
     """Exact-arithmetic toolkit for stratified algebras and bocses."""
     ctx.ensure_object(dict)
-    ctx.obj.update(out=out, format=fmt, seed=seed, dim_bound=dim_bound)
+    ctx.obj.update(out=out, format=fmt, dim_bound=dim_bound)
 
 
 @main.command()

@@ -31,6 +31,11 @@ def _expect(cond, pointer: str):
         _fail(pointer)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; bool is an int subclass in Python but not in JSON."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def frac_to_str(x) -> str:
     f = Fraction(x)
     if f.denominator == 1:
@@ -53,8 +58,8 @@ def matrix_to_lists(m: Matrix):
 
 def lists_to_matrix(obj, pointer: str) -> Matrix:
     _expect(isinstance(obj, dict), pointer)
-    _expect(isinstance(obj.get("rows"), int), pointer + "/rows")
-    _expect(isinstance(obj.get("cols"), int), pointer + "/cols")
+    _expect(_is_int(obj.get("rows")), pointer + "/rows")
+    _expect(_is_int(obj.get("cols")), pointer + "/cols")
     data = obj.get("data")
     _expect(isinstance(data, list) and len(data) == obj["rows"],
             pointer + "/data")
@@ -110,7 +115,7 @@ def doc_to_algebra(doc: dict):
     _expect(doc.get("schema") == ALGEBRA_SCHEMA, "/schema")
     verts = doc.get("vertices")
     _expect(isinstance(verts, dict) and
-            isinstance(verts.get("count"), int) and verts["count"] >= 1,
+            _is_int(verts.get("count")) and verts["count"] >= 1,
             "/vertices/count")
     n = verts["count"]
     arrows_doc = doc.get("arrows")
@@ -124,8 +129,8 @@ def doc_to_algebra(doc: dict):
         _expect(a["name"] not in names, p + "/name")
         names.add(a["name"])
         for field in ("source", "target"):
-            _expect(isinstance(a.get(field), int)
-                    and 1 <= a[field] <= n, f"{p}/{field}")
+            _expect(_is_int(a.get(field)) and 1 <= a[field] <= n,
+                    f"{p}/{field}")
         arrows.append((a["name"], a["source"], a["target"]))
     quiver = Quiver(n, arrows)
     by_name = {name: (s, t) for name, s, t in arrows}
@@ -151,8 +156,8 @@ def doc_to_algebra(doc: dict):
             terms.append((coeff, src, tuple(path)))
         relations.append(Relation(quiver, terms))
     order = doc.get("order")
-    _expect(isinstance(order, list) and sorted(order) == list(range(1, n + 1)),
-            "/order")
+    _expect(isinstance(order, list) and all(_is_int(v) for v in order)
+            and sorted(order) == list(range(1, n + 1)), "/order")
     alg = build_algebra(quiver, RelationSet(quiver, relations))
     return alg, list(order)
 
@@ -204,17 +209,23 @@ def doc_to_bocs(doc: dict):
     _validate_version(doc)
     _expect(doc.get("schema") == BOCS_SCHEMA, "/schema")
     _expect(doc.get("mode") in ("delta", "pdelta"), "/mode")
-    _expect(isinstance(doc.get("r_max"), int), "/r_max")
+    _expect(_is_int(doc.get("r_max")), "/r_max")
     B, order = doc_to_algebra(doc.get("base"))
+
+    def is_vertex(x):
+        return _is_int(x) and 1 <= x <= B.n
+
+    _expect(isinstance(doc.get("order"), list)
+            and all(is_vertex(v) for v in doc["order"])
+            and doc["order"] == order, "/order")
     w_dim = doc.get("w_dim")
-    _expect(isinstance(w_dim, int) and w_dim >= 0, "/w_dim")
+    _expect(_is_int(w_dim) and w_dim >= 0, "/w_dim")
     wb = doc.get("w_block")
     _expect(isinstance(wb, list) and len(wb) == w_dim, "/w_block")
     w_block = []
     for k, pair in enumerate(wb):
         _expect(isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(x, int) and 1 <= x <= B.n
-                        for x in pair), f"/w_block/{k}")
+                and all(is_vertex(x) for x in pair), f"/w_block/{k}")
         w_block.append((pair[0], pair[1]))
     for side in ("wl", "wr"):
         _expect(isinstance(doc.get(side), list)
@@ -246,7 +257,7 @@ def doc_to_bocs(doc: dict):
         p = f"/kernel_generators/{k}"
         _expect(isinstance(item, list) and len(item) == 3, p)
         a, b, v = item
-        _expect(isinstance(a, int) and isinstance(b, int), p)
+        _expect(is_vertex(a) and is_vertex(b), p)
         _expect(isinstance(v, list) and len(v) == w_dim, p)
         kernel_generators.append(
             (a, b, tuple(str_to_frac(x, f"{p}/{c}")
@@ -256,7 +267,8 @@ def doc_to_bocs(doc: dict):
     d = {}
     for k, item in enumerate(dd):
         _expect(isinstance(item, list) and len(item) == 3
-                and all(isinstance(x, int) for x in item), f"/d/{k}")
+                and is_vertex(item[0]) and is_vertex(item[1])
+                and _is_int(item[2]), f"/d/{k}")
         d[(item[0], item[1])] = item[2]
 
     bocs = Bocs.__new__(Bocs)

@@ -2,12 +2,16 @@
 
 Everything downstream (path algebras, module categories, Ext computations,
 bocs structure constants) reduces to row operations on matrices of
-`fractions.Fraction`.  Values are immutable; all operations return fresh
-objects.
+`fractions.Fraction`.  Matrices are immutable; all operations return fresh
+objects.  This module alone knows how subspaces and spaces of maps are
+held in coordinates: a Span keeps a subspace as its reduced row echelon
+basis and gives the projection onto a complement, and a MapSpace solves
+for and combines coordinates of maps in a list of maps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -72,11 +76,6 @@ def reduce_against(vec: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
 
 def in_span(vec, rows, pivots) -> bool:
     return all(c == 0 for c in reduce_against(vec, rows, pivots))
-
-
-def span_dim(vectors: Sequence[Sequence[Fraction]], ncols: int) -> int:
-    rows, _ = rref_rows(vectors, ncols)
-    return len(rows)
 
 
 def complement_pivots(pivots: Sequence[int], ncols: int) -> list[int]:
@@ -174,6 +173,10 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
 
+    def flat(self) -> tuple[Fraction, ...]:
+        """The entries in row-major order, as one coordinate vector."""
+        return tuple(x for r in self.data for x in r)
+
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.data)
 
@@ -240,28 +243,118 @@ class Matrix:
                       list(self.data) + list(other.data))
 
 
-def block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[ZERO] * cols for _ in range(rows)]
-    ro = co = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[ro + i][co + j] = b.data[i][j]
-        ro += b.rows
-        co += b.cols
-    return Matrix(rows, cols, out)
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Sequence[Fraction]) -> tuple:
-    c = frac(c)
-    return tuple(c * a for a in u)
-
-
 def vec_is_zero(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
+
+
+class Span:
+    """A subspace of K^ncols held as its reduced row echelon basis.
+
+    rows and pivots equal rref_rows of the vectors put in, whatever their
+    order and however they were put in, because the reduced echelon basis
+    of a subspace is unique.
+    """
+
+    __slots__ = ("ncols", "rows", "pivots")
+
+    def __init__(self, ncols: int, vectors: Iterable[Sequence[Fraction]] = ()):
+        self.ncols = ncols
+        self.rows, self.pivots = rref_rows(list(vectors), ncols)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __contains__(self, vec) -> bool:
+        return in_span(vec, self.rows, self.pivots)
+
+    def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
+        """Normal form of vec modulo the span: zero at every pivot."""
+        return reduce_against(vec, self.rows, self.pivots)
+
+    def add(self, vec: Sequence[Fraction]) -> bool:
+        """Extend the span by vec; False when vec already lies in it."""
+        v = self.reduce(vec)
+        p = next((j for j, a in enumerate(v) if a != 0), None)
+        if p is None:
+            return False
+        lead = v[p]
+        if lead != 1:
+            v = [a / lead for a in v]
+        for i, row in enumerate(self.rows):
+            c = row[p]
+            if c != 0:
+                self.rows[i] = [a - c * b for a, b in zip(row, v)]
+        at = bisect_left(self.pivots, p)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, p)
+        return True
+
+    def complement(self, key=None):
+        """(coords, projection, section) of the quotient K^ncols / span.
+
+        coords are the non-pivot columns, ascending or sorted by key.  The
+        projection reads the normal form of a vector at coords, and the
+        section embeds coords as unit vectors, so projection @ section is
+        the identity and the projection kills the span.
+        """
+        n = self.ncols
+        coords = sorted(complement_pivots(self.pivots, n), key=key)
+        proj = []
+        for c in coords:
+            row = [ZERO] * n
+            row[c] = ONE
+            for rr, p in zip(self.rows, self.pivots):
+                if rr[c] != 0:
+                    row[p] = -rr[c]
+            proj.append(row)
+        sect = [[ONE if j == c else ZERO for c in coords] for j in range(n)]
+        return (coords, Matrix(len(coords), n, proj),
+                Matrix(n, len(coords), sect))
+
+
+class MapSpace:
+    """The span of a list of rows x cols matrices, in coordinates on it.
+
+    coords(mat) gives the coefficients x with mat == sum x[k] mats[k] that
+    Matrix.solve gives on the system with one column per map: zero at
+    every map that lies in the span of the maps before it.
+    """
+
+    __slots__ = ("rows", "cols", "mats", "_size", "_span")
+
+    def __init__(self, mats: Sequence[Matrix], rows: int, cols: int):
+        self.rows = rows
+        self.cols = cols
+        self.mats = list(mats)
+        self._size = size = rows * cols
+        n = len(self.mats)
+        # The span holds (sum c_k mats[k], -c) for independent maps only,
+        # so reducing (mat, 0) to (0, x) reads off mat == sum x_k mats[k].
+        self._span = Span(size + n)
+        for k, m in enumerate(self.mats):
+            v = self._span.reduce(
+                list(m.flat()) + [-ONE if j == k else ZERO for j in range(n)])
+            if any(v[:size]):
+                self._span.add(v)
+
+    def coords(self, mat: Matrix) -> tuple[Fraction, ...]:
+        """Coordinates of mat; ValueError when it is outside the span."""
+        if (mat.rows, mat.cols) != (self.rows, self.cols):
+            raise ValueError("map shape does not match the space")
+        v = self._span.reduce(list(mat.flat()) + [ZERO] * len(self.mats))
+        if any(v[:self._size]):
+            raise ValueError("map outside the spanned space")
+        return tuple(v[self._size:])
+
+    def combine(self, coeffs: Sequence[Fraction]) -> Matrix:
+        """The map sum coeffs[k] mats[k]."""
+        acc = [[ZERO] * self.cols for _ in range(self.rows)]
+        for c, m in zip(coeffs, self.mats):
+            if c != 0:
+                acc = [[a + c * b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(acc, m.data)]
+        return Matrix(self.rows, self.cols, acc)
+
+    def through(self, post: Matrix) -> "MapSpace":
+        """The space of post @ mats[k], in coordinates on the same list."""
+        return MapSpace([post @ m for m in self.mats], post.rows, self.cols)

@@ -10,10 +10,7 @@ enough.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import (Matrix, ONE, ZERO, frac, in_span, reduce_against,
-                     rref_rows, vec_is_zero)
+from .linalg import Matrix, ONE, Span, ZERO, vec_is_zero
 from .quiver import Algebra
 
 
@@ -385,8 +382,7 @@ def submodule(M: FDModule, vectors, name=""):
     closed under the action.
     """
     per_vertex = {i: [] for i in range(1, M.alg.n + 1)}
-    rows, piv = rref_rows(vectors, M.total) if vectors else ([], [])
-    for r in rows:
+    for r in Span(M.total, vectors).rows:
         verts = {M.vertex_of_coord(c) for c, x in enumerate(r) if x != 0}
         if len(verts) > 1:
             raise ValueError("submodule vectors must be vertex-pure")
@@ -419,33 +415,14 @@ def quotient(M: FDModule, vectors, name=""):
     Returns (FDModule, projection ModuleMap, section Matrix) where the
     section embeds chosen coset representatives back into M.
     """
-    rows, piv = rref_rows(vectors, M.total) if vectors else ([], [])
-    pivset = set(piv)
-    comp = [c for c in range(M.total) if c not in pivset]
+    # complement coordinates ordered by vertex keep the grouping invariant
+    comp, pmat, sect = Span(M.total, vectors).complement(
+        key=M.vertex_of_coord)
     dims = [0] * M.alg.n
     for c in comp:
         dims[M.vertex_of_coord(c) - 1] += 1
-    # order complement coordinates by vertex to keep the grouping invariant
-    comp.sort(key=lambda c: (M.vertex_of_coord(c), c))
-    # projection of arbitrary v: coordinates of reduce_against(v) at comp
-    pmat_rows = []
-    for c in comp:
-        row = [ZERO] * M.total
-        row[c] = ONE
-        for rr, p in zip(rows, piv):
-            if rr[c] != 0:
-                # reduction of unit vector e_p contributes -rr[c] at c;
-                # equivalently the projection row for c picks up -rr[c] at p
-                row[p] = -rr[c]
-        pmat_rows.append(row)
-    pmat = (Matrix(len(comp), M.total, pmat_rows) if comp
-            else Matrix.zero(0, M.total))
-    sect = Matrix.from_columns(
-        [[ONE if k == c else ZERO for k in range(M.total)] for c in comp]) \
-        if comp else Matrix.zero(M.total, 0)
-    act = []
-    for k in range(M.alg.dim):
-        act.append(pmat @ M.act[k] @ sect if comp else Matrix.zero(0, 0))
+    act = ([pmat @ a @ sect for a in M.act] if comp
+           else [Matrix.zero(0, 0)] * len(M.act))
     q = FDModule(M.alg, dims, act, name=name)
     return q, ModuleMap(M, q, pmat), sect
 
@@ -469,27 +446,18 @@ def map_spaces(f: ModuleMap):
 
 def radical_vectors(M: FDModule):
     """Spanning vectors of rad A * M."""
-    vecs = []
-    for name, s, t, k in M.alg.arrows:
-        for c in range(M.total):
-            col = M.act[k].column(c)
-            if not vec_is_zero(col):
-                vecs.append(col)
+    span = Span(M.total, [M.act[k].column(c) for _, _, _, k in M.alg.arrows
+                          for c in range(M.total)])
     # higher radical words are generated by arrow products acting on these,
-    # and arrow actions of arrow images are included by closing once more
+    # so the span is closed under the arrow actions
     changed = True
-    rows, piv = rref_rows(vecs, M.total)
-    vecs = [tuple(r) for r in rows]
     while changed:
         changed = False
         for name, s, t, k in M.alg.arrows:
-            for v in list(vecs):
-                w = M.act[k].apply(v)
-                if not vec_is_zero(w) and not in_span(w, rows, piv):
-                    vecs.append(tuple(w))
-                    rows, piv = rref_rows(vecs, M.total)
+            for v in list(span.rows):
+                if span.add(M.act[k].apply(v)):
                     changed = True
-    return vecs
+    return [tuple(r) for r in span.rows]
 
 
 def top_dims(M: FDModule):

@@ -57,7 +57,13 @@ class PipelineReport:
 
 
 def _stage(timing, name):
-    timing.append((name, time.time()))
+    timing.append((name, time.perf_counter()))
+
+
+def _spans(timing):
+    """Seconds spent in each stage, from the marks _stage left."""
+    return {name: round(t1 - t0, 6)
+            for (name, t0), (_, t1) in zip(timing, timing[1:])}
 
 
 def _wrap(stage, fn, *args, **kwargs):
@@ -219,8 +225,6 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
                       "dim_bocs": out["dim_hom_bocs"]})
 
     _stage(timing, "done")
-    spans = {name: round(t1 - t0, 6)
-             for (name, t0), (_, t1) in zip(timing, timing[1:])}
     adoc = bio.algebra_to_doc(alg, order)
     doc = {
         "schema": bio.REPORT_SCHEMA,
@@ -253,7 +257,7 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
                                 "skipped_unfiltered": skipped},
         },
     }
-    return PipelineReport(doc, spans)
+    return PipelineReport(doc, _spans(timing))
 
 
 def roundtrip_bocs(bocs, config=None):
@@ -306,8 +310,6 @@ def roundtrip_bocs(bocs, config=None):
                       "dim_bocs": want, "dim_r": got})
 
     _stage(timing, "done")
-    spans = {name: round(t1 - t0, 6)
-             for (name, t0), (_, t1) in zip(timing, timing[1:])}
     doc = {
         "schema": bio.REPORT_SCHEMA,
         "version": REPORT_VERSION,
@@ -331,4 +333,4 @@ def roundtrip_bocs(bocs, config=None):
             "hom_dim_compare": {"ok": True, "pairs": pairs},
         },
     }
-    return PipelineReport(doc, spans)
+    return PipelineReport(doc, _spans(timing))

@@ -14,11 +14,9 @@ kinds uniformly.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .linalg import (Matrix, ONE, ZERO, frac, in_span, reduce_against,
-                     rref_rows, vec_add, vec_is_zero, vec_scale)
+from .linalg import Matrix, ONE, Span, ZERO, frac, vec_is_zero
 
 
 class Quiver:
@@ -206,8 +204,7 @@ class Algebra:
             if not current or all(vec_is_zero(v) for v in current):
                 return True
             nxt = [self.multiply(u, g) for u in current for g in gens]
-            rows, piv = rref_rows(nxt, self.dim)
-            current = [tuple(r) for r in rows]
+            current = [tuple(r) for r in Span(self.dim, nxt).rows]
         return False
 
 
@@ -312,10 +309,10 @@ def _build_graded(quiver, relations, length_bound):
                 if cw in cindex:
                     vec[cindex[cw]] += c
                 # incompatible arrow start: the term dies structurally
-            rrows, piv = red[ell]
-            vec = reduce_against(vec, rrows, piv)
+            vec = red[ell].reduce(vec)
             out = {}
-            nonpiv = [k for k in range(len(coords[ell])) if k not in set(piv)]
+            pivset = set(red[ell].pivots)
+            nonpiv = [k for k in range(len(coords[ell])) if k not in pivset]
             for slot, k in enumerate(nonpiv):
                 if vec[k] != 0:
                     out[(ell, slot)] = vec[k]
@@ -370,10 +367,9 @@ def _build_graded(quiver, relations, length_bound):
                                 vec[cindex[cw]] += c * cc
                     if any(x != 0 for x in vec):
                         rows.append(vec)
-        rrows, piv = rref_rows(rows, len(cws))
-        red[ell] = ([list(r) for r in rrows], list(piv))
+        red[ell] = Span(len(cws), rows)
         rows_kept[ell] = [list(r) for r in rows]
-        pivset = set(piv)
+        pivset = set(red[ell].pivots)
         alive = [cws[k] for k in range(len(cws)) if k not in pivset]
         basis[ell] = [
             (lower[pos][0], lower[pos][1] + (arrow,))
@@ -456,12 +452,10 @@ def _build_global(quiver, relations, length_bound, path_cap=40000):
         if not new:
             top = ell
             break
-        rows = pad_rows(ell)
-        rrows, piv = rref_rows(rows, len(paths))
+        ideal = Span(len(paths), pad_rows(ell))
         col = {p: k for k, p in enumerate(paths)}
         all_dead = all(
-            in_span([ONE if k == col[p] else ZERO for k in range(len(paths))],
-                    rrows, piv)
+            [ONE if k == col[p] else ZERO for k in range(len(paths))] in ideal
             for p in new)
         if all_dead:
             top = ell
@@ -473,10 +467,9 @@ def _build_global(quiver, relations, length_bound, path_cap=40000):
     for ell in range(top + 1, 2 * top):
         if not extend(ell):
             break
-    rows = pad_rows(2 * top - 1)
-    rrows, piv = rref_rows(rows, len(paths))
+    ideal = Span(len(paths), pad_rows(2 * top - 1))
     col = {p: k for k, p in enumerate(paths)}
-    pivset = set(piv)
+    pivset = set(ideal.pivots)
     basis_paths = [p for k, p in enumerate(paths)
                    if k not in pivset and len(p[1]) < top]
     # sanity: no surviving long paths
@@ -489,7 +482,7 @@ def _build_global(quiver, relations, length_bound, path_cap=40000):
         if path not in col:
             return {}
         vec = [ONE if k == col[path] else ZERO for k in range(len(paths))]
-        vec = reduce_against(vec, rrows, piv)
+        vec = ideal.reduce(vec)
         out = {}
         for k, c in enumerate(vec):
             if c != 0:
@@ -527,13 +520,6 @@ def from_structure_constants(n, mult, idempotents, labels=None,
         cols = [mult(unitvec(k), unitvec(j)) for j in range(dim)]
         L.append(Matrix.from_columns(cols))
 
-    def Lmat(v):
-        m = Matrix.zero(dim, dim)
-        for k, c in enumerate(v):
-            if c != 0:
-                m = m + L[k].scale(c)
-        return m
-
     gram = Matrix(dim, dim, [[(L[a] @ L[b]).trace() for b in range(dim)]
                              for a in range(dim)])
     rad_basis = [v for v in gram.kernel_basis()]
@@ -543,8 +529,7 @@ def from_structure_constants(n, mult, idempotents, labels=None,
     current = rad_basis
     while current:
         nxt = [mult(u, g) for u in current for g in rad_basis]
-        rows, _ = rref_rows(nxt, dim)
-        current = [tuple(r) for r in rows]
+        current = [tuple(r) for r in Span(dim, nxt).rows]
         layers.append(current)
         if len(layers) > dim + 2:
             raise ValueError("radical is not nilpotent")
@@ -555,20 +540,16 @@ def from_structure_constants(n, mult, idempotents, labels=None,
 
     new_vecs, bsource, btarget, bdegree, new_labels = [], [], [], [], []
     unit_index = [None] * n
-    span_rows, span_piv = [], []
+    span = Span(dim)
 
     def try_add(v, s, t, deg, label):
-        nonlocal span_rows, span_piv
-        if vec_is_zero(v):
-            return False
-        if in_span(v, span_rows, span_piv):
+        if not span.add(v):
             return False
         new_vecs.append(tuple(v))
         bsource.append(s)
         btarget.append(t)
         bdegree.append(deg)
         new_labels.append(label)
-        span_rows, span_piv = rref_rows(new_vecs, dim)
         return True
 
     count = 0

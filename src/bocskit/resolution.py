@@ -13,7 +13,7 @@ d(f)^(l) = d'_{l-k} f^(l) - (-1)^k f^(l-1) d_l.
 
 from __future__ import annotations
 
-from .linalg import Matrix, ONE, ZERO, in_span, rref_rows
+from .linalg import MapSpace, Matrix, Span, ZERO
 from .modules import (FDModule, ModuleMap, hom_from_projective, map_spaces,
                       projective_cover, quotient, radical_vectors)
 from .quiver import Algebra, from_structure_constants
@@ -21,11 +21,7 @@ from .strata import StandardSystem, standard_modules
 
 
 def _hom_space(P: FDModule, X: FDModule):
-    """Cached (basis, stacked column matrix) of Hom(P, X), P projective.
-
-    The stacked matrix has one column per basis map, rows the row-major
-    entries of its matrix; it is the coordinate solver for the space.
-    """
+    """Cached (basis, MapSpace of the basis) of Hom(P, X), P projective."""
     cache = getattr(P, "_homsp", None)
     if cache is None:
         cache = P._homsp = {}
@@ -36,18 +32,9 @@ def _hom_space(P: FDModule, X: FDModule):
         basis = []
     else:
         basis = hom_from_projective(P, X)
-    cols = [_flatten_mat(f.mat) for f in basis]
-    mat = (Matrix.from_columns(cols) if cols
-           else Matrix.zero(X.total * P.total, 0))
-    cache[id(X)] = (X, basis, mat)
-    return basis, mat
-
-
-def _flatten_mat(m: Matrix):
-    out = []
-    for row in m.data:
-        out.extend(row)
-    return out
+    space = MapSpace([f.mat for f in basis], X.total, P.total)
+    cache[id(X)] = (X, basis, space)
+    return basis, space
 
 
 class Resolution:
@@ -121,11 +108,9 @@ def minimal_resolution(M: FDModule, N_max: int = 4,
             target = mods[l - 1]
             if target.total == 0:
                 continue
-            rad = radical_vectors(target)
-            rows, piv = rref_rows(rad, target.total)
-            for col in diffs[l].mat.columns():
-                if any(c != 0 for c in col) and not in_span(col, rows, piv):
-                    raise ValueError("resolution is not minimal")
+            rad = Span(target.total, radical_vectors(target))
+            if any(col not in rad for col in diffs[l].mat.columns()):
+                raise ValueError("resolution is not minimal")
     return res
 
 
@@ -235,26 +220,6 @@ def differential(f: GradedMap) -> GradedMap:
     return GradedMap(f.src, f.tgt, k + 1, comps, hi=f.hi)
 
 
-def _solve_component(tgt_diff: ModuleMap, source_P: FDModule,
-                     rhs: ModuleMap):
-    """Find h in Hom(source_P, tgt_diff.source) with tgt_diff o h = rhs."""
-    basis, _ = _hom_space(source_P, tgt_diff.source)
-    if source_P.total == 0 or rhs.mat.is_zero():
-        return ModuleMap(source_P, tgt_diff.source,
-                         Matrix.zero(tgt_diff.source.total, source_P.total))
-    cols = [_flatten_mat(tgt_diff.compose(h).mat) for h in basis]
-    mat = (Matrix.from_columns(cols) if cols
-           else Matrix.zero(rhs.target.total * source_P.total, 0))
-    sol = mat.solve(_flatten_mat(rhs.mat))
-    if sol is None:
-        return None
-    out = Matrix.zero(tgt_diff.source.total, source_P.total)
-    for c, h in zip(sol, basis):
-        if c != 0:
-            out = out + h.mat.scale(c)
-    return ModuleMap(source_P, tgt_diff.source, out)
-
-
 def lift_chain_map(src: Resolution, tgt: Resolution, k: int,
                    seed: ModuleMap) -> GradedMap:
     """Chain map of degree k whose bottom component is the given seed.
@@ -269,11 +234,17 @@ def lift_chain_map(src: Resolution, tgt: Resolution, k: int,
     sgn = 1 if k % 2 == 0 else -1
     comps = {lo: seed}
     for l in range(lo, src.N_max):
-        rhs = comps[l].compose(src.diff(l + 1)).scale(sgn)
-        nxt = _solve_component(tgt.diff(l + 1 - k), src.P(l + 1), rhs)
-        if nxt is None:
-            raise ValueError("seed does not extend")
-        comps[l + 1] = nxt
+        rhs = comps[l].compose(src.diff(l + 1)).scale(sgn).mat
+        post = tgt.diff(l + 1 - k)
+        _, space = _hom_space(src.P(l + 1), post.source)
+        coeffs = ()
+        if not rhs.is_zero():
+            try:
+                coeffs = space.through(post.mat).coords(rhs)
+            except ValueError:
+                raise ValueError("seed does not extend") from None
+        comps[l + 1] = ModuleMap(src.P(l + 1), post.source,
+                                 space.combine(coeffs))
     return GradedMap(src, tgt, k, comps)
 
 
@@ -303,10 +274,10 @@ def is_null_homotopic(f: GradedMap):
     ulo = max(k - 1, 0)
     sgn = 1 if (k - 1) % 2 == 0 else -1  # (-1)^(k-1)
     levels = list(range(ulo, src.N_max + 1))
-    spaces = [_hom_space(src.P(l), tgt.P(l - k + 1))[0] for l in levels]
+    spaces = [_hom_space(src.P(l), tgt.P(l - k + 1)) for l in levels]
     offsets = []
     total_unknowns = 0
-    for basis in spaces:
+    for basis, _ in spaces:
         offsets.append(total_unknowns)
         total_unknowns += len(basis)
 
@@ -319,24 +290,24 @@ def is_null_homotopic(f: GradedMap):
 
     cols = []
     for li, l in enumerate(levels):
-        for h in spaces[li]:
+        for h in spaces[li][0]:
             col = [ZERO] * total_rows
             # d(u)^(l) picks up d'_{l-k+1} u^(l)
             if l in eq_levels and l - k + 1 >= 1:
-                flat = _flatten_mat(tgt.diff(l - k + 1).compose(h).mat)
+                flat = tgt.diff(l - k + 1).compose(h).mat.flat()
                 base = eq_offsets[eq_levels.index(l)]
                 for p, v in enumerate(flat):
                     col[base + p] = v
             # d(u)^(l+1) picks up -(-1)^(k-1) u^(l) d_{l+1}
             if l + 1 in eq_levels:
-                flat = _flatten_mat(h.compose(src.diff(l + 1)).mat)
+                flat = h.compose(src.diff(l + 1)).mat.flat()
                 base = eq_offsets[eq_levels.index(l + 1)]
                 for p, v in enumerate(flat):
                     col[base + p] = -sgn * v
             cols.append(col)
     rhs = []
     for l in eq_levels:
-        rhs.extend(_flatten_mat(f.component(l).mat))
+        rhs.extend(f.component(l).mat.flat())
     mat = (Matrix.from_columns(cols) if cols
            else Matrix.zero(total_rows, 0))
     sol = mat.solve(rhs)
@@ -351,12 +322,10 @@ def is_null_homotopic(f: GradedMap):
         return False, None
     comps = {}
     for li, l in enumerate(levels):
-        acc = Matrix.zero(tgt.P(l - k + 1).total, src.P(l).total)
-        for ci, h in enumerate(spaces[li]):
-            c = sol[offsets[li] + ci]
-            if c != 0:
-                acc = acc + h.mat.scale(c)
-        comps[l] = ModuleMap(src.P(l), tgt.P(l - k + 1), acc)
+        basis, space = spaces[li]
+        coeffs = sol[offsets[li]:offsets[li] + len(basis)]
+        comps[l] = ModuleMap(src.P(l), tgt.P(l - k + 1),
+                             space.combine(coeffs))
     return True, GradedMap(src, tgt, k - 1, comps)
 
 
@@ -368,42 +337,27 @@ def _cocycle_representatives(R: Resolution, N: FDModule, k: int):
     Works in the hom basis of Hom(P_k, N): cocycles are the kernel of
     composition with d_{k+1}, coboundaries the image of composition with
     d_k; representatives complete the coboundaries inside the cocycles.
+    Returns them with the MapSpace of that basis.
     """
-    basis, bmat = _hom_space(R.P(k), N)
+    basis, space = _hom_space(R.P(k), N)
     if not basis:
-        return [], basis
-    cols = [_flatten_mat(h.compose(R.diff(k + 1)).mat) for h in basis]
+        return [], space
+    cols = [h.compose(R.diff(k + 1)).mat.flat() for h in basis]
     nrows = N.total * R.P(k + 1).total
     mat = Matrix.from_columns(cols) if nrows else Matrix.zero(0, len(basis))
     cocycles = mat.kernel_basis()
 
-    cob = []
+    span = Span(len(basis))
     if k >= 1:
         lower, _ = _hom_space(R.P(k - 1), N)
         for g in lower:
-            vec = _flatten_mat(g.compose(R.diff(k)).mat)
-            coeffs = bmat.solve(vec)
-            if coeffs is None:
-                raise AssertionError("coboundary outside the hom space")
-            cob.append(coeffs)
-    rows, piv = rref_rows(cob, len(basis)) if cob else ([], [])
-    reps = []
-    span_rows = [list(r) for r in rows]
-    span_piv = list(piv)
-    for v in cocycles:
-        if not in_span(v, span_rows, span_piv):
-            reps.append(v)
-            span_rows, span_piv = rref_rows(span_rows + [list(v)],
-                                            len(basis))
-    return reps, basis
-
-
-def _coeffs_to_map(coeffs, basis, source, target) -> ModuleMap:
-    acc = Matrix.zero(target.total, source.total)
-    for c, h in zip(coeffs, basis):
-        if c != 0:
-            acc = acc + h.mat.scale(c)
-    return ModuleMap(source, target, acc)
+            try:
+                span.add(space.coords(g.compose(R.diff(k)).mat))
+            except ValueError:
+                raise AssertionError(
+                    "coboundary outside the hom space") from None
+    reps = [v for v in cocycles if span.add(v)]
+    return reps, space
 
 
 class ResolvedSystem:
@@ -442,7 +396,7 @@ def ext_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
     R = rsys.resolution(i)
     Rp = rsys.resolution(j)
     theta_j = rsys.system.module(j)
-    reps, basis = _cocycle_representatives(R, theta_j, k)
+    reps, space = _cocycle_representatives(R, theta_j, k)
 
     out = []
     if i == j and rsys.system.mode == "pdelta":
@@ -464,28 +418,25 @@ def ext_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
     else:
         if k == 0 and i == j:
             # normalize so the identity endomorphism comes first
-            _, bmat = _hom_space(R.P(0), theta_j)
-            coeffs0 = bmat.solve(_flatten_mat(R.aug.mat))
-            if coeffs0 is None:
-                raise AssertionError("augmentation outside the hom space")
-            id_vec = list(coeffs0)
-            span_rows, span_piv = rref_rows([id_vec], len(basis))
-            rest = []
-            for v in reps:
-                if not in_span(v, span_rows, span_piv):
-                    rest.append(v)
-                    span_rows, span_piv = rref_rows(
-                        span_rows + [list(v)], len(basis))
+            try:
+                span = Span(len(space.mats), [space.coords(R.aug.mat)])
+            except ValueError:
+                raise AssertionError(
+                    "augmentation outside the hom space") from None
+            rest = [v for v in reps if span.add(v)]
             if len(rest) != len(reps) - 1:
                 raise AssertionError("identity is not an Ext^0 cocycle")
             out.append(identity_graded_map(R))
             reps = rest
+        _, seeds = _hom_space(R.P(k), Rp.aug.source)
+        through_aug = seeds.through(Rp.aug.mat) if reps else None
         for coeffs in reps:
-            c = _coeffs_to_map(coeffs, basis, R.P(k), theta_j)
-            seed = _solve_component(Rp.aug, R.P(k), c)
-            if seed is None:
+            try:
+                x = through_aug.coords(space.combine(coeffs))
+            except ValueError:
                 raise AssertionError("cocycle does not lift through the "
-                                     "augmentation")
+                                     "augmentation") from None
+            seed = ModuleMap(R.P(k), Rp.aug.source, seeds.combine(x))
             out.append(lift_chain_map(R, Rp, k, seed))
     rsys._ext_cache[key] = out
     return out
@@ -509,7 +460,7 @@ def _flatten_graded(f: GradedMap, hi: int):
     levels, offsets, total = _graded_layout(f.src, f.tgt, f.k, hi)
     out = [ZERO] * total
     for li, l in enumerate(levels):
-        for p, v in enumerate(_flatten_mat(f.component(l).mat)):
+        for p, v in enumerate(f.component(l).mat.flat()):
             out[offsets[li] + p] = v
     return out
 
@@ -528,7 +479,7 @@ def _boundary_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
     Rp = rsys.resolution(j)
     _, _, total = _graded_layout(R, Rp, k, rsys.N_max)
     pairs = []
-    span_rows, span_piv = [], []
+    span = Span(total)
     ulo = max(k - 1, 0)
     order = [l for l in range(max(k, ulo), rsys.N_max + 1)]
     if k - 1 >= 0 and (k - 1) < max(k, ulo):
@@ -538,14 +489,8 @@ def _boundary_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
         for h in basis:
             u = GradedMap(R, Rp, k - 1, {l: h})
             b = differential(u)
-            vec = _flatten_graded(b, rsys.N_max)
-            if all(v == 0 for v in vec):
-                continue
-            if in_span(vec, span_rows, span_piv):
-                continue
-            pairs.append((b, u))
-            span_rows, span_piv = rref_rows(
-                span_rows + [list(vec)], total)
+            if span.add(_flatten_graded(b, rsys.N_max)):
+                pairs.append((b, u))
     rsys._boundary_cache[key] = pairs
     return pairs
 
@@ -654,32 +599,12 @@ def quotient_by_idempotents(alg: Algebra, vertices):
                 w = alg.multiply(alg.basis_vec(k2), mid)
                 if any(c != 0 for c in w):
                     ideal.append(w)
-    rows, piv = rref_rows(ideal, alg.dim)
-    pivset = set(piv)
-    comp = [c for c in range(alg.dim) if c not in pivset]
-
-    def reduce(v):
-        out = list(v)
-        for r, p in zip(rows, piv):
-            c = out[p]
-            if c != 0:
-                for idx in range(alg.dim):
-                    out[idx] -= c * r[idx]
-        return out
-
-    def project(v):
-        return tuple(v[c] for c in comp)
-
-    def lift(u):
-        out = [ZERO] * alg.dim
-        for c, x in zip(comp, u):
-            out[c] = x
-        return out
+    _, proj, sect = Span(alg.dim, ideal).complement()
 
     def mult_q(u, v):
-        return project(reduce(alg.multiply(lift(u), lift(v))))
+        return proj.apply(alg.multiply(sect.apply(u), sect.apply(v)))
 
-    idempotents = [project(reduce(alg.idempotent(j))) for j in kept]
+    idempotents = [proj.apply(alg.idempotent(j)) for j in kept]
     quo = from_structure_constants(len(kept), mult_q, idempotents)
     return quo, {j: p + 1 for p, j in enumerate(kept)}
 

@@ -7,8 +7,8 @@ position in the chosen order, not the raw vertex label.  Mode strings are
 
 from __future__ import annotations
 
-from .modules import (FDModule, ModuleMap, hom_basis, map_spaces, projective,
-                      quotient, radical_vectors, trace_submodule)
+from .modules import (FDModule, hom_basis, map_spaces, projective, quotient,
+                      radical_vectors)
 from .quiver import Algebra
 
 MODES = ("delta", "pdelta")

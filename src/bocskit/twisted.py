@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .ainf import AInfTable, ExtClass
 from .bocs import Bocs, bocs_hom_basis
-from .linalg import Matrix, ONE, ZERO, in_span, rref_rows
+from .linalg import MapSpace, Matrix, ONE, Span, ZERO
 from .modules import FDModule, ModuleMap, hom_basis
 from .strata import theta_filtration
 
@@ -128,19 +128,12 @@ def _is_nilpotent(pt: PretwistedModule) -> bool:
     layer = [m for m in gens if not m.is_zero()]
     for _ in range(total):
         nxt = []
-        seen_rows = []
-        seen_piv = []
+        seen = Span(total * total)
         for g in gens:
             for m in layer:
                 p = g @ m
-                if p.is_zero():
-                    continue
-                flat = [x for row in p.data for x in row]
-                if in_span(flat, seen_rows, seen_piv):
-                    continue
-                seen_rows, seen_piv = rref_rows(
-                    seen_rows + [flat], total * total)
-                nxt.append(p)
+                if seen.add(p.flat()):
+                    nxt.append(p)
         layer = nxt
         if not layer:
             return True
@@ -192,17 +185,12 @@ def _extension_coefficients(bocs: Bocs, E: FDModule, pi: ModuleMap,
     theta_j = Rj.module
 
     # lift the augmentation through pi
-    space = hom_basis(P0, E)
-    cols = [tuple(x for row in (pi.mat @ h.mat).data for x in row)
-            for h in space]
-    rhs = tuple(x for row in Ri.aug.mat.data for x in row)
-    sol = Matrix.from_columns(cols).solve(rhs) if cols else None
-    if sol is None:
-        raise AssertionError("augmentation does not lift through pi")
-    umat = Matrix.zero(E.total, P0.total)
-    for c, h in zip(sol, space):
-        if c != 0:
-            umat = umat + h.mat.scale(c)
+    space = MapSpace([h.mat for h in hom_basis(P0, E)], E.total, P0.total)
+    try:
+        umat = space.combine(space.through(pi.mat).coords(Ri.aug.mat))
+    except ValueError:
+        raise AssertionError("augmentation does not lift through pi") \
+            from None
 
     # restrict to the first syzygy and pull back along iota
     rest = umat @ Ri.diff(1).mat
@@ -219,12 +207,11 @@ def _extension_coefficients(bocs: Bocs, E: FDModule, pi: ModuleMap,
     cocs = [Rj.aug.mat @ table.graded_map(c).component(1).mat
             for c in basis]
     cobs = [h.mat @ Ri.diff(1).mat for h in hom_basis(P0, theta_j)]
-    cols = [tuple(x for row in m.data for x in row)
-            for m in cocs + cobs]
-    rhs = tuple(x for row in g.data for x in row)
-    sol = Matrix.from_columns(cols).solve(rhs)
-    if sol is None:
-        raise AssertionError("extension cocycle outside the table span")
+    try:
+        sol = MapSpace(cocs + cobs, g.rows, g.cols).coords(g)
+    except ValueError:
+        raise AssertionError(
+            "extension cocycle outside the table span") from None
     return list(sol[:len(basis)])
 
 

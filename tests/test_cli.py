@@ -119,3 +119,21 @@ def test_malformed_input_rejected(tmp_path):
     assert result.exit_code == 1
     err = json.loads(result.output.strip().splitlines()[-1])
     assert "parse error" in err["error"]
+
+
+def test_bad_bocs_document_fails_at_the_boundary(fixture_dir, tmp_path):
+    runner = CliRunner()
+    bpath = tmp_path / "e0-bocs.json"
+    result = runner.invoke(main, ["--out", str(bpath), "bocs",
+                                  str(fixture_dir / "e0.json"),
+                                  "--rmax", "3"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(bpath.read_text())
+    doc["d"] = [[9, 1, 1]]
+    bpath.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["burt-butler", str(bpath)])
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "schema violation at /d/0",
+                                    "stage": "input"}

@@ -117,3 +117,19 @@ def test_bocs_document_validation():
     bad["w_block"] = [[1, 9] for _ in good["w_block"]]
     with pytest.raises(ValueError, match="schema violation at /w_block"):
         bio.doc_to_bocs(bad)
+    # JSON booleans are not integers, and vertices lie in 1..n
+    for field, value, pointer in [
+            ("r_max", True, "/r_max"),
+            ("order", [True], "/order"),
+            ("order", [2], "/order"),
+            ("w_block", [[True, 1] for _ in good["w_block"]], "/w_block/0"),
+            ("d", [[9, 1, 1]], "/d/0"),
+            ("d", [[1, 0, 1]], "/d/0"),
+            ("d", [[1, 1, True]], "/d/0"),
+            ("kernel_generators", [[9, 1, ["0"] * good["w_dim"]]],
+             "/kernel_generators/0")]:
+        bad = dict(good)
+        bad[field] = value
+        with pytest.raises(ValueError,
+                           match=f"schema violation at {pointer}$"):
+            bio.doc_to_bocs(bad)

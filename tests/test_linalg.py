@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bocskit.linalg import Matrix, frac, rref_rows, in_span
+from bocskit.linalg import MapSpace, Matrix, Span, frac, rref_rows, in_span
 
 
 def test_rref_identity():
@@ -102,6 +103,92 @@ def test_in_span():
     assert in_span([frac(5), frac(-7)], rows, pivots)
     rows, pivots = rref_rows([[frac(1), frac(1)]], 2)
     assert not in_span([frac(1), frac(0)], rows, pivots)
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+_entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _vectors(draw):
+    ncols = draw(st.integers(1, 5))
+    vecs = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+                         max_size=6))
+    # repeat some vectors and sums so that dependent inputs are common
+    extra = [[a + b for a, b in zip(vecs[i], vecs[j])]
+             for i, j in draw(st.lists(st.tuples(st.integers(0, 5),
+                                                 st.integers(0, 5)),
+                                       max_size=2))
+             if i < len(vecs) and j < len(vecs)]
+    return ncols, vecs + extra
+
+
+def _rank(vecs, ncols):
+    return len(rref_rows(vecs, ncols)[0])
+
+
+@_PROPERTY
+@given(_vectors(), st.randoms(use_true_random=False))
+def test_span_is_the_rref_of_its_vectors(data, rnd):
+    ncols, vecs = data
+    order = list(vecs)
+    rnd.shuffle(order)
+    span = Span(ncols)
+    seen = []
+    for v in order:
+        grows = _rank(seen + [v], ncols) > _rank(seen, ncols)
+        assert span.add(v) is grows
+        seen.append(v)
+    assert (span.rows, span.pivots) == rref_rows(vecs, ncols)
+    for key in (None, lambda c: -c):
+        coords, proj, sect = span.complement(key=key)
+        assert len(coords) == ncols - len(span)
+        assert proj @ sect == Matrix.identity(len(coords))
+        for v in vecs:
+            assert not any(proj.apply(v))
+
+
+@st.composite
+def _maps(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    grids = draw(st.lists(st.lists(_entries, min_size=rows * cols,
+                                   max_size=rows * cols), max_size=5))
+    mats = [Matrix(rows, cols, [g[r * cols:(r + 1) * cols]
+                                for r in range(rows)]) for g in grids]
+    if mats and draw(st.booleans()):
+        mats.append(mats[0] + mats[-1])
+    return rows, cols, mats
+
+
+@_PROPERTY
+@given(_maps(), st.lists(_entries, min_size=6, max_size=6))
+def test_map_space_coordinates(data, coeffs):
+    rows, cols, mats = data
+    space = MapSpace(mats, rows, cols)
+    target = space.combine(coeffs)
+    # on any list of maps, coords agree with Matrix.solve
+    if mats:
+        stacked = Matrix.from_columns([m.flat() for m in mats])
+        assert space.coords(target) == stacked.solve(target.flat())
+    # on an independent list, coords invert combine
+    basis = []
+    for m in mats:
+        if _rank([b.flat() for b in basis + [m]], rows * cols) > len(basis):
+            basis.append(m)
+    space = MapSpace(basis, rows, cols)
+    c = tuple(coeffs[:len(basis)])
+    assert space.coords(space.combine(c)) == c
+    # a unit map outside the span is rejected
+    for k in range(rows * cols):
+        unit = Matrix(rows, cols, [[int(r * cols + q == k)
+                                    for q in range(cols)]
+                                   for r in range(rows)])
+        if _rank([b.flat() for b in basis] + [unit.flat()],
+                 rows * cols) > len(basis):
+            with pytest.raises(ValueError):
+                space.coords(unit)
+            break
 
 
 def test_matmul_and_blocks():
