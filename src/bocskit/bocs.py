@@ -6,12 +6,20 @@ b'-products of Ext^1 tuples, the bimodule W is the degree-1 part of the
 dg tensor category modulo the image of d' on B, and the comultiplication
 is the projected d'.  Words are handled with the package-wide convention
 that the rightmost factor acts first.
+
+Tensor products over B are quotients of plain tensor products in the
+row-major layout of linalg.outer: W (x)_B W, where mu lands, W (x)_B W
+(x)_B W, where coassociativity is checked, and W (x)_B X, which gives the
+morphisms Hom_B(W (x)_B X, Y) of the module category.  Their relations
+come from linalg.balanced_relations, and linalg.kron_apply applies maps
+such as 1 (x) mu to them.
 """
 
 from __future__ import annotations
 
 from .ainf import AInfTable, build_tables
-from .linalg import Matrix, ONE, Span, ZERO, vec_is_zero
+from .linalg import (Matrix, ONE, Span, ZERO, balanced_relations,
+                     kron_apply, outer, vec_is_zero)
 from .modules import FDModule, ModuleMap, hom_basis, quotient
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 from .resolution import ResolvedSystem
@@ -246,20 +254,6 @@ class Bocs:
         self.WR = [self.w_proj @ self.R1[k] @ self.w_sect
                    for k in range(B.dim)]
 
-    def wl_elt(self, bvec) -> Matrix:
-        m = Matrix.zero(self.w_dim, self.w_dim)
-        for k, c in enumerate(bvec):
-            if c != 0:
-                m = m + self.WL[k].scale(c)
-        return m
-
-    def wr_elt(self, bvec) -> Matrix:
-        m = Matrix.zero(self.w_dim, self.w_dim)
-        for k, c in enumerate(bvec):
-            if c != 0:
-                m = m + self.WR[k].scale(c)
-        return m
-
     # -- counit -----------------------------------------------------------
 
     def _build_eps(self):
@@ -282,23 +276,17 @@ class Bocs:
 
     # -- comultiplication -------------------------------------------------
 
-    def _pair_index(self, w1: int, w2: int) -> int:
-        return w1 * self.w_dim + w2
-
     def _dprime_u1_pairs(self, uvec):
         """(pi tensor pi) d' of a degree-1 word vector, on W x W pairs."""
         B = self.B
         acc = [ZERO] * (self.w_dim * self.w_dim)
 
         def add_pair(left_u1, right_u1, c):
-            lw = self.w_proj.apply(left_u1)
-            rw = self.w_proj.apply(right_u1)
-            for a, ca in enumerate(lw):
-                if ca == 0:
-                    continue
-                for b, cb in enumerate(rw):
-                    if cb != 0:
-                        acc[self._pair_index(a, b)] += c * ca * cb
+            pair = outer(self.w_proj.apply(left_u1),
+                         self.w_proj.apply(right_u1))
+            for p, x in enumerate(pair):
+                if x != 0:
+                    acc[p] += c * x
 
         for idx, coeff in enumerate(uvec):
             if coeff == 0:
@@ -359,23 +347,8 @@ class Bocs:
         self.mu_pairs = (Matrix.from_columns(cols) if cols
                          else Matrix.zero(pdim, 0))
         # the balanced tensor square W (x)_B W
-        rel = []
-        B = self.B
-        for k in range(B.dim):
-            for a in range(self.w_dim):
-                ra = self.WR[k].column(a)
-                for b in range(self.w_dim):
-                    lb = self.WL[k].column(b)
-                    v = [ZERO] * pdim
-                    for x, c in enumerate(ra):
-                        if c != 0:
-                            v[self._pair_index(x, b)] += c
-                    for y, c in enumerate(lb):
-                        if c != 0:
-                            v[self._pair_index(a, y)] -= c
-                    if any(x != 0 for x in v):
-                        rel.append(v)
-        _, self.ww_proj, _ = Span(pdim, rel).complement()
+        self.ww_span = Span(pdim, balanced_relations(self.WR, self.WL))
+        _, self.ww_proj, _ = self.ww_span.complement()
         self.mu = self.ww_proj @ self.mu_pairs
 
     # -- kernel of the counit ---------------------------------------------
@@ -461,8 +434,11 @@ def construct_bocs(alg: Algebra, order=None, mode: str = "pdelta",
 
     The table is built one degree beyond r_max so that the relation ideal
     of B can be compared at cutoffs r_max and r_max + 1; a difference
-    raises the stabilization error.
+    raises the stabilization error.  Relations of B have degree at least
+    2, so r_max below 2 is rejected.
     """
+    if r_max < 2:
+        raise ValueError("r_max must be at least 2")
     classification = classify_algebra(alg, order)
     if not classification.filtered(mode):
         raise ValueError("mode not admitted")
@@ -507,81 +483,33 @@ def validate_coalgebra(bocs: Bocs, raise_on_fail: bool = True):
             failures.append((axiom, where))
 
     wdim = bocs.w_dim
-    pdim = wdim * wdim
+    mu = bocs.mu_pairs
+    eye = Matrix.identity(wdim)
 
-    # counit identities through l_W and r_W
+    # counit identities: l_W (eps (x) 1) mu = 1 = r_W (1 (x) eps) mu,
+    # with l_W on B (x) W and r_W on W (x) B in the layout of outer
+    l_w = Matrix.from_columns([m.column(x) for m in bocs.WL
+                               for x in range(wdim)])
+    r_w = Matrix.from_columns([m.column(x) for x in range(wdim)
+                               for m in bocs.WR])
     for w in range(wdim):
-        col = bocs.mu_pairs.column(w)
-        left = [ZERO] * wdim
-        right = [ZERO] * wdim
-        for p, c in enumerate(col):
-            if c == 0:
-                continue
-            w1, w2 = divmod(p, wdim)
-            ev1 = bocs.eps.column(w1)
-            img = bocs.wl_elt(ev1).column(w2)
-            left = [a + c * b for a, b in zip(left, img)]
-            ev2 = bocs.eps.column(w2)
-            img = bocs.wr_elt(ev2).column(w1)
-            right = [a + c * b for a, b in zip(right, img)]
-        unit = [ONE if k == w else ZERO for k in range(wdim)]
-        record("counit-left", left == unit, f"w{w}")
-        record("counit-right", right == unit, f"w{w}")
+        col = mu.column(w)
+        unit = eye.column(w)
+        record("counit-left",
+               l_w.apply(kron_apply(bocs.eps, eye, col)) == unit, f"w{w}")
+        record("counit-right",
+               r_w.apply(kron_apply(eye, bocs.eps, col)) == unit, f"w{w}")
 
-    # coassociativity in the balanced triple tensor
-    tdim = wdim * wdim * wdim
-
-    def tindex(a, b, c):
-        return (a * wdim + b) * wdim + c
-
-    rel3 = []
-    for k in range(B.dim):
-        for a in range(wdim):
-            ra = bocs.WR[k].column(a)
-            for b in range(wdim):
-                lb = bocs.WL[k].column(b)
-                rb = bocs.WR[k].column(b)
-                for c in range(wdim):
-                    lc = bocs.WL[k].column(c)
-                    v = [ZERO] * tdim
-                    for x, cc in enumerate(ra):
-                        if cc != 0:
-                            v[tindex(x, b, c)] += cc
-                    for y, cc in enumerate(lb):
-                        if cc != 0:
-                            v[tindex(a, y, c)] -= cc
-                    if any(x != 0 for x in v):
-                        rel3.append(v)
-                    v = [ZERO] * tdim
-                    for y, cc in enumerate(rb):
-                        if cc != 0:
-                            v[tindex(a, y, c)] += cc
-                    for z, cc in enumerate(lc):
-                        if cc != 0:
-                            v[tindex(a, b, z)] -= cc
-                    if any(x != 0 for x in v):
-                        rel3.append(v)
-    span3 = Span(tdim, rel3)
-
+    # coassociativity in W (x)_B W (x)_B W, whose relations are those of
+    # W (x)_B W tensored with W on either side
+    units = eye.columns()
+    span3 = Span(wdim ** 3,
+                 [outer(r, e) for r in bocs.ww_span.rows for e in units]
+                 + [outer(e, r) for e in units for r in bocs.ww_span.rows])
     for w in range(wdim):
-        col = bocs.mu_pairs.column(w)
-        lhs = [ZERO] * tdim
-        rhs = [ZERO] * tdim
-        for p, c in enumerate(col):
-            if c == 0:
-                continue
-            w1, w2 = divmod(p, wdim)
-            inner = bocs.mu_pairs.column(w1)
-            for q, c2 in enumerate(inner):
-                if c2 != 0:
-                    u, v = divmod(q, wdim)
-                    rhs[tindex(u, v, w2)] += c * c2
-            inner = bocs.mu_pairs.column(w2)
-            for q, c2 in enumerate(inner):
-                if c2 != 0:
-                    u, v = divmod(q, wdim)
-                    lhs[tindex(w1, u, v)] += c * c2
-        diff = [a - b for a, b in zip(lhs, rhs)]
+        col = mu.column(w)
+        diff = [a - b for a, b in zip(kron_apply(eye, mu, col),
+                                      kron_apply(mu, eye, col))]
         record("coassociativity", diff in span3, f"w{w}")
 
     # bilinearity of eps and mu
@@ -595,44 +523,17 @@ def validate_coalgebra(bocs: Bocs, raise_on_fail: bool = True):
             ok = tuple(lhs) == tuple(B.multiply(ev, B.basis_vec(k)))
             record("bilinearity", ok, f"eps-right-{B.labels[k]}-w{w}")
 
-        # mu(b.w) against b acting on the first mu factor, in W (x)_B W
+        # mu(b.w) against (b (x) 1) mu(w), and mu(w.b) against
+        # (1 (x) b) mu(w), in W (x)_B W
         for w in range(wdim):
-            colw = bocs.mu_pairs.column(w)
-            shifted = [ZERO] * pdim
-            bw = bocs.WL[k].column(w)
-            for x, c in enumerate(bw):
-                if c != 0:
-                    colx = bocs.mu_pairs.column(x)
-                    shifted = [a + c * b for a, b in zip(shifted, colx)]
-            acted = [ZERO] * pdim
-            for p, c in enumerate(colw):
-                if c == 0:
-                    continue
-                w1, w2 = divmod(p, wdim)
-                img = bocs.WL[k].column(w1)
-                for y, cc in enumerate(img):
-                    if cc != 0:
-                        acted[bocs._pair_index(y, w2)] += c * cc
-            dl = bocs.ww_proj.apply([a - b for a, b in zip(shifted, acted)])
-            record("bilinearity", vec_is_zero(dl),
+            col = mu.column(w)
+            diff = [a - b for a, b in zip(mu.apply(bocs.WL[k].column(w)),
+                                          kron_apply(bocs.WL[k], eye, col))]
+            record("bilinearity", vec_is_zero(bocs.ww_proj.apply(diff)),
                    f"mu-left-{B.labels[k]}-w{w}")
-            shifted = [ZERO] * pdim
-            wb = bocs.WR[k].column(w)
-            for x, c in enumerate(wb):
-                if c != 0:
-                    colx = bocs.mu_pairs.column(x)
-                    shifted = [a + c * b for a, b in zip(shifted, colx)]
-            acted = [ZERO] * pdim
-            for p, c in enumerate(colw):
-                if c == 0:
-                    continue
-                w1, w2 = divmod(p, wdim)
-                img = bocs.WR[k].column(w2)
-                for y, cc in enumerate(img):
-                    if cc != 0:
-                        acted[bocs._pair_index(w1, y)] += c * cc
-            dr = bocs.ww_proj.apply([a - b for a, b in zip(shifted, acted)])
-            record("bilinearity", vec_is_zero(dr),
+            diff = [a - b for a, b in zip(mu.apply(bocs.WR[k].column(w)),
+                                          kron_apply(eye, bocs.WR[k], col))]
+            record("bilinearity", vec_is_zero(bocs.ww_proj.apply(diff)),
                    f"mu-right-{B.labels[k]}-w{w}")
 
     # surjectivity of eps
@@ -650,15 +551,7 @@ def validate_coalgebra(bocs: Bocs, raise_on_fail: bool = True):
     for i in range(1, B.n + 1):
         gi = bocs.duals.omega_index(i)
         wvec = bocs.w_proj.apply(bocs._q1_word(gi, bocs.duals.q1[gi][1]))
-        img = bocs.mu_pairs @ Matrix.from_columns([list(wvec)])
-        want = [ZERO] * pdim
-        for a, ca in enumerate(wvec):
-            if ca == 0:
-                continue
-            for b, cb in enumerate(wvec):
-                if cb != 0:
-                    want[bocs._pair_index(a, b)] += ca * cb
-        diff = [a - b for a, b in zip(img.column(0), want)]
+        diff = [a - b for a, b in zip(mu.apply(wvec), outer(wvec, wvec))]
         ok = vec_is_zero(bocs.ww_proj.apply(diff))
         record("grouplike", ok, f"omega{i}")
 
@@ -751,21 +644,10 @@ class TensorModule:
             act.append(Matrix.from_columns(cols) if pairs
                        else Matrix.zero(0, 0))
         self.big = FDModule(B, dims, act, name=f"W(x){X.name}")
-        relvecs = []
-        for k in range(B.dim):
-            for w in range(wdim):
-                wb = bocs.WR[k].column(w)
-                for x in range(X.total):
-                    v = [ZERO] * len(pairs)
-                    for y, c in enumerate(wb):
-                        if c != 0:
-                            v[index[(y, x)]] += c
-                    bx = X.act[k].column(x)
-                    for y, c in enumerate(bx):
-                        if c != 0:
-                            v[index[(w, y)]] -= c
-                    if any(t != 0 for t in v):
-                        relvecs.append(v)
+        # the relations in the layout of outer, read at the sorted pairs
+        layout = [w * X.total + x for (w, x) in pairs]
+        relvecs = [[v[p] for p in layout]
+                   for v in balanced_relations(bocs.WR, X.act)]
         self.module, self.proj, self.sect = quotient(
             self.big, relvecs, name=f"W(x)B{X.name}")
         self.index = index

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bocs import Bocs, bocs_compose, bocs_hom_basis, tensor_module
-from .linalg import MapSpace, Matrix, ONE, Span, ZERO
+from .linalg import MapSpace, Matrix, ONE, Span, ZERO, balanced_relations
 from .modules import (FDModule, ModuleMap, hom_basis, map_spaces,
                       projective, projective_cover, simple,
                       sum_of_projectives, is_isomorphic)
@@ -86,7 +86,8 @@ class RightAlgebra:
     basis holds the chosen hom-space basis (maps W (x) B -> B); R is the
     structure-constant algebra on it; emb maps B coordinates into R
     coordinates; coord_of_basis identifies the regular module's
-    coordinates with the basis of B.
+    coordinates with the basis of B; right_act[k] is the right action of
+    the k-th basis element of B on R.
     """
 
     def __init__(self, bocs: Bocs):
@@ -119,6 +120,12 @@ class RightAlgebra:
             emb_cols.append(list(self.R.old_to_new.apply(raw)))
         self.emb = Matrix.from_columns(emb_cols)
         self._check_embedding()
+        self.right_act = []
+        for k in range(B.dim):
+            ev = self.embed(B.basis_vec(k))
+            self.right_act.append(Matrix.from_columns(
+                [self.R.multiply(self.R.basis_vec(j), ev)
+                 for j in range(self.R.dim)]))
         self._induced = {}
 
     def _combo(self, rawvec) -> ModuleMap:
@@ -172,29 +179,8 @@ class RightAlgebra:
 
     def tensor_dim(self, X: FDModule) -> int:
         """dim R (x)_B X from the right-module presentation of R."""
-        B = self.bocs.B
-        R = self.R
-        npairs = R.dim * X.total
-
-        def pidx(r, x):
-            return r * X.total + x
-
-        rel = []
-        for bk in range(B.dim):
-            ev = self.embed(B.basis_vec(bk))
-            for r in range(R.dim):
-                rb = R.multiply(R.basis_vec(r), ev)
-                for x in range(X.total):
-                    v = [ZERO] * npairs
-                    for rr, c in enumerate(rb):
-                        if c != 0:
-                            v[pidx(rr, x)] += c
-                    bx = X.act[bk].column(x)
-                    for xx, c in enumerate(bx):
-                        if c != 0:
-                            v[pidx(r, xx)] -= c
-                    if any(t != 0 for t in v):
-                        rel.append(v)
+        npairs = self.R.dim * X.total
+        rel = balanced_relations(self.right_act, X.act)
         return npairs - len(Span(npairs, rel))
 
 
@@ -342,14 +328,7 @@ def borel_checks(ralg: RightAlgebra):
     rank = {v: t for t, v in enumerate(bocs.order)}
     report = {}
     # R as a right B-module, i.e. a left module over B opposite
-    Bop = B.opposite()
-    raw_act = []
-    for k in range(B.dim):
-        ev = ralg.embed(B.basis_vec(k))
-        cols = [list(R.multiply(R.basis_vec(j), ev))
-                for j in range(R.dim)]
-        raw_act.append(Matrix.from_columns(cols))
-    rb_mod, _, _ = _module_from_action(Bop, R.dim, raw_act)
+    rb_mod, _, _ = _module_from_action(B.opposite(), R.dim, ralg.right_act)
     cover = projective_cover(rb_mod)
     report["right_projective"] = (cover.source.total == rb_mod.total)
     # Peirce pattern of B

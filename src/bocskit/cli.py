@@ -77,7 +77,7 @@ def _load_algebra(ctx, path):
               help="Write output to this path instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", help="Output format.")
-@click.option("--dim-bound", type=int, default=4,
+@click.option("--dim-bound", type=click.IntRange(min=1), default=4,
               help="Dimension bound for module-by-module comparisons.")
 @click.pass_context
 def main(ctx, out, fmt, dim_bound):
@@ -105,7 +105,7 @@ def classify(ctx, source):
 @click.argument("source", type=click.Path(exists=True))
 @click.option("--mode", type=click.Choice(["delta", "pdelta"]),
               default="pdelta")
-@click.option("--rmax", type=int, default=5)
+@click.option("--rmax", type=click.IntRange(min=2), default=5)
 @click.pass_context
 def bocs(ctx, source, mode, rmax):
     """Construct the bocs of an algebra document and emit it."""
@@ -138,7 +138,7 @@ def burt_butler(ctx, source):
 @click.argument("source", type=click.Path(exists=True))
 @click.option("--mode", type=click.Choice(["delta", "pdelta"]),
               default="pdelta")
-@click.option("--rmax", type=int, default=5)
+@click.option("--rmax", type=click.IntRange(min=2), default=5)
 @click.pass_context
 def verify(ctx, source, mode, rmax):
     """Run the full verification pipeline on an algebra document."""

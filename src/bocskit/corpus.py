@@ -95,7 +95,7 @@ def random_corpus(seed: int, count: int = 20, max_vertices: int = 3,
             from .bocs import construct_bocs
             try:
                 bocs = construct_bocs(alg, order, mode=mode, r_max=r_max)
-            except (ValueError, AssertionError):
+            except ValueError:
                 continue
         seen.add(key)
         out.append((alg, order, bocs))

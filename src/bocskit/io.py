@@ -162,12 +162,19 @@ def doc_to_algebra(doc: dict):
     return alg, list(order)
 
 
-class AlgebraDocument:
-    def __init__(self, doc: dict):
+class _BuiltDocument:
+    """A validated document and what parse built from it."""
+
+    def __init__(self, doc: dict, built):
         self.doc = doc
+        self.built = built
 
     def build(self):
-        return doc_to_algebra(self.doc)
+        return self.built
+
+
+class AlgebraDocument(_BuiltDocument):
+    """An algebra document; build() gives its (Algebra, order)."""
 
 
 # -- bocs documents ---------------------------------------------------------
@@ -209,7 +216,7 @@ def doc_to_bocs(doc: dict):
     _validate_version(doc)
     _expect(doc.get("schema") == BOCS_SCHEMA, "/schema")
     _expect(doc.get("mode") in ("delta", "pdelta"), "/mode")
-    _expect(_is_int(doc.get("r_max")), "/r_max")
+    _expect(_is_int(doc.get("r_max")) and doc["r_max"] >= 2, "/r_max")
     B, order = doc_to_algebra(doc.get("base"))
 
     def is_vertex(x):
@@ -294,12 +301,8 @@ def doc_to_bocs(doc: dict):
     return bocs
 
 
-class BocsDocument:
-    def __init__(self, doc: dict):
-        self.doc = doc
-
-    def build(self):
-        return doc_to_bocs(self.doc)
+class BocsDocument(_BuiltDocument):
+    """A bocs document; build() gives its bocs."""
 
 
 class ReportDocument:
@@ -330,11 +333,9 @@ def parse(source):
         raise ValueError("unknown version")
     schema = doc.get("schema")
     if schema == ALGEBRA_SCHEMA:
-        doc_to_algebra(doc)
-        return AlgebraDocument(doc)
+        return AlgebraDocument(doc, doc_to_algebra(doc))
     if schema == BOCS_SCHEMA:
-        doc_to_bocs(doc)
-        return BocsDocument(doc)
+        return BocsDocument(doc, doc_to_bocs(doc))
     if schema == REPORT_SCHEMA:
         return ReportDocument(doc)
     _fail("/schema")

@@ -6,7 +6,10 @@ bocs structure constants) reduces to row operations on matrices of
 objects.  This module alone knows how subspaces and spaces of maps are
 held in coordinates: a Span keeps a subspace as its reduced row echelon
 basis and gives the projection onto a complement, and a MapSpace solves
-for and combines coordinates of maps in a list of maps.
+for and combines coordinates of maps in a list of maps.  Tensor products
+M (x) N are held in the row-major layout of `outer`; `kron_apply` applies
+a tensor product of maps and `balanced_relations` presents M (x)_B N,
+both sparsely, without forming a Kronecker matrix.
 """
 
 from __future__ import annotations
@@ -358,3 +361,69 @@ class MapSpace:
     def through(self, post: Matrix) -> "MapSpace":
         """The space of post @ mats[k], in coordinates on the same list."""
         return MapSpace([post @ m for m in self.mats], post.rows, self.cols)
+
+
+# -- tensor products --------------------------------------------------------
+
+
+def _nonzero_columns(m: Matrix):
+    """Per column of m, its nonzero entries as (row, entry) pairs."""
+    cols = [[] for _ in range(m.cols)]
+    for i, r in enumerate(m.data):
+        for j, a in enumerate(r):
+            if a != 0:
+                cols[j].append((i, a))
+    return cols
+
+
+def outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
+    """u (x) v flattened: the pair (i, j) sits at index i * len(v) + j."""
+    n = len(v)
+    out = [ZERO] * (len(u) * n)
+    nz = [(j, b) for j, b in enumerate(v) if b != 0]
+    for i, a in enumerate(u):
+        if a != 0:
+            for j, b in nz:
+                out[i * n + j] = a * b
+    return tuple(out)
+
+
+def kron_apply(L: Matrix, R: Matrix, vec: Sequence[Fraction]) -> tuple:
+    """(L (x) R) vec, with vec and the result in the layout of outer."""
+    if len(vec) != L.cols * R.cols:
+        raise ValueError("vector length mismatch")
+    lcols, rcols = _nonzero_columns(L), _nonzero_columns(R)
+    n = R.rows
+    out = [ZERO] * (L.rows * n)
+    for idx, c in enumerate(vec):
+        if c != 0:
+            k, l = divmod(idx, R.cols)
+            for i, a in lcols[k]:
+                ca = c * a
+                for j, b in rcols[l]:
+                    out[i * n + j] += ca * b
+    return tuple(out)
+
+
+def balanced_relations(right: Sequence[Matrix],
+                       left: Sequence[Matrix]) -> list:
+    """Vectors spanning the relations m.b (x) n - m (x) b.n of M (x)_B N.
+
+    right[k] acts by the k-th basis element of B on M from the right and
+    left[k] on N from the left.  The vectors are the nonzero columns of
+    right[k] (x) I - I (x) left[k] over all k, in the layout of outer.
+    """
+    rels = []
+    for Rk, Lk in zip(right, left):
+        m, n = Rk.cols, Lk.cols
+        rcols, lcols = _nonzero_columns(Rk), _nonzero_columns(Lk)
+        for a in range(m):
+            for x in range(n):
+                v = [ZERO] * (m * n)
+                for y, c in rcols[a]:
+                    v[y * n + x] += c
+                for y, c in lcols[x]:
+                    v[a * n + y] -= c
+                if any(v):
+                    rels.append(v)
+    return rels

@@ -26,6 +26,9 @@ from .twisted import hom_dim_compare
 
 REPORT_VERSION = 1
 
+# run_pipeline's config keys, their defaults and their least values
+_CONFIG = {"r_max": (5, 2), "dim_bound": (4, 1)}
+
 
 class PipelineError(ValueError):
     """A stage failure carrying the stage name and a witness payload."""
@@ -130,6 +133,20 @@ def indecomposables_up_to(alg, bound):
     return found
 
 
+def _read_config(config):
+    """config with defaults filled in; PipelineError at stage "config"
+    for unknown keys and values below their least."""
+    config = dict(config or {})
+    unknown = sorted(map(str, set(config) - set(_CONFIG)))
+    _require("config", not unknown, "unknown config keys", {"keys": unknown})
+    for key, (default, least) in _CONFIG.items():
+        value = config.setdefault(key, default)
+        _require("config", type(value) is int and value >= least,
+                 f"{key} must be an integer of at least {least}",
+                 {"key": key})
+    return config
+
+
 def _verdict_table(table):
     return {f"{i},{j}": [int(g), int(w)]
             for (i, j), (g, w) in sorted(table.items())}
@@ -137,9 +154,8 @@ def _verdict_table(table):
 
 def run_pipeline(alg, order=None, mode="pdelta", config=None):
     """Full verification battery; raises PipelineError on any violation."""
-    config = dict(config or {})
-    r_max = config.get("r_max", 5)
-    dim_bound = config.get("dim_bound", 4)
+    config = _read_config(config)
+    r_max, dim_bound = config["r_max"], config["dim_bound"]
     timing = []
 
     _stage(timing, "classify")
@@ -260,7 +276,7 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
     return PipelineReport(doc, _spans(timing))
 
 
-def roundtrip_bocs(bocs, config=None):
+def roundtrip_bocs(bocs):
     """Bocs-first direction: build R and verify it is properly filtered.
 
     Works on rehydrated bocses, where the transfer tables are absent;

@@ -215,7 +215,7 @@ def _path_label(source: int, names: tuple) -> str:
 
 
 def build_algebra(quiver: Quiver, relations: RelationSet,
-                  length_bound: int = 12, validate: bool = True) -> Algebra:
+                  length_bound: int = 12) -> Algebra:
     """Construct KQ/I with a normal-form path basis.
 
     Length-homogeneous relation sets are reduced degree by degree; mixed
@@ -229,10 +229,9 @@ def build_algebra(quiver: Quiver, relations: RelationSet,
         alg = _build_graded(quiver, relations, length_bound)
     else:
         alg = _build_global(quiver, relations, length_bound)
-    if validate:
-        alg.check_associativity()
-        if not alg.radical_nilpotent():
-            raise ValueError("radical is not nilpotent")
+    alg.check_associativity()
+    if not alg.radical_nilpotent():
+        raise ValueError("radical is not nilpotent")
     return alg
 
 
@@ -492,8 +491,7 @@ def _build_global(quiver, relations, length_bound, path_cap=40000):
     return _finish_algebra(quiver, relations, basis_paths, nf_global)
 
 
-def from_structure_constants(n, mult, idempotents, labels=None,
-                             validate=True) -> Algebra:
+def from_structure_constants(n, mult, idempotents) -> Algebra:
     """Reshape raw structure constants into a block-pure adapted Algebra.
 
     mult: function (u, v) -> vector over the raw basis (v applied first).
@@ -507,13 +505,12 @@ def from_structure_constants(n, mult, idempotents, labels=None,
     def unitvec(k):
         return tuple(ONE if i == k else ZERO for i in range(dim))
 
-    if validate:
-        for a in range(n):
-            for b in range(n):
-                prod = mult(idempotents[a], idempotents[b])
-                want = idempotents[a] if a == b else (ZERO,) * dim
-                if tuple(prod) != tuple(want):
-                    raise ValueError("inputs are not orthogonal idempotents")
+    for a in range(n):
+        for b in range(n):
+            prod = mult(idempotents[a], idempotents[b])
+            want = idempotents[a] if a == b else (ZERO,) * dim
+            if tuple(prod) != tuple(want):
+                raise ValueError("inputs are not orthogonal idempotents")
 
     L = []
     for k in range(dim):
@@ -617,10 +614,9 @@ def from_structure_constants(n, mult, idempotents, labels=None,
                   new_labels)
     alg.old_to_new = Finv
     alg.new_to_old = F
-    if validate:
-        alg.check_associativity()
-        if not alg.radical_nilpotent():
-            raise ValueError("radical is not nilpotent")
+    alg.check_associativity()
+    if not alg.radical_nilpotent():
+        raise ValueError("radical is not nilpotent")
     return alg
 
 

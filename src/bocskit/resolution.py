@@ -80,8 +80,7 @@ class Resolution:
         return 0
 
 
-def minimal_resolution(M: FDModule, N_max: int = 4,
-                       validate: bool = True) -> Resolution:
+def minimal_resolution(M: FDModule, N_max: int = 4) -> Resolution:
     """Iterated projective covers of syzygies, one degree past N_max."""
     if N_max < 3:
         raise ValueError("N_max must be at least 3")
@@ -99,18 +98,17 @@ def minimal_resolution(M: FDModule, N_max: int = 4,
         current = cover
     diffs = [None] + diffs
     res = Resolution(M, N_max, mods, diffs, aug)
-    if validate:
-        for l in range(2, res.depth + 1):
-            comp = diffs[l - 1].compose(diffs[l])
-            if not comp.is_zero():
-                raise ValueError("differentials do not square to zero")
-        for l in range(1, res.depth + 1):
-            target = mods[l - 1]
-            if target.total == 0:
-                continue
-            rad = Span(target.total, radical_vectors(target))
-            if any(col not in rad for col in diffs[l].mat.columns()):
-                raise ValueError("resolution is not minimal")
+    for l in range(2, res.depth + 1):
+        comp = diffs[l - 1].compose(diffs[l])
+        if not comp.is_zero():
+            raise ValueError("differentials do not square to zero")
+    for l in range(1, res.depth + 1):
+        target = mods[l - 1]
+        if target.total == 0:
+            continue
+        rad = Span(target.total, radical_vectors(target))
+        if any(col not in rad for col in diffs[l].mat.columns()):
+            raise ValueError("resolution is not minimal")
     return res
 
 

@@ -128,12 +128,27 @@ def test_bad_bocs_document_fails_at_the_boundary(fixture_dir, tmp_path):
                                   str(fixture_dir / "e0.json"),
                                   "--rmax", "3"])
     assert result.exit_code == 0, result.output
-    doc = json.loads(bpath.read_text())
-    doc["d"] = [[9, 1, 1]]
-    bpath.write_text(json.dumps(doc))
-    result = runner.invoke(main, ["burt-butler", str(bpath)])
-    assert result.exit_code == 1
-    lines = result.output.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0]) == {"error": "schema violation at /d/0",
-                                    "stage": "input"}
+    good = json.loads(bpath.read_text())
+    for field, value, pointer in [("d", [[9, 1, 1]], "/d/0"),
+                                  ("r_max", -3, "/r_max")]:
+        bpath.write_text(json.dumps(dict(good, **{field: value})))
+        result = runner.invoke(main, ["burt-butler", str(bpath)])
+        assert result.exit_code == 1
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": f"schema violation at {pointer}", "stage": "input"}
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--rmax", "1", "e0.json"],
+    ["bocs", "--rmax", "1", "e0.json"],
+    ["--dim-bound", "0", "verify", "e0.json"],
+    ["--dim-bound", "-1", "verify", "e0.json"]])
+def test_bad_parameters_are_usage_errors(fixture_dir, args):
+    runner = CliRunner()
+    args = [str(fixture_dir / a) if a.endswith(".json") else a for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Invalid value" in result.output
+

@@ -51,3 +51,14 @@ def test_require_bocs_off_skips_construction():
 def test_exhaustion_raises():
     with pytest.raises(ValueError, match="corpus generation exhausted"):
         random_corpus(1, count=50, max_dim=1, max_attempts=30)
+
+
+def test_invariant_failures_propagate(monkeypatch):
+    import bocskit.bocs
+
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant violated")
+
+    monkeypatch.setattr(bocskit.bocs, "construct_bocs", broken)
+    with pytest.raises(AssertionError, match="invariant violated"):
+        random_corpus(20260823, count=1, max_dim=5)

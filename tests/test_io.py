@@ -120,6 +120,8 @@ def test_bocs_document_validation():
     # JSON booleans are not integers, and vertices lie in 1..n
     for field, value, pointer in [
             ("r_max", True, "/r_max"),
+            ("r_max", 1, "/r_max"),
+            ("r_max", -3, "/r_max"),
             ("order", [True], "/order"),
             ("order", [2], "/order"),
             ("w_block", [[True, 1] for _ in good["w_block"]], "/w_block/0"),
@@ -133,3 +135,19 @@ def test_bocs_document_validation():
         with pytest.raises(ValueError,
                            match=f"schema violation at {pointer}$"):
             bio.doc_to_bocs(bad)
+
+
+def test_parse_builds_each_document_once(monkeypatch):
+    b = construct_bocs(example_semisimple_pair(), mode="pdelta", r_max=4)
+    text = bio.emit(bio.bocs_to_doc(b))
+    calls = []
+    real = bio.doc_to_bocs
+
+    def counting(doc):
+        calls.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(bio, "doc_to_bocs", counting)
+    built = bio.parse(text).build()
+    assert len(calls) == 1
+    assert bio.emit(bio.bocs_to_doc(built)) == text

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bocskit.linalg import MapSpace, Matrix, Span, frac, rref_rows, in_span
+from bocskit.linalg import (MapSpace, Matrix, Span, balanced_relations,
+                            frac, in_span, kron_apply, outer, rref_rows)
 
 
 def test_rref_identity():
@@ -189,6 +190,66 @@ def test_map_space_coordinates(data, coeffs):
             with pytest.raises(ValueError):
                 space.coords(unit)
             break
+
+
+# entries that are zero half the time, so the sparse loops skip often
+_sparse_entries = st.one_of(st.just(Fraction(0)), _entries)
+
+
+def _vector(n):
+    return st.lists(_sparse_entries, min_size=n, max_size=n)
+
+
+@st.composite
+def _matrix(draw, rows, cols):
+    return Matrix(rows, cols, [draw(_vector(cols)) for _ in range(rows)])
+
+
+def _kron(L, R):
+    """Dense L (x) R: the reference for the sparse tensor kernel."""
+    return Matrix(L.rows * R.rows, L.cols * R.cols,
+                  [[a * b for a in lrow for b in rrow]
+                   for lrow in L.data for rrow in R.data])
+
+
+@_PROPERTY
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_outer_is_the_flattened_outer_product(m, n, data):
+    u, v = data.draw(_vector(m)), data.draw(_vector(n))
+    product = Matrix.from_columns([u]) @ Matrix.from_rows([v])
+    assert outer(u, v) == product.flat()
+
+
+@_PROPERTY
+@given(st.tuples(*[st.integers(1, 3)] * 4), st.data())
+def test_kron_apply_is_the_tensor_product_of_maps(shape, data):
+    lr, lc, rr, rc = shape
+    L, R = data.draw(_matrix(lr, lc)), data.draw(_matrix(rr, rc))
+    u, v = data.draw(_vector(lc)), data.draw(_vector(rc))
+    assert kron_apply(L, R, outer(u, v)) == outer(L.apply(u), R.apply(v))
+    x, y = data.draw(_vector(lc * rc)), data.draw(_vector(lc * rc))
+    c = data.draw(_entries)
+    combo = [c * a + b for a, b in zip(x, y)]
+    assert kron_apply(L, R, combo) == tuple(
+        c * a + b for a, b in zip(kron_apply(L, R, x), kron_apply(L, R, y)))
+    assert kron_apply(L, R, x) == _kron(L, R).apply(x)
+    with pytest.raises(ValueError):
+        kron_apply(L, R, x + [Fraction(0)])
+
+
+@_PROPERTY
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_balanced_relations_span_the_balancing_maps(bdim, m, n, data):
+    right = [data.draw(_matrix(m, m)) for _ in range(bdim)]
+    left = [data.draw(_matrix(n, n)) for _ in range(bdim)]
+    rels = balanced_relations(right, left)
+    assert all(any(v) for v in rels)
+    want = []
+    for Rk, Lk in zip(right, left):
+        want += (_kron(Rk, Matrix.identity(n))
+                 - _kron(Matrix.identity(m), Lk)).columns()
+    got = Span(m * n, rels)
+    assert (got.rows, got.pivots) == rref_rows(want, m * n)
 
 
 def test_matmul_and_blocks():

@@ -107,3 +107,20 @@ def test_roundtrip_bocs_trivial():
     rep = roundtrip_bocs(b)
     assert rep.doc["right_algebra"]["dim"] == 2
     assert rep.doc["bocs"]["d"] == []
+
+
+def test_bad_parameters_fail_before_any_stage(monkeypatch):
+    import bocskit.pipeline as pipeline
+
+    def stage_ran(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(pipeline, "classify_algebra", stage_ran)
+    for config in ({"dim_bound": 0}, {"dim_bound": -1}, {"dim_bound": True},
+                   {"r_max": 1}, {"r_max": "5"}, {"rmax": 3}):
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(example_semisimple_pair(), config=config)
+        assert exc.value.stage == "config", config
+    # relations of B have degree at least 2
+    with pytest.raises(ValueError, match="r_max must be at least 2"):
+        construct_bocs(example_semisimple_pair(), mode="pdelta", r_max=1)
