@@ -99,6 +99,15 @@ class Bocs:
     """
 
     def __init__(self, alg, order, mode, r_max, table, B, duals):
+        self._set_base(alg, order, mode, r_max, table, B, duals)
+        self._build_u1()
+        self._build_dprime()
+        self._build_w()
+        self._build_eps()
+        self._build_mu()
+        self._build_kernel()
+
+    def _set_base(self, alg, order, mode, r_max, table, B, duals):
         self.alg = alg
         self.order = order
         self.mode = mode
@@ -109,12 +118,27 @@ class Bocs:
         self.arrow_idx = {name: k for name, s, t, k in B.arrows}
         self._tensor_cache = {}
         self._dpath_cache = {}
-        self._build_u1()
-        self._build_dprime()
-        self._build_w()
-        self._build_eps()
-        self._build_mu()
-        self._build_kernel()
+
+    @classmethod
+    def from_parts(cls, B, order, mode, r_max, *, w_dim, w_block, WL, WR,
+                   eps, mu_pairs, kernel_basis, kernel_generators, d):
+        """The bocs of a document, from B, W, eps, mu and the kernel data.
+
+        It has no algebra, A-infinity table or duals (alg, table and duals
+        are None), so validate_coalgebra does not apply to it.
+        """
+        bocs = cls.__new__(cls)
+        bocs._set_base(None, list(order), mode, r_max, None, B, None)
+        bocs.w_dim = w_dim
+        bocs.w_block = w_block
+        bocs.WL = WL
+        bocs.WR = WR
+        bocs.eps = eps
+        bocs.mu_pairs = mu_pairs
+        bocs.kernel_basis = kernel_basis
+        bocs.kernel_generators = kernel_generators
+        bocs.d = d
+        return bocs
 
     # -- degree-1 words ---------------------------------------------------
 

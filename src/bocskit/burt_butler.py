@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bocs import Bocs, bocs_compose, bocs_hom_basis, tensor_module
-from .linalg import MapSpace, Matrix, ONE, Span, ZERO, balanced_relations
+from .linalg import (MapSpace, Matrix, ONE, Span, ZERO, balanced_relations,
+                     nonzeros)
 from .modules import (FDModule, ModuleMap, hom_basis, map_spaces,
                       projective, projective_cover, simple,
                       sum_of_projectives, is_isomorphic)
@@ -44,10 +45,7 @@ def _module_from_action(alg: Algebra, dim: int, raw_act):
     if sum(dims) != dim:
         raise ValueError("idempotent images do not decompose the space")
     to_old = Matrix.from_columns(new_cols)
-    inv_cols = [to_old.solve(tuple(ONE if t == s else ZERO
-                                   for t in range(dim)))
-                for s in range(dim)]
-    to_new = Matrix.from_columns(inv_cols)
+    to_new = to_old.inverse()
     acts = [to_new @ raw_act[k] @ to_old for k in range(alg.dim)]
     return FDModule(alg, dims, acts), to_new, to_old
 
@@ -106,14 +104,14 @@ class RightAlgebra:
         if len(self.coord_of_basis) != B.dim:
             raise AssertionError("regular module coordinates degenerate")
 
-        def mult(u, v):
-            fu = self._combo(u)
-            fv = self._combo(v)
-            return self.space.coords(bocs_compose(bocs, fv, fu).mat)
-
+        # R is End(B) opposed: basis[i] * basis[j] is basis[j] after
+        # basis[i], one composition per ordered pair
+        table = [[nonzeros(self.space.coords(
+                     bocs_compose(bocs, g, f).mat)) for g in self.basis]
+                 for f in self.basis]
         idems = [self.space.coords(self._phi_raw(B.idempotent(i)).mat)
                  for i in range(1, B.n + 1)]
-        self.R = from_structure_constants(B.n, mult, idems)
+        self.R = from_structure_constants(B.n, table, idems)
         emb_cols = []
         for k in range(B.dim):
             raw = self.space.coords(self._phi_raw(B.basis_vec(k)).mat)
@@ -128,12 +126,10 @@ class RightAlgebra:
                  for j in range(self.R.dim)]))
         self._induced = {}
 
-    def _combo(self, rawvec) -> ModuleMap:
-        return ModuleMap(self.tX.module, self.XB, self.space.combine(rawvec))
-
     def element_map(self, new_vec) -> ModuleMap:
         """The endomorphism represented by an R coefficient vector."""
-        return self._combo(self.R.new_to_old.apply(new_vec))
+        raw = self.R.new_to_old.apply(new_vec)
+        return ModuleMap(self.tX.module, self.XB, self.space.combine(raw))
 
     def _phi_raw(self, bvec) -> ModuleMap:
         """The image of a B element: w (x) x maps to eps(w) * x * b."""
@@ -496,8 +492,7 @@ def _extend_map(A1: Algebra, A2: Algebra, images):
                 if T[vv] is None or A1.bdegree[vv] < 1 or \
                         A1.bdegree[vv] >= deg:
                     continue
-                prod = A1.multiply(A1.basis_vec(uu), A1.basis_vec(vv))
-                nz = {t: c for t, c in enumerate(prod) if c != 0}
+                nz = A1.table[uu][vv]
                 if set(nz) == {kk}:
                     img = A2.multiply(T[uu], T[vv])
                     T[kk] = tuple(c / nz[kk] for c in img)
@@ -586,31 +581,22 @@ def iso_search(A1: Algebra, A2: Algebra, budget: int = 4000):
 
 
 def _local_subalgebra(B: Algebra, i: int) -> Algebra:
+    """e_i B e_i, its table sliced out of the table of B."""
     idxs = B.block_indices(i, i)
-    m = len(idxs)
-
-    def mult(u, v):
-        big_u = [ZERO] * B.dim
-        big_v = [ZERO] * B.dim
-        for t, kk in enumerate(idxs):
-            big_u[kk] = u[t]
-            big_v[kk] = v[t]
-        prod = B.multiply(tuple(big_u), tuple(big_v))
-        return tuple(prod[kk] for kk in idxs)
-
+    pos = {kk: t for t, kk in enumerate(idxs)}
+    table = [[{pos[k]: c for k, c in B.table[a][b].items()} for b in idxs]
+             for a in idxs]
     idem = tuple(ONE if kk == B.unit_index[i - 1] else ZERO
                  for kk in idxs)
-    return from_structure_constants(1, mult, [idem])
+    return from_structure_constants(1, table, [idem])
 
 
 def _endo_algebra(M: FDModule) -> Algebra:
-    space = MapSpace([h.mat for h in hom_basis(M, M)], M.total, M.total)
-
-    def mult(u, v):
-        return space.coords(space.combine(u) @ space.combine(v))
-
+    mats = [h.mat for h in hom_basis(M, M)]
+    space = MapSpace(mats, M.total, M.total)
+    table = [[nonzeros(space.coords(a @ b)) for b in mats] for a in mats]
     idem = space.coords(Matrix.identity(M.total))
-    return from_structure_constants(1, mult, [idem])
+    return from_structure_constants(1, table, [idem])
 
 
 def loop_subalgebra_check(alg: Algebra, order, bocs: Bocs, i: int):

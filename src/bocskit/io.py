@@ -278,27 +278,10 @@ def doc_to_bocs(doc: dict):
                 and _is_int(item[2]), f"/d/{k}")
         d[(item[0], item[1])] = item[2]
 
-    bocs = Bocs.__new__(Bocs)
-    bocs.alg = None
-    bocs.order = list(order)
-    bocs.mode = doc["mode"]
-    bocs.r_max = doc["r_max"]
-    bocs.table = None
-    bocs.duals = None
-    bocs.B = B
-    bocs.arrow_idx = {name: k for name, s, t, k in B.arrows}
-    bocs._tensor_cache = {}
-    bocs._dpath_cache = {}
-    bocs.w_dim = w_dim
-    bocs.w_block = w_block
-    bocs.WL = WL
-    bocs.WR = WR
-    bocs.eps = eps
-    bocs.mu_pairs = mu_pairs
-    bocs.kernel_basis = kernel_basis
-    bocs.kernel_generators = kernel_generators
-    bocs.d = d
-    return bocs
+    return Bocs.from_parts(
+        B, order, doc["mode"], doc["r_max"], w_dim=w_dim, w_block=w_block,
+        WL=WL, WR=WR, eps=eps, mu_pairs=mu_pairs, kernel_basis=kernel_basis,
+        kernel_generators=kernel_generators, d=d)
 
 
 class BocsDocument(_BuiltDocument):

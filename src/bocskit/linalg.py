@@ -229,6 +229,17 @@ class Matrix:
             v[p] = row[self.cols]
         return tuple(v)
 
+    def inverse(self) -> "Matrix":
+        """The inverse, from one RREF of [self | I]; ValueError if singular."""
+        n = self.rows
+        if self.cols != n:
+            raise ValueError("only a square matrix has an inverse")
+        reduced, pivots = rref_rows(self.hstack(Matrix.identity(n)).data,
+                                    2 * n)
+        if pivots != list(range(n)):
+            raise ValueError("matrix is singular")
+        return Matrix(n, n, [r[n:] for r in reduced])
+
     def column_space_basis(self) -> list[tuple[Fraction, ...]]:
         _, col_pivots = rref_rows(self.data, self.cols)
         return [self.column(j) for j in col_pivots]
@@ -248,6 +259,11 @@ class Matrix:
 
 def vec_is_zero(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
+
+
+def nonzeros(u: Sequence[Fraction]) -> dict:
+    """The sparse form {index: entry} of a vector, zero entries dropped."""
+    return {k: a for k, a in enumerate(u) if a != 0}
 
 
 class Span:

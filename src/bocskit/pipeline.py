@@ -288,7 +288,7 @@ def roundtrip_bocs(bocs):
     _require("classify_bocs", bclass.label not in
              ("invalid", "projective-kernel only"),
              "bocs shape violated", {"label": bclass.label})
-    if getattr(bocs, "mu", None) is not None:
+    if bocs.table is not None:
         _wrap("validate_coalgebra", validate_coalgebra, bocs)
 
     _stage(timing, "right_algebra")

@@ -5,18 +5,38 @@ The product convention throughout the package is "q * p means p then q":
 for a path p from vertex i to vertex j we have p = e_j * p * e_i, and
 Hom(Ae_i, Ae_j) is identified with e_i A e_j acting by right multiplication.
 
-The same Algebra class also hosts algebras handed over as raw structure
-constants (endomorphism algebras, Burt-Butler algebras, corner algebras);
-`from_structure_constants` reshapes any such input into a block-pure basis
-adapted to the radical filtration so the rest of the package can treat both
-kinds uniformly.
+Every algebra has one representation, a sparse structure-constant table:
+table[i][j] is the dict {k: c} of the nonzero coefficients of
+basis[i] * basis[j], where basis[j] is applied first.  `table_product`
+is the one product routine that reads it.  Quiver algebras get their
+table from a normal-form path basis; algebras handed over as raw tables
+(endomorphism algebras, Burt-Butler algebras, corner and factor
+algebras) go through `from_structure_constants`, which reshapes them into
+a block-pure basis adapted to the radical filtration so the rest of the
+package can treat both kinds uniformly.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .linalg import Matrix, ONE, Span, ZERO, frac, vec_is_zero
+from .linalg import Matrix, ONE, Span, ZERO, frac, nonzeros
+
+
+def table_product(table, u, v):
+    """u * v for coefficient vectors over a basis with structure table
+    table[i][j] = {k: c} of basis[i] * basis[j]; v is applied first."""
+    out = [ZERO] * len(table)
+    for i, cu in enumerate(u):
+        if cu == 0:
+            continue
+        row = table[i]
+        for j, cv in enumerate(v):
+            if cv == 0:
+                continue
+            for k, c in row[j].items():
+                out[k] += cu * cv * c
+    return tuple(out)
 
 
 class Quiver:
@@ -145,17 +165,7 @@ class Algebra:
 
     def multiply(self, u, v):
         """Product u * v; v is applied first under the path convention."""
-        out = [ZERO] * self.dim
-        for i, cu in enumerate(u):
-            if cu == 0:
-                continue
-            row = self.table[i]
-            for j, cv in enumerate(v):
-                if cv == 0:
-                    continue
-                for k, c in row[j].items():
-                    out[k] += cu * cv * c
-        return tuple(out)
+        return table_product(self.table, u, v)
 
     def block_indices(self, target: int, source: int):
         """Basis positions spanning e_target A e_source."""
@@ -198,14 +208,19 @@ class Algebra:
 
     def radical_nilpotent(self) -> bool:
         rad = [self.basis_vec(k) for k in self.radical_indices()]
-        gens = list(rad)
-        current = rad
-        for _ in range(self.dim + 1):
-            if not current or all(vec_is_zero(v) for v in current):
-                return True
-            nxt = [self.multiply(u, g) for u in current for g in gens]
-            current = [tuple(r) for r in Span(self.dim, nxt).rows]
-        return False
+        return _powers(self.table, rad) is not None
+
+
+def _powers(table, rad):
+    """Reduced echelon bases of rad, rad^2, ... down to the first zero
+    power, for rad a basis of an ideal; None when no power is zero."""
+    layers = [rad]
+    while layers[-1]:
+        if len(layers) > len(table):
+            return None
+        nxt = [table_product(table, u, g) for u in layers[-1] for g in rad]
+        layers.append([tuple(r) for r in Span(len(table), nxt).rows])
+    return layers
 
 
 def _path_label(source: int, names: tuple) -> str:
@@ -491,49 +506,40 @@ def _build_global(quiver, relations, length_bound, path_cap=40000):
     return _finish_algebra(quiver, relations, basis_paths, nf_global)
 
 
-def from_structure_constants(n, mult, idempotents) -> Algebra:
-    """Reshape raw structure constants into a block-pure adapted Algebra.
+def from_structure_constants(n, table, idempotents) -> Algebra:
+    """Reshape a raw structure-constant table into a block-pure Algebra.
 
-    mult: function (u, v) -> vector over the raw basis (v applied first).
+    table: the raw algebra in Algebra.table format, table[i][j] the sparse
+    dict {k: c} of raw basis[i] * raw basis[j], basis[j] applied first.
     idempotents: n raw vectors, pairwise orthogonal, summing to the unit.
     The radical is the perp of the trace form of the left regular
-    representation (characteristic zero).  Raises when the input is not
-    elementary (some e_i (A/rad) e_i bigger than K).
+    representation (characteristic zero).  The result's new_to_old maps
+    its coordinates to raw ones and old_to_new inverts it.  Raises when
+    the input is not elementary (some e_i (A/rad) e_i bigger than K).
     """
-    dim = len(idempotents[0])
-
-    def unitvec(k):
-        return tuple(ONE if i == k else ZERO for i in range(dim))
+    dim = len(table)
 
     for a in range(n):
         for b in range(n):
-            prod = mult(idempotents[a], idempotents[b])
+            prod = table_product(table, idempotents[a], idempotents[b])
             want = idempotents[a] if a == b else (ZERO,) * dim
             if tuple(prod) != tuple(want):
                 raise ValueError("inputs are not orthogonal idempotents")
 
-    L = []
-    for k in range(dim):
-        cols = [mult(unitvec(k), unitvec(j)) for j in range(dim)]
-        L.append(Matrix.from_columns(cols))
-
-    gram = Matrix(dim, dim, [[(L[a] @ L[b]).trace() for b in range(dim)]
-                             for a in range(dim)])
-    rad_basis = [v for v in gram.kernel_basis()]
-
-    # radical powers
-    layers = [None, rad_basis]
-    current = rad_basis
-    while current:
-        nxt = [mult(u, g) for u in current for g in rad_basis]
-        current = [tuple(r) for r in Span(dim, nxt).rows]
-        layers.append(current)
-        if len(layers) > dim + 2:
-            raise ValueError("radical is not nilpotent")
-    maxdeg = len(layers) - 2  # layers[maxdeg+1] is empty
+    # trace form tr(L_a L_b), L_a the left multiplication by basis[a]:
+    # L_a has entry (j, k) = table[a][k][j]
+    gram = Matrix(dim, dim, [
+        [sum((c * table[b][j].get(k, ZERO)
+              for k in range(dim) for j, c in table[a][k].items()), ZERO)
+         for b in range(dim)] for a in range(dim)])
+    layers = _powers(table, gram.kernel_basis())  # layers[d-1] spans rad^d
+    if layers is None:
+        raise ValueError("radical is not nilpotent")
+    maxdeg = len(layers) - 1  # rad^(maxdeg+1) is zero
 
     def peirce(t, s, v):
-        return mult(idempotents[t - 1], mult(v, idempotents[s - 1]))
+        return table_product(table, idempotents[t - 1],
+                             table_product(table, v, idempotents[s - 1]))
 
     new_vecs, bsource, btarget, bdegree, new_labels = [], [], [], [], []
     unit_index = [None] * n
@@ -557,7 +563,7 @@ def from_structure_constants(n, mult, idempotents) -> Algebra:
     for t in range(1, n + 1):
         for s in range(1, n + 1):
             for deg in range(maxdeg, 0, -1):
-                for v in layers[deg]:
+                for v in layers[deg - 1]:
                     w = peirce(t, s, v)
                     if try_add(w, s, t, deg, f"r{count}"):
                         count += 1
@@ -566,8 +572,8 @@ def from_structure_constants(n, mult, idempotents) -> Algebra:
         # the idempotents: the algebra is not elementary
         for t in range(1, n + 1):
             for s in range(1, n + 1):
-                for k in range(dim):
-                    w = peirce(t, s, unitvec(k))
+                for u in Matrix.identity(dim).data:
+                    w = peirce(t, s, u)
                     if try_add(w, s, t, 0, f"z{count}"):
                         count += 1
         if len(new_vecs) == dim:
@@ -588,21 +594,11 @@ def from_structure_constants(n, mult, idempotents) -> Algebra:
     unit_index = [old_pos[k] for k in unit_index]
 
     F = Matrix.from_columns(new_vecs)      # new coords -> old coords
-    inv_cols = [F.solve(unitvec(k)) for k in range(dim)]
-    Finv = Matrix.from_columns(inv_cols)   # old coords -> new coords
-
-    def to_new(v):
-        return Finv.apply(v)
-
-    table = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            if bsource[i] != btarget[j]:
-                continue
-            prod = to_new(mult(new_vecs[i], new_vecs[j]))
-            d = {k: c for k, c in enumerate(prod) if c != 0}
-            if d:
-                table[i][j] = d
+    Finv = F.inverse()                     # old coords -> new coords
+    new_table = [
+        [nonzeros(Finv.apply(table_product(table, new_vecs[i], new_vecs[j])))
+         if bsource[i] == btarget[j] else {} for j in range(dim)]
+        for i in range(dim)]
 
     # degree-1 layer elements are the radical generators
     arrows = []
@@ -610,8 +606,8 @@ def from_structure_constants(n, mult, idempotents) -> Algebra:
         if bdegree[k] == 1:
             arrows.append((new_labels[k], bsource[k], btarget[k], k))
 
-    alg = Algebra(n, bsource, btarget, bdegree, unit_index, table, arrows,
-                  new_labels)
+    alg = Algebra(n, bsource, btarget, bdegree, unit_index, new_table,
+                  arrows, new_labels)
     alg.old_to_new = Finv
     alg.new_to_old = F
     alg.check_associativity()

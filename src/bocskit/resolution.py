@@ -13,7 +13,7 @@ d(f)^(l) = d'_{l-k} f^(l) - (-1)^k f^(l-1) d_l.
 
 from __future__ import annotations
 
-from .linalg import MapSpace, Matrix, Span, ZERO
+from .linalg import MapSpace, Matrix, Span, ZERO, nonzeros
 from .modules import (FDModule, ModuleMap, hom_from_projective, map_spaces,
                       projective_cover, quotient, radical_vectors)
 from .quiver import Algebra, from_structure_constants
@@ -586,24 +586,16 @@ def quotient_by_idempotents(alg: Algebra, vertices):
     kept = [j for j in range(1, alg.n + 1) if j not in removed]
     if not kept:
         raise ValueError("cannot remove every vertex")
-    ideal = []
-    for j in removed:
-        ej = alg.idempotent(j)
-        for k1 in range(alg.dim):
-            mid = alg.multiply(ej, alg.basis_vec(k1))
-            if all(c == 0 for c in mid):
-                continue
-            for k2 in range(alg.dim):
-                w = alg.multiply(alg.basis_vec(k2), mid)
-                if any(c != 0 for c in w):
-                    ideal.append(w)
+    # AeA is spanned by the products b * c of basis elements with c in eA
+    ideal = [alg.multiply(alg.basis_vec(b), alg.basis_vec(c))
+             for c in range(alg.dim) if alg.btarget[c] in removed
+             for b in range(alg.dim)]
     _, proj, sect = Span(alg.dim, ideal).complement()
-
-    def mult_q(u, v):
-        return proj.apply(alg.multiply(sect.apply(u), sect.apply(v)))
-
+    cols = sect.columns()
+    table = [[nonzeros(proj.apply(alg.multiply(u, v))) for v in cols]
+             for u in cols]
     idempotents = [proj.apply(alg.idempotent(j)) for j in kept]
-    quo = from_structure_constants(len(kept), mult_q, idempotents)
+    quo = from_structure_constants(len(kept), table, idempotents)
     return quo, {j: p + 1 for p, j in enumerate(kept)}
 
 

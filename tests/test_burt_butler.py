@@ -1,5 +1,6 @@
 import pytest
 
+from bocskit import burt_butler
 from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_identity,
                           construct_bocs)
 from bocskit.burt_butler import (borel_checks, ext_dimension,
@@ -55,6 +56,21 @@ def test_right_algebra_dimensions(r1, r3, r2, r0, rv):
         assert r.R.dim == want
         assert len(r.basis) == want
         assert r.tensor_dim(r.XB) == want
+
+
+def test_right_algebra_composes_once_per_pair(r1, monkeypatch):
+    # e1 is the dual numbers in pdelta mode; R's table needs one
+    # composition per ordered pair of hom-basis maps and no more
+    calls = []
+    compose = burt_butler.bocs_compose
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(burt_butler, "bocs_compose", counted)
+    R = right_algebra(r1[1]).R
+    assert 0 < len(calls) <= R.dim ** 2
 
 
 def test_local_right_algebras_match_fixture_shapes(r1, r3):

@@ -252,6 +252,19 @@ def test_balanced_relations_span_the_balancing_maps(bdim, m, n, data):
     assert (got.rows, got.pivots) == rref_rows(want, m * n)
 
 
+@_PROPERTY
+@given(st.integers(1, 4), st.data())
+def test_inverse_of_invertible_and_singular_matrices(n, data):
+    M = data.draw(_matrix(n, n))
+    if _rank(M.data, n) == n:
+        assert M @ M.inverse() == Matrix.identity(n)
+    else:
+        with pytest.raises(ValueError):
+            M.inverse()
+    with pytest.raises(ValueError):
+        Matrix.zero(n, n + 1).inverse()
+
+
 def test_matmul_and_blocks():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[0, 1], [1, 0]])

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bocskit.linalg import ONE, ZERO
+from bocskit.linalg import ONE, ZERO, Matrix, nonzeros
 from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
                             build_algebra, from_structure_constants,
                             example_a2, example_dual_numbers,
-                            example_jordan3, example_semisimple_pair)
+                            example_jordan3, example_semisimple_pair,
+                            table_product)
 
 
 def test_dual_numbers_basis():
@@ -134,11 +136,7 @@ def test_opposite_algebra():
 
 def test_from_structure_constants_roundtrip():
     alg = example_jordan3()
-
-    def mult(u, v):
-        return alg.multiply(u, v)
-
-    rebuilt = from_structure_constants(1, mult, [alg.unit()])
+    rebuilt = from_structure_constants(1, alg.table, [alg.unit()])
     assert rebuilt.dim == 3
     assert [rebuilt.bdegree[k] for k in range(3)] == sorted(rebuilt.bdegree)
     assert len(rebuilt.arrows) == 1
@@ -149,12 +147,8 @@ def test_from_structure_constants_roundtrip():
 
 def test_from_structure_constants_two_vertices():
     alg = example_a2()
-
-    def mult(u, v):
-        return alg.multiply(u, v)
-
     rebuilt = from_structure_constants(
-        2, mult, [alg.idempotent(1), alg.idempotent(2)])
+        2, alg.table, [alg.idempotent(1), alg.idempotent(2)])
     assert rebuilt.dim == 3
     assert rebuilt.cartan_matrix() == [[1, 0], [1, 1]]
     assert len(rebuilt.arrows) == 1
@@ -163,28 +157,76 @@ def test_from_structure_constants_two_vertices():
 
 
 def test_from_structure_constants_rejects_non_elementary():
-    # 2x2 matrix algebra over K is not elementary
-    def mult(u, v):
-        # basis e11, e12, e21, e22 with (i,j)(k,l) = delta_jk (i,l);
-        # u applied after v
-        out = [Fraction(0)] * 4
-
-        def pos(i, j):
-            return 2 * (i - 1) + (j - 1)
-
-        for i in range(1, 3):
-            for j in range(1, 3):
-                cu = u[pos(i, j)]
-                if cu == 0:
-                    continue
-                for k in range(1, 3):
-                    for l in range(1, 3):
-                        cv = v[pos(k, l)]
-                        if cv == 0 or j != k:
-                            continue
-                        out[pos(i, l)] += cu * cv
-        return tuple(out)
-
+    # 2x2 matrix algebra over K is not elementary: basis e11, e12, e21,
+    # e22 with (i,j)(k,l) = delta_jk (i,l)
+    table = [[{0: 1}, {1: 1}, {}, {}],
+             [{}, {}, {0: 1}, {1: 1}],
+             [{2: 1}, {3: 1}, {}, {}],
+             [{}, {}, {2: 1}, {3: 1}]]
     unit = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
     with pytest.raises(ValueError, match="elementary"):
-        from_structure_constants(1, mult, [unit])
+        from_structure_constants(1, table, [unit])
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+
+
+@st.composite
+def _monomial_algebras(draw):
+    """A quiver algebra on at most two vertices and two arrows, with every
+    path of length 2 or 3 set to zero, and when 3 some paths of length 2."""
+    n = draw(st.integers(1, 2))
+    pairs = [(s, t) for s in range(1, n + 1) for t in range(1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2))
+    q = Quiver(n, [(f"a{k}", s, t) for k, (s, t) in enumerate(chosen)])
+    length = draw(st.integers(2, 3))
+    paths = [(s, (name,), t) for name, s, t in q.arrows]
+    rels = []
+    for ell in range(2, length + 1):
+        paths = [(s, p + (name,), t2) for s, p, t in paths
+                 for name, s2, t2 in q.arrows if s2 == t]
+        rels += [Relation(q, [(1, s, p)]) for s, p, t in paths
+                 if ell == length or draw(st.booleans())]
+    return build_algebra(q, RelationSet(q, rels))
+
+
+@st.composite
+def _base_changes(draw, dim):
+    """An invertible matrix: rows of a unit lower triangular matrix in a
+    drawn order, times an upper triangular one with nonzero diagonal."""
+    ints, pivots = st.integers(-2, 2), st.sampled_from([1, -1, 2])
+    lower = [[draw(ints) if j < i else int(i == j) for j in range(dim)]
+             for i in range(dim)]
+    upper = [[draw(ints) if j > i else draw(pivots) if j == i else 0
+              for j in range(dim)] for i in range(dim)]
+    perm = draw(st.permutations(range(dim)))
+    return Matrix.from_rows([lower[p] for p in perm]) @ Matrix.from_rows(upper)
+
+
+def _signature(alg):
+    return sorted(zip(alg.btarget, alg.bsource, alg.bdegree))
+
+
+@_PROPERTY
+@given(_monomial_algebras(), st.data())
+def test_from_structure_constants_undoes_a_base_change(alg, data):
+    P = data.draw(_base_changes(alg.dim))
+    Pinv = P.inverse()
+    # raw basis[k] is column k of P; raw coordinates are P^-1 of old ones
+    cols = P.columns()
+    table = [[nonzeros(Pinv.apply(alg.multiply(u, v))) for v in cols]
+             for u in cols]
+    idems = [Pinv.apply(alg.idempotent(i)) for i in range(1, alg.n + 1)]
+    rebuilt = from_structure_constants(alg.n, table, idems)
+    assert rebuilt.dim == alg.dim
+    assert rebuilt.cartan_matrix() == alg.cartan_matrix()
+    assert _signature(rebuilt) == _signature(alg)
+    F = rebuilt.new_to_old
+    assert rebuilt.old_to_new @ F == Matrix.identity(alg.dim)
+    for i in range(alg.dim):
+        u = rebuilt.basis_vec(i)
+        for j in range(alg.dim):
+            v = rebuilt.basis_vec(j)
+            assert F.apply(rebuilt.multiply(u, v)) == table_product(
+                table, F.apply(u), F.apply(v))
