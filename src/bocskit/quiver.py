@@ -511,12 +511,17 @@ def from_structure_constants(n, table, idempotents) -> Algebra:
 
     table: the raw algebra in Algebra.table format, table[i][j] the sparse
     dict {k: c} of raw basis[i] * raw basis[j], basis[j] applied first.
+    table may also be a function mult(u, v) -> raw vector (v applied
+    first); it is tabulated once on the raw basis.
     idempotents: n raw vectors, pairwise orthogonal, summing to the unit.
     The radical is the perp of the trace form of the left regular
     representation (characteristic zero).  The result's new_to_old maps
     its coordinates to raw ones and old_to_new inverts it.  Raises when
     the input is not elementary (some e_i (A/rad) e_i bigger than K).
     """
+    if callable(table):
+        units = Matrix.identity(len(idempotents[0])).data
+        table = [[nonzeros(table(u, v)) for v in units] for u in units]
     dim = len(table)
 
     for a in range(n):
@@ -585,11 +590,9 @@ def from_structure_constants(n, table, idempotents) -> Algebra:
     # ascending degree so the basis reads unit part, arrows, higher powers
     perm = sorted(range(dim), key=lambda k: (bdegree[k], btarget[k],
                                              bsource[k], k))
-    new_vecs = [new_vecs[k] for k in perm]
-    bsource = [bsource[k] for k in perm]
-    btarget = [btarget[k] for k in perm]
-    bdegree = [bdegree[k] for k in perm]
-    new_labels = [new_labels[k] for k in perm]
+    new_vecs, bsource, btarget, bdegree, new_labels = (
+        [xs[k] for k in perm]
+        for xs in (new_vecs, bsource, btarget, bdegree, new_labels))
     old_pos = {old: new for new, old in enumerate(perm)}
     unit_index = [old_pos[k] for k in unit_index]
 
@@ -601,10 +604,8 @@ def from_structure_constants(n, table, idempotents) -> Algebra:
         for i in range(dim)]
 
     # degree-1 layer elements are the radical generators
-    arrows = []
-    for k in range(dim):
-        if bdegree[k] == 1:
-            arrows.append((new_labels[k], bsource[k], btarget[k], k))
+    arrows = [(new_labels[k], bsource[k], btarget[k], k)
+              for k in range(dim) if bdegree[k] == 1]
 
     alg = Algebra(n, bsource, btarget, bdegree, unit_index, new_table,
                   arrows, new_labels)

@@ -168,6 +168,14 @@ def test_from_structure_constants_rejects_non_elementary():
         from_structure_constants(1, table, [unit])
 
 
+def test_from_structure_constants_tabulates_a_mult_function():
+    alg = example_jordan3()
+    from_table = from_structure_constants(1, alg.table, [alg.unit()])
+    from_mult = from_structure_constants(1, alg.multiply, [alg.unit()])
+    assert from_mult.table == from_table.table
+    assert from_mult.new_to_old == from_table.new_to_old
+
+
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None)
 
