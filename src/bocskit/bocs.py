@@ -12,7 +12,9 @@ row-major layout of linalg.outer: W (x)_B W, where mu lands, W (x)_B W
 (x)_B W, where coassociativity is checked, and W (x)_B X, which gives the
 morphisms Hom_B(W (x)_B X, Y) of the module category.  Their relations
 come from linalg.balanced_relations, and linalg.kron_apply applies maps
-such as 1 (x) mu to them.
+such as 1 (x) mu to them.  The pair layout of W (x) X is read only in
+this module: bocs_lift turns a B-module map into a morphism through the
+counit, and bocs_compose composes morphisms through mu.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class Bocs:
         """The bocs of a document, from B, W, eps, mu and the kernel data.
 
         It has no algebra, A-infinity table or duals (alg, table and duals
-        are None), so validate_coalgebra does not apply to it.
+        are None), so validate_coalgebra raises ValueError on it.
         """
         bocs = cls.__new__(cls)
         bocs._set_base(None, list(order), mode, r_max, None, B, None)
@@ -494,8 +496,13 @@ def validate_coalgebra(bocs: Bocs, raise_on_fail: bool = True):
     """Check the coalgebra axioms on the K-basis of W.
 
     Returns a dict of verdicts; with raise_on_fail, the first failure
-    raises ValueError naming the axiom and the basis element.
+    raises ValueError naming the axiom and the basis element.  A bocs read
+    from a document has no A-infinity table, so no presentation of W to
+    check against: it raises ValueError.
     """
+    if bocs.table is None:
+        raise ValueError("a bocs read from a document has no A-infinity "
+                         "table, so its coalgebra axioms cannot be checked")
     B = bocs.B
     report = {}
     failures = []
@@ -711,16 +718,21 @@ def bocs_hom_basis(bocs: Bocs, X: FDModule, Y: FDModule):
     return hom_basis(tx.module, Y)
 
 
+def bocs_lift(bocs: Bocs, u: ModuleMap) -> ModuleMap:
+    """A B-module map u: X -> Y as a bocs morphism, through the counit:
+    w (x) x goes to u(eps(w) x)."""
+    X = u.source
+    tx = tensor_module(bocs, X)
+    through = [u.mat @ X.act_elt(ev) for ev in bocs.eps.columns()]
+    cols = [through[w].column(x) for (w, x) in tx.pairs]
+    big = Matrix.from_columns(cols) if cols else \
+        Matrix.zero(u.target.total, 0)
+    return ModuleMap(tx.module, u.target, big @ tx.sect)
+
+
 def bocs_identity(bocs: Bocs, X: FDModule) -> ModuleMap:
     """The identity morphism on X, through the counit."""
-    tx = tensor_module(bocs, X)
-    cols = []
-    for (w, x) in tx.pairs:
-        ev = bocs.eps.column(w)
-        xv = [ONE if k == x else ZERO for k in range(X.total)]
-        cols.append(list(X.act_elt(ev).apply(xv)))
-    big = Matrix.from_columns(cols) if tx.pairs else Matrix.zero(X.total, 0)
-    return ModuleMap(tx.module, X, big @ tx.sect)
+    return bocs_lift(bocs, ModuleMap(X, X, Matrix.identity(X.total)))
 
 
 def bocs_compose(bocs: Bocs, g: ModuleMap, f: ModuleMap) -> ModuleMap:

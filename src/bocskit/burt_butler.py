@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bocs import Bocs, bocs_compose, bocs_hom_basis, tensor_module
+from .bocs import (Bocs, bocs_compose, bocs_hom_basis, bocs_lift,
+                   tensor_module)
 from .linalg import (MapSpace, Matrix, ONE, Span, ZERO, balanced_relations,
                      nonzeros)
 from .modules import (FDModule, ModuleMap, hom_basis, map_spaces,
@@ -62,16 +63,21 @@ def _steps(M: FDModule, depth: int):
     return out
 
 
-def ext_dimension(M: FDModule, N: FDModule, k: int) -> int:
-    """dim Ext^k via syzygies from minimal covers (k >= 1)."""
-    steps = _steps(M, k)
-    omega = steps[-1][1]
-    incl = steps[-1][2]
-    cover_source = steps[-1][0].source
+def _syzygy_ext(steps, N: FDModule):
+    """Ext^k(M, N) at the last syzygy Omega of k steps of covers of M:
+    the cocycles Hom(Omega, N), and the Span of the coboundaries, maps
+    out of the last cover restricted to Omega."""
+    cover, omega, incl = steps[-1]
     cocycles = hom_basis(omega, N)
     bound = Span(N.total * omega.total,
                  [(h.mat @ incl.mat).flat()
-                  for h in hom_basis(cover_source, N)])
+                  for h in hom_basis(cover.source, N)])
+    return cocycles, bound
+
+
+def ext_dimension(M: FDModule, N: FDModule, k: int) -> int:
+    """dim Ext^k via syzygies from minimal covers (k >= 1)."""
+    cocycles, bound = _syzygy_ext(_steps(M, k), N)
     return len(cocycles) - len(bound)
 
 
@@ -132,22 +138,16 @@ class RightAlgebra:
         return ModuleMap(self.tX.module, self.XB, self.space.combine(raw))
 
     def _phi_raw(self, bvec) -> ModuleMap:
-        """The image of a B element: w (x) x maps to eps(w) * x * b."""
-        bocs = self.bocs
-        B = bocs.B
-        cols = []
-        basis_of_coord = {c: k for k, c in self.coord_of_basis.items()}
-        for (w, x) in self.tX.pairs:
-            u = B.basis_vec(basis_of_coord[x])
-            elt = B.multiply(bocs.eps.column(w), B.multiply(u, bvec))
-            out = [ZERO] * self.XB.total
-            for k, c in enumerate(elt):
-                if c != 0:
-                    out[self.coord_of_basis[k]] += c
-            cols.append(out)
-        big = Matrix.from_columns(cols) if cols else \
-            Matrix.zero(self.XB.total, 0)
-        return ModuleMap(self.tX.module, self.XB, big @ self.tX.sect)
+        """The image of a B element b: the lift of x -> x * b on B, so
+        w (x) x maps to eps(w) * x * b."""
+        B = self.bocs.B
+        n = self.XB.total
+        right = [[ZERO] * n for _ in range(n)]
+        for k, c in self.coord_of_basis.items():
+            for j, a in nonzeros(B.multiply(B.basis_vec(k), bvec)).items():
+                right[self.coord_of_basis[j]][c] = a
+        return bocs_lift(self.bocs,
+                         ModuleMap(self.XB, self.XB, Matrix(n, n, right)))
 
     def embed(self, bvec):
         """B element to R coefficient vector."""
@@ -224,20 +224,6 @@ def induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
     return out
 
 
-def _bocs_lift(bocs: Bocs, u: ModuleMap) -> ModuleMap:
-    """A plain B-map as a bocs morphism, through the counit."""
-    M = u.source
-    tm = tensor_module(bocs, M)
-    cols = []
-    for (w, x) in tm.pairs:
-        ev = bocs.eps.column(w)
-        mv = M.act_elt(ev).column(x)
-        cols.append(list(u.mat.apply(mv)))
-    big = Matrix.from_columns(cols) if tm.pairs else \
-        Matrix.zero(u.target.total, 0)
-    return ModuleMap(tm.module, u.target, big @ tm.sect)
-
-
 def induce_bocs_map(ralg: RightAlgebra, f: ModuleMap,
                     FM: InducedModule, FN: InducedModule) -> ModuleMap:
     """Image of a bocs morphism under induction (post-composition)."""
@@ -251,7 +237,7 @@ def induce_bocs_map(ralg: RightAlgebra, f: ModuleMap,
 def induce_map(ralg: RightAlgebra, u: ModuleMap,
                FM: InducedModule, FN: InducedModule) -> ModuleMap:
     """Image of a plain B-module map under induction."""
-    return induce_bocs_map(ralg, _bocs_lift(ralg.bocs, u), FM, FN)
+    return induce_bocs_map(ralg, bocs_lift(ralg.bocs, u), FM, FN)
 
 
 # -- standard and Borel checks ----------------------------------------------
@@ -355,18 +341,6 @@ def borel_checks(ralg: RightAlgebra):
 # -- the homological comparison ---------------------------------------------
 
 
-def _solve_injective(pre: Matrix, rhs: Matrix):
-    """psi with pre @ psi == rhs for injective pre."""
-    cols = []
-    for j in range(rhs.cols):
-        sol = pre.solve(rhs.column(j))
-        if sol is None:
-            return None
-        cols.append(list(sol))
-    return Matrix.from_columns(cols) if cols else \
-        Matrix.zero(pre.cols, 0)
-
-
 def homological_check(ralg: RightAlgebra, X: FDModule, Y: FDModule,
                       k: int):
     """Rank of the induced comparison map Ext^k_B -> Ext^k_R.
@@ -377,15 +351,8 @@ def homological_check(ralg: RightAlgebra, X: FDModule, Y: FDModule,
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    bocs = ralg.bocs
     steps_b = _steps(X, k)
-    omega = steps_b[-1][1]
-    incl = steps_b[-1][2]
-    cover_src = steps_b[-1][0].source
-    cocycles = hom_basis(omega, Y)
-    bound_b = Span(Y.total * omega.total,
-                   [(h.mat @ incl.mat).flat()
-                    for h in hom_basis(cover_src, Y)])
+    cocycles, bound_b = _syzygy_ext(steps_b, Y)
     ext_b = len(cocycles) - len(bound_b)
 
     FX = induce(ralg, X)
@@ -415,8 +382,6 @@ def homological_check(ralg: RightAlgebra, X: FDModule, Y: FDModule,
 
     steps_r = _steps(FX.module, k)
     # chain comparison psi_t: K_t -> F(Omega_t)
-    u = None
-    target = FX.module
     psi = None
     for t, (cover, ker, kinc) in enumerate(steps_r):
         rhs = cover.mat if t == 0 else psi @ cover.mat
@@ -427,16 +392,11 @@ def homological_check(ralg: RightAlgebra, X: FDModule, Y: FDModule,
             u = space.combine(space.through(fcov[t].mat).coords(rhs))
         except ValueError:
             raise AssertionError("chain comparison solve failed") from None
-        psi = _solve_injective(fincl[t].mat, u @ kinc.mat)
+        psi = fincl[t].mat.solve_columns(u @ kinc.mat)
         if psi is None:
             raise AssertionError("chain comparison does not restrict")
-    K = steps_r[-1][1]
-    kincl = steps_r[-1][2]
-    q_src = steps_r[-1][0].source
-    image = Span(FY.module.total * K.total,
-                 [(h.mat @ kincl.mat).flat()
-                  for h in hom_basis(q_src, FY.module)])
-    ext_r = len(hom_basis(K, FY.module)) - len(image)
+    cocycles_r, image = _syzygy_ext(steps_r, FY.module)
+    ext_r = len(cocycles_r) - len(image)
 
     image_rank = 0
     for c in cocycles:

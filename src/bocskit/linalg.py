@@ -229,16 +229,30 @@ class Matrix:
             v[p] = row[self.cols]
         return tuple(v)
 
+    def solve_columns(self, rhs: "Matrix") -> Optional["Matrix"]:
+        """X with self @ X == rhs, from one RREF of [self | rhs]; None when
+        some column is inconsistent.  Each column of X is the solution
+        solve gives for that column of rhs."""
+        if rhs.rows != self.rows:
+            raise ValueError("rhs row count mismatch")
+        n = self.cols
+        reduced, pivots = rref_rows(self.hstack(rhs).data, n + rhs.cols)
+        if pivots and pivots[-1] >= n:
+            return None
+        out = [[ZERO] * rhs.cols for _ in range(n)]
+        for row, p in zip(reduced, pivots):
+            out[p] = row[n:]
+        return Matrix(n, rhs.cols, out)
+
     def inverse(self) -> "Matrix":
         """The inverse, from one RREF of [self | I]; ValueError if singular."""
         n = self.rows
         if self.cols != n:
             raise ValueError("only a square matrix has an inverse")
-        reduced, pivots = rref_rows(self.hstack(Matrix.identity(n)).data,
-                                    2 * n)
-        if pivots != list(range(n)):
+        inv = self.solve_columns(Matrix.identity(n))
+        if inv is None:
             raise ValueError("matrix is singular")
-        return Matrix(n, n, [r[n:] for r in reduced])
+        return inv
 
     def column_space_basis(self) -> list[tuple[Fraction, ...]]:
         _, col_pivots = rref_rows(self.data, self.cols)

@@ -394,17 +394,9 @@ def submodule(M: FDModule, vectors, name=""):
         dims.append(len(per_vertex[i]))
         basis.extend(per_vertex[i])
     inc = Matrix.from_columns(basis) if basis else Matrix.zero(M.total, 0)
-    act = []
-    for k in range(M.alg.dim):
-        cols = []
-        for b in basis:
-            img = M.act[k].apply(b)
-            sol = inc.solve(list(img)) if basis else None
-            if basis and sol is None:
-                raise ValueError("span is not closed under the action")
-            cols.append(sol if sol is not None else ())
-        act.append(Matrix.from_columns(cols) if basis
-                   else Matrix.zero(0, 0))
+    act = [inc.solve_columns(a @ inc) for a in M.act]
+    if any(a is None for a in act):
+        raise ValueError("span is not closed under the action")
     sub = FDModule(M.alg, dims, act, name=name)
     return sub, ModuleMap(sub, M, inc)
 

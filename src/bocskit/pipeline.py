@@ -2,10 +2,15 @@
 
 run_pipeline chains classification, bocs construction, coalgebra
 validation, the right Burt-Butler algebra and the full battery of
-structural checks, failing fast with stage attribution.  Reports are
+structural checks; roundtrip_bocs starts from a bocs and checks its
+right algebra.  Both are sequences of stages on one stage runner, _Run.
+It marks the start of each stage on time.perf_counter, raises the
+ValueError or AssertionError of a call made through run.call again as a
+PipelineError of the current stage (other calls are not attributed),
+and assembles the report skeleton both directions share.  Reports are
 plain dictionaries emitted through the io module, so equal inputs give
-byte-identical documents; wall-clock timings are kept on the report
-object but excluded from the canonical emit.
+byte-identical documents; the seconds spent in each stage are kept on
+the report object but excluded from the canonical emit.
 """
 
 from __future__ import annotations
@@ -59,28 +64,72 @@ class PipelineReport:
         return bio.emit(self.doc)
 
 
-def _stage(timing, name):
-    timing.append((name, time.perf_counter()))
+class _Run:
+    """The stage runner of one pipeline run.
 
+    Callers pass stage functions by their module-global names, read at
+    each call and never bound in a table, so that a wrapper set on this
+    module's attributes sees every call.
+    """
 
-def _spans(timing):
-    """Seconds spent in each stage, from the marks _stage left."""
-    return {name: round(t1 - t0, 6)
-            for (name, t0), (_, t1) in zip(timing, timing[1:])}
+    def __init__(self):
+        self.marks = []  # (stage, perf_counter at its start), in order
+        self.standard = None
 
+    def stage(self, name):
+        self.marks.append((name, time.perf_counter()))
 
-def _wrap(stage, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except PipelineError:
-        raise
-    except (ValueError, AssertionError) as e:
-        raise PipelineError(stage, str(e)) from e
+    def call(self, fn, *args, **kwargs):
+        """fn(*args, **kwargs); its ValueError or AssertionError is raised
+        again as a PipelineError of the current stage."""
+        try:
+            return fn(*args, **kwargs)
+        except PipelineError:
+            raise
+        except (ValueError, AssertionError) as e:
+            raise PipelineError(self.marks[-1][0], str(e)) from e
 
+    def require(self, cond, message, witness=None):
+        if not cond:
+            raise PipelineError(self.marks[-1][0], message, witness)
 
-def _require(stage, cond, message, witness=None):
-    if not cond:
-        raise PipelineError(stage, message, witness)
+    def standard_stage(self, ralg):
+        self.stage("standard_check")
+        sc = self.call(standard_check, ralg)
+        table = {f"{i},{j}": [int(g), int(w)]
+                 for (i, j), (g, w) in sorted(sc["hom_table"].items())}
+        self.require(sc["ok"], "standard module checks failed",
+                     {"hom_table": table})
+        self.standard = {"ok": True, "hom_table": table}
+
+    def report(self, input_doc, cls, bocs, bclass, ralg, *, bocs_doc,
+               verdicts):
+        """The report of a passed run; bocs_doc and verdicts hold the
+        entries only one direction has."""
+        self.stage("done")
+        doc = {
+            "schema": bio.REPORT_SCHEMA,
+            "version": REPORT_VERSION,
+            "ok": True,
+            "input_digest": bio.algebra_digest(input_doc),
+            "order": list(bocs.order),
+            "mode": bocs.mode,
+            "classification": cls.label,
+            "bocs": {
+                "dim_b": bocs.B.dim,
+                "d": sorted([[a, b, m] for (a, b), m in bocs.d.items()]),
+                "bocs_class": bclass.label,
+                **bocs_doc,
+            },
+            "right_algebra": {
+                "dim": ralg.R.dim,
+                "cartan": [list(row) for row in ralg.R.cartan_matrix()],
+            },
+            "verdicts": {"standard_check": self.standard, **verdicts},
+        }
+        timing = {name: round(t1 - t0, 6) for (name, t0), (_, t1)
+                  in zip(self.marks, self.marks[1:])}
+        return PipelineReport(doc, timing)
 
 
 def _rad_power_vectors(alg, M, a):
@@ -138,142 +187,110 @@ def _read_config(config):
     for unknown keys and values below their least."""
     config = dict(config or {})
     unknown = sorted(map(str, set(config) - set(_CONFIG)))
-    _require("config", not unknown, "unknown config keys", {"keys": unknown})
+    if unknown:
+        raise PipelineError("config", "unknown config keys",
+                            {"keys": unknown})
     for key, (default, least) in _CONFIG.items():
         value = config.setdefault(key, default)
-        _require("config", type(value) is int and value >= least,
-                 f"{key} must be an integer of at least {least}",
-                 {"key": key})
+        if type(value) is not int or value < least:
+            raise PipelineError(
+                "config", f"{key} must be an integer of at least {least}",
+                {"key": key})
     return config
-
-
-def _verdict_table(table):
-    return {f"{i},{j}": [int(g), int(w)]
-            for (i, j), (g, w) in sorted(table.items())}
 
 
 def run_pipeline(alg, order=None, mode="pdelta", config=None):
     """Full verification battery; raises PipelineError on any violation."""
     config = _read_config(config)
     r_max, dim_bound = config["r_max"], config["dim_bound"]
-    timing = []
+    run = _Run()
 
-    _stage(timing, "classify")
-    cls = _wrap("classify", classify_algebra, alg, order)
+    run.stage("classify")
+    cls = run.call(classify_algebra, alg, order)
     order = list(cls.order)
-    _require("classify", cls.filtered(mode), "mode not admitted",
-             {"label": cls.label, "mode": mode})
+    run.require(cls.filtered(mode), "mode not admitted",
+                {"label": cls.label, "mode": mode})
 
-    _stage(timing, "construct_bocs")
-    bocs = _wrap("construct_bocs", construct_bocs, alg, order,
-                 mode=mode, r_max=r_max)
-    _stage(timing, "validate_coalgebra")
-    _wrap("validate_coalgebra", validate_coalgebra, bocs)
+    run.stage("construct_bocs")
+    bocs = run.call(construct_bocs, alg, order, mode=mode, r_max=r_max)
+    run.stage("validate_coalgebra")
+    run.call(validate_coalgebra, bocs)
     for k in range(1, bocs.table.r_max + 1):
-        _require("validate_coalgebra", stasheff_check(bocs.table, k),
-                 "higher-product identity failed", {"k": k})
+        run.require(stasheff_check(bocs.table, k),
+                    "higher-product identity failed", {"k": k})
 
-    _stage(timing, "classify_bocs")
-    bclass = _wrap("classify_bocs", classify_bocs, bocs)
+    run.stage("classify_bocs")
+    bclass = run.call(classify_bocs, bocs)
     wanted = "one-cyclic directed" if mode == "pdelta" else "weakly directed"
-    _require("classify_bocs", wanted in bclass.satisfies,
-             "bocs shape violated",
-             {"label": bclass.label, "wanted": wanted})
+    run.require(wanted in bclass.satisfies, "bocs shape violated",
+                {"label": bclass.label, "wanted": wanted})
 
-    _stage(timing, "right_algebra")
-    ralg = _wrap("right_algebra", right_algebra, bocs)
+    run.stage("right_algebra")
+    ralg = run.call(right_algebra, bocs)
+    run.standard_stage(ralg)
 
-    _stage(timing, "standard_check")
-    sc = _wrap("standard_check", standard_check, ralg)
-    _require("standard_check", sc["ok"], "standard module checks failed",
-             {"hom_table": _verdict_table(sc["hom_table"])})
+    run.stage("borel_checks")
+    bc = run.call(borel_checks, ralg)
+    run.require(bc["ok"], "Borel subalgebra checks failed",
+                {k: bool(v) for k, v in bc.items()})
 
-    _stage(timing, "borel_checks")
-    bc = _wrap("borel_checks", borel_checks, ralg)
-    _require("borel_checks", bc["ok"], "Borel subalgebra checks failed",
-             {k: bool(v) for k, v in bc.items()})
-
-    _stage(timing, "homological_check")
+    run.stage("homological_check")
     homological = []
     for i in range(1, bocs.B.n + 1):
         for j in range(1, bocs.B.n + 1):
             for k in (1, 2):
-                out = _wrap("homological_check", homological_check,
-                            ralg, simple(bocs.B, i), simple(bocs.B, j), k)
+                out = run.call(homological_check, ralg, simple(bocs.B, i),
+                               simple(bocs.B, j), k)
                 homological.append({"i": i, "j": j, "k": k,
                                     "ext_b": out["ext_b"],
                                     "ext_r": out["ext_r"]})
-                _require("homological_check", out["ok"],
-                         "Ext comparison failed", homological[-1])
+                run.require(out["ok"], "Ext comparison failed",
+                            homological[-1])
 
-    _stage(timing, "loop_subalgebra_check")
+    run.stage("loop_subalgebra_check")
     loops = []
     for i in range(1, alg.n + 1):
-        out = _wrap("loop_subalgebra_check", loop_subalgebra_check,
-                    alg, order, bocs, i)
+        out = run.call(loop_subalgebra_check, alg, order, bocs, i)
         loops.append({"i": i, "verdict": out["verdict"],
                       "dim_end": out["dim_end"], "dim_sub": out["dim_sub"]})
-        _require("loop_subalgebra_check", out["verdict"] != "distinct",
-                 "vertex subalgebra mismatch", loops[-1])
+        run.require(out["verdict"] != "distinct",
+                    "vertex subalgebra mismatch", loops[-1])
 
-    _stage(timing, "morita_compare")
-    mc = _wrap("morita_compare", morita_compare, alg, ralg)
-    _require("morita_compare", mc["verdict"] != "distinct",
-             "input and right algebra differ", {"verdict": mc["verdict"]})
+    run.stage("morita_compare")
+    mc = run.call(morita_compare, alg, ralg)
+    run.require(mc["verdict"] != "distinct", "input and right algebra differ",
+                {"verdict": mc["verdict"]})
 
-    _stage(timing, "hom_dim_compare")
+    run.stage("hom_dim_compare")
     system = bocs.table.rsys.system
     pairs = []
-    skipped = 0
     mods = indecomposables_up_to(alg, dim_bound)
     filtered = [M for M in mods
                 if theta_filtration(M, system) is not None]
-    skipped = len(mods) - len(filtered)
     for M in filtered:
         for N in filtered:
-            out = _wrap("hom_dim_compare", hom_dim_compare, M, N, bocs)
+            out = run.call(hom_dim_compare, M, N, bocs)
             pairs.append({"m": list(M.dims), "n": list(N.dims),
                           "dim": out["dim_hom_A"]})
-            _require("hom_dim_compare", out["ok"],
-                     "hom dimensions disagree",
-                     {"m": list(M.dims), "n": list(N.dims),
-                      "dim_a": out["dim_hom_A"],
-                      "dim_bocs": out["dim_hom_bocs"]})
+            run.require(out["ok"], "hom dimensions disagree",
+                        {"m": list(M.dims), "n": list(N.dims),
+                         "dim_a": out["dim_hom_A"],
+                         "dim_bocs": out["dim_hom_bocs"]})
 
-    _stage(timing, "done")
-    adoc = bio.algebra_to_doc(alg, order)
-    doc = {
-        "schema": bio.REPORT_SCHEMA,
-        "version": REPORT_VERSION,
-        "ok": True,
-        "input_digest": bio.algebra_digest(adoc),
-        "order": list(order),
-        "mode": mode,
-        "classification": cls.label,
-        "bocs": {
-            "dim_b": bocs.B.dim,
-            "relation_degrees": sorted(
-                {max(len(names) for _, _, names in rel.terms)
-                 for rel in bocs.B.relations.relations}),
-            "d": sorted([[a, b, m] for (a, b), m in bocs.d.items()]),
-            "bocs_class": bclass.label,
-        },
-        "right_algebra": {
-            "dim": ralg.R.dim,
-            "cartan": [list(row) for row in ralg.R.cartan_matrix()],
-        },
-        "verdicts": {
-            "standard_check": {"ok": True,
-                               "hom_table": _verdict_table(sc["hom_table"])},
+    return run.report(
+        bio.algebra_to_doc(alg, order), cls, bocs, bclass, ralg,
+        bocs_doc={"relation_degrees": sorted(
+            {max(len(names) for _, _, names in rel.terms)
+             for rel in bocs.B.relations.relations})},
+        verdicts={
             "borel_checks": {"ok": True},
             "homological_check": {"ok": True, "pairs": homological},
             "loop_subalgebra_check": {"ok": True, "vertices": loops},
             "morita_compare": {"ok": True, "verdict": mc["verdict"]},
             "hom_dim_compare": {"ok": True, "pairs": pairs,
-                                "skipped_unfiltered": skipped},
-        },
-    }
-    return PipelineReport(doc, _spans(timing))
+                                "skipped_unfiltered":
+                                    len(mods) - len(filtered)},
+        })
 
 
 def roundtrip_bocs(bocs):
@@ -282,30 +299,24 @@ def roundtrip_bocs(bocs):
     Works on rehydrated bocses, where the transfer tables are absent;
     the coalgebra axioms are re-validated only when available.
     """
-    timing = []
-    _stage(timing, "classify_bocs")
-    bclass = _wrap("classify_bocs", classify_bocs, bocs)
-    _require("classify_bocs", bclass.label not in
-             ("invalid", "projective-kernel only"),
-             "bocs shape violated", {"label": bclass.label})
+    run = _Run()
+    run.stage("classify_bocs")
+    bclass = run.call(classify_bocs, bocs)
+    run.require(bclass.label not in ("invalid", "projective-kernel only"),
+                "bocs shape violated", {"label": bclass.label})
     if bocs.table is not None:
-        _wrap("validate_coalgebra", validate_coalgebra, bocs)
+        run.call(validate_coalgebra, bocs)
 
-    _stage(timing, "right_algebra")
-    ralg = _wrap("right_algebra", right_algebra, bocs)
+    run.stage("right_algebra")
+    ralg = run.call(right_algebra, bocs)
 
-    _stage(timing, "classify")
-    cls = _wrap("classify", classify_algebra, ralg.R, bocs.order)
-    _require("classify", cls.filtered("pdelta"),
-             "right algebra is not properly filtered",
-             {"label": cls.label})
+    run.stage("classify")
+    cls = run.call(classify_algebra, ralg.R, bocs.order)
+    run.require(cls.filtered("pdelta"),
+                "right algebra is not properly filtered", {"label": cls.label})
+    run.standard_stage(ralg)
 
-    _stage(timing, "standard_check")
-    sc = _wrap("standard_check", standard_check, ralg)
-    _require("standard_check", sc["ok"], "standard module checks failed",
-             {"hom_table": _verdict_table(sc["hom_table"])})
-
-    _stage(timing, "hom_dim_compare")
+    run.stage("hom_dim_compare")
     B = bocs.B
     seen = []
     for i in range(1, B.n + 1):
@@ -320,33 +331,10 @@ def roundtrip_bocs(bocs):
             want = len(bocs_hom_basis(bocs, X, Y))
             pairs.append({"x": list(X.dims), "y": list(Y.dims),
                           "dim": want})
-            _require("hom_dim_compare", got == want,
-                     "hom dimensions disagree",
-                     {"x": list(X.dims), "y": list(Y.dims),
-                      "dim_bocs": want, "dim_r": got})
+            run.require(got == want, "hom dimensions disagree",
+                        {"x": list(X.dims), "y": list(Y.dims),
+                         "dim_bocs": want, "dim_r": got})
 
-    _stage(timing, "done")
-    doc = {
-        "schema": bio.REPORT_SCHEMA,
-        "version": REPORT_VERSION,
-        "ok": True,
-        "input_digest": bio.algebra_digest(bio.bocs_to_doc(bocs)),
-        "order": list(bocs.order),
-        "mode": bocs.mode,
-        "classification": cls.label,
-        "bocs": {
-            "dim_b": B.dim,
-            "d": sorted([[a, b, m] for (a, b), m in bocs.d.items()]),
-            "bocs_class": bclass.label,
-        },
-        "right_algebra": {
-            "dim": ralg.R.dim,
-            "cartan": [list(row) for row in ralg.R.cartan_matrix()],
-        },
-        "verdicts": {
-            "standard_check": {"ok": True,
-                               "hom_table": _verdict_table(sc["hom_table"])},
-            "hom_dim_compare": {"ok": True, "pairs": pairs},
-        },
-    }
-    return PipelineReport(doc, _spans(timing))
+    return run.report(
+        bio.bocs_to_doc(bocs), cls, bocs, bclass, ralg, bocs_doc={},
+        verdicts={"hom_dim_compare": {"ok": True, "pairs": pairs}})

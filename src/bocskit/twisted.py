@@ -181,7 +181,6 @@ def _extension_coefficients(bocs: Bocs, E: FDModule, pi: ModuleMap,
     if not basis:
         return []
     P0 = Ri.P(0)
-    P1 = Ri.P(1)
     theta_j = Rj.module
 
     # lift the augmentation through pi
@@ -193,15 +192,9 @@ def _extension_coefficients(bocs: Bocs, E: FDModule, pi: ModuleMap,
             from None
 
     # restrict to the first syzygy and pull back along iota
-    rest = umat @ Ri.diff(1).mat
-    gcols = []
-    for col in range(rest.cols):
-        v = iota.mat.solve(rest.column(col))
-        if v is None:
-            raise AssertionError("lift does not land in the submodule")
-        gcols.append(list(v))
-    g = Matrix.from_columns(gcols) if gcols else \
-        Matrix.zero(theta_j.total, 0)
+    g = iota.mat.solve_columns(umat @ Ri.diff(1).mat)
+    if g is None:
+        raise AssertionError("lift does not land in the submodule")
 
     # match against tabulated cocycles modulo coboundaries
     cocs = [Rj.aug.mat @ table.graded_map(c).component(1).mat
@@ -269,14 +262,9 @@ def filtered_to_bocs_module(M: FDModule, bocs: Bocs, cert=None,
         pi = ModuleMap(E, system.module(word[t]),
                        _factor_through(layers[t].surjection, proj))
         theta_j = system.module(word[t + 1])
-        icols = []
-        surj2 = layers[t + 1].surjection
-        for c in range(theta_j.total):
-            pre = surj2.mat.solve(tuple(ONE if k == c else ZERO
-                                        for k in range(theta_j.total)))
-            icols.append(list(proj.mat.apply(inc1.mat.apply(pre))))
-        iota = ModuleMap(theta_j, E, Matrix.from_columns(icols)
-                         if icols else Matrix.zero(E.total, 0))
+        pre = layers[t + 1].surjection.mat.solve_columns(
+            Matrix.identity(theta_j.total))
+        iota = ModuleMap(theta_j, E, proj.mat @ (inc1.mat @ pre))
         xs = _extension_coefficients(bocs, E, pi, iota,
                                      word[t], word[t + 1])
         for x, cls in zip(xs, table.basis(1, word[t], word[t + 1])):
@@ -351,13 +339,8 @@ def filtered_to_bocs_module(M: FDModule, bocs: Bocs, cert=None,
 
 def _factor_through(f: ModuleMap, proj: ModuleMap) -> Matrix:
     """Matrix of the map induced by f on the quotient given by proj."""
-    cols = []
-    for c in range(proj.target.total):
-        pre = proj.mat.solve(tuple(ONE if k == c else ZERO
-                                   for k in range(proj.target.total)))
-        cols.append(list(f.mat.apply(pre)))
-    return Matrix.from_columns(cols) if cols else \
-        Matrix.zero(f.target.total, 0)
+    return f.mat @ proj.mat.solve_columns(
+        Matrix.identity(proj.target.total))
 
 
 def hom_dim_compare(M: FDModule, N: FDModule, bocs: Bocs):

@@ -2,11 +2,12 @@ import copy
 
 import pytest
 
+from bocskit import io as bio
 from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_identity,
-                          classify_bocs, construct_bocs, tensor_module,
-                          validate_coalgebra)
+                          bocs_lift, classify_bocs, construct_bocs,
+                          tensor_module, validate_coalgebra)
 from bocskit.linalg import Matrix
-from bocskit.modules import projective, simple
+from bocskit.modules import hom_basis, projective, simple
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
@@ -79,6 +80,14 @@ def test_coalgebra_axioms_hold(b1, b3, b2, b0):
     for b in (b1, b3, b2, b0):
         report = validate_coalgebra(b)
         assert report and all(report.values())
+
+
+def test_document_bocs_has_no_coalgebra_check():
+    b = construct_bocs(example_dual_numbers(), mode="pdelta", r_max=3)
+    rehydrated = bio.parse(bio.emit(bio.bocs_to_doc(b))).build()
+    assert rehydrated.table is None
+    with pytest.raises(ValueError, match="read from a document"):
+        validate_coalgebra(rehydrated)
 
 
 def test_mutated_mu_fails_counit(b1):
@@ -164,6 +173,26 @@ def test_category_unit_laws(b1, b2):
                 for f in bocs_hom_basis(b, X, Y):
                     assert bocs_compose(b, idy, f).mat == f.mat
                     assert bocs_compose(b, f, idx).mat == f.mat
+
+
+def test_lift_is_a_functor(b1, b2, b3):
+    # the counit lift of plain B-maps respects composition
+    pairs = 0
+    for b in (b1, b2, b3):
+        B = b.B
+        mods = ([projective(B, i) for i in range(1, B.n + 1)]
+                + [simple(B, i) for i in range(1, B.n + 1)])
+        for X in mods:
+            for Y in mods:
+                for u in hom_basis(X, Y):
+                    for Z in mods:
+                        for v in hom_basis(Y, Z):
+                            lifted = bocs_compose(b, bocs_lift(b, v),
+                                                  bocs_lift(b, u))
+                            assert lifted.mat == \
+                                bocs_lift(b, v.compose(u)).mat
+                            pairs += 1
+    assert pairs > 0
 
 
 def test_category_associativity(b2):

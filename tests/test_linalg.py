@@ -265,6 +265,29 @@ def test_inverse_of_invertible_and_singular_matrices(n, data):
         Matrix.zero(n, n + 1).inverse()
 
 
+@_PROPERTY
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3), st.data())
+def test_solve_columns_is_solve_column_by_column(rows, cols, nrhs, data):
+    A = data.draw(_matrix(rows, cols))
+    # consistent columns A x, and sometimes one drawn freely
+    rhs_cols = [A.apply(data.draw(_vector(cols))) for _ in range(nrhs)]
+    if data.draw(st.booleans()):
+        rhs_cols.insert(data.draw(st.integers(0, nrhs)),
+                        tuple(data.draw(_vector(rows))))
+    rhs = (Matrix.from_columns(rhs_cols) if rhs_cols
+           else Matrix.zero(rows, 0))
+    each = [A.solve(c) for c in rhs_cols]
+    got = A.solve_columns(rhs)
+    if None in each:
+        assert got is None
+    else:
+        assert got == (Matrix.from_columns(each) if each
+                       else Matrix.zero(cols, 0))
+        assert A @ got == rhs
+    with pytest.raises(ValueError):
+        A.solve_columns(Matrix.zero(rows + 1, 1))
+
+
 def test_matmul_and_blocks():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[0, 1], [1, 0]])

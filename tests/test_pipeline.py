@@ -56,6 +56,53 @@ def test_timing_not_in_canonical_emit(reports):
     assert "timing" not in rep.doc
 
 
+VERIFY_STAGES = ["classify", "construct_bocs", "validate_coalgebra",
+                 "classify_bocs", "right_algebra", "standard_check",
+                 "borel_checks", "homological_check",
+                 "loop_subalgebra_check", "morita_compare", "hom_dim_compare"]
+ROUNDTRIP_STAGES = ["classify_bocs", "right_algebra", "classify",
+                    "standard_check", "hom_dim_compare"]
+
+
+def test_timing_has_every_stage_in_order(reports):
+    for rep in reports.values():
+        assert list(rep.timing) == VERIFY_STAGES
+        assert all(t >= 0 for t in rep.timing.values())
+    b = construct_bocs(example_semisimple_pair(), mode="pdelta", r_max=4)
+    for bocs in (b, bio.doc_to_bocs(bio.bocs_to_doc(b))):
+        assert list(roundtrip_bocs(bocs).timing) == ROUNDTRIP_STAGES
+
+
+@pytest.mark.parametrize("error", [ValueError, AssertionError])
+def test_roundtrip_attributes_failures_to_the_stage(monkeypatch, error):
+    import bocskit.pipeline as pipeline
+
+    def broken(bocs):
+        raise error("no right algebra")
+
+    monkeypatch.setattr(pipeline, "right_algebra", broken)
+    b = construct_bocs(example_semisimple_pair(), mode="pdelta", r_max=4)
+    with pytest.raises(PipelineError) as exc:
+        roundtrip_bocs(b)
+    assert exc.value.stage == "right_algebra"
+    assert exc.value.message == "no right algebra"
+    assert isinstance(exc.value.__cause__, error)
+
+
+def test_unwrapped_calls_are_not_attributed(monkeypatch):
+    # the enumeration of indecomposables runs outside the runner, so its
+    # errors escape as they are
+    import bocskit.pipeline as pipeline
+
+    def broken(alg, bound):
+        raise ValueError("algebra is not elementary")
+
+    monkeypatch.setattr(pipeline, "indecomposables_up_to", broken)
+    with pytest.raises(ValueError, match="not elementary") as exc:
+        run_pipeline(example_semisimple_pair())
+    assert not isinstance(exc.value, PipelineError)
+
+
 def test_mode_not_admitted_fails_with_stage():
     # a two-cycle with rad^2 = 0 is not filtered in either mode
     from bocskit.quiver import Relation
