@@ -60,8 +60,14 @@ def _vertex_pair(rsys: ResolvedSystem, f: GradedMap):
     return src, tgt
 
 
-def merkulov_lambda(rsys: ResolvedSystem, maps):
-    """lambda_r evaluated on stored chain maps, rightmost acting first."""
+def merkulov_lambda(rsys: ResolvedSystem, maps, memo=None):
+    """lambda_r evaluated on stored chain maps, rightmost acting first.
+
+    memo, if given, is a dict shared by calls on the same rsys.  It holds
+    [lambda, G lambda] per contiguous subtuple of argument maps in
+    application order, so each subtuple is transferred once however many
+    tuples contain it.
+    """
     if len(maps) < 2:
         raise ValueError("lambda needs at least two arguments")
     low = list(reversed(maps))  # low[0] = a_1
@@ -72,14 +78,17 @@ def merkulov_lambda(rsys: ResolvedSystem, maps):
     for t in range(len(low) - 1):
         if vertices[t][1] != vertices[t + 1][0]:
             raise ValueError("arguments are not composable")
+    if memo is None:
+        memo = {}
 
-    lam_cache = {}
-    glam_cache = {}
+    def slot(s, e):
+        # [lambda, G lambda] of the subtuple a_{s+1}..a_e
+        return memo.setdefault(tuple(low[s:e]), [None, None])
 
     def lam(s, e):
-        got = lam_cache.get((s, e))
-        if got is not None:
-            return got
+        cached = slot(s, e)
+        if cached[0] is not None:
+            return cached[0]
         r = e - s
         if r == 2:
             val = low[s + 1].compose(low[s])
@@ -93,13 +102,13 @@ def merkulov_lambda(rsys: ResolvedSystem, maps):
                 if exp % 2 == 1:
                     term = term.scale(-1)
                 val = term if val is None else val + term
-        lam_cache[(s, e)] = val
+        cached[0] = val
         return val
 
     def glam(s, e):
-        got = glam_cache.get((s, e))
-        if got is not None:
-            return got
+        cached = slot(s, e)
+        if cached[1] is not None:
+            return cached[1]
         if e - s == 1:
             val = low[s].scale(-1)
         else:
@@ -108,7 +117,7 @@ def merkulov_lambda(rsys: ResolvedSystem, maps):
             i0 = vertices[s][0]
             i1 = vertices[e - 1][1]
             val = hodge_data(rsys, i0, i1, q).G(v)
-        glam_cache[(s, e)] = val
+        cached[1] = val
         return val
 
     return lam(0, len(low))
@@ -158,9 +167,10 @@ class AInfTable:
                         self.gmaps[cls] = f
                     self.classes[(k, i, j)] = lst
         self.m_table = {}
+        memo = {}
         for r in range(2, r_max + 1):
             for key in self._admissible_tuples(r):
-                self.m_table[key] = self._compute_m(key)
+                self.m_table[key] = self._compute_m(key, memo)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -203,13 +213,13 @@ class AInfTable:
             extend([], i)
         return out
 
-    def _compute_m(self, key):
+    def _compute_m(self, key, memo):
         low = list(reversed(key))
         r = len(key)
         degsum = sum(c.k for c in key)
         q = degsum + 2 - r
         maps = [self.gmaps[c] for c in key]
-        value = merkulov_lambda(self.rsys, maps)
+        value = merkulov_lambda(self.rsys, maps, memo)
         if value.k != q:
             raise AssertionError("transfer value has the wrong degree")
         i0 = low[0].i

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from fractions import Fraction
 
 from .linalg import Matrix
@@ -43,8 +44,15 @@ def frac_to_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# An integer, p/q or decimal; no exponent, so a short token cannot stand
+# for a huge integer, and no token is longer than _MAX_NUMBER_CHARS.
+_NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
+_MAX_NUMBER_CHARS = 1000
+
+
 def str_to_frac(s, pointer: str) -> Fraction:
-    _expect(isinstance(s, str), pointer)
+    _expect(isinstance(s, str) and len(s) <= _MAX_NUMBER_CHARS
+            and _NUMBER.fullmatch(s), pointer)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):

@@ -151,22 +151,25 @@ class Matrix:
                       [[c * a for a in r] for r in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, summing only over nonzero pairs of factors."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ot = list(zip(*other.data)) if other.rows else [()] * other.cols
+        sparse = [nonzeros(r).items() for r in other.data]
         out = []
         for r in self.data:
-            row = []
-            for c in range(other.cols):
-                col = ot[c]
-                row.append(sum((a * b for a, b in zip(r, col)), ZERO))
+            row = [ZERO] * other.cols
+            for a, brow in zip(r, sparse):
+                if a:
+                    for j, b in brow:
+                        row[j] += a * b
             out.append(row)
         return Matrix(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(r, vec)), ZERO)
+        nz = nonzeros(vec).items()
+        return tuple(sum((r[j] * b for j, b in nz if r[j]), ZERO)
                      for r in self.data)
 
     def transpose(self) -> "Matrix":

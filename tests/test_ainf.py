@@ -3,8 +3,8 @@ import pytest
 from bocskit.ainf import build_tables, merkulov_lambda, stasheff_check
 from bocskit.quiver import (example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
-from bocskit.resolution import (ResolvedSystem, differential, hodge_data,
-                                is_null_homotopic)
+from bocskit.resolution import (HodgeData, ResolvedSystem, differential,
+                                hodge_data, is_null_homotopic)
 from bocskit.strata import standard_modules
 
 
@@ -26,6 +26,46 @@ def e3():
 @pytest.fixture(scope="module")
 def e0():
     return pdelta_tables(example_semisimple_pair(), r_max=4)
+
+
+@pytest.fixture(scope="module")
+def counted_r6():
+    """e1 and e3 tabulated to r = 6, each with its number of G calls."""
+    real = HodgeData.G
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for alg in (example_dual_numbers(), example_jordan3()):
+            calls = [0]
+
+            def counting(self, f, calls=calls):
+                calls[0] += 1
+                return real(self, f)
+
+            mp.setattr(HodgeData, "G", counting)
+            tab, rsys = pdelta_tables(alg, r_max=6)
+            out.append((tab, rsys, calls[0]))
+    return out
+
+
+def test_memoized_table_is_the_per_tuple_transfer(counted_r6):
+    for tab, rsys, _ in counted_r6:
+        for key, coeffs in tab.m_table.items():
+            value = merkulov_lambda(rsys, [tab.graded_map(c) for c in key])
+            q = sum(c.k for c in key) + 2 - len(key)
+            i0, i1 = key[-1].i, key[0].j
+            hcoeffs, _ = hodge_data(rsys, i0, i1, q).decompose(value)
+            assert coeffs == {cls: c for cls, c
+                              in zip(tab.basis(q, i0, i1), hcoeffs) if c}
+
+
+def test_G_runs_once_per_distinct_subtuple(counted_r6):
+    for tab, _, calls in counted_r6:
+        # G is applied to lambda of every proper subtuple of length >= 2
+        subtuples = {key[s:e] for key in tab.m_table
+                     for s in range(len(key))
+                     for e in range(s + 2, len(key) + 1)
+                     if e - s < len(key)}
+        assert 0 < calls <= len(subtuples)
 
 
 def test_lambda2_is_composition(e1):

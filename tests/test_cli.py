@@ -129,8 +129,11 @@ def test_bad_bocs_document_fails_at_the_boundary(fixture_dir, tmp_path):
                                   "--rmax", "3"])
     assert result.exit_code == 0, result.output
     good = json.loads(bpath.read_text())
-    for field, value, pointer in [("d", [[9, 1, 1]], "/d/0"),
-                                  ("r_max", -3, "/r_max")]:
+    for field, value, pointer in [
+            ("d", [[9, 1, 1]], "/d/0"),
+            ("r_max", -3, "/r_max"),
+            ("eps", dict(good["eps"], data=[["1e1000000", "0"],
+                                            ["0", "1"]]), "/eps/data/0/0")]:
         bpath.write_text(json.dumps(dict(good, **{field: value})))
         result = runner.invoke(main, ["burt-butler", str(bpath)])
         assert result.exit_code == 1
@@ -138,6 +141,20 @@ def test_bad_bocs_document_fails_at_the_boundary(fixture_dir, tmp_path):
         assert len(lines) == 1
         assert json.loads(lines[0]) == {
             "error": f"schema violation at {pointer}", "stage": "input"}
+
+
+def test_exponent_coefficient_fails_at_the_boundary(fixture_dir, tmp_path):
+    doc = json.loads((fixture_dir / "e1.json").read_text())
+    doc["relations"][0]["terms"][0]["coefficient"] = "1e1000000"
+    path = tmp_path / "e1-exp.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["verify", str(path)])
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "schema violation at /relations/0/terms/0/coefficient",
+        "stage": "input"}
 
 
 @pytest.mark.parametrize("args", [

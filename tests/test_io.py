@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bocskit import io as bio
@@ -135,6 +137,19 @@ def test_bocs_document_validation():
         with pytest.raises(ValueError,
                            match=f"schema violation at {pointer}$"):
             bio.doc_to_bocs(bad)
+
+
+def test_number_tokens_are_bounded():
+    assert bio.str_to_frac("-3/4", "/x") == Fraction(-3, 4)
+    assert bio.str_to_frac("0.5", "/x") == Fraction(1, 2)
+    assert bio.str_to_frac("7" * 1000, "/x") == int("7" * 1000)
+    # exponent notation builds a huge integer from a short token:
+    # Fraction("1e1000000") takes a 3.3-million-bit integer
+    for token in ["1e1000000", "1E5", "2.5e3", "1/1e9",
+                  "7" * 1001, "1/" + "7" * 999, " 1", "1_000", "\u0661",
+                  "1/0", ""]:
+        with pytest.raises(ValueError, match="schema violation at /x$"):
+            bio.str_to_frac(token, "/x")
 
 
 def test_parse_builds_each_document_once(monkeypatch):

@@ -288,6 +288,29 @@ def test_solve_columns_is_solve_column_by_column(rows, cols, nrhs, data):
         A.solve_columns(Matrix.zero(rows + 1, 1))
 
 
+def _dense_product(A, B):
+    """Every product summed, zero or not: the reference for `@`."""
+    return Matrix(A.rows, B.cols,
+                  [[sum((A.data[i][k] * B.data[k][j] for k in range(A.cols)),
+                        Fraction(0))
+                    for j in range(B.cols)] for i in range(A.rows)])
+
+
+@_PROPERTY
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_products_are_the_dense_sums(rows, inner, cols, data):
+    # every dimension may be 0, so 0 x n and n x 0 factors are drawn
+    A, B = data.draw(_matrix(rows, inner)), data.draw(_matrix(inner, cols))
+    assert A @ B == _dense_product(A, B)
+    v = data.draw(_vector(inner))
+    assert A.apply(v) == tuple(
+        sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in A.data)
+    with pytest.raises(ValueError):
+        A @ Matrix.zero(inner + 1, cols)
+    with pytest.raises(ValueError):
+        A.apply(v + [Fraction(0)])
+
+
 def test_matmul_and_blocks():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[0, 1], [1, 0]])
