@@ -12,9 +12,10 @@ row-major layout of linalg.outer: W (x)_B W, where mu lands, W (x)_B W
 (x)_B W, where coassociativity is checked, and W (x)_B X, which gives the
 morphisms Hom_B(W (x)_B X, Y) of the module category.  Their relations
 come from linalg.balanced_relations, and linalg.kron_apply applies maps
-such as 1 (x) mu to them.  The pair layout of W (x) X is read only in
-this module: bocs_lift turns a B-module map into a morphism through the
-counit, and bocs_compose composes morphisms through mu.
+such as 1 (x) mu to them.  The pair layout of W (x) X (TensorModule.pairs
+and TensorModule.index) is read only in this module: bocs_lift turns a
+B-module map into a morphism through the counit, and bocs_compose
+composes morphisms through the nonzero terms of mu (Bocs.mu_terms).
 """
 
 from __future__ import annotations
@@ -120,6 +121,7 @@ class Bocs:
         self.arrow_idx = {name: k for name, s, t, k in B.arrows}
         self._tensor_cache = {}
         self._dpath_cache = {}
+        self._mu_terms = None
 
     @classmethod
     def from_parts(cls, B, order, mode, r_max, *, w_dim, w_block, WL, WR,
@@ -376,6 +378,19 @@ class Bocs:
         self.ww_span = Span(pdim, balanced_relations(self.WR, self.WL))
         _, self.ww_proj, _ = self.ww_span.complement()
         self.mu = self.ww_proj @ self.mu_pairs
+
+    def mu_terms(self):
+        """Per W basis element w, the nonzero terms (w1, w2, c) of
+        mu(w) = sum c w1 (x) w2 in the pair layout of mu_pairs.
+
+        Computed once per mu_pairs object, so a reassigned mu_pairs is
+        read afresh."""
+        cached = self._mu_terms
+        if cached is None or cached[0] is not self.mu_pairs:
+            terms = [[divmod(p, self.w_dim) + (c,) for p, c in col]
+                     for col in self.mu_pairs.nonzero_columns()]
+            cached = self._mu_terms = (self.mu_pairs, terms)
+        return cached[1]
 
     # -- kernel of the counit ---------------------------------------------
 
@@ -683,16 +698,6 @@ class TensorModule:
             self.big, relvecs, name=f"W(x)B{X.name}")
         self.index = index
 
-    def pair_vec(self, w_vec, x_vec):
-        v = [ZERO] * len(self.pairs)
-        for w, cw in enumerate(w_vec):
-            if cw == 0:
-                continue
-            for x, cx in enumerate(x_vec):
-                if cx != 0:
-                    v[self.index[(w, x)]] += cw * cx
-        return v
-
 
 def tensor_module(bocs: Bocs, X: FDModule) -> TensorModule:
     got = bocs._tensor_cache.get(id(X))
@@ -736,28 +741,28 @@ def bocs_identity(bocs: Bocs, X: FDModule) -> ModuleMap:
 
 
 def bocs_compose(bocs: Bocs, g: ModuleMap, f: ModuleMap) -> ModuleMap:
-    """g after f in the bocs module category, through mu."""
+    """g after f in the bocs module category, through mu.
+
+    With f and g read on pairs (through proj), the pair (w, x) goes to
+
+        sum over mu(w) = sum c w1 (x) w2, and over the nonzero entries
+        f(w2 (x) x) = sum a y, of c a g(w1 (x) y),
+
+    and the result is read back on W (x)_B X through sect.  Only nonzero
+    terms of mu and nonzero entries of f and g are visited.
+    """
     tx = _tensor_of_hom_source(bocs, f.source)
     ty = _tensor_of_hom_source(bocs, g.source)
-    X = tx.X
-    Z = g.target
-    f_big = f.mat @ tx.proj.mat
-    g_big = g.mat @ ty.proj.mat
-    wdim = bocs.w_dim
-    cols = []
-    for (w, x) in tx.pairs:
-        mu_col = bocs.mu_pairs.column(w)
-        out = [ZERO] * Z.total
-        for p, c in enumerate(mu_col):
-            if c == 0:
-                continue
-            w1, w2 = divmod(p, wdim)
-            xv = [ONE if k == x else ZERO for k in range(X.total)]
-            yv = f_big.apply(tx.pair_vec(
-                [ONE if k == w2 else ZERO for k in range(wdim)], xv))
-            zv = g_big.apply(ty.pair_vec(
-                [ONE if k == w1 else ZERO for k in range(wdim)], yv))
-            out = [a + c * b for a, b in zip(out, zv)]
-        cols.append(out)
-    big = Matrix.from_columns(cols) if tx.pairs else Matrix.zero(Z.total, 0)
-    return ModuleMap(tx.module, Z, big @ tx.sect)
+    fcols = (f.mat @ tx.proj.mat).nonzero_columns()
+    gcols = (g.mat @ ty.proj.mat).nonzero_columns()
+    mu_terms = bocs.mu_terms()
+    rows = g.target.total
+    big = [[ZERO] * len(tx.pairs) for _ in range(rows)]
+    for k, (w, x) in enumerate(tx.pairs):
+        for w1, w2, c in mu_terms[w]:
+            for y, a in fcols[tx.index[(w2, x)]]:
+                ca = c * a
+                for z, b in gcols[ty.index[(w1, y)]]:
+                    big[z][k] += ca * b
+    return ModuleMap(tx.module, g.target,
+                     Matrix(rows, len(tx.pairs), big) @ tx.sect)

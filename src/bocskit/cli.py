@@ -53,11 +53,13 @@ def _write(ctx, doc):
         click.echo(text, nl=False)
 
 
-def _fail(ctx, err):
+def _fail(ctx, err, stage="input"):
+    """Print the error object of err on stderr and exit 1; an error that
+    is not a PipelineError is attributed to the given stage."""
     if isinstance(err, PipelineError):
         obj = err.error_object()
     else:
-        obj = {"error": str(err), "stage": "input"}
+        obj = {"error": str(err), "stage": stage}
     click.echo(json.dumps(obj, sort_keys=True), err=True)
     ctx.exit(1)
 
@@ -147,8 +149,10 @@ def verify(ctx, source, mode, rmax):
         report = run_pipeline(alg, order, mode=mode,
                               config={"r_max": rmax,
                                       "dim_bound": ctx.obj["dim_bound"]})
-    except PipelineError as e:
-        _fail(ctx, e)
+    except ValueError as e:
+        # a PipelineError names its stage; any other error was raised
+        # inside run_pipeline but outside its stage runner
+        _fail(ctx, e, stage="pipeline")
     _write(ctx, report.doc)
 
 

@@ -189,6 +189,15 @@ class Matrix:
     def columns(self) -> list[tuple[Fraction, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
+    def nonzero_columns(self) -> list[list[tuple[int, Fraction]]]:
+        """Per column, its nonzero entries as (row, entry) pairs."""
+        cols = [[] for _ in range(self.cols)]
+        for i, r in enumerate(self.data):
+            for j, a in enumerate(r):
+                if a != 0:
+                    cols[j].append((i, a))
+        return cols
+
     def trace(self) -> Fraction:
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))),
                    ZERO)
@@ -399,16 +408,6 @@ class MapSpace:
 # -- tensor products --------------------------------------------------------
 
 
-def _nonzero_columns(m: Matrix):
-    """Per column of m, its nonzero entries as (row, entry) pairs."""
-    cols = [[] for _ in range(m.cols)]
-    for i, r in enumerate(m.data):
-        for j, a in enumerate(r):
-            if a != 0:
-                cols[j].append((i, a))
-    return cols
-
-
 def outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
     """u (x) v flattened: the pair (i, j) sits at index i * len(v) + j."""
     n = len(v)
@@ -425,7 +424,7 @@ def kron_apply(L: Matrix, R: Matrix, vec: Sequence[Fraction]) -> tuple:
     """(L (x) R) vec, with vec and the result in the layout of outer."""
     if len(vec) != L.cols * R.cols:
         raise ValueError("vector length mismatch")
-    lcols, rcols = _nonzero_columns(L), _nonzero_columns(R)
+    lcols, rcols = L.nonzero_columns(), R.nonzero_columns()
     n = R.rows
     out = [ZERO] * (L.rows * n)
     for idx, c in enumerate(vec):
@@ -449,7 +448,7 @@ def balanced_relations(right: Sequence[Matrix],
     rels = []
     for Rk, Lk in zip(right, left):
         m, n = Rk.cols, Lk.cols
-        rcols, lcols = _nonzero_columns(Rk), _nonzero_columns(Lk)
+        rcols, lcols = Rk.nonzero_columns(), Lk.nonzero_columns()
         for a in range(m):
             for x in range(n):
                 v = [ZERO] * (m * n)

@@ -115,8 +115,10 @@ def minimal_resolution(M: FDModule, N_max: int = 4) -> Resolution:
 class GradedMap:
     """Degree-k collection of maps between two resolutions.
 
-    comps maps level l to a ModuleMap P_l -> P'_{l-k}; missing levels are
-    zero.  hi is the last trustworthy level (see module docstring).
+    comps maps level l to a nonzero ModuleMap P_l -> P'_{l-k}; missing
+    levels are zero, and +, compose, equals and differential visit only
+    the present ones.  hi is the last trustworthy level (see module
+    docstring).
     """
 
     def __init__(self, src: Resolution, tgt: Resolution, k: int, comps,
@@ -148,8 +150,10 @@ class GradedMap:
             raise ValueError("graded maps not addable")
         hi = min(self.hi, other.hi)
         comps = {}
-        for l in range(self.lo, hi + 1):
-            comps[l] = self.component(l) + other.component(l)
+        for l in self.comps.keys() | other.comps.keys():
+            f, g = self.comps.get(l), other.comps.get(l)
+            if l <= hi:
+                comps[l] = f if g is None else g if f is None else f + g
         return GradedMap(self.src, self.tgt, self.k, comps, hi=hi)
 
     def scale(self, c) -> "GradedMap":
@@ -167,12 +171,10 @@ class GradedMap:
         k = self.k + other.k
         hi = min(other.hi, self.hi + other.k)
         comps = {}
-        for l in range(max(k, 0), hi + 1):
-            if l < other.lo or l - other.k < self.lo:
-                continue
-            inner = other.component(l)
-            outer = self.component(l - other.k)
-            comps[l] = outer.compose(inner)
+        for l, inner in other.comps.items():
+            outer = self.comps.get(l - other.k)
+            if outer is not None and max(k, 0) <= l <= hi:
+                comps[l] = outer.compose(inner)
         return GradedMap(other.src, self.tgt, k, comps, hi=hi)
 
     def is_zero(self) -> bool:
@@ -181,8 +183,10 @@ class GradedMap:
     def equals(self, other: "GradedMap") -> bool:
         if self.k != other.k:
             return False
-        for l in range(self.lo, min(self.hi, other.hi) + 1):
-            if self.component(l).mat != other.component(l).mat:
+        hi = min(self.hi, other.hi)
+        for l in self.comps.keys() | other.comps.keys():
+            f, g = self.comps.get(l), other.comps.get(l)
+            if l <= hi and (f is None or g is None or f.mat != g.mat):
                 return False
         return True
 
@@ -208,10 +212,10 @@ def differential(f: GradedMap) -> GradedMap:
     comps = {}
     for l in range(max(k + 1, 0), f.hi + 1):
         term = None
-        if l <= f.hi and l - k >= 1:
-            term = f.tgt.diff(l - k).compose(f.component(l))
-        if l - 1 >= f.lo:
-            second = f.component(l - 1).compose(f.src.diff(l)).scale(-sgn)
+        if l in f.comps and l - k >= 1:
+            term = f.tgt.diff(l - k).compose(f.comps[l])
+        if l - 1 in f.comps:
+            second = f.comps[l - 1].compose(f.src.diff(l)).scale(-sgn)
             term = second if term is None else term + second
         if term is not None:
             comps[l] = term

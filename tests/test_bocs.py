@@ -6,8 +6,10 @@ from bocskit import io as bio
 from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_identity,
                           bocs_lift, classify_bocs, construct_bocs,
                           tensor_module, validate_coalgebra)
+from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
-from bocskit.modules import hom_basis, projective, simple
+from bocskit.modules import (ModuleMap, hom_basis, projective, simple,
+                             zero_module)
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
@@ -213,3 +215,79 @@ def test_relation_pairing_spans_ext2(b1, b3):
     assert len(b3.B.relations.relations) == 1
     (rel,) = b1.B.relations.relations
     assert rel.min_length == 2
+
+
+def _unit(n, k):
+    return [1 if i == k else 0 for i in range(n)]
+
+
+def _pair_vec(t, w_vec, x_vec):
+    return [w_vec[w] * x_vec[x] for (w, x) in t.pairs]
+
+
+def _reference_compose(b, X, Y, g, f):
+    """g after f through dense unit vectors on pairs and every entry of mu.
+    """
+    tx, ty = tensor_module(b, X), tensor_module(b, Y)
+    f_big = f.mat @ tx.proj.mat
+    g_big = g.mat @ ty.proj.mat
+    cols = []
+    for (w, x) in tx.pairs:
+        out = [0] * g.target.total
+        for p, c in enumerate(b.mu_pairs.column(w)):
+            w1, w2 = divmod(p, b.w_dim)
+            yv = f_big.apply(_pair_vec(tx, _unit(b.w_dim, w2),
+                                       _unit(X.total, x)))
+            zv = g_big.apply(_pair_vec(ty, _unit(b.w_dim, w1), yv))
+            out = [a + c * z for a, z in zip(out, zv)]
+        cols.append(out)
+    big = (Matrix.from_columns(cols) if cols
+           else Matrix.zero(g.target.total, 0))
+    return big @ tx.sect
+
+
+def _morphisms(b, X, Y):
+    """The hom basis, or the zero map when W (x)_B X or Y is zero."""
+    basis = bocs_hom_basis(b, X, Y)
+    src = tensor_module(b, X).module
+    if basis or (src.total and Y.total):
+        return basis
+    return [ModuleMap(src, Y, Matrix.zero(Y.total, src.total))]
+
+
+def test_compose_matches_dense_reference(b0, b1, b2, b3):
+    corpus_bocs = random_corpus(20260823, count=2, max_dim=5)[1][2]
+    rehydrated = bio.parse(bio.emit(bio.bocs_to_doc(corpus_bocs))).build()
+    assert rehydrated.table is None and rehydrated.B.n == 2
+    checked = 0
+    for b in (b0, b1, b2, b3, rehydrated):
+        B = b.B
+        mods = ([projective(B, i) for i in range(1, B.n + 1)]
+                + [simple(B, i) for i in range(1, B.n + 1)])
+        if b is b2:
+            mods.append(zero_module(B))
+        for X in mods:
+            for Y in mods:
+                for f in _morphisms(b, X, Y):
+                    for Z in mods:
+                        for g in _morphisms(b, Y, Z):
+                            assert bocs_compose(b, g, f).mat == \
+                                _reference_compose(b, X, Y, g, f)
+                            checked += 1
+    assert checked > 0
+
+
+def test_compose_reads_a_reassigned_mu(b1):
+    bad = copy.deepcopy(b1)
+    B = bad.B
+    mods = [projective(B, 1), simple(B, 1)]
+    ids = [bocs_identity(bad, X) for X in mods]
+    for idx in ids:
+        assert not bocs_compose(bad, idx, idx).mat.is_zero()
+    bad.mu_pairs = Matrix.zero(bad.w_dim ** 2, bad.w_dim)
+    for X, idx in zip(mods, ids):
+        assert bocs_compose(bad, idx, idx).mat.is_zero()
+        for Y in mods:
+            for f in bocs_hom_basis(bad, X, Y):
+                assert bocs_compose(bad, bocs_identity(bad, Y),
+                                    f).mat.is_zero()

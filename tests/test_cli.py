@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from bocskit import io as bio
 from bocskit.cli import main
+from bocskit.corpus import random_corpus
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,24 @@ def test_failure_gives_error_object(tmp_path):
     err = json.loads(result.output.strip().splitlines()[-1])
     assert err["stage"] == "classify"
     assert "mode not admitted" in err["error"]
+
+
+def test_verify_error_outside_the_stages_is_one_json_line(tmp_path):
+    # corpus member 9 has a decomposable candidate module, whose
+    # endomorphism algebra is not elementary
+    alg, order, _ = random_corpus(20260823, count=10, max_dim=5,
+                                  require_bocs=False)[9]
+    path = tmp_path / "c09.json"
+    path.write_text(bio.emit(bio.algebra_to_doc(alg, order)))
+    result = CliRunner(catch_exceptions=False).invoke(
+        main, ["verify", "--rmax", "3", str(path)])
+    assert result.exit_code == 1
+    assert result.stdout == "" and "Traceback" not in result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert "not elementary" in err["error"]
+    assert err["stage"] == "pipeline"
 
 
 def test_malformed_input_rejected(tmp_path):

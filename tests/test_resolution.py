@@ -186,3 +186,103 @@ def test_reduction_check_fixtures():
     assert rep["dims_A"] == [1, 0, 0]
     rep = reduction_check(example_jordan3(), None, 1)
     assert rep["dims_A"] == [1, 1, 1]
+
+
+def _reference_add(f, g):
+    hi = min(f.hi, g.hi)
+    return GradedMap(f.src, f.tgt, f.k,
+                     {l: f.component(l) + g.component(l)
+                      for l in range(f.lo, hi + 1)}, hi=hi)
+
+
+def _reference_compose(f, g):
+    """f after g, level by level through explicit zero components."""
+    k, hi = f.k + g.k, min(g.hi, f.hi + g.k)
+    comps = {l: f.component(l - g.k).compose(g.component(l))
+             for l in range(max(k, 0), hi + 1)
+             if l >= g.lo and l - g.k >= f.lo}
+    return GradedMap(g.src, f.tgt, k, comps, hi=hi)
+
+
+def _reference_differential(f):
+    k = f.k
+    sgn = 1 if k % 2 == 0 else -1
+    comps = {}
+    for l in range(max(k + 1, 0), f.hi + 1):
+        term = None
+        if l - k >= 1:
+            term = f.tgt.diff(l - k).compose(f.component(l))
+        if l - 1 >= f.lo:
+            second = f.component(l - 1).compose(f.src.diff(l)).scale(-sgn)
+            term = second if term is None else term + second
+        if term is not None:
+            comps[l] = term
+    return GradedMap(f.src, f.tgt, k + 1, comps, hi=f.hi)
+
+
+def _reference_equals(f, g):
+    return f.k == g.k and all(
+        f.component(l).mat == g.component(l).mat
+        for l in range(f.lo, min(f.hi, g.hi) + 1))
+
+
+def _same(a, b):
+    return (a.k, a.hi, a.src, a.tgt) == (b.k, b.hi, b.src, b.tgt) and \
+        a.comps.keys() == b.comps.keys() and \
+        all(a.comps[l].mat == b.comps[l].mat for l in a.comps)
+
+
+def _restrict(f, keep, hi=None):
+    hi = f.hi if hi is None else hi
+    return GradedMap(f.src, f.tgt, f.k,
+                     {l: c for l, c in f.comps.items()
+                      if keep(l) and l <= hi}, hi=hi)
+
+
+def _graded_maps():
+    """Chain maps of e1 and e2, cut to even and odd levels and to a
+    lower hi."""
+    systems = [pdelta_system(example_dual_numbers()),
+               ResolvedSystem(standard_modules(example_a2(), mode="delta"))]
+    maps = []
+    for rsys in systems:
+        n = rsys.alg.n
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                for k in range(3):
+                    maps.extend(ext_basis(rsys, i, j, k))
+    R = systems[0].resolution(1)
+    maps.append(lift_chain_map(R, R, 1, ModuleMap(R.P(1), R.P(0),
+                                                  R.diff(1).mat)))
+    out = []
+    for f in maps:
+        out += [f, _restrict(f, lambda l: l % 2 == 0),
+                _restrict(f, lambda l: l % 2 == 1),
+                _restrict(f, lambda l: True, hi=f.hi - 1)]
+    return out
+
+
+def test_graded_map_arithmetic_reads_present_components():
+    maps = _graded_maps()
+    disjoint = shifted = 0
+    for f in maps:
+        assert _same(differential(f), _reference_differential(f))
+        for g in maps:
+            if g.src is f.src and g.tgt is f.tgt and g.k == f.k:
+                total = f + g
+                assert _same(total, _reference_add(f, g))
+                assert f.equals(g) == _reference_equals(f, g)
+                assert f.equals(total) == _reference_equals(f, total)
+                if f.comps and g.comps and not f.comps.keys() & g.comps.keys():
+                    disjoint += 1
+                    assert total.comps.keys() == \
+                        {l for l in f.comps.keys() | g.comps.keys()
+                         if l <= total.hi}
+            if g.tgt is f.src:
+                composite = f.compose(g)
+                assert _same(composite, _reference_compose(f, g))
+                if f.comps and g.comps and not \
+                        {l - g.k for l in g.comps} & f.comps.keys():
+                    shifted += 1
+                    assert composite.is_zero()
+    assert disjoint and shifted
