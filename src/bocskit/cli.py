@@ -116,7 +116,7 @@ def bocs(ctx, source, mode, rmax):
         b = construct_bocs(alg, order, mode=mode, r_max=rmax)
         doc = bio.bocs_to_doc(b)
     except (ValueError, AssertionError) as e:
-        _fail(ctx, e)
+        _fail(ctx, e, stage="construct_bocs")
     _write(ctx, doc)
 
 
@@ -130,9 +130,12 @@ def burt_butler(ctx, source):
         if not isinstance(parsed, bio.BocsDocument):
             raise ValueError("expected a bocs document")
         b = parsed.build()
-        report = roundtrip_bocs(b)
-    except (PipelineError, ValueError) as e:
+    except ValueError as e:
         _fail(ctx, e)
+    try:
+        report = roundtrip_bocs(b)
+    except ValueError as e:
+        _fail(ctx, e, stage="pipeline")
     _write(ctx, report.doc)
 
 

@@ -66,11 +66,11 @@ def random_corpus(seed: int, count: int = 20, max_vertices: int = 3,
         # kill every length-3 path so the algebra is finite and small,
         # then drop a random subset of length-2 paths as well
         for p in _random_paths(rng, quiver, 3):
-            src = _path_source(quiver, p)
+            src = quiver.arrow_source(p[0])
             relations.append(Relation(quiver, [(1, src, p)]))
         for p in _random_paths(rng, quiver, 2):
             if rng.random() < 0.7:
-                src = _path_source(quiver, p)
+                src = quiver.arrow_source(p[0])
                 relations.append(Relation(quiver, [(1, src, p)]))
         try:
             alg = build_algebra(quiver, RelationSet(quiver, relations),
@@ -103,14 +103,6 @@ def random_corpus(seed: int, count: int = 20, max_vertices: int = 3,
         raise ValueError(
             f"corpus generation exhausted after {max_attempts} attempts")
     return out
-
-
-def _path_source(quiver: Quiver, path):
-    first = path[0]
-    for name, s, t in quiver.arrows:
-        if name == first:
-            return s
-    raise ValueError("path references an unknown arrow")
 
 
 def _signature(alg, order):

@@ -382,6 +382,10 @@ class MapSpace:
             if any(v[:size]):
                 self._span.add(v)
 
+    def __len__(self) -> int:
+        """The dimension of the span: the number of independent maps."""
+        return len(self._span)
+
     def coords(self, mat: Matrix) -> tuple[Fraction, ...]:
         """Coordinates of mat; ValueError when it is outside the span."""
         if (mat.rows, mat.cols) != (self.rows, self.cols):

@@ -170,6 +170,13 @@ def from_arrow_matrices(alg: Algebra, dims, arrow_mats, name=""):
     blocks; the relations are checked by FDModule construction plus an
     explicit validate().
     """
+    mod = _from_arrow_blocks(alg, dims, arrow_mats, name)
+    mod.validate()
+    return mod
+
+
+def _from_arrow_blocks(alg: Algebra, dims, arrow_mats, name=""):
+    """from_arrow_matrices without validate(): a candidate module."""
     if alg.paths is None:
         raise ValueError("algebra has no path presentation")
     dims = tuple(dims)
@@ -204,9 +211,7 @@ def from_arrow_matrices(alg: Algebra, dims, arrow_mats, name=""):
             for aname in names:
                 m = by_arrow[aname] @ m
             act.append(m)
-    mod = FDModule(alg, dims, act, name=name)
-    mod.validate()
-    return mod
+    return FDModule(alg, dims, act, name=name)
 
 
 def direct_sum(modules, name=""):

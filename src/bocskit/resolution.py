@@ -273,45 +273,14 @@ def is_null_homotopic(f: GradedMap):
     """
     k = f.k
     src, tgt = f.src, f.tgt
-    ulo = max(k - 1, 0)
-    sgn = 1 if (k - 1) % 2 == 0 else -1  # (-1)^(k-1)
-    levels = list(range(ulo, src.N_max + 1))
+    levels = range(max(k - 1, 0), src.N_max + 1)
     spaces = [_hom_space(src.P(l), tgt.P(l - k + 1)) for l in levels]
-    offsets = []
-    total_unknowns = 0
-    for basis, _ in spaces:
-        offsets.append(total_unknowns)
-        total_unknowns += len(basis)
-
-    eq_levels = list(range(max(k, 0), f.hi + 1))
-    eq_offsets = []
-    total_rows = 0
-    for l in eq_levels:
-        eq_offsets.append(total_rows)
-        total_rows += tgt.P(l - k).total * src.P(l).total
-
-    cols = []
-    for li, l in enumerate(levels):
-        for h in spaces[li][0]:
-            col = [ZERO] * total_rows
-            # d(u)^(l) picks up d'_{l-k+1} u^(l)
-            if l in eq_levels and l - k + 1 >= 1:
-                flat = tgt.diff(l - k + 1).compose(h).mat.flat()
-                base = eq_offsets[eq_levels.index(l)]
-                for p, v in enumerate(flat):
-                    col[base + p] = v
-            # d(u)^(l+1) picks up -(-1)^(k-1) u^(l) d_{l+1}
-            if l + 1 in eq_levels:
-                flat = h.compose(src.diff(l + 1)).mat.flat()
-                base = eq_offsets[eq_levels.index(l + 1)]
-                for p, v in enumerate(flat):
-                    col[base + p] = -sgn * v
-            cols.append(col)
-    rhs = []
-    for l in eq_levels:
-        rhs.extend(f.component(l).mat.flat())
+    cols = [_flatten_graded(differential(GradedMap(src, tgt, k - 1, {l: h})),
+                            f.hi)
+            for l, (basis, _) in zip(levels, spaces) for h in basis]
+    rhs = _flatten_graded(f, f.hi)
     mat = (Matrix.from_columns(cols) if cols
-           else Matrix.zero(total_rows, 0))
+           else Matrix.zero(len(rhs), 0))
     sol = mat.solve(rhs)
     answer = sol is not None
 
@@ -322,12 +291,10 @@ def is_null_homotopic(f: GradedMap):
                 "homotopy system disagrees with the radical criterion")
     if not answer:
         return False, None
-    comps = {}
-    for li, l in enumerate(levels):
-        basis, space = spaces[li]
-        coeffs = sol[offsets[li]:offsets[li] + len(basis)]
-        comps[l] = ModuleMap(src.P(l), tgt.P(l - k + 1),
-                             space.combine(coeffs))
+    coeffs = iter(sol)
+    comps = {l: ModuleMap(src.P(l), tgt.P(l - k + 1),
+                          space.combine([next(coeffs) for _ in basis]))
+             for l, (basis, space) in zip(levels, spaces)}
     return True, GradedMap(src, tgt, k - 1, comps)
 
 
@@ -448,22 +415,16 @@ def ext_dim(rsys: ResolvedSystem, i: int, j: int, k: int) -> int:
     return len(ext_basis(rsys, i, j, k))
 
 
-def _graded_layout(R: Resolution, Rp: Resolution, k: int, hi: int):
-    levels = list(range(max(k, 0), hi + 1))
-    offsets = []
-    total = 0
-    for l in levels:
-        offsets.append(total)
-        total += Rp.P(l - k).total * R.P(l).total
-    return levels, offsets, total
-
-
-def _flatten_graded(f: GradedMap, hi: int):
-    levels, offsets, total = _graded_layout(f.src, f.tgt, f.k, hi)
-    out = [ZERO] * total
-    for li, l in enumerate(levels):
-        for p, v in enumerate(f.component(l).mat.flat()):
-            out[offsets[li] + p] = v
+def _flatten_graded(f: GradedMap, hi: int) -> list:
+    """f as one coordinate vector: levels max(k, 0)..hi in order, each
+    component row-major, a level absent from comps read as zeros."""
+    out = []
+    for l in range(f.lo, hi + 1):
+        g = f.comps.get(l)
+        if g is None:
+            out += [ZERO] * (f.tgt.P(l - f.k).total * f.src.P(l).total)
+        else:
+            out += g.mat.flat()
     return out
 
 
@@ -479,9 +440,8 @@ def _boundary_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
         return got
     R = rsys.resolution(i)
     Rp = rsys.resolution(j)
-    _, _, total = _graded_layout(R, Rp, k, rsys.N_max)
     pairs = []
-    span = Span(total)
+    span = Span(len(_flatten_graded(zero_graded_map(R, Rp, k), rsys.N_max)))
     ulo = max(k - 1, 0)
     order = [l for l in range(max(k, ulo), rsys.N_max + 1)]
     if k - 1 >= 0 and (k - 1) < max(k, ulo):
@@ -520,32 +480,31 @@ class HodgeData:
         self.B = [b for b, u in self.B_pairs]
         self.witnesses = [u for b, u in self.B_pairs]
         self.L = [u for b, u in _boundary_basis(rsys, i, j, k + 1)]
-        _, _, self.total = _graded_layout(self.R, self.Rp, k, rsys.N_max)
         self.ambient_dim = sum(
             len(_hom_space(self.R.P(l), self.Rp.P(l - k))[0])
             for l in range(max(k, 0), rsys.N_max + 1))
-        cols = ([_flatten_graded(h, rsys.N_max) for h in self.H]
-                + [_flatten_graded(b, rsys.N_max) for b in self.B]
-                + [_flatten_graded(u, rsys.N_max) for u in self.L])
-        self.full_mat = (Matrix.from_columns(cols) if cols
-                         else Matrix.zero(self.total, 0))
-        if self.full_mat.rank() != len(cols):
+        self._spaces = {}
+        full = self._space(rsys.N_max)
+        if len(full) != len(full.mats):
             raise AssertionError("H, B and L parts are not independent")
-        if len(cols) != self.ambient_dim:
+        if len(full.mats) != self.ambient_dim:
             raise AssertionError("H, B and L parts do not span")
-        self._restricted = {}
 
-    def _solver(self, hi: int):
-        got = self._restricted.get(hi)
+    def _space(self, hi: int) -> MapSpace:
+        """H + B, and L at N_max, flattened up to level hi."""
+        got = self._spaces.get(hi)
         if got is None:
-            cols = ([_flatten_graded(h, hi) for h in self.H]
-                    + [_flatten_graded(b, hi) for b in self.B])
-            got = (Matrix.from_columns(cols) if cols
-                   else Matrix.zero(0, 0))
-            if got.rank() != len(cols):
+            parts = self.H + self.B
+            if hi == self.rsys.N_max:
+                parts += self.L
+            size = len(_flatten_graded(
+                zero_graded_map(self.R, self.Rp, self.k), hi))
+            got = MapSpace([Matrix(1, size, [_flatten_graded(f, hi)])
+                            for f in parts], 1, size)
+            if hi < self.rsys.N_max and len(got) != len(parts):
                 raise AssertionError(
                     f"cocycle parts degenerate at truncation {hi}")
-            self._restricted[hi] = got
+            self._spaces[hi] = got
         return got
 
     def decompose(self, f: GradedMap):
@@ -553,15 +512,15 @@ class HodgeData:
         nh, nb = len(self.H), len(self.B)
         if f.is_zero():
             return [ZERO] * nh, [ZERO] * nb
-        if f.hi == self.rsys.N_max:
-            sol = self.full_mat.solve(_flatten_graded(f, f.hi))
-            if sol is None:
-                raise ValueError("map is outside the splitting")
-            return list(sol[:nh]), list(sol[nh:nh + nb])
-        sol = self._solver(f.hi).solve(_flatten_graded(f, f.hi))
-        if sol is None:
-            raise ValueError("truncated map is not a cocycle value")
-        return list(sol[:nh]), list(sol[nh:])
+        space = self._space(f.hi)
+        flat = _flatten_graded(f, f.hi)
+        try:
+            sol = space.coords(Matrix(1, len(flat), [flat]))
+        except ValueError:
+            raise ValueError("map is outside the splitting"
+                             if f.hi == self.rsys.N_max else
+                             "truncated map is not a cocycle value") from None
+        return list(sol[:nh]), list(sol[nh:nh + nb])
 
     def G(self, f: GradedMap) -> GradedMap:
         """Homotopy: witness of the boundary part, zero on H and L."""

@@ -193,10 +193,8 @@ def classify_algebra(alg: Algebra, order=None) -> Classification:
             certs[i] = theta_filtration(projective(alg, i), system, allowed)
         certificates[mode] = certs
 
-    delta_ok = all(certificates["delta"][i] is not None
-                   for i in range(1, alg.n + 1))
-    pdelta_ok = all(certificates["pdelta"][i] is not None
-                    for i in range(1, alg.n + 1))
+    cls = Classification(None, order, systems, certificates)
+    delta_ok, pdelta_ok = cls.filtered("delta"), cls.filtered("pdelta")
     same = all(systems["delta"].module(i).dims ==
                systems["pdelta"].module(i).dims
                for i in range(1, alg.n + 1))
@@ -210,4 +208,5 @@ def classify_algebra(alg: Algebra, order=None) -> Classification:
         label = "pdelta-filtered"
     else:
         label = "none"
-    return Classification(label, order, systems, certificates)
+    cls.label = label
+    return cls

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .ainf import AInfTable, ExtClass
 from .bocs import Bocs, bocs_hom_basis
 from .linalg import MapSpace, Matrix, ONE, Span, ZERO
-from .modules import FDModule, ModuleMap, hom_basis
+from .modules import FDModule, ModuleMap, _from_arrow_blocks, hom_basis
 from .strata import theta_filtration
 
 
@@ -59,34 +59,16 @@ def module_from_pretwisted(pt: PretwistedModule, bocs: Bocs) -> FDModule:
     The generator dual to a class acts by the sum of the maps attached to
     that class; relations are not checked here (see check_pretwisted).
     """
-    B = bocs.B
-    total = pt.total
     blocks = {}
     for name, cls in bocs.duals.q0:
-        m = Matrix.zero(total, total)
+        m = Matrix.zero(pt.X[cls.j - 1], pt.X[cls.i - 1])
         for f, c in pt.delta:
             if c == cls:
-                m = m + pt.embedded(f, c)
+                m = m + f
         blocks[name] = m
-    offs = pt.offsets()
-    act = []
-    for k in range(B.dim):
-        source, names = B.paths[k]
-        if not names:
-            grid = [[ZERO] * total for _ in range(total)]
-            for c in range(pt.X[source - 1]):
-                grid[offs[source - 1] + c][offs[source - 1] + c] = ONE
-            act.append(Matrix(total, total, grid))
-        else:
-            m = Matrix.identity(total)
-            for aname in names:
-                m = blocks[aname] @ m
-            # restrict to the source idempotent block
-            mask = [[ZERO] * total for _ in range(total)]
-            for c in range(pt.X[source - 1]):
-                mask[offs[source - 1] + c][offs[source - 1] + c] = ONE
-            act.append(m @ Matrix(total, total, mask))
-    return FDModule(B, pt.X, act, name="X_delta")
+    return _from_arrow_blocks(bocs.B, pt.X,
+                              [blocks[a[0]] for a in bocs.B.arrows],
+                              name="X_delta")
 
 
 def _mc_matrices(pt: PretwistedModule, table: AInfTable):

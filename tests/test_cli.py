@@ -89,21 +89,23 @@ def test_out_writes_file(fixture_dir, tmp_path):
     assert json.loads(out.read_text())["ok"]
 
 
+# a two-cycle with rad^2 = 0 admits neither mode
+_TWO_CYCLE = {
+    "schema": "bocskit/algebra", "version": 1,
+    "vertices": {"count": 2},
+    "arrows": [{"name": "a", "source": 1, "target": 2},
+               {"name": "b", "source": 2, "target": 1}],
+    "relations": [{"terms": [{"coefficient": "1",
+                              "path": ["a", "b"]}]},
+                  {"terms": [{"coefficient": "1",
+                              "path": ["b", "a"]}]}],
+    "order": [1, 2],
+}
+
+
 def test_failure_gives_error_object(tmp_path):
-    # a two-cycle with rad^2 = 0 admits neither mode
-    doc = {
-        "schema": "bocskit/algebra", "version": 1,
-        "vertices": {"count": 2},
-        "arrows": [{"name": "a", "source": 1, "target": 2},
-                   {"name": "b", "source": 2, "target": 1}],
-        "relations": [{"terms": [{"coefficient": "1",
-                                  "path": ["a", "b"]}]},
-                      {"terms": [{"coefficient": "1",
-                                  "path": ["b", "a"]}]}],
-        "order": [1, 2],
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_TWO_CYCLE))
     runner = CliRunner(mix_stderr=False) if hasattr(
         CliRunner, "mix_stderr") else CliRunner()
     result = runner.invoke(main, ["verify", str(path)])
@@ -111,6 +113,18 @@ def test_failure_gives_error_object(tmp_path):
     err = json.loads(result.output.strip().splitlines()[-1])
     assert err["stage"] == "classify"
     assert "mode not admitted" in err["error"]
+
+
+def test_bocs_error_after_parsing_names_construct_bocs(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_TWO_CYCLE))
+    result = CliRunner().invoke(main, ["bocs", str(path)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "mode not admitted",
+                                    "stage": "construct_bocs"}
 
 
 def test_verify_error_outside_the_stages_is_one_json_line(tmp_path):

@@ -1,8 +1,10 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bocskit.linalg import Matrix
+from bocskit.linalg import Matrix, Span
 from bocskit.modules import ModuleMap, projective
 from bocskit.quiver import (example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
@@ -10,7 +12,8 @@ from bocskit.resolution import (GradedMap, ResolvedSystem, differential,
                                 ext_basis, ext_dim, hodge_data,
                                 is_null_homotopic, lift_chain_map,
                                 minimal_resolution, quotient_by_idempotents,
-                                radical_criterion, reduction_check)
+                                radical_criterion, reduction_check,
+                                zero_graded_map)
 from bocskit.strata import standard_modules
 
 
@@ -286,3 +289,79 @@ def test_graded_map_arithmetic_reads_present_components():
                     shifted += 1
                     assert composite.is_zero()
     assert disjoint and shifted
+
+
+_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                     database=None)
+
+
+@lru_cache(maxsize=None)
+def _hodge_cases():
+    """Every HodgeData of e1 and e3 (pdelta) and of e2 (delta)."""
+    systems = [pdelta_system(example_dual_numbers()),
+               pdelta_system(example_jordan3()),
+               ResolvedSystem(standard_modules(example_a2(), mode="delta"))]
+    return [hodge_data(rsys, i, j, k) for rsys in systems
+            for i in range(1, rsys.alg.n + 1)
+            for j in range(1, rsys.alg.n + 1)
+            for k in range(rsys.N_max)]
+
+
+def _combination(hd, parts, coeffs):
+    f = zero_graded_map(hd.R, hd.Rp, hd.k)
+    for c, g in zip(coeffs, parts):
+        f = f + g.scale(c)
+    return f
+
+
+def _independent(maps, hi):
+    """Whether the maps cut to levels <= hi stay independent, read
+    through explicit zero components."""
+    vecs = [[x for l in range(f.lo, hi + 1)
+             for x in f.component(l).mat.flat()] for f in maps]
+    return not vecs or len(Span(len(vecs[0]), vecs)) == len(vecs)
+
+
+@_PROPERTY
+@given(st.data())
+def test_decompose_reads_back_its_coefficients(data):
+    for hd in _hodge_cases():
+        hc, bc, lc = (data.draw(st.lists(st.integers(-3, 3), min_size=len(p),
+                                         max_size=len(p)))
+                      for p in (hd.H, hd.B, hd.L))
+        f = _combination(hd, hd.H + hd.B + hd.L, hc + bc + lc)
+        assert hd.decompose(f) == (hc, bc)
+        cocycle = _combination(hd, hd.H + hd.B, hc + bc)
+        for hi in range(hd.k, hd.rsys.N_max):
+            cut = _restrict(cocycle, lambda l: True, hi=hi)
+            if _independent(hd.H + hd.B, hi):
+                assert hd.decompose(cut) == (hc, bc)
+                # an L part independent of H + B at this truncation is
+                # outside the truncated cocycle space
+                if any(lc) and _independent(hd.H + hd.B + hd.L, hi):
+                    with pytest.raises(ValueError, match="cocycle value"):
+                        hd.decompose(_restrict(f, lambda l: True, hi=hi))
+            elif not cut.is_zero():
+                with pytest.raises(AssertionError, match="degenerate"):
+                    hd.decompose(cut)
+
+
+@_PROPERTY
+@given(st.data())
+def test_null_homotopic_exactly_on_boundaries_delta(data):
+    # e2's delta resolutions are not properly standard, so no radical
+    # cross-check backs the homotopy system here
+    for hd in _hodge_cases():
+        if hd.R.pdelta:
+            continue
+        hc, bc, lc = (data.draw(st.lists(st.integers(-3, 3), min_size=len(p),
+                                         max_size=len(p)))
+                      for p in (hd.H, hd.B, hd.L))
+        f = _combination(hd, hd.H + hd.B + hd.L, hc + bc + lc)
+        flag, witness = is_null_homotopic(f)
+        assert flag == (not any(hc) and not any(lc))
+        if flag:
+            assert witness.k == hd.k - 1
+            assert differential(witness).equals(f)
+        else:
+            assert witness is None
