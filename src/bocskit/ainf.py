@@ -281,12 +281,8 @@ class AInfTable:
         return self.b(key)
 
 
-def build_tables(system_or_rsys, r_max: int = 6) -> AInfTable:
+def build_tables(rsys: ResolvedSystem, r_max: int = 6) -> AInfTable:
     """Tabulate the transferred products up to r_max inputs."""
-    if isinstance(system_or_rsys, ResolvedSystem):
-        rsys = system_or_rsys
-    else:
-        rsys = ResolvedSystem(system_or_rsys)
     return AInfTable(rsys, r_max)
 
 

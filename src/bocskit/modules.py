@@ -225,7 +225,7 @@ def direct_sum(modules, name=""):
     for d in dims:
         offsets.append(off)
         off += d
-    # coordinate embedding per summand
+    # coordinate in the sum of each coordinate of each summand
     embeds = []
     cursor = [0] * alg.n
     for m in modules:
@@ -258,6 +258,7 @@ def direct_sum(modules, name=""):
             gp[c][r] = ONE
         incs.append(ModuleMap(m, out, Matrix(total, m.total, gi)))
         projs.append(ModuleMap(out, m, Matrix(m.total, total, gp)))
+    out.summand_coords = embeds
     out.summand_inclusions = incs
     out.summand_projections = projs
     return out
@@ -296,37 +297,34 @@ def hom_basis(M: FDModule, N: FDModule, radical_only: bool = False):
                 if any(x != 0 for x in row):
                     rows.append(row)
     sol = Matrix(len(rows), nunk, rows) if rows else Matrix.zero(0, nunk)
-    basis_vecs = sol.kernel_basis()
 
+    def as_map(v):
+        return ModuleMap(M, N, Matrix(tN, tM, [[v[unk(r, c)]
+                                                for c in range(tM)]
+                                               for r in range(tN)]))
+
+    basis_vecs = sol.kernel_basis()
     if radical_only and basis_vecs:
-        back = hom_basis(N, M, radical_only=False)
+        back = hom_basis(N, M)
         if back:
-            def as_mat(v):
-                return Matrix(tN, tM, [[v[unk(r, c)] for c in range(tM)]
-                                       for r in range(tN)])
-            pair_rows = []
-            for g in back:
-                pr = []
-                for v in basis_vecs:
-                    pr.append((g.mat @ as_mat(v)).trace())
-                pair_rows.append(pr)
-            coeff = Matrix(len(pair_rows), len(basis_vecs), pair_rows)
-            kern = coeff.kernel_basis()
+            pairing = _trace_pairing([as_map(v) for v in basis_vecs], back)
             new_vecs = []
-            for kv in kern:
+            for kv in pairing.kernel_basis():
                 acc = [ZERO] * nunk
                 for c, bv in zip(kv, basis_vecs):
                     if c != 0:
                         acc = [a + c * b for a, b in zip(acc, bv)]
                 new_vecs.append(tuple(acc))
             basis_vecs = new_vecs
+    return [as_map(v) for v in basis_vecs]
 
-    out = []
-    for v in basis_vecs:
-        mat = Matrix(tN, tM, [[v[unk(r, c)] for c in range(tM)]
-                              for r in range(tN)])
-        out.append(ModuleMap(M, N, mat))
-    return out
+
+def _trace_pairing(hom_mn, hom_nm) -> Matrix:
+    """The pairing trace(g f), one row per g in Hom(N, M) and one column
+    per f in Hom(M, N)."""
+    return Matrix(len(hom_nm), len(hom_mn),
+                  [[(g.mat @ f.mat).trace() for f in hom_mn]
+                   for g in hom_nm])
 
 
 def hom_from_projective(P: FDModule, X: FDModule):
@@ -363,18 +361,9 @@ def sum_of_projectives(alg: Algebra, vertices, name=""):
         return out
     out = direct_sum(mods, name=name)
     gens = []
-    for m, inc in zip(mods, out.summand_inclusions):
-        emb = [r for r in range(out.total)
-               if any(inc.mat.data[r][c] != 0 for c in range(m.total))]
-        # coordinate mapping from the summand into the sum
-        coord_of = {}
-        for c in range(m.total):
-            for r in range(out.total):
-                if inc.mat.data[r][c] != 0:
-                    coord_of[c] = r
-        vtx = m.proj_vertex
+    for m, coord_of in zip(mods, out.summand_coords):
         word_idxs = [(coord_of[c], m.proj_basis[c]) for c in range(m.total)]
-        gens.append((coord_of[m.generator_coord], vtx, word_idxs))
+        gens.append((coord_of[m.generator_coord], m.proj_vertex, word_idxs))
     out.proj_gens = gens
     out.summands = list(vertices)
     return out
@@ -424,21 +413,9 @@ def quotient(M: FDModule, vectors, name=""):
     return q, ModuleMap(M, q, pmat), sect
 
 
-def map_spaces(f: ModuleMap):
-    """Kernel, image and cokernel of a module map, with witnesses.
-
-    Returns dict with modules and the inclusion/projection maps.
-    """
-    M, N = f.source, f.target
-    kvecs = [v for v in f.mat.kernel_basis()]
-    ker, kinc = submodule(M, kvecs, name="ker")
-    ivecs = f.mat.column_space_basis()
-    img, iinc = submodule(N, ivecs, name="im")
-    cok, cproj, _ = quotient(N, ivecs, name="coker")
-    assert ker.total + img.total == M.total
-    return {"kernel": ker, "kernel_inclusion": kinc,
-            "image": img, "image_inclusion": iinc,
-            "cokernel": cok, "cokernel_projection": cproj}
+def kernel(f: ModuleMap):
+    """Kernel of a module map: (FDModule, inclusion ModuleMap)."""
+    return submodule(f.source, f.mat.kernel_basis(), name="ker")
 
 
 def radical_vectors(M: FDModule):
@@ -499,11 +476,26 @@ def projective_cover(M: FDModule):
     return f
 
 
+def syzygies(M: FDModule, depth: int):
+    """depth steps of iterated projective covers, starting at M.
+
+    Step t is (cover P_t -> Omega_t, Omega_{t+1}, inclusion Omega_{t+1} ->
+    P_t) with Omega_0 = M and Omega_{t+1} the kernel of the cover.
+    """
+    out = []
+    for _ in range(depth):
+        cover = projective_cover(M)
+        M, inc = kernel(cover)
+        out.append((cover, M, inc))
+    return out
+
+
 def iso_defect(M: FDModule, N: FDModule):
-    """dim Hom(M,N) minus dim of its radical (a Morita-invariant pairing)."""
-    h = hom_basis(M, N)
-    r = hom_basis(M, N, radical_only=True)
-    return len(h) - len(r)
+    """Rank of the trace pairing of Hom(M, N) with Hom(N, M): dim Hom(M, N)
+    minus the dim of its radical (a Morita-invariant count)."""
+    hom_mn = hom_basis(M, N)
+    hom_nm = hom_mn if M is N else hom_basis(N, M)
+    return _trace_pairing(hom_mn, hom_nm).rank()
 
 
 def is_isomorphic(M: FDModule, N: FDModule) -> bool:

@@ -1,7 +1,7 @@
 """Truncated minimal projective resolutions, graded maps and Ext data.
 
-A Resolution keeps projectives P_0..P_depth with depth = N_max + 1; the
-extra degree keeps lifting and homotopy systems near degree N_max honest.
+A Resolution keeps projectives P_0..P_depth with depth = N_MAX + 1; the
+extra degree keeps lifting and homotopy systems near degree N_MAX honest.
 A GradedMap of degree k collects components f^(l): P_l -> P'_{l-k} for
 l = max(k, 0)..hi.  The attribute hi tracks how far the components are
 trustworthy: compositions with negative-degree maps lose the top level.
@@ -14,10 +14,15 @@ d(f)^(l) = d'_{l-k} f^(l) - (-1)^k f^(l-1) d_l.
 from __future__ import annotations
 
 from .linalg import MapSpace, Matrix, Span, ZERO, nonzeros
-from .modules import (FDModule, ModuleMap, hom_from_projective, map_spaces,
-                      projective_cover, quotient, radical_vectors)
+from .modules import (FDModule, ModuleMap, hom_from_projective, quotient,
+                      radical_vectors, syzygies)
 from .quiver import Algebra, from_structure_constants
 from .strata import StandardSystem, standard_modules
+
+# The working truncation of every resolution.  The A-infinity transfer
+# needs Hodge data up to degree 3 (ainf._tabulated), and hodge_data at
+# degree k needs k <= N_MAX - 1.
+N_MAX = 4
 
 
 def _hom_space(P: FDModule, X: FDModule):
@@ -80,24 +85,13 @@ class Resolution:
         return 0
 
 
-def minimal_resolution(M: FDModule, N_max: int = 4) -> Resolution:
-    """Iterated projective covers of syzygies, one degree past N_max."""
-    if N_max < 3:
-        raise ValueError("N_max must be at least 3")
-    aug = projective_cover(M)
-    mods = [aug.source]
-    diffs = []
-    current = aug
-    for l in range(1, N_max + 2):
-        spaces = map_spaces(current)
-        kernel = spaces["kernel"]
-        kinc = spaces["kernel_inclusion"]
-        cover = projective_cover(kernel)
-        mods.append(cover.source)
-        diffs.append(kinc.compose(cover))
-        current = cover
-    diffs = [None] + diffs
-    res = Resolution(M, N_max, mods, diffs, aug)
+def minimal_resolution(M: FDModule) -> Resolution:
+    """Iterated projective covers of syzygies, one degree past N_MAX."""
+    steps = syzygies(M, N_MAX + 2)
+    mods = [cover.source for cover, _, _ in steps]
+    diffs = [None] + [inc.compose(cover) for (_, _, inc), (cover, _, _)
+                      in zip(steps, steps[1:])]
+    res = Resolution(M, N_MAX, mods, diffs, steps[0][0])
     for l in range(2, res.depth + 1):
         comp = diffs[l - 1].compose(diffs[l])
         if not comp.is_zero():
@@ -332,13 +326,13 @@ def _cocycle_representatives(R: Resolution, N: FDModule, k: int):
 class ResolvedSystem:
     """Resolutions of every standard module of a StandardSystem."""
 
-    def __init__(self, system: StandardSystem, N_max: int = 4):
+    def __init__(self, system: StandardSystem):
         self.system = system
         self.alg = system.alg
-        self.N_max = N_max
+        self.N_max = N_MAX
         self.resolutions = {}
         for i in range(1, self.alg.n + 1):
-            res = minimal_resolution(system.module(i), N_max)
+            res = minimal_resolution(system.module(i))
             res.pdelta = (system.mode == "pdelta")
             self.resolutions[i] = res
         self._ext_cache = {}
@@ -562,7 +556,7 @@ def quotient_by_idempotents(alg: Algebra, vertices):
     return quo, {j: p + 1 for p, j in enumerate(kept)}
 
 
-def reduction_check(alg: Algebra, order, i: int, N_max: int = 4):
+def reduction_check(alg: Algebra, order, i: int):
     """Compare dim Ext^k(pD(i), pD(i)), k <= 2, over A and A/AeA.
 
     e is the idempotent sum over the vertices above i in the order; the
@@ -574,7 +568,7 @@ def reduction_check(alg: Algebra, order, i: int, N_max: int = 4):
     removed = [j for j in range(1, alg.n + 1) if rank[j] > rank[i]]
 
     sysA = standard_modules(alg, order, mode="pdelta")
-    rsA = ResolvedSystem(sysA, N_max)
+    rsA = ResolvedSystem(sysA)
     dims_A = [ext_dim(rsA, i, i, k) for k in range(3)]
 
     if removed:
@@ -584,7 +578,7 @@ def reduction_check(alg: Algebra, order, i: int, N_max: int = 4):
     else:
         quo, new_order, new_i = alg, order, i
     sysQ = standard_modules(quo, new_order, mode="pdelta")
-    rsQ = ResolvedSystem(sysQ, N_max)
+    rsQ = ResolvedSystem(sysQ)
     dims_Q = [ext_dim(rsQ, new_i, new_i, k) for k in range(3)]
 
     return {"vertex": i,

@@ -7,7 +7,7 @@ position in the chosen order, not the raw vertex label.  Mode strings are
 
 from __future__ import annotations
 
-from .modules import (FDModule, hom_basis, map_spaces, projective, quotient,
+from .modules import (FDModule, hom_basis, kernel, projective, quotient,
                       radical_vectors)
 from .quiver import Algebra
 
@@ -55,9 +55,7 @@ class FiltrationCertificate:
                 return False
             if f.mat.rank() != theta.total:
                 return False
-            spaces = map_spaces(f)
-            if spaces["kernel"].total != \
-                    layer.kernel_inclusion.source.total:
+            if kernel(f)[0].total != layer.kernel_inclusion.source.total:
                 return False
             current = layer.kernel_inclusion.source
         return current.total == 0
@@ -153,12 +151,10 @@ def theta_filtration(M: FDModule, system: StandardSystem, allowed=None):
             for f in candidates:
                 if f.mat.rank() != theta.total:
                     continue
-                spaces = map_spaces(f)
-                kernel = spaces["kernel"]
-                rest = search(kernel)
+                ker, kinc = kernel(f)
+                rest = search(ker)
                 if rest is not None:
-                    return [FiltrationLayer(j, f, spaces["kernel_inclusion"])
-                            ] + rest
+                    return [FiltrationLayer(j, f, kinc)] + rest
         return None
 
     layers = search(M)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from bocskit import burt_butler
@@ -8,6 +10,7 @@ from bocskit.burt_butler import (borel_checks, ext_dimension,
                                  iso_search, loop_subalgebra_check,
                                  morita_compare, right_algebra,
                                  standard_check)
+from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
 from bocskit.modules import is_isomorphic, projective, simple
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
@@ -162,6 +165,49 @@ def test_homological_comparison_on_simples(r1, r3, r2, r0, rv):
                     assert out["surjective"]
                     if k == 2:
                         assert out["injective"]
+
+
+@pytest.fixture(scope="module")
+def corpus_ralgs():
+    # corpus members 0-2 of the benchmark's corpus, at its r_max
+    corpus = random_corpus(20260823, count=3, max_dim=5, require_bocs=False)
+    return [right_algebra(construct_bocs(alg, order, mode="pdelta",
+                                         r_max=3))
+            for alg, order, _ in corpus]
+
+
+def test_homological_ext_r_matches_minimal_r_covers(r1, r3, r2, r0,
+                                                    corpus_ralgs):
+    # ext_r is read on the induced resolution; the oracle resolves FX
+    # by minimal covers over R.  Projective targets give nonzero
+    # coboundaries on both sides.
+    for r in [t[2] for t in (r0, r1, r2, r3)] + corpus_ralgs:
+        B = r.bocs.B
+        simples = [simple(B, i) for i in range(1, B.n + 1)]
+        targets = simples + [projective(B, i) for i in range(1, B.n + 1)]
+        for X in simples:
+            for Y in targets:
+                FX, FY = induce(r, X), induce(r, Y)
+                for k in (1, 2):
+                    out = homological_check(r, X, Y, k)
+                    want = ext_dimension(FX.module, FY.module, k)
+                    assert out["ext_r"] == want, (X.name, Y.name, k, out)
+                    assert out["image_rank"] <= min(out["ext_b"],
+                                                    out["ext_r"])
+
+
+def test_homological_check_requires_projective_induced_covers(r2,
+                                                              monkeypatch):
+    # F(P) of a projective P is projective for any bocs; a cover larger
+    # than F(P) stands in for one that is not
+    alg, b, r = r2
+
+    def too_large(M):
+        return SimpleNamespace(source=SimpleNamespace(total=M.total + 1))
+
+    monkeypatch.setattr(burt_butler, "projective_cover", too_large)
+    with pytest.raises(AssertionError, match="not projective"):
+        homological_check(r, simple(b.B, 1), simple(b.B, 2), 1)
 
 
 def test_homological_comparison_counts(r1):

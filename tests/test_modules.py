@@ -2,12 +2,13 @@ import pytest
 
 from bocskit.linalg import Matrix
 from bocskit.modules import (direct_sum, from_arrow_matrices, hom_basis,
-                             hom_from_projective, is_isomorphic, map_spaces,
-                             projective, projective_cover, quotient, simple,
-                             submodule, sum_of_projectives, top_dims,
-                             trace_submodule, radical_vectors)
-from bocskit.quiver import (example_a2, example_dual_numbers,
-                            example_jordan3, example_semisimple_pair)
+                             hom_from_projective, iso_defect, is_isomorphic,
+                             kernel, projective, projective_cover, quotient,
+                             simple, submodule, sum_of_projectives,
+                             top_dims, trace_submodule, radical_vectors)
+from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
+                            example_dual_numbers, example_jordan3,
+                            example_semisimple_pair)
 
 
 def test_projective_dims_a2():
@@ -71,27 +72,37 @@ def test_hom_from_projective_agrees():
         f.check_intertwining()
 
 
-def test_map_spaces_socle():
+def test_kernel_image_cokernel_socle():
     alg = example_a2()
     p1 = projective(alg, 1)
     p2 = projective(alg, 2)
     (f,) = hom_basis(p2, p1)
-    spaces = map_spaces(f)
-    assert spaces["kernel"].total == 0
-    assert spaces["image"].dims == (0, 1)
-    assert is_isomorphic(spaces["image"], simple(alg, 2))
-    assert spaces["cokernel"].dims == (1, 0)
+    ker, _ = kernel(f)
+    img, _ = submodule(p1, f.mat.column_space_basis())
+    cok, _, _ = quotient(p1, f.mat.column_space_basis())
+    assert ker.total == 0
+    assert ker.total + img.total == p2.total
+    assert img.dims == (0, 1)
+    assert is_isomorphic(img, simple(alg, 2))
+    assert cok.dims == (1, 0)
 
 
-def test_map_spaces_identity_and_zero():
+def test_kernel_and_image_of_identity_and_radical():
     alg = example_dual_numbers()
     p = projective(alg, 1)
     ident = [f for f in hom_basis(p, p)
              if f.mat.rank() == p.total]
     assert ident
-    sp = map_spaces(ident[0])
-    assert sp["kernel"].total == 0
-    assert sp["image"].total == p.total
+    ker, _ = kernel(ident[0])
+    img, _ = submodule(p, ident[0].mat.column_space_basis())
+    assert ker.total == 0
+    assert img.total == p.total
+    (rad,) = hom_basis(p, p, radical_only=True)
+    ker, kinc = kernel(rad)
+    assert ker.total == 1
+    kinc.check_intertwining()
+    assert kinc.mat.rank() == 1
+    assert (rad.mat @ kinc.mat).is_zero()
 
 
 def test_trace_submodules():
@@ -115,7 +126,7 @@ def test_projective_cover_simple():
     s = simple(alg, 1)
     f = projective_cover(s)
     assert f.source.total == 2
-    k = map_spaces(f)["kernel"]
+    k, _ = kernel(f)
     assert k.total == 1
 
 
@@ -123,7 +134,7 @@ def test_projective_cover_a2_simple1():
     alg = example_a2()
     f = projective_cover(simple(alg, 1))
     assert f.source.dims == (1, 1)
-    k = map_spaces(f)["kernel"]
+    k, _ = kernel(f)
     assert is_isomorphic(k, simple(alg, 2))
 
 
@@ -132,7 +143,7 @@ def test_projective_cover_of_projective():
     p = projective(alg, 1)
     f = projective_cover(p)
     assert f.source.total == p.total
-    assert map_spaces(f)["kernel"].total == 0
+    assert kernel(f)[0].total == 0
 
 
 def test_quotient_and_submodule_roundtrip():
@@ -155,6 +166,38 @@ def test_direct_sum_bookkeeping():
         assert pr.compose(inc).mat == Matrix.identity(inc.source.total)
         inc.check_intertwining()
         pr.check_intertwining()
+
+
+def test_proj_gens_follow_the_summand_inclusions():
+    # the arrow 2 -> 1 puts the generator of P(2) after its vertex-1 word
+    q = Quiver(2, [("a", 2, 1)])
+    alg = build_algebra(q, RelationSet(q, []))
+    P = sum_of_projectives(alg, [2, 1, 2])
+    for (gcoord, vtx, word_idxs), m, inc in zip(
+            P.proj_gens, [projective(alg, v) for v in (2, 1, 2)],
+            P.summand_inclusions):
+        assert vtx == m.proj_vertex
+        assert gcoord == word_idxs[m.generator_coord][0]
+        for c, (coord, widx) in enumerate(word_idxs):
+            assert widx == m.proj_basis[c]
+            assert inc.mat.column(c) == tuple(
+                1 if r == coord else 0 for r in range(P.total))
+
+
+def test_iso_defect_is_hom_minus_radical():
+    alg = example_jordan3()
+    a2 = example_a2()
+    mods = [projective(alg, 1), simple(alg, 1),
+            direct_sum([simple(alg, 1), projective(alg, 1)]),
+            projective(a2, 1), projective(a2, 2), simple(a2, 1),
+            simple(a2, 2)]
+    for M in mods:
+        for N in mods:
+            if M.alg is not N.alg:
+                continue
+            want = len(hom_basis(M, N)) - len(
+                hom_basis(M, N, radical_only=True))
+            assert iso_defect(M, N) == want
 
 
 def test_from_arrow_matrices_regular_rep():
