@@ -26,7 +26,7 @@ from .linalg import (Matrix, ONE, Span, ZERO, balanced_relations,
 from .modules import FDModule, ModuleMap, hom_basis, quotient
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 from .resolution import ResolvedSystem
-from .strata import classify_algebra, standard_modules
+from .strata import classify_algebra
 
 
 class DualGenerators:
@@ -484,8 +484,7 @@ def construct_bocs(alg: Algebra, order=None, mode: str = "pdelta",
     if not classification.filtered(mode):
         raise ValueError("mode not admitted")
     order = classification.order
-    system = standard_modules(alg, order, mode)
-    rsys = ResolvedSystem(system)
+    rsys = ResolvedSystem(classification.systems[mode])
     table = build_tables(rsys, r_max=r_max + 1)
     duals = DualGenerators(table)
 

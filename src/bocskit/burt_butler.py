@@ -9,6 +9,7 @@ cross-checked against the tensor presentation of R as a right B-module.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .bocs import (Bocs, bocs_compose, bocs_hom_basis, bocs_lift,
@@ -53,21 +54,20 @@ def _module_from_action(alg: Algebra, dim: int, raw_act):
 
 def _syzygy_ext(steps, N: FDModule):
     """Ext^k(M, N) at the last syzygy Omega of k steps of covers of M:
-    the cocycles Hom(Omega, N), and the Span of the coboundaries, maps
-    out of the last cover restricted to Omega.  The covers may be any
-    projectives, not only minimal ones."""
+    the cocycles Hom(Omega, N), the Span of the coboundaries, maps out
+    of the last cover restricted to Omega, and the dimension of Ext^k.
+    The covers may be any projectives, not only minimal ones."""
     cover, omega, incl = steps[-1]
     cocycles = hom_basis(omega, N)
     bound = Span(N.total * omega.total,
                  [(h.mat @ incl.mat).flat()
                   for h in hom_basis(cover.source, N)])
-    return cocycles, bound
+    return cocycles, bound, len(cocycles) - len(bound)
 
 
 def ext_dimension(M: FDModule, N: FDModule, k: int) -> int:
     """dim Ext^k via syzygies from minimal covers (k >= 1)."""
-    cocycles, bound = _syzygy_ext(syzygies(M, k), N)
-    return len(cocycles) - len(bound)
+    return _syzygy_ext(syzygies(M, k), N)[2]
 
 
 # -- the right algebra ------------------------------------------------------
@@ -119,7 +119,6 @@ class RightAlgebra:
             self.right_act.append(Matrix.from_columns(
                 [self.R.multiply(self.R.basis_vec(j), ev)
                  for j in range(self.R.dim)]))
-        self._induced = {}
 
     def element_map(self, new_vec) -> ModuleMap:
         """The endomorphism represented by an R coefficient vector."""
@@ -176,21 +175,14 @@ def right_algebra(bocs: Bocs) -> RightAlgebra:
 # -- induction --------------------------------------------------------------
 
 
-class InducedModule:
-    def __init__(self, module, basis, space, to_new, to_old, source):
-        self.module = module
-        self.basis = basis
-        self.space = space
-        self.to_new = to_new
-        self.to_old = to_old
-        self.source = source
+# R (x)_B X: the R-module, realized on the basis of Hom(B, X) and its
+# MapSpace, the coordinate changes between the two, and X itself
+InducedModule = namedtuple("InducedModule",
+                           "module basis space to_new to_old source")
 
 
 def induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
     """R (x)_B X realized as the morphism space Hom(B, X) over R."""
-    got = ralg._induced.get(id(X))
-    if got is not None and got.source is X:
-        return got
     bocs = ralg.bocs
     basis = bocs_hom_basis(bocs, ralg.XB, X)
     space = MapSpace([h.mat for h in basis], X.total, ralg.tX.module.total)
@@ -203,14 +195,12 @@ def induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
         raw_act.append(Matrix.from_columns(cols) if m
                        else Matrix.zero(0, 0))
     module, to_new, to_old = _module_from_action(ralg.R, m, raw_act)
-    out = InducedModule(module, basis, space, to_new, to_old, X)
-    ralg._induced[id(X)] = out
     tdim = ralg.tensor_dim(X)
     if tdim != module.total:
         raise AssertionError(
             "induced module dimension disagrees with the tensor "
             f"presentation ({module.total} vs {tdim})")
-    return out
+    return InducedModule(module, basis, space, to_new, to_old, X)
 
 
 def induce_bocs_map(ralg: RightAlgebra, f: ModuleMap,
@@ -234,7 +224,8 @@ def induce_map(ralg: RightAlgebra, u: ModuleMap,
 
 def standard_check(ralg: RightAlgebra):
     """Dimension formulas and filtration of R against the induced
-    standard system."""
+    standard system.  The report carries the induced simples of B, the
+    standard modules of R, in vertex order under "induced"."""
     bocs = ralg.bocs
     B = bocs.B
     R = ralg.R
@@ -243,7 +234,8 @@ def standard_check(ralg: RightAlgebra):
     n = B.n
     odelta = {j: induce(ralg, simple(B, j)) for j in range(1, n + 1)}
     report = {"hom_table": {}, "hom_formula": True,
-              "composition": True, "ext1_vanishing": True}
+              "composition": True, "ext1_vanishing": True,
+              "induced": [odelta[j] for j in range(1, n + 1)]}
     for i in range(1, n + 1):
         P = projective(R, i)
         for j in range(1, n + 1):
@@ -330,58 +322,58 @@ def borel_checks(ralg: RightAlgebra):
 # -- the homological comparison ---------------------------------------------
 
 
-def homological_check(ralg: RightAlgebra, X: FDModule, Y: FDModule,
-                      k: int):
-    """Rank of the induced comparison map Ext^k_B -> Ext^k_R.
+def homological_check(ralg: RightAlgebra, sources, targets):
+    """Rank of the induced comparison map Ext^k_B -> Ext^k_R, k = 1, 2.
 
-    Induction F carries k steps (c_t: P_t -> Omega_t, Omega_{t+1}, i_t)
-    of minimal covers of X to R-modules.  Two premises are checked on
-    every step: F keeps the step exact (F(c_t) onto, F(i_t) injective,
-    dimensions adding up; F(c_t) F(i_t) = 0 by functoriality), and
-    F(P_t) is projective.  Then the F(P_t) begin a projective resolution
-    of FX, and a dimension shift, which works on any projective
-    resolution, reads Ext^k_R(FX, FY) at F(Omega_k) as Ext^k_B(X, Y) is
-    read at Omega_k; a cocycle c maps to the class of F(c).  Requires
-    surjectivity for k = 1 and bijectivity for k = 2.
+    sources and targets are InducedModules FX, each carrying its
+    B-module as FX.source.  For each source X, induction F carries two
+    steps (c_t: P_t -> Omega_t, Omega_{t+1}, i_t) of minimal covers of X
+    to R-modules, once.  Two premises are checked on every step: F keeps
+    the step exact (F(c_t) onto, F(i_t) injective, dimensions adding up;
+    F(c_t) F(i_t) = 0 by functoriality), and F(P_t) is projective.  Then
+    the F(P_t) begin a projective resolution of FX, and a dimension
+    shift, which works on any projective resolution, reads
+    Ext^k_R(FX, FY) at F(Omega_k) as Ext^k_B(X, Y) is read at Omega_k; a
+    cocycle c maps to the class of F(c).  Requires surjectivity for
+    k = 1 and bijectivity for k = 2.  Returns one verdict per (source,
+    target, k), in that order.
     """
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
-    steps = syzygies(X, k)
-    cocycles, bound_b = _syzygy_ext(steps, Y)
-    ext_b = len(cocycles) - len(bound_b)
-
-    FY = induce(ralg, Y)
-    fsteps = []
-    prev = induce(ralg, X)
-    for (cover, ker, kinc) in steps:
-        FP = induce(ralg, cover.source)
-        FK = induce(ralg, ker)
-        c = induce_map(ralg, cover, FP, prev)
-        i_ = induce_map(ralg, kinc, FK, FP)
-        if c.mat.rank() != prev.module.total:
-            raise AssertionError("induction lost surjectivity")
-        if i_.mat.rank() != FK.module.total:
-            raise AssertionError("induction lost injectivity")
-        if FP.module.total != prev.module.total + FK.module.total:
-            raise AssertionError("induction lost exactness")
-        if projective_cover(FP.module).source.total != FP.module.total:
-            raise AssertionError("induced cover is not projective")
-        fsteps.append((c, FK.module, i_))
-        prev = FK
-    cocycles_r, image = _syzygy_ext(fsteps, FY.module)
-    ext_r = len(cocycles_r) - len(image)
-
-    image_rank = 0
-    for c in cocycles:
-        if image.add(induce_map(ralg, c, prev, FY).mat.flat()):
-            image_rank += 1
-    surjective = (image_rank == ext_r)
-    injective = (image_rank == ext_b)
-    verdict = {"k": k, "ext_b": ext_b, "ext_r": ext_r,
-               "image_rank": image_rank, "surjective": surjective,
-               "injective": injective}
-    verdict["ok"] = surjective if k == 1 else (surjective and injective)
-    return verdict
+    verdicts = []
+    for FX in sources:
+        steps = syzygies(FX.source, 2)
+        fsteps, fomega = [], [FX]  # fomega[t] is F(Omega_t)
+        for (cover, ker, kinc) in steps:
+            prev = fomega[-1]
+            FP = induce(ralg, cover.source)
+            FK = induce(ralg, ker)
+            c = induce_map(ralg, cover, FP, prev)
+            i_ = induce_map(ralg, kinc, FK, FP)
+            if c.mat.rank() != prev.module.total:
+                raise AssertionError("induction lost surjectivity")
+            if i_.mat.rank() != FK.module.total:
+                raise AssertionError("induction lost injectivity")
+            if FP.module.total != prev.module.total + FK.module.total:
+                raise AssertionError("induction lost exactness")
+            if projective_cover(FP.module).source.total != FP.module.total:
+                raise AssertionError("induced cover is not projective")
+            fsteps.append((c, FK.module, i_))
+            fomega.append(FK)
+        for FY in targets:
+            for k in (1, 2):
+                cocycles, _, ext_b = _syzygy_ext(steps[:k], FY.source)
+                _, image, ext_r = _syzygy_ext(fsteps[:k], FY.module)
+                image_rank = sum(
+                    image.add(induce_map(ralg, c, fomega[k],
+                                         FY).mat.flat())
+                    for c in cocycles)
+                surjective = (image_rank == ext_r)
+                injective = (image_rank == ext_b)
+                verdicts.append({
+                    "k": k, "ext_b": ext_b, "ext_r": ext_r,
+                    "image_rank": image_rank, "surjective": surjective,
+                    "injective": injective,
+                    "ok": surjective if k == 1 else surjective and injective})
+    return verdicts
 
 
 # -- isomorphism search and Morita comparison -------------------------------
@@ -531,15 +523,19 @@ def _endo_algebra(M: FDModule) -> Algebra:
     return from_structure_constants(1, table, [idem])
 
 
-def loop_subalgebra_check(alg: Algebra, order, bocs: Bocs, i: int):
-    """End of the standard module at i against e_i B e_i."""
+def loop_subalgebra_check(alg: Algebra, order, bocs: Bocs):
+    """End of the standard module at each vertex i against e_i B e_i;
+    one verdict per vertex, in vertex order."""
     system = standard_modules(alg, order, "delta")
-    E = _endo_algebra(system.module(i))
-    S = _local_subalgebra(bocs.B, i)
-    verdict, note = iso_search(E, S)
-    return {"vertex": i, "dim_end": E.dim, "dim_sub": S.dim,
-            "verdict": verdict, "note": note,
-            "ok": verdict == "isomorphic"}
+    out = []
+    for i in range(1, alg.n + 1):
+        E = _endo_algebra(system.module(i))
+        S = _local_subalgebra(bocs.B, i)
+        verdict, note = iso_search(E, S)
+        out.append({"vertex": i, "dim_end": E.dim, "dim_sub": S.dim,
+                    "verdict": verdict, "note": note,
+                    "ok": verdict == "isomorphic"})
+    return out
 
 
 def morita_compare(alg: Algebra, ralg: RightAlgebra):
@@ -551,15 +547,18 @@ def morita_compare(alg: Algebra, ralg: RightAlgebra):
     if alg.cartan_matrix() != R.cartan_matrix():
         return {"verdict": "distinct", "note": "Cartan mismatch",
                 "ok": False}
+    # one cover walk per simple of A and of R; Ext^k at its k-th step
+    simples = [[simple(A, i) for i in range(1, A.n + 1)] for A in (alg, R)]
+    walks = [[syzygies(S, 2) for S in row] for row in simples]
     for k in (1, 2):
-        for i in range(1, alg.n + 1):
-            for j in range(1, alg.n + 1):
-                da = ext_dimension(simple(alg, i), simple(alg, j), k)
-                dr = ext_dimension(simple(R, i), simple(R, j), k)
+        for i in range(alg.n):
+            for j in range(alg.n):
+                da, dr = (_syzygy_ext(walk[i][:k], row[j])[2]
+                          for walk, row in zip(walks, simples))
                 if da != dr:
                     return {"verdict": "distinct",
                             "note": f"Ext^{k} table mismatch at "
-                                    f"({i},{j})", "ok": False}
+                                    f"({i + 1},{j + 1})", "ok": False}
     verdict, note = iso_search(alg, R)
     return {"verdict": verdict, "note": note,
             "ok": verdict == "isomorphic"}

@@ -16,6 +16,7 @@ the report object but excluded from the canonical emit.
 from __future__ import annotations
 
 import time
+from itertools import product
 
 from . import io as bio
 from .ainf import stasheff_check
@@ -94,6 +95,7 @@ class _Run:
             raise PipelineError(self.marks[-1][0], message, witness)
 
     def standard_stage(self, ralg):
+        """The standard_check stage; returns the induced simples of B."""
         self.stage("standard_check")
         sc = self.call(standard_check, ralg)
         table = {f"{i},{j}": [int(g), int(w)]
@@ -101,6 +103,7 @@ class _Run:
         self.require(sc["ok"], "standard module checks failed",
                      {"hom_table": table})
         self.standard = {"ok": True, "hom_table": table}
+        return sc["induced"]
 
     def report(self, input_doc, cls, bocs, bclass, ralg, *, bocs_doc,
                verdicts):
@@ -227,7 +230,7 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
 
     run.stage("right_algebra")
     ralg = run.call(right_algebra, bocs)
-    run.standard_stage(ralg)
+    simples = run.standard_stage(ralg)
 
     run.stage("borel_checks")
     bc = run.call(borel_checks, ralg)
@@ -235,23 +238,20 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
                 {k: bool(v) for k, v in bc.items()})
 
     run.stage("homological_check")
+    vertices = range(1, bocs.B.n + 1)
     homological = []
-    for i in range(1, bocs.B.n + 1):
-        for j in range(1, bocs.B.n + 1):
-            for k in (1, 2):
-                out = run.call(homological_check, ralg, simple(bocs.B, i),
-                               simple(bocs.B, j), k)
-                homological.append({"i": i, "j": j, "k": k,
-                                    "ext_b": out["ext_b"],
-                                    "ext_r": out["ext_r"]})
-                run.require(out["ok"], "Ext comparison failed",
-                            homological[-1])
+    for (i, j, k), out in zip(
+            product(vertices, vertices, (1, 2)),
+            run.call(homological_check, ralg, simples, simples),
+            strict=True):
+        homological.append({"i": i, "j": j, "k": k,
+                            "ext_b": out["ext_b"], "ext_r": out["ext_r"]})
+        run.require(out["ok"], "Ext comparison failed", homological[-1])
 
     run.stage("loop_subalgebra_check")
     loops = []
-    for i in range(1, alg.n + 1):
-        out = run.call(loop_subalgebra_check, alg, order, bocs, i)
-        loops.append({"i": i, "verdict": out["verdict"],
+    for out in run.call(loop_subalgebra_check, alg, order, bocs):
+        loops.append({"i": out["vertex"], "verdict": out["verdict"],
                       "dim_end": out["dim_end"], "dim_sub": out["dim_sub"]})
         run.require(out["verdict"] != "distinct",
                     "vertex subalgebra mismatch", loops[-1])
@@ -267,15 +267,14 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
     mods = indecomposables_up_to(alg, dim_bound)
     filtered = [M for M in mods
                 if theta_filtration(M, system) is not None]
-    for M in filtered:
-        for N in filtered:
-            out = run.call(hom_dim_compare, M, N, bocs)
-            pairs.append({"m": list(M.dims), "n": list(N.dims),
-                          "dim": out["dim_hom_A"]})
-            run.require(out["ok"], "hom dimensions disagree",
-                        {"m": list(M.dims), "n": list(N.dims),
-                         "dim_a": out["dim_hom_A"],
-                         "dim_bocs": out["dim_hom_bocs"]})
+    for (M, N), out in zip(product(filtered, filtered),
+                           run.call(hom_dim_compare, filtered, bocs),
+                           strict=True):
+        mn = {"m": list(M.dims), "n": list(N.dims)}
+        pairs.append({**mn, "dim": out["dim_hom_A"]})
+        run.require(out["ok"], "hom dimensions disagree",
+                    {**mn, "dim_a": out["dim_hom_A"],
+                     "dim_bocs": out["dim_hom_bocs"]})
 
     return run.report(
         bio.algebra_to_doc(alg, order), cls, bocs, bclass, ralg,

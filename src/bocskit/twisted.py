@@ -231,14 +231,10 @@ def filtered_to_bocs_module(M: FDModule, bocs: Bocs, cert=None,
     # adjacent classes from subquotients
     from .modules import quotient
     delta = []
-    kernels = [M]
-    for l in layers:
-        kernels.append(l.kernel_inclusion.source)
-    inclusions = [l.kernel_inclusion for l in layers]
     for t in range(s - 1):
-        upper = kernels[t]
-        inc1 = inclusions[t]
-        inc2 = inclusions[t + 1]
+        upper = layers[t].surjection.source  # the t-th kernel, M at t = 0
+        inc1 = layers[t].kernel_inclusion
+        inc2 = layers[t + 1].kernel_inclusion
         sub = [tuple(col) for col in (inc1.mat @ inc2.mat).columns()]
         E, proj, _ = quotient(upper, sub)
         pi = ModuleMap(E, system.module(word[t]),
@@ -268,18 +264,12 @@ def filtered_to_bocs_module(M: FDModule, bocs: Bocs, cert=None,
                         out.append((zcls.key(), r, c, m.data[r][c]))
         return out
 
-    def full_entries(dl, h, keys):
+    def full_entries(dl, keys):
         """Entry vector over a fixed key list for linearization."""
-        pt = PretwistedModule(dims, dl)
-        mats = _mc_matrices(pt, table)
-        vec = []
-        for zkey, r, c in keys:
-            val = ZERO
-            for zcls, m in mats.items():
-                if zcls.key() == zkey:
-                    val = m.data[r][c]
-            vec.append(val)
-        return vec
+        mats = {zcls.key(): m for zcls, m
+                in _mc_matrices(PretwistedModule(dims, dl), table).items()}
+        return [mats[zkey].data[r][c] if zkey in mats else ZERO
+                for zkey, r, c in keys]
 
     # the gap-2 component must vanish with first-order data alone
     if gap_entries(delta, 2):
@@ -301,7 +291,7 @@ def filtered_to_bocs_module(M: FDModule, bocs: Bocs, cert=None,
             raise ValueError("correction solve failed")
         cols = []
         for up in unknowns:
-            shifted = full_entries(delta + [up], h, keys)
+            shifted = full_entries(delta + [up], keys)
             cols.append([a - b for a, b in zip(shifted, r0)])
         sol = Matrix.from_columns(cols).solve([-v for v in r0])
         if sol is None:
@@ -325,11 +315,16 @@ def _factor_through(f: ModuleMap, proj: ModuleMap) -> Matrix:
         Matrix.identity(proj.target.total))
 
 
-def hom_dim_compare(M: FDModule, N: FDModule, bocs: Bocs):
-    """dim Hom over A against dim Hom in the bocs category."""
-    XM = filtered_to_bocs_module(M, bocs)
-    XN = filtered_to_bocs_module(N, bocs)
-    da = len(hom_basis(M, N))
-    db = len(bocs_hom_basis(bocs, XM, XN))
-    return {"dim_hom_A": da, "dim_hom_bocs": db, "match": da == db,
-            "ok": da == db}
+def hom_dim_compare(mods, bocs: Bocs):
+    """dim Hom over A against dim Hom in the bocs category, for every
+    ordered pair (M, N) of the filtered modules mods, M outer.  Each
+    module's bocs module is built once."""
+    xs = [filtered_to_bocs_module(M, bocs) for M in mods]
+    out = []
+    for M, XM in zip(mods, xs):
+        for N, XN in zip(mods, xs):
+            da = len(hom_basis(M, N))
+            db = len(bocs_hom_basis(bocs, XM, XN))
+            out.append({"dim_hom_A": da, "dim_hom_bocs": db,
+                        "match": da == db, "ok": da == db})
+    return out

@@ -2,14 +2,16 @@
 
 import copy
 import time
+from itertools import product
 
 import pytest
 
 from bocskit import io as bio
 from bocskit.ainf import stasheff_check
 from bocskit.bocs import classify_bocs, construct_bocs, validate_coalgebra
-from bocskit.burt_butler import (homological_check, loop_subalgebra_check,
-                                 right_algebra, standard_check)
+from bocskit.burt_butler import (homological_check, induce,
+                                 loop_subalgebra_check, right_algebra,
+                                 standard_check)
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
 from bocskit.modules import simple
@@ -154,15 +156,15 @@ def test_criterion_5_hom_dimension_formula(ralgs, corpus):
 
 def test_criterion_6_homological_borel(ralgs):
     for name, r in ralgs.items():
-        B = r.bocs.B
-        for i in range(1, B.n + 1):
-            for j in range(1, B.n + 1):
-                for k in (1, 2):
-                    out = homological_check(r, simple(B, i), simple(B, j), k)
-                    assert out["surjective"], (name, i, j, k)
-                    if k == 2:
-                        assert out["injective"], (name, i, j)
-                    assert out["ok"]
+        vertices = range(1, r.bocs.B.n + 1)
+        simples = [induce(r, simple(r.bocs.B, i)) for i in vertices]
+        outs = homological_check(r, simples, simples)
+        for (i, j, k), out in zip(product(vertices, vertices, (1, 2)), outs,
+                                  strict=True):
+            assert out["surjective"], (name, i, j, k)
+            if k == 2:
+                assert out["injective"], (name, i, j)
+            assert out["ok"]
 
 
 def test_criterion_7_equivalence_footprint(fixtures, bocses):
@@ -170,18 +172,18 @@ def test_criterion_7_equivalence_footprint(fixtures, bocses):
         alg, _ = fixtures[name]
         mods = indecomposables_up_to(alg, 4)
         assert mods, name
-        for M in mods:
-            for N in mods:
-                out = hom_dim_compare(M, N, bocses[name])
-                assert out["ok"], (name, M.dims, N.dims)
-                assert out["dim_hom_A"] == out["dim_hom_bocs"]
+        outs = hom_dim_compare(mods, bocses[name])
+        for (M, N), out in zip(product(mods, mods), outs, strict=True):
+            assert out["ok"], (name, M.dims, N.dims)
+            assert out["dim_hom_A"] == out["dim_hom_bocs"]
 
 
 def test_criterion_8_vertex_subalgebras(fixtures, bocses):
     for name, (alg, mode) in fixtures.items():
-        b = bocses[name]
-        for i in range(1, alg.n + 1):
-            out = loop_subalgebra_check(alg, None, b, i)
+        outs = loop_subalgebra_check(alg, None, bocses[name])
+        assert len(outs) == alg.n, name
+        for i, out in enumerate(outs, 1):
+            assert out["vertex"] == i
             assert out["verdict"] == "isomorphic", (name, i)
 
 

@@ -1,3 +1,4 @@
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -156,15 +157,16 @@ def test_induce_functoriality(r2):
 
 def test_homological_comparison_on_simples(r1, r3, r2, r0, rv):
     for alg, b, r in (r1, r3, r2, r0, rv):
-        for i in range(1, b.B.n + 1):
-            for j in range(1, b.B.n + 1):
-                for k in (1, 2):
-                    out = homological_check(r, simple(b.B, i),
-                                            simple(b.B, j), k)
-                    assert out["ok"], (i, j, k, out)
-                    assert out["surjective"]
-                    if k == 2:
-                        assert out["injective"]
+        vertices = range(1, b.B.n + 1)
+        simples = [induce(r, simple(b.B, i)) for i in vertices]
+        outs = homological_check(r, simples, simples)
+        for (i, j, k), out in zip(product(vertices, vertices, (1, 2)), outs,
+                                  strict=True):
+            assert out["k"] == k
+            assert out["ok"], (i, j, k, out)
+            assert out["surjective"]
+            if k == 2:
+                assert out["injective"]
 
 
 @pytest.fixture(scope="module")
@@ -183,17 +185,17 @@ def test_homological_ext_r_matches_minimal_r_covers(r1, r3, r2, r0,
     # coboundaries on both sides.
     for r in [t[2] for t in (r0, r1, r2, r3)] + corpus_ralgs:
         B = r.bocs.B
-        simples = [simple(B, i) for i in range(1, B.n + 1)]
-        targets = simples + [projective(B, i) for i in range(1, B.n + 1)]
-        for X in simples:
-            for Y in targets:
-                FX, FY = induce(r, X), induce(r, Y)
-                for k in (1, 2):
-                    out = homological_check(r, X, Y, k)
-                    want = ext_dimension(FX.module, FY.module, k)
-                    assert out["ext_r"] == want, (X.name, Y.name, k, out)
-                    assert out["image_rank"] <= min(out["ext_b"],
-                                                    out["ext_r"])
+        simples = [induce(r, simple(B, i)) for i in range(1, B.n + 1)]
+        targets = simples + [induce(r, projective(B, i))
+                             for i in range(1, B.n + 1)]
+        outs = homological_check(r, simples, targets)
+        for (FX, FY, k), out in zip(product(simples, targets, (1, 2)), outs,
+                                    strict=True):
+            X, Y = FX.source, FY.source
+            want = ext_dimension(FX.module, FY.module, k)
+            assert out["ext_r"] == want, (X.name, Y.name, k, out)
+            assert out["ext_b"] == ext_dimension(X, Y, k)
+            assert out["image_rank"] <= min(out["ext_b"], out["ext_r"])
 
 
 def test_homological_check_requires_projective_induced_covers(r2,
@@ -201,27 +203,30 @@ def test_homological_check_requires_projective_induced_covers(r2,
     # F(P) of a projective P is projective for any bocs; a cover larger
     # than F(P) stands in for one that is not
     alg, b, r = r2
+    FX, FY = induce(r, simple(b.B, 1)), induce(r, simple(b.B, 2))
 
     def too_large(M):
         return SimpleNamespace(source=SimpleNamespace(total=M.total + 1))
 
     monkeypatch.setattr(burt_butler, "projective_cover", too_large)
     with pytest.raises(AssertionError, match="not projective"):
-        homological_check(r, simple(b.B, 1), simple(b.B, 2), 1)
+        homological_check(r, [FX], [FY])
 
 
 def test_homological_comparison_counts(r1):
     alg, b, r = r1
-    S = simple(b.B, 1)
-    out = homological_check(r, S, S, 1)
+    FS = induce(r, simple(b.B, 1))
+    out = homological_check(r, [FS], [FS])[0]
+    assert out["k"] == 1
     assert out["ext_b"] == 1 and out["ext_r"] == 1
     assert out["image_rank"] == 1
 
 
 def test_loop_subalgebra_fixtures(r1, r3, r2):
     for alg, b, r in (r1, r3, r2):
-        for i in range(1, alg.n + 1):
-            out = loop_subalgebra_check(alg, None, b, i)
+        outs = loop_subalgebra_check(alg, None, b)
+        assert [out["vertex"] for out in outs] == list(range(1, alg.n + 1))
+        for out in outs:
             assert out["verdict"] == "isomorphic"
             assert out["dim_end"] == out["dim_sub"]
 

@@ -171,3 +171,98 @@ def test_bad_parameters_fail_before_any_stage(monkeypatch):
     # relations of B have degree at least 2
     with pytest.raises(ValueError, match="r_max must be at least 2"):
         construct_bocs(example_semisimple_pair(), mode="pdelta", r_max=1)
+
+
+def test_homological_verdicts_are_labelled_by_position(monkeypatch):
+    # homological_check returns sources x targets x (1, 2); position 5 of
+    # two simples is (i, j, k) = (2, 1, 2)
+    import bocskit.pipeline as pipeline
+    real = pipeline.homological_check
+    seen = []
+
+    def fails_at_5(ralg, sources, targets):
+        outs = real(ralg, sources, targets)
+        outs[5] = dict(outs[5], ok=False)
+        seen.append(outs[5])
+        return outs
+
+    monkeypatch.setattr(pipeline, "homological_check", fails_at_5)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(example_semisimple_pair(), mode="pdelta")
+    assert exc.value.stage == "homological_check"
+    assert exc.value.message == "Ext comparison failed"
+    assert exc.value.witness == {"i": 2, "j": 1, "k": 2,
+                                 "ext_b": seen[0]["ext_b"],
+                                 "ext_r": seen[0]["ext_r"]}
+
+
+def test_hom_dim_verdicts_are_labelled_by_position(monkeypatch):
+    # hom_dim_compare returns one verdict per ordered pair, M outer; e0's
+    # filtered modules are S(2), S(1), so position 2 is (S(1), S(2))
+    import bocskit.pipeline as pipeline
+    real = pipeline.hom_dim_compare
+
+    def fails_at_2(mods, bocs):
+        assert [list(M.dims) for M in mods] == [[0, 1], [1, 0]]
+        outs = real(mods, bocs)
+        outs[2] = {"dim_hom_A": 0, "dim_hom_bocs": 1, "match": False,
+                   "ok": False}
+        return outs
+
+    monkeypatch.setattr(pipeline, "hom_dim_compare", fails_at_2)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(example_semisimple_pair(), mode="pdelta")
+    assert exc.value.stage == "hom_dim_compare"
+    assert exc.value.message == "hom dimensions disagree"
+    assert exc.value.witness == {"m": [1, 0], "n": [0, 1], "dim_a": 0,
+                                 "dim_bocs": 1}
+
+
+@pytest.mark.parametrize("case", ["e2", "c01"])
+def test_each_stage_builds_its_objects_once(monkeypatch, case):
+    # one bocs module per filtered module, and one cover walk per simple
+    # of B in the homological stage
+    import bocskit.burt_butler as burt_butler
+    import bocskit.pipeline as pipeline
+    import bocskit.twisted as twisted
+    from bocskit.corpus import random_corpus
+
+    if case == "e2":
+        alg, order, mode, config = example_a2(), None, "delta", None
+    else:
+        alg, order, _ = random_corpus(20260823, count=2, max_dim=5,
+                                      require_bocs=False)[1]
+        mode, config = "pdelta", {"r_max": 3}
+    built, walked, in_stage = [], [], []
+    to_bocs_module = twisted.filtered_to_bocs_module
+    syzygies = burt_butler.syzygies
+    homological_check = pipeline.homological_check
+
+    def counted_to_bocs_module(M, bocs, *args, **kwargs):
+        built.append(M)
+        return to_bocs_module(M, bocs, *args, **kwargs)
+
+    def counted_syzygies(M, depth):
+        if in_stage:
+            walked.append(M)
+        return syzygies(M, depth)
+
+    def marked_homological_check(*args):
+        in_stage.append(True)
+        try:
+            return homological_check(*args)
+        finally:
+            in_stage.pop()
+
+    monkeypatch.setattr(twisted, "filtered_to_bocs_module",
+                        counted_to_bocs_module)
+    monkeypatch.setattr(burt_butler, "syzygies", counted_syzygies)
+    monkeypatch.setattr(pipeline, "homological_check",
+                        marked_homological_check)
+    rep = run_pipeline(alg, order, mode=mode, config=config)
+    pairs = rep.doc["verdicts"]["hom_dim_compare"]["pairs"]
+    assert built and len(built) ** 2 == len(pairs)
+    assert len({id(M) for M in built}) == len(built)
+    assert len(walked) == alg.n
+    assert len(rep.doc["verdicts"]["homological_check"]["pairs"]) == \
+        2 * alg.n ** 2

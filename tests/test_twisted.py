@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -122,26 +123,21 @@ def test_jordan3_intermediate_module(b3):
 
 def test_hom_dim_compare_fixture_grids(b1, b3, b2, b0):
     alg1 = example_dual_numbers()
-    mods = [projective(alg1, 1), simple(alg1, 1)]
-    for M in mods:
-        for N in mods:
-            assert hom_dim_compare(M, N, b1)["ok"]
     alg3 = example_jordan3()
-    mods = [projective(alg3, 1), jordan_dim2(alg3), simple(alg3, 1)]
-    for M in mods:
-        for N in mods:
-            assert hom_dim_compare(M, N, b3)["ok"]
     alg2 = example_a2()
-    mods = [projective(alg2, 1), simple(alg2, 1), simple(alg2, 2)]
-    for M in mods:
-        for N in mods:
-            assert hom_dim_compare(M, N, b2)["ok"]
-    alg0 = example_semisimple_pair()
-    for i in (1, 2):
-        for j in (1, 2):
-            out = hom_dim_compare(simple(alg0, i), simple(alg0, j), b0)
+    grids = [([projective(alg1, 1), simple(alg1, 1)], b1),
+             ([projective(alg3, 1), jordan_dim2(alg3), simple(alg3, 1)], b3),
+             ([projective(alg2, 1), simple(alg2, 1), simple(alg2, 2)], b2)]
+    for mods, b in grids:
+        outs = hom_dim_compare(mods, b)
+        assert len(outs) == len(mods) ** 2
+        for out in outs:
             assert out["ok"]
-            assert out["dim_hom_A"] == (1 if i == j else 0)
+    alg0 = example_semisimple_pair()
+    outs = hom_dim_compare([simple(alg0, 1), simple(alg0, 2)], b0)
+    for (i, j), out in zip(product((1, 2), (1, 2)), outs, strict=True):
+        assert out["ok"]
+        assert out["dim_hom_A"] == (1 if i == j else 0)
 
 
 def test_layer_bound_enforced(b1):
