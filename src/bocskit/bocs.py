@@ -470,17 +470,24 @@ def _evaluates_to_zero(B: Algebra, terms) -> bool:
 
 
 def construct_bocs(alg: Algebra, order=None, mode: str = "pdelta",
-                   r_max: int = 6) -> Bocs:
+                   r_max: int = 6, *, classification=None) -> Bocs:
     """Steps 1 to 5: the bocs of a filtered algebra.
 
     The table is built one degree beyond r_max so that the relation ideal
     of B can be compared at cutoffs r_max and r_max + 1; a difference
     raises the stabilization error.  Relations of B have degree at least
-    2, so r_max below 2 is rejected.
+    2, so r_max below 2 is rejected.  A caller that has classified alg
+    passes its Classification, whose standard system is then used; one
+    built on another algebra or order raises ValueError.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    classification = classify_algebra(alg, order)
+    if classification is None:
+        classification = classify_algebra(alg, order)
+    elif classification.systems[mode].alg is not alg:
+        raise ValueError("classification is of another algebra")
+    elif order is not None and list(order) != classification.order:
+        raise ValueError("classification is for another vertex order")
     if not classification.filtered(mode):
         raise ValueError("mode not admitted")
     order = classification.order

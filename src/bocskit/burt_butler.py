@@ -20,7 +20,7 @@ from .modules import (FDModule, ModuleMap, hom_basis, is_isomorphic,
                       projective, projective_cover, simple,
                       sum_of_projectives, syzygies)
 from .quiver import Algebra, from_structure_constants
-from .strata import StandardSystem, standard_modules, theta_filtration
+from .strata import StandardSystem, theta_filtration
 
 
 # -- generic linear helpers -------------------------------------------------
@@ -267,8 +267,7 @@ def standard_check(ralg: RightAlgebra):
                     report["ext1_vanishing"] = False
     regular = sum_of_projectives(R, list(range(1, n + 1)), name="R")
     system = StandardSystem(R, order, "induced",
-                            [odelta[v].module for v in range(1, n + 1)],
-                            [None] * n)
+                            [odelta[v].module for v in range(1, n + 1)])
     cert = theta_filtration(regular, system)
     report["filtration"] = cert is not None and cert.verify(system)
     if cert is not None:
@@ -523,12 +522,12 @@ def _endo_algebra(M: FDModule) -> Algebra:
     return from_structure_constants(1, table, [idem])
 
 
-def loop_subalgebra_check(alg: Algebra, order, bocs: Bocs):
-    """End of the standard module at each vertex i against e_i B e_i;
-    one verdict per vertex, in vertex order."""
-    system = standard_modules(alg, order, "delta")
+def loop_subalgebra_check(system: StandardSystem, bocs: Bocs):
+    """End of the standard module Delta(i) of system, the delta system
+    of the bocs's algebra, against e_i B e_i; one verdict per vertex, in
+    vertex order."""
     out = []
-    for i in range(1, alg.n + 1):
+    for i in range(1, system.alg.n + 1):
         E = _endo_algebra(system.module(i))
         S = _local_subalgebra(bocs.B, i)
         verdict, note = iso_search(E, S)

@@ -94,7 +94,8 @@ def random_corpus(seed: int, count: int = 20, max_vertices: int = 3,
         if require_bocs:
             from .bocs import construct_bocs
             try:
-                bocs = construct_bocs(alg, order, mode=mode, r_max=r_max)
+                bocs = construct_bocs(alg, order, mode=mode, r_max=r_max,
+                                      classification=cls)
             except ValueError:
                 continue
         seen.add(key)

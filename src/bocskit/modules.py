@@ -10,7 +10,7 @@ enough.
 
 from __future__ import annotations
 
-from .linalg import Matrix, ONE, Span, ZERO, vec_is_zero
+from .linalg import Matrix, ONE, Span, ZERO
 from .quiver import Algebra
 
 
@@ -432,22 +432,6 @@ def radical_vectors(M: FDModule):
                 if span.add(M.act[k].apply(v)):
                     changed = True
     return [tuple(r) for r in span.rows]
-
-
-def top_dims(M: FDModule):
-    """Dimension vector of M / rad M."""
-    q, _, _ = quotient(M, radical_vectors(M))
-    return q.dims
-
-
-def trace_submodule(M: FDModule, family, radical_only: bool = False,
-                    name="trace"):
-    vecs = []
-    for F in family:
-        for f in hom_basis(F, M, radical_only=radical_only):
-            vecs.extend(f.mat.columns())
-    vecs = [v for v in vecs if not vec_is_zero(v)]
-    return submodule(M, vecs, name=name)
 
 
 def projective_cover(M: FDModule):

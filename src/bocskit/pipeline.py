@@ -215,7 +215,8 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
                 {"label": cls.label, "mode": mode})
 
     run.stage("construct_bocs")
-    bocs = run.call(construct_bocs, alg, order, mode=mode, r_max=r_max)
+    bocs = run.call(construct_bocs, alg, order, mode=mode, r_max=r_max,
+                    classification=cls)
     run.stage("validate_coalgebra")
     run.call(validate_coalgebra, bocs)
     for k in range(1, bocs.table.r_max + 1):
@@ -250,7 +251,7 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
 
     run.stage("loop_subalgebra_check")
     loops = []
-    for out in run.call(loop_subalgebra_check, alg, order, bocs):
+    for out in run.call(loop_subalgebra_check, cls.systems["delta"], bocs):
         loops.append({"i": out["vertex"], "verdict": out["verdict"],
                       "dim_end": out["dim_end"], "dim_sub": out["dim_sub"]})
         run.require(out["verdict"] != "distinct",
@@ -262,13 +263,14 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
                 {"verdict": mc["verdict"]})
 
     run.stage("hom_dim_compare")
-    system = bocs.table.rsys.system
+    system = cls.systems[mode]
     pairs = []
     mods = indecomposables_up_to(alg, dim_bound)
-    filtered = [M for M in mods
-                if theta_filtration(M, system) is not None]
+    certs = [cert for cert in (theta_filtration(M, system) for M in mods)
+             if cert is not None]
+    filtered = [cert.module for cert in certs]
     for (M, N), out in zip(product(filtered, filtered),
-                           run.call(hom_dim_compare, filtered, bocs),
+                           run.call(hom_dim_compare, certs, bocs),
                            strict=True):
         mn = {"m": list(M.dims), "n": list(N.dims)}
         pairs.append({**mn, "dim": out["dim_hom_A"]})

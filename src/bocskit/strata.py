@@ -15,13 +15,12 @@ MODES = ("delta", "pdelta")
 
 
 class StandardSystem:
-    def __init__(self, alg: Algebra, order, mode: str, modules, surjections):
+    def __init__(self, alg: Algebra, order, mode: str, modules):
         self.alg = alg
         self.order = list(order)
         self.rank = {v: k for k, v in enumerate(self.order)}
         self.mode = mode
         self.modules = list(modules)        # index 0 -> vertex 1, ...
-        self.surjections = list(surjections)
 
     def module(self, i: int) -> FDModule:
         return self.modules[i - 1]
@@ -76,7 +75,6 @@ def standard_modules(alg: Algebra, order=None, mode="delta") -> StandardSystem:
     order = _normalize_order(alg, order)
     rank = {v: k for k, v in enumerate(order)}
     modules = []
-    surjections = []
     for i in range(1, alg.n + 1):
         p = projective(alg, i)
         radical_flag = (mode == "pdelta")
@@ -90,12 +88,10 @@ def standard_modules(alg: Algebra, order=None, mode="delta") -> StandardSystem:
         for F in family:
             for f in hom_basis(F, p, radical_only=radical_flag):
                 vecs.extend(f.mat.columns())
-        q, proj, _ = quotient(p, vecs,
-                              name=("D" if mode == "delta" else "pD")
-                              + f"({i})")
+        q, _, _ = quotient(p, vecs,
+                           name=("D" if mode == "delta" else "pD") + f"({i})")
         modules.append(q)
-        surjections.append(proj)
-    sys = StandardSystem(alg, order, mode, modules, surjections)
+    sys = StandardSystem(alg, order, mode, modules)
     _assert_system_invariants(sys)
     return sys
 

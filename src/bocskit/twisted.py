@@ -14,7 +14,7 @@ from .ainf import AInfTable, ExtClass
 from .bocs import Bocs, bocs_hom_basis
 from .linalg import MapSpace, Matrix, ONE, Span, ZERO
 from .modules import FDModule, ModuleMap, _from_arrow_blocks, hom_basis
-from .strata import theta_filtration
+from .strata import FiltrationCertificate
 
 
 class PretwistedModule:
@@ -190,9 +190,10 @@ def _extension_coefficients(bocs: Bocs, E: FDModule, pi: ModuleMap,
     return list(sol[:len(basis)])
 
 
-def filtered_to_bocs_module(M: FDModule, bocs: Bocs, cert=None,
+def filtered_to_bocs_module(cert: FiltrationCertificate, bocs: Bocs,
                             layer_bound: int = 4):
-    """B-module of a standardly filtered A-module via pretwisted data.
+    """B-module of a standardly filtered A-module, given by a filtration
+    certificate over the standard system of the bocs, via pretwisted data.
 
     Adjacent layers give first-order classes; the remaining delta terms
     are solved from the Maurer-Cartan equation gap by gap.  Raises
@@ -201,10 +202,6 @@ def filtered_to_bocs_module(M: FDModule, bocs: Bocs, cert=None,
     """
     table = bocs.table
     system = table.rsys.system
-    if cert is None:
-        cert = theta_filtration(M, system)
-    if cert is None:
-        raise ValueError("module is not filtered by the standard system")
     layers = cert.layers
     s = len(layers)
     if s > layer_bound:
@@ -315,11 +312,12 @@ def _factor_through(f: ModuleMap, proj: ModuleMap) -> Matrix:
         Matrix.identity(proj.target.total))
 
 
-def hom_dim_compare(mods, bocs: Bocs):
+def hom_dim_compare(certs, bocs: Bocs):
     """dim Hom over A against dim Hom in the bocs category, for every
-    ordered pair (M, N) of the filtered modules mods, M outer.  Each
-    module's bocs module is built once."""
-    xs = [filtered_to_bocs_module(M, bocs) for M in mods]
+    ordered pair (M, N) of the modules filtered by the certificates
+    certs, M outer.  Each module's bocs module is built once."""
+    mods = [cert.module for cert in certs]
+    xs = [filtered_to_bocs_module(cert, bocs) for cert in certs]
     out = []
     for M, XM in zip(mods, xs):
         for N, XN in zip(mods, xs):

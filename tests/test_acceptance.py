@@ -20,6 +20,7 @@ from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
 from bocskit.resolution import hodge_data
+from bocskit.strata import standard_modules, theta_filtration
 from bocskit.twisted import hom_dim_compare
 
 _T0 = time.time()
@@ -172,7 +173,10 @@ def test_criterion_7_equivalence_footprint(fixtures, bocses):
         alg, _ = fixtures[name]
         mods = indecomposables_up_to(alg, 4)
         assert mods, name
-        outs = hom_dim_compare(mods, bocses[name])
+        system = bocses[name].table.rsys.system
+        certs = [theta_filtration(M, system) for M in mods]
+        assert None not in certs, name
+        outs = hom_dim_compare(certs, bocses[name])
         for (M, N), out in zip(product(mods, mods), outs, strict=True):
             assert out["ok"], (name, M.dims, N.dims)
             assert out["dim_hom_A"] == out["dim_hom_bocs"]
@@ -180,7 +184,8 @@ def test_criterion_7_equivalence_footprint(fixtures, bocses):
 
 def test_criterion_8_vertex_subalgebras(fixtures, bocses):
     for name, (alg, mode) in fixtures.items():
-        outs = loop_subalgebra_check(alg, None, bocses[name])
+        outs = loop_subalgebra_check(
+            standard_modules(alg, bocses[name].order, "delta"), bocses[name])
         assert len(outs) == alg.n, name
         for i, out in enumerate(outs, 1):
             assert out["vertex"] == i

@@ -17,6 +17,7 @@ from bocskit.modules import is_isomorphic, projective, simple
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
+from bocskit.strata import standard_modules
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +225,8 @@ def test_homological_comparison_counts(r1):
 
 def test_loop_subalgebra_fixtures(r1, r3, r2):
     for alg, b, r in (r1, r3, r2):
-        outs = loop_subalgebra_check(alg, None, b)
+        outs = loop_subalgebra_check(standard_modules(alg, b.order, "delta"),
+                                     b)
         assert [out["vertex"] for out in outs] == list(range(1, alg.n + 1))
         for out in outs:
             assert out["verdict"] == "isomorphic"

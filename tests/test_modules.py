@@ -4,8 +4,8 @@ from bocskit.linalg import Matrix
 from bocskit.modules import (direct_sum, from_arrow_matrices, hom_basis,
                              hom_from_projective, iso_defect, is_isomorphic,
                              kernel, projective, projective_cover, quotient,
-                             simple, submodule, sum_of_projectives,
-                             top_dims, trace_submodule, radical_vectors)
+                             radical_vectors, simple, submodule,
+                             sum_of_projectives)
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
@@ -105,22 +105,6 @@ def test_kernel_and_image_of_identity_and_radical():
     assert (rad.mat @ kinc.mat).is_zero()
 
 
-def test_trace_submodules():
-    alg = example_a2()
-    p1 = projective(alg, 1)
-    sub, inc = trace_submodule(p1, [projective(alg, 2)])
-    assert sub.dims == (0, 1)
-
-    alg1 = example_dual_numbers()
-    p = projective(alg1, 1)
-    sub, inc = trace_submodule(p, [p], radical_only=True)
-    assert sub.total == 1
-
-    alg0 = example_semisimple_pair()
-    sub, inc = trace_submodule(projective(alg0, 1), [projective(alg0, 2)])
-    assert sub.total == 0
-
-
 def test_projective_cover_simple():
     alg = example_dual_numbers()
     s = simple(alg, 1)
@@ -155,7 +139,6 @@ def test_quotient_and_submodule_roundtrip():
     assert sub.total + q.total == p.total
     inc.check_intertwining()
     proj.check_intertwining()
-    assert top_dims(p) == (1,)
 
 
 def test_direct_sum_bookkeeping():

@@ -1,8 +1,9 @@
 """The benchmark's per-layer metrics name callables that still exist.
 
-perfbench/layers.py reads each per-layer span off a traced callable
-found by name.  A renamed or deleted callable would leave its metric at
-zero without any error, so this test fails instead.
+perfbench/layers.py reads each per-layer span, and each probe's
+counters, off a traced callable found by name.  A renamed or deleted
+callable would leave its metrics at zero without any error, so this test
+fails instead.
 """
 
 import importlib.util
@@ -29,3 +30,5 @@ def test_every_per_layer_span_is_traced():
             read.add(span)
     assert read, "no per-layer metric reads a span"
     assert sorted(read - traced) == []
+    # a probe reads counters such as ainf.tuples off its span's calls
+    assert sorted(set(layers.PROBES) - traced) == []

@@ -202,9 +202,9 @@ def test_hom_dim_verdicts_are_labelled_by_position(monkeypatch):
     import bocskit.pipeline as pipeline
     real = pipeline.hom_dim_compare
 
-    def fails_at_2(mods, bocs):
-        assert [list(M.dims) for M in mods] == [[0, 1], [1, 0]]
-        outs = real(mods, bocs)
+    def fails_at_2(certs, bocs):
+        assert [list(c.module.dims) for c in certs] == [[0, 1], [1, 0]]
+        outs = real(certs, bocs)
         outs[2] = {"dim_hom_A": 0, "dim_hom_bocs": 1, "match": False,
                    "ok": False}
         return outs
@@ -238,9 +238,9 @@ def test_each_stage_builds_its_objects_once(monkeypatch, case):
     syzygies = burt_butler.syzygies
     homological_check = pipeline.homological_check
 
-    def counted_to_bocs_module(M, bocs, *args, **kwargs):
-        built.append(M)
-        return to_bocs_module(M, bocs, *args, **kwargs)
+    def counted_to_bocs_module(cert, bocs, *args, **kwargs):
+        built.append(cert)
+        return to_bocs_module(cert, bocs, *args, **kwargs)
 
     def counted_syzygies(M, depth):
         if in_stage:
@@ -262,7 +262,67 @@ def test_each_stage_builds_its_objects_once(monkeypatch, case):
     rep = run_pipeline(alg, order, mode=mode, config=config)
     pairs = rep.doc["verdicts"]["hom_dim_compare"]["pairs"]
     assert built and len(built) ** 2 == len(pairs)
-    assert len({id(M) for M in built}) == len(built)
+    assert len({id(cert) for cert in built}) == len(built)
     assert len(walked) == alg.n
     assert len(rep.doc["verdicts"]["homological_check"]["pairs"]) == \
         2 * alg.n ** 2
+
+
+def _count_strata_calls(monkeypatch, names):
+    """Calls of each named strata function, counted through every bocskit
+    module binding: bocskit binds names with `from .strata import ...`."""
+    import sys
+
+    import bocskit.strata as strata
+
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        original = getattr(strata, name)
+        wrapper = counted(name, original)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "bocskit" and \
+                    getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    return counts
+
+
+def test_one_classification_serves_every_stage(monkeypatch):
+    # the classify stage builds both standard systems and the projectives'
+    # certificates; the bocs, the loop check and hom_dim_compare read them
+    alg = example_dual_numbers()
+    mods = indecomposables_up_to(alg, 4)
+    counts = _count_strata_calls(
+        monkeypatch,
+        ("classify_algebra", "standard_modules", "theta_filtration"))
+    rep = run_pipeline(alg, mode="pdelta")
+    assert rep.ok
+    # theta_filtration: one per mode and projective in classify, one for
+    # the regular module over R in standard_check, one per candidate module
+    assert counts == {"classify_algebra": 1, "standard_modules": 2,
+                      "theta_filtration": 2 * alg.n + 1 + len(mods)}
+
+
+def test_construct_bocs_rejects_a_foreign_classification():
+    from bocskit.strata import classify_algebra
+
+    alg = example_dual_numbers()
+    for other in (example_a2(), example_dual_numbers()):
+        with pytest.raises(ValueError, match="another algebra"):
+            construct_bocs(alg, mode="pdelta", r_max=3,
+                           classification=classify_algebra(other))
+    a2 = example_a2()
+    with pytest.raises(ValueError, match="another vertex order"):
+        construct_bocs(a2, [2, 1], mode="delta", r_max=3,
+                       classification=classify_algebra(a2, [1, 2]))
+    cls = classify_algebra(alg)
+    assert bio.emit(bio.bocs_to_doc(
+        construct_bocs(alg, mode="pdelta", r_max=3, classification=cls))) \
+        == bio.emit(bio.bocs_to_doc(
+            construct_bocs(alg, mode="pdelta", r_max=3)))

@@ -36,6 +36,13 @@ def b0():
                           r_max=4)
 
 
+def cert_of(M, b):
+    """The filtration certificate of M over the standard system of b."""
+    cert = theta_filtration(M, b.table.rsys.system)
+    assert cert is not None
+    return cert
+
+
 def jordan_dim2(alg):
     P = projective(alg, 1)
     vecs = [P.act[k].column(c) for k in range(alg.dim)
@@ -83,8 +90,7 @@ def test_regular_modules_map_to_regular(b1, b3, b2):
     for b, alg in ((b1, example_dual_numbers()),
                    (b3, example_jordan3()),
                    (b2, example_a2())):
-        P = projective(alg, 1)
-        X = filtered_to_bocs_module(P, b)
+        X = filtered_to_bocs_module(cert_of(projective(alg, 1), b), b)
         assert is_isomorphic(X, projective(b.B, 1))
 
 
@@ -92,7 +98,7 @@ def test_standard_module_maps_to_simple(b1, b2):
     for b, alg, i in ((b1, example_dual_numbers(), 1),
                       (b2, example_a2(), 2)):
         sys = b.table.rsys.system
-        X = filtered_to_bocs_module(sys.module(i), b)
+        X = filtered_to_bocs_module(cert_of(sys.module(i), b), b)
         assert X.pretwisted.delta == []
         assert is_isomorphic(X, simple(b.B, i))
 
@@ -101,10 +107,8 @@ def test_dimension_vector_matches_multiplicities(b1, b3, b2):
     for b, alg in ((b1, example_dual_numbers()),
                    (b3, example_jordan3()),
                    (b2, example_a2())):
-        P = projective(alg, 1)
-        sys = b.table.rsys.system
-        cert = theta_filtration(P, sys)
-        X = filtered_to_bocs_module(P, b, cert=cert)
+        cert = cert_of(projective(alg, 1), b)
+        X = filtered_to_bocs_module(cert, b)
         want = [0] * alg.n
         for v in cert.vertices():
             want[v - 1] += 1
@@ -114,7 +118,7 @@ def test_dimension_vector_matches_multiplicities(b1, b3, b2):
 def test_jordan3_intermediate_module(b3):
     alg = example_jordan3()
     mod = jordan_dim2(alg)
-    X = filtered_to_bocs_module(mod, b3)
+    X = filtered_to_bocs_module(cert_of(mod, b3), b3)
     assert X.dims == (2,)
     a_act = [X.act[k] for k in range(b3.B.dim)
              if b3.B.bdegree[k] == 1]
@@ -129,12 +133,13 @@ def test_hom_dim_compare_fixture_grids(b1, b3, b2, b0):
              ([projective(alg3, 1), jordan_dim2(alg3), simple(alg3, 1)], b3),
              ([projective(alg2, 1), simple(alg2, 1), simple(alg2, 2)], b2)]
     for mods, b in grids:
-        outs = hom_dim_compare(mods, b)
+        outs = hom_dim_compare([cert_of(M, b) for M in mods], b)
         assert len(outs) == len(mods) ** 2
         for out in outs:
             assert out["ok"]
     alg0 = example_semisimple_pair()
-    outs = hom_dim_compare([simple(alg0, 1), simple(alg0, 2)], b0)
+    outs = hom_dim_compare([cert_of(simple(alg0, i), b0) for i in (1, 2)],
+                           b0)
     for (i, j), out in zip(product((1, 2), (1, 2)), outs, strict=True):
         assert out["ok"]
         assert out["dim_hom_A"] == (1 if i == j else 0)
@@ -142,7 +147,7 @@ def test_hom_dim_compare_fixture_grids(b1, b3, b2, b0):
 
 def test_layer_bound_enforced(b1):
     alg = example_dual_numbers()
-    big = direct_sum([projective(alg, 1)] * 3)
+    big = cert_of(direct_sum([projective(alg, 1)] * 3), b1)
     with pytest.raises(ValueError, match="correction solve failed"):
         filtered_to_bocs_module(big, b1, layer_bound=4)
     X = filtered_to_bocs_module(big, b1, layer_bound=6)
@@ -194,19 +199,17 @@ def test_sub_pretwisted_gives_submodule(b1, b3):
 
 
 def test_unfiltered_module_rejected(b2):
-    # the injective hull of S(2) over A2 is not filtered in delta mode
     alg = example_a2()
     sys = b2.table.rsys.system
     P2 = projective(alg, 2)
     assert theta_filtration(P2, sys) is not None
-    # a module outside the filtration class: over the semisimple pair
-    # every module is filtered, so instead check the error path directly
+    # over the path algebra of 2 -> 1, Delta(2) = P(2) has S(1) below its
+    # top, so the simple S(2) has no Delta-filtration: no certificate, and
+    # so nothing to pass to filtered_to_bocs_module
     from bocskit.quiver import Quiver, RelationSet, build_algebra
     q = Quiver(2, [("a", 2, 1)])
     alg_rev = build_algebra(q, RelationSet(q, []))
     b_rev = construct_bocs(alg_rev, mode="delta", r_max=4)
-    P = projective(alg_rev, 2)
     sys_rev = b_rev.table.rsys.system
-    if theta_filtration(P, sys_rev) is None:
-        with pytest.raises(ValueError, match="not filtered"):
-            filtered_to_bocs_module(P, b_rev)
+    assert theta_filtration(projective(alg_rev, 2), sys_rev) is not None
+    assert theta_filtration(simple(alg_rev, 2), sys_rev) is None
