@@ -257,7 +257,7 @@ class AInfTable:
                     self.gmaps[self.identity_class(c.i)])
                     for c in key if c.k == 0):
                 return {}
-        raise KeyError(f"tuple not tabulated: {key}")
+        raise ValueError(f"tuple not tabulated: {key}")
 
     def suspension_exponent(self, key):
         """Sign exponent of b_r relative to m_r, a_1 rightmost."""

@@ -177,10 +177,8 @@ class Bocs:
                     if c != 0:
                         col[self.u1_index[(p2, gi, m)]] = c
                 rcols.append(col)
-            self.L1.append(Matrix.from_columns(lcols) if self.u1_dim
-                           else Matrix.zero(0, 0))
-            self.R1.append(Matrix.from_columns(rcols) if self.u1_dim
-                           else Matrix.zero(0, 0))
+            self.L1.append(Matrix.from_columns(lcols))
+            self.R1.append(Matrix.from_columns(rcols))
 
     def _b_elt(self, chunk, start_vertex):
         """Product in B of the dual arrows of a display-ordered chunk."""
@@ -377,7 +375,6 @@ class Bocs:
         # the balanced tensor square W (x)_B W
         self.ww_span = Span(pdim, balanced_relations(self.WR, self.WL))
         _, self.ww_proj, _ = self.ww_span.complement()
-        self.mu = self.ww_proj @ self.mu_pairs
 
     def mu_terms(self):
         """Per W basis element w, the nonzero terms (w1, w2, c) of
@@ -622,11 +619,6 @@ class BocsClass:
         self.satisfies = list(satisfies)
         self.d = dict(d)
 
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.label == other
-        return NotImplemented
-
     def __repr__(self):
         return self.label
 
@@ -693,8 +685,7 @@ class TensorModule:
                     if c != 0:
                         col[index[(y, x)]] = c
                 cols.append(col)
-            act.append(Matrix.from_columns(cols) if pairs
-                       else Matrix.zero(0, 0))
+            act.append(Matrix.from_columns(cols))
         self.big = FDModule(B, dims, act, name=f"W(x){X.name}")
         # the relations in the layout of outer, read at the sorted pairs
         layout = [w * X.total + x for (w, x) in pairs]

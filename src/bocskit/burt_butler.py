@@ -192,8 +192,7 @@ def induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
         rmap = ralg.element_map(ralg.R.basis_vec(k))
         cols = [space.coords(bocs_compose(bocs, h, rmap).mat)
                 for h in basis]
-        raw_act.append(Matrix.from_columns(cols) if m
-                       else Matrix.zero(0, 0))
+        raw_act.append(Matrix.from_columns(cols))
     module, to_new, to_old = _module_from_action(ralg.R, m, raw_act)
     tdim = ralg.tensor_dim(X)
     if tdim != module.total:
@@ -379,6 +378,8 @@ def homological_check(ralg: RightAlgebra, sources, targets):
 
 _COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
            Fraction(1, 2), Fraction(-1, 2)]
+# nodes iso_search visits before it answers "inconclusive"
+SEARCH_BUDGET = 4000
 
 
 def _degree_signature(A: Algebra):
@@ -441,11 +442,12 @@ def _is_algebra_map(A1: Algebra, A2: Algebra, T):
     return True
 
 
-def iso_search(A1: Algebra, A2: Algebra, budget: int = 4000):
+def iso_search(A1: Algebra, A2: Algebra):
     """Deterministic isomorphism search between basic algebras.
 
-    Returns (verdict, note) with verdict in "isomorphic",
-    "not distinguished", "distinct".
+    Returns (verdict, note) with verdict in "isomorphic" (a base change
+    is found), "distinct" (an invariant differs) or "inconclusive" (the
+    grid search of at most SEARCH_BUDGET nodes finds no base change).
     """
     if A1.n != A2.n or A1.dim != A2.dim:
         return "distinct", "dimension mismatch"
@@ -468,23 +470,19 @@ def iso_search(A1: Algebra, A2: Algebra, budget: int = 4000):
             return "distinct", "no arrow candidates"
         candidates.append(cand)
     nodes = 0
-    heuristic_only = False
 
     def search(pos, images):
-        nonlocal nodes, heuristic_only
-        if nodes > budget:
+        nonlocal nodes
+        if nodes > SEARCH_BUDGET:
             return "budget"
         if pos == len(arrows1):
             T = _extend_map(A1, A2, images)
-            if T is None:
-                heuristic_only = True
-                return None
-            if _is_algebra_map(A1, A2, T):
+            if T is not None and _is_algebra_map(A1, A2, T):
                 return T
             return None
         for vec in candidates[pos]:
             nodes += 1
-            if nodes > budget:
+            if nodes > SEARCH_BUDGET:
                 return "budget"
             images[arrows1[pos]] = vec
             got = search(pos + 1, images)
@@ -495,12 +493,10 @@ def iso_search(A1: Algebra, A2: Algebra, budget: int = 4000):
 
     got = search(0, {})
     if got == "budget":
-        return "not distinguished", "search budget exceeded"
+        return "inconclusive", "search budget exceeded"
     if got is not None:
         return "isomorphic", "explicit base change found"
-    if heuristic_only:
-        return "not distinguished", "heuristic"
-    return "not distinguished", "no image in searched grid"
+    return "inconclusive", "no image in searched grid"
 
 
 def _local_subalgebra(B: Algebra, i: int) -> Algebra:

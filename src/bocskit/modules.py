@@ -141,8 +141,7 @@ def projective(alg: Algebra, i: int) -> FDModule:
                 if c != 0:
                     col[pos[m]] = c
             cols.append(col)
-        act.append(Matrix.from_columns(cols) if idxs
-                   else Matrix.zero(0, 0))
+        act.append(Matrix.from_columns(cols))
     mod = FDModule(alg, dims, act, name=f"P({i})")
     mod.proj_basis = idxs          # algebra basis index per coordinate
     mod.proj_vertex = i

@@ -306,9 +306,7 @@ def _cocycle_representatives(R: Resolution, N: FDModule, k: int):
     if not basis:
         return [], space
     cols = [h.compose(R.diff(k + 1)).mat.flat() for h in basis]
-    nrows = N.total * R.P(k + 1).total
-    mat = Matrix.from_columns(cols) if nrows else Matrix.zero(0, len(basis))
-    cocycles = mat.kernel_basis()
+    cocycles = Matrix.from_columns(cols).kernel_basis()
 
     span = Span(len(basis))
     if k >= 1:
@@ -457,7 +455,8 @@ class HodgeData:
     H holds the Ext representatives, B the boundaries (with stored
     homotopy witnesses), L the witnesses chosen for the degree k + 1
     boundaries.  G inverts d from B onto the degree k - 1 witnesses and
-    kills H and L.
+    kills H and L.  The splitting is one MapSpace of maps through level
+    N_max, so only maps trustworthy up to N_max are split.
     """
 
     def __init__(self, rsys: ResolvedSystem, i: int, j: int, k: int):
@@ -477,43 +476,34 @@ class HodgeData:
         self.ambient_dim = sum(
             len(_hom_space(self.R.P(l), self.Rp.P(l - k))[0])
             for l in range(max(k, 0), rsys.N_max + 1))
-        self._spaces = {}
-        full = self._space(rsys.N_max)
-        if len(full) != len(full.mats):
+        size = len(_flatten_graded(zero_graded_map(self.R, self.Rp, k),
+                                   rsys.N_max))
+        self.space = MapSpace(
+            [Matrix(1, size, [_flatten_graded(f, rsys.N_max)])
+             for f in self.H + self.B + self.L], 1, size)
+        if len(self.space) != len(self.space.mats):
             raise AssertionError("H, B and L parts are not independent")
-        if len(full.mats) != self.ambient_dim:
+        if len(self.space.mats) != self.ambient_dim:
             raise AssertionError("H, B and L parts do not span")
 
-    def _space(self, hi: int) -> MapSpace:
-        """H + B, and L at N_max, flattened up to level hi."""
-        got = self._spaces.get(hi)
-        if got is None:
-            parts = self.H + self.B
-            if hi == self.rsys.N_max:
-                parts += self.L
-            size = len(_flatten_graded(
-                zero_graded_map(self.R, self.Rp, self.k), hi))
-            got = MapSpace([Matrix(1, size, [_flatten_graded(f, hi)])
-                            for f in parts], 1, size)
-            if hi < self.rsys.N_max and len(got) != len(parts):
-                raise AssertionError(
-                    f"cocycle parts degenerate at truncation {hi}")
-            self._spaces[hi] = got
-        return got
-
     def decompose(self, f: GradedMap):
-        """(H-coefficients, B-coefficients) of a cocycle-valued map."""
+        """(H-coefficients, B-coefficients) of a degree-k map.
+
+        A zero map reads as zeros at any truncation.  A nonzero map
+        trustworthy only below N_max is refused with ValueError: its
+        missing top levels could hold any mix of H, B and L.
+        """
         nh, nb = len(self.H), len(self.B)
         if f.is_zero():
             return [ZERO] * nh, [ZERO] * nb
-        space = self._space(f.hi)
+        if f.hi < self.rsys.N_max:
+            raise ValueError(f"truncated map (levels up to {f.hi}) "
+                             "has no splitting")
         flat = _flatten_graded(f, f.hi)
         try:
-            sol = space.coords(Matrix(1, len(flat), [flat]))
+            sol = self.space.coords(Matrix(1, len(flat), [flat]))
         except ValueError:
-            raise ValueError("map is outside the splitting"
-                             if f.hi == self.rsys.N_max else
-                             "truncated map is not a cocycle value") from None
+            raise ValueError("map is outside the splitting") from None
         return list(sol[:nh]), list(sol[nh:nh + nb])
 
     def G(self, f: GradedMap) -> GradedMap:

@@ -4,15 +4,18 @@ A pretwisted pair carries multiplicity spaces over the vertex set and a
 degree-1 element delta written as a sum of (linear map, Ext class) pairs.
 Pairing delta against the dual generators of the bocs base yields a
 candidate module; triangularity plus the Maurer-Cartan equation make it an
-actual module, and filtered modules over the original algebra are sent to
-such pairs layer by layer.
+actual module.  A filtered module over the original algebra is sent to
+the pair whose delta holds the extension classes of its adjacent layers;
+higher twisting components are not computed, so a module whose
+first-order delta fails the Maurer-Cartan equation is refused as
+inconclusive.
 """
 
 from __future__ import annotations
 
 from .ainf import AInfTable, ExtClass
 from .bocs import Bocs, bocs_hom_basis
-from .linalg import MapSpace, Matrix, ONE, Span, ZERO
+from .linalg import MapSpace, Matrix, Span, ZERO
 from .modules import FDModule, ModuleMap, _from_arrow_blocks, hom_basis
 from .strata import FiltrationCertificate
 
@@ -190,22 +193,19 @@ def _extension_coefficients(bocs: Bocs, E: FDModule, pi: ModuleMap,
     return list(sol[:len(basis)])
 
 
-def filtered_to_bocs_module(cert: FiltrationCertificate, bocs: Bocs,
-                            layer_bound: int = 4):
+def filtered_to_bocs_module(cert: FiltrationCertificate, bocs: Bocs):
     """B-module of a standardly filtered A-module, given by a filtration
     certificate over the standard system of the bocs, via pretwisted data.
 
-    Adjacent layers give first-order classes; the remaining delta terms
-    are solved from the Maurer-Cartan equation gap by gap.  Raises
-    ValueError("correction solve failed") when no solution exists within
-    the layer bound.
+    delta is the first-order twisting: the extension class of each pair
+    of adjacent layers.  Higher twisting components, between layers two
+    or more apart, are not computed, so when the first-order data fail
+    the Maurer-Cartan equation the result is inconclusive and a
+    ValueError says so.
     """
     table = bocs.table
     system = table.rsys.system
     layers = cert.layers
-    s = len(layers)
-    if s > layer_bound:
-        raise ValueError("correction solve failed")
     word = [l.vertex for l in layers]
     dims = [0] * system.alg.n
     coord = []
@@ -213,13 +213,9 @@ def filtered_to_bocs_module(cert: FiltrationCertificate, bocs: Bocs,
         coord.append(dims[v - 1])
         dims[v - 1] += 1
 
-    pt0 = PretwistedModule(dims, [])
-    offs = pt0.offsets()
-    layer_of = [None] * pt0.total
-    for t, v in enumerate(word):
-        layer_of[offs[v - 1] + coord[t]] = t
-
-    def elementary(t, u, value=ONE):
+    def elementary(t, value):
+        """value times the map from layer t to layer t + 1."""
+        u = t + 1
         f = [[ZERO] * dims[word[t] - 1]
              for _ in range(dims[word[u] - 1])]
         f[coord[u]][coord[t]] = value
@@ -228,7 +224,7 @@ def filtered_to_bocs_module(cert: FiltrationCertificate, bocs: Bocs,
     # adjacent classes from subquotients
     from .modules import quotient
     delta = []
-    for t in range(s - 1):
+    for t in range(len(layers) - 1):
         upper = layers[t].surjection.source  # the t-th kernel, M at t = 0
         inc1 = layers[t].kernel_inclusion
         inc2 = layers[t + 1].kernel_inclusion
@@ -244,63 +240,16 @@ def filtered_to_bocs_module(cert: FiltrationCertificate, bocs: Bocs,
                                      word[t], word[t + 1])
         for x, cls in zip(xs, table.basis(1, word[t], word[t + 1])):
             if x != 0:
-                delta.append((elementary(t, t + 1, x), cls))
-
-    def gap_entries(dl, h):
-        pt = PretwistedModule(dims, dl)
-        mats = _mc_matrices(pt, table)
-        out = []
-        for zcls in sorted(mats, key=lambda z: z.key()):
-            m = mats[zcls]
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    if layer_of[r] is not None and \
-                            layer_of[c] is not None and \
-                            layer_of[r] - layer_of[c] == h and \
-                            m.data[r][c] != 0:
-                        out.append((zcls.key(), r, c, m.data[r][c]))
-        return out
-
-    def full_entries(dl, keys):
-        """Entry vector over a fixed key list for linearization."""
-        mats = {zcls.key(): m for zcls, m
-                in _mc_matrices(PretwistedModule(dims, dl), table).items()}
-        return [mats[zkey].data[r][c] if zkey in mats else ZERO
-                for zkey, r, c in keys]
-
-    # the gap-2 component must vanish with first-order data alone
-    if gap_entries(delta, 2):
-        raise ValueError("correction solve failed")
-
-    for g in range(2, s):
-        h = g + 1
-        unknowns = []
-        for t in range(s - g):
-            u = t + g
-            for cls in table.basis(1, word[t], word[u]):
-                unknowns.append((elementary(t, u), cls))
-        base = gap_entries(delta, h)
-        if not base:
-            continue
-        keys = [(zkey, r, c) for zkey, r, c, v in base]
-        r0 = [v for zkey, r, c, v in base]
-        if not unknowns:
-            raise ValueError("correction solve failed")
-        cols = []
-        for up in unknowns:
-            shifted = full_entries(delta + [up], keys)
-            cols.append([a - b for a, b in zip(shifted, r0)])
-        sol = Matrix.from_columns(cols).solve([-v for v in r0])
-        if sol is None:
-            raise ValueError("correction solve failed")
-        for lam, (f, cls) in zip(sol, unknowns):
-            if lam != 0:
-                delta.append((f.scale(lam), cls))
+                delta.append((elementary(t, x), cls))
 
     pt = PretwistedModule(dims, delta)
     triangular, mc = check_pretwisted(pt, table, bocs)
-    if not (triangular and mc):
-        raise ValueError("correction solve failed")
+    if not triangular:
+        raise AssertionError("adjacent-layer twisting is not triangular")
+    if not mc:
+        raise ValueError("inconclusive: the first-order twisting fails the "
+                         "Maurer-Cartan equation, and higher twisting "
+                         "components are not computed")
     out = module_from_pretwisted(pt, bocs)
     out.pretwisted = pt
     return out

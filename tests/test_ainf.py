@@ -47,6 +47,16 @@ def counted_r6():
     return out
 
 
+def test_untabulated_tuple_is_a_value_error(e1, monkeypatch):
+    tab, _ = e1
+    key = next(iter(tab.m_table))
+    monkeypatch.setattr(tab, "m_table",
+                        {k: v for k, v in tab.m_table.items() if k != key})
+    with pytest.raises(ValueError, match="tuple not tabulated") as exc:
+        tab.m(key)
+    assert str(key) in str(exc.value)
+
+
 def test_memoized_table_is_the_per_tuple_transfer(counted_r6):
     for tab, rsys, _ in counted_r6:
         for key, coeffs in tab.m_table.items():

@@ -240,10 +240,13 @@ def test_iso_search_rejects_different_algebras():
     assert verdict == "distinct"
 
 
-def test_iso_search_budget():
+def test_iso_search_budget(monkeypatch):
+    import bocskit.burt_butler as burt_butler
+
+    monkeypatch.setattr(burt_butler, "SEARCH_BUDGET", 0)
     alg = example_jordan3()
-    verdict, note = iso_search(alg, alg, budget=0)
-    assert verdict == "not distinguished"
+    verdict, note = iso_search(alg, alg)
+    assert verdict == "inconclusive"
     assert note == "search budget exceeded"
 
 

@@ -311,6 +311,14 @@ def test_products_are_the_dense_sums(rows, inner, cols, data):
         A.apply(v + [Fraction(0)])
 
 
+def test_from_columns_of_no_columns_and_of_empty_columns():
+    none = Matrix.from_columns([])
+    assert (none.rows, none.cols) == (0, 0)
+    empty = Matrix.from_columns([[], [], []])
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert empty == Matrix.zero(0, 3)
+
+
 def test_matmul_and_blocks():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[0, 1], [1, 0]])

@@ -103,6 +103,30 @@ def test_unwrapped_calls_are_not_attributed(monkeypatch):
     assert not isinstance(exc.value, PipelineError)
 
 
+@pytest.mark.parametrize("stage", ["loop_subalgebra_check",
+                                   "morita_compare"])
+def test_inconclusive_isomorphism_fails_its_stage(monkeypatch, stage):
+    # an isomorphism search that finds no base change proves nothing;
+    # morita_compare searches from the input algebra itself, the loop
+    # check from endomorphism algebras
+    import bocskit.burt_butler as burt_butler
+
+    alg = example_dual_numbers()
+    search = burt_butler.iso_search
+
+    def answer(A1, A2):
+        if stage == "morita_compare" and A1 is not alg:
+            return search(A1, A2)
+        return "inconclusive", "no image in searched grid"
+
+    monkeypatch.setattr(burt_butler, "iso_search", answer)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(alg, mode="pdelta")
+    assert exc.value.stage == stage
+    assert exc.value.witness["verdict"] == "inconclusive"
+    assert exc.value.witness["note"] == "no image in searched grid"
+
+
 def test_mode_not_admitted_fails_with_stage():
     # a two-cycle with rad^2 = 0 is not filtered in either mode
     from bocskit.quiver import Relation

@@ -145,13 +145,21 @@ def test_hom_dim_compare_fixture_grids(b1, b3, b2, b0):
         assert out["dim_hom_A"] == (1 if i == j else 0)
 
 
-def test_layer_bound_enforced(b1):
+def test_six_layer_module_builds_without_a_bound(b1):
     alg = example_dual_numbers()
     big = cert_of(direct_sum([projective(alg, 1)] * 3), b1)
-    with pytest.raises(ValueError, match="correction solve failed"):
-        filtered_to_bocs_module(big, b1, layer_bound=4)
-    X = filtered_to_bocs_module(big, b1, layer_bound=6)
+    X = filtered_to_bocs_module(big, b1)
     assert X.total == 6
+
+
+def test_failed_maurer_cartan_is_inconclusive(b1, monkeypatch):
+    import bocskit.twisted as twisted
+
+    monkeypatch.setattr(twisted, "check_pretwisted",
+                        lambda pt, table, bocs: (True, False))
+    cert = cert_of(projective(example_dual_numbers(), 1), b1)
+    with pytest.raises(ValueError, match="inconclusive"):
+        filtered_to_bocs_module(cert, b1)
 
 
 def test_sub_pretwisted_gives_submodule(b1, b3):
