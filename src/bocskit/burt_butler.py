@@ -15,7 +15,7 @@ from fractions import Fraction
 from .bocs import (Bocs, bocs_compose, bocs_hom_basis, bocs_lift,
                    tensor_module)
 from .linalg import (MapSpace, Matrix, ONE, Span, ZERO, balanced_relations,
-                     nonzeros)
+                     nonzeros, qdiv)
 from .modules import (FDModule, ModuleMap, hom_basis, is_isomorphic,
                       projective, projective_cover, simple,
                       sum_of_projectives, syzygies)
@@ -376,8 +376,7 @@ def homological_check(ralg: RightAlgebra, sources, targets):
 
 # -- isomorphism search and Morita comparison -------------------------------
 
-_COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-           Fraction(1, 2), Fraction(-1, 2)]
+_COEFFS = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)]
 # nodes iso_search visits before it answers "inconclusive"
 SEARCH_BUDGET = 4000
 
@@ -419,7 +418,7 @@ def _extend_map(A1: Algebra, A2: Algebra, images):
                 nz = A1.table[uu][vv]
                 if set(nz) == {kk}:
                     img = A2.multiply(T[uu], T[vv])
-                    T[kk] = tuple(c / nz[kk] for c in img)
+                    T[kk] = tuple(qdiv(c, nz[kk]) for c in img)
                     found = True
                     break
         if not found:

@@ -12,9 +12,8 @@ import hashlib
 import json
 import os
 import re
-from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import Matrix, Scalar, frac
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 
 ALGEBRA_SCHEMA = "bocskit/algebra"
@@ -38,10 +37,8 @@ def _is_int(x) -> bool:
 
 
 def frac_to_str(x) -> str:
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """An exact scalar as "n" when integral, else as "p/q"."""
+    return str(frac(x))
 
 
 # An integer, p/q or decimal; no exponent, so a short token cannot stand
@@ -50,11 +47,11 @@ _NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
 _MAX_NUMBER_CHARS = 1000
 
 
-def str_to_frac(s, pointer: str) -> Fraction:
+def str_to_frac(s, pointer: str) -> Scalar:
     _expect(isinstance(s, str) and len(s) <= _MAX_NUMBER_CHARS
             and _NUMBER.fullmatch(s), pointer)
     try:
-        return Fraction(s)
+        return frac(s)
     except (ValueError, ZeroDivisionError):
         _fail(pointer)
 

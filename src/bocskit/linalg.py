@@ -1,37 +1,57 @@
 """Exact dense linear algebra over the rationals.
 
 Everything downstream (path algebras, module categories, Ext computations,
-bocs structure constants) reduces to row operations on matrices of
-`fractions.Fraction`.  Matrices are immutable; all operations return fresh
-objects.  This module alone knows how subspaces and spaces of maps are
-held in coordinates: a Span keeps a subspace as its reduced row echelon
-basis and gives the projection onto a complement, and a MapSpace solves
-for and combines coordinates of maps in a list of maps.  Tensor products
-M (x) N are held in the row-major layout of `outer`; `kron_apply` applies
-a tensor product of maps and `balanced_relations` presents M (x)_B N,
-both sparsely, without forming a Kronecker matrix.
+bocs structure constants) reduces to row operations on matrices of exact
+scalars.  A scalar is a Python `int` when it is integral and a
+`fractions.Fraction` only when it is not: both are exact, and int
+arithmetic is much cheaper.  `frac` brings an input to that form
+and refuses floats; `qdiv` is the one division, since `int / int` would be
+a float.  Matrices are immutable; all operations return fresh objects.
+This module alone knows how subspaces and spaces of maps are held in
+coordinates: a Span keeps a subspace as its reduced row echelon basis and
+gives the projection onto a complement, and a MapSpace solves for and
+combines coordinates of maps in a list of maps.  Tensor products M (x) N
+are held in the row-major layout of `outer`; `kron_apply` applies a tensor
+product of maps and `balanced_relations` presents M (x)_B N, both sparsely,
+without forming a Kronecker matrix.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
-Scalar = Fraction
+Scalar = int | Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '2/3', and Fractions to a Fraction."""
-    if isinstance(x, Fraction):
+def frac(x) -> Scalar:
+    """An exact scalar from an int, a rational or a string like '2/3':
+    an int when the value is integral, else a Fraction.  A float or any
+    other inexact number is a TypeError."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if not isinstance(x, (Rational, str)):
+        raise TypeError(f"not an exact scalar: {x!r}")
+    return frac(Fraction(x))
 
 
-def rref_rows(rows: Sequence[Sequence[Fraction]], ncols: int):
+def qdiv(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b: an int when it is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return frac(Fraction(a, b))
+
+
+def rref_rows(rows: Sequence[Sequence[Scalar]], ncols: int):
     """Reduced row echelon form of a list of row vectors.
 
     Returns (reduced nonzero rows, pivot column list).  Row order follows
@@ -52,7 +72,7 @@ def rref_rows(rows: Sequence[Sequence[Fraction]], ncols: int):
         work[r], work[piv] = work[piv], work[r]
         inv = work[r][col]
         if inv != 1:
-            work[r] = [v / inv for v in work[r]]
+            work[r] = [qdiv(v, inv) for v in work[r]]
         for i in range(nrows):
             if i != r and work[i][col] != 0:
                 c = work[i][col]
@@ -66,8 +86,8 @@ def rref_rows(rows: Sequence[Sequence[Fraction]], ncols: int):
     return work[:r], pivots
 
 
-def reduce_against(vec: Sequence[Fraction], rows: Sequence[Sequence[Fraction]],
-                   pivots: Sequence[int]) -> list[Fraction]:
+def reduce_against(vec: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
+                   pivots: Sequence[int]) -> list[Scalar]:
     """Normal form of vec modulo the span of RREF rows."""
     v = list(vec)
     for row, p in zip(rows, pivots):
@@ -87,7 +107,7 @@ def complement_pivots(pivots: Sequence[int], ncols: int) -> list[int]:
 
 
 class Matrix:
-    """Immutable dense matrix over Fraction, row-major."""
+    """Immutable dense matrix of exact scalars, row-major."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -165,7 +185,7 @@ class Matrix:
             out.append(row)
         return Matrix(self.rows, other.cols, out)
 
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         nz = nonzeros(vec).items()
@@ -179,17 +199,17 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
 
-    def flat(self) -> tuple[Fraction, ...]:
+    def flat(self) -> tuple[Scalar, ...]:
         """The entries in row-major order, as one coordinate vector."""
         return tuple(x for r in self.data for x in r)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
+    def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(r[j] for r in self.data)
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
+    def columns(self) -> list[tuple[Scalar, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
-    def nonzero_columns(self) -> list[list[tuple[int, Fraction]]]:
+    def nonzero_columns(self) -> list[list[tuple[int, Scalar]]]:
         """Per column, its nonzero entries as (row, entry) pairs."""
         cols = [[] for _ in range(self.cols)]
         for i, r in enumerate(self.data):
@@ -198,7 +218,7 @@ class Matrix:
                     cols[j].append((i, a))
         return cols
 
-    def trace(self) -> Fraction:
+    def trace(self) -> Scalar:
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))),
                    ZERO)
 
@@ -215,7 +235,7 @@ class Matrix:
     def rank(self) -> int:
         return self.rref()[1]
 
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
+    def kernel_basis(self) -> list[tuple[Scalar, ...]]:
         """Basis of the right null space, one column vector per free column."""
         reduced, pivots = rref_rows(self.data, self.cols)
         free = complement_pivots(pivots, self.cols)
@@ -228,7 +248,7 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def solve(self, rhs: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
+    def solve(self, rhs: Sequence[Scalar]) -> Optional[tuple[Scalar, ...]]:
         """Some solution of self @ v = rhs, or None when inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
@@ -266,7 +286,7 @@ class Matrix:
             raise ValueError("matrix is singular")
         return inv
 
-    def column_space_basis(self) -> list[tuple[Fraction, ...]]:
+    def column_space_basis(self) -> list[tuple[Scalar, ...]]:
         _, col_pivots = rref_rows(self.data, self.cols)
         return [self.column(j) for j in col_pivots]
 
@@ -283,11 +303,11 @@ class Matrix:
                       list(self.data) + list(other.data))
 
 
-def vec_is_zero(u: Sequence[Fraction]) -> bool:
+def vec_is_zero(u: Sequence[Scalar]) -> bool:
     return all(a == 0 for a in u)
 
 
-def nonzeros(u: Sequence[Fraction]) -> dict:
+def nonzeros(u: Sequence[Scalar]) -> dict:
     """The sparse form {index: entry} of a vector, zero entries dropped."""
     return {k: a for k, a in enumerate(u) if a != 0}
 
@@ -302,7 +322,7 @@ class Span:
 
     __slots__ = ("ncols", "rows", "pivots")
 
-    def __init__(self, ncols: int, vectors: Iterable[Sequence[Fraction]] = ()):
+    def __init__(self, ncols: int, vectors: Iterable[Sequence[Scalar]] = ()):
         self.ncols = ncols
         self.rows, self.pivots = rref_rows(list(vectors), ncols)
 
@@ -312,11 +332,11 @@ class Span:
     def __contains__(self, vec) -> bool:
         return in_span(vec, self.rows, self.pivots)
 
-    def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
+    def reduce(self, vec: Sequence[Scalar]) -> list[Scalar]:
         """Normal form of vec modulo the span: zero at every pivot."""
         return reduce_against(vec, self.rows, self.pivots)
 
-    def add(self, vec: Sequence[Fraction]) -> bool:
+    def add(self, vec: Sequence[Scalar]) -> bool:
         """Extend the span by vec; False when vec already lies in it."""
         v = self.reduce(vec)
         p = next((j for j, a in enumerate(v) if a != 0), None)
@@ -324,7 +344,7 @@ class Span:
             return False
         lead = v[p]
         if lead != 1:
-            v = [a / lead for a in v]
+            v = [qdiv(a, lead) for a in v]
         for i, row in enumerate(self.rows):
             c = row[p]
             if c != 0:
@@ -386,7 +406,7 @@ class MapSpace:
         """The dimension of the span: the number of independent maps."""
         return len(self._span)
 
-    def coords(self, mat: Matrix) -> tuple[Fraction, ...]:
+    def coords(self, mat: Matrix) -> tuple[Scalar, ...]:
         """Coordinates of mat; ValueError when it is outside the span."""
         if (mat.rows, mat.cols) != (self.rows, self.cols):
             raise ValueError("map shape does not match the space")
@@ -395,7 +415,7 @@ class MapSpace:
             raise ValueError("map outside the spanned space")
         return tuple(v[self._size:])
 
-    def combine(self, coeffs: Sequence[Fraction]) -> Matrix:
+    def combine(self, coeffs: Sequence[Scalar]) -> Matrix:
         """The map sum coeffs[k] mats[k]."""
         acc = [[ZERO] * self.cols for _ in range(self.rows)]
         for c, m in zip(coeffs, self.mats):
@@ -412,7 +432,7 @@ class MapSpace:
 # -- tensor products --------------------------------------------------------
 
 
-def outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
+def outer(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
     """u (x) v flattened: the pair (i, j) sits at index i * len(v) + j."""
     n = len(v)
     out = [ZERO] * (len(u) * n)
@@ -424,7 +444,7 @@ def outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
     return tuple(out)
 
 
-def kron_apply(L: Matrix, R: Matrix, vec: Sequence[Fraction]) -> tuple:
+def kron_apply(L: Matrix, R: Matrix, vec: Sequence[Scalar]) -> tuple:
     """(L (x) R) vec, with vec and the result in the layout of outer."""
     if len(vec) != L.cols * R.cols:
         raise ValueError("vector length mismatch")

@@ -1,11 +1,16 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bocskit
 from bocskit.linalg import (MapSpace, Matrix, Span, balanced_relations,
-                            frac, in_span, kron_apply, outer, rref_rows)
+                            frac, in_span, kron_apply, outer, qdiv,
+                            rref_rows)
+from bocskit.quiver import Quiver, Relation
 
 
 def test_rref_identity():
@@ -97,6 +102,35 @@ def test_solve_random_consistency(seed):
     v = m.solve(rhs)
     if v is not None:
         assert m.apply(v) == rhs
+
+
+def test_scalars_are_ints_when_integral_and_floats_are_refused():
+    assert type(frac(Fraction(4, 2))) is int and frac(Fraction(4, 2)) == 2
+    assert type(frac("6/3")) is int and frac("-2/3") == Fraction(-2, 3)
+    assert qdiv(1, 2) == Fraction(1, 2)
+    assert type(qdiv(4, 2)) is int and qdiv(4, 2) == 2
+    assert type(qdiv(Fraction(3, 2), Fraction(1, 2))) is int
+    assert all(type(x) is int
+               for x in Matrix.from_rows([[Fraction(2), 1], [0, 3]]).flat())
+    with pytest.raises(TypeError):
+        frac(0.5)
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[1, 0.5]])
+    q = Quiver(1, [("x", 1, 1)])
+    with pytest.raises(TypeError):
+        Relation(q, [(0.5, 1, ("x", "x"))])
+
+
+def test_no_true_division_in_the_package():
+    """int / int is a float, so scalars are divided only by qdiv, which
+    divides through Fraction(a, b) and needs no `/` either."""
+    found = []
+    for path in sorted(Path(bocskit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_in_span():
@@ -326,3 +360,129 @@ def test_matmul_and_blocks():
     assert a.hstack(b).cols == 4
     assert a.vstack(b).rows == 4
     assert a.column_space_basis() == [a.column(0), a.column(1)]
+
+
+# -- the integer-first kernel against a Fraction-only oracle ----------------
+
+
+def _oracle_rref(rows, ncols):
+    """Reduced row echelon form with every entry a Fraction and every
+    division `/`: the elimination the kernel ran before ints were used."""
+    work = [[Fraction(a) for a in r] for r in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = work[r][col]
+        work[r] = [v / inv for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                c = work[i][col]
+                work[i] = [a - c * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    return work[:r], pivots
+
+
+def _oracle_solve_columns(A, rhs_cols):
+    """Columns of X with A X = the given columns, or None when some column
+    is inconsistent; a free unknown is 0."""
+    n = A.cols
+    aug = [list(row) + [c[i] for c in rhs_cols]
+           for i, row in enumerate(A.data)]
+    reduced, pivots = _oracle_rref(aug, n + len(rhs_cols))
+    if pivots and pivots[-1] >= n:
+        return None
+    out = [[Fraction(0)] * n for _ in rhs_cols]
+    for row, p in zip(reduced, pivots):
+        for k, col in enumerate(out):
+            col[p] = row[n + k]
+    return [tuple(col) for col in out]
+
+
+def _canonical(m):
+    """Every entry of a Matrix is an int, or a Fraction that is not."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for x in m.flat())
+
+
+def _no_float(vectors):
+    return not any(isinstance(x, float) for v in vectors for x in v)
+
+
+_small_ints = st.one_of(st.just(0), st.integers(-4, 4))
+
+
+@st.composite
+def _exact_matrix(draw, rows, cols):
+    """An integer matrix or a rational one, with zeros common."""
+    entries = draw(st.sampled_from([_small_ints, _sparse_entries]))
+    return Matrix(rows, cols,
+                  [draw(st.lists(entries, min_size=cols, max_size=cols))
+                   for _ in range(rows)])
+
+
+@_PROPERTY
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3), st.data())
+def test_elimination_agrees_with_a_fraction_only_oracle(rows, cols, nrhs,
+                                                        data):
+    A = data.draw(_exact_matrix(rows, cols))
+    reduced, pivots = _oracle_rref(A.data, cols)
+    R, rank, got_pivots = A.rref()
+    assert (rank, got_pivots) == (len(reduced), tuple(pivots))
+    assert R.data == tuple(map(tuple, reduced)) + ((0,) * cols,) * (
+        rows - rank)
+    assert _canonical(R)
+
+    kernel = []
+    for f in (j for j in range(cols) if j not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        kernel.append(tuple(v))
+    assert A.kernel_basis() == kernel
+    assert _no_float(A.kernel_basis())
+
+    rhs = data.draw(_exact_matrix(rows, nrhs))
+    if data.draw(st.booleans()):
+        rhs = A @ data.draw(_exact_matrix(cols, nrhs))
+    want = _oracle_solve_columns(A, rhs.columns())
+    got = A.solve_columns(rhs)
+    if want is None:
+        assert got is None
+    else:
+        assert got.columns() == want and _canonical(got)
+
+    M = data.draw(_exact_matrix(rows, rows))
+    want = _oracle_solve_columns(M, Matrix.identity(rows).columns())
+    if want is None:
+        with pytest.raises(ValueError):
+            M.inverse()
+    else:
+        inv = M.inverse()
+        assert inv.columns() == want and _canonical(inv)
+
+
+@_PROPERTY
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.data())
+def test_map_space_coords_agree_with_a_fraction_only_oracle(rows, cols, n,
+                                                            data):
+    mats = [data.draw(_exact_matrix(rows, cols)) for _ in range(n)]
+    space = MapSpace(mats, rows, cols)
+    target = data.draw(_exact_matrix(rows, cols))
+    if data.draw(st.booleans()):
+        target = space.combine(data.draw(st.lists(_small_ints, min_size=n,
+                                                  max_size=n)))
+    stacked = Matrix.from_columns([m.flat() for m in mats])
+    want = _oracle_solve_columns(stacked, [target.flat()])
+    if want is None:
+        with pytest.raises(ValueError):
+            space.coords(target)
+    else:
+        assert space.coords(target) == want[0]
+        assert _no_float([space.coords(target)])

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from bocskit import io as bio
@@ -17,6 +21,19 @@ def reports():
     out["e2"] = run_pipeline(example_a2(), mode="delta")
     out["e3"] = run_pipeline(example_jordan3(), mode="pdelta")
     return out
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+def test_fixture_reports_are_the_recorded_bytes(reports):
+    """Each fixture's canonical report is byte for byte the one the
+    benchmark records for it (perfbench/expected.json, verify-fixtures)."""
+    want = json.loads(EXPECTED.read_text(encoding="utf-8"))["verify-fixtures"]
+    assert sorted(want) == sorted(reports)
+    for name, rep in reports.items():
+        digest = hashlib.sha256(rep.emit().encode("utf-8")).hexdigest()
+        assert want[name] == {"sha256": digest}, name
 
 
 def test_fixture_pipelines_pass(reports):
