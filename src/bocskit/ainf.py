@@ -14,8 +14,15 @@ products b_r carry the extra sign (-1)^(sum_{j>=2} (j-1)|a_j|) with a_1
 the rightmost argument.  Both sign readings are pinned operationally by
 stasheff_check and the cocycle property tests.
 
+merkulov_lambda evaluates the recursion bottom-up, shortest contiguous
+subtuples first, so each value it reads is already in its memo.
+
 Tuples are stored in display order (a_r, ..., a_1): the rightmost entry
-acts first, matching the composition convention everywhere else.
+acts first, matching the composition convention everywhere else.  One
+walk, _chains, enumerates the composable tuples, both for the table and
+for stasheff_check.  AInfTable.m_table then holds every product once:
+the bocs reads its coefficients off the table (AInfTable.products_into)
+instead of enumerating tuples again.
 """
 
 from __future__ import annotations
@@ -80,47 +87,36 @@ def merkulov_lambda(rsys: ResolvedSystem, maps, memo=None):
             raise ValueError("arguments are not composable")
     if memo is None:
         memo = {}
-
-    def slot(s, e):
-        # [lambda, G lambda] of the subtuple a_{s+1}..a_e
-        return memo.setdefault(tuple(low[s:e]), [None, None])
-
-    def lam(s, e):
-        cached = slot(s, e)
-        if cached[0] is not None:
-            return cached[0]
-        r = e - s
-        if r == 2:
-            val = low[s + 1].compose(low[s])
-        else:
-            val = None
-            for t in range(1, r):
-                upper = glam(s + t, e)
-                lower = glam(s, s + t)
-                exp = (r - t) * sum(degs[s:s + t]) + 1
-                term = upper.compose(lower)
-                if exp % 2 == 1:
-                    term = term.scale(-1)
-                val = term if val is None else val + term
-        cached[0] = val
-        return val
-
-    def glam(s, e):
-        cached = slot(s, e)
-        if cached[1] is not None:
-            return cached[1]
-        if e - s == 1:
-            val = low[s].scale(-1)
-        else:
-            v = lam(s, e)
-            q = v.k
-            i0 = vertices[s][0]
-            i1 = vertices[e - 1][1]
-            val = hodge_data(rsys, i0, i1, q).G(v)
-        cached[1] = val
-        return val
-
-    return lam(0, len(low))
+    # by length, shortest first: the [lambda, G lambda] slot of a_{s+1}..a_e
+    r = len(low)
+    slots = {}
+    for length in range(1, r + 1):
+        for s in range(r - length + 1):
+            e = s + length
+            slot = slots[s, e] = memo.setdefault(tuple(low[s:e]), [None, None])
+            if length == 1:
+                if slot[1] is None:
+                    slot[1] = low[s].scale(-1)
+                continue
+            if slot[0] is None:
+                if length == 2:
+                    val = low[s + 1].compose(low[s])
+                else:
+                    val = None
+                    for t in range(1, length):
+                        upper = slots[s + t, e][1]
+                        lower = slots[s, s + t][1]
+                        exp = (length - t) * sum(degs[s:s + t]) + 1
+                        term = upper.compose(lower)
+                        if exp % 2 == 1:
+                            term = term.scale(-1)
+                        val = term if val is None else val + term
+                slot[0] = val
+            if length < r and slot[1] is None:
+                i0 = vertices[s][0]
+                i1 = vertices[e - 1][1]
+                slot[1] = hodge_data(rsys, i0, i1, slot[0].k).G(slot[0])
+    return slots[0, r][0]
 
 
 def _tabulated(key):
@@ -141,6 +137,22 @@ def _tabulated(key):
     if degsum - r > 0 or not (0 <= degsum + 2 - r <= 2):
         return False
     return counts[0] <= 2 and counts[2] <= 1
+
+
+def _chains(table, r, degrees):
+    """Composable display tuples of r classes with degrees in degrees.
+
+    Grown level by level from a_1, each tuple extended by the classes
+    that start where it ends, in (degree, target, index) order; so the
+    tuples come out ordered by a_1 first, then a_2, and so on.
+    """
+    n = table.rsys.alg.n
+    level = [(i, ()) for i in range(1, n + 1)]
+    for _ in range(r):
+        level = [(j, (cls,) + key) for v, key in level
+                 for k in degrees for j in range(1, n + 1)
+                 for cls in table.classes[(k, v, j)]]
+    return [key for _, key in level]
 
 
 class AInfTable:
@@ -169,8 +181,9 @@ class AInfTable:
         self.m_table = {}
         memo = {}
         for r in range(2, r_max + 1):
-            for key in self._admissible_tuples(r):
-                self.m_table[key] = self._compute_m(key, memo)
+            for key in _chains(self, r, (0, 1, 2)):
+                if _tabulated(key):
+                    self.m_table[key] = self._compute_m(key, memo)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -188,29 +201,6 @@ class AInfTable:
         for (k, i, j), lst in sorted(self.classes.items()):
             if k in degrees:
                 out.extend(lst)
-        return out
-
-    def _admissible_tuples(self, r):
-        """Composable display tuples with output degree 0..2 and total
-        suspended degree <= 0."""
-        n = self.rsys.alg.n
-        out = []
-
-        def extend(chain, start_vertex):
-            # chain built from the right; a_1 first
-            if len(chain) == r:
-                if _tabulated(chain):
-                    out.append(tuple(reversed(chain)))
-                return
-            for k in range(3):
-                for j in range(1, n + 1):
-                    for cls in self.classes[(k, start_vertex, j)]:
-                        chain.append(cls)
-                        extend(chain, j)
-                        chain.pop()
-
-        for i in range(1, n + 1):
-            extend([], i)
         return out
 
     def _compute_m(self, key, memo):
@@ -280,6 +270,24 @@ class AInfTable:
             return {}
         return self.b(key)
 
+    def products_into(self, cls, zeros, r_top):
+        """(key, coefficient of cls in b'(key)) for every tuple of at most
+        r_top Ext^0 and Ext^1 classes, zeros of them of degree 0, with a
+        nonzero coefficient; in m_table order.
+
+        Such tuples are all tabulated (zeros <= 2) and have suspended
+        degree -zeros <= 0, so b' is b there.
+        """
+        if r_top > self.r_max:
+            raise ValueError("r_max too small")
+        out = []
+        for key, coeffs in self.m_table.items():
+            c = coeffs.get(cls)
+            if (c and len(key) <= r_top and all(a.k <= 1 for a in key)
+                    and sum(a.k == 0 for a in key) == zeros):
+                out.append((key, self.bprime(key)[cls]))
+        return out
+
 
 def build_tables(rsys: ResolvedSystem, r_max: int = 6) -> AInfTable:
     """Tabulate the transferred products up to r_max inputs."""
@@ -302,24 +310,7 @@ def stasheff_check(table: AInfTable, k: int) -> bool:
     """
     if k > table.r_max:
         raise ValueError("k exceeds r_max")
-    n = table.rsys.alg.n
-    tuples = []
-
-    def extend(chain, start_vertex):
-        if len(chain) == k:
-            tuples.append(tuple(reversed(chain)))
-            return
-        for deg in (0, 1):
-            for j in range(1, n + 1):
-                for cls in table.classes[(deg, start_vertex, j)]:
-                    chain.append(cls)
-                    extend(chain, j)
-                    chain.pop()
-
-    for i in range(1, n + 1):
-        extend([], i)
-
-    for key in tuples:
+    for key in _chains(table, k, (0, 1)):
         acc = {}
         for left in range(0, k):
             for t in range(1, k - left + 1):

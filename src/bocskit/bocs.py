@@ -63,32 +63,29 @@ class DualGenerators:
         raise ValueError(f"no grouplike at vertex {i}")
 
 
-def _tuples_with_h0(table: AInfTable, r: int, h0_count: int, src: int,
-                    tgt: int):
-    """Composable display tuples (a_r..a_1) from src to tgt with the given
-    number of degree-0 entries, the rest of degree 1."""
-    n = table.rsys.alg.n
+def _path_vec(B: Algebra, arrow_idx, source, names):
+    """The element of B of the arrow word names from source, the first
+    name acting first."""
+    vec = B.idempotent(source)
+    for name in names:
+        vec = B.multiply(B.basis_vec(arrow_idx[name]), vec)
+    return vec
+
+
+def _bimodule_span(lefts, rights, gens):
+    """Spanning vectors of the sub-bimodule generated by gens: every
+    nonzero r(l(g)) for g in gens, l in lefts and r in rights, the
+    actions given as matrices."""
     out = []
-
-    def extend(chain, vertex, zeros):
-        if len(chain) == r:
-            if vertex == tgt and zeros == h0_count:
-                out.append(tuple(reversed(chain)))
-            return
-        remaining = r - len(chain)
-        for deg in (0, 1):
-            if deg == 0 and zeros == h0_count:
+    for g in gens:
+        for lm in lefts:
+            step = lm.apply(g)
+            if vec_is_zero(step):
                 continue
-            need = zeros + (1 if deg == 0 else 0)
-            if need + 0 > h0_count or h0_count - need > remaining - 1:
-                continue
-            for j in range(1, n + 1):
-                for cls in table.classes[(deg, vertex, j)]:
-                    chain.append(cls)
-                    extend(chain, j, need)
-                    chain.pop()
-
-    extend([], src, 0)
+            for rm in rights:
+                v = rm.apply(step)
+                if not vec_is_zero(v):
+                    out.append(tuple(v))
     return out
 
 
@@ -182,12 +179,9 @@ class Bocs:
 
     def _b_elt(self, chunk, start_vertex):
         """Product in B of the dual arrows of a display-ordered chunk."""
-        B = self.B
-        vec = B.idempotent(start_vertex)
-        for cls in reversed(chunk):
-            name = self.duals.arrow_of_class[cls]
-            vec = B.multiply(B.basis_vec(self.arrow_idx[name]), vec)
-        return vec
+        return _path_vec(self.B, self.arrow_idx, start_vertex,
+                         [self.duals.arrow_of_class[c]
+                          for c in reversed(chunk)])
 
     def _build_dprime(self):
         """d' of each arrow of B as a degree-1 word vector."""
@@ -197,24 +191,20 @@ class Bocs:
                      in enumerate(self.duals.q1)}
         for name, cls in self.duals.q0:
             vec = [ZERO] * self.u1_dim
-            for r in range(2, self.r_max + 1):
-                for key in _tuples_with_h0(table, r, 1, cls.i, cls.j):
-                    coeff = table.bprime(key).get(cls)
-                    if not coeff:
+            for key, coeff in table.products_into(cls, 1, self.r_max):
+                pos = next(p for p, c in enumerate(key) if c.k == 0)
+                h0 = key[pos]
+                lp = self._b_elt(key[:pos], h0.j)
+                rp = self._b_elt(key[pos + 1:], key[-1].i if pos + 1
+                                 < len(key) else h0.i)
+                gi = gi_of_cls[h0]
+                for p2, c2 in enumerate(lp):
+                    if c2 == 0:
                         continue
-                    pos = next(p for p, c in enumerate(key) if c.k == 0)
-                    h0 = key[pos]
-                    lp = self._b_elt(key[:pos], h0.j)
-                    rp = self._b_elt(key[pos + 1:], key[-1].i if pos + 1
-                                     < len(key) else h0.i)
-                    gi = gi_of_cls[h0]
-                    for p2, c2 in enumerate(lp):
-                        if c2 == 0:
-                            continue
-                        for p1, c1 in enumerate(rp):
-                            if c1 != 0:
-                                k = self.u1_index[(p2, gi, p1)]
-                                vec[k] += coeff * c2 * c1
+                    for p1, c1 in enumerate(rp):
+                        if c1 != 0:
+                            k = self.u1_index[(p2, gi, p1)]
+                            vec[k] += coeff * c2 * c1
             self.dprime_arrow[name] = tuple(vec)
         self._gi_of_cls = gi_of_cls
 
@@ -228,9 +218,8 @@ class Bocs:
         vec = [ZERO] * self.u1_dim
         suffix = B.idempotent(source)
         for t, name in enumerate(names):
-            pre = B.idempotent(B.quiver.arrow_target(name))
-            for nm in names[t + 1:]:
-                pre = B.multiply(B.basis_vec(self.arrow_idx[nm]), pre)
+            pre = _path_vec(B, self.arrow_idx,
+                            B.quiver.arrow_target(name), names[t + 1:])
             mid = self._u1_sandwich(pre, self.dprime_arrow[name], suffix)
             vec = [a + b for a, b in zip(vec, mid)]
             suffix = B.multiply(B.basis_vec(self.arrow_idx[name]), suffix)
@@ -255,18 +244,9 @@ class Bocs:
 
     def _build_w(self):
         B = self.B
-        span = []
-        for name, cls in self.duals.q0:
-            dv = self.dprime_arrow[name]
-            for b2 in range(B.dim):
-                step = self.L1[b2].apply(dv)
-                if vec_is_zero(step):
-                    continue
-                for b1 in range(B.dim):
-                    v = self.R1[b1].apply(step)
-                    if not vec_is_zero(v):
-                        span.append(tuple(v))
-        self.sub_span = Span(self.u1_dim, span)
+        self.sub_span = Span(self.u1_dim, _bimodule_span(
+            self.L1, self.R1,
+            [self.dprime_arrow[name] for name, cls in self.duals.q0]))
         comp, self.w_proj, self.w_sect = self.sub_span.complement()
         self.w_dim = len(comp)
         # Peirce block of each W basis element
@@ -327,27 +307,22 @@ class Bocs:
                 gp1[self.u1_index[(B.unit_index[j - 1], gi, p1)]] = ONE
                 add_pair(dp2, gp1, coeff)
             # p2 . d'(g) . p1  (two degree-0 letters in each word)
-            for r in range(2, self.r_max + 1):
-                for key in _tuples_with_h0(self.table, r, 2, i, j):
-                    c2 = self.table.bprime(key).get(cls)
-                    if not c2:
-                        continue
-                    pos = [p for p, k2 in enumerate(key) if k2.k == 0]
-                    sL, sR = pos[0], pos[1]
-                    hL, hR = key[sL], key[sR]
-                    lp = self._b_elt(key[:sL], hL.j)
-                    mp = self._b_elt(key[sL + 1:sR], hR.j)
-                    rp = self._b_elt(key[sR + 1:],
-                                     key[-1].i if sR + 1 < len(key)
-                                     else hR.i)
-                    left = self._u1_sandwich(
-                        B.multiply(B.basis_vec(p2), lp),
-                        self._q1_word(self._gi_of_cls[hL], hL), mp)
-                    right = self._u1_sandwich(
-                        B.idempotent(hR.j),
-                        self._q1_word(self._gi_of_cls[hR], hR),
-                        B.multiply(rp, B.basis_vec(p1)))
-                    add_pair(left, right, coeff * c2)
+            for key, c2 in self.table.products_into(cls, 2, self.r_max):
+                pos = [p for p, k2 in enumerate(key) if k2.k == 0]
+                sL, sR = pos[0], pos[1]
+                hL, hR = key[sL], key[sR]
+                lp = self._b_elt(key[:sL], hL.j)
+                mp = self._b_elt(key[sL + 1:sR], hR.j)
+                rp = self._b_elt(key[sR + 1:],
+                                 key[-1].i if sR + 1 < len(key) else hR.i)
+                left = self._u1_sandwich(
+                    B.multiply(B.basis_vec(p2), lp),
+                    self._q1_word(self._gi_of_cls[hL], hL), mp)
+                right = self._u1_sandwich(
+                    B.idempotent(hR.j),
+                    self._q1_word(self._gi_of_cls[hR], hR),
+                    B.multiply(rp, B.basis_vec(p1)))
+                add_pair(left, right, coeff * c2)
             # - p2 . g . d'(p1)
             dp1 = self._dprime_path(p1)
             if not vec_is_zero(dp1):
@@ -425,16 +400,8 @@ class Bocs:
             expect += mult * be_a * e_b_b
         if expect != len(self.kernel_basis):
             return False
-        span = []
-        for (a, b, g) in self.kernel_generators:
-            for x in range(B.dim):
-                step = self.WL[x].apply(g)
-                if vec_is_zero(step):
-                    continue
-                for y in range(B.dim):
-                    v = self.WR[y].apply(step)
-                    if not vec_is_zero(v):
-                        span.append(tuple(v))
+        span = _bimodule_span(self.WL, self.WR,
+                              [g for (a, b, g) in self.kernel_generators])
         return len(Span(self.w_dim, span)) == len(self.kernel_basis)
 
 
@@ -442,14 +409,9 @@ def _relations_from_pairings(table, duals, r_top):
     """One candidate relation per Ext^2 dual, paired against b' values."""
     rels = []
     for zname, zcls in duals.qm1:
-        terms = []
-        for r in range(2, r_top + 1):
-            for key in _tuples_with_h0(table, r, 0, zcls.i, zcls.j):
-                coeff = table.bprime(key).get(zcls)
-                if coeff:
-                    names = tuple(duals.arrow_of_class[c]
-                                  for c in reversed(key))
-                    terms.append((coeff, zcls.i, names))
+        terms = [(coeff, zcls.i,
+                  tuple(duals.arrow_of_class[c] for c in reversed(key)))
+                 for key, coeff in table.products_into(zcls, 0, r_top)]
         if terms:
             rels.append((zname, terms))
     return rels
@@ -459,9 +421,7 @@ def _evaluates_to_zero(B: Algebra, terms) -> bool:
     arrow_idx = {name: k for name, s, t, k in B.arrows}
     acc = (ZERO,) * B.dim
     for coeff, source, names in terms:
-        vec = B.idempotent(source)
-        for name in names:
-            vec = B.multiply(B.basis_vec(arrow_idx[name]), vec)
+        vec = _path_vec(B, arrow_idx, source, names)
         acc = tuple(a + coeff * c for a, c in zip(acc, vec))
     return vec_is_zero(acc)
 

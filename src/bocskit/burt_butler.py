@@ -441,6 +441,30 @@ def _is_algebra_map(A1: Algebra, A2: Algebra, T):
     return True
 
 
+def _grid_search(A1, A2, arrows1, candidates, pos, images, nodes):
+    """Depth-first over the candidate images of arrows1[pos:]: a base
+    change T, "budget" once nodes[0], the candidates tried so far, passes
+    SEARCH_BUDGET, or None."""
+    if nodes[0] > SEARCH_BUDGET:
+        return "budget"
+    if pos == len(arrows1):
+        T = _extend_map(A1, A2, images)
+        if T is not None and _is_algebra_map(A1, A2, T):
+            return T
+        return None
+    for vec in candidates[pos]:
+        nodes[0] += 1
+        if nodes[0] > SEARCH_BUDGET:
+            return "budget"
+        images[arrows1[pos]] = vec
+        got = _grid_search(A1, A2, arrows1, candidates, pos + 1, images,
+                           nodes)
+        if got is not None:
+            return got
+        del images[arrows1[pos]]
+    return None
+
+
 def iso_search(A1: Algebra, A2: Algebra):
     """Deterministic isomorphism search between basic algebras.
 
@@ -468,29 +492,7 @@ def iso_search(A1: Algebra, A2: Algebra):
         if not cand:
             return "distinct", "no arrow candidates"
         candidates.append(cand)
-    nodes = 0
-
-    def search(pos, images):
-        nonlocal nodes
-        if nodes > SEARCH_BUDGET:
-            return "budget"
-        if pos == len(arrows1):
-            T = _extend_map(A1, A2, images)
-            if T is not None and _is_algebra_map(A1, A2, T):
-                return T
-            return None
-        for vec in candidates[pos]:
-            nodes += 1
-            if nodes > SEARCH_BUDGET:
-                return "budget"
-            images[arrows1[pos]] = vec
-            got = search(pos + 1, images)
-            if got is not None:
-                return got
-            del images[arrows1[pos]]
-        return None
-
-    got = search(0, {})
+    got = _grid_search(A1, A2, arrows1, candidates, 0, {}, [0])
     if got == "budget":
         return "inconclusive", "search budget exceeded"
     if got is not None:

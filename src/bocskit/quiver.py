@@ -291,6 +291,40 @@ def _finish_algebra(quiver, relations, basis_paths, nf):
     return alg
 
 
+def _graded_nf(path, basis, coords, red, memo):
+    """Normal form of a path as a dict (degree, position in basis[degree])
+    -> coeff, reduced by the RREF data red over the coordinate words
+    coords of each degree; memo holds the forms already found."""
+    if path in memo:
+        return memo[path]
+    source, names = path
+    ell = len(names)
+    if ell == 0:
+        pos = basis[0].index(path)
+        out = {(0, pos): ONE}
+    elif ell not in basis:
+        out = {}
+    else:
+        last = names[-1]
+        inner = _graded_nf((source, names[:-1]), basis, coords, red, memo)
+        vec = [ZERO] * len(coords[ell])
+        cindex = {cw: p for p, cw in enumerate(coords[ell])}
+        for (deg, pos), c in inner.items():
+            cw = (last, pos)
+            if cw in cindex:
+                vec[cindex[cw]] += c
+            # incompatible arrow start: the term dies structurally
+        vec = red[ell].reduce(vec)
+        out = {}
+        pivset = set(red[ell].pivots)
+        nonpiv = [k for k in range(len(coords[ell])) if k not in pivset]
+        for slot, k in enumerate(nonpiv):
+            if vec[k] != 0:
+                out[(ell, slot)] = vec[k]
+    memo[path] = out
+    return out
+
+
 def _build_graded(quiver, relations, length_bound):
     n = quiver.n
     # per degree: list of basis paths, and RREF data over that degree's
@@ -300,38 +334,6 @@ def _build_graded(quiver, relations, length_bound):
     red = {}        # degree -> (rref rows, pivots)
     rows_kept = {}  # degree -> raw ideal rows (over that degree's coords)
     nf_memo = {}
-
-    def nf(path):
-        """Normal form of a path as dict {global-degree-local tuple}."""
-        # returns dict mapping (degree, position-in-basis[degree]) -> coeff
-        if path in nf_memo:
-            return nf_memo[path]
-        source, names = path
-        ell = len(names)
-        if ell == 0:
-            pos = basis[0].index(path)
-            out = {(0, pos): ONE}
-        elif ell not in basis:
-            out = {}
-        else:
-            last = names[-1]
-            inner = nf((source, names[:-1]))
-            vec = [ZERO] * len(coords[ell])
-            cindex = {cw: p for p, cw in enumerate(coords[ell])}
-            for (deg, pos), c in inner.items():
-                cw = (last, pos)
-                if cw in cindex:
-                    vec[cindex[cw]] += c
-                # incompatible arrow start: the term dies structurally
-            vec = red[ell].reduce(vec)
-            out = {}
-            pivset = set(red[ell].pivots)
-            nonpiv = [k for k in range(len(coords[ell])) if k not in pivset]
-            for slot, k in enumerate(nonpiv):
-                if vec[k] != 0:
-                    out[(ell, slot)] = vec[k]
-        nf_memo[path] = out
-        return out
 
     by_len = {}
     for r in relations.relations:
@@ -354,7 +356,8 @@ def _build_graded(quiver, relations, length_bound):
             vec = [ZERO] * len(cws)
             for coeff, src, names in r.terms:
                 last = names[-1]
-                inner = nf((src, names[:-1]))
+                inner = _graded_nf((src, names[:-1]), basis, coords, red,
+                                   nf_memo)
                 for (deg, pos), c in inner.items():
                     cw = (last, pos)
                     if cw in cindex:
@@ -374,7 +377,8 @@ def _build_graded(quiver, relations, length_bound):
                         lsrc, lnames = lower_basis[b_pos]
                         if lsrc != t:
                             continue
-                        inner = nf((s, (name,) + lnames))
+                        inner = _graded_nf((s, (name,) + lnames), basis,
+                                           coords, red, nf_memo)
                         for (deg, pos), cc in inner.items():
                             cw = (b_arrow, pos)
                             if cw in cindex:
@@ -401,7 +405,7 @@ def _build_graded(quiver, relations, length_bound):
     global_index = {p: k for k, p in enumerate(basis_paths)}
 
     def nf_global(path):
-        local = nf(path)
+        local = _graded_nf(path, basis, coords, red, nf_memo)
         out = {}
         for (deg, slot), c in local.items():
             p = basis[deg][slot]

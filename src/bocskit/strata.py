@@ -116,6 +116,36 @@ def _top_projection(theta: FDModule):
     return proj
 
 
+def _filtration_search(current: FDModule, system: StandardSystem, allowed,
+                       tops):
+    """Layers of a filtration of current, top first, or None."""
+    if current.total == 0:
+        return []
+    for j in allowed:
+        theta = system.module(j)
+        if theta.total == 0 or theta.total > current.total:
+            continue
+        if any(theta.dims[v] > current.dims[v]
+               for v in range(system.alg.n)):
+            continue
+        homs = hom_basis(current, theta)
+        candidates = [f for f in homs
+                      if not (tops[j].mat @ f.mat).is_zero()]
+        if len(candidates) > 1:
+            acc = candidates[0]
+            for f in candidates[1:]:
+                acc = acc + f
+            candidates = candidates + [acc]
+        for f in candidates:
+            if f.mat.rank() != theta.total:
+                continue
+            ker, kinc = kernel(f)
+            rest = _filtration_search(ker, system, allowed, tops)
+            if rest is not None:
+                return [FiltrationLayer(j, f, kinc)] + rest
+    return None
+
+
 def theta_filtration(M: FDModule, system: StandardSystem, allowed=None):
     """Depth-first search for a filtration with factors among the system.
 
@@ -125,35 +155,7 @@ def theta_filtration(M: FDModule, system: StandardSystem, allowed=None):
                      else range(1, system.alg.n + 1),
                      key=lambda v: -system.rank[v])
     tops = {j: _top_projection(system.module(j)) for j in allowed}
-
-    def search(current: FDModule):
-        if current.total == 0:
-            return []
-        for j in allowed:
-            theta = system.module(j)
-            if theta.total == 0 or theta.total > current.total:
-                continue
-            if any(theta.dims[v] > current.dims[v]
-                   for v in range(system.alg.n)):
-                continue
-            homs = hom_basis(current, theta)
-            candidates = [f for f in homs
-                          if not (tops[j].mat @ f.mat).is_zero()]
-            if len(candidates) > 1:
-                acc = candidates[0]
-                for f in candidates[1:]:
-                    acc = acc + f
-                candidates = candidates + [acc]
-            for f in candidates:
-                if f.mat.rank() != theta.total:
-                    continue
-                ker, kinc = kernel(f)
-                rest = search(ker)
-                if rest is not None:
-                    return [FiltrationLayer(j, f, kinc)] + rest
-        return None
-
-    layers = search(M)
+    layers = _filtration_search(M, system, allowed, tops)
     if layers is None:
         return None
     return FiltrationCertificate(M, layers)

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
-from bocskit.ainf import build_tables, merkulov_lambda, stasheff_check
-from bocskit.quiver import (example_a2, example_dual_numbers,
+from bocskit.ainf import (_chains, build_tables, merkulov_lambda,
+                          stasheff_check)
+from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
+                            example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
 from bocskit.resolution import (HodgeData, ResolvedSystem, differential,
                                 hodge_data, is_null_homotopic)
@@ -26,6 +30,22 @@ def e3():
 @pytest.fixture(scope="module")
 def e0():
     return pdelta_tables(example_semisimple_pair(), r_max=4)
+
+
+@pytest.fixture(scope="module")
+def e2():
+    rsys = ResolvedSystem(standard_modules(example_a2(), mode="delta"))
+    return build_tables(rsys, r_max=5), rsys
+
+
+@pytest.fixture(scope="module")
+def qh2():
+    """K(1 <-> 2)/(b a), quasi-hereditary in the order (2, 1), whose
+    vertices each start classes of two degrees toward different ends."""
+    q = Quiver(2, [("a", 1, 2), ("b", 2, 1)])
+    alg = build_algebra(q, RelationSet(q, [Relation(q, [(1, 1, ("a", "b"))])]))
+    rsys = ResolvedSystem(standard_modules(alg, [2, 1], mode="delta"))
+    return build_tables(rsys, r_max=5), rsys
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +248,38 @@ def test_a2_delta_mode_products():
     assert tab.m((x, x)) == {}
     assert stasheff_check(tab, 2)
     assert stasheff_check(tab, 3)
+
+
+def _brute_chains(tab, r, degrees):
+    """Composable display tuples of r classes by brute force, ordered by
+    a_1, then a_2, ..., each class by (source, degree, target, index)."""
+    classes = sorted((c for c in tab.gmaps if c.k in degrees),
+                     key=lambda c: (c.i, c.k, c.j, c.idx))
+    return [tuple(reversed(low))
+            for low in itertools.product(classes, repeat=r)
+            if all(low[t].j == low[t + 1].i for t in range(r - 1))]
+
+
+def test_chain_walk_is_the_brute_force_enumeration(e1, e2, e3, qh2):
+    for tab, _ in (e1, e2, e3, qh2):
+        for degrees in ((0, 1), (0, 1, 2)):
+            for r in range(1, tab.r_max + 1):
+                assert _chains(tab, r, degrees) == \
+                    _brute_chains(tab, r, degrees)
+
+
+def test_products_into_reads_the_brute_force_bprime_values(e1, e2, e3,
+                                                           qh2):
+    for tab, _ in (e1, e2, e3, qh2):
+        for zeros in (0, 1, 2):
+            keys = [key for r in range(2, tab.r_max + 1)
+                    for key in _brute_chains(tab, r, (0, 1))
+                    if sum(c.k == 0 for c in key) == zeros]
+            for cls in tab.gmaps:
+                for r_top in range(2, tab.r_max + 1):
+                    expect = [(key, tab.bprime(key)[cls]) for key in keys
+                              if len(key) <= r_top
+                              and tab.bprime(key).get(cls)]
+                    assert tab.products_into(cls, zeros, r_top) == expect
+        with pytest.raises(ValueError, match="r_max too small"):
+            tab.products_into(tab.identity_class(1), 0, tab.r_max + 1)

@@ -133,6 +133,46 @@ def test_no_true_division_in_the_package():
     assert found == []
 
 
+def _defs_in_scope(scope):
+    """Functions defined in the body of scope, not inside a function of
+    its own."""
+    out, todo = [], list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node)
+        elif not isinstance(node, ast.Lambda):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_no_recursive_nested_function_in_the_package():
+    """A nested function that calls itself, directly or through a sibling
+    nested function, holds its own closure cell: every call of the
+    enclosing function then leaves a reference cycle, with all that the
+    closure holds, for the cyclic collector."""
+    found = []
+    for path in sorted(Path(bocskit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            inner = {d.name: d for d in _defs_in_scope(outer)}
+            calls = {name: {n.id for n in ast.walk(d)
+                            if isinstance(n, ast.Name) and n.id in inner}
+                     for name, d in inner.items()}
+            for name in inner:
+                seen, todo = set(), list(calls[name])
+                while todo:
+                    other = todo.pop()
+                    if other not in seen:
+                        seen.add(other)
+                        todo.extend(calls[other])
+                if name in seen:
+                    found.append(f"{path.name}:{outer.name}.{name}")
+    assert found == []
+
+
 def test_in_span():
     rows, pivots = rref_rows([[frac(1), frac(0)], [frac(0), frac(1)]], 2)
     assert in_span([frac(5), frac(-7)], rows, pivots)
