@@ -162,17 +162,13 @@ class Bocs:
             lcols = []
             rcols = []
             for (p2, gi, p1) in self.u1_basis:
-                prod = B.multiply(B.basis_vec(k), B.basis_vec(p2))
                 col = [ZERO] * self.u1_dim
-                for m, c in enumerate(prod):
-                    if c != 0:
-                        col[self.u1_index[(m, gi, p1)]] = c
+                for m, c in B.table[k][p2].items():
+                    col[self.u1_index[(m, gi, p1)]] = c
                 lcols.append(col)
-                prod = B.multiply(B.basis_vec(p1), B.basis_vec(k))
                 col = [ZERO] * self.u1_dim
-                for m, c in enumerate(prod):
-                    if c != 0:
-                        col[self.u1_index[(p2, gi, m)]] = c
+                for m, c in B.table[p1][k].items():
+                    col[self.u1_index[(p2, gi, m)]] = c
                 rcols.append(col)
             self.L1.append(Matrix.from_columns(lcols))
             self.R1.append(Matrix.from_columns(rcols))

@@ -433,8 +433,8 @@ def _is_algebra_map(A1: Algebra, A2: Algebra, T):
         return False
     for uu in range(A1.dim):
         for vv in range(A1.dim):
-            prod = A1.multiply(A1.basis_vec(uu), A1.basis_vec(vv))
-            lhs = mat.apply(prod)
+            lhs = mat.apply([A1.table[uu][vv].get(k, ZERO)
+                             for k in range(A1.dim)])
             rhs = A2.multiply(T[uu], T[vv])
             if tuple(lhs) != tuple(rhs):
                 return False

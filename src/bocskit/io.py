@@ -48,8 +48,11 @@ _MAX_NUMBER_CHARS = 1000
 
 
 def str_to_frac(s, pointer: str) -> Scalar:
-    _expect(isinstance(s, str) and len(s) <= _MAX_NUMBER_CHARS
-            and _NUMBER.fullmatch(s), pointer)
+    match = (isinstance(s, str) and len(s) <= _MAX_NUMBER_CHARS
+             and _NUMBER.fullmatch(s))
+    _expect(match, pointer)
+    if match[1] is None:  # no "/q" and no ".d": the token is an integer
+        return int(s)
     try:
         return frac(s)
     except (ValueError, ZeroDivisionError):

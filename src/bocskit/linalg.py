@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
@@ -27,6 +28,7 @@ Scalar = int | Fraction
 
 ZERO = 0
 ONE = 1
+_INT = frozenset((int,))
 
 
 def frac(x) -> Scalar:
@@ -112,15 +114,20 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable]):
+        data = tuple(map(tuple, data))
+        # Entries the kernel produced are almost always ints already, so
+        # only a grid holding something else is canonicalised entry by entry.
+        if not _INT.issuperset(map(type, chain.from_iterable(data))):
+            data = tuple(tuple(map(frac, r)) for r in data)
+        if len(data) != rows or not {cols}.issuperset(map(len, data)):
+            raise ValueError("entry grid does not match declared shape")
         self.rows = rows
         self.cols = cols
-        self.data = tuple(tuple(frac(x) for x in r) for r in data)
-        if len(self.data) != rows or any(len(r) != cols for r in self.data):
-            raise ValueError("entry grid does not match declared shape")
+        self.data = data
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return cls(rows, cols, ((ZERO,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -137,8 +144,9 @@ class Matrix:
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
         cols = len(columns)
         rows = len(columns[0]) if cols else 0
-        return cls(rows, cols, [[columns[j][i] for j in range(cols)]
-                                for i in range(rows)])
+        if not {rows}.issuperset(map(len, columns)):
+            raise ValueError("entry grid does not match declared shape")
+        return cls(rows, cols, zip(*columns))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -174,7 +182,7 @@ class Matrix:
         """The product, summing only over nonzero pairs of factors."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        sparse = [nonzeros(r).items() for r in other.data]
+        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
         out = []
         for r in self.data:
             row = [ZERO] * other.cols
@@ -188,8 +196,8 @@ class Matrix:
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        nz = nonzeros(vec).items()
-        return tuple(sum((r[j] * b for j, b in nz if r[j]), ZERO)
+        nz = [(j, b) for j, b in enumerate(vec) if b]
+        return tuple(sum([r[j] * b for j, b in nz if r[j]], ZERO)
                      for r in self.data)
 
     def transpose(self) -> "Matrix":
@@ -294,13 +302,13 @@ class Matrix:
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
         return Matrix(self.rows, self.cols + other.cols,
-                      [list(a) + list(b) for a, b in zip(self.data, other.data)])
+                      [a + b for a, b in zip(self.data, other.data)])
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
         return Matrix(self.rows + other.rows, self.cols,
-                      list(self.data) + list(other.data))
+                      self.data + other.data)
 
 
 def vec_is_zero(u: Sequence[Scalar]) -> bool:

@@ -135,11 +135,9 @@ def projective(alg: Algebra, i: int) -> FDModule:
     for g in range(alg.dim):
         cols = []
         for k in idxs:
-            prod = alg.multiply(alg.basis_vec(g), alg.basis_vec(k))
             col = [ZERO] * len(idxs)
-            for m, c in enumerate(prod):
-                if c != 0:
-                    col[pos[m]] = c
+            for m, c in alg.table[g][k].items():
+                col[pos[m]] = c
             cols.append(col)
         act.append(Matrix.from_columns(cols))
     mod = FDModule(alg, dims, act, name=f"P({i})")

@@ -149,10 +149,12 @@ class Algebra:
     # -- element helpers ---------------------------------------------------
 
     def zero(self):
-        return tuple(ZERO for _ in range(self.dim))
+        return (ZERO,) * self.dim
 
     def basis_vec(self, i: int):
-        return tuple(ONE if k == i else ZERO for k in range(self.dim))
+        v = [ZERO] * self.dim
+        v[i] = ONE
+        return tuple(v)
 
     def unit(self):
         v = [ZERO] * self.dim

@@ -534,7 +534,7 @@ def quotient_by_idempotents(alg: Algebra, vertices):
     if not kept:
         raise ValueError("cannot remove every vertex")
     # AeA is spanned by the products b * c of basis elements with c in eA
-    ideal = [alg.multiply(alg.basis_vec(b), alg.basis_vec(c))
+    ideal = [[alg.table[b][c].get(k, ZERO) for k in range(alg.dim)]
              for c in range(alg.dim) if alg.btarget[c] in removed
              for b in range(alg.dim)]
     _, proj, sect = Span(alg.dim, ideal).complement()

@@ -5,6 +5,7 @@ import pytest
 from bocskit import io as bio
 from bocskit.bocs import classify_bocs, construct_bocs
 from bocskit.burt_butler import right_algebra, standard_check
+from bocskit.linalg import frac
 from bocskit.quiver import (example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
 
@@ -150,6 +151,15 @@ def test_number_tokens_are_bounded():
                   "1/0", ""]:
         with pytest.raises(ValueError, match="schema violation at /x$"):
             bio.str_to_frac(token, "/x")
+
+
+def test_number_tokens_parse_to_their_canonical_scalar():
+    # integer tokens take the int path; p/q and decimals go through Fraction
+    for token in ["0", "-0", "+7", "007", "-12", "9" * 1000, "6/3", "-2/3",
+                  "+4/6", "0/5", "0.5", "-2.0", "1.25", "+3.000"]:
+        want = frac(Fraction(token))
+        got = bio.str_to_frac(token, "/x")
+        assert got == want and type(got) is type(want), token
 
 
 def test_parse_builds_each_document_once(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import bocskit
 from bocskit.linalg import (MapSpace, Matrix, Span, balanced_relations,
@@ -393,6 +393,12 @@ def test_from_columns_of_no_columns_and_of_empty_columns():
     assert empty == Matrix.zero(0, 3)
 
 
+def test_from_columns_refuses_ragged_columns():
+    for columns in ([[1], [2, 3]], [[1, 2], [3]], [[1, 2], [3, 4], []]):
+        with pytest.raises(ValueError, match="does not match declared shape"):
+            Matrix.from_columns(columns)
+
+
 def test_matmul_and_blocks():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[0, 1], [1, 0]])
@@ -526,3 +532,107 @@ def test_map_space_coords_agree_with_a_fraction_only_oracle(rows, cols, n,
     else:
         assert space.coords(target) == want[0]
         assert _no_float([space.coords(target)])
+
+
+# -- every constructor input comes out canonical ----------------------------
+
+# The explain phase re-runs a failing example once per draw, and each
+# distinct failure is shrunk on its own: over these many draws that takes
+# minutes, so a failure here is reported once, shrunk, without explanation.
+_MIXED = settings(_PROPERTY, report_multiple_bugs=False,
+                  phases=[Phase.explicit, Phase.generate, Phase.shrink])
+# ints, bools, integral Fractions such as Fraction(4, 2) and proper ones
+_mixed_entries = st.one_of(_small_ints, st.booleans(),
+                           st.just(Fraction(4, 2)), _entries)
+
+
+@st.composite
+def _mixed_grid(draw, rows, cols):
+    """A rows x cols grid of ints whose rows from a drawn one on may also
+    hold bools and Fractions, so a non-int may sit only in the last row."""
+    first = draw(st.integers(0, rows))
+    return [draw(st.lists(_small_ints if i < first else _mixed_entries,
+                          min_size=cols, max_size=cols))
+            for i in range(rows)]
+
+
+def _as_fractions(grid):
+    return [[Fraction(x) for x in row] for row in grid]
+
+
+def _same(m, oracle):
+    """m equals the Fraction grid oracle and every entry is canonical."""
+    return m.data == tuple(map(tuple, oracle)) and _canonical(m)
+
+
+@_MIXED
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.data())
+def test_every_constructed_entry_is_canonical(rows, cols, k, data):
+    grid = data.draw(_mixed_grid(rows, cols))
+    F = _as_fractions(grid)
+    A = Matrix(rows, cols, grid)
+    assert _same(A, F)
+    assert _same(Matrix.from_rows(grid), F)
+    assert _same(Matrix.from_columns([list(c) for c in zip(*grid)]), F)
+
+    other = data.draw(_mixed_grid(rows, cols))
+    G = _as_fractions(other)
+    B = Matrix(rows, cols, other)
+    assert _same(A + B, [[a + b for a, b in zip(r, s)] for r, s in zip(F, G)])
+    assert _same(A - B, [[a - b for a, b in zip(r, s)] for r, s in zip(F, G)])
+    c = data.draw(_mixed_entries)
+    assert _same(A.scale(c), [[Fraction(c) * a for a in r] for r in F])
+    assert _same(A.transpose(), list(zip(*F)))
+    assert _same(A.hstack(B), [r + s for r, s in zip(F, G)])
+    assert _same(A.vstack(B), F + G)
+
+    right = data.draw(_mixed_grid(cols, k))
+    H = _as_fractions(right)
+    assert _same(A @ Matrix(cols, k, right),
+                 [[sum((r[i] * H[i][j] for i in range(cols)), Fraction(0))
+                   for j in range(k)] for r in F])
+
+    reduced, pivots = _oracle_rref(F, cols)
+    R, rank, got_pivots = A.rref()
+    assert (rank, got_pivots) == (len(reduced), tuple(pivots))
+    assert _same(R, reduced + [[Fraction(0)] * cols] * (rows - rank))
+    rhs = Matrix(rows, k, data.draw(_mixed_grid(rows, k)))
+    want = _oracle_solve_columns(A, rhs.columns())
+    got = A.solve_columns(rhs)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert _same(got, list(zip(*want)))
+    M = Matrix(rows, rows, data.draw(_mixed_grid(rows, rows)))
+    want = _oracle_solve_columns(M, Matrix.identity(rows).columns())
+    if want is None:
+        with pytest.raises(ValueError):
+            M.inverse()
+    else:
+        assert _same(M.inverse(), list(zip(*want)))
+
+
+@_MIXED
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_a_float_or_a_ragged_grid_is_refused_anywhere(rows, cols, data):
+    i = data.draw(st.integers(0, rows - 1))
+    j = data.draw(st.integers(0, cols - 1))
+    grid = data.draw(_mixed_grid(rows, cols))
+    grid[i][j] = 0.5
+    columns = [list(c) for c in zip(*grid)]
+    for build in (lambda: Matrix(rows, cols, grid),
+                  lambda: Matrix.from_rows(grid),
+                  lambda: Matrix.from_columns(columns)):
+        with pytest.raises(TypeError):
+            build()
+
+    # one row, or one of two or more columns, an entry short or long
+    grid = data.draw(_mixed_grid(rows, cols))
+    grid[i] = grid[i][:-1] if data.draw(st.booleans()) else grid[i] + [1]
+    with pytest.raises(ValueError, match="does not match declared shape"):
+        Matrix(rows, cols, grid)
+    if cols > 1:
+        columns = [list(c) for c in zip(*data.draw(_mixed_grid(rows, cols)))]
+        short = data.draw(st.booleans())
+        columns[j] = columns[j][:-1] if short else columns[j] + [1]
+        with pytest.raises(ValueError, match="does not match declared shape"):
+            Matrix.from_columns(columns)
