@@ -17,8 +17,7 @@ from .bocs import (Bocs, bocs_compose, bocs_hom_basis, bocs_lift,
 from .linalg import (MapSpace, Matrix, ONE, Span, ZERO, balanced_relations,
                      nonzeros, qdiv)
 from .modules import (FDModule, ModuleMap, hom_basis, is_isomorphic,
-                      projective, projective_cover, simple,
-                      sum_of_projectives, syzygies)
+                      projective_cover, simple, sum_of_projectives, syzygies)
 from .quiver import Algebra, from_structure_constants
 from .strata import StandardSystem, theta_filtration
 
@@ -236,9 +235,9 @@ def standard_check(ralg: RightAlgebra):
               "composition": True, "ext1_vanishing": True,
               "induced": [odelta[j] for j in range(1, n + 1)]}
     for i in range(1, n + 1):
-        P = projective(R, i)
         for j in range(1, n + 1):
-            got = len(hom_basis(P, odelta[j].module))
+            # dim Hom(P_R(i), M) = dim e_i M
+            got = odelta[j].module.dims[i - 1]
             if rank[i] > rank[j]:
                 want = 0
             else:

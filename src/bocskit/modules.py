@@ -125,26 +125,7 @@ def zero_module(alg: Algebra) -> FDModule:
 
 def projective(alg: Algebra, i: int) -> FDModule:
     """A e_i on the basis of algebra words with source i."""
-    idxs = [k for k in range(alg.dim) if alg.bsource[k] == i]
-    idxs.sort(key=lambda k: (alg.btarget[k], alg.bdegree[k], k))
-    dims = [0] * alg.n
-    for k in idxs:
-        dims[alg.btarget[k] - 1] += 1
-    pos = {k: p for p, k in enumerate(idxs)}
-    act = []
-    for g in range(alg.dim):
-        cols = []
-        for k in idxs:
-            col = [ZERO] * len(idxs)
-            for m, c in alg.table[g][k].items():
-                col[pos[m]] = c
-            cols.append(col)
-        act.append(Matrix.from_columns(cols))
-    mod = FDModule(alg, dims, act, name=f"P({i})")
-    mod.proj_basis = idxs          # algebra basis index per coordinate
-    mod.proj_vertex = i
-    mod.generator_coord = idxs.index(alg.unit_index[i - 1])
-    return mod
+    return sum_of_projectives(alg, [i], name=f"P({i})")
 
 
 def simple(alg: Algebra, i: int) -> FDModule:
@@ -243,22 +224,8 @@ def direct_sum(modules, name=""):
                     if a.data[r][c] != 0:
                         grid[emb[r]][emb[c]] = a.data[r][c]
         act.append(Matrix(total, total, grid))
-    out = FDModule(alg, dims, act, name=name or "+".join(m.name
-                                                         for m in modules))
-    incs = []
-    projs = []
-    for m, emb in zip(modules, embeds):
-        gi = [[ZERO] * m.total for _ in range(total)]
-        gp = [[ZERO] * total for _ in range(m.total)]
-        for c, r in enumerate(emb):
-            gi[r][c] = ONE
-            gp[c][r] = ONE
-        incs.append(ModuleMap(m, out, Matrix(total, m.total, gi)))
-        projs.append(ModuleMap(out, m, Matrix(m.total, total, gp)))
-    out.summand_coords = embeds
-    out.summand_inclusions = incs
-    out.summand_projections = projs
-    return out
+    return FDModule(alg, dims, act,
+                    name=name or "+".join(m.name for m in modules))
 
 
 def hom_basis(M: FDModule, N: FDModule, radical_only: bool = False):
@@ -327,10 +294,10 @@ def _trace_pairing(hom_mn, hom_nm) -> Matrix:
 def hom_from_projective(P: FDModule, X: FDModule):
     """Basis of Hom(P, X) for P a realized direct sum of projectives.
 
-    Requires P.proj_basis (set by projective / sum_of_projectives):
-    per-coordinate algebra basis indices.  A hom from the summand generated
-    at coordinate g with vertex i corresponds to a vector x in e_i X; the
-    map sends the coordinate of word w to act_X(w) x.
+    Reads P.proj_gens, which every module built by sum_of_projectives (so
+    every projective) carries.  A hom from the summand generated at
+    coordinate g with vertex i corresponds to a vector x in e_i X; the map
+    sends the coordinate of word w to act_X(w) x.
     """
     gens = getattr(P, "proj_gens", None)
     if gens is None:
@@ -349,20 +316,36 @@ def hom_from_projective(P: FDModule, X: FDModule):
 
 
 def sum_of_projectives(alg: Algebra, vertices, name=""):
-    """Direct sum of P(i) for i in vertices, with projective summand data."""
-    mods = [projective(alg, i) for i in vertices]
-    if not mods:
-        out = zero_module(alg)
-        out.proj_gens = []
-        out.summands = []
-        return out
-    out = direct_sum(mods, name=name)
-    gens = []
-    for m, coord_of in zip(mods, out.summand_coords):
-        word_idxs = [(coord_of[c], m.proj_basis[c]) for c in range(m.total)]
-        gens.append((coord_of[m.generator_coord], m.proj_vertex, word_idxs))
-    out.proj_gens = gens
-    out.summands = list(vertices)
+    """Direct sum of P(v) = A e_v for v in vertices, read off alg.table.
+
+    Summand s has one coordinate per word k with source vertices[s];
+    coordinates are ordered by (target vertex, s, degree, k), and act[g]
+    sends (s, k) to table[g][k] read at (s, .).  proj_gens[s] is
+    (coordinate of e_v, v, [(coordinate, word k)]) and summands lists v.
+    """
+    vertices = list(vertices)
+    keys = sorted((alg.btarget[k], s, alg.bdegree[k], k)
+                  for s, v in enumerate(vertices)
+                  for k in range(alg.dim) if alg.bsource[k] == v)
+    pos = {(s, k): c for c, (_, s, _, k) in enumerate(keys)}
+    dims = [0] * alg.n
+    for t, _, _, _ in keys:
+        dims[t - 1] += 1
+    total = len(keys)
+    act = []
+    for row in alg.table:
+        grid = [[ZERO] * total for _ in range(total)]
+        for c, (_, s, _, k) in enumerate(keys):
+            for m, x in row[k].items():
+                grid[pos[s, m]][c] = x
+        act.append(Matrix(total, total, grid))
+    out = FDModule(alg, dims, act,
+                   name=name or "+".join(f"P({v})" for v in vertices))
+    out.proj_gens = [(pos[s, alg.unit_index[v - 1]], v, [])
+                     for s, v in enumerate(vertices)]
+    for c, (_, s, _, k) in enumerate(keys):
+        out.proj_gens[s][2].append((c, k))
+    out.summands = vertices
     return out
 
 

@@ -74,21 +74,18 @@ def standard_modules(alg: Algebra, order=None, mode="delta") -> StandardSystem:
         raise ValueError(f"mode must be one of {MODES}")
     order = _normalize_order(alg, order)
     rank = {v: k for k, v in enumerate(order)}
+    # A map P(j) -> P(i) is a vector of e_j P(i), so the trace of P(j) in
+    # P(i) is generated by P(i)'s coordinates at j; the radical
+    # endomorphisms are its coordinates at i of radical degree >= 1.
     modules = []
     for i in range(1, alg.n + 1):
         p = projective(alg, i)
-        radical_flag = (mode == "pdelta")
-        if mode == "delta":
-            family = [projective(alg, j) for j in range(1, alg.n + 1)
-                      if rank[j] > rank[i]]
-        else:
-            family = [projective(alg, j) for j in range(1, alg.n + 1)
-                      if rank[j] >= rank[i]]
-        vecs = []
-        for F in family:
-            for f in hom_basis(F, p, radical_only=radical_flag):
-                vecs.extend(f.mat.columns())
-        q, _, _ = quotient(p, vecs,
+        _, _, words = p.proj_gens[0]
+        gens = [c for c, k in words
+                if rank[alg.btarget[k]] > rank[i]
+                or (mode == "pdelta" and alg.btarget[k] == i
+                    and alg.bdegree[k] >= 1)]
+        q, _, _ = quotient(p, [a.column(c) for a in p.act for c in gens],
                            name=("D" if mode == "delta" else "pD") + f"({i})")
         modules.append(q)
     sys = StandardSystem(alg, order, mode, modules)

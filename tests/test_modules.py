@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from bocskit.linalg import Matrix
@@ -5,7 +7,7 @@ from bocskit.modules import (direct_sum, from_arrow_matrices, hom_basis,
                              hom_from_projective, iso_defect, is_isomorphic,
                              kernel, projective, projective_cover, quotient,
                              radical_vectors, simple, submodule,
-                             sum_of_projectives)
+                             sum_of_projectives, syzygies)
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
@@ -141,30 +143,52 @@ def test_quotient_and_submodule_roundtrip():
     proj.check_intertwining()
 
 
-def test_direct_sum_bookkeeping():
-    alg = example_a2()
-    m = direct_sum([projective(alg, 1), simple(alg, 2)])
-    assert m.dims == (1, 2)
-    for inc, pr in zip(m.summand_inclusions, m.summand_projections):
-        assert pr.compose(inc).mat == Matrix.identity(inc.source.total)
-        inc.check_intertwining()
-        pr.check_intertwining()
-
-
-def test_proj_gens_follow_the_summand_inclusions():
+def test_sum_of_projectives_is_the_regular_representation(mixed_algebras):
     # the arrow 2 -> 1 puts the generator of P(2) after its vertex-1 word
     q = Quiver(2, [("a", 2, 1)])
-    alg = build_algebra(q, RelationSet(q, []))
-    P = sum_of_projectives(alg, [2, 1, 2])
-    for (gcoord, vtx, word_idxs), m, inc in zip(
-            P.proj_gens, [projective(alg, v) for v in (2, 1, 2)],
-            P.summand_inclusions):
-        assert vtx == m.proj_vertex
-        assert gcoord == word_idxs[m.generator_coord][0]
-        for c, (coord, widx) in enumerate(word_idxs):
-            assert widx == m.proj_basis[c]
-            assert inc.mat.column(c) == tuple(
-                1 if r == coord else 0 for r in range(P.total))
+    for alg in mixed_algebras + [build_algebra(q, RelationSet(q, []))]:
+        n = alg.n
+        for vs in (list(range(1, n + 1)), [n, 1, n]):
+            P = sum_of_projectives(alg, vs)
+            ref = direct_sum([projective(alg, v) for v in vs])
+            assert P.dims == ref.dims and P.act == ref.act
+            assert P.summands == vs
+            # coordinates ordered by (target vertex, summand, degree, word)
+            keys = [None] * P.total
+            for s, ((gcoord, vtx, word_idxs), v) in enumerate(
+                    zip(P.proj_gens, vs)):
+                assert vtx == v
+                assert (gcoord, alg.unit_index[v - 1]) in word_idxs
+                assert sorted(k for _, k in word_idxs) == [
+                    k for k in range(alg.dim) if alg.bsource[k] == v]
+                for coord, k in word_idxs:
+                    assert keys[coord] is None
+                    keys[coord] = (alg.btarget[k], s, alg.bdegree[k], k)
+            assert None not in keys and keys == sorted(keys)
+            assert [P.vertex_of_coord(c) for c in range(P.total)] == [
+                t for t, _, _, _ in keys]
+            # act[g] carries the coordinate of word k to table[g][k]
+            for (_, _, word_idxs) in P.proj_gens:
+                coord_of = {k: coord for coord, k in word_idxs}
+                for g in range(alg.dim):
+                    for coord, k in word_idxs:
+                        want = [0] * P.total
+                        for m, c in alg.table[g][k].items():
+                            want[coord_of[m]] = c
+                        assert P.act[g].column(coord) == tuple(want)
+
+
+def test_syzygies_leave_no_cyclic_garbage():
+    algs = [example_a2(), example_jordan3()]
+    gc.collect()
+    gc.disable()
+    try:
+        for alg in algs:
+            for i in range(1, alg.n + 1):
+                syzygies(simple(alg, i), 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_iso_defect_is_hom_minus_radical():

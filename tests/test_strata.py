@@ -1,10 +1,12 @@
 import pytest
 
-from bocskit.modules import is_isomorphic, projective, simple
+from bocskit.modules import (hom_basis, is_isomorphic, projective, quotient,
+                             simple)
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
-from bocskit.strata import (classify_algebra, standard_modules,
+from bocskit.strata import (StandardSystem, _assert_system_invariants,
+                            classify_algebra, standard_modules,
                             theta_filtration)
 
 
@@ -106,3 +108,42 @@ def test_multiplicity_sum_matches_dim():
         for v in cert.vertices():
             total += c.systems["pdelta"].module(v).total
     assert total == alg.dim
+
+
+def _standard_by_hom_solve(alg, order, mode):
+    """Quotient each P(i) by the images of (radical, in pdelta mode) maps
+    from the P(j) above i, found by solving for Hom(P(j), P(i))."""
+    rank = {v: k for k, v in enumerate(order)}
+    modules = []
+    for i in range(1, alg.n + 1):
+        p = projective(alg, i)
+        vecs = [col for j in range(1, alg.n + 1)
+                if rank[j] > rank[i] or (mode == "pdelta" and j == i)
+                for f in hom_basis(projective(alg, j), p,
+                                   radical_only=(mode == "pdelta"))
+                for col in f.mat.columns()]
+        q, _, _ = quotient(p, vecs)
+        modules.append(q)
+    system = StandardSystem(alg, order, mode, modules)
+    _assert_system_invariants(system)
+    return system
+
+
+def test_standard_modules_equal_the_hom_solve_route(mixed_algebras):
+    built = 0
+    for alg in mixed_algebras:
+        ident = list(range(1, alg.n + 1))
+        for order in (ident, ident[::-1]):
+            for mode in ("delta", "pdelta"):
+                try:
+                    want = _standard_by_hom_solve(alg, order, mode)
+                except ValueError as e:
+                    with pytest.raises(ValueError) as got:
+                        standard_modules(alg, order, mode)
+                    assert str(got.value) == str(e)
+                    continue
+                got = standard_modules(alg, order, mode)
+                for a, b in zip(got.modules, want.modules):
+                    assert a.dims == b.dims and a.act == b.act
+                built += 1
+    assert built > 0
