@@ -20,36 +20,30 @@ subtuples first, so each value it reads is already in its memo.
 Tuples are stored in display order (a_r, ..., a_1): the rightmost entry
 acts first, matching the composition convention everywhere else.  One
 walk, _chains, enumerates the composable tuples, both for the table and
-for stasheff_check.  AInfTable.m_table then holds every product once:
-the bocs reads its coefficients off the table (AInfTable.products_into)
-instead of enumerating tuples again.
+for stasheff_check.  AInfTable.m_table then holds every product once,
+and AInfTable.bp_table the signed b' of each nonzero one: bprime (so
+stasheff_check and the twisted modules) and products_into (so the bocs)
+read their coefficients off it instead of enumerating tuples or signing
+products again.  A class is a named tuple (k, i, j, idx), so every table
+lookup hashes and compares in C.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .linalg import ZERO
 from .resolution import GradedMap, ResolvedSystem, ext_basis, hodge_data
 
 
-class ExtClass:
+class ExtClass(NamedTuple):
     """A basis class of Ext^k(Theta(i), Theta(j)) by position."""
 
-    __slots__ = ("k", "i", "j", "idx")
-
-    def __init__(self, k, i, j, idx):
-        self.k = k
-        self.i = i
-        self.j = j
-        self.idx = idx
-
-    def key(self):
-        return (self.k, self.i, self.j, self.idx)
-
-    def __eq__(self, other):
-        return isinstance(other, ExtClass) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+    k: int
+    i: int
+    j: int
+    idx: int
 
     def __repr__(self):
         return f"H{self.k}({self.i}->{self.j})#{self.idx}"
@@ -125,7 +119,8 @@ def _tabulated(key):
     At most two degree-0 and at most one degree-2 argument: then every
     contiguous subtuple has a lambda value of degree between 0 and 3, so
     G is always available.  Excluded in-range tuples carry three or more
-    degree-0 arguments and vanish by strict unitality.
+    degree-0 arguments; AInfTable.m takes them as zero when one of those
+    is an identity class and refuses them otherwise.
     """
     r = len(key)
     if r < 2:
@@ -161,6 +156,9 @@ class AInfTable:
     m_table maps display-order class tuples to coefficient dicts over the
     output Ext basis; b coefficients add the suspension sign; bprime
     additionally truncates tuples of positive total suspended degree.
+    Every tabulated tuple has suspended degree <= 0, so bp_table, the b'
+    coefficients of each tuple with a nonzero m in m_table order, is b'
+    on all of m_table; bprime hands its maps out read-only.
     """
 
     def __init__(self, rsys: ResolvedSystem, r_max: int = 6):
@@ -184,6 +182,8 @@ class AInfTable:
             for key in _chains(self, r, (0, 1, 2)):
                 if _tabulated(key):
                     self.m_table[key] = self._compute_m(key, memo)
+        self.bp_table = {key: self.b(key)
+                         for key, coeffs in self.m_table.items() if coeffs}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -266,7 +266,14 @@ class AInfTable:
         return {cls: sign * c for cls, c in coeffs.items()}
 
     def bprime(self, key):
-        if sum(c.k - 1 for c in key) >= 1:
+        """b' coefficients, read-only: b on tuples of suspended degree
+        <= 0, zero above.  A tuple that m_table decides is read off
+        bp_table; any other takes the checks of m."""
+        got = self.bp_table.get(key)
+        if got is not None:
+            return MappingProxyType(got)
+        if len(key) == 1 or key in self.m_table \
+                or sum(c.k - 1 for c in key) >= 1:
             return {}
         return self.b(key)
 
@@ -275,17 +282,17 @@ class AInfTable:
         r_top Ext^0 and Ext^1 classes, zeros of them of degree 0, with a
         nonzero coefficient; in m_table order.
 
-        Such tuples are all tabulated (zeros <= 2) and have suspended
-        degree -zeros <= 0, so b' is b there.
+        Such tuples are all tabulated (zeros <= 2), so they are read off
+        bp_table.
         """
         if r_top > self.r_max:
             raise ValueError("r_max too small")
         out = []
-        for key, coeffs in self.m_table.items():
+        for key, coeffs in self.bp_table.items():
             c = coeffs.get(cls)
             if (c and len(key) <= r_top and all(a.k <= 1 for a in key)
                     and sum(a.k == 0 for a in key) == zeros):
-                out.append((key, self.bprime(key)[cls]))
+                out.append((key, c))
         return out
 
 

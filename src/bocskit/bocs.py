@@ -619,7 +619,6 @@ class TensorModule:
     """W (x)_B X presented as a quotient of the pair space."""
 
     def __init__(self, bocs: Bocs, X: FDModule):
-        self.bocs = bocs
         self.X = X
         B = bocs.B
         wdim = bocs.w_dim

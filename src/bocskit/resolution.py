@@ -468,7 +468,7 @@ class HodgeData:
     def __init__(self, rsys: ResolvedSystem, i: int, j: int, k: int):
         if not (0 <= k <= rsys.N_max - 1):
             raise ValueError("degree out of the stored range")
-        self.rsys = rsys
+        self.N_max = rsys.N_max
         self.i = i
         self.j = j
         self.k = k
@@ -502,7 +502,7 @@ class HodgeData:
         nh, nb = len(self.H), len(self.B)
         if f.is_zero():
             return [ZERO] * nh, [ZERO] * nb
-        if f.hi < self.rsys.N_max:
+        if f.hi < self.N_max:
             raise ValueError(f"truncated map (levels up to {f.hi}) "
                              "has no splitting")
         flat = _flatten_graded(f, f.hi)

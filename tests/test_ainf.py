@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from bocskit.ainf import (_chains, build_tables, merkulov_lambda,
-                          stasheff_check)
+from bocskit.ainf import (AInfTable, ExtClass, _chains, build_tables,
+                          merkulov_lambda, stasheff_check)
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
@@ -283,3 +283,77 @@ def test_products_into_reads_the_brute_force_bprime_values(e1, e2, e3,
                     assert tab.products_into(cls, zeros, r_top) == expect
         with pytest.raises(ValueError, match="r_max too small"):
             tab.products_into(tab.identity_class(1), 0, tab.r_max + 1)
+
+
+def test_stasheff_check_catches_a_doubled_product(e1, monkeypatch):
+    tab, _ = e1
+    for k in range(1, tab.r_max + 1):
+        assert stasheff_check(tab, k)
+    y, e = ExtClass(1, 1, 1, 0), ExtClass(0, 1, 1, 0)
+    real = AInfTable._compute_m
+
+    def doubled(self, key, memo):
+        out = real(self, key, memo)
+        return {c: 2 * v for c, v in out.items()} if key == (y, e) else out
+
+    monkeypatch.setattr(AInfTable, "_compute_m", doubled)
+    bad, _ = pdelta_tables(example_dual_numbers())
+    assert bad.m((y, e)) == {y: 2}
+    assert not stasheff_check(bad, 3)
+
+
+def _signed_m(tab, key):
+    """b' by its definition: zero above suspended degree 0, else m with
+    the sign (-1)^(sum_j (j - 1)|a_j|), a_1 rightmost."""
+    if sum(c.k - 1 for c in key) >= 1:
+        return {}
+    r = len(key)
+    exp = sum((r - 1 - pos) * c.k for pos, c in enumerate(key))
+    return {cls: (-1) ** exp * c for cls, c in tab.m(key).items()}
+
+
+def test_bprime_table_is_the_signed_m(mixed_algebras):
+    for n, alg in enumerate(mixed_algebras):
+        for mode in ("delta", "pdelta"):
+            rsys = ResolvedSystem(standard_modules(alg, mode=mode))
+            tab = build_tables(rsys, r_max=4 + n % 3)
+            for r in range(1, tab.r_max + 2):
+                for key in _chains(tab, r, (0, 1, 2)):
+                    try:
+                        want = _signed_m(tab, key)
+                    except ValueError as e:
+                        with pytest.raises(ValueError) as got:
+                            tab.bprime(key)
+                        assert str(got.value) == str(e)
+                        continue
+                    assert tab.bprime(key) == want
+            for key in tab.bp_table:  # shared maps are handed out read-only
+                with pytest.raises(TypeError):
+                    tab.bprime(key)[key[0]] = 0
+            for cls in tab.gmaps:
+                for zeros in (0, 1, 2):
+                    for r_top in range(2, tab.r_max + 1):
+                        scan = [(key, _signed_m(tab, key)[cls])
+                                for key, coeffs in tab.m_table.items()
+                                if coeffs.get(cls) and len(key) <= r_top
+                                and all(a.k <= 1 for a in key)
+                                and sum(a.k == 0 for a in key) == zeros]
+                        assert tab.products_into(cls, zeros, r_top) == scan
+    # a tuple that the table does not decide takes the checks of m
+    tab, _ = pdelta_tables(example_dual_numbers(), r_max=3)
+    key = next(iter(tab.bp_table))
+    del tab.m_table[key], tab.bp_table[key]
+    for lookup in (tab.bprime, lambda key: _signed_m(tab, key)):
+        with pytest.raises(ValueError, match="tuple not tabulated"):
+            lookup(key)
+
+
+def test_ext_classes_are_tuples_of_their_fields(e2):
+    tab, _ = e2
+    for cls in tab.gmaps:
+        twin = ExtClass(cls.k, cls.i, cls.j, cls.idx)
+        assert twin == cls and hash(twin) == hash(cls)
+        assert twin is not cls and tab.graded_map(twin) is tab.gmaps[cls]
+        assert repr(cls) == f"H{cls.k}({cls.i}->{cls.j})#{cls.idx}"
+    assert repr(ExtClass(1, 2, 3, 0)) == "H1(2->3)#0"
+    assert ExtClass(1, 2, 3, 0) != ExtClass(1, 2, 3, 1)

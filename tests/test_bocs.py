@@ -1,8 +1,11 @@
 import copy
+import gc
+import weakref
 
 import pytest
 
 from bocskit import io as bio
+from bocskit.ainf import stasheff_check
 from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_identity,
                           bocs_lift, classify_bocs, construct_bocs,
                           tensor_module, validate_coalgebra)
@@ -291,3 +294,18 @@ def test_compose_reads_a_reassigned_mu(b1):
             for f in bocs_hom_basis(bad, X, Y):
                 assert bocs_compose(bad, bocs_identity(bad, Y),
                                     f).mat.is_zero()
+
+
+def test_a_dropped_bocs_is_freed_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        bocs = construct_bocs(example_dual_numbers(), mode="pdelta", r_max=4)
+        S = simple(bocs.B, 1)
+        assert bocs_hom_basis(bocs, S, S)
+        assert stasheff_check(bocs.table, 3)
+        refs = [weakref.ref(obj)
+                for obj in (bocs, bocs.table, bocs.table.rsys)]
+        del bocs
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()

@@ -325,7 +325,7 @@ def test_decompose_reads_back_its_coefficients(data):
         assert hd.decompose(f) == (hc, bc)
         cocycle = _combination(hd, hd.H + hd.B, hc + bc)
         # a map cut below N_max is split only when it is zero
-        for hi in range(hd.k, hd.rsys.N_max):
+        for hi in range(hd.k, hd.N_max):
             cut = _restrict(cocycle, lambda l: True, hi=hi)
             if cut.is_zero():
                 assert hd.decompose(cut) == ([0] * len(hc), [0] * len(bc))
