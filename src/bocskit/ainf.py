@@ -268,12 +268,14 @@ class AInfTable:
     def bprime(self, key):
         """b' coefficients, read-only: b on tuples of suspended degree
         <= 0, zero above.  A tuple that m_table decides is read off
-        bp_table; any other takes the checks of m."""
+        bp_table; one of negative output degree is zero, as m finds
+        before any other check; any other takes the checks of m."""
         got = self.bp_table.get(key)
         if got is not None:
             return MappingProxyType(got)
-        if len(key) == 1 or key in self.m_table \
-                or sum(c.k - 1 for c in key) >= 1:
+        r = len(key)
+        if r == 1 or key in self.m_table \
+                or not r - 2 <= sum(c.k for c in key) <= r:
             return {}
         return self.b(key)
 

@@ -616,10 +616,15 @@ def classify_bocs(bocs: Bocs) -> BocsClass:
 
 
 class TensorModule:
-    """W (x)_B X presented as a quotient of the pair space."""
+    """W (x)_B X presented as a quotient of the pair space.
+
+    counit, the map W (x)_B X -> X of w (x) x to eps(w) x, is set by
+    bocs_lift the first time it lifts a map out of X.
+    """
 
     def __init__(self, bocs: Bocs, X: FDModule):
         self.X = X
+        self.counit = None
         B = bocs.B
         wdim = bocs.w_dim
         # pair coordinates ordered by the target block of the W factor
@@ -675,16 +680,28 @@ def bocs_hom_basis(bocs: Bocs, X: FDModule, Y: FDModule):
     return hom_basis(tx.module, Y)
 
 
+def _counit(eps: Matrix, tx: TensorModule) -> Matrix:
+    """The counit of W (x)_B X: the pair (w, x) goes to eps(w) x, summed
+    over the nonzero coefficients of eps(w), read back through sect."""
+    X = tx.X
+    terms = eps.nonzero_columns()
+    big = [[ZERO] * len(tx.pairs) for _ in range(X.total)]
+    for p, (w, x) in enumerate(tx.pairs):
+        for k, c in terms[w]:
+            for y, row in enumerate(X.act[k].data):
+                a = row[x]
+                if a:
+                    big[y][p] += c * a
+    return Matrix(X.total, len(tx.pairs), big) @ tx.sect
+
+
 def bocs_lift(bocs: Bocs, u: ModuleMap) -> ModuleMap:
     """A B-module map u: X -> Y as a bocs morphism, through the counit:
     w (x) x goes to u(eps(w) x)."""
-    X = u.source
-    tx = tensor_module(bocs, X)
-    through = [u.mat @ X.act_elt(ev) for ev in bocs.eps.columns()]
-    cols = [through[w].column(x) for (w, x) in tx.pairs]
-    big = Matrix.from_columns(cols) if cols else \
-        Matrix.zero(u.target.total, 0)
-    return ModuleMap(tx.module, u.target, big @ tx.sect)
+    tx = tensor_module(bocs, u.source)
+    if tx.counit is None:
+        tx.counit = _counit(bocs.eps, tx)
+    return ModuleMap(tx.module, u.target, u.mat @ tx.counit)
 
 
 def bocs_identity(bocs: Bocs, X: FDModule) -> ModuleMap:

@@ -79,11 +79,14 @@ class RightAlgebra:
     structure-constant algebra on it; emb maps B coordinates into R
     coordinates; coord_of_basis identifies the regular module's
     coordinates with the basis of B; right_act[k] is the right action of
-    the k-th basis element of B on R.
+    the k-th basis element of B on R; induced is induce's store, from the
+    content (dimensions, action entries) of a B-module to its
+    InducedModule.
     """
 
     def __init__(self, bocs: Bocs):
         self.bocs = bocs
+        self.induced = {}
         B = bocs.B
         self.XB = sum_of_projectives(B, list(range(1, B.n + 1)), name="B")
         self.tX = tensor_module(bocs, self.XB)
@@ -181,7 +184,21 @@ InducedModule = namedtuple("InducedModule",
 
 
 def induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
-    """R (x)_B X realized as the morphism space Hom(B, X) over R."""
+    """R (x)_B X realized as the morphism space Hom(B, X) over R.
+
+    Built once per module content and stored on ralg: the construction
+    reads only the dimensions and action of X, so an equal module gets
+    the stored value with X as its source.  Its basis maps may target the
+    first equal module; callers read only their matrices.
+    """
+    key = (X.dims, tuple(a.data for a in X.act))
+    got = ralg.induced.get(key)
+    if got is None:
+        got = ralg.induced[key] = _induce(ralg, X)
+    return got if got.source is X else got._replace(source=X)
+
+
+def _induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
     bocs = ralg.bocs
     basis = bocs_hom_basis(bocs, ralg.XB, X)
     space = MapSpace([h.mat for h in basis], X.total, ralg.tX.module.total)

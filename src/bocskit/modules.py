@@ -41,14 +41,6 @@ class FDModule:
         off = self.offsets[vertex - 1]
         return range(off, off + self.dims[vertex - 1])
 
-    def act_elt(self, v) -> Matrix:
-        """Action matrix of an arbitrary algebra element (coefficient vector)."""
-        m = Matrix.zero(self.total, self.total)
-        for k, c in enumerate(v):
-            if c != 0:
-                m = m + self.act[k].scale(c)
-        return m
-
     def generators_action(self):
         """(algebra basis index, action matrix) for idempotents and arrows."""
         out = []

@@ -21,9 +21,18 @@ class StandardSystem:
         self.rank = {v: k for k, v in enumerate(self.order)}
         self.mode = mode
         self.modules = list(modules)        # index 0 -> vertex 1, ...
+        self._tops = {}
 
     def module(self, i: int) -> FDModule:
         return self.modules[i - 1]
+
+    def top(self, i: int):
+        """The projection of Theta(i) onto its top, built on first use."""
+        got = self._tops.get(i)
+        if got is None:
+            theta = self.module(i)
+            got = self._tops[i] = quotient(theta, radical_vectors(theta))[1]
+        return got
 
 
 class FiltrationLayer:
@@ -108,13 +117,7 @@ def _assert_system_invariants(system: StandardSystem):
                 f"properly standard module at {i} has multiple tops")
 
 
-def _top_projection(theta: FDModule):
-    q, proj, _ = quotient(theta, radical_vectors(theta))
-    return proj
-
-
-def _filtration_search(current: FDModule, system: StandardSystem, allowed,
-                       tops):
+def _filtration_search(current: FDModule, system: StandardSystem, allowed):
     """Layers of a filtration of current, top first, or None."""
     if current.total == 0:
         return []
@@ -127,7 +130,7 @@ def _filtration_search(current: FDModule, system: StandardSystem, allowed,
             continue
         homs = hom_basis(current, theta)
         candidates = [f for f in homs
-                      if not (tops[j].mat @ f.mat).is_zero()]
+                      if not (system.top(j).mat @ f.mat).is_zero()]
         if len(candidates) > 1:
             acc = candidates[0]
             for f in candidates[1:]:
@@ -137,7 +140,7 @@ def _filtration_search(current: FDModule, system: StandardSystem, allowed,
             if f.mat.rank() != theta.total:
                 continue
             ker, kinc = kernel(f)
-            rest = _filtration_search(ker, system, allowed, tops)
+            rest = _filtration_search(ker, system, allowed)
             if rest is not None:
                 return [FiltrationLayer(j, f, kinc)] + rest
     return None
@@ -151,8 +154,7 @@ def theta_filtration(M: FDModule, system: StandardSystem, allowed=None):
     allowed = sorted(allowed if allowed is not None
                      else range(1, system.alg.n + 1),
                      key=lambda v: -system.rank[v])
-    tops = {j: _top_projection(system.module(j)) for j in allowed}
-    layers = _filtration_search(M, system, allowed, tops)
+    layers = _filtration_search(M, system, allowed)
     if layers is None:
         return None
     return FiltrationCertificate(M, layers)

@@ -327,6 +327,18 @@ def test_bprime_table_is_the_signed_m(mixed_algebras):
                         assert str(got.value) == str(e)
                         continue
                     assert tab.bprime(key) == want
+            # a tuple of negative output degree is zero before any check
+            # of m, composable or not and of any length: bprime answers
+            # without calling b
+            classes = [c for c in tab.gmaps if c.k <= 1]
+            negative = [key for r in (3, 4)
+                        for key in itertools.product(classes, repeat=r)
+                        if sum(c.k for c in key) + 2 < r]
+            negative += _chains(tab, tab.r_max + 2, (0,))
+            tab.b = None
+            for key in negative:
+                assert tab.bprime(key) == {} == _signed_m(tab, key)
+            del tab.b
             for key in tab.bp_table:  # shared maps are handed out read-only
                 with pytest.raises(TypeError):
                     tab.bprime(key)[key[0]] = 0

@@ -4,11 +4,13 @@ import weakref
 
 import pytest
 
+from bocskit import burt_butler
 from bocskit import io as bio
 from bocskit.ainf import stasheff_check
 from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_identity,
                           bocs_lift, classify_bocs, construct_bocs,
                           tensor_module, validate_coalgebra)
+from bocskit.burt_butler import right_algebra
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
 from bocskit.modules import (ModuleMap, hom_basis, projective, simple,
@@ -198,6 +200,54 @@ def test_lift_is_a_functor(b1, b2, b3):
                                 bocs_lift(b, v.compose(u)).mat
                             pairs += 1
     assert pairs > 0
+
+
+def _action(X, v):
+    """The action matrix on X of the algebra element v."""
+    m = Matrix.zero(X.total, X.total)
+    for k, c in enumerate(v):
+        if c != 0:
+            m = m + X.act[k].scale(c)
+    return m
+
+
+def _reference_lift(b, u):
+    """u as a morphism: w (x) x goes to u(eps(w) x), with eps(w) acting
+    by its whole action matrix, read back through sect."""
+    X = u.source
+    tx = tensor_module(b, X)
+    through = [u.mat @ _action(X, ev) for ev in b.eps.columns()]
+    cols = [through[w].column(x) for (w, x) in tx.pairs]
+    big = (Matrix.from_columns(cols) if cols
+           else Matrix.zero(u.target.total, 0))
+    return big @ tx.sect
+
+
+def test_lift_reads_one_stored_counit(b0, b1, b2, b3, monkeypatch):
+    lifts = []
+    for b in (b0, b1, b2, b3):
+        B = b.B
+        mods = ([projective(B, i) for i in range(1, B.n + 1)]
+                + [simple(B, i) for i in range(1, B.n + 1)])
+        for X in mods:
+            for Y in mods:
+                lifts += [(b, u) for u in hom_basis(X, Y)]
+        # the right algebra lifts the right multiplication on B by each
+        # idempotent and each basis element (_phi_raw)
+        before = len(lifts)
+        with monkeypatch.context() as m:
+            m.setattr(burt_butler, "bocs_lift",
+                      lambda b, u: lifts.append((b, u)) or bocs_lift(b, u))
+            right_algebra(b)
+        assert len(lifts) - before == B.n + B.dim
+    for b, u in lifts:
+        mat = _reference_lift(b, u)
+        tx = tensor_module(b, u.source)
+        got = bocs_lift(b, u)
+        assert got.source is tx.module and got.target is u.target
+        assert got.mat == mat
+        counit = tx.counit
+        assert bocs_lift(b, u).mat == mat and tx.counit is counit
 
 
 def test_category_associativity(b2):

@@ -1,9 +1,12 @@
+import gc
+import weakref
+from collections import Counter
 from itertools import product
 from types import SimpleNamespace
 
 import pytest
 
-from bocskit import burt_butler
+from bocskit import burt_butler, pipeline
 from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_identity,
                           construct_bocs)
 from bocskit.burt_butler import (borel_checks, ext_dimension,
@@ -13,7 +16,9 @@ from bocskit.burt_butler import (borel_checks, ext_dimension,
                                  standard_check)
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
-from bocskit.modules import is_isomorphic, projective, simple
+from bocskit.modules import (FDModule, direct_sum, is_isomorphic,
+                             projective, simple, syzygies)
+from bocskit.pipeline import roundtrip_bocs
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
@@ -154,6 +159,76 @@ def test_induce_functoriality(r2):
             assert lhs.mat == rg.mat @ rf.mat
     idm = induce_bocs_map(r, bocs_identity(b, X), FX, FX)
     assert idm.mat == Matrix.identity(FX.module.total)
+
+
+def _copy(X):
+    return FDModule(X.alg, X.dims, X.act, name=X.name)
+
+
+def test_induce_is_stored_by_module_content(r0, r1, r2, r3):
+    # an equal module gets the stored value, with itself as the source;
+    # the oracle builds it again on a fresh right algebra.  S + S has the
+    # dimensions of P(i) on e1 and e3, but not its action.
+    for alg, b, r in (r0, r1, r2, r3):
+        B = b.B
+        fresh = right_algebra(b)
+        mods = [r.XB]
+        for i in range(1, B.n + 1):
+            S = simple(B, i)
+            mods += [S, projective(B, i), direct_sum([S, S])]
+            for cover, ker, _ in syzygies(S, 2):
+                mods += [cover.source, ker]
+        for X in mods:
+            first = induce(r, X)
+            Y = _copy(X)
+            got = induce(r, Y)
+            assert got.source is Y and got.module is first.module
+            want = burt_butler._induce(fresh, Y)
+            assert got.module.dims == want.module.dims
+            assert [a.data for a in got.module.act] == \
+                [a.data for a in want.module.act]
+            assert [h.mat for h in got.basis] == [h.mat for h in want.basis]
+            assert (got.to_new, got.to_old) == (want.to_new, want.to_old)
+
+
+@pytest.mark.parametrize("example", [example_dual_numbers, example_jordan3])
+def test_roundtrip_induces_each_module_content_once(example, monkeypatch):
+    bocs = construct_bocs(example(), mode="pdelta", r_max=3)
+    built, calls = Counter(), [0]
+    real_induce, real_build = burt_butler.induce, burt_butler._induce
+
+    def counted(ralg, X):
+        calls[0] += 1
+        return real_induce(ralg, X)
+
+    def build(ralg, X):
+        built[(X.dims, tuple(a.data for a in X.act))] += 1
+        return real_build(ralg, X)
+
+    monkeypatch.setattr(burt_butler, "induce", counted)
+    monkeypatch.setattr(pipeline, "induce", counted)
+    monkeypatch.setattr(burt_butler, "_induce", build)
+    roundtrip_bocs(bocs)
+    assert set(built.values()) == {1}
+    assert calls[0] > len(built)
+
+
+def test_a_dropped_right_algebra_is_freed_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        for example, mode in ((example_dual_numbers, "pdelta"),
+                              (example_a2, "delta")):
+            bocs = construct_bocs(example(), mode=mode, r_max=4)
+            r = right_algebra(bocs)
+            sc = standard_check(r)
+            assert sc["ok"]
+            outs = homological_check(r, sc["induced"], sc["induced"])
+            assert all(out["ok"] for out in outs) and r.induced
+            refs = [weakref.ref(obj) for obj in (r, bocs)]
+            del bocs, r, sc, outs
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_homological_comparison_on_simples(r1, r3, r2, r0, rv):
