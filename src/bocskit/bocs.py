@@ -20,6 +20,8 @@ composes morphisms through the nonzero terms of mu (Bocs.mu_terms).
 
 from __future__ import annotations
 
+from operator import le, lt
+
 from .ainf import AInfTable, build_tables
 from .linalg import (Matrix, ONE, Span, ZERO, balanced_relations,
                      kron_apply, outer, vec_is_zero)
@@ -579,23 +581,21 @@ class BocsClass:
         return self.label
 
 
+def radical_below(B: Algebra, rank, strict: bool) -> bool:
+    """True when no radical basis element of B lies in a block e_i B e_j
+    with i ranked below j, or at or below j when not strict."""
+    below = lt if strict else le
+    return not any(below(rank[B.btarget[k]], rank[B.bsource[k]])
+                   for k in B.radical_indices())
+
+
 def classify_bocs(bocs: Bocs) -> BocsClass:
     """Shape classification of the bocs against the vertex order."""
     if not bocs.kernel_is_free():
         return BocsClass("invalid", [], bocs.d)
-    B = bocs.B
     rank = {v: k for k, v in enumerate(bocs.order)}
-
-    def rad_zero(i, j):
-        for k in bocs.B.block_indices(i, j):
-            if B.bdegree[k] >= 1:
-                return False
-        return True
-
-    rad_le = all(rad_zero(i, j) for i in range(1, B.n + 1)
-                 for j in range(1, B.n + 1) if rank[i] <= rank[j])
-    rad_lt = all(rad_zero(i, j) for i in range(1, B.n + 1)
-                 for j in range(1, B.n + 1) if rank[i] < rank[j])
+    rad_le = radical_below(bocs.B, rank, strict=False)
+    rad_lt = radical_below(bocs.B, rank, strict=True)
     blocks_gt = all(rank[a] > rank[b] for (a, b) in bocs.d)
     blocks_ge = all(rank[a] >= rank[b] for (a, b) in bocs.d)
 

@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bocs import (Bocs, bocs_compose, bocs_hom_basis, bocs_lift,
-                   tensor_module)
+                   radical_below, tensor_module)
 from .linalg import (MapSpace, Matrix, ONE, Span, ZERO, balanced_relations,
                      nonzeros, qdiv)
 from .modules import (FDModule, ModuleMap, hom_basis, is_isomorphic,
@@ -302,21 +302,13 @@ def borel_checks(ralg: RightAlgebra):
     bocs = ralg.bocs
     B = bocs.B
     R = ralg.R
-    rank = {v: t for t, v in enumerate(bocs.order)}
     report = {}
     # R as a right B-module, i.e. a left module over B opposite
     rb_mod, _, _ = _module_from_action(B.opposite(), R.dim, ralg.right_act)
     cover = projective_cover(rb_mod)
     report["right_projective"] = (cover.source.total == rb_mod.total)
-    # Peirce pattern of B
-    peirce = True
-    for i in range(1, B.n + 1):
-        for j in range(1, B.n + 1):
-            if rank[i] < rank[j]:
-                if any(B.bdegree[k] >= 1
-                       for k in B.block_indices(i, j)):
-                    peirce = False
-    report["peirce_pattern"] = peirce
+    rank = {v: t for t, v in enumerate(bocs.order)}
+    report["peirce_pattern"] = radical_below(B, rank, strict=True)
     # induced regular module and dimension recomputations
     FB = induce(ralg, ralg.XB)
     regular = sum_of_projectives(R, list(range(1, R.n + 1)), name="R")

@@ -64,11 +64,13 @@ def _fail(ctx, err, stage="input"):
     ctx.exit(1)
 
 
-def _load_algebra(ctx, path):
+def _load(ctx, path, kind, what):
+    """The built object of the document at path, which must be a kind
+    document; any failure exits through _fail at stage "input"."""
     try:
         parsed = bio.parse(path)
-        if not isinstance(parsed, bio.AlgebraDocument):
-            raise ValueError("expected an algebra document")
+        if not isinstance(parsed, kind):
+            raise ValueError(f"expected {what}")
         return parsed.build()
     except ValueError as e:
         _fail(ctx, e)
@@ -93,7 +95,8 @@ def main(ctx, out, fmt, dim_bound):
 @click.pass_context
 def classify(ctx, source):
     """Classify an algebra document against its vertex order."""
-    alg, order = _load_algebra(ctx, source)
+    alg, order = _load(ctx, source, bio.AlgebraDocument,
+                       "an algebra document")
     try:
         cls = classify_algebra(alg, order)
     except ValueError as e:
@@ -111,7 +114,8 @@ def classify(ctx, source):
 @click.pass_context
 def bocs(ctx, source, mode, rmax):
     """Construct the bocs of an algebra document and emit it."""
-    alg, order = _load_algebra(ctx, source)
+    alg, order = _load(ctx, source, bio.AlgebraDocument,
+                       "an algebra document")
     try:
         b = construct_bocs(alg, order, mode=mode, r_max=rmax)
         doc = bio.bocs_to_doc(b)
@@ -125,13 +129,7 @@ def bocs(ctx, source, mode, rmax):
 @click.pass_context
 def burt_butler(ctx, source):
     """Build the right algebra of a bocs document and verify it."""
-    try:
-        parsed = bio.parse(source)
-        if not isinstance(parsed, bio.BocsDocument):
-            raise ValueError("expected a bocs document")
-        b = parsed.build()
-    except ValueError as e:
-        _fail(ctx, e)
+    b = _load(ctx, source, bio.BocsDocument, "a bocs document")
     try:
         report = roundtrip_bocs(b)
     except ValueError as e:
@@ -147,7 +145,8 @@ def burt_butler(ctx, source):
 @click.pass_context
 def verify(ctx, source, mode, rmax):
     """Run the full verification pipeline on an algebra document."""
-    alg, order = _load_algebra(ctx, source)
+    alg, order = _load(ctx, source, bio.AlgebraDocument,
+                       "an algebra document")
     try:
         report = run_pipeline(alg, order, mode=mode,
                               config={"r_max": rmax,

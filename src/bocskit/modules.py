@@ -150,38 +150,36 @@ def _from_arrow_blocks(alg: Algebra, dims, arrow_mats, name=""):
     if alg.paths is None:
         raise ValueError("algebra has no path presentation")
     dims = tuple(dims)
-    total = sum(dims)
-    offsets = []
-    off = 0
-    for d in dims:
-        offsets.append(off)
-        off += d
-
-    def embed(block: Matrix, t: int, s: int) -> Matrix:
-        m = [[ZERO] * total for _ in range(total)]
-        for r in range(block.rows):
-            for c in range(block.cols):
-                m[offsets[t - 1] + r][offsets[s - 1] + c] = block.data[r][c]
-        return Matrix(total, total, m)
-
     by_arrow = {}
     for (aname, s, t, k), block in zip(alg.arrows, arrow_mats):
         if block.rows != dims[t - 1] or block.cols != dims[s - 1]:
             raise ValueError(f"arrow {aname}: block shape mismatch")
-        by_arrow[aname] = embed(block, t, s)
+        by_arrow[aname] = place_block(dims, t, s, block)
 
     act = []
     for k in range(alg.dim):
         source, names = alg.paths[k]
         if not names:
             block = Matrix.identity(dims[source - 1])
-            act.append(embed(block, source, source))
+            act.append(place_block(dims, source, source, block))
         else:
-            m = Matrix.identity(total)
+            m = Matrix.identity(sum(dims))
             for aname in names:
                 m = by_arrow[aname] @ m
             act.append(m)
     return FDModule(alg, dims, act, name=name)
+
+
+def place_block(dims, t: int, s: int, block: Matrix) -> Matrix:
+    """The square matrix, on coordinates grouped by vertex with dims[v - 1]
+    at vertex v, that is block from vertex s's coordinates to vertex t's
+    and zero elsewhere."""
+    total = sum(dims)
+    rt, cs = sum(dims[:t - 1]), sum(dims[:s - 1])
+    grid = [[ZERO] * total for _ in range(total)]
+    for r, row in enumerate(block.data):
+        grid[rt + r][cs:cs + block.cols] = row
+    return Matrix(total, total, grid)
 
 
 def direct_sum(modules, name=""):
@@ -283,28 +281,35 @@ def _trace_pairing(hom_mn, hom_nm) -> Matrix:
                    for g in hom_nm])
 
 
+def from_generators(P: FDModule, X: FDModule, images) -> ModuleMap:
+    """The map P -> X sending the generator of summand s to images[s].
+
+    P is built by sum_of_projectives, and images[s] is a vector of X at the
+    vertex of summand s; a summand absent from images goes to zero.  A map
+    out of A e_v is fixed by the image x of e_v, so the coordinate of word
+    k in summand s goes to act_X(k) x.
+    """
+    cols = [(ZERO,) * X.total] * P.total
+    for s, x in images.items():
+        for coord, k in P.proj_gens[s][2]:
+            cols[coord] = X.act[k].apply(x)
+    return ModuleMap(P, X, Matrix(X.total, P.total, zip(*cols)) if cols
+                     else Matrix.zero(X.total, 0))
+
+
 def hom_from_projective(P: FDModule, X: FDModule):
     """Basis of Hom(P, X) for P a realized direct sum of projectives.
 
     Reads P.proj_gens, which every module built by sum_of_projectives (so
-    every projective) carries.  A hom from the summand generated at
-    coordinate g with vertex i corresponds to a vector x in e_i X; the map
-    sends the coordinate of word w to act_X(w) x.
+    every projective) carries: one map per summand s at vertex v and per
+    unit vector of e_v X, the generator's image.
     """
     gens = getattr(P, "proj_gens", None)
     if gens is None:
         raise ValueError("module does not carry projective summand data")
-    out = []
-    for (gcoord, vtx, word_idxs) in gens:
-        for c in X.vertex_range(vtx):
-            x = tuple(ONE if k == c else ZERO for k in range(X.total))
-            cols = [None] * P.total
-            for coord, widx in word_idxs:
-                cols[coord] = X.act[widx].apply(x)
-            grid = [[cols[cc][r] if cols[cc] is not None else ZERO
-                     for cc in range(P.total)] for r in range(X.total)]
-            out.append(ModuleMap(P, X, Matrix(X.total, P.total, grid)))
-    return out
+    unit = Matrix.identity(X.total)
+    return [from_generators(P, X, {s: unit.column(c)})
+            for s, (_, v, _) in enumerate(gens) for c in X.vertex_range(v)]
 
 
 def sum_of_projectives(alg: Algebra, vertices, name=""):
@@ -390,43 +395,24 @@ def kernel(f: ModuleMap):
     return submodule(f.source, f.mat.kernel_basis(), name="ker")
 
 
-def radical_vectors(M: FDModule):
-    """Spanning vectors of rad A * M."""
-    span = Span(M.total, [M.act[k].column(c) for _, _, _, k in M.alg.arrows
-                          for c in range(M.total)])
-    # higher radical words are generated by arrow products acting on these,
-    # so the span is closed under the arrow actions
-    changed = True
-    while changed:
-        changed = False
-        for name, s, t, k in M.alg.arrows:
-            for v in list(span.rows):
-                if span.add(M.act[k].apply(v)):
-                    changed = True
-    return [tuple(r) for r in span.rows]
+def radical_vectors(M: FDModule, power: int = 1):
+    """Spanning vectors of rad^power A * M: the columns of the basis
+    elements of radical degree at least power.  Every Algebra basis is
+    adapted to the radical filtration (path bases by length, structure
+    constant bases by radical layer), so these elements span rad^power A.
+    """
+    return [M.act[k].column(c) for k in range(M.alg.dim)
+            if M.alg.bdegree[k] >= power for c in range(M.total)]
 
 
 def projective_cover(M: FDModule):
     """Surjection from a sum of projectives with superfluous kernel."""
-    alg = M.alg
-    q, proj, sect = quotient(M, radical_vectors(M))
-    vertices = []
-    reps = []  # preimages in M of the top basis vectors
-    col = 0
-    for i in range(1, alg.n + 1):
-        for _ in range(q.dims[i - 1]):
-            vertices.append(i)
-            reps.append(sect.column(col))
-            col += 1
-    P = sum_of_projectives(alg, vertices, name=f"cover({M.name})")
-    if not vertices:
-        return ModuleMap(P, M, Matrix.zero(M.total, 0))
-    cols = [None] * P.total
-    for (gcoord, vtx, word_idxs), rep in zip(P.proj_gens, reps):
-        for coord, widx in word_idxs:
-            cols[coord] = M.act[widx].apply(rep)
-    grid = [[cols[c][r] for c in range(P.total)] for r in range(M.total)]
-    f = ModuleMap(P, M, Matrix(M.total, P.total, grid))
+    q, _, sect = quotient(M, radical_vectors(M))
+    # one summand per top basis vector, its generator sent to a preimage
+    vertices = [v for v in range(1, M.alg.n + 1)
+                for _ in range(q.dims[v - 1])]
+    P = sum_of_projectives(M.alg, vertices, name=f"cover({M.name})")
+    f = from_generators(P, M, dict(enumerate(sect.columns())))
     if f.mat.rank() != M.total:
         raise ValueError("projective cover construction failed to surject")
     return f

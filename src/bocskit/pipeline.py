@@ -26,7 +26,7 @@ from .burt_butler import (_endo_algebra, borel_checks, homological_check,
                           induce, loop_subalgebra_check, morita_compare,
                           right_algebra, standard_check)
 from .modules import (hom_basis, is_isomorphic, projective, quotient,
-                      simple, submodule)
+                      radical_vectors, simple, submodule)
 from .strata import classify_algebra, theta_filtration
 from .twisted import hom_dim_compare
 
@@ -135,17 +135,6 @@ class _Run:
         return PipelineReport(doc, timing)
 
 
-def _rad_power_vectors(alg, M, a):
-    if a <= 0:
-        return []
-    vecs = []
-    for k in range(alg.dim):
-        if alg.bdegree[k] >= a:
-            for c in range(M.total):
-                vecs.append(M.act[k].column(c))
-    return vecs
-
-
 def _is_indecomposable(M):
     if M.total == 0:
         return False
@@ -166,13 +155,13 @@ def indecomposables_up_to(alg, bound):
     for i in range(1, alg.n + 1):
         P = projective(alg, i)
         for b in range(1, loewy + 1):
-            Q, proj, _ = quotient(P, _rad_power_vectors(alg, P, b))
+            Q, proj, _ = quotient(P, radical_vectors(P, b))
             for a in range(0, b):
                 if a == 0:
                     cand = Q
                 else:
                     vecs = [tuple(proj.mat.apply(v))
-                            for v in _rad_power_vectors(alg, P, a)]
+                            for v in radical_vectors(P, a)]
                     cand, _ = submodule(Q, vecs)
                 if cand.total == 0 or cand.total > bound:
                     continue

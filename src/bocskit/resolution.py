@@ -13,9 +13,10 @@ d(f)^(l) = d'_{l-k} f^(l) - (-1)^k f^(l-1) d_l.
 
 from __future__ import annotations
 
-from .linalg import MapSpace, Matrix, ONE, Span, ZERO, nonzeros
-from .modules import (FDModule, ModuleMap, hom_from_projective, quotient,
-                      radical_vectors, syzygies)
+from .linalg import MapSpace, Matrix, Span, ZERO, nonzeros
+from .modules import (FDModule, ModuleMap, from_generators,
+                      hom_from_projective, quotient, radical_vectors,
+                      syzygies)
 from .quiver import Algebra, from_structure_constants
 from .strata import StandardSystem, standard_modules
 
@@ -372,15 +373,11 @@ def ext_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
             if len(positions) != len(reps):
                 raise AssertionError(
                     "copy count does not match the cocycle computation")
-            Pk = R.P(k)
+            P0 = Rp.P(0)
+            gen = Matrix.identity(P0.total).column(P0.proj_gens[0][0])
             for p in positions:
                 # project P_k onto its p-th summand, a copy of P(i) = P_0
-                _, _, words = Pk.proj_gens[p]
-                proj = Matrix(len(words), Pk.total,
-                              [[ONE if c == coord else ZERO
-                                for c in range(Pk.total)]
-                               for coord, _ in words])
-                seed = ModuleMap(Pk, Rp.P(0), proj)
+                seed = from_generators(R.P(k), P0, {p: gen})
                 out.append(lift_chain_map(R, Rp, k, seed))
     else:
         if k == 0 and i == j:

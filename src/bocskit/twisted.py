@@ -13,10 +13,11 @@ inconclusive.
 
 from __future__ import annotations
 
-from .ainf import AInfTable, ExtClass
+from .ainf import AInfTable
 from .bocs import Bocs, bocs_hom_basis
 from .linalg import MapSpace, Matrix, Span, ZERO
-from .modules import FDModule, ModuleMap, _from_arrow_blocks, hom_basis
+from .modules import (FDModule, ModuleMap, _from_arrow_blocks, hom_basis,
+                      hom_from_projective, place_block)
 from .strata import FiltrationCertificate
 
 
@@ -35,25 +36,6 @@ class PretwistedModule:
     @property
     def total(self):
         return sum(self.X)
-
-    def offsets(self):
-        out = []
-        off = 0
-        for d in self.X:
-            out.append(off)
-            off += d
-        return out
-
-    def embedded(self, f: Matrix, cls: ExtClass) -> Matrix:
-        """The block map placed inside the total space."""
-        offs = self.offsets()
-        total = self.total
-        grid = [[ZERO] * total for _ in range(total)]
-        for r in range(f.rows):
-            for c in range(f.cols):
-                grid[offs[cls.j - 1] + r][offs[cls.i - 1] + c] = \
-                    f.data[r][c]
-        return Matrix(total, total, grid)
 
 
 def module_from_pretwisted(pt: PretwistedModule, bocs: Bocs) -> FDModule:
@@ -80,8 +62,7 @@ def _mc_matrices(pt: PretwistedModule, table: AInfTable):
     With every class of degree 1 the twisting sign equals the suspension
     sign, so the sum is evaluated through the truncated bar products.
     """
-    total = pt.total
-    emb = [(cls, pt.embedded(f, cls)) for f, cls in pt.delta]
+    emb = [(cls, place_block(pt.X, cls.j, cls.i, f)) for f, cls in pt.delta]
     out = {}
     chains = [((cls,), m) for cls, m in emb if not m.is_zero()]
     for r in range(2, table.r_max + 1):
@@ -109,7 +90,7 @@ def _is_nilpotent(pt: PretwistedModule) -> bool:
     total = pt.total
     if total == 0:
         return True
-    gens = [pt.embedded(f, cls) for f, cls in pt.delta]
+    gens = [place_block(pt.X, cls.j, cls.i, f) for f, cls in pt.delta]
     layer = [m for m in gens if not m.is_zero()]
     for _ in range(total):
         nxt = []
@@ -169,7 +150,8 @@ def _extension_coefficients(bocs: Bocs, E: FDModule, pi: ModuleMap,
     theta_j = Rj.module
 
     # lift the augmentation through pi
-    space = MapSpace([h.mat for h in hom_basis(P0, E)], E.total, P0.total)
+    space = MapSpace([h.mat for h in hom_from_projective(P0, E)], E.total,
+                     P0.total)
     try:
         umat = space.combine(space.through(pi.mat).coords(Ri.aug.mat))
     except ValueError:
@@ -184,7 +166,7 @@ def _extension_coefficients(bocs: Bocs, E: FDModule, pi: ModuleMap,
     # match against tabulated cocycles modulo coboundaries
     cocs = [Rj.aug.mat @ table.graded_map(c).component(1).mat
             for c in basis]
-    cobs = [h.mat @ Ri.diff(1).mat for h in hom_basis(P0, theta_j)]
+    cobs = [h.mat @ Ri.diff(1).mat for h in hom_from_projective(P0, theta_j)]
     try:
         sol = MapSpace(cocs + cobs, g.rows, g.cols).coords(g)
     except ValueError:

@@ -3,7 +3,8 @@ import pytest
 from bocskit.bocs import construct_bocs
 from bocskit.burt_butler import right_algebra
 from bocskit.corpus import random_corpus
-from bocskit.quiver import (example_a2, example_dual_numbers,
+from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
+                            example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
 
 
@@ -18,3 +19,32 @@ def mixed_algebras():
     bocs = construct_bocs(example_dual_numbers(), mode="pdelta", r_max=5)
     algs.append(right_algebra(bocs).R)
     return algs
+
+
+@pytest.fixture(scope="session")
+def mixed_length_algebras():
+    """Two algebras whose relations mix path lengths, built through the
+    global reduction of build_algebra."""
+    return [_mixed_length_loop(), _mixed_length_cycle()]
+
+
+def _mixed_length_loop():
+    """K[x]/(x^2 - x^3, x^4), which is K[x]/(x^2): one relation of two
+    lengths, so build_algebra takes the global reduction."""
+    q = Quiver(1, [("x", 1, 1)])
+    rels = [Relation(q, [(1, 1, ("x", "x")), (-1, 1, ("x", "x", "x"))]),
+            Relation(q, [(1, 1, ("x",) * 4)])]
+    return build_algebra(q, RelationSet(q, rels), length_bound=8)
+
+
+def _mixed_length_cycle():
+    """a: 1 -> 2, b: 2 -> 1 and a loop c at 1 with b a = c^3, c^4 = 0 and
+    a b = b c = a c = 0 (a applied first): the first relation has two
+    lengths, so build_algebra takes the global reduction."""
+    q = Quiver(2, [("a", 1, 2), ("b", 2, 1), ("c", 1, 1)])
+    rels = [Relation(q, [(1, 1, ("a", "b")), (-1, 1, ("c", "c", "c"))]),
+            Relation(q, [(1, 1, ("c",) * 4)]),
+            Relation(q, [(1, 2, ("b", "a"))]),
+            Relation(q, [(1, 2, ("b", "c"))]),
+            Relation(q, [(1, 1, ("c", "a"))])]
+    return build_algebra(q, RelationSet(q, rels), length_bound=8)

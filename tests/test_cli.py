@@ -177,6 +177,26 @@ def test_bad_bocs_document_fails_at_the_boundary(fixture_dir, tmp_path):
             "error": f"schema violation at {pointer}", "stage": "input"}
 
 
+def test_a_document_of_the_wrong_kind_fails_at_the_boundary(fixture_dir,
+                                                            tmp_path):
+    runner = CliRunner()
+    bpath = tmp_path / "e1-bocs.json"
+    result = runner.invoke(main, ["--out", str(bpath), "bocs",
+                                  str(fixture_dir / "e1.json"),
+                                  "--rmax", "3"])
+    assert result.exit_code == 0, result.output
+    for command, path, kind in [
+            ("verify", bpath, "an algebra"),
+            ("burt-butler", fixture_dir / "e1.json", "a bocs")]:
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": f"expected {kind} document",
+                                        "stage": "input"}
+
+
 def test_exponent_coefficient_fails_at_the_boundary(fixture_dir, tmp_path):
     doc = json.loads((fixture_dir / "e1.json").read_text())
     doc["relations"][0]["terms"][0]["coefficient"] = "1e1000000"

@@ -2,15 +2,19 @@ import gc
 
 import pytest
 
-from bocskit.linalg import Matrix
-from bocskit.modules import (direct_sum, from_arrow_matrices, hom_basis,
-                             hom_from_projective, iso_defect, is_isomorphic,
-                             kernel, projective, projective_cover, quotient,
+from bocskit.bocs import construct_bocs
+from bocskit.burt_butler import right_algebra
+from bocskit.linalg import ONE, ZERO, Matrix, Span
+from bocskit.modules import (direct_sum, from_arrow_matrices,
+                             from_generators, hom_basis, hom_from_projective,
+                             iso_defect, is_isomorphic, kernel, place_block,
+                             projective, projective_cover, quotient,
                              radical_vectors, simple, submodule,
                              sum_of_projectives, syzygies)
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
+from bocskit.strata import standard_modules
 
 
 def test_projective_dims_a2():
@@ -226,3 +230,156 @@ def test_is_isomorphic_distinguishes():
     one_one = direct_sum([simple(alg, 1), simple(alg, 2)])
     assert not is_isomorphic(two, one_one)
     assert is_isomorphic(one_one, direct_sum([simple(alg, 2), simple(alg, 1)]))
+
+
+def _targets(alg):
+    """Simples, projectives and the first syzygy of each simple."""
+    vs = range(1, alg.n + 1)
+    return ([simple(alg, v) for v in vs] + [projective(alg, v) for v in vs]
+            + [syzygies(simple(alg, v), 1)[0][1] for v in vs])
+
+
+def _arrow_closure_radical(M, power):
+    """rad^power M as a span, by the arrow-closure fixpoint that computed
+    rad M before radical_vectors read the basis, iterated power times:
+    the arrow images of the previous layer, closed under the arrows."""
+    span = Span(M.total, Matrix.identity(M.total).columns())
+    for _ in range(power):
+        span = Span(M.total, [M.act[k].apply(v) for _, _, _, k
+                              in M.alg.arrows for v in span.rows])
+        changed = True
+        while changed:
+            changed = False
+            for _, _, _, k in M.alg.arrows:
+                for v in list(span.rows):
+                    if span.add(M.act[k].apply(v)):
+                        changed = True
+    return span
+
+
+def _hom_from_projective_by_words(P, X):
+    """Hom(P, X) as hom_from_projective built it before from_generators:
+    one loop over the words of each summand per unit vector of e_v X."""
+    out = []
+    for (gcoord, vtx, word_idxs) in P.proj_gens:
+        for c in X.vertex_range(vtx):
+            x = tuple(ONE if k == c else ZERO for k in range(X.total))
+            cols = [None] * P.total
+            for coord, widx in word_idxs:
+                cols[coord] = X.act[widx].apply(x)
+            out.append(Matrix(X.total, P.total, [
+                [cols[cc][r] if cols[cc] is not None else ZERO
+                 for cc in range(P.total)] for r in range(X.total)]))
+    return out
+
+
+def _cover_by_words(M):
+    """(summand vertices, matrix) of the projective cover as it was built
+    before from_generators, on the arrow-closure radical."""
+    q, _, sect = quotient(M, _arrow_closure_radical(M, 1).rows)
+    vertices, reps = [], []
+    col = 0
+    for i in range(1, M.alg.n + 1):
+        for _ in range(q.dims[i - 1]):
+            vertices.append(i)
+            reps.append(sect.column(col))
+            col += 1
+    P = sum_of_projectives(M.alg, vertices)
+    if not vertices:
+        return vertices, Matrix.zero(M.total, 0)
+    cols = [None] * P.total
+    for (gcoord, vtx, word_idxs), rep in zip(P.proj_gens, reps):
+        for coord, widx in word_idxs:
+            cols[coord] = M.act[widx].apply(rep)
+    return vertices, Matrix(M.total, P.total, [
+        [cols[c][r] for c in range(P.total)] for r in range(M.total)])
+
+
+def test_from_generators_sends_each_generator_to_its_image(mixed_algebras):
+    checked = 0
+    for alg in mixed_algebras:
+        n = alg.n
+        for vs in (list(range(1, n + 1)), [n, 1, n]):
+            P = sum_of_projectives(alg, vs)
+            for X in _targets(alg):
+                images = {s: tuple(c + s + 1 if c in X.vertex_range(v)
+                                   else ZERO for c in range(X.total))
+                          for s, v in enumerate(vs)}
+                f = from_generators(P, X, images)
+                f.check_intertwining()
+                for s, (gcoord, _, _) in enumerate(P.proj_gens):
+                    assert f.mat.column(gcoord) == images[s]
+                    checked += any(images[s])
+                # a summand absent from images goes to zero, so the maps
+                # of the summands alone add up to f
+                parts = [from_generators(P, X, {s: x})
+                         for s, x in images.items()]
+                total = Matrix.zero(X.total, P.total)
+                for part in parts:
+                    part.check_intertwining()
+                    total = total + part.mat
+                assert total == f.mat
+    assert checked > 100
+
+
+def test_hom_from_projective_and_cover_match_the_word_loops(mixed_algebras):
+    for alg in mixed_algebras:
+        n = alg.n
+        targets = _targets(alg)
+        for vs in (list(range(1, n + 1)), [n, 1, n]):
+            P = sum_of_projectives(alg, vs)
+            for X in targets:
+                assert [f.mat for f in hom_from_projective(P, X)] == \
+                    _hom_from_projective_by_words(P, X)
+        for mode in ("delta", "pdelta"):
+            targets += standard_modules(alg, mode=mode).modules
+        for M in targets:
+            cover = projective_cover(M)
+            vertices, mat = _cover_by_words(M)
+            assert cover.source.summands == vertices
+            assert cover.mat == mat
+    with pytest.raises(ValueError, match="projective summand data"):
+        hom_from_projective(simple(example_a2(), 1), simple(example_a2(), 1))
+
+
+def test_radical_vectors_span_the_arrow_closure(mixed_algebras,
+                                                mixed_length_algebras):
+    rights = [right_algebra(construct_bocs(alg, mode="pdelta", r_max=3)).R
+              for alg in (example_dual_numbers(), example_jordan3())]
+    for alg in mixed_algebras + rights + mixed_length_algebras:
+        vs = range(1, alg.n + 1)
+        mods = _targets(alg)
+        mods += [omega for v in vs
+                 for _, omega, _ in syzygies(simple(alg, v), 2)]
+        for mode in ("delta", "pdelta"):
+            mods += standard_modules(alg, mode=mode).modules
+        loewy = max(alg.bdegree) + 1
+        for M in mods:
+            for a in range(1, loewy + 1):
+                got = Span(M.total, radical_vectors(M, a))
+                assert got.rows == _arrow_closure_radical(M, a).rows
+        # on each projective the layers shrink to zero
+        for v in vs:
+            P = projective(alg, v)
+            sizes = [len(Span(P.total, radical_vectors(P, a)))
+                     for a in range(loewy + 1)]
+            assert sizes == sorted(sizes, reverse=True) and sizes[-1] == 0
+
+
+def test_place_block_puts_the_block_at_the_vertex_offsets():
+    dims = (2, 0, 3)
+    for t in range(1, 4):
+        for s in range(1, 4):
+            block = Matrix(dims[t - 1], dims[s - 1],
+                           [[10 * r + c + 1 for c in range(dims[s - 1])]
+                            for r in range(dims[t - 1])])
+            got = place_block(dims, t, s, block)
+            rows = [r for r in range(5) if r - sum(dims[:t - 1])
+                    in range(dims[t - 1])]
+            cols = [c for c in range(5) if c - sum(dims[:s - 1])
+                    in range(dims[s - 1])]
+            for r in range(5):
+                for c in range(5):
+                    want = (block.data[rows.index(r)][cols.index(c)]
+                            if r in rows and c in cols else ZERO)
+                    assert got.data[r][c] == want

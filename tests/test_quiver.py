@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from bocskit.linalg import ONE, ZERO, Matrix, nonzeros
 from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
-                            build_algebra, from_structure_constants,
+                            _build_global, _build_graded, build_algebra,
+                            from_structure_constants,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair,
                             table_product)
@@ -122,6 +123,44 @@ def test_mixed_length_nilpotent_relation():
                       alg.basis_vec(alg.arrows[2][3]))
     assert ab == cc
     assert ab != alg.zero()
+
+
+def test_mixed_length_relations_take_the_global_reduction(
+        mixed_length_algebras):
+    loop, cycle = mixed_length_algebras
+    for alg in mixed_length_algebras:
+        assert not alg.relations.homogeneous
+        ref = _build_global(alg.quiver, alg.relations, 8)
+        assert (alg.paths, alg.table) == (ref.paths, ref.table)
+    # x^2 = x^3 = x^4 = 0: K[x]/(x^2)
+    assert loop.dim == 2 and loop.labels == ["e1", "x"]
+    x = loop.basis_vec(loop.arrows[0][3])
+    assert loop.multiply(x, x) == loop.zero()
+    # b a = c^3 survives; c^4, a b, b c and a c vanish
+    assert cycle.dim == 7
+    assert cycle.labels == ["e1", "e2", "a", "c", "b", "c*c", "c*c*c"]
+    a, b, c = (cycle.basis_vec(k) for _, _, _, k in cycle.arrows)
+    c3 = cycle.multiply(c, cycle.multiply(c, c))
+    assert c3 == cycle.basis_vec(cycle.labels.index("c*c*c"))
+    assert cycle.multiply(b, a) == c3 != cycle.zero()
+    assert cycle.multiply(c, c3) == cycle.zero()
+    assert cycle.cartan_matrix() == [[4, 1], [1, 1]]
+
+
+def test_global_and_graded_builders_agree_on_homogeneous_relations(
+        mixed_algebras):
+    q = Quiver(4, [("a", 1, 2), ("b", 2, 4), ("c", 1, 3), ("d", 3, 4)])
+    square = RelationSet(q, [Relation(q, [(1, 1, ("a", "b")),
+                                          (-1, 1, ("c", "d"))])])
+    inputs = [(alg.quiver, alg.relations) for alg in mixed_algebras
+              if alg.quiver is not None] + [(q, square)]
+    assert len(inputs) == 11
+    for quiver, relations in inputs:
+        assert relations.homogeneous
+        one = _build_global(quiver, relations, 12)
+        two = _build_graded(quiver, relations, 12)
+        assert (one.paths, one.table, one.labels, one.arrows) == (
+            two.paths, two.table, two.labels, two.arrows)
 
 
 def test_opposite_algebra():

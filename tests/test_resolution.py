@@ -4,12 +4,12 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bocskit.linalg import Matrix
+from bocskit.linalg import ONE, ZERO, Matrix
 from bocskit.modules import ModuleMap, projective
 from bocskit.quiver import (example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
-from bocskit.resolution import (GradedMap, ResolvedSystem, differential,
-                                ext_basis, ext_dim, hodge_data,
+from bocskit.resolution import (N_MAX, GradedMap, ResolvedSystem,
+                                differential, ext_basis, ext_dim, hodge_data,
                                 is_null_homotopic, lift_chain_map,
                                 minimal_resolution, quotient_by_idempotents,
                                 radical_criterion, reduction_check,
@@ -353,3 +353,28 @@ def test_null_homotopic_exactly_on_boundaries_delta(data):
             assert differential(witness).equals(f)
         else:
             assert witness is None
+
+
+def test_pdelta_ext_seeds_are_the_summand_projections(mixed_algebras):
+    # the seed of each same-vertex class in degree k >= 1 is the 0/1
+    # projection of P_k onto one P(i) summand, as the word loop built it
+    seeds = 0
+    for alg in mixed_algebras:
+        rsys = pdelta_system(alg)
+        for i in range(1, alg.n + 1):
+            R = rsys.resolution(i)
+            for k in range(1, N_MAX + 1):
+                Pk = R.P(k)
+                positions = [p for p, v in enumerate(R.mult_list(k))
+                             if v == i]
+                classes = ext_basis(rsys, i, i, k)
+                assert len(classes) == len(positions)
+                for p, f in zip(positions, classes):
+                    _, _, words = Pk.proj_gens[p]
+                    want = Matrix(len(words), Pk.total,
+                                  [[ONE if c == coord else ZERO
+                                    for c in range(Pk.total)]
+                                   for coord, _ in words])
+                    assert f.component(k).mat == want
+                    seeds += 1
+    assert seeds > 10
