@@ -50,13 +50,9 @@ class ExtClass(NamedTuple):
 
 
 def _vertex_pair(rsys: ResolvedSystem, f: GradedMap):
-    src = tgt = None
-    for i, res in rsys.resolutions.items():
-        if res is f.src:
-            src = i
-        if res is f.tgt:
-            tgt = i
-    if src is None or tgt is None:
+    src, tgt = f.src.vertex, f.tgt.vertex
+    if rsys.resolutions.get(src) is not f.src or \
+            rsys.resolutions.get(tgt) is not f.tgt:
         raise ValueError("graded map does not live on the resolved system")
     return src, tgt
 

@@ -124,8 +124,9 @@ class Bocs:
 
     @classmethod
     def from_parts(cls, B, order, mode, r_max, *, w_dim, w_block, WL, WR,
-                   eps, mu_pairs, kernel_basis, kernel_generators, d):
-        """The bocs of a document, from B, W, eps, mu and the kernel data.
+                   eps, mu_pairs):
+        """The bocs of a document, from B, W, eps and mu; the kernel data
+        is derived as in __init__.
 
         It has no algebra, A-infinity table or duals (alg, table and duals
         are None), so validate_coalgebra raises ValueError on it.
@@ -138,9 +139,7 @@ class Bocs:
         bocs.WR = WR
         bocs.eps = eps
         bocs.mu_pairs = mu_pairs
-        bocs.kernel_basis = kernel_basis
-        bocs.kernel_generators = kernel_generators
-        bocs.d = d
+        bocs._build_kernel()
         return bocs
 
     # -- degree-1 words ---------------------------------------------------
@@ -615,11 +614,15 @@ def classify_bocs(bocs: Bocs) -> BocsClass:
 # -- the module category ----------------------------------------------------
 
 
-class TensorModule:
-    """W (x)_B X presented as a quotient of the pair space.
+class TensorModule(FDModule):
+    """W (x)_B X, the source of the bocs morphisms out of X.
 
-    counit, the map W (x)_B X -> X of w (x) x to eps(w) x, is set by
-    bocs_lift the first time it lifts a map out of X.
+    It is the quotient of the pair space W (x) X by the balanced
+    relations: pairs lists its pair coordinates (w, x), ordered by the
+    target block of w, index inverts that list, proj is the Matrix from
+    pairs onto W (x)_B X and sect the Matrix of coset representatives
+    back.  counit, the map W (x)_B X -> X of w (x) x to eps(w) x, is set
+    by bocs_lift the first time it lifts a map out of X.
     """
 
     def __init__(self, bocs: Bocs, X: FDModule):
@@ -627,11 +630,10 @@ class TensorModule:
         self.counit = None
         B = bocs.B
         wdim = bocs.w_dim
-        # pair coordinates ordered by the target block of the W factor
         pairs = [(w, x) for w in range(wdim) for x in range(X.total)]
         pairs.sort(key=lambda p: (bocs.w_block[p[0]][0], p[0], p[1]))
         self.pairs = pairs
-        index = {p: k for k, p in enumerate(pairs)}
+        self.index = index = {p: k for k, p in enumerate(pairs)}
         dims = [0] * B.n
         for (w, x) in pairs:
             dims[bocs.w_block[w][0] - 1] += 1
@@ -646,38 +648,35 @@ class TensorModule:
                         col[index[(y, x)]] = c
                 cols.append(col)
             act.append(Matrix.from_columns(cols))
-        self.big = FDModule(B, dims, act, name=f"W(x){X.name}")
         # the relations in the layout of outer, read at the sorted pairs
         layout = [w * X.total + x for (w, x) in pairs]
         relvecs = [[v[p] for p in layout]
                    for v in balanced_relations(bocs.WR, X.act)]
-        self.module, self.proj, self.sect = quotient(
-            self.big, relvecs, name=f"W(x)B{X.name}")
-        self.index = index
+        q, proj, self.sect = quotient(FDModule(B, dims, act), relvecs)
+        self.proj = proj.mat
+        super().__init__(B, q.dims, q.act, name=f"W(x)B{X.name}")
 
 
 def tensor_module(bocs: Bocs, X: FDModule) -> TensorModule:
     got = bocs._tensor_cache.get(id(X))
     if got is None or got.X is not X:
-        got = TensorModule(bocs, X)
-        bocs._tensor_cache[id(X)] = got
-        bocs._tensor_cache[id(got.module)] = got
+        got = bocs._tensor_cache[id(X)] = TensorModule(bocs, X)
     return got
 
 
-def _tensor_of_hom_source(bocs: Bocs, module: FDModule) -> TensorModule:
-    got = bocs._tensor_cache.get(id(module))
-    if got is None or got.module is not module:
+def _hom_source(bocs: Bocs, f: ModuleMap) -> TensorModule:
+    src = f.source
+    if not (isinstance(src, TensorModule)
+            and bocs._tensor_cache.get(id(src.X)) is src):
         raise ValueError("hom source was not built by this bocs")
-    return got
+    return src
 
 
 def bocs_hom_basis(bocs: Bocs, X: FDModule, Y: FDModule):
     """Basis of the hom space from X to Y in the bocs module category.
 
     Morphisms are B-module maps out of W (x)_B X."""
-    tx = tensor_module(bocs, X)
-    return hom_basis(tx.module, Y)
+    return hom_basis(tensor_module(bocs, X), Y)
 
 
 def _counit(eps: Matrix, tx: TensorModule) -> Matrix:
@@ -701,7 +700,7 @@ def bocs_lift(bocs: Bocs, u: ModuleMap) -> ModuleMap:
     tx = tensor_module(bocs, u.source)
     if tx.counit is None:
         tx.counit = _counit(bocs.eps, tx)
-    return ModuleMap(tx.module, u.target, u.mat @ tx.counit)
+    return ModuleMap(tx, u.target, u.mat @ tx.counit)
 
 
 def bocs_identity(bocs: Bocs, X: FDModule) -> ModuleMap:
@@ -720,10 +719,9 @@ def bocs_compose(bocs: Bocs, g: ModuleMap, f: ModuleMap) -> ModuleMap:
     and the result is read back on W (x)_B X through sect.  Only nonzero
     terms of mu and nonzero entries of f and g are visited.
     """
-    tx = _tensor_of_hom_source(bocs, f.source)
-    ty = _tensor_of_hom_source(bocs, g.source)
-    fcols = (f.mat @ tx.proj.mat).nonzero_columns()
-    gcols = (g.mat @ ty.proj.mat).nonzero_columns()
+    tx, ty = _hom_source(bocs, f), _hom_source(bocs, g)
+    fcols = (f.mat @ tx.proj).nonzero_columns()
+    gcols = (g.mat @ ty.proj).nonzero_columns()
     mu_terms = bocs.mu_terms()
     rows = g.target.total
     big = [[ZERO] * len(tx.pairs) for _ in range(rows)]
@@ -733,5 +731,4 @@ def bocs_compose(bocs: Bocs, g: ModuleMap, f: ModuleMap) -> ModuleMap:
                 ca = c * a
                 for z, b in gcols[ty.index[(w1, y)]]:
                     big[z][k] += ca * b
-    return ModuleMap(tx.module, g.target,
-                     Matrix(rows, len(tx.pairs), big) @ tx.sect)
+    return ModuleMap(tx, g.target, Matrix(rows, len(tx.pairs), big) @ tx.sect)

@@ -92,7 +92,7 @@ class RightAlgebra:
         self.tX = tensor_module(bocs, self.XB)
         self.basis = bocs_hom_basis(bocs, self.XB, self.XB)
         self.space = MapSpace([h.mat for h in self.basis], self.XB.total,
-                              self.tX.module.total)
+                              self.tX.total)
         # regular-module coordinate of each algebra basis element
         self.coord_of_basis = {}
         for (gcoord, vtx, word_idxs) in self.XB.proj_gens:
@@ -125,7 +125,7 @@ class RightAlgebra:
     def element_map(self, new_vec) -> ModuleMap:
         """The endomorphism represented by an R coefficient vector."""
         raw = self.R.new_to_old.apply(new_vec)
-        return ModuleMap(self.tX.module, self.XB, self.space.combine(raw))
+        return ModuleMap(self.tX, self.XB, self.space.combine(raw))
 
     def _phi_raw(self, bvec) -> ModuleMap:
         """The image of a B element b: the lift of x -> x * b on B, so
@@ -201,7 +201,7 @@ def induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
 def _induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
     bocs = ralg.bocs
     basis = bocs_hom_basis(bocs, ralg.XB, X)
-    space = MapSpace([h.mat for h in basis], X.total, ralg.tX.module.total)
+    space = MapSpace([h.mat for h in basis], X.total, ralg.tX.total)
     m = len(basis)
     raw_act = []
     for k in range(ralg.R.dim):

@@ -216,9 +216,12 @@ def bocs_to_doc(bocs) -> dict:
 def doc_to_bocs(doc: dict):
     """Rehydrated bocs supporting the module category and classification.
 
-    The A-infinity tables and the originating algebra are not part of the
-    document, so operations needing them (validate_coalgebra, the twisted
-    correspondence) are unavailable on the result.
+    The Peirce blocks must match the idempotent actions on W, and the
+    kernel data (kernel_basis, kernel_generators, d) must equal what the
+    bocs derives from eps, W and B.  The A-infinity tables and the
+    originating algebra are not part of the document, so operations
+    needing them (validate_coalgebra, the twisted correspondence) are
+    unavailable on the result.
     """
     from .bocs import Bocs
     _validate_version(doc)
@@ -249,8 +252,17 @@ def doc_to_bocs(doc: dict):
           for k, m in enumerate(doc["wl"])]
     WR = [lists_to_matrix(m, f"/wr/{k}")
           for k, m in enumerate(doc["wr"])]
-    for k, m in enumerate(WL + WR):
-        _expect(m.rows == w_dim and m.cols == w_dim, "/wl")
+    for side, mats in (("wl", WL), ("wr", WR)):
+        for k, m in enumerate(mats):
+            _expect(m.rows == w_dim and m.cols == w_dim, f"/{side}/{k}")
+    # e_i acts on the left (right) as the projection onto the W basis
+    # elements whose block has target (source) i
+    for i in range(1, B.n + 1):
+        e = B.unit_index[i - 1]
+        for mats, end in ((WL, 0), (WR, 1)):
+            _expect(mats[e].nonzero_columns()
+                    == [[(c, 1)] if w_block[c][end] == i else []
+                        for c in range(w_dim)], "/w_block")
     eps = lists_to_matrix(doc.get("eps"), "/eps")
     _expect(eps.rows == B.dim and eps.cols == w_dim, "/eps")
     mu_pairs = lists_to_matrix(doc.get("mu_pairs"), "/mu_pairs")
@@ -279,17 +291,20 @@ def doc_to_bocs(doc: dict):
                          for c, x in enumerate(v))))
     dd = doc.get("d")
     _expect(isinstance(dd, list), "/d")
-    d = {}
     for k, item in enumerate(dd):
         _expect(isinstance(item, list) and len(item) == 3
                 and is_vertex(item[0]) and is_vertex(item[1])
                 and _is_int(item[2]), f"/d/{k}")
-        d[(item[0], item[1])] = item[2]
 
-    return Bocs.from_parts(
+    bocs = Bocs.from_parts(
         B, order, doc["mode"], doc["r_max"], w_dim=w_dim, w_block=w_block,
-        WL=WL, WR=WR, eps=eps, mu_pairs=mu_pairs, kernel_basis=kernel_basis,
-        kernel_generators=kernel_generators, d=d)
+        WL=WL, WR=WR, eps=eps, mu_pairs=mu_pairs)
+    _expect(kernel_basis == bocs.kernel_basis, "/kernel_basis")
+    _expect(kernel_generators == bocs.kernel_generators,
+            "/kernel_generators")
+    _expect(sorted(map(tuple, dd))
+            == sorted((a, b, m) for (a, b), m in bocs.d.items()), "/d")
+    return bocs
 
 
 class BocsDocument(_BuiltDocument):

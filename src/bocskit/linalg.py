@@ -241,7 +241,7 @@ class Matrix:
         return Matrix(self.rows, self.cols, full), rank, tuple(pivots)
 
     def rank(self) -> int:
-        return self.rref()[1]
+        return len(rref_rows(self.data, self.cols)[0])
 
     def kernel_basis(self) -> list[tuple[Scalar, ...]]:
         """Basis of the right null space, one column vector per free column."""

@@ -26,20 +26,15 @@ from .strata import StandardSystem, standard_modules
 N_MAX = 4
 
 
-def _hom_space(P: FDModule, X: FDModule):
-    """Cached (basis, MapSpace of the basis) of Hom(P, X), P projective."""
-    cache = getattr(P, "_homsp", None)
-    if cache is None:
-        cache = P._homsp = {}
-    got = cache.get(id(X))
+def _hom_space(R: Resolution, l: int, X: FDModule):
+    """(basis, MapSpace of the basis) of Hom(P_l, X), stored on R."""
+    got = R.homs.get((l, id(X)))
     if got is not None and got[0] is X:
         return got[1], got[2]
-    if P.total == 0 or X.total == 0:
-        basis = []
-    else:
-        basis = hom_from_projective(P, X)
+    P = R.P(l)
+    basis = hom_from_projective(P, X) if P.total and X.total else []
     space = MapSpace([f.mat for f in basis], X.total, P.total)
-    cache[id(X)] = (X, basis, space)
+    R.homs[l, id(X)] = (X, basis, space)
     return basis, space
 
 
@@ -53,6 +48,8 @@ class Resolution:
         mods     realized sums of projectives P_0..P_{N_max+1}
         diffs    diffs[l] = d_l: P_l -> P_{l-1} for l = 1..N_max+1
         aug      augmentation P_0 -> module
+        homs     Hom(P_l, X) as stored by _hom_space, keyed (l, id(X))
+        vertex   i when it resolves Theta(i) on a ResolvedSystem
     """
 
     def __init__(self, module, N_max, mods, diffs, aug):
@@ -63,6 +60,8 @@ class Resolution:
         self.mods = mods
         self.diffs = diffs
         self.aug = aug
+        self.homs = {}
+        self.vertex = None
         self.pdelta = False
 
     def P(self, l: int) -> FDModule:
@@ -233,7 +232,7 @@ def lift_chain_map(src: Resolution, tgt: Resolution, k: int,
     for l in range(lo, src.N_max):
         rhs = comps[l].compose(src.diff(l + 1)).scale(sgn).mat
         post = tgt.diff(l + 1 - k)
-        _, space = _hom_space(src.P(l + 1), post.source)
+        _, space = _hom_space(src, l + 1, post.source)
         coeffs = ()
         if not rhs.is_zero():
             try:
@@ -269,7 +268,7 @@ def is_null_homotopic(f: GradedMap):
     k = f.k
     src, tgt = f.src, f.tgt
     levels = range(max(k - 1, 0), src.N_max + 1)
-    spaces = [_hom_space(src.P(l), tgt.P(l - k + 1)) for l in levels]
+    spaces = [_hom_space(src, l, tgt.P(l - k + 1)) for l in levels]
     cols = [_flatten_graded(differential(GradedMap(src, tgt, k - 1, {l: h})),
                             f.hi)
             for l, (basis, _) in zip(levels, spaces) for h in basis]
@@ -303,7 +302,7 @@ def _cocycle_representatives(R: Resolution, N: FDModule, k: int):
     d_k; representatives complete the coboundaries inside the cocycles.
     Returns them with the MapSpace of that basis.
     """
-    basis, space = _hom_space(R.P(k), N)
+    basis, space = _hom_space(R, k, N)
     if not basis:
         return [], space
     cols = [h.compose(R.diff(k + 1)).mat.flat() for h in basis]
@@ -311,7 +310,7 @@ def _cocycle_representatives(R: Resolution, N: FDModule, k: int):
 
     span = Span(len(basis))
     if k >= 1:
-        lower, _ = _hom_space(R.P(k - 1), N)
+        lower, _ = _hom_space(R, k - 1, N)
         for g in lower:
             try:
                 span.add(space.coords(g.compose(R.diff(k)).mat))
@@ -332,6 +331,7 @@ class ResolvedSystem:
         self.resolutions = {}
         for i in range(1, self.alg.n + 1):
             res = minimal_resolution(system.module(i))
+            res.vertex = i
             res.pdelta = (system.mode == "pdelta")
             self.resolutions[i] = res
         self._ext_cache = {}
@@ -392,7 +392,7 @@ def ext_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
                 raise AssertionError("identity is not an Ext^0 cocycle")
             out.append(identity_graded_map(R))
             reps = rest
-        _, seeds = _hom_space(R.P(k), Rp.aug.source)
+        _, seeds = _hom_space(R, k, Rp.aug.source)
         through_aug = seeds.through(Rp.aug.mat) if reps else None
         for coeffs in reps:
             try:
@@ -442,7 +442,7 @@ def _boundary_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
     if k - 1 >= 0 and (k - 1) < max(k, ulo):
         order.append(k - 1)
     for l in order:
-        basis, _ = _hom_space(R.P(l), Rp.P(l - k + 1))
+        basis, _ = _hom_space(R, l, Rp.P(l - k + 1))
         for h in basis:
             u = GradedMap(R, Rp, k - 1, {l: h})
             b = differential(u)
@@ -477,7 +477,7 @@ class HodgeData:
         self.witnesses = [u for b, u in self.B_pairs]
         self.L = [u for b, u in _boundary_basis(rsys, i, j, k + 1)]
         self.ambient_dim = sum(
-            len(_hom_space(self.R.P(l), self.Rp.P(l - k))[0])
+            len(_hom_space(self.R, l, self.Rp.P(l - k))[0])
             for l in range(max(k, 0), rsys.N_max + 1))
         size = len(_flatten_graded(zero_graded_map(self.R, self.Rp, k),
                                    rsys.N_max))

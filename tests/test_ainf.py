@@ -8,7 +8,7 @@ from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
 from bocskit.resolution import (HodgeData, ResolvedSystem, differential,
-                                hodge_data, is_null_homotopic)
+                                ext_basis, hodge_data, is_null_homotopic)
 from bocskit.strata import standard_modules
 
 
@@ -104,6 +104,21 @@ def test_lambda2_is_composition(e1):
     gy = tab.graded_map(y)
     val = merkulov_lambda(rsys, [gy, gy])
     assert val.equals(gy.compose(gy))
+
+
+def test_lambda_reads_the_vertex_each_resolution_carries(e1, e2):
+    tab, rsys = e1
+    assert [(i, res.vertex) for i, res in rsys.resolutions.items()] == \
+        [(1, 1)]
+    (y,) = tab.basis(1, 1, 1)
+    gy = tab.graded_map(y)
+    # a map of another resolved system, even at the same vertex, is
+    # refused rather than read at its vertex
+    _, other = e2
+    (z,) = ext_basis(other, 1, 1, 0)
+    for maps in ([gy, z], [z, gy]):
+        with pytest.raises(ValueError, match="does not live on the resolved"):
+            merkulov_lambda(rsys, maps)
 
 
 def test_m2_yoneda_square_dual_numbers(e1):

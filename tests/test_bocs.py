@@ -165,7 +165,7 @@ def test_tensor_with_projectives_recovers_w_columns(b2):
     for i in (1, 2):
         tx = tensor_module(b2, projective(b2.B, i))
         expect = sum(1 for (tgt, src) in b2.w_block if src == i)
-        assert tx.module.total == expect
+        assert tx.total == expect
 
 
 def test_category_unit_laws(b1, b2):
@@ -244,7 +244,7 @@ def test_lift_reads_one_stored_counit(b0, b1, b2, b3, monkeypatch):
         mat = _reference_lift(b, u)
         tx = tensor_module(b, u.source)
         got = bocs_lift(b, u)
-        assert got.source is tx.module and got.target is u.target
+        assert got.source is tx and got.target is u.target
         assert got.mat == mat
         counit = tx.counit
         assert bocs_lift(b, u).mat == mat and tx.counit is counit
@@ -282,8 +282,8 @@ def _reference_compose(b, X, Y, g, f):
     """g after f through dense unit vectors on pairs and every entry of mu.
     """
     tx, ty = tensor_module(b, X), tensor_module(b, Y)
-    f_big = f.mat @ tx.proj.mat
-    g_big = g.mat @ ty.proj.mat
+    f_big = f.mat @ tx.proj
+    g_big = g.mat @ ty.proj
     cols = []
     for (w, x) in tx.pairs:
         out = [0] * g.target.total
@@ -302,7 +302,7 @@ def _reference_compose(b, X, Y, g, f):
 def _morphisms(b, X, Y):
     """The hom basis, or the zero map when W (x)_B X or Y is zero."""
     basis = bocs_hom_basis(b, X, Y)
-    src = tensor_module(b, X).module
+    src = tensor_module(b, X)
     if basis or (src.total and Y.total):
         return basis
     return [ModuleMap(src, Y, Matrix.zero(Y.total, src.total))]
@@ -344,6 +344,19 @@ def test_compose_reads_a_reassigned_mu(b1):
             for f in bocs_hom_basis(bad, X, Y):
                 assert bocs_compose(bad, bocs_identity(bad, Y),
                                     f).mat.is_zero()
+
+
+def test_compose_refuses_a_hom_source_of_another_bocs(b1):
+    S = simple(b1.B, 1)
+    idm = bocs_identity(b1, S)
+    assert bocs_compose(b1, idm, idm).mat == idm.mat
+    plain = ModuleMap(S, S, Matrix.identity(S.total))
+    copied = copy.deepcopy(b1)
+    for b, g, f in [(b1, idm, plain), (b1, plain, idm),
+                    (copied, idm, idm)]:
+        with pytest.raises(ValueError,
+                           match="hom source was not built by this bocs"):
+            bocs_compose(b, g, f)
 
 
 def test_a_dropped_bocs_is_freed_without_the_cyclic_collector():

@@ -6,8 +6,9 @@ from bocskit import io as bio
 from bocskit.bocs import classify_bocs, construct_bocs
 from bocskit.burt_butler import right_algebra, standard_check
 from bocskit.linalg import frac
-from bocskit.quiver import (example_a2, example_dual_numbers,
-                            example_jordan3, example_semisimple_pair)
+from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
+                            example_dual_numbers, example_jordan3,
+                            example_semisimple_pair)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,68 @@ def test_bocs_document_validation():
         with pytest.raises(ValueError,
                            match=f"schema violation at {pointer}$"):
             bio.doc_to_bocs(bad)
+
+
+@pytest.fixture(scope="module")
+def a2_bocs_doc():
+    return bio.bocs_to_doc(construct_bocs(example_a2(), mode="delta",
+                                          r_max=3))
+
+
+def test_bocs_document_blocks_match_the_idempotent_actions(a2_bocs_doc):
+    # w_block [[1, 1], [2, 2], [2, 1]]: e_i acts on W on the left as the
+    # projection onto the blocks of target i, on the right onto source i
+    good = a2_bocs_doc
+    assert good["w_block"] == [[1, 1], [2, 2], [2, 1]]
+    assert bio.doc_to_bocs(good).w_block == [(1, 1), (2, 2), (2, 1)]
+    # well formed, yet every block is (2, 2): once read as "directed"
+    for value in ([[2, 2]] * 3, [[1, 1], [2, 1], [2, 2]],
+                  [[1, 1], [2, 2], [1, 2]]):
+        with pytest.raises(ValueError, match="schema violation at /w_block$"):
+            bio.doc_to_bocs(dict(good, w_block=value))
+
+
+def test_bocs_document_kernel_data_is_the_derived_one(a2_bocs_doc):
+    good = a2_bocs_doc
+    assert good["d"] == good["kernel_basis"] == \
+        good["kernel_generators"] == []
+    for field, value, pointer in [
+            # once accepted, and it turned the class to "invalid"
+            ("d", [[1, 2, 1]], "/d"),
+            ("kernel_basis", [["0", "0", "1"]], "/kernel_basis"),
+            ("kernel_generators", [[2, 1, ["0", "0", "1"]]],
+             "/kernel_generators")]:
+        with pytest.raises(ValueError,
+                           match=f"schema violation at {pointer}$"):
+            bio.doc_to_bocs(dict(good, **{field: value}))
+
+
+def test_bocs_document_with_a_kernel_reads_back_its_kernel_data():
+    q = Quiver(2, [("a", 2, 1)])
+    b = construct_bocs(build_algebra(q, RelationSet(q, [])), mode="delta",
+                       r_max=4)
+    good = bio.bocs_to_doc(b)
+    back = bio.doc_to_bocs(good)
+    assert (back.kernel_basis, back.kernel_generators, back.d) == \
+        (b.kernel_basis, b.kernel_generators, b.d) != ([], [], {})
+    # the same span on another basis is not the derived basis
+    doubled = [[str(2 * frac(x)) for x in v] for v in good["kernel_basis"]]
+    with pytest.raises(ValueError, match="schema violation at /kernel_basis$"):
+        bio.doc_to_bocs(dict(good, kernel_basis=doubled))
+    with pytest.raises(ValueError, match="schema violation at /d$"):
+        bio.doc_to_bocs(dict(good, d=good["d"] * 2))
+
+
+def test_a_mis_shaped_bimodule_matrix_is_named(a2_bocs_doc):
+    good = a2_bocs_doc
+    one = {"rows": 1, "cols": 1, "data": [["0"]]}
+    for side in ("wl", "wr"):
+        for k in (0, len(good[side]) - 1):
+            mats = list(good[side])
+            mats[k] = one
+            with pytest.raises(ValueError,
+                               match=f"schema violation at /{side}/{k}$"):
+                bio.doc_to_bocs(dict(good, **{side: mats}))
 
 
 def test_number_tokens_are_bounded():

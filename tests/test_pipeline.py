@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -177,6 +178,31 @@ def test_roundtrip_bocs_reingested_identical():
     rep2 = roundtrip_bocs(b2)
     assert rep.emit() == rep2.emit()
     assert rep.doc["right_algebra"]["dim"] == 2
+
+
+def test_whole_runs_leave_no_cyclic_garbage():
+    """Every memo of a run lives on the object it describes, so no object
+    of the package is left for the cyclic collector (the stdlib JSON
+    encoder's own closures from emit are)."""
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_pipeline(example_dual_numbers(), mode="pdelta")
+        run_pipeline(example_a2(), mode="delta")
+        b = construct_bocs(example_a2(), mode="delta", r_max=3)
+        roundtrip_bocs(bio.parse(bio.emit(bio.bocs_to_doc(b))).build())
+        del b
+        gc.collect()
+        left = sorted({type(obj).__qualname__ for obj in gc.garbage
+                       if type(obj).__module__.startswith("bocskit")})
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 def test_roundtrip_bocs_hand_authored_shape():
