@@ -1,6 +1,6 @@
 """Homotopy transfer of the product structure onto Ext degrees 0..2.
 
-The transferred products m_r are computed by the usual perturbation
+The transferred products m_r are given by the usual perturbation
 recursion: lambda_2 is composition, G inverts the differential on the
 boundary part, and
 
@@ -16,6 +16,35 @@ stasheff_check and the cocycle property tests.
 
 merkulov_lambda evaluates the recursion bottom-up, shortest contiguous
 subtuples first, so each value it reads is already in its memo.
+
+The table runs the recursion on unit-free tuples only.  A tuple with an
+identity class 1_i among its arguments is decided by strict unitality:
+m_2(1, a) = a = m_2(a, 1), and m_r = 0 for r >= 3 (Markl, "Transferring
+A-infinity structures", arXiv math/0401007; Lefevre-Hasegawa's thesis,
+ch. 3).  The lemma rests on two checked facts.  AInfTable checks once per
+vertex that the class 1_i is identity_graded_map of its resolution,
+trustworthy through N_max; and HodgeData checks the side conditions
+p i = id, G i = 0, G G = 0 and p G = 0 on every splitting it builds (the
+witnesses G lands in are the L part one degree down).  Proof, by
+induction on the length of a contiguous subtuple S holding a unit:
+G lambda(S) = 0, and p lambda(S) = 0 once S has length >= 3.
+
+  - Length 2: lambda(1, a) and lambda(a, 1) are the composite 1 a = a,
+    an H vector, so m_2 reads a off by p i = id, and G kills it.
+  - Length >= 3: every term of the recursion whose factor holding the
+    unit has length >= 2 vanishes by induction.  The remaining terms
+    split off a unit at an end of S as G lambda_1(1) = -1.  A unit
+    inside S leaves no such term, and units at both ends leave each
+    term's other factor holding a unit; so lambda(S) is 0, or
+    +-G lambda(S') for S' the unit-free rest.  G and p kill that by
+    G G = 0 and p G = 0.
+
+Composing with the identity is exact here, top level included.  A
+tabulated tuple with a unit has at most one more degree-0 argument and
+at most one of degree 2, so lambda(S') has degree 1..3 and G lambda(S')
+degree >= 0, where 1 (G lambda(S')) keeps every level through N_max.
+The recursion stays the reference: the tests compare every tabulated
+value with merkulov_lambda run per tuple.
 
 Tuples are stored in display order (a_r, ..., a_1): the rightmost entry
 acts first, matching the composition convention everywhere else.  One
@@ -34,7 +63,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .linalg import ZERO
-from .resolution import GradedMap, ResolvedSystem, ext_basis, hodge_data
+from .resolution import (GradedMap, ResolvedSystem, ext_basis, hodge_data,
+                         identity_graded_map)
 
 
 class ExtClass(NamedTuple):
@@ -115,8 +145,9 @@ def _tabulated(key):
     At most two degree-0 and at most one degree-2 argument: then every
     contiguous subtuple has a lambda value of degree between 0 and 3, so
     G is always available.  Excluded in-range tuples carry three or more
-    degree-0 arguments; AInfTable.m takes them as zero when one of those
-    is an identity class and refuses them otherwise.
+    degree-0 arguments or two of degree 2; AInfTable.m takes them as zero
+    by the checked lemma (module docstring) when one argument is an
+    identity class, and refuses them otherwise.
     """
     r = len(key)
     if r < 2:
@@ -154,7 +185,10 @@ class AInfTable:
     additionally truncates tuples of positive total suspended degree.
     Every tabulated tuple has suspended degree <= 0, so bp_table, the b'
     coefficients of each tuple with a nonzero m in m_table order, is b'
-    on all of m_table; bprime hands its maps out read-only.
+    on all of m_table; bprime hands its maps out read-only.  units holds
+    the identity classes, each checked to be the identity chain map; the
+    products of tuples holding one are read off the checked lemma of the
+    module docstring instead of the recursion.
     """
 
     def __init__(self, rsys: ResolvedSystem, r_max: int = 6):
@@ -172,12 +206,20 @@ class AInfTable:
                         lst.append(cls)
                         self.gmaps[cls] = f
                     self.classes[(k, i, j)] = lst
+        self.units = frozenset(self._checked_unit(i) for i in range(1, n + 1))
         self.m_table = {}
         memo = {}
         for r in range(2, r_max + 1):
             for key in _chains(self, r, (0, 1, 2)):
-                if _tabulated(key):
+                if not _tabulated(key):
+                    continue
+                if self.units.isdisjoint(key):
                     self.m_table[key] = self._compute_m(key, memo)
+                elif r == 2:  # the checked lemma of the module docstring
+                    a, b = key
+                    self.m_table[key] = {b if a in self.units else a: 1}
+                else:
+                    self.m_table[key] = {}
         self.bp_table = {key: self.b(key)
                          for key, coeffs in self.m_table.items() if coeffs}
 
@@ -192,12 +234,15 @@ class AInfTable:
     def graded_map(self, cls: ExtClass) -> GradedMap:
         return self.gmaps[cls]
 
-    def all_classes(self, degrees):
-        out = []
-        for (k, i, j), lst in sorted(self.classes.items()):
-            if k in degrees:
-                out.extend(lst)
-        return out
+    def _checked_unit(self, i):
+        """The identity class of vertex i, checked to be the identity
+        chain map of its resolution through N_max."""
+        cls = self.identity_class(i)
+        f, R = self.gmaps[cls], self.rsys.resolution(i)
+        if not (f.src is f.tgt is R and f.hi == R.N_max
+                and f.equals(identity_graded_map(R))):
+            raise AssertionError(f"{cls} is not the identity of vertex {i}")
+        return cls
 
     def _compute_m(self, key, memo):
         low = list(reversed(key))
@@ -237,12 +282,8 @@ class AInfTable:
                 return {}
         if r > self.r_max:
             raise ValueError("r_max too small")
-        if not _tabulated(key):
-            # three or more degree-0 arguments; zero by strict unitality
-            if r >= 3 and any(self.gmaps[c].equals(
-                    self.gmaps[self.identity_class(c.i)])
-                    for c in key if c.k == 0):
-                return {}
+        if not _tabulated(key) and not self.units.isdisjoint(key):
+            return {}  # zero by the checked lemma (module docstring)
         raise ValueError(f"tuple not tabulated: {key}")
 
     def suspension_exponent(self, key):

@@ -13,7 +13,7 @@ d(f)^(l) = d'_{l-k} f^(l) - (-1)^k f^(l-1) d_l.
 
 from __future__ import annotations
 
-from .linalg import MapSpace, Matrix, Span, ZERO, nonzeros
+from .linalg import ONE, ZERO, MapSpace, Matrix, Span, nonzeros
 from .modules import (FDModule, ModuleMap, from_generators,
                       hom_from_projective, quotient, radical_vectors,
                       syzygies)
@@ -488,6 +488,17 @@ class HodgeData:
             raise AssertionError("H, B and L parts are not independent")
         if len(self.space.mats) != self.ambient_dim:
             raise AssertionError("H, B and L parts do not span")
+        # the side conditions p i = id, G i = 0, G G = 0 and p G = 0 that
+        # ainf's strict-unitality lemma rests on (G lands in the L part
+        # one degree down)
+        nh = len(self.H)
+        for n, h in enumerate(self.H):
+            unit = [ZERO] * n + [ONE] + [ZERO] * (nh - n - 1)
+            if self.decompose(h)[0] != unit or not self.G(h).is_zero():
+                raise AssertionError("p i = id or G i = 0 fails")
+        for u in self.L:
+            if any(self.decompose(u)[0]) or not self.G(u).is_zero():
+                raise AssertionError("p G = 0 or G G = 0 fails")
 
     def decompose(self, f: GradedMap):
         """(H-coefficients, B-coefficients) of a degree-k map.

@@ -23,6 +23,8 @@ from bocskit.resolution import hodge_data
 from bocskit.strata import standard_modules, theta_filtration
 from bocskit.twisted import hom_dim_compare
 
+from helpers import all_classes
+
 _T0 = time.time()
 
 CORPUS_SEED = 20260823
@@ -132,7 +134,7 @@ def test_criterion_4_stasheff_and_yoneda(bocses, corpus):
         for k in range(1, tab.r_max + 1):
             assert stasheff_check(tab, k)
         rsys = tab.rsys
-        all_cls = tab.all_classes({0, 1, 2})
+        all_cls = all_classes(tab, {0, 1, 2})
         for a in all_cls:
             for b in all_cls:
                 if b.j != a.i or a.k + b.k > 2:

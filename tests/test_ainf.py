@@ -1,15 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
-from bocskit.ainf import (AInfTable, ExtClass, _chains, build_tables,
-                          merkulov_lambda, stasheff_check)
+from bocskit import ainf
+from bocskit.ainf import (ExtClass, _chains, build_tables, merkulov_lambda,
+                          stasheff_check)
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
 from bocskit.resolution import (HodgeData, ResolvedSystem, differential,
                                 ext_basis, hodge_data, is_null_homotopic)
-from bocskit.strata import standard_modules
+from bocskit.strata import classify_algebra, standard_modules
+
+from helpers import all_classes, monomial_algebras
 
 
 def pdelta_tables(alg, r_max=5):
@@ -77,15 +81,109 @@ def test_untabulated_tuple_is_a_value_error(e1, monkeypatch):
     assert str(key) in str(exc.value)
 
 
-def test_memoized_table_is_the_per_tuple_transfer(counted_r6):
-    for tab, rsys, _ in counted_r6:
-        for key, coeffs in tab.m_table.items():
-            value = merkulov_lambda(rsys, [tab.graded_map(c) for c in key])
-            q = sum(c.k for c in key) + 2 - len(key)
-            i0, i1 = key[-1].i, key[0].j
-            hcoeffs, _ = hodge_data(rsys, i0, i1, q).decompose(value)
-            assert coeffs == {cls: c for cls, c
-                              in zip(tab.basis(q, i0, i1), hcoeffs) if c}
+def _assert_table_is_the_per_tuple_transfer(tab, rsys):
+    """Every m_table value, those of tuples with a unit included, is what
+    merkulov_lambda gives on its own tuple, projected onto H."""
+    for key, coeffs in tab.m_table.items():
+        value = merkulov_lambda(rsys, [tab.graded_map(c) for c in key])
+        q = sum(c.k for c in key) + 2 - len(key)
+        i0, i1 = key[-1].i, key[0].j
+        hcoeffs, _ = hodge_data(rsys, i0, i1, q).decompose(value)
+        assert coeffs == {cls: c for cls, c
+                          in zip(tab.basis(q, i0, i1), hcoeffs) if c}
+
+
+def test_memoized_table_is_the_per_tuple_transfer(counted_r6, e0, e2, qh2):
+    tables = [(tab, rsys) for tab, rsys, _ in counted_r6] + [e0, e2, qh2]
+    for tab, rsys in tables:
+        _assert_table_is_the_per_tuple_transfer(tab, rsys)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(monomial_algebras())
+def test_table_is_the_per_tuple_transfer_on_monomial_algebras(alg):
+    cls = classify_algebra(alg)
+    for mode in ("delta", "pdelta"):
+        if cls.filtered(mode):
+            rsys = ResolvedSystem(cls.systems[mode])
+            _assert_table_is_the_per_tuple_transfer(
+                build_tables(rsys, r_max=4), rsys)
+
+
+def _truncated_polynomial(N):
+    q = Quiver(1, [("x", 1, 1)])
+    return build_algebra(q, RelationSet(q, [Relation(q, [(1, 1, ("x",) * N)])]))
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_massey_products_of_a_truncated_polynomial_ring(N):
+    """K[x]/(x^N) in pdelta mode, where the standard module is simple:
+    every minimal model has m_k(y, ..., y) = 0 for 2 <= k < N and m_N(y,
+    ..., y) a nonzero multiple of the Ext^2 generator (Lu-Palmieri-Wu-
+    Zhang, arXiv math/0606144).  The higher m_k(y, ..., y), k <= 6, are
+    zero in this model too."""
+    tab, _ = pdelta_tables(_truncated_polynomial(N), r_max=6)
+    (y,) = tab.basis(1, 1, 1)
+    (z,) = tab.basis(2, 1, 1)
+    for k in range(2, 7):
+        coeffs = tab.m((y,) * k)
+        if k == N:
+            assert coeffs.keys() == {z} and coeffs[z] != 0
+        else:
+            assert coeffs == {}
+
+
+@pytest.mark.parametrize("mode", ["delta", "pdelta"])
+@pytest.mark.parametrize("N", range(2, 6))
+def test_massey_product_of_a_linear_quiver_modulo_its_full_path(N, mode):
+    """1 -> 2 -> ... -> N+1 modulo the path through all N arrows, in the
+    order [1, ..., N+1]: the standard modules are the simples, Ext^1 is
+    one class per arrow, and Ext^2 is one-dimensional at (1, N+1) and zero
+    elsewhere.  So in every minimal model m_N on the arrow classes, in
+    composable order, is a nonzero multiple of that class."""
+    q = Quiver(N + 1, [(f"a{i}", i, i + 1) for i in range(1, N + 1)])
+    full = tuple(name for name, _, _ in q.arrows)
+    alg = build_algebra(q, RelationSet(q, [Relation(q, [(1, 1, full)])]))
+    vertices = range(1, N + 2)
+    rsys = ResolvedSystem(standard_modules(alg, list(vertices), mode=mode))
+    tab = build_tables(rsys, r_max=N)
+    dims = {(k, i, j): len(tab.basis(k, i, j)) for k in (1, 2)
+            for i in vertices for j in vertices if tab.basis(k, i, j)}
+    assert dims == {(1, i, i + 1): 1 for i in range(1, N + 1)} | \
+        {(2, 1, N + 1): 1}
+    arrows = tuple(tab.basis(1, i, i + 1)[0] for i in range(N, 0, -1))
+    (z,) = tab.basis(2, 1, N + 1)
+    coeffs = tab.m(arrows)
+    assert coeffs.keys() == {z} and coeffs[z] != 0
+
+
+@pytest.mark.parametrize("part", ["H", "L"])
+def test_a_homotopy_that_breaks_a_side_condition_is_an_internal_error(
+        part, monkeypatch):
+    real = HodgeData.G
+
+    def leaky(self, f):
+        out = real(self, f)
+        if any(f is g for g in getattr(self, part)):
+            out = out + self.witnesses[0]
+        return out
+
+    monkeypatch.setattr(HodgeData, "G", leaky)
+    with pytest.raises(AssertionError, match="G . = 0 fails"):
+        pdelta_tables(example_dual_numbers())
+
+
+def test_an_identity_class_that_is_not_the_identity_is_an_internal_error(
+        monkeypatch):
+    real = ainf.ext_basis
+
+    def doubled_unit(rsys, i, j, k):
+        out = real(rsys, i, j, k)
+        return [out[0].scale(2)] + out[1:] if (i, j, k) == (1, 1, 0) else out
+
+    monkeypatch.setattr(ainf, "ext_basis", doubled_unit)
+    with pytest.raises(AssertionError, match="is not the identity"):
+        pdelta_tables(example_dual_numbers())
 
 
 def test_G_runs_once_per_distinct_subtuple(counted_r6):
@@ -144,7 +242,7 @@ def test_m2_vanishes_m3_generates_jordan3(e3):
 
 def test_m2_agrees_with_yoneda_composition(e1, e3):
     for tab, rsys in (e1, e3):
-        all_cls = tab.all_classes({0, 1, 2})
+        all_cls = all_classes(tab, {0, 1, 2})
         for a in all_cls:
             for b in all_cls:
                 if b.j != a.i:
@@ -188,7 +286,7 @@ def test_surjectivity_criterion_matches_homotopy(e1, e3):
 
 def test_strict_unit_m2(e1, e3):
     for tab, _ in (e1, e3):
-        for x in tab.all_classes({0, 1, 2}):
+        for x in all_classes(tab, {0, 1, 2}):
             e_left = tab.identity_class(x.j)
             e_right = tab.identity_class(x.i)
             assert tab.m((e_left, x)) == {x: 1}
@@ -300,19 +398,14 @@ def test_products_into_reads_the_brute_force_bprime_values(e1, e2, e3,
             tab.products_into(tab.identity_class(1), 0, tab.r_max + 1)
 
 
-def test_stasheff_check_catches_a_doubled_product(e1, monkeypatch):
+def test_stasheff_check_catches_a_doubled_product(e1):
     tab, _ = e1
     for k in range(1, tab.r_max + 1):
         assert stasheff_check(tab, k)
     y, e = ExtClass(1, 1, 1, 0), ExtClass(0, 1, 1, 0)
-    real = AInfTable._compute_m
-
-    def doubled(self, key, memo):
-        out = real(self, key, memo)
-        return {c: 2 * v for c, v in out.items()} if key == (y, e) else out
-
-    monkeypatch.setattr(AInfTable, "_compute_m", doubled)
     bad, _ = pdelta_tables(example_dual_numbers())
+    bad.m_table[y, e] = {c: 2 * v for c, v in bad.m_table[y, e].items()}
+    bad.bp_table[y, e] = bad.b((y, e))
     assert bad.m((y, e)) == {y: 2}
     assert not stasheff_check(bad, 3)
 

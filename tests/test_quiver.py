@@ -12,6 +12,8 @@ from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
                             example_jordan3, example_semisimple_pair,
                             table_product)
 
+from helpers import monomial_algebras
+
 
 def test_dual_numbers_basis():
     alg = example_dual_numbers()
@@ -220,25 +222,6 @@ _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
 
 
 @st.composite
-def _monomial_algebras(draw):
-    """A quiver algebra on at most two vertices and two arrows, with every
-    path of length 2 or 3 set to zero, and when 3 some paths of length 2."""
-    n = draw(st.integers(1, 2))
-    pairs = [(s, t) for s in range(1, n + 1) for t in range(1, n + 1)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2))
-    q = Quiver(n, [(f"a{k}", s, t) for k, (s, t) in enumerate(chosen)])
-    length = draw(st.integers(2, 3))
-    paths = [(s, (name,), t) for name, s, t in q.arrows]
-    rels = []
-    for ell in range(2, length + 1):
-        paths = [(s, p + (name,), t2) for s, p, t in paths
-                 for name, s2, t2 in q.arrows if s2 == t]
-        rels += [Relation(q, [(1, s, p)]) for s, p, t in paths
-                 if ell == length or draw(st.booleans())]
-    return build_algebra(q, RelationSet(q, rels))
-
-
-@st.composite
 def _base_changes(draw, dim):
     """An invertible matrix: rows of a unit lower triangular matrix in a
     drawn order, times an upper triangular one with nonzero diagonal."""
@@ -256,7 +239,7 @@ def _signature(alg):
 
 
 @_PROPERTY
-@given(_monomial_algebras(), st.data())
+@given(monomial_algebras(), st.data())
 def test_from_structure_constants_undoes_a_base_change(alg, data):
     P = data.draw(_base_changes(alg.dim))
     Pinv = P.inverse()
