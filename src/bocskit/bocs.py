@@ -467,6 +467,25 @@ def construct_bocs(alg: Algebra, order=None, mode: str = "pdelta",
 # -- coalgebra validation ---------------------------------------------------
 
 
+def counit_identities(bocs: Bocs):
+    """Per W basis element w, whether l_W (eps (x) 1) mu(w) = w and
+    whether r_W (1 (x) eps) mu(w) = w, with l_W on B (x) W and r_W on
+    W (x) B in the layout of outer.  They need only W, eps and mu, so a
+    bocs read from a document is checked too."""
+    wdim = bocs.w_dim
+    eye = Matrix.identity(wdim)
+    l_w = Matrix.from_columns([m.column(x) for m in bocs.WL
+                               for x in range(wdim)])
+    r_w = Matrix.from_columns([m.column(x) for x in range(wdim)
+                               for m in bocs.WR])
+    out = []
+    for w, col in enumerate(bocs.mu_pairs.columns()):
+        unit = eye.column(w)
+        out.append((l_w.apply(kron_apply(bocs.eps, eye, col)) == unit,
+                    r_w.apply(kron_apply(eye, bocs.eps, col)) == unit))
+    return out
+
+
 def validate_coalgebra(bocs: Bocs, raise_on_fail: bool = True):
     """Check the coalgebra axioms on the K-basis of W.
 
@@ -492,19 +511,9 @@ def validate_coalgebra(bocs: Bocs, raise_on_fail: bool = True):
     mu = bocs.mu_pairs
     eye = Matrix.identity(wdim)
 
-    # counit identities: l_W (eps (x) 1) mu = 1 = r_W (1 (x) eps) mu,
-    # with l_W on B (x) W and r_W on W (x) B in the layout of outer
-    l_w = Matrix.from_columns([m.column(x) for m in bocs.WL
-                               for x in range(wdim)])
-    r_w = Matrix.from_columns([m.column(x) for x in range(wdim)
-                               for m in bocs.WR])
-    for w in range(wdim):
-        col = mu.column(w)
-        unit = eye.column(w)
-        record("counit-left",
-               l_w.apply(kron_apply(bocs.eps, eye, col)) == unit, f"w{w}")
-        record("counit-right",
-               r_w.apply(kron_apply(eye, bocs.eps, col)) == unit, f"w{w}")
+    for w, (left, right) in enumerate(counit_identities(bocs)):
+        record("counit-left", left, f"w{w}")
+        record("counit-right", right, f"w{w}")
 
     # coassociativity in W (x)_B W (x)_B W, whose relations are those of
     # W (x)_B W tensored with W on either side
@@ -701,11 +710,6 @@ def bocs_lift(bocs: Bocs, u: ModuleMap) -> ModuleMap:
     if tx.counit is None:
         tx.counit = _counit(bocs.eps, tx)
     return ModuleMap(tx, u.target, u.mat @ tx.counit)
-
-
-def bocs_identity(bocs: Bocs, X: FDModule) -> ModuleMap:
-    """The identity morphism on X, through the counit."""
-    return bocs_lift(bocs, ModuleMap(X, X, Matrix.identity(X.total)))
 
 
 def bocs_compose(bocs: Bocs, g: ModuleMap, f: ModuleMap) -> ModuleMap:

@@ -9,7 +9,7 @@ cross-checked against the tensor presentation of R as a right B-module.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .bocs import (Bocs, bocs_compose, bocs_hom_basis, bocs_lift,
@@ -298,7 +298,18 @@ def standard_check(ralg: RightAlgebra):
 
 
 def borel_checks(ralg: RightAlgebra):
-    """Projectivity of R over B, the Peirce pattern, and dim checks."""
+    """Projectivity of R over B, the Peirce pattern, and dim checks.
+
+    dim_two_ways compares dim R with its value read off the bocs.  R^op is
+    End_bocs(B) = Hom_B(W (x)_B B, B) = Hom_B(W, B), and W = B + ker eps.
+    The premise, checked here, is kernel_is_free: ker eps is the sum of
+    d(a, b) copies of B e_a (x)_K e_b B, which as a left module is
+    (B e_a)^{dim e_b B}, and Hom_B(B e_a, B) is e_a B.  So
+
+        dim R = dim B + sum over (a, b) of d(a, b) dim e_a B dim e_b B,
+
+    where dim e_x B counts the basis elements with target x.
+    """
     bocs = ralg.bocs
     B = bocs.B
     R = ralg.R
@@ -313,12 +324,10 @@ def borel_checks(ralg: RightAlgebra):
     FB = induce(ralg, ralg.XB)
     regular = sum_of_projectives(R, list(range(1, R.n + 1)), name="R")
     report["induce_regular_iso"] = is_isomorphic(FB.module, regular)
-    present = B.dim
-    for (a, b), mult in bocs.d.items():
-        ea = sum(1 for k in range(B.dim) if B.btarget[k] == a)
-        be = sum(1 for k in range(B.dim) if B.bsource[k] == b)
-        present += mult * ea * be
-    report["dim_two_ways"] = (present == R.dim)
+    right_ideal = Counter(B.btarget)
+    present = B.dim + sum(mult * right_ideal[a] * right_ideal[b]
+                          for (a, b), mult in bocs.d.items())
+    report["dim_two_ways"] = bocs.kernel_is_free() and present == R.dim
     report["ok"] = all(report[k] for k in
                        ("right_projective", "peirce_pattern",
                         "induce_regular_iso", "dim_two_ways"))

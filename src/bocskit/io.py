@@ -216,14 +216,14 @@ def bocs_to_doc(bocs) -> dict:
 def doc_to_bocs(doc: dict):
     """Rehydrated bocs supporting the module category and classification.
 
-    The Peirce blocks must match the idempotent actions on W, and the
-    kernel data (kernel_basis, kernel_generators, d) must equal what the
-    bocs derives from eps, W and B.  The A-infinity tables and the
-    originating algebra are not part of the document, so operations
-    needing them (validate_coalgebra, the twisted correspondence) are
-    unavailable on the result.
+    The Peirce blocks must match the idempotent actions on W, mu_pairs
+    must satisfy the counit identities, and the kernel data (kernel_basis,
+    kernel_generators, d) must equal what the bocs derives from eps, W
+    and B.  The A-infinity tables and the originating algebra are not part
+    of the document, so operations needing them (validate_coalgebra, the
+    twisted correspondence) are unavailable on the result.
     """
-    from .bocs import Bocs
+    from .bocs import Bocs, counit_identities
     _validate_version(doc)
     _expect(doc.get("schema") == BOCS_SCHEMA, "/schema")
     _expect(doc.get("mode") in ("delta", "pdelta"), "/mode")
@@ -299,6 +299,7 @@ def doc_to_bocs(doc: dict):
     bocs = Bocs.from_parts(
         B, order, doc["mode"], doc["r_max"], w_dim=w_dim, w_block=w_block,
         WL=WL, WR=WR, eps=eps, mu_pairs=mu_pairs)
+    _expect(all(map(all, counit_identities(bocs))), "/mu_pairs")
     _expect(kernel_basis == bocs.kernel_basis, "/kernel_basis")
     _expect(kernel_generators == bocs.kernel_generators,
             "/kernel_generators")

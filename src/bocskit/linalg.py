@@ -135,12 +135,6 @@ class Matrix:
                           for i in range(n)])
 
     @classmethod
-    def from_rows(cls, data: Sequence[Sequence]) -> "Matrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, data)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "Matrix":
         cols = len(columns)
         rows = len(columns[0]) if cols else 0
@@ -165,13 +159,6 @@ class Matrix:
         return Matrix(self.rows, self.cols,
                       [[a + b for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols,
-                      [[-a for a in r] for r in self.data])
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
@@ -200,10 +187,6 @@ class Matrix:
         return tuple(sum([r[j] * b for j, b in nz if r[j]], ZERO)
                      for r in self.data)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, list(zip(*self.data)) or
-                      [[] for _ in range(self.cols)])
-
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
 
@@ -229,16 +212,6 @@ class Matrix:
     def trace(self) -> Scalar:
         return sum((self.data[i][i] for i in range(min(self.rows, self.cols))),
                    ZERO)
-
-    def rref(self):
-        """Return (rref matrix, rank, pivot column tuple).
-
-        Zero rows are kept so the result has the same shape as self.
-        """
-        reduced, pivots = rref_rows(self.data, self.cols)
-        rank = len(reduced)
-        full = reduced + [[ZERO] * self.cols for _ in range(self.rows - rank)]
-        return Matrix(self.rows, self.cols, full), rank, tuple(pivots)
 
     def rank(self) -> int:
         return len(rref_rows(self.data, self.cols)[0])
@@ -294,21 +267,11 @@ class Matrix:
             raise ValueError("matrix is singular")
         return inv
 
-    def column_space_basis(self) -> list[tuple[Scalar, ...]]:
-        _, col_pivots = rref_rows(self.data, self.cols)
-        return [self.column(j) for j in col_pivots]
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
         return Matrix(self.rows, self.cols + other.cols,
                       [a + b for a, b in zip(self.data, other.data)])
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        return Matrix(self.rows + other.rows, self.cols,
-                      self.data + other.data)
 
 
 def vec_is_zero(u: Sequence[Scalar]) -> bool:

@@ -10,7 +10,7 @@ enough.
 
 from __future__ import annotations
 
-from .linalg import Matrix, ONE, Span, ZERO
+from .linalg import Matrix, Span, ZERO
 from .quiver import Algebra
 
 
@@ -51,33 +51,6 @@ class FDModule:
             out.append((k, self.act[k]))
         return out
 
-    def validate(self):
-        alg = self.alg
-        for i in range(alg.n):
-            k = alg.unit_index[i]
-            m = self.act[k]
-            for r in range(self.total):
-                for c in range(self.total):
-                    want = (ONE if (r == c and r in self.vertex_range(i + 1))
-                            else ZERO)
-                    if m.data[r][c] != want:
-                        raise ValueError(
-                            f"idempotent e{i+1} does not act as the "
-                            f"vertex projection")
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = self.act[i] @ self.act[j]
-                rhs = Matrix.zero(self.total, self.total)
-                for k, c in self.alg.table[i][j].items():
-                    rhs = rhs + self.act[k].scale(c)
-                if lhs != rhs:
-                    raise ValueError(
-                        f"action is not multiplicative at "
-                        f"({alg.labels[i]},{alg.labels[j]})")
-
-    def is_zero(self) -> bool:
-        return self.total == 0
-
 
 class ModuleMap:
     def __init__(self, source: FDModule, target: FDModule, mat: Matrix):
@@ -103,12 +76,6 @@ class ModuleMap:
     def is_zero(self) -> bool:
         return self.mat.is_zero()
 
-    def check_intertwining(self):
-        for k, a in self.source.generators_action():
-            if self.mat @ a != self.target.act[k] @ self.mat:
-                raise ValueError(
-                    f"square for {self.source.alg.labels[k]} does not commute")
-
 
 def zero_module(alg: Algebra) -> FDModule:
     return FDModule(alg, [0] * alg.n,
@@ -130,19 +97,6 @@ def simple(alg: Algebra, i: int) -> FDModule:
         else:
             act.append(Matrix.zero(1, 1))
     return FDModule(alg, dims, act, name=f"S({i})")
-
-
-def from_arrow_matrices(alg: Algebra, dims, arrow_mats, name=""):
-    """Build a module from one (target-dim x source-dim) block per arrow.
-
-    Only valid for quiver-presented algebras whose basis elements carry
-    paths.  The action of a longer word is the composition of its arrow
-    blocks; the relations are checked by FDModule construction plus an
-    explicit validate().
-    """
-    mod = _from_arrow_blocks(alg, dims, arrow_mats, name)
-    mod.validate()
-    return mod
 
 
 def _from_arrow_blocks(alg: Algebra, dims, arrow_mats, name=""):
@@ -182,49 +136,8 @@ def place_block(dims, t: int, s: int, block: Matrix) -> Matrix:
     return Matrix(total, total, grid)
 
 
-def direct_sum(modules, name=""):
-    if not modules:
-        raise ValueError("empty direct sum")
-    alg = modules[0].alg
-    dims = [sum(m.dims[i] for m in modules) for i in range(alg.n)]
-    total = sum(dims)
-    offsets = []
-    off = 0
-    for d in dims:
-        offsets.append(off)
-        off += d
-    # coordinate in the sum of each coordinate of each summand
-    embeds = []
-    cursor = [0] * alg.n
-    for m in modules:
-        emb = []
-        for i in range(alg.n):
-            for c in range(m.dims[i]):
-                emb.append(offsets[i] + cursor[i] + c)
-            cursor[i] += m.dims[i]
-        embeds.append(emb)
-
-    act = []
-    for k in range(alg.dim):
-        grid = [[ZERO] * total for _ in range(total)]
-        for m, emb in zip(modules, embeds):
-            a = m.act[k]
-            for r in range(m.total):
-                for c in range(m.total):
-                    if a.data[r][c] != 0:
-                        grid[emb[r]][emb[c]] = a.data[r][c]
-        act.append(Matrix(total, total, grid))
-    return FDModule(alg, dims, act,
-                    name=name or "+".join(m.name for m in modules))
-
-
-def hom_basis(M: FDModule, N: FDModule, radical_only: bool = False):
-    """Basis of Hom(M, N) as ModuleMaps.
-
-    With radical_only, the perp of the trace pairing with Hom(N, M) is
-    returned; over the rationals this is exactly the radical of the hom
-    space (non-isomorphism part).
-    """
+def hom_basis(M: FDModule, N: FDModule):
+    """Basis of Hom(M, N) as ModuleMaps."""
     if M.alg is not N.alg and M.alg.dim != N.alg.dim:
         raise ValueError("modules over different algebras")
     tM, tN = M.total, N.total
@@ -251,26 +164,9 @@ def hom_basis(M: FDModule, N: FDModule, radical_only: bool = False):
                 if any(x != 0 for x in row):
                     rows.append(row)
     sol = Matrix(len(rows), nunk, rows) if rows else Matrix.zero(0, nunk)
-
-    def as_map(v):
-        return ModuleMap(M, N, Matrix(tN, tM, [[v[unk(r, c)]
-                                                for c in range(tM)]
-                                               for r in range(tN)]))
-
-    basis_vecs = sol.kernel_basis()
-    if radical_only and basis_vecs:
-        back = hom_basis(N, M)
-        if back:
-            pairing = _trace_pairing([as_map(v) for v in basis_vecs], back)
-            new_vecs = []
-            for kv in pairing.kernel_basis():
-                acc = [ZERO] * nunk
-                for c, bv in zip(kv, basis_vecs):
-                    if c != 0:
-                        acc = [a + c * b for a, b in zip(acc, bv)]
-                new_vecs.append(tuple(acc))
-            basis_vecs = new_vecs
-    return [as_map(v) for v in basis_vecs]
+    return [ModuleMap(M, N, Matrix(tN, tM, [[v[unk(r, c)] for c in range(tM)]
+                                            for r in range(tN)]))
+            for v in sol.kernel_basis()]
 
 
 def _trace_pairing(hom_mn, hom_nm) -> Matrix:

@@ -57,10 +57,6 @@ class PipelineReport:
         self.doc = doc
         self.timing = timing
 
-    @property
-    def ok(self):
-        return self.doc["ok"]
-
     def emit(self):
         return bio.emit(self.doc)
 

@@ -10,8 +10,9 @@ table[i][j] is the dict {k: c} of the nonzero coefficients of
 basis[i] * basis[j], where basis[j] is applied first.  `table_product`
 is the one product routine that reads it.  Quiver algebras get their
 table from a normal-form path basis; algebras handed over as raw tables
-(endomorphism algebras, Burt-Butler algebras, corner and factor
-algebras) go through `from_structure_constants`, which reshapes them into
+(endomorphism algebras, Burt-Butler algebras and corner algebras e B e;
+the tests build factor algebras A/AeA this way too) go through
+`from_structure_constants`, which reshapes them into
 a block-pure basis adapted to the radical filtration so the rest of the
 package can treat both kinds uniformly.
 """

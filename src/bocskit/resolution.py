@@ -13,12 +13,10 @@ d(f)^(l) = d'_{l-k} f^(l) - (-1)^k f^(l-1) d_l.
 
 from __future__ import annotations
 
-from .linalg import ONE, ZERO, MapSpace, Matrix, Span, nonzeros
+from .linalg import ONE, ZERO, MapSpace, Matrix, Span
 from .modules import (FDModule, ModuleMap, from_generators,
-                      hom_from_projective, quotient, radical_vectors,
-                      syzygies)
-from .quiver import Algebra, from_structure_constants
-from .strata import StandardSystem, standard_modules
+                      hom_from_projective, radical_vectors, syzygies)
+from .strata import StandardSystem
 
 # The working truncation of every resolution.  The A-infinity transfer
 # needs Hodge data up to degree 3 (ainf._tabulated), and hodge_data at
@@ -72,17 +70,6 @@ class Resolution:
 
     def mult_list(self, l: int):
         return list(self.mods[l].summands)
-
-    def copies(self, l: int, vertex: int) -> int:
-        """Number of P(vertex) summands in P_l (the c_l counts)."""
-        return self.mods[l].summands.count(vertex)
-
-    def length(self) -> int:
-        """Largest l <= N_max with P_l nonzero."""
-        for l in range(self.N_max, -1, -1):
-            if self.mods[l].total:
-                return l
-        return 0
 
 
 def minimal_resolution(M: FDModule) -> Resolution:
@@ -155,9 +142,6 @@ class GradedMap:
                          {l: f.scale(c) for l, f in self.comps.items()},
                          hi=self.hi)
 
-    def __sub__(self, other: "GradedMap") -> "GradedMap":
-        return self + other.scale(-1)
-
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other; degrees add, the valid range shrinks."""
         if other.tgt is not self.src:
@@ -183,9 +167,6 @@ class GradedMap:
             if l <= hi and (f is None or g is None or f.mat != g.mat):
                 return False
         return True
-
-    def is_chain(self) -> bool:
-        return differential(self).is_zero()
 
 
 def zero_graded_map(src: Resolution, tgt: Resolution, k: int) -> GradedMap:
@@ -242,54 +223,6 @@ def lift_chain_map(src: Resolution, tgt: Resolution, k: int,
         comps[l + 1] = ModuleMap(src.P(l + 1), post.source,
                                  space.combine(coeffs))
     return GradedMap(src, tgt, k, comps)
-
-
-def radical_criterion(f: GradedMap) -> bool:
-    """Bottom-component test: True when f^(k) lands in the radical.
-
-    For chain maps of degree k >= 1 between resolutions of a properly
-    standard module this decides null-homotopy.
-    """
-    if f.k < 1:
-        raise ValueError("radical criterion needs degree at least 1")
-    bottom = f.component(f.lo)
-    p0 = f.tgt.P(0)
-    _, proj, _ = quotient(p0, radical_vectors(p0))
-    return (proj.mat @ bottom.mat).is_zero()
-
-
-def is_null_homotopic(f: GradedMap):
-    """(flag, witness): solve f = d(u) over the stored range.
-
-    The witness u has degree k - 1.  For degree >= 1 chain maps on a
-    properly standard resolution the answer is checked against the
-    radical criterion.
-    """
-    k = f.k
-    src, tgt = f.src, f.tgt
-    levels = range(max(k - 1, 0), src.N_max + 1)
-    spaces = [_hom_space(src, l, tgt.P(l - k + 1)) for l in levels]
-    cols = [_flatten_graded(differential(GradedMap(src, tgt, k - 1, {l: h})),
-                            f.hi)
-            for l, (basis, _) in zip(levels, spaces) for h in basis]
-    rhs = _flatten_graded(f, f.hi)
-    mat = (Matrix.from_columns(cols) if cols
-           else Matrix.zero(len(rhs), 0))
-    sol = mat.solve(rhs)
-    answer = sol is not None
-
-    if src is tgt and src.pdelta and k >= 1 and f.hi == src.N_max \
-            and f.is_chain():
-        if radical_criterion(f) != answer:
-            raise AssertionError(
-                "homotopy system disagrees with the radical criterion")
-    if not answer:
-        return False, None
-    coeffs = iter(sol)
-    comps = {l: ModuleMap(src.P(l), tgt.P(l - k + 1),
-                          space.combine([next(coeffs) for _ in basis]))
-             for l, (basis, space) in zip(levels, spaces)}
-    return True, GradedMap(src, tgt, k - 1, comps)
 
 
 # -- Ext via the cocycle complex ------------------------------------------
@@ -404,10 +337,6 @@ def ext_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
             out.append(lift_chain_map(R, Rp, k, seed))
     rsys._ext_cache[key] = out
     return out
-
-
-def ext_dim(rsys: ResolvedSystem, i: int, j: int, k: int) -> int:
-    return len(ext_basis(rsys, i, j, k))
 
 
 def _flatten_graded(f: GradedMap, hi: int) -> list:
@@ -538,55 +467,3 @@ def hodge_data(rsys: ResolvedSystem, i: int, j: int, k: int) -> HodgeData:
         rsys._hodge_cache[key] = got
     return got
 
-
-# -- factor algebra comparison --------------------------------------------
-
-def quotient_by_idempotents(alg: Algebra, vertices):
-    """(A / AeA, old-to-new vertex map) for e the sum over the vertices."""
-    removed = set(vertices)
-    kept = [j for j in range(1, alg.n + 1) if j not in removed]
-    if not kept:
-        raise ValueError("cannot remove every vertex")
-    # AeA is spanned by the products b * c of basis elements with c in eA
-    ideal = [[alg.table[b][c].get(k, ZERO) for k in range(alg.dim)]
-             for c in range(alg.dim) if alg.btarget[c] in removed
-             for b in range(alg.dim)]
-    _, proj, sect = Span(alg.dim, ideal).complement()
-    cols = sect.columns()
-    table = [[nonzeros(proj.apply(alg.multiply(u, v))) for v in cols]
-             for u in cols]
-    idempotents = [proj.apply(alg.idempotent(j)) for j in kept]
-    quo = from_structure_constants(len(kept), table, idempotents)
-    return quo, {j: p + 1 for p, j in enumerate(kept)}
-
-
-def reduction_check(alg: Algebra, order, i: int):
-    """Compare dim Ext^k(pD(i), pD(i)), k <= 2, over A and A/AeA.
-
-    e is the idempotent sum over the vertices above i in the order; the
-    dimensions are expected to agree.
-    """
-    from .strata import _normalize_order
-    order = _normalize_order(alg, order)
-    rank = {v: p for p, v in enumerate(order)}
-    removed = [j for j in range(1, alg.n + 1) if rank[j] > rank[i]]
-
-    sysA = standard_modules(alg, order, mode="pdelta")
-    rsA = ResolvedSystem(sysA)
-    dims_A = [ext_dim(rsA, i, i, k) for k in range(3)]
-
-    if removed:
-        quo, vmap = quotient_by_idempotents(alg, removed)
-        new_order = [vmap[j] for j in order if j in vmap]
-        new_i = vmap[i]
-    else:
-        quo, new_order, new_i = alg, order, i
-    sysQ = standard_modules(quo, new_order, mode="pdelta")
-    rsQ = ResolvedSystem(sysQ)
-    dims_Q = [ext_dim(rsQ, new_i, new_i, k) for k in range(3)]
-
-    return {"vertex": i,
-            "removed": removed,
-            "dims_A": dims_A,
-            "dims_Aprime": dims_Q,
-            "equal": dims_A == dims_Q}

@@ -111,6 +111,10 @@ def check_pretwisted(pt: PretwistedModule, table: AInfTable, bocs: Bocs):
 
     Maurer-Cartan is evaluated through the product tables and
     cross-checked against relation compatibility of the candidate module.
+    That relation check is what makes the candidate a module, so it is
+    not validated otherwise: each idempotent acts as its vertex block and
+    each path as the composite of its arrow blocks, so the module axioms
+    hold exactly when every relation of B acts as zero.
     """
     triangular = _is_nilpotent(pt)
     mc = not _mc_matrices(pt, table)

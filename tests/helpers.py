@@ -1,9 +1,26 @@
 """Oracles and strategies shared by the tests; the package calls none of
-them."""
+them.
+
+Among them are reference constructions and checks that the verifier does
+not need: direct sums, modules from arrow blocks with the module axioms
+checked, the intertwining check of a map, the radical of a hom space, the
+bocs identity, null-homotopy by a homotopy solve against the radical
+criterion, and the Ext comparison of A with a factor algebra A/AeA
+(reduction_check).
+"""
 
 from hypothesis import strategies as st
 
-from bocskit.quiver import Quiver, Relation, RelationSet, build_algebra
+from bocskit.bocs import Bocs, bocs_lift
+from bocskit.linalg import ONE, ZERO, Matrix, Span, nonzeros
+from bocskit.modules import (FDModule, ModuleMap, _from_arrow_blocks,
+                             _trace_pairing, hom_basis, quotient,
+                             radical_vectors)
+from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
+                            build_algebra, from_structure_constants)
+from bocskit.resolution import (GradedMap, ResolvedSystem, _flatten_graded,
+                                _hom_space, differential, ext_basis)
+from bocskit.strata import _normalize_order, standard_modules
 
 
 def all_classes(table, degrees):
@@ -33,3 +50,218 @@ def monomial_algebras(draw):
         rels += [Relation(q, [(1, s, p)]) for s, p, t in paths
                  if ell == length or draw(st.booleans())]
     return build_algebra(q, RelationSet(q, rels))
+
+
+# -- modules ----------------------------------------------------------------
+
+
+def validate(M: FDModule):
+    """Raise ValueError unless the idempotents act as the vertex
+    projections and the action is multiplicative."""
+    alg = M.alg
+    for i in range(alg.n):
+        k = alg.unit_index[i]
+        m = M.act[k]
+        for r in range(M.total):
+            for c in range(M.total):
+                want = (ONE if (r == c and r in M.vertex_range(i + 1))
+                        else ZERO)
+                if m.data[r][c] != want:
+                    raise ValueError(
+                        f"idempotent e{i+1} does not act as the "
+                        f"vertex projection")
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            lhs = M.act[i] @ M.act[j]
+            rhs = Matrix.zero(M.total, M.total)
+            for k, c in M.alg.table[i][j].items():
+                rhs = rhs + M.act[k].scale(c)
+            if lhs != rhs:
+                raise ValueError(
+                    f"action is not multiplicative at "
+                    f"({alg.labels[i]},{alg.labels[j]})")
+
+
+def check_intertwining(f: ModuleMap):
+    """Raise ValueError unless f commutes with every generator's action."""
+    for k, a in f.source.generators_action():
+        if f.mat @ a != f.target.act[k] @ f.mat:
+            raise ValueError(
+                f"square for {f.source.alg.labels[k]} does not commute")
+
+
+def from_arrow_matrices(alg: Algebra, dims, arrow_mats, name=""):
+    """Build a module from one (target-dim x source-dim) block per arrow.
+
+    Only valid for quiver-presented algebras whose basis elements carry
+    paths.  The action of a longer word is the composition of its arrow
+    blocks; the relations are checked by FDModule construction plus an
+    explicit validate().
+    """
+    mod = _from_arrow_blocks(alg, dims, arrow_mats, name)
+    validate(mod)
+    return mod
+
+
+def direct_sum(modules, name=""):
+    if not modules:
+        raise ValueError("empty direct sum")
+    alg = modules[0].alg
+    dims = [sum(m.dims[i] for m in modules) for i in range(alg.n)]
+    total = sum(dims)
+    offsets = []
+    off = 0
+    for d in dims:
+        offsets.append(off)
+        off += d
+    # coordinate in the sum of each coordinate of each summand
+    embeds = []
+    cursor = [0] * alg.n
+    for m in modules:
+        emb = []
+        for i in range(alg.n):
+            for c in range(m.dims[i]):
+                emb.append(offsets[i] + cursor[i] + c)
+            cursor[i] += m.dims[i]
+        embeds.append(emb)
+
+    act = []
+    for k in range(alg.dim):
+        grid = [[ZERO] * total for _ in range(total)]
+        for m, emb in zip(modules, embeds):
+            a = m.act[k]
+            for r in range(m.total):
+                for c in range(m.total):
+                    if a.data[r][c] != 0:
+                        grid[emb[r]][emb[c]] = a.data[r][c]
+        act.append(Matrix(total, total, grid))
+    return FDModule(alg, dims, act,
+                    name=name or "+".join(m.name for m in modules))
+
+
+def radical_hom_basis(M: FDModule, N: FDModule):
+    """Basis of the perp of the trace pairing with Hom(N, M) inside
+    Hom(M, N); over the rationals this is exactly the radical of the hom
+    space (non-isomorphism part)."""
+    basis = hom_basis(M, N)
+    back = hom_basis(N, M)
+    if not basis or not back:
+        return basis
+    out = []
+    for kv in _trace_pairing(basis, back).kernel_basis():
+        acc = Matrix.zero(N.total, M.total)
+        for c, f in zip(kv, basis):
+            if c != 0:
+                acc = acc + f.mat.scale(c)
+        out.append(ModuleMap(M, N, acc))
+    return out
+
+
+def bocs_identity(bocs: Bocs, X: FDModule) -> ModuleMap:
+    """The identity morphism on X, through the counit."""
+    return bocs_lift(bocs, ModuleMap(X, X, Matrix.identity(X.total)))
+
+
+# -- resolutions ------------------------------------------------------------
+
+
+def radical_criterion(f: GradedMap) -> bool:
+    """Bottom-component test: True when f^(k) lands in the radical.
+
+    For chain maps of degree k >= 1 between resolutions of a properly
+    standard module this decides null-homotopy.
+    """
+    if f.k < 1:
+        raise ValueError("radical criterion needs degree at least 1")
+    bottom = f.component(f.lo)
+    p0 = f.tgt.P(0)
+    _, proj, _ = quotient(p0, radical_vectors(p0))
+    return (proj.mat @ bottom.mat).is_zero()
+
+
+def is_null_homotopic(f: GradedMap):
+    """(flag, witness): solve f = d(u) over the stored range.
+
+    The witness u has degree k - 1.  For degree >= 1 chain maps on a
+    properly standard resolution the answer is checked against the
+    radical criterion.
+    """
+    k = f.k
+    src, tgt = f.src, f.tgt
+    levels = range(max(k - 1, 0), src.N_max + 1)
+    spaces = [_hom_space(src, l, tgt.P(l - k + 1)) for l in levels]
+    cols = [_flatten_graded(differential(GradedMap(src, tgt, k - 1, {l: h})),
+                            f.hi)
+            for l, (basis, _) in zip(levels, spaces) for h in basis]
+    rhs = _flatten_graded(f, f.hi)
+    mat = (Matrix.from_columns(cols) if cols
+           else Matrix.zero(len(rhs), 0))
+    sol = mat.solve(rhs)
+    answer = sol is not None
+
+    if src is tgt and src.pdelta and k >= 1 and f.hi == src.N_max \
+            and differential(f).is_zero():
+        if radical_criterion(f) != answer:
+            raise AssertionError(
+                "homotopy system disagrees with the radical criterion")
+    if not answer:
+        return False, None
+    coeffs = iter(sol)
+    comps = {l: ModuleMap(src.P(l), tgt.P(l - k + 1),
+                          space.combine([next(coeffs) for _ in basis]))
+             for l, (basis, space) in zip(levels, spaces)}
+    return True, GradedMap(src, tgt, k - 1, comps)
+
+
+def ext_dim(rsys: ResolvedSystem, i: int, j: int, k: int) -> int:
+    return len(ext_basis(rsys, i, j, k))
+
+
+def quotient_by_idempotents(alg: Algebra, vertices):
+    """(A / AeA, old-to-new vertex map) for e the sum over the vertices."""
+    removed = set(vertices)
+    kept = [j for j in range(1, alg.n + 1) if j not in removed]
+    if not kept:
+        raise ValueError("cannot remove every vertex")
+    # AeA is spanned by the products b * c of basis elements with c in eA
+    ideal = [[alg.table[b][c].get(k, ZERO) for k in range(alg.dim)]
+             for c in range(alg.dim) if alg.btarget[c] in removed
+             for b in range(alg.dim)]
+    _, proj, sect = Span(alg.dim, ideal).complement()
+    cols = sect.columns()
+    table = [[nonzeros(proj.apply(alg.multiply(u, v))) for v in cols]
+             for u in cols]
+    idempotents = [proj.apply(alg.idempotent(j)) for j in kept]
+    quo = from_structure_constants(len(kept), table, idempotents)
+    return quo, {j: p + 1 for p, j in enumerate(kept)}
+
+
+def reduction_check(alg: Algebra, order, i: int):
+    """Compare dim Ext^k(pD(i), pD(i)), k <= 2, over A and A/AeA.
+
+    e is the idempotent sum over the vertices above i in the order; the
+    dimensions are expected to agree.
+    """
+    order = _normalize_order(alg, order)
+    rank = {v: p for p, v in enumerate(order)}
+    removed = [j for j in range(1, alg.n + 1) if rank[j] > rank[i]]
+
+    sysA = standard_modules(alg, order, mode="pdelta")
+    rsA = ResolvedSystem(sysA)
+    dims_A = [ext_dim(rsA, i, i, k) for k in range(3)]
+
+    if removed:
+        quo, vmap = quotient_by_idempotents(alg, removed)
+        new_order = [vmap[j] for j in order if j in vmap]
+        new_i = vmap[i]
+    else:
+        quo, new_order, new_i = alg, order, i
+    sysQ = standard_modules(quo, new_order, mode="pdelta")
+    rsQ = ResolvedSystem(sysQ)
+    dims_Q = [ext_dim(rsQ, new_i, new_i, k) for k in range(3)]
+
+    return {"vertex": i,
+            "removed": removed,
+            "dims_A": dims_A,
+            "dims_Aprime": dims_Q,
+            "equal": dims_A == dims_Q}

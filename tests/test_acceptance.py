@@ -67,7 +67,7 @@ def corpus():
 
 def test_criterion_1_fixture_roundtrips(fixtures, bocses, ralgs, reports):
     for name, rep in reports.items():
-        assert rep.ok, name
+        assert rep.doc["ok"], name
         assert rep.doc["verdicts"]["morita_compare"]["verdict"] == \
             "isomorphic", name
     b1 = bocses["e1"]

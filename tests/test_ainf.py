@@ -10,10 +10,10 @@ from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
 from bocskit.resolution import (HodgeData, ResolvedSystem, differential,
-                                ext_basis, hodge_data, is_null_homotopic)
+                                ext_basis, hodge_data)
 from bocskit.strata import classify_algebra, standard_modules
 
-from helpers import all_classes, monomial_algebras
+from helpers import all_classes, is_null_homotopic, monomial_algebras
 
 
 def pdelta_tables(alg, r_max=5):

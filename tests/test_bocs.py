@@ -7,9 +7,9 @@ import pytest
 from bocskit import burt_butler
 from bocskit import io as bio
 from bocskit.ainf import stasheff_check
-from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_identity,
-                          bocs_lift, classify_bocs, construct_bocs,
-                          tensor_module, validate_coalgebra)
+from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_lift,
+                          classify_bocs, construct_bocs, tensor_module,
+                          validate_coalgebra)
 from bocskit.burt_butler import right_algebra
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
@@ -18,6 +18,8 @@ from bocskit.modules import (ModuleMap, hom_basis, projective, simple,
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
+
+from helpers import bocs_identity
 
 
 @pytest.fixture(scope="module")

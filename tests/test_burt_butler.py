@@ -7,8 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from bocskit import burt_butler, pipeline
-from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_identity,
-                          construct_bocs)
+from bocskit.bocs import bocs_compose, bocs_hom_basis, construct_bocs
 from bocskit.burt_butler import (borel_checks, ext_dimension,
                                  homological_check, induce, induce_bocs_map,
                                  iso_search, loop_subalgebra_check,
@@ -16,13 +15,16 @@ from bocskit.burt_butler import (borel_checks, ext_dimension,
                                  standard_check)
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
-from bocskit.modules import (FDModule, direct_sum, is_isomorphic,
-                             projective, simple, syzygies)
-from bocskit.pipeline import roundtrip_bocs
-from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
+from bocskit.modules import (FDModule, is_isomorphic, projective, simple,
+                             syzygies)
+from bocskit.pipeline import roundtrip_bocs, run_pipeline
+from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
+                            example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
 from bocskit.strata import standard_modules
+
+from helpers import bocs_identity, direct_sum
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +139,48 @@ def test_borel_checks_fixtures(r1, r3, r2, r0, rv):
         assert bc["right_projective"]
         assert bc["induce_regular_iso"]
         assert bc["dim_two_ways"]
+
+
+def _zero_path_at_3():
+    """Arrows a0: 3 -> 2 and a1: 2 -> 1 with a0 then a1 zero, order
+    [2, 3, 1].  R has dim 5, where #{btarget = a} #{bsource = b} would
+    count 6."""
+    q = Quiver(3, [("a0", 3, 2), ("a1", 2, 1)])
+    rels = [Relation(q, [(1, 3, ("a0", "a1"))])]
+    return build_algebra(q, RelationSet(q, rels)), [2, 3, 1]
+
+
+def _auslander_of_dual_numbers():
+    """The Auslander algebra of K[x]/(x^2): a1: 1 -> 2 and b1: 2 -> 1 with
+    a1 then b1 zero, order [2, 1]."""
+    q = Quiver(2, [("a1", 1, 2), ("b1", 2, 1)])
+    rels = [Relation(q, [(1, 1, ("a1", "b1"))])]
+    return build_algebra(q, RelationSet(q, rels), length_bound=6), [2, 1]
+
+
+@pytest.mark.parametrize("mode", ["pdelta", "delta"])
+@pytest.mark.parametrize("build", [_zero_path_at_3,
+                                   _auslander_of_dual_numbers])
+def test_dim_two_ways_counts_right_ideals_on_both_sides(build, mode):
+    alg, order = build()
+    rep = run_pipeline(alg, order, mode=mode)
+    assert rep.doc["ok"]
+    assert rep.doc["right_algebra"]["dim"] == 5
+
+
+def test_dim_two_ways_refutes_a_doubled_multiplicity(r2, rv, monkeypatch):
+    for alg, b, r in (r2, rv):
+        assert borel_checks(r)["dim_two_ways"]
+    alg, b, r = rv
+    assert b.d
+    key = min(b.d)
+    # with the premise granted, the formula alone must catch it
+    monkeypatch.setattr(b, "kernel_is_free", lambda: True)
+    monkeypatch.setattr(b, "d", {**b.d, key: 2 * b.d[key]})
+    assert not borel_checks(r)["dim_two_ways"]
+    monkeypatch.undo()
+    monkeypatch.setattr(b, "kernel_is_free", lambda: False)
+    assert not borel_checks(r)["dim_two_ways"]
 
 
 def test_induce_simple_gives_projective(r2):

@@ -191,6 +191,22 @@ def test_bocs_document_with_a_kernel_reads_back_its_kernel_data():
         bio.doc_to_bocs(dict(good, d=good["d"] * 2))
 
 
+def test_mu_pairs_must_satisfy_the_counit_identities(a2_bocs_doc):
+    # refused at the boundary, not late, at right_algebra
+    docs = [a2_bocs_doc] + [
+        bio.bocs_to_doc(construct_bocs(alg, mode="pdelta", r_max=3))
+        for alg in (example_dual_numbers(), example_jordan3())]
+    for good in docs:
+        assert bio.doc_to_bocs(good).mu_pairs == bio.lists_to_matrix(
+            good["mu_pairs"], "/mu_pairs")
+        for c in (2, 0):
+            mu = good["mu_pairs"]
+            data = [[str(c * frac(x)) for x in row] for row in mu["data"]]
+            with pytest.raises(ValueError,
+                               match="schema violation at /mu_pairs$"):
+                bio.doc_to_bocs(dict(good, mu_pairs=dict(mu, data=data)))
+
+
 def test_a_mis_shaped_bimodule_matrix_is_named(a2_bocs_doc):
     good = a2_bocs_doc
     one = {"rows": 1, "cols": 1, "data": [["0"]]}

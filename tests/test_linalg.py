@@ -15,25 +15,20 @@ from bocskit.quiver import Quiver, Relation
 
 def test_rref_identity():
     m = Matrix.identity(2)
-    r, rank, pivots = m.rref()
-    assert r == m
-    assert rank == 2
-    assert pivots == (0, 1)
+    assert rref_rows(m.data, 2) == ([[1, 0], [0, 1]], [0, 1])
+    assert m.rank() == 2
 
 
 def test_rref_zero():
     m = Matrix.zero(3, 3)
-    r, rank, pivots = m.rref()
-    assert r == m
-    assert rank == 0
-    assert pivots == ()
+    assert rref_rows(m.data, 3) == ([], [])
+    assert m.rank() == 0
 
 
 def test_rref_rank_one():
-    m = Matrix.from_rows([[1, 2], [2, 4]])
-    r, rank, _ = m.rref()
-    assert r == Matrix.from_rows([[1, 2], [0, 0]])
-    assert rank == 1
+    m = Matrix(2, 2, [[1, 2], [2, 4]])
+    assert rref_rows(m.data, 2) == ([[1, 2]], [0])
+    assert m.rank() == 1
 
 
 def test_kernel_identity_empty():
@@ -46,7 +41,7 @@ def test_kernel_zero_map():
 
 
 def test_kernel_line():
-    basis = Matrix.from_rows([[1, 1]]).kernel_basis()
+    basis = Matrix(1, 2, [[1, 1]]).kernel_basis()
     assert len(basis) == 1
     v = basis[0]
     assert v[0] * 1 + v[1] * 1 == 0
@@ -59,14 +54,14 @@ def test_solve_identity():
 
 
 def test_solve_underdetermined():
-    m = Matrix.from_rows([[1, 1]])
+    m = Matrix(1, 2, [[1, 1]])
     v = m.solve([frac(2)])
     assert v is not None
     assert v[0] + v[1] == 2
 
 
 def test_solve_inconsistent():
-    m = Matrix.from_rows([[0, 0]])
+    m = Matrix(1, 2, [[0, 0]])
     assert m.solve([frac(1)]) is None
 
 
@@ -83,9 +78,13 @@ def test_random_properties(seed):
     cols = rng.randint(1, 6)
     m = _random_matrix(rng, rows, cols)
 
-    r, rank, _ = m.rref()
-    assert r.rref()[0] == r, "rref must be idempotent"
-    assert rank == m.transpose().rank(), "row rank equals column rank"
+    reduced, pivots = rref_rows(m.data, cols)
+    rank = m.rank()
+    assert rank == len(reduced)
+    assert rref_rows(reduced, cols) == (reduced, pivots), \
+        "rref must be idempotent"
+    assert rank == Matrix.from_columns(m.data).rank(), \
+        "row rank equals column rank"
     assert len(m.kernel_basis()) + rank == cols
 
     rhs = m.apply(tuple(Fraction(rng.randint(-3, 3)) for _ in range(cols)))
@@ -111,11 +110,11 @@ def test_scalars_are_ints_when_integral_and_floats_are_refused():
     assert type(qdiv(4, 2)) is int and qdiv(4, 2) == 2
     assert type(qdiv(Fraction(3, 2), Fraction(1, 2))) is int
     assert all(type(x) is int
-               for x in Matrix.from_rows([[Fraction(2), 1], [0, 3]]).flat())
+               for x in Matrix(2, 2, [[Fraction(2), 1], [0, 3]]).flat())
     with pytest.raises(TypeError):
         frac(0.5)
     with pytest.raises(TypeError):
-        Matrix.from_rows([[1, 0.5]])
+        Matrix(1, 2, [[1, 0.5]])
     q = Quiver(1, [("x", 1, 1)])
     with pytest.raises(TypeError):
         Relation(q, [(0.5, 1, ("x", "x"))])
@@ -290,7 +289,7 @@ def _kron(L, R):
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_outer_is_the_flattened_outer_product(m, n, data):
     u, v = data.draw(_vector(m)), data.draw(_vector(n))
-    product = Matrix.from_columns([u]) @ Matrix.from_rows([v])
+    product = Matrix.from_columns([u]) @ Matrix(1, n, [v])
     assert outer(u, v) == product.flat()
 
 
@@ -321,7 +320,7 @@ def test_balanced_relations_span_the_balancing_maps(bdim, m, n, data):
     want = []
     for Rk, Lk in zip(right, left):
         want += (_kron(Rk, Matrix.identity(n))
-                 - _kron(Matrix.identity(m), Lk)).columns()
+                 + _kron(Matrix.identity(m), Lk).scale(-1)).columns()
     got = Span(m * n, rels)
     assert (got.rows, got.pivots) == rref_rows(want, m * n)
 
@@ -400,12 +399,10 @@ def test_from_columns_refuses_ragged_columns():
 
 
 def test_matmul_and_blocks():
-    a = Matrix.from_rows([[1, 2], [3, 4]])
-    b = Matrix.from_rows([[0, 1], [1, 0]])
-    assert a @ b == Matrix.from_rows([[2, 1], [4, 3]])
+    a = Matrix(2, 2, [[1, 2], [3, 4]])
+    b = Matrix(2, 2, [[0, 1], [1, 0]])
+    assert a @ b == Matrix(2, 2, [[2, 1], [4, 3]])
     assert a.hstack(b).cols == 4
-    assert a.vstack(b).rows == 4
-    assert a.column_space_basis() == [a.column(0), a.column(1)]
 
 
 # -- the integer-first kernel against a Fraction-only oracle ----------------
@@ -478,10 +475,10 @@ def test_elimination_agrees_with_a_fraction_only_oracle(rows, cols, nrhs,
                                                         data):
     A = data.draw(_exact_matrix(rows, cols))
     reduced, pivots = _oracle_rref(A.data, cols)
-    R, rank, got_pivots = A.rref()
-    assert (rank, got_pivots) == (len(reduced), tuple(pivots))
-    assert R.data == tuple(map(tuple, reduced)) + ((0,) * cols,) * (
-        rows - rank)
+    got, got_pivots = rref_rows(A.data, cols)
+    assert (A.rank(), got_pivots) == (len(reduced), pivots)
+    R = Matrix(len(got), cols, got)
+    assert R.data == tuple(map(tuple, reduced))
     assert _canonical(R)
 
     kernel = []
@@ -572,19 +569,15 @@ def test_every_constructed_entry_is_canonical(rows, cols, k, data):
     F = _as_fractions(grid)
     A = Matrix(rows, cols, grid)
     assert _same(A, F)
-    assert _same(Matrix.from_rows(grid), F)
     assert _same(Matrix.from_columns([list(c) for c in zip(*grid)]), F)
 
     other = data.draw(_mixed_grid(rows, cols))
     G = _as_fractions(other)
     B = Matrix(rows, cols, other)
     assert _same(A + B, [[a + b for a, b in zip(r, s)] for r, s in zip(F, G)])
-    assert _same(A - B, [[a - b for a, b in zip(r, s)] for r, s in zip(F, G)])
     c = data.draw(_mixed_entries)
     assert _same(A.scale(c), [[Fraction(c) * a for a in r] for r in F])
-    assert _same(A.transpose(), list(zip(*F)))
     assert _same(A.hstack(B), [r + s for r, s in zip(F, G)])
-    assert _same(A.vstack(B), F + G)
 
     right = data.draw(_mixed_grid(cols, k))
     H = _as_fractions(right)
@@ -593,9 +586,9 @@ def test_every_constructed_entry_is_canonical(rows, cols, k, data):
                    for j in range(k)] for r in F])
 
     reduced, pivots = _oracle_rref(F, cols)
-    R, rank, got_pivots = A.rref()
-    assert (rank, got_pivots) == (len(reduced), tuple(pivots))
-    assert _same(R, reduced + [[Fraction(0)] * cols] * (rows - rank))
+    got, got_pivots = rref_rows(A.data, cols)
+    assert (A.rank(), got_pivots) == (len(reduced), pivots)
+    assert _same(Matrix(len(got), cols, got), reduced)
     rhs = Matrix(rows, k, data.draw(_mixed_grid(rows, k)))
     want = _oracle_solve_columns(A, rhs.columns())
     got = A.solve_columns(rhs)
@@ -620,7 +613,6 @@ def test_a_float_or_a_ragged_grid_is_refused_anywhere(rows, cols, data):
     grid[i][j] = 0.5
     columns = [list(c) for c in zip(*grid)]
     for build in (lambda: Matrix(rows, cols, grid),
-                  lambda: Matrix.from_rows(grid),
                   lambda: Matrix.from_columns(columns)):
         with pytest.raises(TypeError):
             build()

@@ -39,7 +39,7 @@ def test_fixture_reports_are_the_recorded_bytes(reports):
 
 def test_fixture_pipelines_pass(reports):
     for name, rep in reports.items():
-        assert rep.ok, name
+        assert rep.doc["ok"], name
         verdicts = rep.doc["verdicts"]
         assert verdicts["morita_compare"]["verdict"] == "isomorphic"
         assert verdicts["standard_check"]["ok"]
@@ -369,7 +369,7 @@ def test_one_classification_serves_every_stage(monkeypatch):
         monkeypatch,
         ("classify_algebra", "standard_modules", "theta_filtration"))
     rep = run_pipeline(alg, mode="pdelta")
-    assert rep.ok
+    assert rep.doc["ok"]
     # theta_filtration: one per mode and projective in classify, one for
     # the regular module over R in standard_check, one per candidate module
     assert counts == {"classify_algebra": 1, "standard_modules": 2,

@@ -231,7 +231,8 @@ def _base_changes(draw, dim):
     upper = [[draw(ints) if j > i else draw(pivots) if j == i else 0
               for j in range(dim)] for i in range(dim)]
     perm = draw(st.permutations(range(dim)))
-    return Matrix.from_rows([lower[p] for p in perm]) @ Matrix.from_rows(upper)
+    return (Matrix(dim, dim, [lower[p] for p in perm])
+            @ Matrix(dim, dim, upper))
 
 
 def _signature(alg):

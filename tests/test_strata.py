@@ -9,6 +9,8 @@ from bocskit.strata import (StandardSystem, _assert_system_invariants,
                             classify_algebra, standard_modules,
                             theta_filtration)
 
+from helpers import radical_hom_basis
+
 
 def test_standard_modules_a2():
     alg = example_a2()
@@ -119,8 +121,8 @@ def _standard_by_hom_solve(alg, order, mode):
         p = projective(alg, i)
         vecs = [col for j in range(1, alg.n + 1)
                 if rank[j] > rank[i] or (mode == "pdelta" and j == i)
-                for f in hom_basis(projective(alg, j), p,
-                                   radical_only=(mode == "pdelta"))
+                for f in (radical_hom_basis if mode == "pdelta"
+                          else hom_basis)(projective(alg, j), p)
                 for col in f.mat.columns()]
         q, _, _ = quotient(p, vecs)
         modules.append(q)

@@ -5,14 +5,16 @@ import pytest
 
 from bocskit.bocs import construct_bocs
 from bocskit.linalg import Matrix
-from bocskit.modules import (direct_sum, is_isomorphic, projective,
-                             quotient, simple, submodule)
+from bocskit.modules import (is_isomorphic, projective, quotient, simple,
+                             submodule)
 from bocskit.quiver import (example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
 from bocskit.strata import theta_filtration
 from bocskit.twisted import (PretwistedModule, check_pretwisted,
                              filtered_to_bocs_module, hom_dim_compare,
                              module_from_pretwisted)
+
+from helpers import direct_sum, validate
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,39 @@ def test_maurer_cartan_detects_bad_delta(b3):
     triangular, mc = check_pretwisted(pt, b3.table, b3)
     assert not triangular
     assert not mc
+
+
+def test_maurer_cartan_holds_exactly_when_the_module_axioms_do(b1, b3, b2):
+    # check_pretwisted's relation check stands in for validating the
+    # candidate module built by module_from_pretwisted
+    (y1,) = b1.table.basis(1, 1, 1)
+    (y3,) = b3.table.basis(1, 1, 1)
+    shift = Matrix(4, 4, [[int(r == c + 1) for c in range(4)]
+                          for r in range(4)])
+    cases = [(b1, PretwistedModule([2], [])),
+             (b2, PretwistedModule([1, 1], [])),
+             (b1, PretwistedModule([2], [(Matrix(2, 2, [[0, 0], [1, 0]]),
+                                          y1)])),
+             (b1, PretwistedModule([1], [(Matrix(1, 1, [[1]]), y1)])),
+             (b3, PretwistedModule([3], [(Matrix(3, 3, [[0, 0, 1],
+                                                        [1, 0, 0],
+                                                        [0, 1, 0]]), y3)])),
+             (b3, PretwistedModule([4], [(shift, y3)]))]
+    for b, alg in ((b1, example_dual_numbers()), (b3, example_jordan3()),
+                   (b2, example_a2())):
+        X = filtered_to_bocs_module(cert_of(projective(alg, 1), b), b)
+        cases.append((b, X.pretwisted))
+    verdicts = []
+    for b, pt in cases:
+        _, mc = check_pretwisted(pt, b.table, b)
+        try:
+            validate(module_from_pretwisted(pt, b))
+            valid = True
+        except ValueError:
+            valid = False
+        assert mc == valid
+        verdicts.append(mc)
+    assert verdicts.count(False) == 3
 
 
 def test_regular_modules_map_to_regular(b1, b3, b2):
