@@ -667,16 +667,17 @@ class TensorModule(FDModule):
 
 
 def tensor_module(bocs: Bocs, X: FDModule) -> TensorModule:
-    got = bocs._tensor_cache.get(id(X))
-    if got is None or got.X is not X:
-        got = bocs._tensor_cache[id(X)] = TensorModule(bocs, X)
+    """W (x)_B X, built once per module content and kept on the bocs."""
+    got = bocs._tensor_cache.get(X)
+    if got is None:
+        got = bocs._tensor_cache[X] = TensorModule(bocs, X)
     return got
 
 
 def _hom_source(bocs: Bocs, f: ModuleMap) -> TensorModule:
     src = f.source
     if not (isinstance(src, TensorModule)
-            and bocs._tensor_cache.get(id(src.X)) is src):
+            and bocs._tensor_cache.get(src.X) is src):
         raise ValueError("hom source was not built by this bocs")
     return src
 

@@ -79,9 +79,8 @@ class RightAlgebra:
     structure-constant algebra on it; emb maps B coordinates into R
     coordinates; coord_of_basis identifies the regular module's
     coordinates with the basis of B; right_act[k] is the right action of
-    the k-th basis element of B on R; induced is induce's store, from the
-    content (dimensions, action entries) of a B-module to its
-    InducedModule.
+    the k-th basis element of B on R; induced is induce's store, from a
+    B-module to its InducedModule.
     """
 
     def __init__(self, bocs: Bocs):
@@ -178,24 +177,22 @@ def right_algebra(bocs: Bocs) -> RightAlgebra:
 
 
 # R (x)_B X: the R-module, realized on the basis of Hom(B, X) and its
-# MapSpace, the coordinate changes between the two, and X itself
+# MapSpace, and the coordinate changes between the two
 InducedModule = namedtuple("InducedModule",
-                           "module basis space to_new to_old source")
+                           "module basis space to_new to_old")
 
 
 def induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
     """R (x)_B X realized as the morphism space Hom(B, X) over R.
 
-    Built once per module content and stored on ralg: the construction
-    reads only the dimensions and action of X, so an equal module gets
-    the stored value with X as its source.  Its basis maps may target the
-    first equal module; callers read only their matrices.
+    Built once per module and stored on ralg, so an equal module gets the
+    stored value.  Its basis maps may target the first equal module;
+    callers read only their matrices.
     """
-    key = (X.dims, tuple(a.data for a in X.act))
-    got = ralg.induced.get(key)
+    got = ralg.induced.get(X)
     if got is None:
-        got = ralg.induced[key] = _induce(ralg, X)
-    return got if got.source is X else got._replace(source=X)
+        got = ralg.induced[X] = _induce(ralg, X)
+    return got
 
 
 def _induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
@@ -215,7 +212,7 @@ def _induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
         raise AssertionError(
             "induced module dimension disagrees with the tensor "
             f"presentation ({module.total} vs {tdim})")
-    return InducedModule(module, basis, space, to_new, to_old, X)
+    return InducedModule(module, basis, space, to_new, to_old)
 
 
 def induce_bocs_map(ralg: RightAlgebra, f: ModuleMap,
@@ -239,8 +236,7 @@ def induce_map(ralg: RightAlgebra, u: ModuleMap,
 
 def standard_check(ralg: RightAlgebra):
     """Dimension formulas and filtration of R against the induced
-    standard system.  The report carries the induced simples of B, the
-    standard modules of R, in vertex order under "induced"."""
+    standard system, the induced simples of B."""
     bocs = ralg.bocs
     B = bocs.B
     R = ralg.R
@@ -249,8 +245,7 @@ def standard_check(ralg: RightAlgebra):
     n = B.n
     odelta = {j: induce(ralg, simple(B, j)) for j in range(1, n + 1)}
     report = {"hom_table": {}, "hom_formula": True,
-              "composition": True, "ext1_vanishing": True,
-              "induced": [odelta[j] for j in range(1, n + 1)]}
+              "composition": True, "ext1_vanishing": True}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             # dim Hom(P_R(i), M) = dim e_i M
@@ -340,23 +335,22 @@ def borel_checks(ralg: RightAlgebra):
 def homological_check(ralg: RightAlgebra, sources, targets):
     """Rank of the induced comparison map Ext^k_B -> Ext^k_R, k = 1, 2.
 
-    sources and targets are InducedModules FX, each carrying its
-    B-module as FX.source.  For each source X, induction F carries two
-    steps (c_t: P_t -> Omega_t, Omega_{t+1}, i_t) of minimal covers of X
-    to R-modules, once.  Two premises are checked on every step: F keeps
-    the step exact (F(c_t) onto, F(i_t) injective, dimensions adding up;
-    F(c_t) F(i_t) = 0 by functoriality), and F(P_t) is projective.  Then
-    the F(P_t) begin a projective resolution of FX, and a dimension
-    shift, which works on any projective resolution, reads
-    Ext^k_R(FX, FY) at F(Omega_k) as Ext^k_B(X, Y) is read at Omega_k; a
-    cocycle c maps to the class of F(c).  Requires surjectivity for
-    k = 1 and bijectivity for k = 2.  Returns one verdict per (source,
-    target, k), in that order.
+    sources and targets are B-modules, induced through induce.  For each
+    source X, induction F carries two steps (c_t: P_t -> Omega_t,
+    Omega_{t+1}, i_t) of minimal covers of X to R-modules, once.  Two
+    premises are checked on every step: F keeps the step exact (F(c_t)
+    onto, F(i_t) injective, dimensions adding up; F(c_t) F(i_t) = 0 by
+    functoriality), and F(P_t) is projective.  Then the F(P_t) begin a
+    projective resolution of FX, and a dimension shift, which works on
+    any projective resolution, reads Ext^k_R(FX, FY) at F(Omega_k) as
+    Ext^k_B(X, Y) is read at Omega_k; a cocycle c maps to the class of
+    F(c).  Requires surjectivity for k = 1 and bijectivity for k = 2.
+    Returns one verdict per (source, target, k), in that order.
     """
     verdicts = []
-    for FX in sources:
-        steps = syzygies(FX.source, 2)
-        fsteps, fomega = [], [FX]  # fomega[t] is F(Omega_t)
+    for X in sources:
+        steps = syzygies(X, 2)
+        fsteps, fomega = [], [induce(ralg, X)]  # fomega[t] is F(Omega_t)
         for (cover, ker, kinc) in steps:
             prev = fomega[-1]
             FP = induce(ralg, cover.source)
@@ -373,9 +367,10 @@ def homological_check(ralg: RightAlgebra, sources, targets):
                 raise AssertionError("induced cover is not projective")
             fsteps.append((c, FK.module, i_))
             fomega.append(FK)
-        for FY in targets:
+        for Y in targets:
+            FY = induce(ralg, Y)
             for k in (1, 2):
-                cocycles, _, ext_b = _syzygy_ext(steps[:k], FY.source)
+                cocycles, _, ext_b = _syzygy_ext(steps[:k], Y)
                 _, image, ext_r = _syzygy_ext(fsteps[:k], FY.module)
                 image_rank = sum(
                     image.add(induce_map(ralg, c, fomega[k],

@@ -159,7 +159,8 @@ def doc_to_algebra(doc: dict):
             _expect(isinstance(path, list) and len(path) >= 2,
                     tp + "/path")
             for ak, aname in enumerate(path):
-                _expect(aname in by_name, f"{tp}/path/{ak}")
+                _expect(isinstance(aname, str) and aname in by_name,
+                        f"{tp}/path/{ak}")
             src = by_name[path[0]][0]
             terms.append((coeff, src, tuple(path)))
         relations.append(Relation(quiver, terms))

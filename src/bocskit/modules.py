@@ -15,6 +15,10 @@ from .quiver import Algebra
 
 
 class FDModule:
+    """A module is its content: modules with the same Algebra object, dims
+    and action matrices are equal, and every module memo keys on that.
+    Nothing mutates a module; attributes set later are read by no memo."""
+
     def __init__(self, alg: Algebra, dims, act, name=""):
         self.alg = alg
         self.dims = tuple(dims)
@@ -30,6 +34,16 @@ class FDModule:
         if len(self.act) != alg.dim:
             raise ValueError("need an action matrix per algebra basis element")
         self.name = name
+        self._hash = None
+
+    def __eq__(self, other):
+        return (isinstance(other, FDModule) and self.alg is other.alg
+                and self.dims == other.dims and self.act == other.act)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.dims, *self.act))
+        return self._hash
 
     def vertex_of_coord(self, c: int) -> int:
         for i in range(self.alg.n - 1, -1, -1):

@@ -91,7 +91,7 @@ class _Run:
             raise PipelineError(self.marks[-1][0], message, witness)
 
     def standard_stage(self, ralg):
-        """The standard_check stage; returns the induced simples of B."""
+        """The standard_check stage."""
         self.stage("standard_check")
         sc = self.call(standard_check, ralg)
         table = {f"{i},{j}": [int(g), int(w)]
@@ -99,7 +99,6 @@ class _Run:
         self.require(sc["ok"], "standard module checks failed",
                      {"hom_table": table})
         self.standard = {"ok": True, "hom_table": table}
-        return sc["induced"]
 
     def report(self, input_doc, cls, bocs, bclass, ralg, *, bocs_doc,
                verdicts):
@@ -216,7 +215,7 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
 
     run.stage("right_algebra")
     ralg = run.call(right_algebra, bocs)
-    simples = run.standard_stage(ralg)
+    run.standard_stage(ralg)
 
     run.stage("borel_checks")
     bc = run.call(borel_checks, ralg)
@@ -225,6 +224,7 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
 
     run.stage("homological_check")
     vertices = range(1, bocs.B.n + 1)
+    simples = [simple(bocs.B, i) for i in vertices]
     homological = []
     for (i, j, k), out in zip(
             product(vertices, vertices, (1, 2)),

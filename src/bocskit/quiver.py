@@ -149,9 +149,6 @@ class Algebra:
 
     # -- element helpers ---------------------------------------------------
 
-    def zero(self):
-        return (ZERO,) * self.dim
-
     def basis_vec(self, i: int):
         v = [ZERO] * self.dim
         v[i] = ONE
@@ -418,7 +415,10 @@ def _build_graded(quiver, relations, length_bound):
     return _finish_algebra(quiver, relations, basis_paths, nf_global)
 
 
-def _build_global(quiver, relations, length_bound, path_cap=40000):
+PATH_CAP = 40000  # paths _build_global enumerates before it gives up
+
+
+def _build_global(quiver, relations, length_bound):
     n = quiver.n
     paths = [(i, ()) for i in range(1, n + 1)]
     by_length = {0: list(paths)}
@@ -435,7 +435,7 @@ def _build_global(quiver, relations, length_bound, path_cap=40000):
                     new.append(p)
         by_length[ell] = new
         paths.extend(new)
-        if len(paths) > path_cap:
+        if len(paths) > PATH_CAP:
             raise ValueError("path enumeration exceeded cap; "
                              "not finite dimensional within bound?")
         return new

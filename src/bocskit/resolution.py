@@ -26,14 +26,13 @@ N_MAX = 4
 
 def _hom_space(R: Resolution, l: int, X: FDModule):
     """(basis, MapSpace of the basis) of Hom(P_l, X), stored on R."""
-    got = R.homs.get((l, id(X)))
-    if got is not None and got[0] is X:
-        return got[1], got[2]
-    P = R.P(l)
-    basis = hom_from_projective(P, X) if P.total and X.total else []
-    space = MapSpace([f.mat for f in basis], X.total, P.total)
-    R.homs[l, id(X)] = (X, basis, space)
-    return basis, space
+    got = R.homs.get((l, X))
+    if got is None:
+        P = R.P(l)
+        basis = hom_from_projective(P, X) if P.total and X.total else []
+        space = MapSpace([f.mat for f in basis], X.total, P.total)
+        got = R.homs[l, X] = (basis, space)
+    return got
 
 
 class Resolution:
@@ -46,7 +45,7 @@ class Resolution:
         mods     realized sums of projectives P_0..P_{N_max+1}
         diffs    diffs[l] = d_l: P_l -> P_{l-1} for l = 1..N_max+1
         aug      augmentation P_0 -> module
-        homs     Hom(P_l, X) as stored by _hom_space, keyed (l, id(X))
+        homs     Hom(P_l, X) as stored by _hom_space, keyed (l, X)
         vertex   i when it resolves Theta(i) on a ResolvedSystem
     """
 

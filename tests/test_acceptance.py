@@ -9,9 +9,8 @@ import pytest
 from bocskit import io as bio
 from bocskit.ainf import stasheff_check
 from bocskit.bocs import classify_bocs, construct_bocs, validate_coalgebra
-from bocskit.burt_butler import (homological_check, induce,
-                                 loop_subalgebra_check, right_algebra,
-                                 standard_check)
+from bocskit.burt_butler import (homological_check, loop_subalgebra_check,
+                                 right_algebra, standard_check)
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
 from bocskit.modules import simple
@@ -74,7 +73,7 @@ def test_criterion_1_fixture_roundtrips(fixtures, bocses, ralgs, reports):
     assert b1.B.dim == 2 and b1.B.n == 1
     (k,) = [k for _, _, _, k in b1.B.arrows]
     a = b1.B.basis_vec(k)
-    assert b1.B.multiply(a, a) == b1.B.zero()
+    assert b1.B.multiply(a, a) == (0,) * b1.B.dim
     assert b1.kernel_basis == [] and b1.d == {}
     assert ralgs["e1"].R.dim == 2
     b3 = bocses["e3"]
@@ -82,8 +81,8 @@ def test_criterion_1_fixture_roundtrips(fixtures, bocses, ralgs, reports):
     (k,) = [k for _, _, _, k in b3.B.arrows]
     a = b3.B.basis_vec(k)
     sq = b3.B.multiply(a, a)
-    assert sq != b3.B.zero()
-    assert b3.B.multiply(a, sq) == b3.B.zero()
+    assert sq != (0,) * b3.B.dim
+    assert b3.B.multiply(a, sq) == (0,) * b3.B.dim
     (y,) = b3.table.basis(1, 1, 1)
     assert b3.table.m((y, y)) == {}
     assert any(c != 0 for c in b3.table.m((y, y, y)).values())
@@ -160,7 +159,7 @@ def test_criterion_5_hom_dimension_formula(ralgs, corpus):
 def test_criterion_6_homological_borel(ralgs):
     for name, r in ralgs.items():
         vertices = range(1, r.bocs.B.n + 1)
-        simples = [induce(r, simple(r.bocs.B, i)) for i in vertices]
+        simples = [simple(r.bocs.B, i) for i in vertices]
         outs = homological_check(r, simples, simples)
         for (i, j, k), out in zip(product(vertices, vertices, (1, 2)), outs,
                                   strict=True):

@@ -13,8 +13,8 @@ from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_lift,
 from bocskit.burt_butler import right_algebra
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
-from bocskit.modules import (ModuleMap, hom_basis, projective, simple,
-                             zero_module)
+from bocskit.modules import (FDModule, ModuleMap, hom_basis, projective,
+                             simple, zero_module)
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
@@ -51,7 +51,7 @@ def test_dual_numbers_bocs_shape(b1):
     B = b1.B
     assert B.dim == 2 and B.n == 1
     a = B.basis_vec(loop_index(B))
-    assert B.multiply(a, a) == B.zero()
+    assert B.multiply(a, a) == (0,) * B.dim
     assert b1.w_dim == 2
     assert b1.kernel_basis == []
     assert b1.d == {}
@@ -62,8 +62,8 @@ def test_jordan3_bocs_is_truncated_polynomial(b3):
     assert B.dim == 3 and B.n == 1
     a = B.basis_vec(loop_index(B))
     sq = B.multiply(a, a)
-    assert sq != B.zero()
-    assert B.multiply(a, sq) == B.zero()
+    assert sq != (0,) * B.dim
+    assert B.multiply(a, sq) == (0,) * B.dim
     assert b3.w_dim == 3
     assert b3.kernel_basis == []
     # the cube relation comes from a length-3 pairing
@@ -367,6 +367,9 @@ def test_a_dropped_bocs_is_freed_without_the_cyclic_collector():
         bocs = construct_bocs(example_dual_numbers(), mode="pdelta", r_max=4)
         S = simple(bocs.B, 1)
         assert bocs_hom_basis(bocs, S, S)
+        # an equal copy hits the memo
+        copy_of_s = FDModule(S.alg, S.dims, S.act)
+        assert tensor_module(bocs, copy_of_s) is tensor_module(bocs, S)
         assert stasheff_check(bocs.table, 3)
         refs = [weakref.ref(obj)
                 for obj in (bocs, bocs.table, bocs.table.rsys)]

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from bocskit import burt_butler, pipeline
-from bocskit.bocs import bocs_compose, bocs_hom_basis, construct_bocs
+from bocskit.bocs import (bocs_compose, bocs_hom_basis, construct_bocs,
+                          tensor_module)
 from bocskit.burt_butler import (borel_checks, ext_dimension,
                                  homological_check, induce, induce_bocs_map,
                                  iso_search, loop_subalgebra_check,
@@ -22,6 +23,7 @@ from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
+from bocskit.resolution import _hom_space, minimal_resolution
 from bocskit.strata import standard_modules
 
 from helpers import bocs_identity, direct_sum
@@ -90,14 +92,14 @@ def test_local_right_algebras_match_fixture_shapes(r1, r3):
     R = r.R
     (a_idx,) = [k for name, s, t, k in R.arrows]
     a = R.basis_vec(a_idx)
-    assert R.multiply(a, a) == R.zero()
+    assert R.multiply(a, a) == (0,) * R.dim
     _, _, r = r3
     R = r.R
     (a_idx,) = [k for name, s, t, k in R.arrows]
     a = R.basis_vec(a_idx)
     sq = R.multiply(a, a)
-    assert sq != R.zero()
-    assert R.multiply(a, sq) == R.zero()
+    assert sq != (0,) * R.dim
+    assert R.multiply(a, sq) == (0,) * R.dim
 
 
 def test_morita_compare_fixtures(r1, r3, r2, r0, rv):
@@ -210,9 +212,9 @@ def _copy(X):
 
 
 def test_induce_is_stored_by_module_content(r0, r1, r2, r3):
-    # an equal module gets the stored value, with itself as the source;
-    # the oracle builds it again on a fresh right algebra.  S + S has the
-    # dimensions of P(i) on e1 and e3, but not its action.
+    # an equal module gets the stored value; the oracle builds it again
+    # on a fresh right algebra.  S + S has the dimensions of P(i) on e1
+    # and e3, but not its action.
     for alg, b, r in (r0, r1, r2, r3):
         B = b.B
         fresh = right_algebra(b)
@@ -226,13 +228,24 @@ def test_induce_is_stored_by_module_content(r0, r1, r2, r3):
             first = induce(r, X)
             Y = _copy(X)
             got = induce(r, Y)
-            assert got.source is Y and got.module is first.module
+            assert got.module is first.module
             want = burt_butler._induce(fresh, Y)
             assert got.module.dims == want.module.dims
             assert [a.data for a in got.module.act] == \
                 [a.data for a in want.module.act]
             assert [h.mat for h in got.basis] == [h.mat for h in want.basis]
             assert (got.to_new, got.to_old) == (want.to_new, want.to_old)
+
+
+def test_an_equal_module_shares_every_module_memo(r2, r3):
+    for alg, b, r in (r2, r3):
+        B = b.B
+        res = minimal_resolution(simple(B, 1))
+        for X in (simple(B, 1), projective(B, 1), r.XB):
+            Y = _copy(X)
+            assert tensor_module(b, Y) is tensor_module(b, X)
+            assert _hom_space(res, 0, Y) is _hom_space(res, 0, X)
+            assert induce(r, Y) is induce(r, X)
 
 
 @pytest.mark.parametrize("example", [example_dual_numbers, example_jordan3])
@@ -246,7 +259,7 @@ def test_roundtrip_induces_each_module_content_once(example, monkeypatch):
         return real_induce(ralg, X)
 
     def build(ralg, X):
-        built[(X.dims, tuple(a.data for a in X.act))] += 1
+        built[X] += 1
         return real_build(ralg, X)
 
     monkeypatch.setattr(burt_butler, "induce", counted)
@@ -266,10 +279,15 @@ def test_a_dropped_right_algebra_is_freed_without_the_cyclic_collector():
             r = right_algebra(bocs)
             sc = standard_check(r)
             assert sc["ok"]
-            outs = homological_check(r, sc["induced"], sc["induced"])
+            simples = [simple(bocs.B, i) for i in range(1, bocs.B.n + 1)]
+            outs = homological_check(r, simples, simples)
             assert all(out["ok"] for out in outs) and r.induced
+            # an equal copy hits the memo
+            copies = [_copy(S) for S in simples]
+            assert all(induce(r, C) is induce(r, S)
+                       for C, S in zip(copies, simples))
             refs = [weakref.ref(obj) for obj in (r, bocs)]
-            del bocs, r, sc, outs
+            del bocs, r, sc, outs, simples, copies
             assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
@@ -278,7 +296,7 @@ def test_a_dropped_right_algebra_is_freed_without_the_cyclic_collector():
 def test_homological_comparison_on_simples(r1, r3, r2, r0, rv):
     for alg, b, r in (r1, r3, r2, r0, rv):
         vertices = range(1, b.B.n + 1)
-        simples = [induce(r, simple(b.B, i)) for i in vertices]
+        simples = [simple(b.B, i) for i in vertices]
         outs = homological_check(r, simples, simples)
         for (i, j, k), out in zip(product(vertices, vertices, (1, 2)), outs,
                                   strict=True):
@@ -305,13 +323,12 @@ def test_homological_ext_r_matches_minimal_r_covers(r1, r3, r2, r0,
     # coboundaries on both sides.
     for r in [t[2] for t in (r0, r1, r2, r3)] + corpus_ralgs:
         B = r.bocs.B
-        simples = [induce(r, simple(B, i)) for i in range(1, B.n + 1)]
-        targets = simples + [induce(r, projective(B, i))
-                             for i in range(1, B.n + 1)]
+        simples = [simple(B, i) for i in range(1, B.n + 1)]
+        targets = simples + [projective(B, i) for i in range(1, B.n + 1)]
         outs = homological_check(r, simples, targets)
-        for (FX, FY, k), out in zip(product(simples, targets, (1, 2)), outs,
-                                    strict=True):
-            X, Y = FX.source, FY.source
+        for (X, Y, k), out in zip(product(simples, targets, (1, 2)), outs,
+                                  strict=True):
+            FX, FY = induce(r, X), induce(r, Y)
             want = ext_dimension(FX.module, FY.module, k)
             assert out["ext_r"] == want, (X.name, Y.name, k, out)
             assert out["ext_b"] == ext_dimension(X, Y, k)
@@ -323,20 +340,20 @@ def test_homological_check_requires_projective_induced_covers(r2,
     # F(P) of a projective P is projective for any bocs; a cover larger
     # than F(P) stands in for one that is not
     alg, b, r = r2
-    FX, FY = induce(r, simple(b.B, 1)), induce(r, simple(b.B, 2))
+    X, Y = simple(b.B, 1), simple(b.B, 2)
 
     def too_large(M):
         return SimpleNamespace(source=SimpleNamespace(total=M.total + 1))
 
     monkeypatch.setattr(burt_butler, "projective_cover", too_large)
     with pytest.raises(AssertionError, match="not projective"):
-        homological_check(r, [FX], [FY])
+        homological_check(r, [X], [Y])
 
 
 def test_homological_comparison_counts(r1):
     alg, b, r = r1
-    FS = induce(r, simple(b.B, 1))
-    out = homological_check(r, [FS], [FS])[0]
+    S = simple(b.B, 1)
+    out = homological_check(r, [S], [S])[0]
     assert out["k"] == 1
     assert out["ext_b"] == 1 and out["ext_r"] == 1
     assert out["image_rank"] == 1

@@ -145,7 +145,7 @@ def test_verify_error_outside_the_stages_is_one_json_line(tmp_path):
     assert err["stage"] == "pipeline"
 
 
-def test_malformed_input_rejected(tmp_path):
+def test_malformed_input_rejected(fixture_dir, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"schema": "bocskit/algebra", ')
     runner = CliRunner()
@@ -153,6 +153,15 @@ def test_malformed_input_rejected(tmp_path):
     assert result.exit_code == 1
     err = json.loads(result.output.strip().splitlines()[-1])
     assert "parse error" in err["error"]
+    # a relation path entry that is a list, on e1's document
+    doc = json.loads((fixture_dir / "e1.json").read_text())
+    doc["relations"][0]["terms"][0]["path"] = [["x"], "x"]
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["classify", str(path)])
+    assert result.exit_code == 1 and "Traceback" not in result.output
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err == {"error": "schema violation at "
+                            "/relations/0/terms/0/path/0", "stage": "input"}
 
 
 def test_bad_bocs_document_fails_at_the_boundary(fixture_dir, tmp_path):

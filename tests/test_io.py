@@ -109,6 +109,14 @@ def test_schema_violations_carry_pointers(fixture_algebras):
     with pytest.raises(ValueError, match="schema violation at /relations"):
         bio.doc_to_algebra(bad)
 
+    # a path entry that is not a string, not even a hashable one
+    bad = dict(good)
+    bad["relations"] = [{"terms": [{"coefficient": "1",
+                                    "path": [["a"], "a"]}]}]
+    with pytest.raises(ValueError, match="schema violation at "
+                       "/relations/0/terms/0/path/0"):
+        bio.doc_to_algebra(bad)
+
 
 def test_bocs_document_validation():
     b = construct_bocs(example_dual_numbers(), mode="pdelta", r_max=5)

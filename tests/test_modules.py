@@ -5,11 +5,11 @@ import pytest
 from bocskit.bocs import construct_bocs
 from bocskit.burt_butler import right_algebra
 from bocskit.linalg import ONE, ZERO, Matrix, Span
-from bocskit.modules import (from_generators, hom_basis, hom_from_projective,
-                             iso_defect, is_isomorphic, kernel, place_block,
-                             projective, projective_cover, quotient,
-                             radical_vectors, simple, submodule,
-                             sum_of_projectives, syzygies)
+from bocskit.modules import (FDModule, from_generators, hom_basis,
+                             hom_from_projective, iso_defect, is_isomorphic,
+                             kernel, place_block, projective,
+                             projective_cover, quotient, radical_vectors,
+                             simple, submodule, sum_of_projectives, syzygies)
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
@@ -384,3 +384,19 @@ def test_place_block_puts_the_block_at_the_vertex_offsets():
                     want = (block.data[rows.index(r)][cols.index(c)]
                             if r in rows and c in cols else ZERO)
                     assert got.data[r][c] == want
+
+
+def test_a_module_is_its_algebra_dims_and_action():
+    alg = example_jordan3()
+    P = projective(alg, 1)
+    copy = FDModule(alg, P.dims, P.act, name="other name")
+    assert copy == P and hash(copy) == hash(P) and copy is not P
+    assert len({P, copy, projective(alg, 1)}) == 1
+    # one changed action entry
+    k = alg.arrows[0][3]
+    act = list(P.act)
+    act[k] = act[k] + Matrix.identity(P.total)
+    assert FDModule(alg, P.dims, act) != P
+    # the same table over another Algebra object
+    assert projective(example_jordan3(), 1) != P
+    assert simple(alg, 1) != P and P != "P(1)"

@@ -1,10 +1,12 @@
 import gc
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from bocskit import bocs as bocs_module
 from bocskit import io as bio
 from bocskit.bocs import construct_bocs
 from bocskit.pipeline import (PipelineError, indecomposables_up_to,
@@ -35,6 +37,24 @@ def test_fixture_reports_are_the_recorded_bytes(reports):
     for name, rep in reports.items():
         digest = hashlib.sha256(rep.emit().encode("utf-8")).hexdigest()
         assert want[name] == {"sha256": digest}, name
+
+
+def test_a_fixture_pass_builds_one_tensor_module_per_module_content(
+        monkeypatch):
+    # keyed on the bocs's base algebra, which the Counter keeps alive
+    built = Counter()
+    real = bocs_module.TensorModule.__init__
+
+    def counted(self, bocs, X):
+        built[bocs.B, X.dims, tuple(a.data for a in X.act)] += 1
+        real(self, bocs, X)
+
+    monkeypatch.setattr(bocs_module.TensorModule, "__init__", counted)
+    for example, mode in ((example_semisimple_pair, "pdelta"),
+                          (example_dual_numbers, "pdelta"),
+                          (example_a2, "delta"), (example_jordan3, "pdelta")):
+        run_pipeline(example(), mode=mode)
+    assert set(built.values()) == {1} and len(built) == 14
 
 
 def test_fixture_pipelines_pass(reports):
