@@ -663,7 +663,7 @@ class TensorModule(FDModule):
                    for v in balanced_relations(bocs.WR, X.act)]
         q, proj, self.sect = quotient(FDModule(B, dims, act), relvecs)
         self.proj = proj.mat
-        super().__init__(B, q.dims, q.act, name=f"W(x)B{X.name}")
+        super().__init__(B, q.dims, q.act)
 
 
 def tensor_module(bocs: Bocs, X: FDModule) -> TensorModule:

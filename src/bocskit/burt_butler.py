@@ -30,23 +30,26 @@ def _module_from_action(alg: Algebra, dim: int, raw_act):
 
     raw_act[k] is the action of algebra basis element k.  Returns the
     module together with the coordinate changes to_new (raw to module)
-    and to_old (module to raw).
+    and to_old (module to raw).  The module's basis at vertex i is the
+    reduced echelon basis of the image of E_i, the action of e_i, so the
+    coordinates of x on it are the entries of E_i x at its pivots.
     """
     if dim == 0:
         from .modules import zero_module
         return zero_module(alg), Matrix.zero(0, 0), Matrix.zero(0, 0)
-    new_cols = []
-    dims = []
+    old_cols, new_rows, dims = [], [], []
     for i in range(1, alg.n + 1):
         E = raw_act[alg.unit_index[i - 1]]
-        cols = [E.column(j) for j in range(dim)]
-        image = Span(dim, cols)
+        image = Span(dim, E.columns())
         dims.append(len(image))
-        new_cols.extend([tuple(r) for r in image.rows])
+        old_cols.extend(image.rows)
+        new_rows.extend(E.data[p] for p in image.pivots)
     if sum(dims) != dim:
         raise ValueError("idempotent images do not decompose the space")
-    to_old = Matrix.from_columns(new_cols)
-    to_new = to_old.inverse()
+    to_old = Matrix.from_columns(old_cols)
+    to_new = Matrix(dim, dim, new_rows)
+    if to_new @ to_old != Matrix.identity(dim):
+        raise ValueError("idempotent images do not decompose the space")
     acts = [to_new @ raw_act[k] @ to_old for k in range(alg.dim)]
     return FDModule(alg, dims, acts), to_new, to_old
 
@@ -87,7 +90,7 @@ class RightAlgebra:
         self.bocs = bocs
         self.induced = {}
         B = bocs.B
-        self.XB = sum_of_projectives(B, list(range(1, B.n + 1)), name="B")
+        self.XB = sum_of_projectives(B, list(range(1, B.n + 1)))
         self.tX = tensor_module(bocs, self.XB)
         self.basis = bocs_hom_basis(bocs, self.XB, self.XB)
         self.space = MapSpace([h.mat for h in self.basis], self.XB.total,
@@ -275,7 +278,7 @@ def standard_check(ralg: RightAlgebra):
                 if ext_dimension(odelta[i].module, odelta[j].module,
                                  1) != 0:
                     report["ext1_vanishing"] = False
-    regular = sum_of_projectives(R, list(range(1, n + 1)), name="R")
+    regular = sum_of_projectives(R, list(range(1, n + 1)))
     system = StandardSystem(R, order, "induced",
                             [odelta[v].module for v in range(1, n + 1)])
     cert = theta_filtration(regular, system)
@@ -317,7 +320,7 @@ def borel_checks(ralg: RightAlgebra):
     report["peirce_pattern"] = radical_below(B, rank, strict=True)
     # induced regular module and dimension recomputations
     FB = induce(ralg, ralg.XB)
-    regular = sum_of_projectives(R, list(range(1, R.n + 1)), name="R")
+    regular = sum_of_projectives(R, list(range(1, R.n + 1)))
     report["induce_regular_iso"] = is_isomorphic(FB.module, regular)
     right_ideal = Counter(B.btarget)
     present = B.dim + sum(mult * right_ideal[a] * right_ideal[b]

@@ -81,13 +81,11 @@ def _load(ctx, path, kind, what):
               help="Write output to this path instead of stdout.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", help="Output format.")
-@click.option("--dim-bound", type=click.IntRange(min=1), default=4,
-              help="Dimension bound for module-by-module comparisons.")
 @click.pass_context
-def main(ctx, out, fmt, dim_bound):
+def main(ctx, out, fmt):
     """Exact-arithmetic toolkit for stratified algebras and bocses."""
     ctx.ensure_object(dict)
-    ctx.obj.update(out=out, format=fmt, dim_bound=dim_bound)
+    ctx.obj.update(out=out, format=fmt)
 
 
 @main.command()
@@ -149,8 +147,7 @@ def verify(ctx, source, mode, rmax):
                        "an algebra document")
     try:
         report = run_pipeline(alg, order, mode=mode,
-                              config={"r_max": rmax,
-                                      "dim_bound": ctx.obj["dim_bound"]})
+                              config={"r_max": rmax})
     except ValueError as e:
         # a PipelineError names its stage; any other error was raised
         # inside run_pipeline but outside its stage runner

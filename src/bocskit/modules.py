@@ -3,9 +3,9 @@
 A module stores one global square matrix per algebra basis element, acting
 on coordinates grouped by vertex (all vertex-1 coordinates first, then
 vertex 2, and so on).  Module maps are global matrices that are block
-diagonal with respect to that grouping; commuting with the idempotent
-actions enforces the block shape automatically, so a single matrix is
-enough.
+diagonal with respect to that grouping, since they commute with the
+idempotent actions; hom_basis solves for the entries of those vertex
+blocks alone, and an arrow s -> t constrains only the (t, s) block.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ class FDModule:
     and action matrices are equal, and every module memo keys on that.
     Nothing mutates a module; attributes set later are read by no memo."""
 
-    def __init__(self, alg: Algebra, dims, act, name=""):
+    def __init__(self, alg: Algebra, dims, act):
         self.alg = alg
         self.dims = tuple(dims)
         if len(self.dims) != alg.n:
@@ -33,7 +33,6 @@ class FDModule:
         self.act = list(act)  # one total x total Matrix per algebra basis elt
         if len(self.act) != alg.dim:
             raise ValueError("need an action matrix per algebra basis element")
-        self.name = name
         self._hash = None
 
     def __eq__(self, other):
@@ -55,16 +54,6 @@ class FDModule:
         off = self.offsets[vertex - 1]
         return range(off, off + self.dims[vertex - 1])
 
-    def generators_action(self):
-        """(algebra basis index, action matrix) for idempotents and arrows."""
-        out = []
-        for i in range(self.alg.n):
-            k = self.alg.unit_index[i]
-            out.append((k, self.act[k]))
-        for name, s, t, k in self.alg.arrows:
-            out.append((k, self.act[k]))
-        return out
-
 
 class ModuleMap:
     def __init__(self, source: FDModule, target: FDModule, mat: Matrix):
@@ -76,8 +65,7 @@ class ModuleMap:
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other."""
-        if other.target is not self.source and \
-                other.target.total != self.source.total:
+        if other.target is not self.source and other.target != self.source:
             raise ValueError("maps not composable")
         return ModuleMap(other.source, self.target, self.mat @ other.mat)
 
@@ -93,12 +81,12 @@ class ModuleMap:
 
 def zero_module(alg: Algebra) -> FDModule:
     return FDModule(alg, [0] * alg.n,
-                    [Matrix.zero(0, 0) for _ in range(alg.dim)], name="0")
+                    [Matrix.zero(0, 0) for _ in range(alg.dim)])
 
 
 def projective(alg: Algebra, i: int) -> FDModule:
     """A e_i on the basis of algebra words with source i."""
-    return sum_of_projectives(alg, [i], name=f"P({i})")
+    return sum_of_projectives(alg, [i])
 
 
 def simple(alg: Algebra, i: int) -> FDModule:
@@ -110,10 +98,10 @@ def simple(alg: Algebra, i: int) -> FDModule:
             act.append(Matrix.identity(1))
         else:
             act.append(Matrix.zero(1, 1))
-    return FDModule(alg, dims, act, name=f"S({i})")
+    return FDModule(alg, dims, act)
 
 
-def _from_arrow_blocks(alg: Algebra, dims, arrow_mats, name=""):
+def _from_arrow_blocks(alg: Algebra, dims, arrow_mats):
     """from_arrow_matrices without validate(): a candidate module."""
     if alg.paths is None:
         raise ValueError("algebra has no path presentation")
@@ -135,7 +123,7 @@ def _from_arrow_blocks(alg: Algebra, dims, arrow_mats, name=""):
             for aname in names:
                 m = by_arrow[aname] @ m
             act.append(m)
-    return FDModule(alg, dims, act, name=name)
+    return FDModule(alg, dims, act)
 
 
 def place_block(dims, t: int, s: int, block: Matrix) -> Matrix:
@@ -151,36 +139,45 @@ def place_block(dims, t: int, s: int, block: Matrix) -> Matrix:
 
 
 def hom_basis(M: FDModule, N: FDModule):
-    """Basis of Hom(M, N) as ModuleMaps."""
+    """Basis of Hom(M, N) as ModuleMaps.
+
+    The unknowns are the entries of the vertex blocks F_v, block after
+    block and each in row-major order, and the equations are F_t a = b F_s
+    on the (t, s) block of each arrow s -> t, acting by a on M and b on N.
+    """
     if M.alg is not N.alg and M.alg.dim != N.alg.dim:
         raise ValueError("modules over different algebras")
-    tM, tN = M.total, N.total
-    if tM == 0 or tN == 0:
+    # F_v[r][c] is unknown base[v - 1] + r * M.dims[v - 1] + c
+    base, nunk = [], 0
+    for dm, dn in zip(M.dims, N.dims):
+        base.append(nunk)
+        nunk += dn * dm
+    if nunk == 0:
         return []
-    nunk = tN * tM
-
-    def unk(r, c):
-        return r * tM + c
-
     rows = []
-    for k, a in M.generators_action():
-        b = N.act[k]
-        # F a - b F = 0
-        for r in range(tN):
-            for c in range(tM):
+    for _, s, t, k in M.alg.arrows:
+        a, b = M.act[k].data, N.act[k].data
+        ms, mt = M.vertex_range(s), M.vertex_range(t)
+        ns = N.vertex_range(s)
+        for r, nr in enumerate(N.vertex_range(t)):
+            for c, mc in enumerate(ms):
                 row = [ZERO] * nunk
-                for s in range(tM):
-                    if a.data[s][c] != 0:
-                        row[unk(r, s)] += a.data[s][c]
-                for s in range(tN):
-                    if b.data[r][s] != 0:
-                        row[unk(s, c)] -= b.data[r][s]
-                if any(x != 0 for x in row):
+                for j, mj in enumerate(mt):
+                    row[base[t - 1] + r * len(mt) + j] += a[mj][mc]
+                for i, ni in enumerate(ns):
+                    row[base[s - 1] + i * len(ms) + c] -= b[nr][ni]
+                if any(row):
                     rows.append(row)
     sol = Matrix(len(rows), nunk, rows) if rows else Matrix.zero(0, nunk)
-    return [ModuleMap(M, N, Matrix(tN, tM, [[v[unk(r, c)] for c in range(tM)]
-                                            for r in range(tN)]))
-            for v in sol.kernel_basis()]
+    out = []
+    for v in sol.kernel_basis():
+        grid = [[ZERO] * M.total for _ in range(N.total)]
+        for b0, dm, mo, no, dn in zip(base, M.dims, M.offsets, N.offsets,
+                                      N.dims):
+            for r in range(dn):
+                grid[no + r][mo:mo + dm] = v[b0 + r * dm:b0 + (r + 1) * dm]
+        out.append(ModuleMap(M, N, Matrix(N.total, M.total, grid)))
+    return out
 
 
 def _trace_pairing(hom_mn, hom_nm) -> Matrix:
@@ -222,7 +219,7 @@ def hom_from_projective(P: FDModule, X: FDModule):
             for s, (_, v, _) in enumerate(gens) for c in X.vertex_range(v)]
 
 
-def sum_of_projectives(alg: Algebra, vertices, name=""):
+def sum_of_projectives(alg: Algebra, vertices):
     """Direct sum of P(v) = A e_v for v in vertices, read off alg.table.
 
     Summand s has one coordinate per word k with source vertices[s];
@@ -246,8 +243,7 @@ def sum_of_projectives(alg: Algebra, vertices, name=""):
             for m, x in row[k].items():
                 grid[pos[s, m]][c] = x
         act.append(Matrix(total, total, grid))
-    out = FDModule(alg, dims, act,
-                   name=name or "+".join(f"P({v})" for v in vertices))
+    out = FDModule(alg, dims, act)
     out.proj_gens = [(pos[s, alg.unit_index[v - 1]], v, [])
                      for s, v in enumerate(vertices)]
     for c, (_, s, _, k) in enumerate(keys):
@@ -256,33 +252,38 @@ def sum_of_projectives(alg: Algebra, vertices, name=""):
     return out
 
 
-def submodule(M: FDModule, vectors, name=""):
+def submodule(M: FDModule, vectors):
     """Submodule spanned by the given vertex-pure vectors (must be closed).
 
-    Returns (FDModule, inclusion ModuleMap).  Raises when the span is not
-    closed under the action.
+    Returns (FDModule, inclusion ModuleMap).  The basis is the reduced
+    echelon basis of the span, so a vector of the span has its
+    coordinates at the pivots.  Raises when the span is not closed under
+    the action.
     """
+    span = Span(M.total, vectors)
     per_vertex = {i: [] for i in range(1, M.alg.n + 1)}
-    for r in Span(M.total, vectors).rows:
+    for r, p in zip(span.rows, span.pivots):
         verts = {M.vertex_of_coord(c) for c, x in enumerate(r) if x != 0}
         if len(verts) > 1:
             raise ValueError("submodule vectors must be vertex-pure")
-        if verts:
-            per_vertex[verts.pop()].append(tuple(r))
-    basis = []
-    dims = []
-    for i in range(1, M.alg.n + 1):
-        dims.append(len(per_vertex[i]))
-        basis.extend(per_vertex[i])
-    inc = Matrix.from_columns(basis) if basis else Matrix.zero(M.total, 0)
-    act = [inc.solve_columns(a @ inc) for a in M.act]
-    if any(a is None for a in act):
-        raise ValueError("span is not closed under the action")
-    sub = FDModule(M.alg, dims, act, name=name)
+        per_vertex[verts.pop()].append((p, tuple(r)))
+    basis = [pr for prs in per_vertex.values() for pr in prs]
+    dims = [len(prs) for prs in per_vertex.values()]
+    inc = (Matrix.from_columns([r for _, r in basis]) if basis
+           else Matrix.zero(M.total, 0))
+    act = []
+    for a in M.act:
+        image = a @ inc
+        on_sub = Matrix(len(basis), len(basis),
+                        [image.data[p] for p, _ in basis])
+        if inc @ on_sub != image:
+            raise ValueError("span is not closed under the action")
+        act.append(on_sub)
+    sub = FDModule(M.alg, dims, act)
     return sub, ModuleMap(sub, M, inc)
 
 
-def quotient(M: FDModule, vectors, name=""):
+def quotient(M: FDModule, vectors):
     """Quotient of M by the submodule spanned by vectors.
 
     Returns (FDModule, projection ModuleMap, section Matrix) where the
@@ -296,13 +297,13 @@ def quotient(M: FDModule, vectors, name=""):
         dims[M.vertex_of_coord(c) - 1] += 1
     act = ([pmat @ a @ sect for a in M.act] if comp
            else [Matrix.zero(0, 0)] * len(M.act))
-    q = FDModule(M.alg, dims, act, name=name)
+    q = FDModule(M.alg, dims, act)
     return q, ModuleMap(M, q, pmat), sect
 
 
 def kernel(f: ModuleMap):
     """Kernel of a module map: (FDModule, inclusion ModuleMap)."""
-    return submodule(f.source, f.mat.kernel_basis(), name="ker")
+    return submodule(f.source, f.mat.kernel_basis())
 
 
 def radical_vectors(M: FDModule, power: int = 1):
@@ -321,7 +322,7 @@ def projective_cover(M: FDModule):
     # one summand per top basis vector, its generator sent to a preimage
     vertices = [v for v in range(1, M.alg.n + 1)
                 for _ in range(q.dims[v - 1])]
-    P = sum_of_projectives(M.alg, vertices, name=f"cover({M.name})")
+    P = sum_of_projectives(M.alg, vertices)
     f = from_generators(P, M, dict(enumerate(sect.columns())))
     if f.mat.rank() != M.total:
         raise ValueError("projective cover construction failed to surject")

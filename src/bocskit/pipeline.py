@@ -33,7 +33,9 @@ from .twisted import hom_dim_compare
 REPORT_VERSION = 1
 
 # run_pipeline's config keys, their defaults and their least values
-_CONFIG = {"r_max": (5, 2), "dim_bound": (4, 1)}
+_CONFIG = {"r_max": (5, 2)}
+# hom_dim_compare samples the indecomposables of at most this dimension
+DIM_BOUND = 4
 
 
 class PipelineError(ValueError):
@@ -189,7 +191,7 @@ def _read_config(config):
 def run_pipeline(alg, order=None, mode="pdelta", config=None):
     """Full verification battery; raises PipelineError on any violation."""
     config = _read_config(config)
-    r_max, dim_bound = config["r_max"], config["dim_bound"]
+    r_max = config["r_max"]
     run = _Run()
 
     run.stage("classify")
@@ -250,7 +252,7 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
     run.stage("hom_dim_compare")
     system = cls.systems[mode]
     pairs = []
-    mods = indecomposables_up_to(alg, dim_bound)
+    mods = indecomposables_up_to(alg, DIM_BOUND)
     certs = [cert for cert in (theta_filtration(M, system) for M in mods)
              if cert is not None]
     filtered = [cert.module for cert in certs]

@@ -94,8 +94,7 @@ def standard_modules(alg: Algebra, order=None, mode="delta") -> StandardSystem:
                 if rank[alg.btarget[k]] > rank[i]
                 or (mode == "pdelta" and alg.btarget[k] == i
                     and alg.bdegree[k] >= 1)]
-        q, _, _ = quotient(p, [a.column(c) for a in p.act for c in gens],
-                           name=("D" if mode == "delta" else "pD") + f"({i})")
+        q, _, _ = quotient(p, [a.column(c) for a in p.act for c in gens])
         modules.append(q)
     sys = StandardSystem(alg, order, mode, modules)
     _assert_system_invariants(sys)

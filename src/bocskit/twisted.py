@@ -17,7 +17,7 @@ from .ainf import AInfTable
 from .bocs import Bocs, bocs_hom_basis
 from .linalg import MapSpace, Matrix, Span, ZERO
 from .modules import (FDModule, ModuleMap, _from_arrow_blocks, hom_basis,
-                      hom_from_projective, place_block)
+                      hom_from_projective, place_block, quotient)
 from .strata import FiltrationCertificate
 
 
@@ -52,8 +52,7 @@ def module_from_pretwisted(pt: PretwistedModule, bocs: Bocs) -> FDModule:
                 m = m + f
         blocks[name] = m
     return _from_arrow_blocks(bocs.B, pt.X,
-                              [blocks[a[0]] for a in bocs.B.arrows],
-                              name="X_delta")
+                              [blocks[a[0]] for a in bocs.B.arrows])
 
 
 def _mc_matrices(pt: PretwistedModule, table: AInfTable):
@@ -208,16 +207,16 @@ def filtered_to_bocs_module(cert: FiltrationCertificate, bocs: Bocs):
         return Matrix(dims[word[u] - 1], dims[word[t] - 1], f)
 
     # adjacent classes from subquotients
-    from .modules import quotient
     delta = []
     for t in range(len(layers) - 1):
         upper = layers[t].surjection.source  # the t-th kernel, M at t = 0
         inc1 = layers[t].kernel_inclusion
         inc2 = layers[t + 1].kernel_inclusion
         sub = [tuple(col) for col in (inc1.mat @ inc2.mat).columns()]
-        E, proj, _ = quotient(upper, sub)
+        E, proj, sect = quotient(upper, sub)
+        # the surjection kills sub, so it factors through proj by sect
         pi = ModuleMap(E, system.module(word[t]),
-                       _factor_through(layers[t].surjection, proj))
+                       layers[t].surjection.mat @ sect)
         theta_j = system.module(word[t + 1])
         pre = layers[t + 1].surjection.mat.solve_columns(
             Matrix.identity(theta_j.total))
@@ -239,12 +238,6 @@ def filtered_to_bocs_module(cert: FiltrationCertificate, bocs: Bocs):
     out = module_from_pretwisted(pt, bocs)
     out.pretwisted = pt
     return out
-
-
-def _factor_through(f: ModuleMap, proj: ModuleMap) -> Matrix:
-    """Matrix of the map induced by f on the quotient given by proj."""
-    return f.mat @ proj.mat.solve_columns(
-        Matrix.identity(proj.target.total))
 
 
 def hom_dim_compare(certs, bocs: Bocs):

@@ -3,7 +3,8 @@ them.
 
 Among them are reference constructions and checks that the verifier does
 not need: direct sums, modules from arrow blocks with the module axioms
-checked, the intertwining check of a map, the radical of a hom space, the
+checked, the intertwining check of a map, the dense hom solve that
+hom_basis replaced, the radical of a hom space, the
 bocs identity, null-homotopy by a homotopy solve against the radical
 criterion, and the Ext comparison of A with a factor algebra A/AeA
 (reduction_check).
@@ -83,14 +84,50 @@ def validate(M: FDModule):
 
 
 def check_intertwining(f: ModuleMap):
-    """Raise ValueError unless f commutes with every generator's action."""
-    for k, a in f.source.generators_action():
-        if f.mat @ a != f.target.act[k] @ f.mat:
+    """Raise ValueError unless f commutes with the action of every basis
+    element of the algebra."""
+    for k, (a, b) in enumerate(zip(f.source.act, f.target.act)):
+        if f.mat @ a != b @ f.mat:
             raise ValueError(
                 f"square for {f.source.alg.labels[k]} does not commute")
 
 
-def from_arrow_matrices(alg: Algebra, dims, arrow_mats, name=""):
+def dense_hom_basis(M: FDModule, N: FDModule):
+    """Basis of Hom(M, N) as ModuleMaps, solved for all N.total * M.total
+    entries of a map, with the equations of the idempotents and arrows:
+    the reference for hom_basis, which solves on the vertex blocks."""
+    if M.alg is not N.alg and M.alg.dim != N.alg.dim:
+        raise ValueError("modules over different algebras")
+    tM, tN = M.total, N.total
+    if tM == 0 or tN == 0:
+        return []
+    nunk = tN * tM
+
+    def unk(r, c):
+        return r * tM + c
+
+    rows = []
+    for k in M.alg.unit_index + [k for _, _, _, k in M.alg.arrows]:
+        a, b = M.act[k], N.act[k]
+        # F a - b F = 0
+        for r in range(tN):
+            for c in range(tM):
+                row = [ZERO] * nunk
+                for s in range(tM):
+                    if a.data[s][c] != 0:
+                        row[unk(r, s)] += a.data[s][c]
+                for s in range(tN):
+                    if b.data[r][s] != 0:
+                        row[unk(s, c)] -= b.data[r][s]
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    sol = Matrix(len(rows), nunk, rows) if rows else Matrix.zero(0, nunk)
+    return [ModuleMap(M, N, Matrix(tN, tM, [[v[unk(r, c)] for c in range(tM)]
+                                            for r in range(tN)]))
+            for v in sol.kernel_basis()]
+
+
+def from_arrow_matrices(alg: Algebra, dims, arrow_mats):
     """Build a module from one (target-dim x source-dim) block per arrow.
 
     Only valid for quiver-presented algebras whose basis elements carry
@@ -98,12 +135,12 @@ def from_arrow_matrices(alg: Algebra, dims, arrow_mats, name=""):
     blocks; the relations are checked by FDModule construction plus an
     explicit validate().
     """
-    mod = _from_arrow_blocks(alg, dims, arrow_mats, name)
+    mod = _from_arrow_blocks(alg, dims, arrow_mats)
     validate(mod)
     return mod
 
 
-def direct_sum(modules, name=""):
+def direct_sum(modules):
     if not modules:
         raise ValueError("empty direct sum")
     alg = modules[0].alg
@@ -135,8 +172,7 @@ def direct_sum(modules, name=""):
                     if a.data[r][c] != 0:
                         grid[emb[r]][emb[c]] = a.data[r][c]
         act.append(Matrix(total, total, grid))
-    return FDModule(alg, dims, act,
-                    name=name or "+".join(m.name for m in modules))
+    return FDModule(alg, dims, act)
 
 
 def radical_hom_basis(M: FDModule, N: FDModule):

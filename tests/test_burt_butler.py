@@ -208,7 +208,7 @@ def test_induce_functoriality(r2):
 
 
 def _copy(X):
-    return FDModule(X.alg, X.dims, X.act, name=X.name)
+    return FDModule(X.alg, X.dims, X.act)
 
 
 def test_induce_is_stored_by_module_content(r0, r1, r2, r3):
@@ -330,7 +330,7 @@ def test_homological_ext_r_matches_minimal_r_covers(r1, r3, r2, r0,
                                   strict=True):
             FX, FY = induce(r, X), induce(r, Y)
             want = ext_dimension(FX.module, FY.module, k)
-            assert out["ext_r"] == want, (X.name, Y.name, k, out)
+            assert out["ext_r"] == want, (X.dims, Y.dims, k, out)
             assert out["ext_b"] == ext_dimension(X, Y, k)
             assert out["image_rank"] <= min(out["ext_b"], out["ext_r"])
 
@@ -395,3 +395,29 @@ def test_ext_dimension_matches_known_values():
     assert ext_dimension(simple(alg2, 1), simple(alg2, 2), 1) == 1
     assert ext_dimension(simple(alg2, 2), simple(alg2, 1), 1) == 0
     assert ext_dimension(simple(alg2, 1), simple(alg2, 2), 2) == 0
+
+
+def test_module_from_action_reads_coordinates_at_the_pivots():
+    # e1 and e2 of K x K on K^2 in a basis that mixes the two lines
+    alg = example_semisimple_pair()
+    e1 = Matrix(2, 2, [[1, 1], [0, 0]])
+    e2 = Matrix(2, 2, [[0, -1], [0, 1]])
+    M, to_new, to_old = burt_butler._module_from_action(alg, 2, [e1, e2])
+    assert M.dims == (1, 1)
+    assert to_new == to_old.inverse()
+    assert M.act == [to_new @ e @ to_old for e in (e1, e2)]
+
+
+def test_module_from_action_refuses_idempotents_that_do_not_decompose():
+    alg = example_semisimple_pair()
+    line = Matrix(2, 2, [[1, 0], [0, 0]])
+    cases = [
+        # the images have dimensions 2 + 2 in a space of dimension 2
+        [Matrix.identity(2), Matrix.identity(2)],
+        # the same image twice
+        [line, line],
+        # independent images, but e1 + e2 is not the identity
+        [Matrix(2, 2, [[1, 1], [0, 0]]), Matrix(2, 2, [[0, 0], [0, 1]])]]
+    for raw in cases:
+        with pytest.raises(ValueError, match="do not decompose the space"):
+            burt_butler._module_from_action(alg, 2, raw)

@@ -222,13 +222,18 @@ def test_exponent_coefficient_fails_at_the_boundary(fixture_dir, tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["verify", "--rmax", "1", "e0.json"],
-    ["bocs", "--rmax", "1", "e0.json"],
-    ["--dim-bound", "0", "verify", "e0.json"],
-    ["--dim-bound", "-1", "verify", "e0.json"]])
+    ["bocs", "--rmax", "1", "e0.json"]])
 def test_bad_parameters_are_usage_errors(fixture_dir, args):
     runner = CliRunner()
     args = [str(fixture_dir / a) if a.endswith(".json") else a for a in args]
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "Invalid value" in result.output
+
+
+def test_dim_bound_is_an_unknown_option(fixture_dir):
+    result = CliRunner().invoke(
+        main, ["--dim-bound", "4", "verify", str(fixture_dir / "e0.json")])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
 

@@ -1,13 +1,16 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bocskit.bocs import construct_bocs
+from bocskit.bocs import construct_bocs, tensor_module
 from bocskit.burt_butler import right_algebra
+from bocskit.cli import FIXTURES
 from bocskit.linalg import ONE, ZERO, Matrix, Span
-from bocskit.modules import (FDModule, from_generators, hom_basis,
-                             hom_from_projective, iso_defect, is_isomorphic,
-                             kernel, place_block, projective,
+from bocskit.modules import (FDModule, ModuleMap, from_generators,
+                             hom_basis, hom_from_projective, iso_defect,
+                             is_isomorphic, kernel, place_block, projective,
                              projective_cover, quotient, radical_vectors,
                              simple, submodule, sum_of_projectives, syzygies)
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
@@ -15,7 +18,8 @@ from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_semisimple_pair)
 from bocskit.strata import standard_modules
 
-from helpers import (check_intertwining, direct_sum, from_arrow_matrices,
+from helpers import (check_intertwining, dense_hom_basis, direct_sum,
+                     from_arrow_matrices, monomial_algebras,
                      radical_hom_basis, validate)
 
 
@@ -389,7 +393,7 @@ def test_place_block_puts_the_block_at_the_vertex_offsets():
 def test_a_module_is_its_algebra_dims_and_action():
     alg = example_jordan3()
     P = projective(alg, 1)
-    copy = FDModule(alg, P.dims, P.act, name="other name")
+    copy = FDModule(alg, P.dims, P.act)
     assert copy == P and hash(copy) == hash(P) and copy is not P
     assert len({P, copy, projective(alg, 1)}) == 1
     # one changed action entry
@@ -400,3 +404,83 @@ def test_a_module_is_its_algebra_dims_and_action():
     # the same table over another Algebra object
     assert projective(example_jordan3(), 1) != P
     assert simple(alg, 1) != P and P != "P(1)"
+
+
+def test_compose_refuses_maps_through_different_modules():
+    a2, jordan = simple(example_a2(), 1), simple(example_jordan3(), 1)
+    ida = ModuleMap(a2, a2, Matrix.identity(1))
+    idj = ModuleMap(jordan, jordan, Matrix.identity(1))
+    with pytest.raises(ValueError, match="not composable"):
+        ida.compose(idj)
+    # an equal copy is the same module
+    copy = FDModule(a2.alg, a2.dims, a2.act)
+    into_copy = ModuleMap(a2, copy, Matrix.identity(1))
+    assert ida.compose(into_copy).mat == Matrix.identity(1)
+
+
+def _same_hom_basis(M, N):
+    got = [f.mat for f in hom_basis(M, N)]
+    assert got == [f.mat for f in dense_hom_basis(M, N)]
+    return len(got)
+
+
+def test_hom_basis_agrees_with_the_dense_solve_on_the_fixtures():
+    # every ordered pair over A of the simples, projectives and standard
+    # modules, and over B of the simples, projectives and their W (x)_B X
+    pairs = nonzero = 0
+    for build, order in FIXTURES.values():
+        alg = build()
+        mods = [f(alg, i) for f in (simple, projective)
+                for i in range(1, alg.n + 1)]
+        for mode in ("delta", "pdelta"):
+            system = standard_modules(alg, order, mode=mode)
+            mods += [system.module(i) for i in range(1, alg.n + 1)]
+            bocs = construct_bocs(alg, order, mode=mode, r_max=3)
+            B = bocs.B
+            bmods = [f(B, i) for f in (simple, projective)
+                     for i in range(1, B.n + 1)]
+            bmods += [tensor_module(bocs, X) for X in bmods]
+            for M in bmods:
+                for N in bmods:
+                    pairs += 1
+                    nonzero += _same_hom_basis(M, N) > 0
+        for M in mods:
+            for N in mods:
+                pairs += 1
+                nonzero += _same_hom_basis(M, N) > 0
+    assert (pairs, nonzero) == (480, 297)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(monomial_algebras(), st.data())
+def test_hom_basis_agrees_with_the_dense_solve(alg, data):
+    # projectives, simples, and the submodule of a projective generated by
+    # a drawn vector at one vertex with its quotient
+    mods = []
+    for i in range(1, alg.n + 1):
+        P = projective(alg, i)
+        j = data.draw(st.integers(1, alg.n))
+        v = [ZERO] * P.total
+        for c in P.vertex_range(j):
+            v[c] = data.draw(st.integers(-2, 2))
+        sub, _ = submodule(P, [a.apply(v) for a in P.act])
+        q, _, _ = quotient(P, [a.apply(v) for a in P.act])
+        mods += [P, simple(alg, i), sub, q]
+    for M in mods:
+        for N in mods:
+            _same_hom_basis(M, N)
+
+
+def test_submodule_refuses_a_span_not_closed_under_the_action():
+    for alg in (example_jordan3(), example_a2(), example_dual_numbers()):
+        for i in range(1, alg.n + 1):
+            P = projective(alg, i)
+            if P.total == 1:
+                continue
+            top = Matrix.identity(P.total).column(P.proj_gens[0][0])
+            with pytest.raises(ValueError, match="span is not closed under "
+                                                 "the action"):
+                submodule(P, [top])
+            # with the radical added it spans all of P
+            sub, inc = submodule(P, [top] + radical_vectors(P))
+            assert sub == P and inc.mat == Matrix.identity(P.total)
