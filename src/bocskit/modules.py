@@ -145,7 +145,7 @@ def hom_basis(M: FDModule, N: FDModule):
     block and each in row-major order, and the equations are F_t a = b F_s
     on the (t, s) block of each arrow s -> t, acting by a on M and b on N.
     """
-    if M.alg is not N.alg and M.alg.dim != N.alg.dim:
+    if M.alg is not N.alg:
         raise ValueError("modules over different algebras")
     # F_v[r][c] is unknown base[v - 1] + r * M.dims[v - 1] + c
     base, nunk = [], 0

@@ -92,6 +92,14 @@ class _Run:
         if not cond:
             raise PipelineError(self.marks[-1][0], message, witness)
 
+    def require_coalgebra(self, bocs):
+        """validate_coalgebra, failing at its first failed axiom with that
+        axiom and element as the witness."""
+        for axiom, at in self.call(validate_coalgebra, bocs).items():
+            self.require(at is None,
+                         f"coalgebra axiom violated: {axiom} at {at}",
+                         {"axiom": axiom, "at": at})
+
     def standard_stage(self, ralg):
         """The standard_check stage."""
         self.stage("standard_check")
@@ -204,7 +212,7 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
     bocs = run.call(construct_bocs, alg, order, mode=mode, r_max=r_max,
                     classification=cls)
     run.stage("validate_coalgebra")
-    run.call(validate_coalgebra, bocs)
+    run.require_coalgebra(bocs)
     for k in range(1, bocs.table.r_max + 1):
         run.require(stasheff_check(bocs.table, k),
                     "higher-product identity failed", {"k": k})
@@ -293,7 +301,7 @@ def roundtrip_bocs(bocs):
     run.require(bclass.label not in ("invalid", "projective-kernel only"),
                 "bocs shape violated", {"label": bclass.label})
     if bocs.table is not None:
-        run.call(validate_coalgebra, bocs)
+        run.require_coalgebra(bocs)
 
     run.stage("right_algebra")
     ralg = run.call(right_algebra, bocs)

@@ -22,6 +22,18 @@ def mixed_algebras():
 
 
 @pytest.fixture(scope="session")
+def corpus_bocses():
+    """The benchmark corpus, random_corpus(20260823, count=20, max_dim=5,
+    require_bocs=False), as pdelta bocses at r_max 3: (algebra, order,
+    bocs) keyed c00 to c19 as perfbench/expected.json keys them.  Member
+    9 is left out: its verify run raises outside the stage runner, so its
+    verify-corpus record is an error and not a report."""
+    corpus = random_corpus(20260823, count=20, max_dim=5, require_bocs=False)
+    return {f"c{k:02d}": (alg, order, construct_bocs(alg, order, r_max=3))
+            for k, (alg, order, _) in enumerate(corpus) if k != 9}
+
+
+@pytest.fixture(scope="session")
 def mixed_length_algebras():
     """Two algebras whose relations mix path lengths, built through the
     global reduction of build_algebra."""

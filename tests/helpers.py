@@ -4,16 +4,18 @@ them.
 Among them are reference constructions and checks that the verifier does
 not need: direct sums, modules from arrow blocks with the module axioms
 checked, the intertwining check of a map, the dense hom solve that
-hom_basis replaced, the radical of a hom space, the
-bocs identity, null-homotopy by a homotopy solve against the radical
-criterion, and the Ext comparison of A with a factor algebra A/AeA
-(reduction_check).
+hom_basis replaced, the radical of a hom space, the bocs identity, the
+coassociativity check in the K-tensor cube that validate_coalgebra
+replaced, the Auslander algebras, null-homotopy by a homotopy solve
+against the radical criterion, and the Ext comparison of A with a factor
+algebra A/AeA (reduction_check).
 """
 
 from hypothesis import strategies as st
 
 from bocskit.bocs import Bocs, bocs_lift
-from bocskit.linalg import ONE, ZERO, Matrix, Span, nonzeros
+from bocskit.linalg import (ONE, ZERO, Matrix, Span, balanced_relations,
+                            kron_apply, nonzeros, outer)
 from bocskit.modules import (FDModule, ModuleMap, _from_arrow_blocks,
                              _trace_pairing, hom_basis, quotient,
                              radical_vectors)
@@ -196,6 +198,46 @@ def radical_hom_basis(M: FDModule, N: FDModule):
 def bocs_identity(bocs: Bocs, X: FDModule) -> ModuleMap:
     """The identity morphism on X, through the counit."""
     return bocs_lift(bocs, ModuleMap(X, X, Matrix.identity(X.total)))
+
+
+def cube_coassociativity(bocs: Bocs):
+    """The first W basis element at which coassociativity fails, or None:
+    the reference for validate_coalgebra, which checks it in
+    (W (x)_B W) (x)_B W.  This check spans the relations of
+    W (x)_B W (x)_B W inside the K-tensor cube W (x) W (x) W."""
+    wdim = bocs.w_dim
+    mu = bocs.mu_pairs
+    eye = Matrix.identity(wdim)
+    ww_span = Span(wdim * wdim, balanced_relations(bocs.WR, bocs.WL))
+    # coassociativity in W (x)_B W (x)_B W, whose relations are those of
+    # W (x)_B W tensored with W on either side
+    units = eye.columns()
+    span3 = Span(wdim ** 3,
+                 [outer(r, e) for r in ww_span.rows for e in units]
+                 + [outer(e, r) for e in units for r in ww_span.rows])
+    for w in range(wdim):
+        col = mu.column(w)
+        diff = [a - b for a, b in zip(kron_apply(eye, mu, col),
+                                      kron_apply(mu, eye, col))]
+        if diff not in span3:
+            return f"w{w}"
+    return None
+
+
+def auslander(n: int) -> Algebra:
+    """The Auslander algebra of K[x]/(x^n), of dimension sum min(i, j)
+    over 1 <= i, j <= n: arrows a_i: i -> i+1 and b_i: i+1 -> i, with
+    a1 b1 = 0 and b_{i-1} a_{i-1} = a_i b_i.  It is quasi-hereditary for
+    the order [n, ..., 1]."""
+    arrows = []
+    for i in range(1, n):
+        arrows += [(f"a{i}", i, i + 1), (f"b{i}", i + 1, i)]
+    q = Quiver(n, arrows)
+    rels = [Relation(q, [(1, 1, ("a1", "b1"))])]
+    rels += [Relation(q, [(1, i, (f"b{i-1}", f"a{i-1}")),
+                          (-1, i, (f"a{i}", f"b{i}"))])
+             for i in range(2, n)]
+    return build_algebra(q, RelationSet(q, rels), length_bound=2 * n + 2)
 
 
 # -- resolutions ------------------------------------------------------------

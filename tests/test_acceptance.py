@@ -111,19 +111,16 @@ def test_criterion_2_bocs_classification(bocses, corpus):
 def test_criterion_3_coalgebra_axioms(bocses, corpus):
     for name, b in bocses.items():
         report = validate_coalgebra(b)
-        assert report and all(report.values()), name
+        assert report and not any(report.values()), name
     for alg, order, b in corpus:
         report = validate_coalgebra(b)
-        assert report and all(report.values())
+        assert report and not any(report.values())
     bad = copy.deepcopy(bocses["e1"])
     bad.mu_pairs = Matrix.zero(bad.w_dim ** 2, bad.w_dim)
-    with pytest.raises(ValueError, match="coalgebra axiom violated"):
-        validate_coalgebra(bad)
-    assert not validate_coalgebra(bad, raise_on_fail=False)["counit-left"]
+    assert validate_coalgebra(bad)["counit-left"] == "w0"
     bad = copy.deepcopy(bocses["e1"])
     bad.eps = Matrix.zero(bad.B.dim, bad.w_dim)
-    assert not validate_coalgebra(bad,
-                                  raise_on_fail=False)["surjectivity"]
+    assert validate_coalgebra(bad)["surjectivity"] == "eps"
 
 
 def test_criterion_4_stasheff_and_yoneda(bocses, corpus):

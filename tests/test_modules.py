@@ -418,6 +418,14 @@ def test_compose_refuses_maps_through_different_modules():
     assert ida.compose(into_copy).mat == Matrix.identity(1)
 
 
+def test_hom_basis_refuses_modules_over_different_algebras():
+    # both algebras have dimension 3, on two vertices and on one
+    a2, jordan = projective(example_a2(), 1), projective(example_jordan3(), 1)
+    for M, N in ((a2, jordan), (jordan, a2)):
+        with pytest.raises(ValueError, match="different algebras"):
+            hom_basis(M, N)
+
+
 def _same_hom_basis(M, N):
     got = [f.mat for f in hom_basis(M, N)]
     assert got == [f.mat for f in dense_hom_basis(M, N)]

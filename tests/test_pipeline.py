@@ -9,6 +9,7 @@ import pytest
 from bocskit import bocs as bocs_module
 from bocskit import io as bio
 from bocskit.bocs import construct_bocs
+from bocskit.linalg import Matrix
 from bocskit.pipeline import (PipelineError, indecomposables_up_to,
                               roundtrip_bocs, run_pipeline)
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
@@ -37,6 +38,48 @@ def test_fixture_reports_are_the_recorded_bytes(reports):
     for name, rep in reports.items():
         digest = hashlib.sha256(rep.emit().encode("utf-8")).hexdigest()
         assert want[name] == {"sha256": digest}, name
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_corpus_reports_are_the_recorded_bytes(corpus_bocses):
+    """Each corpus member's reports are byte for byte the ones the
+    benchmark records: the roundtrip of its rehydrated bocs document
+    (burt-butler-roundtrip), whose input_digest is the digest of that
+    document and so pins B, W, eps and mu, and its verify run at r_max 3
+    (verify-corpus)."""
+    want = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    for key, (alg, order, b) in corpus_bocses.items():
+        rehydrated = bio.parse(bio.emit(bio.bocs_to_doc(b))).build()
+        got = roundtrip_bocs(rehydrated).emit()
+        assert want["burt-butler-roundtrip"][key] == {"sha256": _sha256(got)}
+        parsed = bio.parse(bio.emit(bio.algebra_to_doc(alg, order))).build()
+        got = run_pipeline(*parsed, config={"r_max": 3}).emit()
+        assert want["verify-corpus"][key] == {"sha256": _sha256(got)}, key
+
+
+def test_a_failed_coalgebra_axiom_and_its_element_are_the_witness(
+        monkeypatch):
+    import bocskit.pipeline as pipeline
+
+    def zero_mu(*args, **kwargs):
+        b = construct_bocs(*args, **kwargs)
+        b.mu_pairs = Matrix.zero(b.w_dim ** 2, b.w_dim)
+        return b
+
+    monkeypatch.setattr(pipeline, "construct_bocs", zero_mu)
+    with pytest.raises(PipelineError) as verify:
+        run_pipeline(example_dual_numbers(), config={"r_max": 3})
+    with pytest.raises(PipelineError) as roundtrip:
+        roundtrip_bocs(zero_mu(example_dual_numbers(), r_max=3))
+    for exc, stage in ((verify, "validate_coalgebra"),
+                       (roundtrip, "classify_bocs")):
+        assert exc.value.stage == stage
+        assert exc.value.message == (
+            "coalgebra axiom violated: counit-left at w0")
+        assert exc.value.witness == {"axiom": "counit-left", "at": "w0"}
 
 
 def test_a_fixture_pass_builds_one_tensor_module_per_module_content(

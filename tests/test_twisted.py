@@ -104,9 +104,8 @@ def test_maurer_cartan_holds_exactly_when_the_module_axioms_do(b1, b3, b2):
                                                         [1, 0, 0],
                                                         [0, 1, 0]]), y3)])),
              (b3, PretwistedModule([4], [(shift, y3)]))]
-    for b, alg in ((b1, example_dual_numbers()), (b3, example_jordan3()),
-                   (b2, example_a2())):
-        X = filtered_to_bocs_module(cert_of(projective(alg, 1), b), b)
+    for b in (b1, b3, b2):
+        X = filtered_to_bocs_module(cert_of(projective(b.alg, 1), b), b)
         cases.append((b, X.pretwisted))
     verdicts = []
     for b, pt in cases:
@@ -122,10 +121,8 @@ def test_maurer_cartan_holds_exactly_when_the_module_axioms_do(b1, b3, b2):
 
 
 def test_regular_modules_map_to_regular(b1, b3, b2):
-    for b, alg in ((b1, example_dual_numbers()),
-                   (b3, example_jordan3()),
-                   (b2, example_a2())):
-        X = filtered_to_bocs_module(cert_of(projective(alg, 1), b), b)
+    for b in (b1, b3, b2):
+        X = filtered_to_bocs_module(cert_of(projective(b.alg, 1), b), b)
         assert is_isomorphic(X, projective(b.B, 1))
 
 
@@ -139,20 +136,17 @@ def test_standard_module_maps_to_simple(b1, b2):
 
 
 def test_dimension_vector_matches_multiplicities(b1, b3, b2):
-    for b, alg in ((b1, example_dual_numbers()),
-                   (b3, example_jordan3()),
-                   (b2, example_a2())):
-        cert = cert_of(projective(alg, 1), b)
+    for b in (b1, b3, b2):
+        cert = cert_of(projective(b.alg, 1), b)
         X = filtered_to_bocs_module(cert, b)
-        want = [0] * alg.n
+        want = [0] * b.alg.n
         for v in cert.vertices():
             want[v - 1] += 1
         assert list(X.dims) == want
 
 
 def test_jordan3_intermediate_module(b3):
-    alg = example_jordan3()
-    mod = jordan_dim2(alg)
+    mod = jordan_dim2(b3.alg)
     X = filtered_to_bocs_module(cert_of(mod, b3), b3)
     assert X.dims == (2,)
     a_act = [X.act[k] for k in range(b3.B.dim)
@@ -161,9 +155,7 @@ def test_jordan3_intermediate_module(b3):
 
 
 def test_hom_dim_compare_fixture_grids(b1, b3, b2, b0):
-    alg1 = example_dual_numbers()
-    alg3 = example_jordan3()
-    alg2 = example_a2()
+    alg1, alg3, alg2 = b1.alg, b3.alg, b2.alg
     grids = [([projective(alg1, 1), simple(alg1, 1)], b1),
              ([projective(alg3, 1), jordan_dim2(alg3), simple(alg3, 1)], b3),
              ([projective(alg2, 1), simple(alg2, 1), simple(alg2, 2)], b2)]
@@ -172,8 +164,7 @@ def test_hom_dim_compare_fixture_grids(b1, b3, b2, b0):
         assert len(outs) == len(mods) ** 2
         for out in outs:
             assert out["ok"]
-    alg0 = example_semisimple_pair()
-    outs = hom_dim_compare([cert_of(simple(alg0, i), b0) for i in (1, 2)],
+    outs = hom_dim_compare([cert_of(simple(b0.alg, i), b0) for i in (1, 2)],
                            b0)
     for (i, j), out in zip(product((1, 2), (1, 2)), outs, strict=True):
         assert out["ok"]
@@ -181,8 +172,7 @@ def test_hom_dim_compare_fixture_grids(b1, b3, b2, b0):
 
 
 def test_six_layer_module_builds_without_a_bound(b1):
-    alg = example_dual_numbers()
-    big = cert_of(direct_sum([projective(alg, 1)] * 3), b1)
+    big = cert_of(direct_sum([projective(b1.alg, 1)] * 3), b1)
     X = filtered_to_bocs_module(big, b1)
     assert X.total == 6
 
@@ -192,7 +182,7 @@ def test_failed_maurer_cartan_is_inconclusive(b1, monkeypatch):
 
     monkeypatch.setattr(twisted, "check_pretwisted",
                         lambda pt, table, bocs: (True, False))
-    cert = cert_of(projective(example_dual_numbers(), 1), b1)
+    cert = cert_of(projective(b1.alg, 1), b1)
     with pytest.raises(ValueError, match="inconclusive"):
         filtered_to_bocs_module(cert, b1)
 
@@ -242,9 +232,8 @@ def test_sub_pretwisted_gives_submodule(b1, b3):
 
 
 def test_unfiltered_module_rejected(b2):
-    alg = example_a2()
     sys = b2.table.rsys.system
-    P2 = projective(alg, 2)
+    P2 = projective(b2.alg, 2)
     assert theta_filtration(P2, sys) is not None
     # over the path algebra of 2 -> 1, Delta(2) = P(2) has S(1) below its
     # top, so the simple S(2) has no Delta-filtration: no certificate, and
