@@ -18,14 +18,19 @@ of linalg.balanced_relations: W (x)_B W, where mu lands;
 after projecting the first two factors, so that W (x) W (x) W is never
 formed; and W (x)_B X, which gives the morphisms Hom_B(W (x)_B X, Y) of
 the module category.  linalg.kron_apply applies maps such as 1 (x) mu to
-them.  The pair layout of W (x) X (TensorModule.pairs and
-TensorModule.index) is read only in this module: bocs_lift turns a
-B-module map into a morphism through the counit, and bocs_compose
-composes morphisms through the nonzero terms of mu (Bocs.mu_terms).
+them.  The pair layout of W (x) X (TensorModule.pairs) is read only in
+this module.  Each coordinate of W (x)_B X is the coset of one chosen
+pair (TensorModule.chosen), so a map on pairs is read on W (x)_B X at
+the chosen pairs alone, with no product by the section: bocs_lift turns
+a B-module map into a morphism through the counit read there, and
+bocs_compose computes a composite there, through the nonzero terms of mu
+(Bocs.mu_terms) and the pair images of the two morphisms (pair_image),
+which a caller composing many pairs forms once per morphism.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import le, lt
 
 from .ainf import AInfTable, build_tables
@@ -589,8 +594,12 @@ class TensorModule(FDModule):
     relations: pairs lists its pair coordinates (w, x), ordered by the
     target block of w, index inverts that list, proj is the Matrix from
     pairs onto W (x)_B X and sect the Matrix of coset representatives
-    back.  counit, the map W (x)_B X -> X of w (x) x to eps(w) x, is set
-    by bocs_lift the first time it lifts a map out of X.
+    back.  The representatives are pairs, since sect is the 0/1 selection
+    of Span.complement: chosen holds the pair (w, x) whose coset is each
+    coordinate of W (x)_B X, so a map on pairs is read on W (x)_B X at
+    the chosen pairs alone.  counit, the map W (x)_B X -> X of w (x) x
+    to eps(w) x, is set by bocs_lift the first time it lifts a map out
+    of X.
     """
 
     def __init__(self, bocs: Bocs, X: FDModule):
@@ -622,6 +631,7 @@ class TensorModule(FDModule):
                    for v in balanced_relations(bocs.WR, X.act)]
         q, proj, self.sect = quotient(FDModule(B, dims, act), relvecs)
         self.proj = proj.mat
+        self.chosen = [pairs[p] for (p, _), in self.sect.nonzero_columns()]
         super().__init__(B, q.dims, q.act)
 
 
@@ -650,17 +660,17 @@ def bocs_hom_basis(bocs: Bocs, X: FDModule, Y: FDModule):
 
 def _counit(eps: Matrix, tx: TensorModule) -> Matrix:
     """The counit of W (x)_B X: the pair (w, x) goes to eps(w) x, summed
-    over the nonzero coefficients of eps(w), read back through sect."""
+    over the nonzero coefficients of eps(w), read at the chosen pairs."""
     X = tx.X
     terms = eps.nonzero_columns()
-    big = [[ZERO] * len(tx.pairs) for _ in range(X.total)]
-    for p, (w, x) in enumerate(tx.pairs):
+    out = [[ZERO] * len(tx.chosen) for _ in range(X.total)]
+    for p, (w, x) in enumerate(tx.chosen):
         for k, c in terms[w]:
             for y, row in enumerate(X.act[k].data):
                 a = row[x]
                 if a:
-                    big[y][p] += c * a
-    return Matrix(X.total, len(tx.pairs), big) @ tx.sect
+                    out[y][p] += c * a
+    return Matrix(X.total, len(tx.chosen), out)
 
 
 def bocs_lift(bocs: Bocs, u: ModuleMap) -> ModuleMap:
@@ -672,27 +682,45 @@ def bocs_lift(bocs: Bocs, u: ModuleMap) -> ModuleMap:
     return ModuleMap(tx, u.target, u.mat @ tx.counit)
 
 
-def bocs_compose(bocs: Bocs, g: ModuleMap, f: ModuleMap) -> ModuleMap:
+# A bocs morphism f: W (x)_B X -> Y read on the pairs of W (x) X: source
+# is W (x)_B X, target is Y, and cols[w][x] lists the nonzero entries
+# (y, a) of f(w (x) x) = sum a y.
+PairImage = namedtuple("PairImage", "source target cols")
+
+
+def pair_image(bocs: Bocs, f: ModuleMap) -> PairImage:
+    """f on the pairs of W (x) X, through proj."""
+    tx = _hom_source(bocs, f)
+    cols = [[None] * tx.X.total for _ in range(bocs.w_dim)]
+    for (w, x), col in zip(tx.pairs, (f.mat @ tx.proj).nonzero_columns()):
+        cols[w][x] = col
+    return PairImage(tx, f.target, cols)
+
+
+def bocs_compose(bocs: Bocs, g, f) -> ModuleMap:
     """g after f in the bocs module category, through mu.
 
-    With f and g read on pairs (through proj), the pair (w, x) goes to
+    g and f are bocs morphisms or their pair images; a caller composing
+    many pairs forms each pair image once.  The coordinate of W (x)_B X
+    at the chosen pair (w, x) goes to
 
         sum over mu(w) = sum c w1 (x) w2, and over the nonzero entries
-        f(w2 (x) x) = sum a y, of c a g(w1 (x) y),
+        f(w2 (x) x) = sum a y, of c a g(w1 (x) y).
 
-    and the result is read back on W (x)_B X through sect.  Only nonzero
-    terms of mu and nonzero entries of f and g are visited.
+    Only the chosen pairs, nonzero terms of mu and nonzero entries of f
+    and g are visited.
     """
-    tx, ty = _hom_source(bocs, f), _hom_source(bocs, g)
-    fcols = (f.mat @ tx.proj).nonzero_columns()
-    gcols = (g.mat @ ty.proj).nonzero_columns()
+    g, f = (h if isinstance(h, PairImage) else pair_image(bocs, h)
+            for h in (g, f))
+    chosen = f.source.chosen
     mu_terms = bocs.mu_terms()
     rows = g.target.total
-    big = [[ZERO] * len(tx.pairs) for _ in range(rows)]
-    for k, (w, x) in enumerate(tx.pairs):
+    out = [[ZERO] * len(chosen) for _ in range(rows)]
+    for k, (w, x) in enumerate(chosen):
         for w1, w2, c in mu_terms[w]:
-            for y, a in fcols[tx.index[(w2, x)]]:
+            gcols = g.cols[w1]
+            for y, a in f.cols[w2][x]:
                 ca = c * a
-                for z, b in gcols[ty.index[(w1, y)]]:
-                    big[z][k] += ca * b
-    return ModuleMap(tx, g.target, Matrix(rows, len(tx.pairs), big) @ tx.sect)
+                for z, b in gcols[y]:
+                    out[z][k] += ca * b
+    return ModuleMap(f.source, g.target, Matrix(rows, len(chosen), out))

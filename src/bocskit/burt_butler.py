@@ -13,7 +13,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .bocs import (Bocs, bocs_compose, bocs_hom_basis, bocs_lift,
-                   radical_below, tensor_module)
+                   pair_image, radical_below, tensor_module)
 from .linalg import (MapSpace, Matrix, ONE, Span, ZERO, balanced_relations,
                      nonzeros, qdiv)
 from .modules import (FDModule, ModuleMap, hom_basis, is_isomorphic,
@@ -89,6 +89,7 @@ class RightAlgebra:
     def __init__(self, bocs: Bocs):
         self.bocs = bocs
         self.induced = {}
+        self._element_images = None
         B = bocs.B
         self.XB = sum_of_projectives(B, list(range(1, B.n + 1)))
         self.tX = tensor_module(bocs, self.XB)
@@ -104,10 +105,11 @@ class RightAlgebra:
             raise AssertionError("regular module coordinates degenerate")
 
         # R is End(B) opposed: basis[i] * basis[j] is basis[j] after
-        # basis[i], one composition per ordered pair
-        table = [[nonzeros(self.space.coords(
-                     bocs_compose(bocs, g, f).mat)) for g in self.basis]
-                 for f in self.basis]
+        # basis[i], one composition per ordered pair, through pair images
+        # formed once per basis map
+        images = [pair_image(bocs, h) for h in self.basis]
+        table = [[nonzeros(self.space.coords(bocs_compose(bocs, g, f).mat))
+                  for g in images] for f in images]
         idems = [self.space.coords(self._phi_raw(B.idempotent(i)).mat)
                  for i in range(1, B.n + 1)]
         self.R = from_structure_constants(B.n, table, idems)
@@ -128,6 +130,15 @@ class RightAlgebra:
         """The endomorphism represented by an R coefficient vector."""
         raw = self.R.new_to_old.apply(new_vec)
         return ModuleMap(self.tX, self.XB, self.space.combine(raw))
+
+    def element_images(self):
+        """The pair images of the maps of R's basis elements, formed on
+        the first induction and kept."""
+        if self._element_images is None:
+            self._element_images = [
+                pair_image(self.bocs, self.element_map(self.R.basis_vec(k)))
+                for k in range(self.R.dim)]
+        return self._element_images
 
     def _phi_raw(self, bvec) -> ModuleMap:
         """The image of a B element b: the lift of x -> x * b on B, so
@@ -180,9 +191,10 @@ def right_algebra(bocs: Bocs) -> RightAlgebra:
 
 
 # R (x)_B X: the R-module, realized on the basis of Hom(B, X) and its
-# MapSpace, and the coordinate changes between the two
+# MapSpace, the pair images of that basis, and the coordinate changes
+# between the two
 InducedModule = namedtuple("InducedModule",
-                           "module basis space to_new to_old")
+                           "module basis space images to_new to_old")
 
 
 def induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
@@ -202,12 +214,12 @@ def _induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
     bocs = ralg.bocs
     basis = bocs_hom_basis(bocs, ralg.XB, X)
     space = MapSpace([h.mat for h in basis], X.total, ralg.tX.total)
+    images = [pair_image(bocs, h) for h in basis]
     m = len(basis)
     raw_act = []
-    for k in range(ralg.R.dim):
-        rmap = ralg.element_map(ralg.R.basis_vec(k))
-        cols = [space.coords(bocs_compose(bocs, h, rmap).mat)
-                for h in basis]
+    for rimg in ralg.element_images():
+        cols = [space.coords(bocs_compose(bocs, h, rimg).mat)
+                for h in images]
         raw_act.append(Matrix.from_columns(cols))
     module, to_new, to_old = _module_from_action(ralg.R, m, raw_act)
     tdim = ralg.tensor_dim(X)
@@ -215,14 +227,16 @@ def _induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
         raise AssertionError(
             "induced module dimension disagrees with the tensor "
             f"presentation ({module.total} vs {tdim})")
-    return InducedModule(module, basis, space, to_new, to_old)
+    return InducedModule(module, basis, space, images, to_new, to_old)
 
 
 def induce_bocs_map(ralg: RightAlgebra, f: ModuleMap,
                     FM: InducedModule, FN: InducedModule) -> ModuleMap:
     """Image of a bocs morphism under induction (post-composition)."""
     bocs = ralg.bocs
-    cols = [FN.space.coords(bocs_compose(bocs, f, h).mat) for h in FM.basis]
+    fimg = pair_image(bocs, f)
+    cols = [FN.space.coords(bocs_compose(bocs, fimg, h).mat)
+            for h in FM.images]
     raw = Matrix.from_columns(cols) if cols else \
         Matrix.zero(len(FN.basis), 0)
     return ModuleMap(FM.module, FN.module, FN.to_new @ raw @ FM.to_old)

@@ -192,7 +192,7 @@ class Matrix:
 
     def flat(self) -> tuple[Scalar, ...]:
         """The entries in row-major order, as one coordinate vector."""
-        return tuple(x for r in self.data for x in r)
+        return tuple(chain.from_iterable(self.data))
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(r[j] for r in self.data)

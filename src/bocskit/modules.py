@@ -295,7 +295,10 @@ def quotient(M: FDModule, vectors):
     dims = [0] * M.alg.n
     for c in comp:
         dims[M.vertex_of_coord(c) - 1] += 1
-    act = ([pmat @ a @ sect for a in M.act] if comp
+    # sect selects the columns at comp, so a @ sect is read off a
+    act = ([pmat @ Matrix(M.total, len(comp), [[r[c] for c in comp]
+                                               for r in a.data])
+            for a in M.act] if comp
            else [Matrix.zero(0, 0)] * len(M.act))
     q = FDModule(M.alg, dims, act)
     return q, ModuleMap(M, q, pmat), sect

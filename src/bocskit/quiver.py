@@ -192,15 +192,18 @@ class Algebra:
         return op
 
     def check_associativity(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.multiply(self.multiply(self.basis_vec(i),
-                                                      self.basis_vec(j)),
-                                        self.basis_vec(k))
-                    rhs = self.multiply(self.basis_vec(i),
-                                        self.multiply(self.basis_vec(j),
-                                                      self.basis_vec(k)))
+        """Raise ValueError at the first basis triple (i, j, k), in that
+        loop order, where (b_i b_j) b_k differs from b_i (b_j b_k).  Both
+        sides are summed over the sparse table, and a triple with b_i b_j
+        and b_j b_k both zero is skipped, as both sides are zero there."""
+        table = self.table
+        for i, row_i in enumerate(table):
+            for j, ij in enumerate(row_i):
+                for k, jk in enumerate(table[j]):
+                    if not ij and not jk:
+                        continue
+                    lhs = _combine((c, table[m][k]) for m, c in ij.items())
+                    rhs = _combine((c, row_i[m]) for m, c in jk.items())
                     if lhs != rhs:
                         raise ValueError(
                             f"structure constants not associative at "
@@ -209,6 +212,16 @@ class Algebra:
     def radical_nilpotent(self) -> bool:
         rad = [self.basis_vec(k) for k in self.radical_indices()]
         return _powers(self.table, rad) is not None
+
+
+def _combine(terms):
+    """The sum of c * row over the pairs (c, row) of terms, each row a
+    sparse dict, as a dict without zero entries."""
+    out = {}
+    for c, row in terms:
+        for m, d in row.items():
+            out[m] = out.get(m, ZERO) + c * d
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def _powers(table, rad):

@@ -5,15 +5,17 @@ Among them are reference constructions and checks that the verifier does
 not need: direct sums, modules from arrow blocks with the module axioms
 checked, the intertwining check of a map, the dense hom solve that
 hom_basis replaced, the radical of a hom space, the bocs identity, the
-coassociativity check in the K-tensor cube that validate_coalgebra
-replaced, the Auslander algebras, null-homotopy by a homotopy solve
-against the radical criterion, and the Ext comparison of A with a factor
-algebra A/AeA (reduction_check).
+composition over every pair of W (x) X read back through sect that
+bocs_compose replaced, the coassociativity check in the K-tensor cube
+that validate_coalgebra replaced, the dense associativity check that
+Algebra.check_associativity replaced, the Auslander algebras,
+null-homotopy by a homotopy solve against the radical criterion, and the
+Ext comparison of A with a factor algebra A/AeA (reduction_check).
 """
 
 from hypothesis import strategies as st
 
-from bocskit.bocs import Bocs, bocs_lift
+from bocskit.bocs import Bocs, _hom_source, bocs_lift
 from bocskit.linalg import (ONE, ZERO, Matrix, Span, balanced_relations,
                             kron_apply, nonzeros, outer)
 from bocskit.modules import (FDModule, ModuleMap, _from_arrow_blocks,
@@ -200,6 +202,33 @@ def bocs_identity(bocs: Bocs, X: FDModule) -> ModuleMap:
     return bocs_lift(bocs, ModuleMap(X, X, Matrix.identity(X.total)))
 
 
+def reference_bocs_compose(bocs: Bocs, g: ModuleMap,
+                           f: ModuleMap) -> ModuleMap:
+    """g after f in the bocs module category, through mu.
+
+    With f and g read on pairs (through proj), the pair (w, x) goes to
+
+        sum over mu(w) = sum c w1 (x) w2, and over the nonzero entries
+        f(w2 (x) x) = sum a y, of c a g(w1 (x) y),
+
+    and the result is read back on W (x)_B X through sect.  Only nonzero
+    terms of mu and nonzero entries of f and g are visited.
+    """
+    tx, ty = _hom_source(bocs, f), _hom_source(bocs, g)
+    fcols = (f.mat @ tx.proj).nonzero_columns()
+    gcols = (g.mat @ ty.proj).nonzero_columns()
+    mu_terms = bocs.mu_terms()
+    rows = g.target.total
+    big = [[ZERO] * len(tx.pairs) for _ in range(rows)]
+    for k, (w, x) in enumerate(tx.pairs):
+        for w1, w2, c in mu_terms[w]:
+            for y, a in fcols[tx.index[(w2, x)]]:
+                ca = c * a
+                for z, b in gcols[ty.index[(w1, y)]]:
+                    big[z][k] += ca * b
+    return ModuleMap(tx, g.target, Matrix(rows, len(tx.pairs), big) @ tx.sect)
+
+
 def cube_coassociativity(bocs: Bocs):
     """The first W basis element at which coassociativity fails, or None:
     the reference for validate_coalgebra, which checks it in
@@ -222,6 +251,24 @@ def cube_coassociativity(bocs: Bocs):
         if diff not in span3:
             return f"w{w}"
     return None
+
+
+def dense_check_associativity(alg: Algebra):
+    """Algebra.check_associativity as a dense loop over every basis
+    triple, multiplying whole coefficient vectors."""
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                lhs = alg.multiply(alg.multiply(alg.basis_vec(i),
+                                                alg.basis_vec(j)),
+                                   alg.basis_vec(k))
+                rhs = alg.multiply(alg.basis_vec(i),
+                                   alg.multiply(alg.basis_vec(j),
+                                                alg.basis_vec(k)))
+                if lhs != rhs:
+                    raise ValueError(
+                        f"structure constants not associative at "
+                        f"({alg.labels[i]},{alg.labels[j]},{alg.labels[k]})")
 
 
 def auslander(n: int) -> Algebra:

@@ -7,17 +7,18 @@ from types import SimpleNamespace
 import pytest
 
 from bocskit import burt_butler, pipeline
-from bocskit.bocs import (bocs_compose, bocs_hom_basis, construct_bocs,
-                          tensor_module)
+from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_lift,
+                          construct_bocs, tensor_module)
 from bocskit.burt_butler import (borel_checks, ext_dimension,
                                  homological_check, induce, induce_bocs_map,
-                                 iso_search, loop_subalgebra_check,
+                                 induce_map, iso_search,
+                                 loop_subalgebra_check,
                                  morita_compare, right_algebra,
                                  standard_check)
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
-from bocskit.modules import (FDModule, is_isomorphic, projective, simple,
-                             syzygies)
+from bocskit.modules import (FDModule, hom_basis, is_isomorphic, projective,
+                             simple, sum_of_projectives, syzygies)
 from bocskit.pipeline import roundtrip_bocs, run_pipeline
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2,
@@ -26,7 +27,8 @@ from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
 from bocskit.resolution import _hom_space, minimal_resolution
 from bocskit.strata import standard_modules
 
-from helpers import bocs_identity, direct_sum
+from helpers import (auslander, bocs_identity, direct_sum,
+                     reference_bocs_compose)
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +76,67 @@ def test_right_algebra_dimensions(r1, r3, r2, r0, rv):
 
 def test_right_algebra_composes_once_per_pair(r1, monkeypatch):
     # e1 is the dual numbers in pdelta mode; R's table needs one
-    # composition per ordered pair of hom-basis maps and no more
-    calls = []
-    compose = burt_butler.bocs_compose
+    # composition per ordered pair of hom-basis maps and no more, and
+    # one pair image per hom-basis map
+    calls, images = [], []
+    compose, image = burt_butler.bocs_compose, burt_butler.pair_image
 
     def counted(*args):
         calls.append(args)
         return compose(*args)
 
+    def counted_image(*args):
+        images.append(args)
+        return image(*args)
+
     monkeypatch.setattr(burt_butler, "bocs_compose", counted)
-    R = right_algebra(r1[1]).R
-    assert 0 < len(calls) <= R.dim ** 2
+    monkeypatch.setattr(burt_butler, "pair_image", counted_image)
+    r = right_algebra(r1[1])
+    assert 0 < len(calls) <= r.R.dim ** 2
+    assert len(images) == len(r.basis)
+
+
+def _reference_induce_map(ralg, u, FM, FN):
+    """induce_map through reference_bocs_compose."""
+    f = bocs_lift(ralg.bocs, u)
+    cols = [FN.space.coords(reference_bocs_compose(ralg.bocs, f, h).mat)
+            for h in FM.basis]
+    raw = (Matrix.from_columns(cols) if cols
+           else Matrix.zero(len(FN.basis), 0))
+    return FN.to_new @ raw @ FM.to_old
+
+
+def test_compose_matches_the_reference_at_every_pair(r0, r1, r2, r3,
+                                                     corpus_bocses):
+    # the composite read at the chosen pairs equals the composite over
+    # every pair read back through sect: on every ordered pair of
+    # End(B) basis maps, and through induce_map where R is elementary
+    ladder = [construct_bocs(auslander(n), list(range(n, 0, -1)),
+                             "pdelta", r_max=3) for n in (2, 3)]
+    bocses = ([b for _, b, _ in (r0, r1, r2, r3)]
+              + [b for _, _, b in corpus_bocses.values()] + ladder)
+    induced = 0
+    for b in bocses:
+        B = b.B
+        XB = sum_of_projectives(B, list(range(1, B.n + 1)))
+        basis = bocs_hom_basis(b, XB, XB)
+        for f, g in product(basis, repeat=2):
+            assert bocs_compose(b, g, f).mat == \
+                reference_bocs_compose(b, g, f).mat
+        try:
+            ralg = right_algebra(b)
+        except ValueError as exc:
+            assert "not elementary" in str(exc) and b is ladder[1]
+            continue
+        mods = [M for i in range(1, B.n + 1)
+                for M in (simple(B, i), projective(B, i))]
+        for X, Y in product(mods, repeat=2):
+            FX, FY = induce(ralg, X), induce(ralg, Y)
+            for u in hom_basis(X, Y):
+                assert induce_map(ralg, u, FX, FY).mat == \
+                    _reference_induce_map(ralg, u, FX, FY)
+                induced += 1
+    assert induced > 0
 
 
 def test_local_right_algebras_match_fixture_shapes(r1, r3):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
                             example_jordan3, example_semisimple_pair,
                             table_product)
 
-from helpers import monomial_algebras
+from helpers import auslander, dense_check_associativity, monomial_algebras
 
 
 def test_dual_numbers_basis():
@@ -173,6 +174,34 @@ def test_opposite_algebra():
     assert op.multiply(e1, a_op) == a_op
     assert op.multiply(a_op, e1) == (0,) * op.dim
     op.check_associativity()
+
+
+def _associativity_error(check, alg):
+    try:
+        check(alg)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_sparse_associativity_check_matches_the_dense_reference():
+    # every table with one coefficient raised by one, or one product set
+    # where it was zero, fails or passes both checks at the same triple
+    failures = 0
+    for alg in (example_a2(), example_jordan3(), auslander(2)):
+        assert _associativity_error(Algebra.check_associativity, alg) \
+            is None
+        assert _associativity_error(dense_check_associativity, alg) is None
+        for i, j, m in product(range(alg.dim), repeat=3):
+            table = [[dict(c) for c in row] for row in alg.table]
+            table[i][j][m] = table[i][j].get(m, 0) + 1
+            bad = Algebra(alg.n, alg.bsource, alg.btarget, alg.bdegree,
+                          alg.unit_index, table, alg.arrows, alg.labels)
+            got = _associativity_error(Algebra.check_associativity, bad)
+            assert got == _associativity_error(dense_check_associativity,
+                                               bad)
+            failures += got is not None
+    assert failures > 0
 
 
 def test_from_structure_constants_roundtrip():
