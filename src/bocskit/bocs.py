@@ -11,21 +11,20 @@ Every word and every tensor product over B has one presentation.  A
 degree-1 word is a vector on the basis (p2, g, p1) of words p2.g.p1, and
 Bocs._word and Bocs._sandwich multiply words by elements of B through
 B's structure table; Bocs._split cuts a b' key into the B elements and
-generators of its words.  Tensor products over B are quotients of plain
-tensor products in the row-major layout of linalg.outer, by the relations
-of linalg.balanced_relations: W (x)_B W, where mu lands;
-(W (x)_B W) (x)_B W, where validate_coalgebra checks coassociativity
-after projecting the first two factors, so that W (x) W (x) W is never
-formed; and W (x)_B X, which gives the morphisms Hom_B(W (x)_B X, Y) of
-the module category.  linalg.kron_apply applies maps such as 1 (x) mu to
-them.  The pair layout of W (x) X (TensorModule.pairs) is read only in
-this module.  Each coordinate of W (x)_B X is the coset of one chosen
-pair (TensorModule.chosen), so a map on pairs is read on W (x)_B X at
-the chosen pairs alone, with no product by the section: bocs_lift turns
-a B-module map into a morphism through the counit read there, and
-bocs_compose computes a composite there, through the nonzero terms of mu
-(Bocs.mu_terms) and the pair images of the two morphisms (pair_image),
-which a caller composing many pairs forms once per morphism.
+generators of its words.  W is free as a right B-module on a lift of its
+top, w = sum t.c_t(w) with c_t(w) in e_v(t)B (RightBasis), so one map
+rho(w (x) x) = (c_t(w).x)_t presents W (x)_B X (TensorModule),
+W (x)_B W, where mu lands, and, again in each t block,
+(W (x)_B W) (x)_B W, where validate_coalgebra checks coassociativity.
+mu is held on the pairs of W (x) W in the layout of linalg.outer, and the
+pairs of W (x) X (TensorModule.pairs) are read only in this module.  The
+coordinate (t, x) of W (x)_B X is the image of the pair t (x) x
+(TensorModule.chosen), so a map on pairs is read on W (x)_B X at the
+chosen pairs alone: bocs_lift turns a B-module map into a morphism
+through the counit read there, and bocs_compose computes a composite
+there, through the nonzero terms of mu (Bocs.mu_terms) and the pair
+images of the two morphisms (pair_image), which a caller composing many
+pairs forms once per morphism.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from collections import namedtuple
 from operator import le, lt
 
 from .ainf import AInfTable, build_tables
-from .linalg import (Matrix, Span, ZERO, balanced_relations,
-                     kron_apply, outer, vec_is_zero)
-from .modules import FDModule, ModuleMap, hom_basis, quotient
+from .linalg import (Matrix, Span, ZERO, complement_pivots, kron_apply,
+                     outer, vec_is_zero)
+from .modules import FDModule, ModuleMap, hom_basis
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 from .resolution import ResolvedSystem
 from .strata import classify_algebra
@@ -102,6 +101,7 @@ class Bocs:
         self._build_eps()
         self._build_mu()
         self._build_kernel()
+        self.right = RightBasis(self)
 
     def _set_base(self, alg, order, mode, r_max, table, B, duals):
         self.alg = alg
@@ -112,7 +112,6 @@ class Bocs:
         self.B = B
         self.duals = duals
         self.arrow_idx = {name: k for name, s, t, k in B.arrows}
-        self._tensor_cache = {}
         self._dpath_cache = {}
         self._mu_terms = None
 
@@ -120,7 +119,7 @@ class Bocs:
     def from_parts(cls, B, order, mode, r_max, *, w_dim, w_block, WL, WR,
                    eps, mu_pairs):
         """The bocs of a document, from B, W, eps and mu; the kernel data
-        is derived as in __init__.
+        and the right basis are derived as in __init__.
 
         It has no algebra, A-infinity table or duals (alg, table and duals
         are None), so validate_coalgebra raises ValueError on it.
@@ -134,6 +133,7 @@ class Bocs:
         bocs.eps = eps
         bocs.mu_pairs = mu_pairs
         bocs._build_kernel()
+        bocs.right = RightBasis(bocs)
         return bocs
 
     # -- degree-1 words ---------------------------------------------------
@@ -361,6 +361,46 @@ class Bocs:
         return len(span) == len(self.kernel_basis)
 
 
+class RightBasis:
+    """W as a right B-module on a lift of its top.
+
+    top lists, by left vertex, the W basis elements t whose classes form a
+    basis of W / W.rad B; t lies in the column v(t) = w_block[t][1].  The
+    t.e_v(t)B span W (Nakayama), so they are a basis of it exactly when
+    the two counts of witness agree.  Then w = sum t.c_t(w), and coords[w]
+    lists the terms (t, b, a) of the c_t(w) = sum a b in e_v(t)B; else
+    coords is None.  tensors keeps each W (x)_B X built on this basis.
+    """
+
+    def __init__(self, bocs: Bocs):
+        B, wdim, block = bocs.B, bocs.w_dim, bocs.w_block
+        self.tensors = {}
+        self.lcols = [m.nonzero_columns() for m in bocs.WL]
+        rad = Span(wdim, [col for k in B.radical_indices()
+                          for col in bocs.WR[k].columns()])
+        self.top = sorted(complement_pivots(rad.pivots, wdim),
+                          key=lambda t: block[t][0])
+        free = [(t, b) for t in self.top for b in range(B.dim)
+                if B.btarget[b] == block[t][1]]
+        self.witness = f"dim W = {wdim}, sum of dim e_v(t)B = {len(free)}"
+        self.coords = None if len(free) != wdim else [
+            [free[p] + (a,) for p, a in col] for col in Matrix.from_columns(
+                [bocs.WR[b].column(t) for t, b in free]
+            ).inverse().nonzero_columns()]
+
+    def rho(self, terms, cols=None) -> dict:
+        """rho of sum c (key, w (x) x) over the terms (key, w, x, c): the
+        nonzero entries {key + (t, y): coefficient} of sum c (key, c_t(w).x),
+        where cols[b][x] lists the (y, a) of b.x, by default for X = W."""
+        cols, out = cols or self.lcols, {}
+        for key, w, x, c in terms:
+            for t, b, a in self.coords[w]:
+                for y, e in cols[b][x]:
+                    k = key + (t, y)
+                    out[k] = out.get(k, ZERO) + c * a * e
+        return {k: a for k, a in out.items() if a}
+
+
 def _relations_from_pairings(table, duals, r_top):
     """One candidate relation per Ext^2 dual, paired against b' values."""
     rels = []
@@ -449,9 +489,11 @@ def validate_coalgebra(bocs: Bocs):
     """Check the coalgebra axioms on the K-basis of W.
 
     Returns, per axiom in the order checked, None when it holds and else
-    the first element it fails at, such as "w3" or "omega1".  A bocs read
-    from a document has no A-infinity table, so no presentation of W to
-    check against: it raises ValueError.
+    the first element it fails at, such as "w3" or "omega1".  When W is
+    not right-free on its top, "right-free" fails with RightBasis.witness
+    and the axioms read in W (x)_B W are not checked.  A bocs read from a
+    document has no A-infinity table, so no presentation of W to check
+    against: it raises ValueError.
     """
     if bocs.table is None:
         raise ValueError("a bocs read from a document has no A-infinity "
@@ -464,35 +506,34 @@ def validate_coalgebra(bocs: Bocs):
             report[axiom] = where
 
     wdim = bocs.w_dim
-    mu = bocs.mu_pairs
-    eye = Matrix.identity(wdim)
-    # W (x)_B W, where mu lands
-    _, ww_proj, ww_sect = Span(
-        wdim * wdim, balanced_relations(bocs.WR, bocs.WL)).complement()
-
     for w, (left, right) in enumerate(counit_identities(bocs)):
         record("counit-left", left, f"w{w}")
         record("counit-right", right, f"w{w}")
+    basis = bocs.right
+    record("right-free", basis.coords is not None, basis.witness)
+    if basis.coords is None:
+        return report
 
-    # coassociativity in (W (x)_B W) (x)_B W.  ww_proj (x) 1 kills
-    # rel (x) W and takes W (x) rel onto the balanced relations of the
-    # right action on W (x)_B W against the left action on W.  It takes
-    # (1 (x) mu)(w1 (x) w2) to (P_w1 (x) 1) mu(w2), where P_w1 maps u to
-    # ww_proj(w1 (x) u), so no vector of W (x) W (x) W is formed.
-    right = [Matrix.from_columns([ww_proj.apply(kron_apply(eye, r, s))
-                                  for s in ww_sect.columns()])
-             for r in bocs.WR]
-    triple = Span(ww_proj.rows * wdim, balanced_relations(right, bocs.WL))
-    p_w = [Matrix(ww_proj.rows, wdim,
-                  [row[w1 * wdim:(w1 + 1) * wdim] for row in ww_proj.data])
-           for w1 in range(wdim)]
-    mu_ww = ww_proj @ mu
-    for w, terms in enumerate(bocs.mu_terms()):
-        diff = [-a for a in kron_apply(mu_ww, eye, mu.column(w))]
-        for w1, w2, c in terms:
-            diff = [a + c * b for a, b in zip(
-                diff, kron_apply(p_w[w1], eye, mu.column(w2)))]
-        record("coassociativity", diff in triple, f"w{w}")
+    # rho with key () lands in W (x)_B W, with key (t,) in block t of
+    # (W (x)_B W) (x)_B W
+    rho, lcols = basis.rho, basis.lcols
+    rcols = [m.nonzero_columns() for m in bocs.WR]
+    mu = bocs.mu_terms()
+
+    def mu_of(vec):
+        """The pair terms of mu(v), v = sum a u over the entries (u, a)."""
+        return [((), w1, w2, a * c) for u, a in vec for w1, w2, c in mu[u]]
+
+    mu_ww = [rho(mu_of([(w, 1)])) for w in range(wdim)]
+    for w, terms in enumerate(mu):
+        # (mu (x) 1) mu(w) through rho(mu(w1)), and (1 (x) mu) mu(w)
+        # through w1 = sum t.c_t(w1)
+        lhs = rho(((t,), y, w2, c * a) for w1, w2, c in terms
+                  for (t, y), a in mu_ww[w1].items())
+        rhs = rho(((t,), y, v2, c * a * e * f) for w1, w2, c in terms
+                  for t, b, a in basis.coords[w1]
+                  for v1, v2, e in mu[w2] for y, f in lcols[b][v1])
+        record("coassociativity", lhs == rhs, f"w{w}")
 
     # bilinearity of eps and mu
     for k in range(B.dim):
@@ -508,15 +549,14 @@ def validate_coalgebra(bocs: Bocs):
         # mu(b.w) against (b (x) 1) mu(w), and mu(w.b) against
         # (1 (x) b) mu(w), in W (x)_B W
         for w in range(wdim):
-            col = mu.column(w)
-            diff = [a - b for a, b in zip(mu.apply(bocs.WL[k].column(w)),
-                                          kron_apply(bocs.WL[k], eye, col))]
-            record("bilinearity", vec_is_zero(ww_proj.apply(diff)),
-                   f"mu-left-{B.labels[k]}-w{w}")
-            diff = [a - b for a, b in zip(mu.apply(bocs.WR[k].column(w)),
-                                          kron_apply(eye, bocs.WR[k], col))]
-            record("bilinearity", vec_is_zero(ww_proj.apply(diff)),
-                   f"mu-right-{B.labels[k]}-w{w}")
+            ok = rho(mu_of(lcols[k][w])) == rho(
+                ((), y, w2, c * a) for w1, w2, c in mu[w]
+                for y, a in lcols[k][w1])
+            record("bilinearity", ok, f"mu-left-{B.labels[k]}-w{w}")
+            ok = rho(mu_of(rcols[k][w])) == rho(
+                ((), w1, z, c * a) for w1, w2, c in mu[w]
+                for z, a in rcols[k][w2])
+            record("bilinearity", ok, f"mu-right-{B.labels[k]}-w{w}")
 
     # surjectivity of eps
     record("surjectivity", bocs.eps.rank() == B.dim, "eps")
@@ -525,16 +565,17 @@ def validate_coalgebra(bocs: Bocs):
     for idx, row in enumerate(bocs.sub_span.rows):
         ok = vec_is_zero(bocs.eps_u1.apply(row))
         record("well-definedness", ok, f"eps-sub{idx}")
-        pairs = bocs._dprime_u1_pairs(row)
-        ok = vec_is_zero(ww_proj.apply(pairs))
+        ok = not rho(((),) + divmod(p, wdim) + (c,) for p, c
+                     in enumerate(bocs._dprime_u1_pairs(row)) if c)
         record("well-definedness", ok, f"mu-sub{idx}")
 
     # grouplikes
     for i in range(1, B.n + 1):
         e = B.idempotent(i)
         wvec = bocs.w_proj.apply(bocs._word(e, bocs.duals.omega_index(i), e))
-        diff = [a - b for a, b in zip(mu.apply(wvec), outer(wvec, wvec))]
-        ok = vec_is_zero(ww_proj.apply(diff))
+        nz = [(u, a) for u, a in enumerate(wvec) if a]
+        ok = rho(mu_of(nz)) == rho(((), u, v, a * b) for u, a in nz
+                                  for v, b in nz)
         record("grouplike", ok, f"omega{i}")
 
     return report
@@ -590,63 +631,58 @@ def classify_bocs(bocs: Bocs) -> BocsClass:
 class TensorModule(FDModule):
     """W (x)_B X, the source of the bocs morphisms out of X.
 
-    It is the quotient of the pair space W (x) X by the balanced
-    relations: pairs lists its pair coordinates (w, x), ordered by the
-    target block of w, index inverts that list, proj is the Matrix from
-    pairs onto W (x)_B X and sect the Matrix of coset representatives
-    back.  The representatives are pairs, since sect is the 0/1 selection
-    of Span.complement: chosen holds the pair (w, x) whose coset is each
-    coordinate of W (x)_B X, so a map on pairs is read on W (x)_B X at
-    the chosen pairs alone.  counit, the map W (x)_B X -> X of w (x) x
-    to eps(w) x, is set by bocs_lift the first time it lifts a map out
-    of X.
+    It is the sum of the e_v(t)X over the top t (RightBasis), on the
+    coordinates (t, x), x in e_v(t)X, that chosen lists.  pairs lists the
+    pair coordinates (w, x) of W (x) X and index inverts it; proj is rho
+    from pairs onto W (x)_B X and sect the 0/1 selection of the chosen
+    pairs, so a map on pairs is read on W (x)_B X at the chosen pairs
+    alone.  b acts by b.(t (x) x) = rho(b.t (x) x).  counit, the map
+    w (x) x to eps(w) x, is set by bocs_lift the first time it lifts a
+    map out of X.  A W not right-free on its top raises ValueError.
     """
 
     def __init__(self, bocs: Bocs, X: FDModule):
+        right, block = bocs.right, bocs.w_block
+        if right.coords is None:
+            raise ValueError(
+                f"W is not right-free on its top: {right.witness}")
         self.X = X
         self.counit = None
-        B = bocs.B
-        wdim = bocs.w_dim
-        pairs = [(w, x) for w in range(wdim) for x in range(X.total)]
-        pairs.sort(key=lambda p: (bocs.w_block[p[0]][0], p[0], p[1]))
-        self.pairs = pairs
-        self.index = index = {p: k for k, p in enumerate(pairs)}
-        dims = [0] * B.n
-        for (w, x) in pairs:
-            dims[bocs.w_block[w][0] - 1] += 1
-        act = []
-        for k in range(B.dim):
-            cols = []
-            for (w, x) in pairs:
-                img = bocs.WL[k].column(w)
-                col = [ZERO] * len(pairs)
-                for y, c in enumerate(img):
-                    if c != 0:
-                        col[index[(y, x)]] = c
-                cols.append(col)
-            act.append(Matrix.from_columns(cols))
-        # the relations in the layout of outer, read at the sorted pairs
-        layout = [w * X.total + x for (w, x) in pairs]
-        relvecs = [[v[p] for p in layout]
-                   for v in balanced_relations(bocs.WR, X.act)]
-        q, proj, self.sect = quotient(FDModule(B, dims, act), relvecs)
-        self.proj = proj.mat
-        self.chosen = [pairs[p] for (p, _), in self.sect.nonzero_columns()]
-        super().__init__(B, q.dims, q.act)
+        self.pairs = [(w, x) for w in range(bocs.w_dim)
+                      for x in range(X.total)]
+        self.index = {p: k for k, p in enumerate(self.pairs)}
+        self.chosen = [(t, x) for t in right.top
+                       for x in X.vertex_range(block[t][1])]
+        dims = [sum(block[t][0] == i for t, _ in self.chosen)
+                for i in range(1, bocs.B.n + 1)]
+        cols = [a.nonzero_columns() for a in X.act]
+        self.proj = _on_coords(self.chosen, [right.rho([((), w, x, 1)], cols)
+                                             for w, x in self.pairs])
+        self.sect = _on_coords(self.pairs, [{p: 1} for p in self.chosen])
+        act = [_on_coords(self.chosen, [
+            right.rho([((), u, x, c) for u, c in lc[t]], cols)
+            for t, x in self.chosen]) for lc in right.lcols]
+        super().__init__(bocs.B, dims, act)
+
+
+def _on_coords(keys, columns) -> Matrix:
+    """The Matrix of the sparse columns, its rows the keys."""
+    return Matrix(len(keys), len(columns),
+                  [[col.get(k, ZERO) for col in columns] for k in keys])
 
 
 def tensor_module(bocs: Bocs, X: FDModule) -> TensorModule:
     """W (x)_B X, built once per module content and kept on the bocs."""
-    got = bocs._tensor_cache.get(X)
+    got = bocs.right.tensors.get(X)
     if got is None:
-        got = bocs._tensor_cache[X] = TensorModule(bocs, X)
+        got = bocs.right.tensors[X] = TensorModule(bocs, X)
     return got
 
 
 def _hom_source(bocs: Bocs, f: ModuleMap) -> TensorModule:
     src = f.source
     if not (isinstance(src, TensorModule)
-            and bocs._tensor_cache.get(src.X) is src):
+            and bocs.right.tensors.get(src.X) is src):
         raise ValueError("hom source was not built by this bocs")
     return src
 

@@ -11,9 +11,11 @@ This module alone knows how subspaces and spaces of maps are held in
 coordinates: a Span keeps a subspace as its reduced row echelon basis and
 gives the projection onto a complement, and a MapSpace solves for and
 combines coordinates of maps in a list of maps.  Tensor products M (x) N
-are held in the row-major layout of `outer`; `kron_apply` applies a tensor
-product of maps and `balanced_relations` presents M (x)_B N, both sparsely,
-without forming a Kronecker matrix.
+over K are held in the row-major layout of `outer`, and `kron_apply`
+applies a tensor product of maps sparsely, without forming a Kronecker
+matrix.  Tensor products over an algebra are presented elsewhere, off a
+basis of a free module (bocs.RightBasis); `balanced_relations` spans the
+relations of M (x)_B N for the one cross-check that counts them.
 """
 
 from __future__ import annotations
@@ -439,6 +441,9 @@ def balanced_relations(right: Sequence[Matrix],
     right[k] acts by the k-th basis element of B on M from the right and
     left[k] on N from the left.  The vectors are the nonzero columns of
     right[k] (x) I - I (x) left[k] over all k, in the layout of outer.
+    They give dim M (x)_B N independently of any basis of M over B, for
+    the cross-check burt_butler.RightAlgebra.tensor_dim: a dense vector
+    per pair (m, n) and basis element, so it is for small M and N only.
     """
     rels = []
     for Rk, Lk in zip(right, left):

@@ -526,6 +526,23 @@ def _build_global(quiver, relations, length_bound):
     return _finish_algebra(quiver, relations, basis_paths, nf_global)
 
 
+def _trace_form(table) -> Matrix:
+    """The trace form tr(L_a L_b) of a structure-constant table, L_a the
+    left multiplication by basis[a], whose entry (j, k) is table[a][k][j].
+    Each L_a's entries are read once, and the form is symmetric, so each
+    unordered pair is summed once."""
+    dim = len(table)
+    entries = [[(k, j, c) for k in range(dim) for j, c in row[k].items()]
+               for row in table]
+    gram = [[ZERO] * dim for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a, dim):
+            tb = table[b]
+            gram[a][b] = gram[b][a] = sum(
+                (c * tb[j].get(k, ZERO) for k, j, c in entries[a]), ZERO)
+    return Matrix(dim, dim, gram)
+
+
 def from_structure_constants(n, table, idempotents) -> Algebra:
     """Reshape a raw structure-constant table into a block-pure Algebra.
 
@@ -551,13 +568,8 @@ def from_structure_constants(n, table, idempotents) -> Algebra:
             if tuple(prod) != tuple(want):
                 raise ValueError("inputs are not orthogonal idempotents")
 
-    # trace form tr(L_a L_b), L_a the left multiplication by basis[a]:
-    # L_a has entry (j, k) = table[a][k][j]
-    gram = Matrix(dim, dim, [
-        [sum((c * table[b][j].get(k, ZERO)
-              for k in range(dim) for j, c in table[a][k].items()), ZERO)
-         for b in range(dim)] for a in range(dim)])
-    layers = _powers(table, gram.kernel_basis())  # layers[d-1] spans rad^d
+    # the radical is the kernel of the trace form; layers[d-1] spans rad^d
+    layers = _powers(table, _trace_form(table).kernel_basis())
     if layers is None:
         raise ValueError("radical is not nilpotent")
     maxdeg = len(layers) - 1  # rad^(maxdeg+1) is zero

@@ -6,18 +6,20 @@ not need: direct sums, modules from arrow blocks with the module axioms
 checked, the intertwining check of a map, the dense hom solve that
 hom_basis replaced, the radical of a hom space, the bocs identity, the
 composition over every pair of W (x) X read back through sect that
-bocs_compose replaced, the coassociativity check in the K-tensor cube
-that validate_coalgebra replaced, the dense associativity check that
-Algebra.check_associativity replaced, the Auslander algebras,
+bocs_compose replaced, W (x)_B X and the coalgebra check presented by
+balanced relations, which the right basis of W replaced, the
+coassociativity check in the K-tensor cube, the dense associativity
+check that Algebra.check_associativity replaced, the trace form summed
+over every ordered pair, the Auslander algebras,
 null-homotopy by a homotopy solve against the radical criterion, and the
 Ext comparison of A with a factor algebra A/AeA (reduction_check).
 """
 
 from hypothesis import strategies as st
 
-from bocskit.bocs import Bocs, _hom_source, bocs_lift
+from bocskit.bocs import Bocs, _hom_source, bocs_lift, counit_identities
 from bocskit.linalg import (ONE, ZERO, Matrix, Span, balanced_relations,
-                            kron_apply, nonzeros, outer)
+                            kron_apply, nonzeros, outer, vec_is_zero)
 from bocskit.modules import (FDModule, ModuleMap, _from_arrow_blocks,
                              _trace_pairing, hom_basis, quotient,
                              radical_vectors)
@@ -229,6 +231,108 @@ def reference_bocs_compose(bocs: Bocs, g: ModuleMap,
     return ModuleMap(tx, g.target, Matrix(rows, len(tx.pairs), big) @ tx.sect)
 
 
+def reference_tensor_module(bocs: Bocs, X: FDModule) -> FDModule:
+    """W (x)_B X as the quotient of the pair space W (x) X, its pairs
+    ordered by the left vertex of w, by the balanced relations: the
+    reference for TensorModule, which reads it off the right basis."""
+    B, wdim = bocs.B, bocs.w_dim
+    pairs = sorted(((w, x) for w in range(wdim) for x in range(X.total)),
+                   key=lambda p: (bocs.w_block[p[0]][0], p[0], p[1]))
+    index = {p: k for k, p in enumerate(pairs)}
+    dims = [0] * B.n
+    for (w, x) in pairs:
+        dims[bocs.w_block[w][0] - 1] += 1
+    act = []
+    for k in range(B.dim):
+        cols = []
+        for (w, x) in pairs:
+            col = [ZERO] * len(pairs)
+            for y, c in enumerate(bocs.WL[k].column(w)):
+                if c != 0:
+                    col[index[(y, x)]] = c
+            cols.append(col)
+        act.append(Matrix.from_columns(cols))
+    # the relations in the layout of outer, read at the sorted pairs
+    layout = [w * X.total + x for (w, x) in pairs]
+    relvecs = [[v[p] for p in layout]
+               for v in balanced_relations(bocs.WR, X.act)]
+    return quotient(FDModule(B, dims, act), relvecs)[0]
+
+
+def reference_validate_coalgebra(bocs: Bocs):
+    """validate_coalgebra with W (x)_B W and (W (x)_B W) (x)_B W presented
+    as quotients by the balanced relations, the reference for the right
+    basis presentation; its dict has no "right-free" entry."""
+    B = bocs.B
+    report = {}
+
+    def record(axiom, ok, where):
+        if report.setdefault(axiom, None) is None and not ok:
+            report[axiom] = where
+
+    wdim = bocs.w_dim
+    mu = bocs.mu_pairs
+    eye = Matrix.identity(wdim)
+    _, ww_proj, ww_sect = Span(
+        wdim * wdim, balanced_relations(bocs.WR, bocs.WL)).complement()
+    for w, (left, right) in enumerate(counit_identities(bocs)):
+        record("counit-left", left, f"w{w}")
+        record("counit-right", right, f"w{w}")
+
+    # coassociativity in (W (x)_B W) (x)_B W.  ww_proj (x) 1 kills
+    # rel (x) W and takes W (x) rel onto the balanced relations of the
+    # right action on W (x)_B W against the left action on W.  It takes
+    # (1 (x) mu)(w1 (x) w2) to (P_w1 (x) 1) mu(w2), where P_w1 maps u to
+    # ww_proj(w1 (x) u).
+    right = [Matrix.from_columns([ww_proj.apply(kron_apply(eye, r, s))
+                                  for s in ww_sect.columns()])
+             for r in bocs.WR]
+    triple = Span(ww_proj.rows * wdim, balanced_relations(right, bocs.WL))
+    p_w = [Matrix(ww_proj.rows, wdim,
+                  [row[w1 * wdim:(w1 + 1) * wdim] for row in ww_proj.data])
+           for w1 in range(wdim)]
+    mu_ww = ww_proj @ mu
+    for w, terms in enumerate(bocs.mu_terms()):
+        diff = [-a for a in kron_apply(mu_ww, eye, mu.column(w))]
+        for w1, w2, c in terms:
+            diff = [a + c * b for a, b in zip(
+                diff, kron_apply(p_w[w1], eye, mu.column(w2)))]
+        record("coassociativity", diff in triple, f"w{w}")
+
+    for k in range(B.dim):
+        for w in range(wdim):
+            ev = bocs.eps.column(w)
+            lhs = bocs.eps.apply(bocs.WL[k].column(w))
+            ok = tuple(lhs) == tuple(B.multiply(B.basis_vec(k), ev))
+            record("bilinearity", ok, f"eps-left-{B.labels[k]}-w{w}")
+            lhs = bocs.eps.apply(bocs.WR[k].column(w))
+            ok = tuple(lhs) == tuple(B.multiply(ev, B.basis_vec(k)))
+            record("bilinearity", ok, f"eps-right-{B.labels[k]}-w{w}")
+        for w in range(wdim):
+            col = mu.column(w)
+            diff = [a - b for a, b in zip(mu.apply(bocs.WL[k].column(w)),
+                                          kron_apply(bocs.WL[k], eye, col))]
+            record("bilinearity", vec_is_zero(ww_proj.apply(diff)),
+                   f"mu-left-{B.labels[k]}-w{w}")
+            diff = [a - b for a, b in zip(mu.apply(bocs.WR[k].column(w)),
+                                          kron_apply(eye, bocs.WR[k], col))]
+            record("bilinearity", vec_is_zero(ww_proj.apply(diff)),
+                   f"mu-right-{B.labels[k]}-w{w}")
+
+    record("surjectivity", bocs.eps.rank() == B.dim, "eps")
+    for idx, row in enumerate(bocs.sub_span.rows):
+        ok = vec_is_zero(bocs.eps_u1.apply(row))
+        record("well-definedness", ok, f"eps-sub{idx}")
+        ok = vec_is_zero(ww_proj.apply(bocs._dprime_u1_pairs(row)))
+        record("well-definedness", ok, f"mu-sub{idx}")
+    for i in range(1, B.n + 1):
+        e = B.idempotent(i)
+        wvec = bocs.w_proj.apply(bocs._word(e, bocs.duals.omega_index(i), e))
+        diff = [a - b for a, b in zip(mu.apply(wvec), outer(wvec, wvec))]
+        record("grouplike", vec_is_zero(ww_proj.apply(diff)), f"omega{i}")
+    return report
+
+
 def cube_coassociativity(bocs: Bocs):
     """The first W basis element at which coassociativity fails, or None:
     the reference for validate_coalgebra, which checks it in
@@ -269,6 +373,17 @@ def dense_check_associativity(alg: Algebra):
                     raise ValueError(
                         f"structure constants not associative at "
                         f"({alg.labels[i]},{alg.labels[j]},{alg.labels[k]})")
+
+
+def dense_trace_form(table) -> Matrix:
+    """The trace form tr(L_a L_b) summed over every ordered pair (a, b),
+    each reading all of L_a again: the reference for
+    quiver._trace_form."""
+    dim = len(table)
+    return Matrix(dim, dim, [
+        [sum((c * table[b][j].get(k, ZERO)
+              for k in range(dim) for j, c in table[a][k].items()), ZERO)
+         for b in range(dim)] for a in range(dim)])
 
 
 def auslander(n: int) -> Algebra:

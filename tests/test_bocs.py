@@ -1,5 +1,6 @@
 import copy
 import gc
+import re
 import weakref
 
 import pytest
@@ -7,19 +8,20 @@ import pytest
 from bocskit import burt_butler
 from bocskit import io as bio
 from bocskit.ainf import stasheff_check
-from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_lift,
-                          classify_bocs, construct_bocs, tensor_module,
-                          validate_coalgebra)
+from bocskit.bocs import (RightBasis, bocs_compose, bocs_hom_basis,
+                          bocs_lift, classify_bocs, construct_bocs,
+                          tensor_module, validate_coalgebra)
 from bocskit.burt_butler import right_algebra
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
 from bocskit.modules import (FDModule, ModuleMap, hom_basis, projective,
-                             simple, zero_module)
+                             simple, sum_of_projectives, zero_module)
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
 
-from helpers import auslander, bocs_identity, cube_coassociativity
+from helpers import (auslander, bocs_identity, cube_coassociativity,
+                     reference_tensor_module, reference_validate_coalgebra)
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +114,21 @@ def test_mutated_eps_fails_surjectivity(b1):
     assert validate_coalgebra(bad)["surjectivity"] == "eps"
 
 
-def test_coassociativity_agrees_with_the_check_in_the_tensor_cube(
-        corpus_bocses):
+@pytest.fixture(scope="module")
+def perturbed_jordan3():
+    # In delta mode B = K and W is the dual coalgebra of K[x]/(x^3) on
+    # (x^0)*, (x^1)*, (x^2)*.  Adding (x^2)* (x) (x^2)* to mu((x^1)*)
+    # keeps the counit identities, as eps((x^2)*) = 0, but the dual
+    # product is no longer associative.
+    b = construct_bocs(example_jordan3(), mode="delta", r_max=3)
+    cols = [list(col) for col in b.mu_pairs.columns()]
+    cols[1][2 * b.w_dim + 2] += 1
+    b.mu_pairs = Matrix.from_columns(cols)
+    return b
+
+
+def test_right_basis_presentation_agrees_with_balanced_relations(
+        corpus_bocses, perturbed_jordan3):
     # e0-e3 in both modes, the corpus, and the Auslander algebras of
     # K[x]/(x^2) and K[x]/(x^3) in both modes
     bocses = [construct_bocs(example(), mode=mode, r_max=5)
@@ -124,24 +139,48 @@ def test_coassociativity_agrees_with_the_check_in_the_tensor_cube(
     bocses += [construct_bocs(auslander(n), list(range(n, 0, -1)),
                               mode=mode, r_max=3)
                for n in (2, 3) for mode in ("pdelta", "delta")]
-    for b in bocses:
-        got = validate_coalgebra(b)["coassociativity"]
-        assert got == cube_coassociativity(b)
-        assert got is None
+    for b in bocses + [perturbed_jordan3]:
+        B = b.B
+        mods = [sum_of_projectives(B, list(range(1, B.n + 1)))]
+        mods += [m(B, i) for i in range(1, B.n + 1)
+                 for m in (simple, projective)]
+        ref = [reference_tensor_module(b, X) for X in mods]
+        assert ([tensor_module(b, X).total for X in mods]
+                == [r.total for r in ref])
+        for X, rx in zip(mods, ref):
+            assert ([len(bocs_hom_basis(b, X, Y)) for Y in mods]
+                    == [len(hom_basis(rx, Y)) for Y in mods])
+        got = validate_coalgebra(b)
+        assert got.pop("right-free") is None
+        assert got == reference_validate_coalgebra(b)
+        assert got["coassociativity"] == cube_coassociativity(b)
+        assert (got["coassociativity"] is None) == (b is not perturbed_jordan3)
 
 
-def test_a_perturbed_mu_fails_only_coassociativity_in_both_checks():
-    # In delta mode B = K and W is the dual coalgebra of K[x]/(x^3) on
-    # (x^0)*, (x^1)*, (x^2)*.  Adding (x^2)* (x) (x^2)* to mu((x^1)*)
-    # keeps the counit identities, as eps((x^2)*) = 0, but the dual
-    # product is no longer associative.
-    b = construct_bocs(example_jordan3(), mode="delta", r_max=3)
-    cols = [list(col) for col in b.mu_pairs.columns()]
-    cols[1][2 * b.w_dim + 2] += 1
-    b.mu_pairs = Matrix.from_columns(cols)
-    failed = {axiom: at for axiom, at in validate_coalgebra(b).items() if at}
+def test_a_perturbed_mu_fails_only_coassociativity_in_both_checks(
+        perturbed_jordan3):
+    failed = {axiom: at for axiom, at
+              in validate_coalgebra(perturbed_jordan3).items() if at}
     assert failed == {"coassociativity": "w1"}
-    assert cube_coassociativity(b) == "w1"
+    assert cube_coassociativity(perturbed_jordan3) == "w1"
+
+
+def test_a_w_not_right_free_on_its_top_is_refused(b1):
+    # B = K[a]/(a^2) and W has dimension 2; with W.a = 0 both basis
+    # elements lie in the top, and two copies of e_1 B have dimension 4
+    bad = copy.deepcopy(b1)
+    rad = bad.B.radical_indices()
+    bad.WR = [Matrix.zero(m.rows, m.cols) if k in rad else m
+              for k, m in enumerate(bad.WR)]
+    bad.right = RightBasis(bad)
+    witness = "dim W = 2, sum of dim e_v(t)B = 4"
+    with pytest.raises(ValueError, match=re.escape(
+            f"W is not right-free on its top: {witness}")):
+        tensor_module(bad, simple(bad.B, 1))
+    report = validate_coalgebra(bad)
+    assert list(report) == ["counit-left", "counit-right", "right-free"]
+    assert report["right-free"] == witness
+    assert validate_coalgebra(b1)["right-free"] is None
 
 
 def test_classification_fixtures(b1, b3, b2, b0):

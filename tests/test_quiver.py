@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from bocskit.linalg import ONE, ZERO, Matrix, nonzeros
 from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
-                            _build_global, _build_graded, build_algebra,
+                            _build_global, _build_graded, _trace_form,
+                            build_algebra,
                             from_structure_constants,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair,
                             table_product)
 
-from helpers import auslander, dense_check_associativity, monomial_algebras
+from helpers import (auslander, dense_check_associativity, dense_trace_form,
+                     monomial_algebras)
 
 
 def test_dual_numbers_basis():
@@ -164,6 +166,14 @@ def test_global_and_graded_builders_agree_on_homogeneous_relations(
         two = _build_graded(quiver, relations, 12)
         assert (one.paths, one.table, one.labels, one.arrows) == (
             two.paths, two.table, two.labels, two.arrows)
+
+
+def test_trace_form_is_the_sum_over_every_ordered_pair(
+        mixed_algebras, mixed_length_algebras):
+    tables = [alg.table for alg in mixed_algebras + mixed_length_algebras]
+    tables.append(auslander(3).table)
+    for table in tables:
+        assert _trace_form(table) == dense_trace_form(table)
 
 
 def test_opposite_algebra():
