@@ -16,15 +16,15 @@ top, w = sum t.c_t(w) with c_t(w) in e_v(t)B (RightBasis), so one map
 rho(w (x) x) = (c_t(w).x)_t presents W (x)_B X (TensorModule),
 W (x)_B W, where mu lands, and, again in each t block,
 (W (x)_B W) (x)_B W, where validate_coalgebra checks coassociativity.
-mu is held on the pairs of W (x) W in the layout of linalg.outer, and the
+mu is held as its terms (Bocs.mu) from its construction on, and the
 pairs of W (x) X (TensorModule.pairs) are read only in this module.  The
 coordinate (t, x) of W (x)_B X is the image of the pair t (x) x
 (TensorModule.chosen), so a map on pairs is read on W (x)_B X at the
 chosen pairs alone: bocs_lift turns a B-module map into a morphism
 through the counit read there, and bocs_compose computes a composite
-there, through the nonzero terms of mu (Bocs.mu_terms) and the pair
-images of the two morphisms (pair_image), which a caller composing many
-pairs forms once per morphism.
+there, through the terms of mu and the pair images of the two morphisms
+(pair_image), which a caller composing many pairs forms once per
+morphism.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from collections import namedtuple
 from operator import le, lt
 
 from .ainf import AInfTable, build_tables
-from .linalg import (Matrix, Span, ZERO, complement_pivots, kron_apply,
-                     outer, vec_is_zero)
+from .linalg import (Matrix, Span, ZERO, complement_pivots, frac, nonzeros,
+                     vec_is_zero)
 from .modules import FDModule, ModuleMap, hom_basis
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 from .resolution import ResolvedSystem
@@ -84,13 +84,22 @@ def _path_vec(B: Algebra, arrow_idx, source, names):
     return vec
 
 
+def _sum_terms(terms) -> dict:
+    """The nonzero sums {key: sum of c} over the terms (key, c)."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, ZERO) + c
+    return {key: c for key, c in out.items() if c}
+
+
 class Bocs:
     """The bocs (B, W, eps, mu) of a filtered algebra.
 
     All structure constants live on explicit bases: W is presented by a
     complement of the killed sub-bimodule inside the degree-1 words, eps
-    and mu are matrices, and the Peirce blocks of every W basis element
-    are recorded for classification.
+    is a matrix, mu[w] lists the nonzero terms (w1, w2, c) of
+    mu(w) = sum c w1 (x) w2 sorted by (w1, w2), and the Peirce blocks of
+    the W basis are recorded for classification.
     """
 
     def __init__(self, alg, order, mode, r_max, table, B, duals):
@@ -99,7 +108,7 @@ class Bocs:
         self._build_dprime()
         self._build_w()
         self._build_eps()
-        self._build_mu()
+        self.mu = [self._dprime_terms(u) for u in self.w_sect.columns()]
         self._build_kernel()
         self.right = RightBasis(self)
 
@@ -113,11 +122,10 @@ class Bocs:
         self.duals = duals
         self.arrow_idx = {name: k for name, s, t, k in B.arrows}
         self._dpath_cache = {}
-        self._mu_terms = None
 
     @classmethod
     def from_parts(cls, B, order, mode, r_max, *, w_dim, w_block, WL, WR,
-                   eps, mu_pairs):
+                   eps, mu):
         """The bocs of a document, from B, W, eps and mu; the kernel data
         and the right basis are derived as in __init__.
 
@@ -131,7 +139,7 @@ class Bocs:
         bocs.WL = WL
         bocs.WR = WR
         bocs.eps = eps
-        bocs.mu_pairs = mu_pairs
+        bocs.mu = mu
         bocs._build_kernel()
         bocs.right = RightBasis(bocs)
         return bocs
@@ -275,47 +283,33 @@ class Bocs:
 
     # -- comultiplication -------------------------------------------------
 
-    def _dprime_u1_pairs(self, uvec):
-        """(pi (x) pi) d' of a degree-1 word vector, on W x W pairs: the
-        word p2.g.p1 goes to d'(p2).g.p1 + p2.d'(g).p1 - p2.g.d'(p1)."""
+    def _dprime_terms(self, uvec):
+        """(pi (x) pi) d' of a degree-1 word vector, as the sorted nonzero
+        terms (w1, w2, c) of sum c w1 (x) w2: the word p2.g.p1 goes to
+        d'(p2).g.p1 + p2.d'(g).p1 - p2.g.d'(p1)."""
         B = self.B
         unit = B.unit()
-        acc = [ZERO] * (self.w_dim * self.w_dim)
+        terms = []
         for idx, coeff in enumerate(uvec):
             if coeff == 0:
                 continue
             p2, gi, p1 = self.u1_basis[idx]
             b2, b1 = B.basis_vec(p2), B.basis_vec(p1)
-            terms = [(coeff, self._dprime_path(p2), self._word(unit, gi, b1)),
-                     (-coeff, self._word(b2, gi, unit), self._dprime_path(p1))]
+            terms += [(coeff, self._dprime_path(p2), self._word(unit, gi, b1)),
+                      (-coeff, self._word(b2, gi, unit),
+                       self._dprime_path(p1))]
             for key, c2 in self.table.products_into(self.duals.q1[gi][1], 2,
                                                     self.r_max):
                 (lp, mp, rp), (gl, gr) = self._split(key)
                 terms.append((coeff * c2,
                               self._word(B.multiply(b2, lp), gl, mp),
                               self._word(unit, gr, B.multiply(rp, b1))))
-            for c, left, right in terms:
-                pair = outer(self.w_proj.apply(left), self.w_proj.apply(right))
-                acc = [a + c * x for a, x in zip(acc, pair)]
-        return tuple(acc)
-
-    def _build_mu(self):
-        cols = [self._dprime_u1_pairs(u) for u in self.w_sect.columns()]
-        self.mu_pairs = (Matrix.from_columns(cols) if cols
-                         else Matrix.zero(self.w_dim * self.w_dim, 0))
-
-    def mu_terms(self):
-        """Per W basis element w, the nonzero terms (w1, w2, c) of
-        mu(w) = sum c w1 (x) w2 in the pair layout of mu_pairs.
-
-        Computed once per mu_pairs object, so a reassigned mu_pairs is
-        read afresh."""
-        cached = self._mu_terms
-        if cached is None or cached[0] is not self.mu_pairs:
-            terms = [[divmod(p, self.w_dim) + (c,) for p, c in col]
-                     for col in self.mu_pairs.nonzero_columns()]
-            cached = self._mu_terms = (self.mu_pairs, terms)
-        return cached[1]
+        sides = [(c, nonzeros(self.w_proj.apply(left)).items(),
+                  nonzeros(self.w_proj.apply(right)).items())
+                 for c, left, right in terms]
+        return sorted(k + (frac(a),) for k, a in _sum_terms(
+            ((w1, w2), c * a * b) for c, lhs, rhs in sides
+            for w1, a in lhs for w2, b in rhs).items())
 
     # -- kernel of the counit ---------------------------------------------
 
@@ -366,16 +360,20 @@ class RightBasis:
 
     top lists, by left vertex, the W basis elements t whose classes form a
     basis of W / W.rad B; t lies in the column v(t) = w_block[t][1].  The
-    t.e_v(t)B span W (Nakayama), so they are a basis of it exactly when
-    the two counts of witness agree.  Then w = sum t.c_t(w), and coords[w]
-    lists the terms (t, b, a) of the c_t(w) = sum a b in e_v(t)B; else
-    coords is None.  tensors keeps each W (x)_B X built on this basis.
+    t.e_v(t)B span W (Nakayama), so they are a basis of it when the two
+    counts of witness agree and the products t.b are independent, which a
+    W that is no right module can break.  Then w = sum t.c_t(w), and
+    coords[w] lists the terms (t, b, a) of the c_t(w) = sum a b in
+    e_v(t)B; else coords is None and witness says which fails.
+    lcols[b][w] (rcols[b][w]) lists the (y, a) of b.w (w.b).  tensors
+    keeps each W (x)_B X built on this basis.
     """
 
     def __init__(self, bocs: Bocs):
         B, wdim, block = bocs.B, bocs.w_dim, bocs.w_block
         self.tensors = {}
         self.lcols = [m.nonzero_columns() for m in bocs.WL]
+        self.rcols = [m.nonzero_columns() for m in bocs.WR]
         rad = Span(wdim, [col for k in B.radical_indices()
                           for col in bocs.WR[k].columns()])
         self.top = sorted(complement_pivots(rad.pivots, wdim),
@@ -383,22 +381,23 @@ class RightBasis:
         free = [(t, b) for t in self.top for b in range(B.dim)
                 if B.btarget[b] == block[t][1]]
         self.witness = f"dim W = {wdim}, sum of dim e_v(t)B = {len(free)}"
-        self.coords = None if len(free) != wdim else [
-            [free[p] + (a,) for p, a in col] for col in Matrix.from_columns(
-                [bocs.WR[b].column(t) for t, b in free]
-            ).inverse().nonzero_columns()]
+        products = Matrix.from_columns([bocs.WR[b].column(t) for t, b in free])
+        inv = (products.solve_columns(Matrix.identity(wdim))
+               if len(free) == wdim else None)
+        if len(free) == wdim and inv is None:
+            self.witness = (f"dim W = sum of dim e_v(t)B = {wdim}, but the "
+                            f"products t.b are dependent, of rank "
+                            f"{products.rank()}")
+        self.coords = None if inv is None else [
+            [free[p] + (a,) for p, a in col] for col in inv.nonzero_columns()]
 
     def rho(self, terms, cols=None) -> dict:
         """rho of sum c (key, w (x) x) over the terms (key, w, x, c): the
         nonzero entries {key + (t, y): coefficient} of sum c (key, c_t(w).x),
         where cols[b][x] lists the (y, a) of b.x, by default for X = W."""
-        cols, out = cols or self.lcols, {}
-        for key, w, x, c in terms:
-            for t, b, a in self.coords[w]:
-                for y, e in cols[b][x]:
-                    k = key + (t, y)
-                    out[k] = out.get(k, ZERO) + c * a * e
-        return {k: a for k, a in out.items() if a}
+        cols = cols or self.lcols
+        return _sum_terms((key + (t, y), c * a * e) for key, w, x, c in terms
+                          for t, b, a in self.coords[w] for y, e in cols[b][x])
 
 
 def _relations_from_pairings(table, duals, r_top):
@@ -468,20 +467,18 @@ def construct_bocs(alg: Algebra, order=None, mode: str = "pdelta",
 
 def counit_identities(bocs: Bocs):
     """Per W basis element w, whether l_W (eps (x) 1) mu(w) = w and
-    whether r_W (1 (x) eps) mu(w) = w, with l_W on B (x) W and r_W on
-    W (x) B in the layout of outer.  They need only W, eps and mu, so a
-    bocs read from a document is checked too."""
-    wdim = bocs.w_dim
-    eye = Matrix.identity(wdim)
-    l_w = Matrix.from_columns([m.column(x) for m in bocs.WL
-                               for x in range(wdim)])
-    r_w = Matrix.from_columns([m.column(x) for x in range(wdim)
-                               for m in bocs.WR])
+    whether r_W (1 (x) eps) mu(w) = w: the sums of c eps(w1)_k k.w2 and
+    of c eps(w2)_k w1.k over the terms (w1, w2, c) of mu(w).  They need
+    only W, eps and mu, so a bocs read from a document is checked too."""
+    eps = bocs.eps.nonzero_columns()
+    lcols, rcols = bocs.right.lcols, bocs.right.rcols
     out = []
-    for w, col in enumerate(bocs.mu_pairs.columns()):
-        unit = eye.column(w)
-        out.append((l_w.apply(kron_apply(bocs.eps, eye, col)) == unit,
-                    r_w.apply(kron_apply(eye, bocs.eps, col)) == unit))
+    for w, terms in enumerate(bocs.mu):
+        left = _sum_terms((y, c * e * a) for w1, w2, c in terms
+                          for k, e in eps[w1] for y, a in lcols[k][w2])
+        right = _sum_terms((y, c * e * a) for w1, w2, c in terms
+                           for k, e in eps[w2] for y, a in rcols[k][w1])
+        out.append((left == {w: 1}, right == {w: 1}))
     return out
 
 
@@ -516,9 +513,7 @@ def validate_coalgebra(bocs: Bocs):
 
     # rho with key () lands in W (x)_B W, with key (t,) in block t of
     # (W (x)_B W) (x)_B W
-    rho, lcols = basis.rho, basis.lcols
-    rcols = [m.nonzero_columns() for m in bocs.WR]
-    mu = bocs.mu_terms()
+    rho, lcols, rcols, mu = basis.rho, basis.lcols, basis.rcols, bocs.mu
 
     def mu_of(vec):
         """The pair terms of mu(v), v = sum a u over the entries (u, a)."""
@@ -565,8 +560,8 @@ def validate_coalgebra(bocs: Bocs):
     for idx, row in enumerate(bocs.sub_span.rows):
         ok = vec_is_zero(bocs.eps_u1.apply(row))
         record("well-definedness", ok, f"eps-sub{idx}")
-        ok = not rho(((),) + divmod(p, wdim) + (c,) for p, c
-                     in enumerate(bocs._dprime_u1_pairs(row)) if c)
+        ok = not rho(((), w1, w2, c) for w1, w2, c
+                     in bocs._dprime_terms(row))
         record("well-definedness", ok, f"mu-sub{idx}")
 
     # grouplikes
@@ -749,11 +744,10 @@ def bocs_compose(bocs: Bocs, g, f) -> ModuleMap:
     g, f = (h if isinstance(h, PairImage) else pair_image(bocs, h)
             for h in (g, f))
     chosen = f.source.chosen
-    mu_terms = bocs.mu_terms()
     rows = g.target.total
     out = [[ZERO] * len(chosen) for _ in range(rows)]
     for k, (w, x) in enumerate(chosen):
-        for w1, w2, c in mu_terms[w]:
+        for w1, w2, c in bocs.mu[w]:
             gcols = g.cols[w1]
             for y, a in f.cols[w2][x]:
                 ca = c * a

@@ -3,7 +3,7 @@
 Exact rationals travel as "p/q" strings; keys are emitted sorted so equal
 inputs produce byte-identical documents.  Bocs documents carry full
 structure constants and are re-ingestable without the originating
-algebra.
+algebra; only here is mu written in its dense layout (mu_to_matrix).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import os
 import re
 
-from .linalg import Matrix, Scalar, frac
+from .linalg import ZERO, Matrix, Scalar, frac
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 
 ALGEBRA_SCHEMA = "bocskit/algebra"
@@ -78,6 +78,23 @@ def lists_to_matrix(obj, pointer: str) -> Matrix:
         grid.append([str_to_frac(x, f"{pointer}/data/{r}/{c}")
                      for c, x in enumerate(row)])
     return Matrix(obj["rows"], obj["cols"], grid)
+
+
+def mu_to_matrix(mu) -> Matrix:
+    """The document layout of the terms of mu: mu(w) = sum c w1 (x) w2
+    puts c in column w at row w1 * w_dim + w2."""
+    w_dim = len(mu)
+    data = [[ZERO] * w_dim for _ in range(w_dim * w_dim)]
+    for w, terms in enumerate(mu):
+        for w1, w2, c in terms:
+            data[w1 * w_dim + w2][w] = c
+    return Matrix(w_dim * w_dim, w_dim, data)
+
+
+def matrix_to_mu(m: Matrix) -> list:
+    """The terms of mu, sorted by (w1, w2), from its document layout."""
+    return [[divmod(p, m.cols) + (c,) for p, c in col]
+            for col in m.nonzero_columns()]
 
 
 def emit(doc: dict) -> str:
@@ -203,7 +220,7 @@ def bocs_to_doc(bocs) -> dict:
         "wl": [matrix_to_lists(m) for m in bocs.WL],
         "wr": [matrix_to_lists(m) for m in bocs.WR],
         "eps": matrix_to_lists(bocs.eps),
-        "mu_pairs": matrix_to_lists(bocs.mu_pairs),
+        "mu_pairs": matrix_to_lists(mu_to_matrix(bocs.mu)),
         "kernel_basis": [[frac_to_str(x) for x in v]
                          for v in bocs.kernel_basis],
         "kernel_generators": [[a, b, [frac_to_str(x) for x in v]]
@@ -217,12 +234,14 @@ def bocs_to_doc(bocs) -> dict:
 def doc_to_bocs(doc: dict):
     """Rehydrated bocs supporting the module category and classification.
 
-    The Peirce blocks must match the idempotent actions on W, mu_pairs
-    must satisfy the counit identities, and the kernel data (kernel_basis,
-    kernel_generators, d) must equal what the bocs derives from eps, W
-    and B.  The A-infinity tables and the originating algebra are not part
-    of the document, so operations needing them (validate_coalgebra, the
-    twisted correspondence) are unavailable on the result.
+    The Peirce blocks must match the idempotent actions on W, eps must be
+    onto B, mu_pairs must satisfy the counit identities, and the kernel
+    data (kernel_basis, kernel_generators, d) must equal what the bocs
+    derives from eps, W and B.  mu_pairs is the dense layout of mu, which
+    the bocs holds as its terms (matrix_to_mu).  The A-infinity tables
+    and the originating algebra are not part of the document, so
+    operations needing them (validate_coalgebra, the twisted
+    correspondence) are unavailable on the result.
     """
     from .bocs import Bocs, counit_identities
     _validate_version(doc)
@@ -265,7 +284,8 @@ def doc_to_bocs(doc: dict):
                     == [[(c, 1)] if w_block[c][end] == i else []
                         for c in range(w_dim)], "/w_block")
     eps = lists_to_matrix(doc.get("eps"), "/eps")
-    _expect(eps.rows == B.dim and eps.cols == w_dim, "/eps")
+    _expect(eps.rows == B.dim and eps.cols == w_dim
+            and eps.rank() == B.dim, "/eps")
     mu_pairs = lists_to_matrix(doc.get("mu_pairs"), "/mu_pairs")
     _expect(mu_pairs.rows == w_dim * w_dim and mu_pairs.cols == w_dim,
             "/mu_pairs")
@@ -299,7 +319,7 @@ def doc_to_bocs(doc: dict):
 
     bocs = Bocs.from_parts(
         B, order, doc["mode"], doc["r_max"], w_dim=w_dim, w_block=w_block,
-        WL=WL, WR=WR, eps=eps, mu_pairs=mu_pairs)
+        WL=WL, WR=WR, eps=eps, mu=matrix_to_mu(mu_pairs))
     _expect(all(map(all, counit_identities(bocs))), "/mu_pairs")
     _expect(kernel_basis == bocs.kernel_basis, "/kernel_basis")
     _expect(kernel_generators == bocs.kernel_generators,

@@ -10,12 +10,11 @@ a float.  Matrices are immutable; all operations return fresh objects.
 This module alone knows how subspaces and spaces of maps are held in
 coordinates: a Span keeps a subspace as its reduced row echelon basis and
 gives the projection onto a complement, and a MapSpace solves for and
-combines coordinates of maps in a list of maps.  Tensor products M (x) N
-over K are held in the row-major layout of `outer`, and `kron_apply`
-applies a tensor product of maps sparsely, without forming a Kronecker
-matrix.  Tensor products over an algebra are presented elsewhere, off a
-basis of a free module (bocs.RightBasis); `balanced_relations` spans the
-relations of M (x)_B N for the one cross-check that counts them.
+combines coordinates of maps in a list of maps.  Tensor products are not
+held here: those over an algebra are presented off a basis of a free
+module (bocs.RightBasis), their elements as sparse terms, and
+`balanced_relations` spans the relations of M (x)_B N, on the pairs of
+M (x) N, for the one cross-check that counts them.
 """
 
 from __future__ import annotations
@@ -405,45 +404,17 @@ class MapSpace:
 # -- tensor products --------------------------------------------------------
 
 
-def outer(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
-    """u (x) v flattened: the pair (i, j) sits at index i * len(v) + j."""
-    n = len(v)
-    out = [ZERO] * (len(u) * n)
-    nz = [(j, b) for j, b in enumerate(v) if b != 0]
-    for i, a in enumerate(u):
-        if a != 0:
-            for j, b in nz:
-                out[i * n + j] = a * b
-    return tuple(out)
-
-
-def kron_apply(L: Matrix, R: Matrix, vec: Sequence[Scalar]) -> tuple:
-    """(L (x) R) vec, with vec and the result in the layout of outer."""
-    if len(vec) != L.cols * R.cols:
-        raise ValueError("vector length mismatch")
-    lcols, rcols = L.nonzero_columns(), R.nonzero_columns()
-    n = R.rows
-    out = [ZERO] * (L.rows * n)
-    for idx, c in enumerate(vec):
-        if c != 0:
-            k, l = divmod(idx, R.cols)
-            for i, a in lcols[k]:
-                ca = c * a
-                for j, b in rcols[l]:
-                    out[i * n + j] += ca * b
-    return tuple(out)
-
-
 def balanced_relations(right: Sequence[Matrix],
                        left: Sequence[Matrix]) -> list:
     """Vectors spanning the relations m.b (x) n - m (x) b.n of M (x)_B N.
 
     right[k] acts by the k-th basis element of B on M from the right and
     left[k] on N from the left.  The vectors are the nonzero columns of
-    right[k] (x) I - I (x) left[k] over all k, in the layout of outer.
-    They give dim M (x)_B N independently of any basis of M over B, for
-    the cross-check burt_butler.RightAlgebra.tensor_dim: a dense vector
-    per pair (m, n) and basis element, so it is for small M and N only.
+    right[k] (x) I - I (x) left[k] over all k, the pair (m, n) at index
+    m * dim N + n.  They give dim M (x)_B N independently of any basis of
+    M over B, for the cross-check burt_butler.RightAlgebra.tensor_dim: a
+    dense vector per pair (m, n) and basis element, so it is for small M
+    and N only.
     """
     rels = []
     for Rk, Lk in zip(right, left):

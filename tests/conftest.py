@@ -22,6 +22,16 @@ def mixed_algebras():
 
 
 @pytest.fixture(scope="session")
+def fixture_bocses():
+    """The bocses of e0-e3 in both modes at r_max 5, keyed (name, mode)."""
+    examples = {"e0": example_semisimple_pair, "e1": example_dual_numbers,
+                "e2": example_a2, "e3": example_jordan3}
+    return {(name, mode): construct_bocs(example(), mode=mode, r_max=5)
+            for name, example in examples.items()
+            for mode in ("pdelta", "delta")}
+
+
+@pytest.fixture(scope="session")
 def corpus_bocses():
     """The benchmark corpus, random_corpus(20260823, count=20, max_dim=5,
     require_bocs=False), as pdelta bocses at r_max 3: (algebra, order,

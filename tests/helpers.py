@@ -8,7 +8,9 @@ hom_basis replaced, the radical of a hom space, the bocs identity, the
 composition over every pair of W (x) X read back through sect that
 bocs_compose replaced, W (x)_B X and the coalgebra check presented by
 balanced relations, which the right basis of W replaced, the
-coassociativity check in the K-tensor cube, the dense associativity
+coassociativity check in the K-tensor cube, the K-tensor kernel those
+references run on (outer, kron_apply), the counit identities read through
+it on mu in the dense layout of its document, the dense associativity
 check that Algebra.check_associativity replaced, the trace form summed
 over every ordered pair, the Auslander algebras,
 null-homotopy by a homotopy solve against the radical criterion, and the
@@ -17,9 +19,10 @@ Ext comparison of A with a factor algebra A/AeA (reduction_check).
 
 from hypothesis import strategies as st
 
-from bocskit.bocs import Bocs, _hom_source, bocs_lift, counit_identities
+from bocskit.bocs import Bocs, _hom_source, bocs_lift
+from bocskit.io import mu_to_matrix
 from bocskit.linalg import (ONE, ZERO, Matrix, Span, balanced_relations,
-                            kron_apply, nonzeros, outer, vec_is_zero)
+                            nonzeros, vec_is_zero)
 from bocskit.modules import (FDModule, ModuleMap, _from_arrow_blocks,
                              _trace_pairing, hom_basis, quotient,
                              radical_vectors)
@@ -199,6 +202,68 @@ def radical_hom_basis(M: FDModule, N: FDModule):
     return out
 
 
+# -- the tensor kernel over K ------------------------------------------------
+
+
+def outer(u, v) -> tuple:
+    """u (x) v flattened: the pair (i, j) sits at index i * len(v) + j."""
+    n = len(v)
+    out = [ZERO] * (len(u) * n)
+    nz = [(j, b) for j, b in enumerate(v) if b != 0]
+    for i, a in enumerate(u):
+        if a != 0:
+            for j, b in nz:
+                out[i * n + j] = a * b
+    return tuple(out)
+
+
+def kron_apply(L: Matrix, R: Matrix, vec) -> tuple:
+    """(L (x) R) vec, with vec and the result in the layout of outer."""
+    if len(vec) != L.cols * R.cols:
+        raise ValueError("vector length mismatch")
+    lcols, rcols = L.nonzero_columns(), R.nonzero_columns()
+    n = R.rows
+    out = [ZERO] * (L.rows * n)
+    for idx, c in enumerate(vec):
+        if c != 0:
+            k, l = divmod(idx, R.cols)
+            for i, a in lcols[k]:
+                ca = c * a
+                for j, b in rcols[l]:
+                    out[i * n + j] += ca * b
+    return tuple(out)
+
+
+def pair_vector(terms, wdim: int) -> list:
+    """sum c w1 (x) w2 over the terms (w1, w2, c), in the layout of
+    outer."""
+    vec = [ZERO] * (wdim * wdim)
+    for w1, w2, c in terms:
+        vec[w1 * wdim + w2] += c
+    return vec
+
+
+def dense_counit_identities(bocs: Bocs):
+    """counit_identities through dense l_W on B (x) W and r_W on W (x) B,
+    in the layout of outer, applied by kron_apply to mu in the layout of
+    its document."""
+    wdim = bocs.w_dim
+    eye = Matrix.identity(wdim)
+    l_w = Matrix.from_columns([m.column(x) for m in bocs.WL
+                               for x in range(wdim)])
+    r_w = Matrix.from_columns([m.column(x) for x in range(wdim)
+                               for m in bocs.WR])
+    out = []
+    for w, col in enumerate(mu_to_matrix(bocs.mu).columns()):
+        unit = eye.column(w)
+        out.append((l_w.apply(kron_apply(bocs.eps, eye, col)) == unit,
+                    r_w.apply(kron_apply(eye, bocs.eps, col)) == unit))
+    return out
+
+
+# -- bocses -----------------------------------------------------------------
+
+
 def bocs_identity(bocs: Bocs, X: FDModule) -> ModuleMap:
     """The identity morphism on X, through the counit."""
     return bocs_lift(bocs, ModuleMap(X, X, Matrix.identity(X.total)))
@@ -219,11 +284,10 @@ def reference_bocs_compose(bocs: Bocs, g: ModuleMap,
     tx, ty = _hom_source(bocs, f), _hom_source(bocs, g)
     fcols = (f.mat @ tx.proj).nonzero_columns()
     gcols = (g.mat @ ty.proj).nonzero_columns()
-    mu_terms = bocs.mu_terms()
     rows = g.target.total
     big = [[ZERO] * len(tx.pairs) for _ in range(rows)]
     for k, (w, x) in enumerate(tx.pairs):
-        for w1, w2, c in mu_terms[w]:
+        for w1, w2, c in bocs.mu[w]:
             for y, a in fcols[tx.index[(w2, x)]]:
                 ca = c * a
                 for z, b in gcols[ty.index[(w1, y)]]:
@@ -271,11 +335,11 @@ def reference_validate_coalgebra(bocs: Bocs):
             report[axiom] = where
 
     wdim = bocs.w_dim
-    mu = bocs.mu_pairs
+    mu = mu_to_matrix(bocs.mu)
     eye = Matrix.identity(wdim)
     _, ww_proj, ww_sect = Span(
         wdim * wdim, balanced_relations(bocs.WR, bocs.WL)).complement()
-    for w, (left, right) in enumerate(counit_identities(bocs)):
+    for w, (left, right) in enumerate(dense_counit_identities(bocs)):
         record("counit-left", left, f"w{w}")
         record("counit-right", right, f"w{w}")
 
@@ -292,7 +356,7 @@ def reference_validate_coalgebra(bocs: Bocs):
                   [row[w1 * wdim:(w1 + 1) * wdim] for row in ww_proj.data])
            for w1 in range(wdim)]
     mu_ww = ww_proj @ mu
-    for w, terms in enumerate(bocs.mu_terms()):
+    for w, terms in enumerate(bocs.mu):
         diff = [-a for a in kron_apply(mu_ww, eye, mu.column(w))]
         for w1, w2, c in terms:
             diff = [a + c * b for a, b in zip(
@@ -323,7 +387,8 @@ def reference_validate_coalgebra(bocs: Bocs):
     for idx, row in enumerate(bocs.sub_span.rows):
         ok = vec_is_zero(bocs.eps_u1.apply(row))
         record("well-definedness", ok, f"eps-sub{idx}")
-        ok = vec_is_zero(ww_proj.apply(bocs._dprime_u1_pairs(row)))
+        ok = vec_is_zero(ww_proj.apply(
+            pair_vector(bocs._dprime_terms(row), wdim)))
         record("well-definedness", ok, f"mu-sub{idx}")
     for i in range(1, B.n + 1):
         e = B.idempotent(i)
@@ -339,7 +404,7 @@ def cube_coassociativity(bocs: Bocs):
     (W (x)_B W) (x)_B W.  This check spans the relations of
     W (x)_B W (x)_B W inside the K-tensor cube W (x) W (x) W."""
     wdim = bocs.w_dim
-    mu = bocs.mu_pairs
+    mu = mu_to_matrix(bocs.mu)
     eye = Matrix.identity(wdim)
     ww_span = Span(wdim * wdim, balanced_relations(bocs.WR, bocs.WL))
     # coassociativity in W (x)_B W (x)_B W, whose relations are those of

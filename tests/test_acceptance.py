@@ -116,7 +116,7 @@ def test_criterion_3_coalgebra_axioms(bocses, corpus):
         report = validate_coalgebra(b)
         assert report and not any(report.values())
     bad = copy.deepcopy(bocses["e1"])
-    bad.mu_pairs = Matrix.zero(bad.w_dim ** 2, bad.w_dim)
+    bad.mu = [[] for _ in range(bad.w_dim)]
     assert validate_coalgebra(bad)["counit-left"] == "w0"
     bad = copy.deepcopy(bocses["e1"])
     bad.eps = Matrix.zero(bad.B.dim, bad.w_dim)

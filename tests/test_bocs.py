@@ -2,6 +2,7 @@ import copy
 import gc
 import re
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -10,18 +11,21 @@ from bocskit import io as bio
 from bocskit.ainf import stasheff_check
 from bocskit.bocs import (RightBasis, bocs_compose, bocs_hom_basis,
                           bocs_lift, classify_bocs, construct_bocs,
-                          tensor_module, validate_coalgebra)
+                          counit_identities, tensor_module,
+                          validate_coalgebra)
 from bocskit.burt_butler import right_algebra
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
 from bocskit.modules import (FDModule, ModuleMap, hom_basis, projective,
                              simple, sum_of_projectives, zero_module)
+from bocskit.pipeline import PipelineError, roundtrip_bocs
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
 
 from helpers import (auslander, bocs_identity, cube_coassociativity,
-                     reference_tensor_module, reference_validate_coalgebra)
+                     dense_counit_identities, reference_tensor_module,
+                     reference_validate_coalgebra)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +107,7 @@ def test_document_bocs_has_no_coalgebra_check():
 
 def test_mutated_mu_fails_counit(b1):
     bad = copy.deepcopy(b1)
-    bad.mu_pairs = Matrix.zero(bad.w_dim ** 2, bad.w_dim)
+    bad.mu = [[] for _ in range(bad.w_dim)]
     report = validate_coalgebra(bad)
     assert report["counit-left"] == "w0"
 
@@ -121,25 +125,25 @@ def perturbed_jordan3():
     # keeps the counit identities, as eps((x^2)*) = 0, but the dual
     # product is no longer associative.
     b = construct_bocs(example_jordan3(), mode="delta", r_max=3)
-    cols = [list(col) for col in b.mu_pairs.columns()]
-    cols[1][2 * b.w_dim + 2] += 1
-    b.mu_pairs = Matrix.from_columns(cols)
+    assert all((w1, w2) != (2, 2) for w1, w2, _ in b.mu[1])
+    b.mu[1] = sorted(b.mu[1] + [(2, 2, 1)])
     return b
 
 
+@pytest.fixture(scope="module")
+def auslander_bocses():
+    """The Auslander algebras of K[x]/(x^2) and K[x]/(x^3), in both modes
+    at r_max 3."""
+    return [construct_bocs(auslander(n), list(range(n, 0, -1)), mode=mode,
+                           r_max=3)
+            for n in (2, 3) for mode in ("pdelta", "delta")]
+
+
 def test_right_basis_presentation_agrees_with_balanced_relations(
-        corpus_bocses, perturbed_jordan3):
-    # e0-e3 in both modes, the corpus, and the Auslander algebras of
-    # K[x]/(x^2) and K[x]/(x^3) in both modes
-    bocses = [construct_bocs(example(), mode=mode, r_max=5)
-              for example in (example_semisimple_pair, example_dual_numbers,
-                              example_a2, example_jordan3)
-              for mode in ("pdelta", "delta")]
+        fixture_bocses, corpus_bocses, auslander_bocses, perturbed_jordan3):
+    bocses = list(fixture_bocses.values())
     bocses += [b for _, _, b in corpus_bocses.values()]
-    bocses += [construct_bocs(auslander(n), list(range(n, 0, -1)),
-                              mode=mode, r_max=3)
-               for n in (2, 3) for mode in ("pdelta", "delta")]
-    for b in bocses + [perturbed_jordan3]:
+    for b in bocses + auslander_bocses + [perturbed_jordan3]:
         B = b.B
         mods = [sum_of_projectives(B, list(range(1, B.n + 1)))]
         mods += [m(B, i) for i in range(1, B.n + 1)
@@ -165,6 +169,41 @@ def test_a_perturbed_mu_fails_only_coassociativity_in_both_checks(
     assert cube_coassociativity(perturbed_jordan3) == "w1"
 
 
+def _mutations(b):
+    """(kind, copy of b) with mu changed at one w: mu(w) zeroed, its
+    w (x) w coefficient doubled (omega (x) omega at a grouplike w), or
+    its last term dropped."""
+    out = []
+    for w, terms in enumerate(b.mu):
+        doubled = [(w1, w2, 2 * c if w1 == w2 == w else c)
+                   for w1, w2, c in terms]
+        for kind, new in (("zeroed", []), ("doubled", doubled),
+                          ("dropped", terms[:-1])):
+            if new != terms:
+                bad = copy.copy(b)
+                bad.mu = b.mu[:w] + [new] + b.mu[w + 1:]
+                out.append((kind, bad))
+    return out
+
+
+def test_counit_identities_agree_with_the_dense_reference(
+        fixture_bocses, corpus_bocses, auslander_bocses, perturbed_jordan3):
+    bocses = list(fixture_bocses.values())
+    bocses += [b for _, _, b in corpus_bocses.values()]
+    bocses += auslander_bocses + [perturbed_jordan3]
+    for b in bocses:
+        assert counit_identities(b) == dense_counit_identities(b)
+        assert all(map(all, counit_identities(b)))
+    kinds = Counter()
+    for b in fixture_bocses.values():
+        for kind, bad in _mutations(b):
+            got = counit_identities(bad)
+            assert got == dense_counit_identities(bad)
+            assert not all(map(all, got))
+            kinds[kind] += 1
+    assert min(kinds.values()) >= 4 and len(kinds) == 3
+
+
 def test_a_w_not_right_free_on_its_top_is_refused(b1):
     # B = K[a]/(a^2) and W has dimension 2; with W.a = 0 both basis
     # elements lie in the top, and two copies of e_1 B have dimension 4
@@ -181,6 +220,22 @@ def test_a_w_not_right_free_on_its_top_is_refused(b1):
     assert list(report) == ["counit-left", "counit-right", "right-free"]
     assert report["right-free"] == witness
     assert validate_coalgebra(b1)["right-free"] is None
+
+
+def test_dependent_products_t_b_are_refused_at_right_algebra(b1):
+    # w0.a = 0 and w1.a = w1 for the radical a, so W is no right module:
+    # the counts agree, one top element t = w0 against dim e_1 B = 2, but
+    # t.a = 0, so the products t.b have rank 1
+    doc = bio.bocs_to_doc(b1)
+    doc["wr"][1]["data"] = [["0", "0"], ["0", "1"]]
+    bad = bio.doc_to_bocs(doc)
+    witness = ("dim W = sum of dim e_v(t)B = 2, but the products t.b are "
+               "dependent, of rank 1")
+    assert (bad.right.coords, bad.right.witness) == (None, witness)
+    with pytest.raises(PipelineError) as exc:
+        roundtrip_bocs(bad)
+    assert exc.value.stage == "right_algebra"
+    assert exc.value.message == f"W is not right-free on its top: {witness}"
 
 
 def test_classification_fixtures(b1, b3, b2, b0):
@@ -357,7 +412,7 @@ def _reference_compose(b, X, Y, g, f):
     cols = []
     for (w, x) in tx.pairs:
         out = [0] * g.target.total
-        for p, c in enumerate(b.mu_pairs.column(w)):
+        for p, c in enumerate(bio.mu_to_matrix(b.mu).column(w)):
             w1, w2 = divmod(p, b.w_dim)
             yv = f_big.apply(_pair_vec(tx, _unit(b.w_dim, w2),
                                        _unit(X.total, x)))
@@ -407,7 +462,7 @@ def test_compose_reads_a_reassigned_mu(b1):
     ids = [bocs_identity(bad, X) for X in mods]
     for idx in ids:
         assert not bocs_compose(bad, idx, idx).mat.is_zero()
-    bad.mu_pairs = Matrix.zero(bad.w_dim ** 2, bad.w_dim)
+    bad.mu = [[] for _ in range(bad.w_dim)]
     for X, idx in zip(mods, ids):
         assert bocs_compose(bad, idx, idx).mat.is_zero()
         for Y in mods:

@@ -205,14 +205,46 @@ def test_mu_pairs_must_satisfy_the_counit_identities(a2_bocs_doc):
         bio.bocs_to_doc(construct_bocs(alg, mode="pdelta", r_max=3))
         for alg in (example_dual_numbers(), example_jordan3())]
     for good in docs:
-        assert bio.doc_to_bocs(good).mu_pairs == bio.lists_to_matrix(
-            good["mu_pairs"], "/mu_pairs")
+        assert bio.mu_to_matrix(bio.doc_to_bocs(good).mu) == \
+            bio.lists_to_matrix(good["mu_pairs"], "/mu_pairs")
         for c in (2, 0):
             mu = good["mu_pairs"]
             data = [[str(c * frac(x)) for x in row] for row in mu["data"]]
             with pytest.raises(ValueError,
                                match="schema violation at /mu_pairs$"):
                 bio.doc_to_bocs(dict(good, mu_pairs=dict(mu, data=data)))
+
+
+def test_mu_reads_back_from_its_document(fixture_bocses, corpus_bocses):
+    # the terms of mu and their order survive the dense document layout,
+    # and the document is written again byte for byte
+    bocses = list(fixture_bocses.values())
+    bocses += [b for _, _, b in corpus_bocses.values()]
+    for b in bocses:
+        assert all(terms == sorted(terms) and all(c for _, _, c in terms)
+                   for terms in b.mu)
+        text = bio.emit(bio.bocs_to_doc(b))
+        back = bio.doc_to_bocs(bio.bocs_to_doc(b))
+        assert back.mu == b.mu
+        assert bio.emit(bio.bocs_to_doc(back)) == text
+
+
+def test_a_counit_not_onto_b_is_refused_at_eps(a2_bocs_doc):
+    # W = 0 was accepted, and then refused at right_algebra as
+    # "idempotents are not independent"
+    empty = {"rows": 0, "cols": 0, "data": []}
+    rows = len(a2_bocs_doc["eps"]["data"])
+    no_w = dict(a2_bocs_doc, w_dim=0, w_block=[],
+                wl=[empty] * len(a2_bocs_doc["wl"]),
+                wr=[empty] * len(a2_bocs_doc["wr"]),
+                eps={"rows": rows, "cols": 0, "data": [[]] * rows},
+                mu_pairs=empty, kernel_basis=[], kernel_generators=[], d=[])
+    eps = a2_bocs_doc["eps"]
+    one_row_lost = dict(a2_bocs_doc, eps=dict(
+        eps, data=eps["data"][:-1] + [["0"] * eps["cols"]]))
+    for doc in (no_w, one_row_lost):
+        with pytest.raises(ValueError, match="schema violation at /eps$"):
+            bio.doc_to_bocs(doc)
 
 
 def test_a_mis_shaped_bimodule_matrix_is_named(a2_bocs_doc):

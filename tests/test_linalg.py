@@ -8,9 +8,10 @@ from hypothesis import Phase, given, settings, strategies as st
 
 import bocskit
 from bocskit.linalg import (MapSpace, Matrix, Span, balanced_relations,
-                            frac, in_span, kron_apply, outer, qdiv,
-                            rref_rows)
+                            frac, in_span, qdiv, rref_rows)
 from bocskit.quiver import Quiver, Relation
+
+from helpers import kron_apply, outer
 
 
 def test_rref_identity():

@@ -9,7 +9,6 @@ import pytest
 from bocskit import bocs as bocs_module
 from bocskit import io as bio
 from bocskit.bocs import construct_bocs
-from bocskit.linalg import Matrix
 from bocskit.pipeline import (PipelineError, indecomposables_up_to,
                               roundtrip_bocs, run_pipeline)
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
@@ -66,7 +65,7 @@ def test_a_failed_coalgebra_axiom_and_its_element_are_the_witness(
 
     def zero_mu(*args, **kwargs):
         b = construct_bocs(*args, **kwargs)
-        b.mu_pairs = Matrix.zero(b.w_dim ** 2, b.w_dim)
+        b.mu = [[] for _ in range(b.w_dim)]
         return b
 
     monkeypatch.setattr(pipeline, "construct_bocs", zero_mu)
