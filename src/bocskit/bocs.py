@@ -11,9 +11,9 @@ Every word and every tensor product over B has one presentation.  A
 degree-1 word is a vector on the basis (p2, g, p1) of words p2.g.p1, and
 Bocs._word and Bocs._sandwich multiply words by elements of B through
 B's structure table; Bocs._split cuts a b' key into the B elements and
-generators of its words.  W is free as a right B-module on a lift of its
-top, w = sum t.c_t(w) with c_t(w) in e_v(t)B (RightBasis), so one map
-rho(w (x) x) = (c_t(w).x)_t presents W (x)_B X (TensorModule),
+generators of its words.  W, like R, is free as a right B-module on a
+lift of its top, w = sum t.c_t(w) with c_t(w) in e_v(t)B (RightBasis), so
+one map rho(w (x) x) = (c_t(w).x)_t presents W (x)_B X (TensorModule),
 W (x)_B W, where mu lands, and, again in each t block,
 (W (x)_B W) (x)_B W, where validate_coalgebra checks coassociativity.
 mu is held as its terms (Bocs.mu) from its construction on, and the
@@ -110,7 +110,7 @@ class Bocs:
         self._build_eps()
         self.mu = [self._dprime_terms(u) for u in self.w_sect.columns()]
         self._build_kernel()
-        self.right = RightBasis(self)
+        self.right = RightBasis("W", B, self.w_block, self.WR, self.WL)
 
     def _set_base(self, alg, order, mode, r_max, table, B, duals):
         self.alg = alg
@@ -130,7 +130,7 @@ class Bocs:
         and the right basis are derived as in __init__.
 
         It has no algebra, A-infinity table or duals (alg, table and duals
-        are None), so validate_coalgebra raises ValueError on it.
+        are None), so no presentation of W by words.
         """
         bocs = cls.__new__(cls)
         bocs._set_base(None, list(order), mode, r_max, None, B, None)
@@ -141,7 +141,7 @@ class Bocs:
         bocs.eps = eps
         bocs.mu = mu
         bocs._build_kernel()
-        bocs.right = RightBasis(bocs)
+        bocs.right = RightBasis("W", B, w_block, WR, WL)
         return bocs
 
     # -- degree-1 words ---------------------------------------------------
@@ -356,40 +356,47 @@ class Bocs:
 
 
 class RightBasis:
-    """W as a right B-module on a lift of its top.
+    """M = W or R as a right B-module on a lift of its top.
 
-    top lists, by left vertex, the W basis elements t whose classes form a
-    basis of W / W.rad B; t lies in the column v(t) = w_block[t][1].  The
-    t.e_v(t)B span W (Nakayama), so they are a basis of it when the two
-    counts of witness agree and the products t.b are independent, which a
-    W that is no right module can break.  Then w = sum t.c_t(w), and
-    coords[w] lists the terms (t, b, a) of the c_t(w) = sum a b in
-    e_v(t)B; else coords is None and witness says which fails.
-    lcols[b][w] (rcols[b][w]) lists the (y, a) of b.w (w.b).  tensors
-    keeps each W (x)_B X built on this basis.
+    block[m] is the Peirce block of the basis element m of M, right[b]
+    (left[b], for W) the action of b from the right (left).  top lists, by
+    left vertex, the t whose classes form a basis of M / M.rad B; t lies
+    in the column v(t) = block[t][1].  The t.e_v(t)B span M (Nakayama), so
+    they are a basis of it when the counts of witness agree.  Then
+    m = sum t.c_t(m), and coords[m] lists the terms (t, b, a) of the
+    c_t(m) = sum a b in e_v(t)B; else coords is None.  lcols[b][m]
+    (rcols[b][m]) lists the (y, a) of b.m (m.b).  tensors keeps each
+    W (x)_B X built on this basis.
     """
 
-    def __init__(self, bocs: Bocs):
-        B, wdim, block = bocs.B, bocs.w_dim, bocs.w_block
+    def __init__(self, name, B, block, right, left=()):
+        dim = len(block)
+        self.name = name
         self.tensors = {}
-        self.lcols = [m.nonzero_columns() for m in bocs.WL]
-        self.rcols = [m.nonzero_columns() for m in bocs.WR]
-        rad = Span(wdim, [col for k in B.radical_indices()
-                          for col in bocs.WR[k].columns()])
-        self.top = sorted(complement_pivots(rad.pivots, wdim),
+        self.lcols = [m.nonzero_columns() for m in left]
+        self.rcols = [m.nonzero_columns() for m in right]
+        rad = Span(dim, [col for k in B.radical_indices()
+                         for col in right[k].columns()])
+        self.top = sorted(complement_pivots(rad.pivots, dim),
                           key=lambda t: block[t][0])
         free = [(t, b) for t in self.top for b in range(B.dim)
                 if B.btarget[b] == block[t][1]]
-        self.witness = f"dim W = {wdim}, sum of dim e_v(t)B = {len(free)}"
-        products = Matrix.from_columns([bocs.WR[b].column(t) for t, b in free])
-        inv = (products.solve_columns(Matrix.identity(wdim))
-               if len(free) == wdim else None)
-        if len(free) == wdim and inv is None:
-            self.witness = (f"dim W = sum of dim e_v(t)B = {wdim}, but the "
-                            f"products t.b are dependent, of rank "
-                            f"{products.rank()}")
-        self.coords = None if inv is None else [
-            [free[p] + (a,) for p, a in col] for col in inv.nonzero_columns()]
+        self.witness = f"dim {name} = {dim}, sum of dim e_v(t)B = {len(free)}"
+        self.coords = None
+        if len(free) == dim:
+            # right acts as B does (io checks a document's), so the t.b span M
+            inv = Matrix.from_columns([right[b].column(t) for t, b in free]
+                                      ).solve_columns(Matrix.identity(dim))
+            if inv is None:
+                raise AssertionError(f"dependent products t.b in {name}")
+            self.coords = [[free[p] + (a,) for p, a in col]
+                           for col in inv.nonzero_columns()]
+
+    def require(self):
+        """Raise ValueError unless the module is right-free on its top."""
+        if self.coords is None:
+            raise ValueError(
+                f"{self.name} is not right-free on its top: {self.witness}")
 
     def rho(self, terms, cols=None) -> dict:
         """rho of sum c (key, w (x) x) over the terms (key, w, x, c): the
@@ -488,13 +495,10 @@ def validate_coalgebra(bocs: Bocs):
     Returns, per axiom in the order checked, None when it holds and else
     the first element it fails at, such as "w3" or "omega1".  When W is
     not right-free on its top, "right-free" fails with RightBasis.witness
-    and the axioms read in W (x)_B W are not checked.  A bocs read from a
-    document has no A-infinity table, so no presentation of W to check
-    against: it raises ValueError.
+    and the axioms read in W (x)_B W are not checked.  Well-definedness
+    and the grouplikes are read off the presentation of W by words, so a
+    bocs read from a document (table None) is checked for the others.
     """
-    if bocs.table is None:
-        raise ValueError("a bocs read from a document has no A-infinity "
-                         "table, so its coalgebra axioms cannot be checked")
     B = bocs.B
     report = {}
 
@@ -514,12 +518,14 @@ def validate_coalgebra(bocs: Bocs):
     # rho with key () lands in W (x)_B W, with key (t,) in block t of
     # (W (x)_B W) (x)_B W
     rho, lcols, rcols, mu = basis.rho, basis.lcols, basis.rcols, bocs.mu
+    eps = [dict(col) for col in bocs.eps.nonzero_columns()]
+    mu_ww = [rho(((), w1, w2, c) for w1, w2, c in terms) for terms in mu]
 
-    def mu_of(vec):
-        """The pair terms of mu(v), v = sum a u over the entries (u, a)."""
-        return [((), w1, w2, a * c) for u, a in vec for w1, w2, c in mu[u]]
+    def through(images, vec):
+        """sum a images[u] over the entries (u, a) of vec."""
+        return _sum_terms((key, a * c) for u, a in vec
+                          for key, c in images[u].items())
 
-    mu_ww = [rho(mu_of([(w, 1)])) for w in range(wdim)]
     for w, terms in enumerate(mu):
         # (mu (x) 1) mu(w) through rho(mu(w1)), and (1 (x) mu) mu(w)
         # through w1 = sum t.c_t(w1)
@@ -532,29 +538,29 @@ def validate_coalgebra(bocs: Bocs):
 
     # bilinearity of eps and mu
     for k in range(B.dim):
+        left_k, right_k = B.table[k], [row[k] for row in B.table]
         for w in range(wdim):
-            ev = bocs.eps.column(w)
-            lhs = bocs.eps.apply(bocs.WL[k].column(w))
-            ok = tuple(lhs) == tuple(B.multiply(B.basis_vec(k), ev))
+            ok = through(eps, lcols[k][w]) == through(left_k, eps[w].items())
             record("bilinearity", ok, f"eps-left-{B.labels[k]}-w{w}")
-            lhs = bocs.eps.apply(bocs.WR[k].column(w))
-            ok = tuple(lhs) == tuple(B.multiply(ev, B.basis_vec(k)))
+            ok = through(eps, rcols[k][w]) == through(right_k, eps[w].items())
             record("bilinearity", ok, f"eps-right-{B.labels[k]}-w{w}")
 
         # mu(b.w) against (b (x) 1) mu(w), and mu(w.b) against
         # (1 (x) b) mu(w), in W (x)_B W
         for w in range(wdim):
-            ok = rho(mu_of(lcols[k][w])) == rho(
+            ok = through(mu_ww, lcols[k][w]) == rho(
                 ((), y, w2, c * a) for w1, w2, c in mu[w]
                 for y, a in lcols[k][w1])
             record("bilinearity", ok, f"mu-left-{B.labels[k]}-w{w}")
-            ok = rho(mu_of(rcols[k][w])) == rho(
+            ok = through(mu_ww, rcols[k][w]) == rho(
                 ((), w1, z, c * a) for w1, w2, c in mu[w]
                 for z, a in rcols[k][w2])
             record("bilinearity", ok, f"mu-right-{B.labels[k]}-w{w}")
 
     # surjectivity of eps
     record("surjectivity", bocs.eps.rank() == B.dim, "eps")
+    if bocs.table is None:
+        return report
 
     # well-definedness on the quotient presentation
     for idx, row in enumerate(bocs.sub_span.rows):
@@ -569,8 +575,8 @@ def validate_coalgebra(bocs: Bocs):
         e = B.idempotent(i)
         wvec = bocs.w_proj.apply(bocs._word(e, bocs.duals.omega_index(i), e))
         nz = [(u, a) for u, a in enumerate(wvec) if a]
-        ok = rho(mu_of(nz)) == rho(((), u, v, a * b) for u, a in nz
-                                  for v, b in nz)
+        ok = through(mu_ww, nz) == rho(((), u, v, a * b) for u, a in nz
+                                       for v, b in nz)
         record("grouplike", ok, f"omega{i}")
 
     return report
@@ -638,9 +644,7 @@ class TensorModule(FDModule):
 
     def __init__(self, bocs: Bocs, X: FDModule):
         right, block = bocs.right, bocs.w_block
-        if right.coords is None:
-            raise ValueError(
-                f"W is not right-free on its top: {right.witness}")
+        right.require()
         self.X = X
         self.counit = None
         self.pairs = [(w, x) for w in range(bocs.w_dim)

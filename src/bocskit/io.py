@@ -12,7 +12,9 @@ import hashlib
 import json
 import os
 import re
+from itertools import product
 
+from .bocs import Bocs, _sum_terms, classify_bocs, counit_identities
 from .linalg import ZERO, Matrix, Scalar, frac
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 
@@ -207,7 +209,6 @@ class AlgebraDocument(_BuiltDocument):
 
 
 def bocs_to_doc(bocs) -> dict:
-    from .bocs import classify_bocs
     return {
         "schema": BOCS_SCHEMA,
         "version": VERSION,
@@ -231,19 +232,56 @@ def bocs_to_doc(bocs) -> dict:
     }
 
 
+def _check_actions(B: Algebra, w_block, WL, WR):
+    """Refuse at /wl/k or /wr/k a wl or wr that is not an action of B, or
+    two that do not commute, on their nonzero columns.  The idempotents
+    act as the projections onto the blocks, so a radical k in e_i B e_j
+    must take e_j W e_y into e_i W e_y from the left and e_x W e_i into
+    e_x W e_j from the right; then only the radical pairs a, b with the
+    source of a the target of b are left to multiply out."""
+    lcols, rcols = ([m.nonzero_columns() for m in mats] for mats in (WL, WR))
+
+    def times(f, g):
+        """The nonzero entries {(y, w): a} of f after g."""
+        return _sum_terms(((y, w), a * b) for w, col in enumerate(g)
+                          for x, b in col for y, a in f[x])
+
+    def acting(terms, cols):
+        """The nonzero entries of the action of sum c k, terms {k: c}."""
+        return _sum_terms(((y, w), c * a) for k, c in terms.items()
+                          for w, col in enumerate(cols[k]) for y, a in col)
+
+    rad = B.radical_indices()
+    for k in rad:
+        i, j = B.btarget[k], B.bsource[k]
+        _expect(all(w_block[w][0] == j and w_block[y] == (i, w_block[w][1])
+                    for w, col in enumerate(lcols[k]) for y, _ in col),
+                f"/wl/{k}")
+        _expect(all(w_block[w][1] == i and w_block[y] == (w_block[w][0], j)
+                    for w, col in enumerate(rcols[k]) for y, _ in col),
+                f"/wr/{k}")
+    for a, b in product(rad, rad):
+        if B.bsource[a] == B.btarget[b]:  # a.(b.w) = ab.w, (w.a).b = w.ab
+            ab = B.table[a][b]
+            _expect(times(lcols[a], lcols[b]) == acting(ab, lcols), f"/wl/{a}")
+            _expect(times(rcols[b], rcols[a]) == acting(ab, rcols), f"/wr/{a}")
+        _expect(times(lcols[a], rcols[b]) == times(rcols[b], lcols[a]),
+                f"/wr/{b}")
+
+
 def doc_to_bocs(doc: dict):
     """Rehydrated bocs supporting the module category and classification.
 
-    The Peirce blocks must match the idempotent actions on W, eps must be
-    onto B, mu_pairs must satisfy the counit identities, and the kernel
-    data (kernel_basis, kernel_generators, d) must equal what the bocs
-    derives from eps, W and B.  mu_pairs is the dense layout of mu, which
-    the bocs holds as its terms (matrix_to_mu).  The A-infinity tables
-    and the originating algebra are not part of the document, so
-    operations needing them (validate_coalgebra, the twisted
-    correspondence) are unavailable on the result.
+    The Peirce blocks must match the idempotent actions on W, wl and wr
+    must be commuting actions of B (_check_actions), eps must be onto B,
+    mu_pairs must satisfy the counit identities, and the kernel data
+    (kernel_basis, kernel_generators, d) must equal what the bocs derives
+    from eps, W and B.  mu_pairs is the dense layout of mu, which the
+    bocs holds as its terms (matrix_to_mu).  The A-infinity tables and
+    the originating algebra are not part of the document, so the twisted
+    correspondence, and the coalgebra axioms read off the presentation
+    of W (validate_coalgebra), are unavailable on the result.
     """
-    from .bocs import Bocs, counit_identities
     _validate_version(doc)
     _expect(doc.get("schema") == BOCS_SCHEMA, "/schema")
     _expect(doc.get("mode") in ("delta", "pdelta"), "/mode")
@@ -283,6 +321,7 @@ def doc_to_bocs(doc: dict):
             _expect(mats[e].nonzero_columns()
                     == [[(c, 1)] if w_block[c][end] == i else []
                         for c in range(w_dim)], "/w_block")
+    _check_actions(B, w_block, WL, WR)
     eps = lists_to_matrix(doc.get("eps"), "/eps")
     _expect(eps.rows == B.dim and eps.cols == w_dim
             and eps.rank() == B.dim, "/eps")

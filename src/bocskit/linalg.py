@@ -10,11 +10,9 @@ a float.  Matrices are immutable; all operations return fresh objects.
 This module alone knows how subspaces and spaces of maps are held in
 coordinates: a Span keeps a subspace as its reduced row echelon basis and
 gives the projection onto a complement, and a MapSpace solves for and
-combines coordinates of maps in a list of maps.  Tensor products are not
-held here: those over an algebra are presented off a basis of a free
-module (bocs.RightBasis), their elements as sparse terms, and
-`balanced_relations` spans the relations of M (x)_B N, on the pairs of
-M (x) N, for the one cross-check that counts them.
+combines coordinates of maps in a list of maps.  No tensor product is
+held here: one over an algebra is presented off a basis of a free
+module (bocs.RightBasis), its elements as sparse terms.
 """
 
 from __future__ import annotations
@@ -399,34 +397,3 @@ class MapSpace:
     def through(self, post: Matrix) -> "MapSpace":
         """The space of post @ mats[k], in coordinates on the same list."""
         return MapSpace([post @ m for m in self.mats], post.rows, self.cols)
-
-
-# -- tensor products --------------------------------------------------------
-
-
-def balanced_relations(right: Sequence[Matrix],
-                       left: Sequence[Matrix]) -> list:
-    """Vectors spanning the relations m.b (x) n - m (x) b.n of M (x)_B N.
-
-    right[k] acts by the k-th basis element of B on M from the right and
-    left[k] on N from the left.  The vectors are the nonzero columns of
-    right[k] (x) I - I (x) left[k] over all k, the pair (m, n) at index
-    m * dim N + n.  They give dim M (x)_B N independently of any basis of
-    M over B, for the cross-check burt_butler.RightAlgebra.tensor_dim: a
-    dense vector per pair (m, n) and basis element, so it is for small M
-    and N only.
-    """
-    rels = []
-    for Rk, Lk in zip(right, left):
-        m, n = Rk.cols, Lk.cols
-        rcols, lcols = Rk.nonzero_columns(), Lk.nonzero_columns()
-        for a in range(m):
-            for x in range(n):
-                v = [ZERO] * (m * n)
-                for y, c in rcols[a]:
-                    v[y * n + x] += c
-                for y, c in lcols[x]:
-                    v[a * n + y] -= c
-                if any(v):
-                    rels.append(v)
-    return rels

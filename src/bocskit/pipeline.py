@@ -292,16 +292,15 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
 def roundtrip_bocs(bocs):
     """Bocs-first direction: build R and verify it is properly filtered.
 
-    Works on rehydrated bocses, where the transfer tables are absent;
-    the coalgebra axioms are re-validated only when available.
+    Works on rehydrated bocses, where the transfer tables are absent, so
+    the coalgebra axioms read off the presentation of W are not checked.
     """
     run = _Run()
     run.stage("classify_bocs")
     bclass = run.call(classify_bocs, bocs)
     run.require(bclass.label not in ("invalid", "projective-kernel only"),
                 "bocs shape violated", {"label": bclass.label})
-    if bocs.table is not None:
-        run.require_coalgebra(bocs)
+    run.require_coalgebra(bocs)
 
     run.stage("right_algebra")
     ralg = run.call(right_algebra, bocs)

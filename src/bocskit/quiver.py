@@ -182,15 +182,6 @@ class Algebra:
             c[self.btarget[k] - 1][self.bsource[k] - 1] += 1
         return c
 
-    def opposite(self) -> "Algebra":
-        """The opposite algebra on the same basis (blocks transposed)."""
-        table = [[dict(self.table[j][i]) for j in range(self.dim)]
-                 for i in range(self.dim)]
-        arrows = [(name, t, s, k) for name, s, t, k in self.arrows]
-        op = Algebra(self.n, self.btarget, self.bsource, self.bdegree,
-                     self.unit_index, table, arrows, self.labels)
-        return op
-
     def check_associativity(self):
         """Raise ValueError at the first basis triple (i, j, k), in that
         loop order, where (b_i b_j) b_k differs from b_i (b_j b_k).  Both

@@ -1,4 +1,6 @@
+import copy
 import gc
+import re
 import weakref
 from collections import Counter
 from itertools import product
@@ -7,8 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 from bocskit import burt_butler, pipeline
-from bocskit.bocs import (bocs_compose, bocs_hom_basis, bocs_lift,
-                          construct_bocs, tensor_module)
+from bocskit.bocs import (RightBasis, bocs_compose, bocs_hom_basis,
+                          bocs_lift, construct_bocs, tensor_module)
 from bocskit.burt_butler import (borel_checks, ext_dimension,
                                  homological_check, induce, induce_bocs_map,
                                  induce_map, iso_search,
@@ -16,7 +18,7 @@ from bocskit.burt_butler import (borel_checks, ext_dimension,
                                  morita_compare, right_algebra,
                                  standard_check)
 from bocskit.corpus import random_corpus
-from bocskit.linalg import Matrix
+from bocskit.linalg import Matrix, Span
 from bocskit.modules import (FDModule, hom_basis, is_isomorphic, projective,
                              simple, sum_of_projectives, syzygies)
 from bocskit.pipeline import roundtrip_bocs, run_pipeline
@@ -27,8 +29,8 @@ from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
 from bocskit.resolution import _hom_space, minimal_resolution
 from bocskit.strata import standard_modules
 
-from helpers import (auslander, bocs_identity, direct_sum,
-                     reference_bocs_compose)
+from helpers import (auslander, balanced_relations, bocs_identity,
+                     direct_sum, reference_bocs_compose)
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +195,54 @@ def test_borel_checks_fixtures(r1, r3, r2, r0, rv):
         assert bc["right_projective"]
         assert bc["induce_regular_iso"]
         assert bc["dim_two_ways"]
+
+
+def _reference_tensor_dim(ralg, X):
+    """dim R (x)_B X from the balanced relations on the pairs of R (x) X."""
+    npairs = ralg.R.dim * X.total
+    return npairs - len(Span(npairs, balanced_relations(ralg.right_act,
+                                                        X.act)))
+
+
+def test_right_basis_of_r_agrees_with_balanced_relations(fixture_bocses,
+                                                         corpus_bocses):
+    bocses = list(fixture_bocses.values())
+    bocses += [b for _, _, b in corpus_bocses.values()]
+    bocses += [construct_bocs(auslander(2), [2, 1], mode=mode, r_max=3)
+               for mode in ("pdelta", "delta")]
+    for b in bocses:
+        B, r = b.B, right_algebra(b)
+        simples = [simple(B, i) for i in range(1, B.n + 1)]
+        mods = [r.XB] + simples + [projective(B, i)
+                                   for i in range(1, B.n + 1)]
+        assert ([r.tensor_dim(X) for X in mods]
+                == [_reference_tensor_dim(r, X) for X in mods])
+        # R_B is projective when its top, read off R (x)_B S_v, spans
+        # as much as R
+        free_dim = sum(_reference_tensor_dim(r, S) * B.btarget.count(v)
+                       for v, S in enumerate(simples, 1))
+        assert borel_checks(r)["right_projective"] == (free_dim == r.R.dim)
+
+
+def test_an_r_not_right_free_on_its_top_is_refused(r1):
+    # B = K[a]/(a^2) and R has dimension 2; with R.a = 0 both basis
+    # elements lie in the top, and two copies of e_1 B have dimension 4
+    alg, b, r = r1
+    bad = copy.copy(r)
+    rad = b.B.radical_indices()
+    bad.right_act = [Matrix.zero(m.rows, m.cols) if k in rad else m
+                     for k, m in enumerate(r.right_act)]
+    bad.right = RightBasis("R", b.B, list(zip(r.R.btarget, r.R.bsource)),
+                           bad.right_act)
+    bad.induced = {}
+    report = borel_checks(bad)
+    assert (report["right_projective"], report["ok"]) == (False, False)
+    assert "induce_regular_iso" not in report
+    witness = "dim R = 2, sum of dim e_v(t)B = 4"
+    with pytest.raises(ValueError, match=re.escape(
+            f"R is not right-free on its top: {witness}")):
+        induce(bad, simple(b.B, 1))
+    assert borel_checks(r)["right_projective"]
 
 
 def _zero_path_at_3():

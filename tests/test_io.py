@@ -259,6 +259,34 @@ def test_a_mis_shaped_bimodule_matrix_is_named(a2_bocs_doc):
                 bio.doc_to_bocs(dict(good, **{side: mats}))
 
 
+def test_bimodule_actions_are_checked_at_the_boundary(a2_bocs_doc):
+    # In the A2 document the arrow b2, in e_2 B e_1, takes w0 to w2 on
+    # the left and w1 to w2 on the right (w_block [[1, 1], [2, 2],
+    # [2, 1]]); in the dual-numbers one, B = K[a]/(a^2) with a = b1, a
+    # takes w0 to w1 on either side.  Dependent products t.b, refused at
+    # /wr/1, are test_bocs's case.
+    dual = bio.bocs_to_doc(construct_bocs(example_dual_numbers(),
+                                          mode="pdelta", r_max=3))
+    off_block = [["0", "0", "0"], ["0", "0", "0"], ["1", "1", "0"]]
+    for doc, side, k, data in [
+            # b2.w1 = w2, but w1 is not in e_1 W
+            (a2_bocs_doc, "wl", 2, off_block),
+            # w0.b2 = w2, but w0 is not in W e_2
+            (a2_bocs_doc, "wr", 2, off_block),
+            # a.(a.w1) = w1 while a^2 = 0
+            (dual, "wl", 1, [["0", "0"], ["0", "1"]]),
+            # w1.a = w0 squares to zero, but a.(w1.a) = w1 and
+            # (a.w1).a = 0
+            (dual, "wr", 1, [["0", "1"], ["0", "0"]])]:
+        mats = list(doc[side])
+        mats[k] = dict(mats[k], data=data)
+        with pytest.raises(ValueError,
+                           match=f"schema violation at /{side}/{k}$"):
+            bio.doc_to_bocs(dict(doc, **{side: mats}))
+    for doc in (a2_bocs_doc, dual):
+        bio.doc_to_bocs(doc)
+
+
 def test_number_tokens_are_bounded():
     assert bio.str_to_frac("-3/4", "/x") == Fraction(-3, 4)
     assert bio.str_to_frac("0.5", "/x") == Fraction(1, 2)

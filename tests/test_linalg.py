@@ -7,11 +7,11 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import bocskit
-from bocskit.linalg import (MapSpace, Matrix, Span, balanced_relations,
-                            frac, in_span, qdiv, rref_rows)
+from bocskit.linalg import (MapSpace, Matrix, Span, frac, in_span, qdiv,
+                            rref_rows)
 from bocskit.quiver import Quiver, Relation
 
-from helpers import kron_apply, outer
+from helpers import balanced_relations, kron_apply, outer
 
 
 def test_rref_identity():

@@ -176,16 +176,6 @@ def test_trace_form_is_the_sum_over_every_ordered_pair(
         assert _trace_form(table) == dense_trace_form(table)
 
 
-def test_opposite_algebra():
-    alg = example_a2()
-    op = alg.opposite()
-    a_op = op.basis_vec(alg.arrows[0][3])
-    e1 = op.idempotent(1)
-    assert op.multiply(e1, a_op) == a_op
-    assert op.multiply(a_op, e1) == (0,) * op.dim
-    op.check_associativity()
-
-
 def _associativity_error(check, alg):
     try:
         check(alg)
