@@ -7,6 +7,9 @@ scalars.  A scalar is a Python `int` when it is integral and a
 arithmetic is much cheaper.  `frac` brings an input to that form
 and refuses floats; `qdiv` is the one division, since `int / int` would be
 a float.  Matrices are immutable; all operations return fresh objects.
+A Matrix records whether all its entries are ints (`ints`), which its
+constructor's scan decides anyway, so a product of two all-int factors
+needs no scan: int products and sums stay ints.
 This module alone knows how subspaces and spaces of maps are held in
 coordinates: a Span keeps a subspace as its reduced row echelon basis and
 gives the projection onto a complement, and a MapSpace solves for and
@@ -108,21 +111,25 @@ def complement_pivots(pivots: Sequence[int], ncols: int) -> list[int]:
 
 
 class Matrix:
-    """Immutable dense matrix of exact scalars, row-major."""
+    """Immutable dense matrix of exact scalars, row-major; ints is True
+    when every entry is an int."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "ints")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable]):
         data = tuple(map(tuple, data))
         # Entries the kernel produced are almost always ints already, so
         # only a grid holding something else is canonicalised entry by entry.
-        if not _INT.issuperset(map(type, chain.from_iterable(data))):
+        ints = _INT.issuperset(map(type, chain.from_iterable(data)))
+        if not ints:
             data = tuple(tuple(map(frac, r)) for r in data)
+            ints = _INT.issuperset(map(type, chain.from_iterable(data)))
         if len(data) != rows or not {cols}.issuperset(map(len, data)):
             raise ValueError("entry grid does not match declared shape")
         self.rows = rows
         self.cols = cols
         self.data = data
+        self.ints = ints
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -165,7 +172,8 @@ class Matrix:
                       [[c * a for a in r] for r in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product, summing only over nonzero pairs of factors."""
+        """The product, summing only over nonzero pairs of factors; of two
+        all-int factors it is all-int, and built without the scan."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
@@ -176,8 +184,13 @@ class Matrix:
                 if a:
                     for j, b in brow:
                         row[j] += a * b
-            out.append(row)
-        return Matrix(self.rows, other.cols, out)
+            out.append(tuple(row))
+        if not (self.ints and other.ints):
+            return Matrix(self.rows, other.cols, out)
+        m = object.__new__(Matrix)
+        m.rows, m.cols, m.ints = self.rows, other.cols, True
+        m.data = tuple(out)
+        return m
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.cols:

@@ -6,11 +6,22 @@ vertex 2, and so on).  Module maps are global matrices that are block
 diagonal with respect to that grouping, since they commute with the
 idempotent actions; hom_basis solves for the entries of those vertex
 blocks alone, and an arrow s -> t constrains only the (t, s) block.
+
+Three results are computed once per algebra and kept in stores on the
+Algebra the modules are over: each sum of projectives (keyed on its
+vertex tuple), each step of a syzygy walk (the projective cover of a
+module and its kernel) and each hom_basis solve (keyed on the contents
+of M and N).  A module is keyed on its content, (dims, *act), never on
+the FDModule, and a stored value is plain data: Matrix objects, dims,
+the vertex tuple and proj_gens.  So no stored value refers back to the
+algebra, and an algebra with its stores is freed by reference counting
+alone.  The public functions wrap the stored data in fresh FDModule and
+ModuleMap objects around the caller's own modules.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, Span, ZERO
+from .linalg import ONE, Matrix, Span, ZERO, complement_pivots
 from .quiver import Algebra
 
 
@@ -33,15 +44,17 @@ class FDModule:
         self.act = list(act)  # one total x total Matrix per algebra basis elt
         if len(self.act) != alg.dim:
             raise ValueError("need an action matrix per algebra basis element")
+        # the content every module memo and Algebra store keys on
+        self.key = (self.dims, *self.act)
         self._hash = None
 
     def __eq__(self, other):
         return (isinstance(other, FDModule) and self.alg is other.alg
-                and self.dims == other.dims and self.act == other.act)
+                and self.key == other.key)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.dims, *self.act))
+            self._hash = hash(self.key)
         return self._hash
 
     def vertex_of_coord(self, c: int) -> int:
@@ -139,14 +152,21 @@ def place_block(dims, t: int, s: int, block: Matrix) -> Matrix:
 
 
 def hom_basis(M: FDModule, N: FDModule):
-    """Basis of Hom(M, N) as ModuleMaps.
+    """Basis of Hom(M, N) as ModuleMaps, solved once per pair of contents
+    (the store M.alg.homs)."""
+    if M.alg is not N.alg:
+        raise ValueError("modules over different algebras")
+    mats = _stored(M.alg.homs, (M.key, N.key), _hom_mats, M, N)
+    return [ModuleMap(M, N, m) for m in mats]
+
+
+def _hom_mats(M: FDModule, N: FDModule):
+    """The matrices of the basis of Hom(M, N).
 
     The unknowns are the entries of the vertex blocks F_v, block after
     block and each in row-major order, and the equations are F_t a = b F_s
     on the (t, s) block of each arrow s -> t, acting by a on M and b on N.
     """
-    if M.alg is not N.alg:
-        raise ValueError("modules over different algebras")
     # F_v[r][c] is unknown base[v - 1] + r * M.dims[v - 1] + c
     base, nunk = [], 0
     for dm, dn in zip(M.dims, N.dims):
@@ -176,7 +196,7 @@ def hom_basis(M: FDModule, N: FDModule):
                                       N.dims):
             for r in range(dn):
                 grid[no + r][mo:mo + dm] = v[b0 + r * dm:b0 + (r + 1) * dm]
-        out.append(ModuleMap(M, N, Matrix(N.total, M.total, grid)))
+        out.append(Matrix(N.total, M.total, grid))
     return out
 
 
@@ -220,14 +240,26 @@ def hom_from_projective(P: FDModule, X: FDModule):
 
 
 def sum_of_projectives(alg: Algebra, vertices):
-    """Direct sum of P(v) = A e_v for v in vertices, read off alg.table.
+    """Direct sum of P(v) = A e_v for v in vertices, built once per vertex
+    tuple (the store alg.projectives).
 
     Summand s has one coordinate per word k with source vertices[s];
     coordinates are ordered by (target vertex, s, degree, k), and act[g]
     sends (s, k) to table[g][k] read at (s, .).  proj_gens[s] is
-    (coordinate of e_v, v, [(coordinate, word k)]) and summands lists v.
+    (coordinate of e_v, v, ((coordinate, word k), ...)) and summands
+    lists v.
     """
     vertices = list(vertices)
+    dims, act, proj_gens = _stored(alg.projectives, tuple(vertices),
+                                   _sum_of_projectives, alg, vertices)
+    out = FDModule(alg, dims, act)
+    out.proj_gens = proj_gens
+    out.summands = vertices
+    return out
+
+
+def _sum_of_projectives(alg: Algebra, vertices):
+    """(dims, act, proj_gens) of the sum of the P(v), read off alg.table."""
     keys = sorted((alg.btarget[k], s, alg.bdegree[k], k)
                   for s, v in enumerate(vertices)
                   for k in range(alg.dim) if alg.bsource[k] == v)
@@ -243,13 +275,12 @@ def sum_of_projectives(alg: Algebra, vertices):
             for m, x in row[k].items():
                 grid[pos[s, m]][c] = x
         act.append(Matrix(total, total, grid))
-    out = FDModule(alg, dims, act)
-    out.proj_gens = [(pos[s, alg.unit_index[v - 1]], v, [])
-                     for s, v in enumerate(vertices)]
+    words = [[] for _ in vertices]
     for c, (_, s, _, k) in enumerate(keys):
-        out.proj_gens[s][2].append((c, k))
-    out.summands = vertices
-    return out
+        words[s].append((c, k))
+    proj_gens = tuple((pos[s, alg.unit_index[v - 1]], v, tuple(words[s]))
+                      for s, v in enumerate(vertices))
+    return tuple(dims), act, proj_gens
 
 
 def submodule(M: FDModule, vectors):
@@ -321,15 +352,8 @@ def radical_vectors(M: FDModule, power: int = 1):
 
 def projective_cover(M: FDModule):
     """Surjection from a sum of projectives with superfluous kernel."""
-    q, _, sect = quotient(M, radical_vectors(M))
-    # one summand per top basis vector, its generator sent to a preimage
-    vertices = [v for v in range(1, M.alg.n + 1)
-                for _ in range(q.dims[v - 1])]
-    P = sum_of_projectives(M.alg, vertices)
-    f = from_generators(P, M, dict(enumerate(sect.columns())))
-    if f.mat.rank() != M.total:
-        raise ValueError("projective cover construction failed to surject")
-    return f
+    vertices, cover, _, _, _ = _stored(M.alg.steps, M.key, _cover_step, M)
+    return ModuleMap(sum_of_projectives(M.alg, vertices), M, cover)
 
 
 def syzygies(M: FDModule, depth: int):
@@ -340,10 +364,46 @@ def syzygies(M: FDModule, depth: int):
     """
     out = []
     for _ in range(depth):
-        cover = projective_cover(M)
-        M, inc = kernel(cover)
-        out.append((cover, M, inc))
+        vertices, cover, dims, act, inc = _stored(M.alg.steps, M.key,
+                                                  _cover_step, M)
+        P = sum_of_projectives(M.alg, vertices)
+        omega = FDModule(M.alg, dims, act)
+        out.append((ModuleMap(P, M, cover), omega, ModuleMap(omega, P, inc)))
+        M = omega
     return out
+
+
+def _cover_step(M: FDModule):
+    """(vertices, cover matrix, dims and act of the kernel Omega, matrix
+    of its inclusion) of the projective cover of M, kept in the store
+    M.alg.steps by its callers.
+
+    The top of M is read off the span of rad M, with no quotient module
+    built: its coordinates are the non-pivot ones, sorted by vertex, and
+    the cover has one summand per top coordinate c, its generator sent
+    to the unit vector at c.
+    """
+    rad = Span(M.total, radical_vectors(M))
+    top = sorted(complement_pivots(rad.pivots, M.total),
+                 key=M.vertex_of_coord)
+    vertices = tuple(M.vertex_of_coord(c) for c in top)
+    P = sum_of_projectives(M.alg, vertices)
+    cover = from_generators(P, M, {
+        s: tuple(ONE if j == c else ZERO for j in range(M.total))
+        for s, c in enumerate(top)}).mat
+    ker = cover.kernel_basis()
+    if P.total - len(ker) != M.total:
+        raise ValueError("projective cover construction failed to surject")
+    omega, inc = submodule(P, ker)
+    return vertices, cover, omega.dims, omega.act, inc.mat
+
+
+def _stored(store, key, build, *args):
+    """store[key], set to build(*args) when absent."""
+    got = store.get(key)
+    if got is None:
+        got = store[key] = build(*args)
+    return got
 
 
 def iso_defect(M: FDModule, N: FDModule):

@@ -128,6 +128,17 @@ class Algebra:
                     distinguished radical generators
         paths       for quiver algebras: the path of each basis element as
                     (source, arrow-name tuple); None otherwise
+        projectives modules.sum_of_projectives's store: (dims, act,
+                    proj_gens) per vertex tuple
+        steps       modules' store of syzygy walk steps: per module
+                    content (dims, *act), its cover and kernel as
+                    (vertices, cover matrix, kernel dims, kernel act,
+                    inclusion matrix)
+        homs        modules.hom_basis's store: the basis matrices per
+                    pair of module contents
+
+    The three stores hold plain data (matrices, dims, vertex tuples), never
+    a module or map, so nothing in them refers back to the algebra.
     """
 
     def __init__(self, n, bsource, btarget, bdegree, unit_index, table,
@@ -146,6 +157,9 @@ class Algebra:
         self.relations = relations
         self.old_to_new = None
         self.new_to_old = None
+        self.projectives = {}
+        self.steps = {}
+        self.homs = {}
 
     # -- element helpers ---------------------------------------------------
 

@@ -7,6 +7,7 @@ position in the chosen order, not the raw vertex label.  Mode strings are
 
 from __future__ import annotations
 
+from .linalg import Span
 from .modules import (FDModule, hom_basis, kernel, projective, quotient,
                       radical_vectors)
 from .quiver import Algebra
@@ -27,11 +28,13 @@ class StandardSystem:
         return self.modules[i - 1]
 
     def top(self, i: int):
-        """The projection of Theta(i) onto its top, built on first use."""
+        """The matrix of the projection of Theta(i) onto its top, built on
+        first use."""
         got = self._tops.get(i)
         if got is None:
             theta = self.module(i)
-            got = self._tops[i] = quotient(theta, radical_vectors(theta))[1]
+            rad = Span(theta.total, radical_vectors(theta))
+            got = self._tops[i] = rad.complement(key=theta.vertex_of_coord)[1]
         return got
 
 
@@ -129,7 +132,7 @@ def _filtration_search(current: FDModule, system: StandardSystem, allowed):
             continue
         homs = hom_basis(current, theta)
         candidates = [f for f in homs
-                      if not (system.top(j).mat @ f.mat).is_zero()]
+                      if not (system.top(j) @ f.mat).is_zero()]
         if len(candidates) > 1:
             acc = candidates[0]
             for f in candidates[1:]:

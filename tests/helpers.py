@@ -4,16 +4,17 @@ them.
 Among them are reference constructions and checks that the verifier does
 not need: direct sums, modules from arrow blocks with the module axioms
 checked, the intertwining check of a map, the dense hom solve that
-hom_basis replaced, the radical of a hom space, the bocs identity, the
-composition over every pair of W (x) X read back through sect that
-bocs_compose replaced, the balanced relations of M (x)_B N, and on them
-W (x)_B X and the coalgebra check, which the right basis of W replaced,
-and the count of R (x)_B X, which the right basis of R replaced, the
-coassociativity check in the K-tensor cube, the K-tensor kernel those
-references run on (outer, kron_apply), the counit identities read through
-it on mu in the dense layout of its document, the dense associativity
-check that Algebra.check_associativity replaced, the trace form summed
-over every ordered pair, the Auslander algebras,
+hom_basis replaced, hom_basis, sum_of_projectives and syzygies as they
+were before the Algebra stores, the radical of a hom space, the bocs
+identity, the composition over every pair of W (x) X read back through
+sect that bocs_compose replaced, the balanced relations of M (x)_B N,
+and on them W (x)_B X and the coalgebra check, which the right basis of
+W replaced, and the count of R (x)_B X, which the right basis of R
+replaced, the coassociativity check in the K-tensor cube, the K-tensor
+kernel those references run on (outer, kron_apply), the counit
+identities read through it on mu in the dense layout of its document,
+the dense associativity check that Algebra.check_associativity replaced,
+the trace form summed over every ordered pair, the Auslander algebras,
 null-homotopy by a homotopy solve against the radical criterion, and the
 Ext comparison of A with a factor algebra A/AeA (reduction_check).
 """
@@ -26,8 +27,8 @@ from bocskit.bocs import Bocs, _hom_source, bocs_lift
 from bocskit.io import mu_to_matrix
 from bocskit.linalg import ONE, ZERO, Matrix, Span, nonzeros, vec_is_zero
 from bocskit.modules import (FDModule, ModuleMap, _from_arrow_blocks,
-                             _trace_pairing, hom_basis, quotient,
-                             radical_vectors)
+                             _trace_pairing, from_generators, hom_basis,
+                             kernel, quotient, radical_vectors)
 from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
                             build_algebra, from_structure_constants)
 from bocskit.resolution import (GradedMap, ResolvedSystem, _flatten_graded,
@@ -136,6 +137,91 @@ def dense_hom_basis(M: FDModule, N: FDModule):
     return [ModuleMap(M, N, Matrix(tN, tM, [[v[unk(r, c)] for c in range(tM)]
                                             for r in range(tN)]))
             for v in sol.kernel_basis()]
+
+
+def reference_hom_basis(M: FDModule, N: FDModule):
+    """hom_basis as it was before the Algebra stores: the same block
+    solve, run on every call."""
+    if M.alg is not N.alg:
+        raise ValueError("modules over different algebras")
+    # F_v[r][c] is unknown base[v - 1] + r * M.dims[v - 1] + c
+    base, nunk = [], 0
+    for dm, dn in zip(M.dims, N.dims):
+        base.append(nunk)
+        nunk += dn * dm
+    if nunk == 0:
+        return []
+    rows = []
+    for _, s, t, k in M.alg.arrows:
+        a, b = M.act[k].data, N.act[k].data
+        ms, mt = M.vertex_range(s), M.vertex_range(t)
+        ns = N.vertex_range(s)
+        for r, nr in enumerate(N.vertex_range(t)):
+            for c, mc in enumerate(ms):
+                row = [ZERO] * nunk
+                for j, mj in enumerate(mt):
+                    row[base[t - 1] + r * len(mt) + j] += a[mj][mc]
+                for i, ni in enumerate(ns):
+                    row[base[s - 1] + i * len(ms) + c] -= b[nr][ni]
+                if any(row):
+                    rows.append(row)
+    sol = Matrix(len(rows), nunk, rows) if rows else Matrix.zero(0, nunk)
+    out = []
+    for v in sol.kernel_basis():
+        grid = [[ZERO] * M.total for _ in range(N.total)]
+        for b0, dm, mo, no, dn in zip(base, M.dims, M.offsets, N.offsets,
+                                      N.dims):
+            for r in range(dn):
+                grid[no + r][mo:mo + dm] = v[b0 + r * dm:b0 + (r + 1) * dm]
+        out.append(ModuleMap(M, N, Matrix(N.total, M.total, grid)))
+    return out
+
+
+def reference_sum_of_projectives(alg: Algebra, vertices):
+    """sum_of_projectives as it was before the Algebra stores, with
+    proj_gens a list of (coordinate of e_v, v, [(coordinate, word k)])."""
+    vertices = list(vertices)
+    keys = sorted((alg.btarget[k], s, alg.bdegree[k], k)
+                  for s, v in enumerate(vertices)
+                  for k in range(alg.dim) if alg.bsource[k] == v)
+    pos = {(s, k): c for c, (_, s, _, k) in enumerate(keys)}
+    dims = [0] * alg.n
+    for t, _, _, _ in keys:
+        dims[t - 1] += 1
+    total = len(keys)
+    act = []
+    for row in alg.table:
+        grid = [[ZERO] * total for _ in range(total)]
+        for c, (_, s, _, k) in enumerate(keys):
+            for m, x in row[k].items():
+                grid[pos[s, m]][c] = x
+        act.append(Matrix(total, total, grid))
+    out = FDModule(alg, dims, act)
+    out.proj_gens = [(pos[s, alg.unit_index[v - 1]], v, [])
+                     for s, v in enumerate(vertices)]
+    for c, (_, s, _, k) in enumerate(keys):
+        out.proj_gens[s][2].append((c, k))
+    out.summands = vertices
+    return out
+
+
+def reference_syzygies(M: FDModule, depth: int):
+    """syzygies as it was before the Algebra stores: each step builds the
+    quotient M / rad M for the top, a cover from its section, and the
+    kernel of the cover."""
+    out = []
+    for _ in range(depth):
+        q, _, sect = quotient(M, radical_vectors(M))
+        vertices = [v for v in range(1, M.alg.n + 1)
+                    for _ in range(q.dims[v - 1])]
+        P = reference_sum_of_projectives(M.alg, vertices)
+        cover = from_generators(P, M, dict(enumerate(sect.columns())))
+        if cover.mat.rank() != M.total:
+            raise ValueError("projective cover construction failed to "
+                             "surject")
+        M, inc = kernel(cover)
+        out.append((cover, M, inc))
+    return out
 
 
 def from_arrow_matrices(alg: Algebra, dims, arrow_mats):

@@ -629,3 +629,34 @@ def test_a_float_or_a_ragged_grid_is_refused_anywhere(rows, cols, data):
         columns[j] = columns[j][:-1] if short else columns[j] + [1]
         with pytest.raises(ValueError, match="does not match declared shape"):
             Matrix.from_columns(columns)
+
+
+def _all_int(m):
+    return all(type(x) is int for x in m.flat())
+
+
+@_PROPERTY
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_the_all_int_record_is_the_entries(rows, inner, cols, data):
+    # each factor of ints alone or of Fractions, so both ways of building
+    # a product run; halves times twos and the like cancel to integers
+    def grid(r, c):
+        entries = data.draw(st.sampled_from([_small_ints, _entries]))
+        return data.draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                                  min_size=r, max_size=r))
+
+    A = Matrix(rows, inner, grid(rows, inner))
+    B = Matrix(inner, cols, grid(inner, cols))
+    P = A @ B
+    assert P.data == tuple(
+        tuple(sum((Fraction(a) * b for a, b in zip(r, c)), Fraction(0))
+              for c in zip(*B.data)) for r in A.data)
+    assert all((type(x) is int) == (Fraction(x).denominator == 1)
+               for x in P.flat())
+    _, proj, sect = Span(cols, P.data).complement()
+    for m in (A, B, P, Matrix.zero(rows, cols), Matrix.identity(rows), proj,
+              sect):
+        assert m.ints == _all_int(m)
+    half = Matrix(1, 2, [[Fraction(1, 2), Fraction(3, 2)]])
+    one = half @ Matrix(2, 1, [[2], [0]])
+    assert one.data == ((1,),) and type(one.data[0][0]) is int and one.ints

@@ -16,11 +16,13 @@ from bocskit.modules import (FDModule, ModuleMap, from_generators,
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
+from bocskit.resolution import N_MAX
 from bocskit.strata import standard_modules
 
-from helpers import (check_intertwining, dense_hom_basis, direct_sum,
-                     from_arrow_matrices, monomial_algebras,
-                     radical_hom_basis, validate)
+from helpers import (auslander, check_intertwining, dense_hom_basis,
+                     direct_sum, from_arrow_matrices, monomial_algebras,
+                     radical_hom_basis, reference_hom_basis,
+                     reference_syzygies, validate)
 
 
 def test_projective_dims_a2():
@@ -492,3 +494,59 @@ def test_submodule_refuses_a_span_not_closed_under_the_action():
             # with the radical added it spans all of P
             sub, inc = submodule(P, [top] + radical_vectors(P))
             assert sub == P and inc.mat == Matrix.identity(P.total)
+
+
+def _store_inputs(corpus_bocses):
+    """(algebra, order) of e0-e3, of the B and R of each corpus bocs, and
+    of the Auslander algebras Gamma_2 and Gamma_3."""
+    out = [(build(), order) for build, order in FIXTURES.values()]
+    for _, _, bocs in corpus_bocses.values():
+        out += [(bocs.B, bocs.order), (right_algebra(bocs).R, bocs.order)]
+    out += [(auslander(n), list(range(n, 0, -1))) for n in (2, 3)]
+    return out
+
+
+def test_stores_return_what_the_computation_returns(corpus_bocses):
+    # on every simple, projective and standard module (both modes): each
+    # step of a walk and each hom basis, taken through the Algebra stores,
+    # equals the computation before the stores, cold and again stored
+    walks = pairs = nonzero = 0
+    for alg, order in _store_inputs(corpus_bocses):
+        for store in (alg.projectives, alg.steps, alg.homs):
+            store.clear()
+        mods = [f(alg, i) for f in (simple, projective)
+                for i in range(1, alg.n + 1)]
+        for mode in ("delta", "pdelta"):
+            system = standard_modules(alg, order, mode=mode)
+            mods += [system.module(i) for i in range(1, alg.n + 1)]
+        for M in mods:
+            want = reference_syzygies(M, N_MAX + 2)
+            for _ in range(2):
+                source = M
+                for (cover, omega, inc), (rcover, romega, rinc) in zip(
+                        syzygies(M, N_MAX + 2), want, strict=True):
+                    P, rP = cover.source, rcover.source
+                    assert (P.key, P.summands) == (rP.key, rP.summands)
+                    assert [(g, v, list(w)) for g, v, w in P.proj_gens] \
+                        == rP.proj_gens
+                    assert cover.target is source
+                    assert cover.mat == rcover.mat
+                    assert omega.key == romega.key
+                    assert inc.mat == rinc.mat and inc.target is P
+                    source = omega
+            cover = projective_cover(M)
+            assert cover.target is M and cover.mat == want[0][0].mat
+            walks += 1
+        for M in mods:
+            for N in mods:
+                want = [f.mat for f in reference_hom_basis(M, N)]
+                for _ in range(2):
+                    got = hom_basis(M, N)
+                    assert [f.mat for f in got] == want
+                    assert all(f.source is M and f.target is N for f in got)
+                pairs += 1
+                nonzero += bool(want)
+        # each pair went into the store on its cold call
+        assert set(alg.homs) == {(M.key, N.key) for M in mods for N in mods}
+    assert (walks, pairs, nonzero) == (372, 3472, 1561)
+

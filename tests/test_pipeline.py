@@ -397,6 +397,43 @@ def test_each_stage_builds_its_objects_once(monkeypatch, case):
         2 * alg.n ** 2
 
 
+@pytest.mark.parametrize("case", ["e1", "c01"])
+def test_module_results_are_computed_once_per_algebra(monkeypatch, case):
+    # each sum of projectives, cover step and hom solve runs once per
+    # content key and algebra: a repeat is read from the Algebra's store
+    import bocskit.modules as modules
+    from bocskit.corpus import random_corpus
+
+    if case == "e1":
+        alg, order, mode, config = example_dual_numbers(), None, "pdelta", None
+    else:
+        alg, order, _ = random_corpus(20260823, count=2, max_dim=5,
+                                      require_bocs=False)[1]
+        mode, config = "pdelta", {"r_max": 3}
+    algebras, runs = [], Counter()  # algebras kept alive, so ids stay apart
+    # each builder's algebra and content key, read off its arguments
+    builders = {
+        "_sum_of_projectives": lambda alg, vertices: (alg, tuple(vertices)),
+        "_cover_step": lambda M: (M.alg, M.key),
+        "_hom_mats": lambda M, N: (M.alg, M.key, N.key),
+    }
+
+    def counted(name, build, key):
+        def run(*args):
+            alg, *content = key(*args)
+            algebras.append(alg)
+            runs[name, id(alg), *content] += 1
+            return build(*args)
+        return run
+
+    for name, key in builders.items():
+        monkeypatch.setattr(modules, name,
+                            counted(name, getattr(modules, name), key))
+    run_pipeline(alg, order, mode=mode, config=config)
+    assert {name for name, *_ in runs} == set(builders)
+    assert set(runs.values()) == {1}
+
+
 def _count_strata_calls(monkeypatch, names):
     """Calls of each named strata function, counted through every bocskit
     module binding: bocskit binds names with `from .strata import ...`."""
