@@ -13,18 +13,18 @@ Bocs._word and Bocs._sandwich multiply words by elements of B through
 B's structure table; Bocs._split cuts a b' key into the B elements and
 generators of its words.  W, like R, is free as a right B-module on a
 lift of its top, w = sum t.c_t(w) with c_t(w) in e_v(t)B (RightBasis), so
-one map rho(w (x) x) = (c_t(w).x)_t presents W (x)_B X (TensorModule),
-W (x)_B W, where mu lands, and, again in each t block,
-(W (x)_B W) (x)_B W, where validate_coalgebra checks coassociativity.
-mu is held as its terms (Bocs.mu) from its construction on, and the
-pairs of W (x) X (TensorModule.pairs) are read only in this module.  The
-coordinate (t, x) of W (x)_B X is the image of the pair t (x) x
-(TensorModule.chosen), so a map on pairs is read on W (x)_B X at the
-chosen pairs alone: bocs_lift turns a B-module map into a morphism
-through the counit read there, and bocs_compose computes a composite
-there, through the terms of mu and the pair images of the two morphisms
-(pair_image), which a caller composing many pairs forms once per
-morphism.
+one map rho(w (x) x) = (c_t(w).x)_t presents W (x)_B X and R (x)_B X, the
+induced module (TensorModule, one builder for both), W (x)_B W, where mu
+lands, and, again in each t block, (W (x)_B W) (x)_B W, where
+validate_coalgebra checks coassociativity.  mu is held as its terms
+(Bocs.mu) from its construction on, and the pairs of W (x) X are read
+only in this module (pair_image).  The coordinate (t, x) of W (x)_B X is
+the image of the pair t (x) x (TensorModule.chosen), so a map on pairs
+is read on W (x)_B X at the chosen pairs alone: bocs_lift turns a
+B-module map into a morphism through the counit read there, and
+bocs_compose computes a composite there, through the terms of mu and the
+pair images of the two morphisms (pair_image), which a caller composing
+many pairs forms once per morphism.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ class Bocs:
         self._build_eps()
         self.mu = [self._dprime_terms(u) for u in self.w_sect.columns()]
         self._build_kernel()
-        self.right = RightBasis("W", B, self.w_block, self.WR, self.WL)
+        self.right = RightBasis("W", B, B, self.w_block, self.WR,
+                                [m.nonzero_columns() for m in self.WL])
 
     def _set_base(self, alg, order, mode, r_max, table, B, duals):
         self.alg = alg
@@ -141,7 +142,8 @@ class Bocs:
         bocs.eps = eps
         bocs.mu = mu
         bocs._build_kernel()
-        bocs.right = RightBasis("W", B, w_block, WR, WL)
+        bocs.right = RightBasis("W", B, B, w_block, WR,
+                                [m.nonzero_columns() for m in WL])
         return bocs
 
     # -- degree-1 words ---------------------------------------------------
@@ -358,22 +360,24 @@ class Bocs:
 class RightBasis:
     """M = W or R as a right B-module on a lift of its top.
 
-    block[m] is the Peirce block of the basis element m of M, right[b]
-    (left[b], for W) the action of b from the right (left).  top lists, by
-    left vertex, the t whose classes form a basis of M / M.rad B; t lies
-    in the column v(t) = block[t][1].  The t.e_v(t)B span M (Nakayama), so
-    they are a basis of it when the counts of witness agree.  Then
-    m = sum t.c_t(m), and coords[m] lists the terms (t, b, a) of the
-    c_t(m) = sum a b in e_v(t)B; else coords is None.  lcols[b][m]
-    (rcols[b][m]) lists the (y, a) of b.m (m.b).  tensors keeps each
-    W (x)_B X built on this basis.
+    alg acts on M from the left (B on W, R on R).  block[m] is the Peirce
+    block of the basis element m of M, right[b] the action of b from the
+    right, and lcols[k][m] (rcols[b][m]) lists the (y, a) of k.m (m.b)
+    for k in alg (b in B).  top lists, by left vertex, the t whose classes
+    form a basis of M / M.rad B; t lies in the column v(t) = block[t][1].
+    The t.e_v(t)B span M (Nakayama), so they are a basis of it when the
+    counts of witness agree.  Then m = sum t.c_t(m), and coords[m] lists
+    the terms (t, b, a) of the c_t(m) = sum a b in e_v(t)B; else coords is
+    None.  tensors keeps each M (x)_B X built on this basis (tensor).
     """
 
-    def __init__(self, name, B, block, right, left=()):
+    def __init__(self, name, alg, B, block, right, lcols):
         dim = len(block)
         self.name = name
+        self.alg = alg
+        self.block = block
         self.tensors = {}
-        self.lcols = [m.nonzero_columns() for m in left]
+        self.lcols = lcols
         self.rcols = [m.nonzero_columns() for m in right]
         rad = Span(dim, [col for k in B.radical_indices()
                          for col in right[k].columns()])
@@ -401,10 +405,17 @@ class RightBasis:
     def rho(self, terms, cols=None) -> dict:
         """rho of sum c (key, w (x) x) over the terms (key, w, x, c): the
         nonzero entries {key + (t, y): coefficient} of sum c (key, c_t(w).x),
-        where cols[b][x] lists the (y, a) of b.x, by default for X = W."""
+        where cols[b][x] lists the (y, a) of b.x, by default for X = M = W."""
         cols = cols or self.lcols
         return _sum_terms((key + (t, y), c * a * e) for key, w, x, c in terms
                           for t, b, a in self.coords[w] for y, e in cols[b][x])
+
+    def tensor(self, X: FDModule) -> "TensorModule":
+        """M (x)_B X, built once per module content and kept."""
+        got = self.tensors.get(X)
+        if got is None:
+            got = self.tensors[X] = TensorModule(self, X)
+        return got
 
 
 def _relations_from_pairings(table, duals, r_top):
@@ -630,38 +641,32 @@ def classify_bocs(bocs: Bocs) -> BocsClass:
 
 
 class TensorModule(FDModule):
-    """W (x)_B X, the source of the bocs morphisms out of X.
+    """M (x)_B X over the RightBasis of M = W or R, an alg-module.
 
-    It is the sum of the e_v(t)X over the top t (RightBasis), on the
-    coordinates (t, x), x in e_v(t)X, that chosen lists.  pairs lists the
-    pair coordinates (w, x) of W (x) X and index inverts it; proj is rho
-    from pairs onto W (x)_B X and sect the 0/1 selection of the chosen
-    pairs, so a map on pairs is read on W (x)_B X at the chosen pairs
-    alone.  b acts by b.(t (x) x) = rho(b.t (x) x).  counit, the map
-    w (x) x to eps(w) x, is set by bocs_lift the first time it lifts a
-    map out of X.  A W not right-free on its top raises ValueError.
+    It is the sum of the e_v(t)X over the top t, on the coordinates
+    (t, x), x in e_v(t)X, that chosen lists; (t, x) is the image of the
+    pair t (x) x.  k in alg acts by k.(t (x) x) = rho(k.t (x) x).  W (x)_B X
+    is the source of the bocs morphisms out of X; on it pair_image sets
+    proj, rho from the pairs (w, x) of W (x) X, in the order of w and then
+    x, and bocs_lift sets counit, the map w (x) x to eps(w) x, each the
+    first time it is needed.  R (x)_B X is the induced module (induce).
+    An M not right-free on its top raises ValueError.
     """
 
-    def __init__(self, bocs: Bocs, X: FDModule):
-        right, block = bocs.right, bocs.w_block
-        right.require()
+    def __init__(self, basis: RightBasis, X: FDModule):
+        basis.require()
+        block = basis.block
         self.X = X
-        self.counit = None
-        self.pairs = [(w, x) for w in range(bocs.w_dim)
-                      for x in range(X.total)]
-        self.index = {p: k for k, p in enumerate(self.pairs)}
-        self.chosen = [(t, x) for t in right.top
+        self.proj = self.counit = None
+        self.chosen = [(t, x) for t in basis.top
                        for x in X.vertex_range(block[t][1])]
         dims = [sum(block[t][0] == i for t, _ in self.chosen)
-                for i in range(1, bocs.B.n + 1)]
+                for i in range(1, basis.alg.n + 1)]
         cols = [a.nonzero_columns() for a in X.act]
-        self.proj = _on_coords(self.chosen, [right.rho([((), w, x, 1)], cols)
-                                             for w, x in self.pairs])
-        self.sect = _on_coords(self.pairs, [{p: 1} for p in self.chosen])
         act = [_on_coords(self.chosen, [
-            right.rho([((), u, x, c) for u, c in lc[t]], cols)
-            for t, x in self.chosen]) for lc in right.lcols]
-        super().__init__(bocs.B, dims, act)
+            basis.rho([((), u, x, c) for u, c in lc[t]], cols)
+            for t, x in self.chosen]) for lc in basis.lcols]
+        super().__init__(basis.alg, dims, act)
 
 
 def _on_coords(keys, columns) -> Matrix:
@@ -672,10 +677,7 @@ def _on_coords(keys, columns) -> Matrix:
 
 def tensor_module(bocs: Bocs, X: FDModule) -> TensorModule:
     """W (x)_B X, built once per module content and kept on the bocs."""
-    got = bocs.right.tensors.get(X)
-    if got is None:
-        got = bocs.right.tensors[X] = TensorModule(bocs, X)
-    return got
+    return bocs.right.tensor(X)
 
 
 def _hom_source(bocs: Bocs, f: ModuleMap) -> TensorModule:
@@ -726,10 +728,15 @@ PairImage = namedtuple("PairImage", "source target cols")
 def pair_image(bocs: Bocs, f: ModuleMap) -> PairImage:
     """f on the pairs of W (x) X, through proj."""
     tx = _hom_source(bocs, f)
-    cols = [[None] * tx.X.total for _ in range(bocs.w_dim)]
-    for (w, x), col in zip(tx.pairs, (f.mat @ tx.proj).nonzero_columns()):
-        cols[w][x] = col
-    return PairImage(tx, f.target, cols)
+    n = tx.X.total
+    if tx.proj is None:
+        cols = [a.nonzero_columns() for a in tx.X.act]
+        tx.proj = _on_coords(tx.chosen, [
+            bocs.right.rho([((), w, x, 1)], cols)
+            for w in range(bocs.w_dim) for x in range(n)])
+    cols = (f.mat @ tx.proj).nonzero_columns()
+    return PairImage(tx, f.target,
+                     [cols[w * n:(w + 1) * n] for w in range(bocs.w_dim)])
 
 
 def bocs_compose(bocs: Bocs, g, f) -> ModuleMap:

@@ -2,18 +2,20 @@
 
 R is the endomorphism algebra of B in the bocs module category with the
 opposite product, realized by structure constants on a chosen hom basis.
-Induction to R-modules is computed through the corepresentable functor
-Hom(B, -), which is functorial by construction; its dimensions are
-cross-checked against R (x)_B X read off R's right basis (RightBasis).
+R is right-free over B on a lift of its top (RightBasis), and induction
+to R-modules is R (x)_B X read off that top, as W (x)_B X is read off
+W's (TensorModule): r.(t (x) x) = rho(r.t (x) x), and a B-module map u
+goes to 1 (x) u.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
 
-from .bocs import (Bocs, RightBasis, bocs_compose, bocs_hom_basis,
-                   bocs_lift, pair_image, radical_below, tensor_module)
+from .bocs import (Bocs, RightBasis, TensorModule, _on_coords, bocs_compose,
+                   bocs_hom_basis, bocs_lift, pair_image, radical_below,
+                   tensor_module)
 from .linalg import MapSpace, Matrix, ONE, Span, ZERO, nonzeros, qdiv
 from .modules import (FDModule, ModuleMap, hom_basis, is_isomorphic,
                       projective_cover, simple, sum_of_projectives, syzygies)
@@ -22,35 +24,6 @@ from .strata import StandardSystem, theta_filtration
 
 
 # -- generic linear helpers -------------------------------------------------
-
-
-def _module_from_action(alg: Algebra, dim: int, raw_act):
-    """FDModule from action matrices on an ungrouped coordinate space.
-
-    raw_act[k] is the action of algebra basis element k.  Returns the
-    module together with the coordinate changes to_new (raw to module)
-    and to_old (module to raw).  The module's basis at vertex i is the
-    reduced echelon basis of the image of E_i, the action of e_i, so the
-    coordinates of x on it are the entries of E_i x at its pivots.
-    """
-    if dim == 0:
-        from .modules import zero_module
-        return zero_module(alg), Matrix.zero(0, 0), Matrix.zero(0, 0)
-    old_cols, new_rows, dims = [], [], []
-    for i in range(1, alg.n + 1):
-        E = raw_act[alg.unit_index[i - 1]]
-        image = Span(dim, E.columns())
-        dims.append(len(image))
-        old_cols.extend(image.rows)
-        new_rows.extend(E.data[p] for p in image.pivots)
-    if sum(dims) != dim:
-        raise ValueError("idempotent images do not decompose the space")
-    to_old = Matrix.from_columns(old_cols)
-    to_new = Matrix(dim, dim, new_rows)
-    if to_new @ to_old != Matrix.identity(dim):
-        raise ValueError("idempotent images do not decompose the space")
-    acts = [to_new @ raw_act[k] @ to_old for k in range(alg.dim)]
-    return FDModule(alg, dims, acts), to_new, to_old
 
 
 def _syzygy_ext(steps, N: FDModule):
@@ -81,20 +54,18 @@ class RightAlgebra:
     structure-constant algebra on it; emb maps B coordinates into R
     coordinates; coord_of_basis identifies the regular module's
     coordinates with the basis of B; right_act[k] is the right action of
-    the k-th basis element of B on R, right its RightBasis; induced is
-    induce's store, from a B-module to its InducedModule.
+    the k-th basis element of B on R, and right is R's RightBasis, with
+    R acting from the left through its table; its tensors keep the
+    induced modules (induce).
     """
 
     def __init__(self, bocs: Bocs):
         self.bocs = bocs
-        self.induced = {}
-        self._element_images = None
         B = bocs.B
         self.XB = sum_of_projectives(B, list(range(1, B.n + 1)))
-        self.tX = tensor_module(bocs, self.XB)
         self.basis = bocs_hom_basis(bocs, self.XB, self.XB)
-        self.space = MapSpace([h.mat for h in self.basis], self.XB.total,
-                              self.tX.total)
+        space = MapSpace([h.mat for h in self.basis], self.XB.total,
+                         tensor_module(bocs, self.XB).total)
         # regular-module coordinate of each algebra basis element
         self.coord_of_basis = {}
         for (gcoord, vtx, word_idxs) in self.XB.proj_gens:
@@ -107,14 +78,14 @@ class RightAlgebra:
         # basis[i], one composition per ordered pair, through pair images
         # formed once per basis map
         images = [pair_image(bocs, h) for h in self.basis]
-        table = [[nonzeros(self.space.coords(bocs_compose(bocs, g, f).mat))
+        table = [[nonzeros(space.coords(bocs_compose(bocs, g, f).mat))
                   for g in images] for f in images]
-        idems = [self.space.coords(self._phi_raw(B.idempotent(i)).mat)
+        idems = [space.coords(self._phi_raw(B.idempotent(i)).mat)
                  for i in range(1, B.n + 1)]
         self.R = from_structure_constants(B.n, table, idems)
         emb_cols = []
         for k in range(B.dim):
-            raw = self.space.coords(self._phi_raw(B.basis_vec(k)).mat)
+            raw = space.coords(self._phi_raw(B.basis_vec(k)).mat)
             emb_cols.append(list(self.R.old_to_new.apply(raw)))
         self.emb = Matrix.from_columns(emb_cols)
         self._check_embedding()
@@ -124,22 +95,10 @@ class RightAlgebra:
             self.right_act.append(Matrix.from_columns(
                 [self.R.multiply(self.R.basis_vec(j), ev)
                  for j in range(self.R.dim)]))
+        R = self.R
         self.right = RightBasis(
-            "R", B, list(zip(self.R.btarget, self.R.bsource)), self.right_act)
-
-    def element_map(self, new_vec) -> ModuleMap:
-        """The endomorphism represented by an R coefficient vector."""
-        raw = self.R.new_to_old.apply(new_vec)
-        return ModuleMap(self.tX, self.XB, self.space.combine(raw))
-
-    def element_images(self):
-        """The pair images of the maps of R's basis elements, formed on
-        the first induction and kept."""
-        if self._element_images is None:
-            self._element_images = [
-                pair_image(self.bocs, self.element_map(self.R.basis_vec(k)))
-                for k in range(self.R.dim)]
-        return self._element_images
+            "R", R, B, list(zip(R.btarget, R.bsource)), self.right_act,
+            [[list(rt.items()) for rt in row] for row in R.table])
 
     def _phi_raw(self, bvec) -> ModuleMap:
         """The image of a B element b: the lift of x -> x * b on B, so
@@ -177,12 +136,6 @@ class RightAlgebra:
                 if tuple(lhs) != tuple(rhs):
                     raise AssertionError("embedding is not multiplicative")
 
-    def tensor_dim(self, X: FDModule) -> int:
-        """dim R (x)_B X, the sum of the dim e_v(t)X over the top t of R,
-        which is right-free on it; else ValueError."""
-        self.right.require()
-        return sum(X.dims[self.R.bsource[t] - 1] for t in self.right.top)
-
 
 def right_algebra(bocs: Bocs) -> RightAlgebra:
     return RightAlgebra(bocs)
@@ -191,62 +144,19 @@ def right_algebra(bocs: Bocs) -> RightAlgebra:
 # -- induction --------------------------------------------------------------
 
 
-# R (x)_B X: the R-module, realized on the basis of Hom(B, X) and its
-# MapSpace, the pair images of that basis, and the coordinate changes
-# between the two
-InducedModule = namedtuple("InducedModule",
-                           "module basis space images to_new to_old")
+def induce(ralg: RightAlgebra, X: FDModule) -> TensorModule:
+    """R (x)_B X, built once per module content and kept on R's right
+    basis; ValueError unless R is right-free on its top."""
+    return ralg.right.tensor(X)
 
 
-def induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
-    """R (x)_B X realized as the morphism space Hom(B, X) over R.
-
-    Built once per module and stored on ralg, so an equal module gets the
-    stored value.  Its basis maps may target the first equal module;
-    callers read only their matrices.
-    """
-    got = ralg.induced.get(X)
-    if got is None:
-        got = ralg.induced[X] = _induce(ralg, X)
-    return got
-
-
-def _induce(ralg: RightAlgebra, X: FDModule) -> InducedModule:
-    bocs = ralg.bocs
-    basis = bocs_hom_basis(bocs, ralg.XB, X)
-    space = MapSpace([h.mat for h in basis], X.total, ralg.tX.total)
-    images = [pair_image(bocs, h) for h in basis]
-    m = len(basis)
-    raw_act = []
-    for rimg in ralg.element_images():
-        cols = [space.coords(bocs_compose(bocs, h, rimg).mat)
-                for h in images]
-        raw_act.append(Matrix.from_columns(cols))
-    module, to_new, to_old = _module_from_action(ralg.R, m, raw_act)
-    tdim = ralg.tensor_dim(X)
-    if tdim != module.total:
-        raise AssertionError(
-            "induced module dimension disagrees with the tensor "
-            f"presentation ({module.total} vs {tdim})")
-    return InducedModule(module, basis, space, images, to_new, to_old)
-
-
-def induce_bocs_map(ralg: RightAlgebra, f: ModuleMap,
-                    FM: InducedModule, FN: InducedModule) -> ModuleMap:
-    """Image of a bocs morphism under induction (post-composition)."""
-    bocs = ralg.bocs
-    fimg = pair_image(bocs, f)
-    cols = [FN.space.coords(bocs_compose(bocs, fimg, h).mat)
-            for h in FM.images]
-    raw = Matrix.from_columns(cols) if cols else \
-        Matrix.zero(len(FN.basis), 0)
-    return ModuleMap(FM.module, FN.module, FN.to_new @ raw @ FM.to_old)
-
-
-def induce_map(ralg: RightAlgebra, u: ModuleMap,
-               FM: InducedModule, FN: InducedModule) -> ModuleMap:
-    """Image of a plain B-module map under induction."""
-    return induce_bocs_map(ralg, bocs_lift(ralg.bocs, u), FM, FN)
+def induce_map(u: ModuleMap, FM: TensorModule,
+               FN: TensorModule) -> ModuleMap:
+    """1 (x) u, from FM = R (x)_B X to FN = R (x)_B Y for u: X -> Y: the
+    coordinate (t, x) goes to the (t, y) of u(x) in e_v(t)Y."""
+    cols = u.mat.nonzero_columns()
+    return ModuleMap(FM, FN, _on_coords(FN.chosen, [
+        {(t, y): a for y, a in cols[x]} for t, x in FM.chosen]))
 
 
 # -- standard and Borel checks ----------------------------------------------
@@ -267,7 +177,7 @@ def standard_check(ralg: RightAlgebra):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             # dim Hom(P_R(i), M) = dim e_i M
-            got = odelta[j].module.dims[i - 1]
+            got = odelta[j].dims[i - 1]
             if rank[i] > rank[j]:
                 want = 0
             else:
@@ -280,7 +190,7 @@ def standard_check(ralg: RightAlgebra):
             if got != want:
                 report["hom_formula"] = False
     for j in range(1, n + 1):
-        dims = odelta[j].module.dims
+        dims = odelta[j].dims
         for i in range(1, n + 1):
             mult = dims[i - 1]
             if rank[i] > rank[j] and mult != 0:
@@ -290,16 +200,15 @@ def standard_check(ralg: RightAlgebra):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if rank[i] > rank[j]:
-                if ext_dimension(odelta[i].module, odelta[j].module,
-                                 1) != 0:
+                if ext_dimension(odelta[i], odelta[j], 1) != 0:
                     report["ext1_vanishing"] = False
     regular = sum_of_projectives(R, list(range(1, n + 1)))
     system = StandardSystem(R, order, "induced",
-                            [odelta[v].module for v in range(1, n + 1)])
+                            [odelta[v] for v in range(1, n + 1)])
     cert = theta_filtration(regular, system)
     report["filtration"] = cert is not None and cert.verify(system)
     if cert is not None:
-        total = sum(odelta[v].module.total for v in cert.vertices())
+        total = sum(odelta[v].total for v in cert.vertices())
         report["multiplicity_sum"] = (total == R.dim)
         report["filtration_vertices"] = cert.vertices()
     else:
@@ -314,8 +223,8 @@ def borel_checks(ralg: RightAlgebra):
     """Projectivity of R over B, the Peirce pattern, and dim checks.
 
     right_projective is RightBasis's certificate that R is right-free on
-    its top, so projective (B is basic); induction is cross-checked
-    against that top, so induce_regular_iso is left out without it.
+    its top, so projective (B is basic); induction is read off that top,
+    so induce_regular_iso is left out without it.
     dim_two_ways compares dim R with its value read off the bocs.  R^op is
     End_bocs(B) = Hom_B(W (x)_B B, B) = Hom_B(W, B), and W = B + ker eps.
     The premise, checked here, is kernel_is_free: ker eps is the sum of
@@ -335,7 +244,7 @@ def borel_checks(ralg: RightAlgebra):
     if report["right_projective"]:
         FB = induce(ralg, ralg.XB)
         regular = sum_of_projectives(R, list(range(1, R.n + 1)))
-        report["induce_regular_iso"] = is_isomorphic(FB.module, regular)
+        report["induce_regular_iso"] = is_isomorphic(FB, regular)
     right_ideal = Counter(B.btarget)
     present = B.dim + sum(mult * right_ideal[a] * right_ideal[b]
                           for (a, b), mult in bocs.d.items())
@@ -350,17 +259,19 @@ def borel_checks(ralg: RightAlgebra):
 def homological_check(ralg: RightAlgebra, sources, targets):
     """Rank of the induced comparison map Ext^k_B -> Ext^k_R, k = 1, 2.
 
-    sources and targets are B-modules, induced through induce.  For each
-    source X, induction F carries two steps (c_t: P_t -> Omega_t,
-    Omega_{t+1}, i_t) of minimal covers of X to R-modules, once.  Two
-    premises are checked on every step: F keeps the step exact (F(c_t)
-    onto, F(i_t) injective, dimensions adding up; F(c_t) F(i_t) = 0 by
-    functoriality), and F(P_t) is projective.  Then the F(P_t) begin a
-    projective resolution of FX, and a dimension shift, which works on
-    any projective resolution, reads Ext^k_R(FX, FY) at F(Omega_k) as
-    Ext^k_B(X, Y) is read at Omega_k; a cocycle c maps to the class of
-    F(c).  Requires surjectivity for k = 1 and bijectivity for k = 2.
-    Returns one verdict per (source, target, k), in that order.
+    sources and targets are B-modules, induced through induce: F is
+    R (x)_B -, read off R's right basis, and F(u) = 1 (x) u.  For each
+    source X, F carries two steps (c_t: P_t -> Omega_t, Omega_{t+1}, i_t)
+    of minimal covers of X to R-modules, once.  Two premises are checked
+    on every step: F keeps the step exact (F(c_t) onto, F(i_t) injective,
+    dimensions adding up; F(c_t) F(i_t) = 0 by functoriality), as it must
+    since R is right-free on its top, so flat, and F(P_t) is projective.
+    Then the F(P_t) begin a projective resolution of FX, and a dimension
+    shift, which works on any projective resolution, reads
+    Ext^k_R(FX, FY) at F(Omega_k) as Ext^k_B(X, Y) is read at Omega_k; a
+    cocycle c maps to the class of F(c).  Requires surjectivity for k = 1
+    and bijectivity for k = 2.  Returns one verdict per (source, target,
+    k), in that order.
     """
     verdicts = []
     for X in sources:
@@ -370,26 +281,25 @@ def homological_check(ralg: RightAlgebra, sources, targets):
             prev = fomega[-1]
             FP = induce(ralg, cover.source)
             FK = induce(ralg, ker)
-            c = induce_map(ralg, cover, FP, prev)
-            i_ = induce_map(ralg, kinc, FK, FP)
-            if c.mat.rank() != prev.module.total:
+            c = induce_map(cover, FP, prev)
+            i_ = induce_map(kinc, FK, FP)
+            if c.mat.rank() != prev.total:
                 raise AssertionError("induction lost surjectivity")
-            if i_.mat.rank() != FK.module.total:
+            if i_.mat.rank() != FK.total:
                 raise AssertionError("induction lost injectivity")
-            if FP.module.total != prev.module.total + FK.module.total:
+            if FP.total != prev.total + FK.total:
                 raise AssertionError("induction lost exactness")
-            if projective_cover(FP.module).source.total != FP.module.total:
+            if projective_cover(FP).source.total != FP.total:
                 raise AssertionError("induced cover is not projective")
-            fsteps.append((c, FK.module, i_))
+            fsteps.append((c, FK, i_))
             fomega.append(FK)
         for Y in targets:
             FY = induce(ralg, Y)
             for k in (1, 2):
                 cocycles, _, ext_b = _syzygy_ext(steps[:k], Y)
-                _, image, ext_r = _syzygy_ext(fsteps[:k], FY.module)
+                _, image, ext_r = _syzygy_ext(fsteps[:k], FY)
                 image_rank = sum(
-                    image.add(induce_map(ralg, c, fomega[k],
-                                         FY).mat.flat())
+                    image.add(induce_map(c, fomega[k], FY).mat.flat())
                     for c in cocycles)
                 surjective = (image_rank == ext_r)
                 injective = (image_rank == ext_b)

@@ -92,11 +92,6 @@ class ModuleMap:
         return self.mat.is_zero()
 
 
-def zero_module(alg: Algebra) -> FDModule:
-    return FDModule(alg, [0] * alg.n,
-                    [Matrix.zero(0, 0) for _ in range(alg.dim)])
-
-
 def projective(alg: Algebra, i: int) -> FDModule:
     """A e_i on the basis of algebra words with source i."""
     return sum_of_projectives(alg, [i])
@@ -333,11 +328,6 @@ def quotient(M: FDModule, vectors):
            else [Matrix.zero(0, 0)] * len(M.act))
     q = FDModule(M.alg, dims, act)
     return q, ModuleMap(M, q, pmat), sect
-
-
-def kernel(f: ModuleMap):
-    """Kernel of a module map: (FDModule, inclusion ModuleMap)."""
-    return submodule(f.source, f.mat.kernel_basis())
 
 
 def radical_vectors(M: FDModule, power: int = 1):

@@ -322,7 +322,7 @@ def roundtrip_bocs(bocs):
     pairs = []
     for X, FX in zip(seen, induced):
         for Y, FY in zip(seen, induced):
-            got = len(hom_basis(FX.module, FY.module))
+            got = len(hom_basis(FX, FY))
             want = len(bocs_hom_basis(bocs, X, Y))
             pairs.append({"x": list(X.dims), "y": list(Y.dims),
                           "dim": want})

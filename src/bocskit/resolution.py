@@ -14,8 +14,8 @@ d(f)^(l) = d'_{l-k} f^(l) - (-1)^k f^(l-1) d_l.
 from __future__ import annotations
 
 from .linalg import ONE, ZERO, MapSpace, Matrix, Span
-from .modules import (FDModule, ModuleMap, from_generators,
-                      hom_from_projective, radical_vectors, syzygies)
+from .modules import (FDModule, ModuleMap, hom_from_projective,
+                      radical_vectors, syzygies)
 from .strata import StandardSystem
 
 # The working truncation of every resolution.  The A-infinity transfer
@@ -66,9 +66,6 @@ class Resolution:
 
     def diff(self, l: int) -> ModuleMap:
         return self.diffs[l]
-
-    def mult_list(self, l: int):
-        return list(self.mods[l].summands)
 
 
 def minimal_resolution(M: FDModule) -> Resolution:
@@ -277,9 +274,17 @@ class ResolvedSystem:
 def ext_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
     """Chain-map representatives of Ext^k(Theta(i), Theta(j)).
 
-    Same-vertex properly standard case: the canonical projections onto the
-    P(i)-copies of P_k, cross-checked against the cocycle-complex count.
-    Otherwise cocycle representatives are lifted through the augmentation.
+    Cocycle representatives are lifted through the augmentation, the
+    identity first when i == j and k == 0.  In pdelta mode with i == j
+    this gives the projections of P_k onto its P(i) summands, checked by
+    their count.  The projectives resolving Theta(i) are sums of P(l) with
+    l >= i in the order, e_l Theta(i) = 0 for l > i and e_i Theta(i) = K.
+    So Hom(P_k, Theta(i)) has one map per P(i) summand, onto the top of
+    Theta(i); each is a cocycle and none a coboundary, since d lands in
+    the radical, where e_i vanishes.  Through the augmentation P(i) ->
+    Theta(i) every map out of P_k into P(i) vanishes but those sending a
+    P(i) summand's generator to the generator, so each representative
+    lifts to its summand projection.
     """
     key = (i, j, k)
     got = rsys._ext_cache.get(key)
@@ -291,49 +296,34 @@ def ext_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
     Rp = rsys.resolution(j)
     theta_j = rsys.system.module(j)
     reps, space = _cocycle_representatives(R, theta_j, k)
+    if i == j and rsys.system.mode == "pdelta" and \
+            len(reps) != R.P(k).summands.count(i):
+        raise AssertionError(
+            "copy count does not match the cocycle computation")
 
     out = []
-    if i == j and rsys.system.mode == "pdelta":
-        if k == 0:
-            if len(reps) != 1:
-                raise AssertionError(
-                    "endomorphism ring of a properly standard module "
-                    "is not one dimensional")
-            out = [identity_graded_map(R)]
-        else:
-            positions = [p for p, v in enumerate(R.mult_list(k)) if v == i]
-            if len(positions) != len(reps):
-                raise AssertionError(
-                    "copy count does not match the cocycle computation")
-            P0 = Rp.P(0)
-            gen = Matrix.identity(P0.total).column(P0.proj_gens[0][0])
-            for p in positions:
-                # project P_k onto its p-th summand, a copy of P(i) = P_0
-                seed = from_generators(R.P(k), P0, {p: gen})
-                out.append(lift_chain_map(R, Rp, k, seed))
-    else:
-        if k == 0 and i == j:
-            # normalize so the identity endomorphism comes first
-            try:
-                span = Span(len(space.mats), [space.coords(R.aug.mat)])
-            except ValueError:
-                raise AssertionError(
-                    "augmentation outside the hom space") from None
-            rest = [v for v in reps if span.add(v)]
-            if len(rest) != len(reps) - 1:
-                raise AssertionError("identity is not an Ext^0 cocycle")
-            out.append(identity_graded_map(R))
-            reps = rest
-        _, seeds = _hom_space(R, k, Rp.aug.source)
-        through_aug = seeds.through(Rp.aug.mat) if reps else None
-        for coeffs in reps:
-            try:
-                x = through_aug.coords(space.combine(coeffs))
-            except ValueError:
-                raise AssertionError("cocycle does not lift through the "
-                                     "augmentation") from None
-            seed = ModuleMap(R.P(k), Rp.aug.source, seeds.combine(x))
-            out.append(lift_chain_map(R, Rp, k, seed))
+    if k == 0 and i == j:
+        # normalize so the identity endomorphism comes first
+        try:
+            span = Span(len(space.mats), [space.coords(R.aug.mat)])
+        except ValueError:
+            raise AssertionError(
+                "augmentation outside the hom space") from None
+        rest = [v for v in reps if span.add(v)]
+        if len(rest) != len(reps) - 1:
+            raise AssertionError("identity is not an Ext^0 cocycle")
+        out.append(identity_graded_map(R))
+        reps = rest
+    _, seeds = _hom_space(R, k, Rp.aug.source)
+    through_aug = seeds.through(Rp.aug.mat) if reps else None
+    for coeffs in reps:
+        try:
+            x = through_aug.coords(space.combine(coeffs))
+        except ValueError:
+            raise AssertionError("cocycle does not lift through the "
+                                 "augmentation") from None
+        seed = ModuleMap(R.P(k), Rp.aug.source, seeds.combine(x))
+        out.append(lift_chain_map(R, Rp, k, seed))
     rsys._ext_cache[key] = out
     return out
 

@@ -8,8 +8,8 @@ position in the chosen order, not the raw vertex label.  Mode strings are
 from __future__ import annotations
 
 from .linalg import Span
-from .modules import (FDModule, hom_basis, kernel, projective, quotient,
-                      radical_vectors)
+from .modules import (FDModule, hom_basis, projective, quotient,
+                      radical_vectors, submodule)
 from .quiver import Algebra
 
 MODES = ("delta", "pdelta")
@@ -64,9 +64,10 @@ class FiltrationCertificate:
             if f.source.total != current.total or \
                     f.target.total != theta.total:
                 return False
-            if f.mat.rank() != theta.total:
-                return False
-            if kernel(f)[0].total != layer.kernel_inclusion.source.total:
+            # one row reduction: the rank is the total less the nullity
+            nullity = len(f.mat.kernel_basis())
+            if current.total - nullity != theta.total or \
+                    nullity != layer.kernel_inclusion.source.total:
                 return False
             current = layer.kernel_inclusion.source
         return current.total == 0
@@ -139,9 +140,11 @@ def _filtration_search(current: FDModule, system: StandardSystem, allowed):
                 acc = acc + f
             candidates = candidates + [acc]
         for f in candidates:
-            if f.mat.rank() != theta.total:
+            # one row reduction: the rank is the total less the nullity
+            kb = f.mat.kernel_basis()
+            if current.total - len(kb) != theta.total:
                 continue
-            ker, kinc = kernel(f)
+            ker, kinc = submodule(current, kb)
             rest = _filtration_search(ker, system, allowed)
             if rest is not None:
                 return [FiltrationLayer(j, f, kinc)] + rest

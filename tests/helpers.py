@@ -3,32 +3,40 @@ them.
 
 Among them are reference constructions and checks that the verifier does
 not need: direct sums, modules from arrow blocks with the module axioms
-checked, the intertwining check of a map, the dense hom solve that
-hom_basis replaced, hom_basis, sum_of_projectives and syzygies as they
-were before the Algebra stores, the radical of a hom space, the bocs
-identity, the composition over every pair of W (x) X read back through
-sect that bocs_compose replaced, the balanced relations of M (x)_B N,
-and on them W (x)_B X and the coalgebra check, which the right basis of
-W replaced, and the count of R (x)_B X, which the right basis of R
-replaced, the coassociativity check in the K-tensor cube, the K-tensor
-kernel those references run on (outer, kron_apply), the counit
-identities read through it on mu in the dense layout of its document,
-the dense associativity check that Algebra.check_associativity replaced,
-the trace form summed over every ordered pair, the Auslander algebras,
+checked, the intertwining check of a map, the zero module and the kernel
+of a module map, the dense hom solve that hom_basis replaced, hom_basis,
+sum_of_projectives and syzygies as they were before the Algebra stores,
+the radical of a hom space, the bocs identity, the pairs of W (x) X with
+their projection and section, the composition over every pair of
+W (x) X read back through the section that bocs_compose replaced, the
+balanced relations of M (x)_B N, and on them W (x)_B X and the
+coalgebra check, which the right basis of W replaced, and the count of
+R (x)_B X, which the right basis of R replaced, induction through
+Hom_bocs(B, -), which R (x)_B X read off the right basis of R replaced,
+the coassociativity check in the K-tensor cube, the K-tensor kernel
+those references run on (outer, kron_apply), the counit identities read
+through it on mu in the dense layout of its document, the dense
+associativity check that Algebra.check_associativity replaced, the trace
+form summed over every ordered pair, the Auslander algebras,
 null-homotopy by a homotopy solve against the radical criterion, and the
 Ext comparison of A with a factor algebra A/AeA (reduction_check).
 """
 
+from collections import namedtuple
+from types import SimpleNamespace
 from typing import Sequence
 
 from hypothesis import strategies as st
 
-from bocskit.bocs import Bocs, _hom_source, bocs_lift
+from bocskit.bocs import (Bocs, TensorModule, _hom_source, bocs_compose,
+                          bocs_hom_basis, bocs_lift, pair_image,
+                          tensor_module)
 from bocskit.io import mu_to_matrix
-from bocskit.linalg import ONE, ZERO, Matrix, Span, nonzeros, vec_is_zero
+from bocskit.linalg import (ONE, ZERO, MapSpace, Matrix, Span, nonzeros,
+                            vec_is_zero)
 from bocskit.modules import (FDModule, ModuleMap, _from_arrow_blocks,
                              _trace_pairing, from_generators, hom_basis,
-                             kernel, quotient, radical_vectors)
+                             quotient, radical_vectors, submodule)
 from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
                             build_algebra, from_structure_constants)
 from bocskit.resolution import (GradedMap, ResolvedSystem, _flatten_graded,
@@ -102,6 +110,16 @@ def check_intertwining(f: ModuleMap):
         if f.mat @ a != b @ f.mat:
             raise ValueError(
                 f"square for {f.source.alg.labels[k]} does not commute")
+
+
+def zero_module(alg: Algebra) -> FDModule:
+    return FDModule(alg, [0] * alg.n,
+                    [Matrix.zero(0, 0) for _ in range(alg.dim)])
+
+
+def kernel(f: ModuleMap):
+    """Kernel of a module map: (FDModule, inclusion ModuleMap)."""
+    return submodule(f.source, f.mat.kernel_basis())
 
 
 def dense_hom_basis(M: FDModule, N: FDModule):
@@ -385,6 +403,21 @@ def bocs_identity(bocs: Bocs, X: FDModule) -> ModuleMap:
     return bocs_lift(bocs, ModuleMap(X, X, Matrix.identity(X.total)))
 
 
+def pair_layout(bocs: Bocs, tx: TensorModule):
+    """The pairs (w, x) of W (x) X for tx = W (x)_B X, in the order of
+    proj, rho on them (which pair_image sets on tx), their index, and
+    sect, the 0/1 selection of the chosen pairs."""
+    if tx.proj is None:
+        pair_image(bocs, ModuleMap(tx, tx, Matrix.identity(tx.total)))
+    pairs = [(w, x) for w in range(bocs.w_dim) for x in range(tx.X.total)]
+    index = {p: k for k, p in enumerate(pairs)}
+    sect = Matrix(len(pairs), tx.total,
+                  [[ONE if p == c else ZERO for c in tx.chosen]
+                   for p in pairs])
+    return SimpleNamespace(pairs=pairs, index=index, proj=tx.proj,
+                           sect=sect)
+
+
 def reference_bocs_compose(bocs: Bocs, g: ModuleMap,
                            f: ModuleMap) -> ModuleMap:
     """g after f in the bocs module category, through mu.
@@ -394,21 +427,22 @@ def reference_bocs_compose(bocs: Bocs, g: ModuleMap,
         sum over mu(w) = sum c w1 (x) w2, and over the nonzero entries
         f(w2 (x) x) = sum a y, of c a g(w1 (x) y),
 
-    and the result is read back on W (x)_B X through sect.  Only nonzero
-    terms of mu and nonzero entries of f and g are visited.
+    and the result is read back on W (x)_B X through sect (pair_layout).
+    Only nonzero terms of mu and nonzero entries of f and g are visited.
     """
     tx, ty = _hom_source(bocs, f), _hom_source(bocs, g)
-    fcols = (f.mat @ tx.proj).nonzero_columns()
-    gcols = (g.mat @ ty.proj).nonzero_columns()
+    px, py = pair_layout(bocs, tx), pair_layout(bocs, ty)
+    fcols = (f.mat @ px.proj).nonzero_columns()
+    gcols = (g.mat @ py.proj).nonzero_columns()
     rows = g.target.total
-    big = [[ZERO] * len(tx.pairs) for _ in range(rows)]
-    for k, (w, x) in enumerate(tx.pairs):
+    big = [[ZERO] * len(px.pairs) for _ in range(rows)]
+    for k, (w, x) in enumerate(px.pairs):
         for w1, w2, c in bocs.mu[w]:
-            for y, a in fcols[tx.index[(w2, x)]]:
+            for y, a in fcols[px.index[(w2, x)]]:
                 ca = c * a
-                for z, b in gcols[ty.index[(w1, y)]]:
+                for z, b in gcols[py.index[(w1, y)]]:
                     big[z][k] += ca * b
-    return ModuleMap(tx, g.target, Matrix(rows, len(tx.pairs), big) @ tx.sect)
+    return ModuleMap(tx, g.target, Matrix(rows, len(px.pairs), big) @ px.sect)
 
 
 def reference_tensor_module(bocs: Bocs, X: FDModule) -> FDModule:
@@ -437,6 +471,91 @@ def reference_tensor_module(bocs: Bocs, X: FDModule) -> FDModule:
     relvecs = [[v[p] for p in layout]
                for v in balanced_relations(bocs.WR, X.act)]
     return quotient(FDModule(B, dims, act), relvecs)[0]
+
+
+def module_from_action(alg: Algebra, dim: int, raw_act):
+    """FDModule from action matrices on an ungrouped coordinate space.
+
+    raw_act[k] is the action of algebra basis element k.  Returns the
+    module together with the coordinate changes to_new (raw to module)
+    and to_old (module to raw).  The module's basis at vertex i is the
+    reduced echelon basis of the image of E_i, the action of e_i, so the
+    coordinates of x on it are the entries of E_i x at its pivots.
+    """
+    if dim == 0:
+        return zero_module(alg), Matrix.zero(0, 0), Matrix.zero(0, 0)
+    old_cols, new_rows, dims = [], [], []
+    for i in range(1, alg.n + 1):
+        E = raw_act[alg.unit_index[i - 1]]
+        image = Span(dim, E.columns())
+        dims.append(len(image))
+        old_cols.extend(image.rows)
+        new_rows.extend(E.data[p] for p in image.pivots)
+    if sum(dims) != dim:
+        raise ValueError("idempotent images do not decompose the space")
+    to_old = Matrix.from_columns(old_cols)
+    to_new = Matrix(dim, dim, new_rows)
+    if to_new @ to_old != Matrix.identity(dim):
+        raise ValueError("idempotent images do not decompose the space")
+    acts = [to_new @ raw_act[k] @ to_old for k in range(alg.dim)]
+    return FDModule(alg, dims, acts), to_new, to_old
+
+
+# R (x)_B X realized on the basis of Hom_bocs(B, X) and its MapSpace, the
+# pair images of that basis, and the coordinate changes between the two
+HomInduced = namedtuple("HomInduced",
+                        "module basis space images to_new to_old")
+
+
+class HomInduction:
+    """Induction to R-modules through the corepresentable functor
+    Hom_bocs(B, -), functorial by construction: the reference for induce
+    and induce_map, which read R (x)_B X off the right basis of R.
+
+    R is End_bocs(B) opposed, so its basis element r acts on Hom(B, X)
+    by precomposition with the map of r, whose pair images are formed
+    once here; the raw action is regrouped by the idempotent images
+    (module_from_action).
+    """
+
+    def __init__(self, ralg):
+        bocs, R, XB = ralg.bocs, ralg.R, ralg.XB
+        self.ralg = ralg
+        self.tB = tensor_module(bocs, XB)
+        space = MapSpace([h.mat for h in ralg.basis], XB.total,
+                         self.tB.total)
+        self.element_images = [
+            pair_image(bocs, ModuleMap(self.tB, XB, space.combine(
+                R.new_to_old.apply(R.basis_vec(k)))))
+            for k in range(R.dim)]
+
+    def induce(self, X: FDModule) -> HomInduced:
+        bocs = self.ralg.bocs
+        basis = bocs_hom_basis(bocs, self.ralg.XB, X)
+        space = MapSpace([h.mat for h in basis], X.total, self.tB.total)
+        images = [pair_image(bocs, h) for h in basis]
+        raw_act = [Matrix.from_columns(
+            [space.coords(bocs_compose(bocs, h, rimg).mat) for h in images])
+            for rimg in self.element_images]
+        module, to_new, to_old = module_from_action(self.ralg.R, len(basis),
+                                                    raw_act)
+        return HomInduced(module, basis, space, images, to_new, to_old)
+
+    def induce_bocs_map(self, f: ModuleMap, FM: HomInduced,
+                        FN: HomInduced, compose=bocs_compose) -> ModuleMap:
+        """Image of a bocs morphism under induction (post-composition),
+        composed by compose."""
+        bocs = self.ralg.bocs
+        cols = [FN.space.coords(compose(bocs, f, h).mat) for h in FM.basis]
+        raw = Matrix.from_columns(cols) if cols else \
+            Matrix.zero(len(FN.basis), 0)
+        return ModuleMap(FM.module, FN.module, FN.to_new @ raw @ FM.to_old)
+
+    def induce_map(self, u: ModuleMap, FM: HomInduced,
+                   FN: HomInduced, compose=bocs_compose) -> ModuleMap:
+        """Image of a plain B-module map under induction."""
+        return self.induce_bocs_map(bocs_lift(self.ralg.bocs, u), FM, FN,
+                                    compose)
 
 
 def reference_validate_coalgebra(bocs: Bocs):

@@ -17,15 +17,16 @@ from bocskit.burt_butler import right_algebra
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
 from bocskit.modules import (FDModule, ModuleMap, hom_basis, projective,
-                             simple, sum_of_projectives, zero_module)
+                             simple, sum_of_projectives)
 from bocskit.pipeline import PipelineError, roundtrip_bocs
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
 
 from helpers import (auslander, bocs_identity, cube_coassociativity,
-                     dense_counit_identities, reference_tensor_module,
-                     reference_validate_coalgebra)
+                     dense_counit_identities, pair_layout,
+                     reference_tensor_module, reference_validate_coalgebra,
+                     zero_module)
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +232,8 @@ def test_a_w_not_right_free_on_its_top_is_refused(b1):
     rad = bad.B.radical_indices()
     bad.WR = [Matrix.zero(m.rows, m.cols) if k in rad else m
               for k, m in enumerate(bad.WR)]
-    bad.right = RightBasis("W", bad.B, bad.w_block, bad.WR, bad.WL)
+    bad.right = RightBasis("W", bad.B, bad.B, bad.w_block, bad.WR,
+                           b1.right.lcols)
     witness = "dim W = 2, sum of dim e_v(t)B = 4"
     with pytest.raises(ValueError, match=re.escape(
             f"W is not right-free on its top: {witness}")):
@@ -254,7 +256,7 @@ def test_dependent_products_t_b_are_refused_at_the_boundary(b1):
         bio.doc_to_bocs(doc)
     WR = [b1.WR[0], Matrix(2, 2, [[0, 0], [0, 1]])]
     with pytest.raises(AssertionError, match="dependent products t.b in W"):
-        RightBasis("W", b1.B, b1.w_block, WR, b1.WL)
+        RightBasis("W", b1.B, b1.B, b1.w_block, WR, b1.right.lcols)
 
 
 def test_classification_fixtures(b1, b3, b2, b0):
@@ -359,12 +361,12 @@ def _reference_lift(b, u):
     """u as a morphism: w (x) x goes to u(eps(w) x), with eps(w) acting
     by its whole action matrix, read back through sect."""
     X = u.source
-    tx = tensor_module(b, X)
+    layout = pair_layout(b, tensor_module(b, X))
     through = [u.mat @ _action(X, ev) for ev in b.eps.columns()]
-    cols = [through[w].column(x) for (w, x) in tx.pairs]
+    cols = [through[w].column(x) for (w, x) in layout.pairs]
     big = (Matrix.from_columns(cols) if cols
            else Matrix.zero(u.target.total, 0))
-    return big @ tx.sect
+    return big @ layout.sect
 
 
 def test_lift_reads_one_stored_counit(b0, b1, b2, b3, monkeypatch):
@@ -425,7 +427,7 @@ def _pair_vec(t, w_vec, x_vec):
 def _reference_compose(b, X, Y, g, f):
     """g after f through dense unit vectors on pairs and every entry of mu.
     """
-    tx, ty = tensor_module(b, X), tensor_module(b, Y)
+    tx, ty = (pair_layout(b, tensor_module(b, M)) for M in (X, Y))
     f_big = f.mat @ tx.proj
     g_big = g.mat @ ty.proj
     cols = []

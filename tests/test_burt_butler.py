@@ -9,19 +9,21 @@ from types import SimpleNamespace
 import pytest
 
 from bocskit import burt_butler, pipeline
-from bocskit.bocs import (RightBasis, bocs_compose, bocs_hom_basis,
-                          bocs_lift, construct_bocs, tensor_module)
+from bocskit.bocs import (RightBasis, TensorModule, bocs_compose,
+                          bocs_hom_basis, construct_bocs, tensor_module)
 from bocskit.burt_butler import (borel_checks, ext_dimension,
-                                 homological_check, induce, induce_bocs_map,
-                                 induce_map, iso_search,
+                                 homological_check, induce, induce_map,
+                                 iso_search,
                                  loop_subalgebra_check,
                                  morita_compare, right_algebra,
                                  standard_check)
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix, Span
-from bocskit.modules import (FDModule, hom_basis, is_isomorphic, projective,
-                             simple, sum_of_projectives, syzygies)
-from bocskit.pipeline import roundtrip_bocs, run_pipeline
+from bocskit.modules import (FDModule, ModuleMap, hom_basis, is_isomorphic,
+                             projective, simple, sum_of_projectives,
+                             syzygies)
+from bocskit.pipeline import (indecomposables_up_to, roundtrip_bocs,
+                              run_pipeline)
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_a2,
                             example_dual_numbers, example_jordan3,
@@ -29,8 +31,9 @@ from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
 from bocskit.resolution import _hom_space, minimal_resolution
 from bocskit.strata import standard_modules
 
-from helpers import (auslander, balanced_relations, bocs_identity,
-                     direct_sum, reference_bocs_compose)
+from helpers import (HomInduction, auslander, balanced_relations,
+                     bocs_identity, check_intertwining, direct_sum,
+                     module_from_action, reference_bocs_compose)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +76,7 @@ def test_right_algebra_dimensions(r1, r3, r2, r0, rv):
     for (alg, b, r), want in zip((r1, r3, r2, r0, rv), (2, 3, 3, 2, 3)):
         assert r.R.dim == want
         assert len(r.basis) == want
-        assert r.tensor_dim(r.XB) == want
+        assert induce(r, r.XB).total == want
 
 
 def test_right_algebra_composes_once_per_pair(r1, monkeypatch):
@@ -98,21 +101,12 @@ def test_right_algebra_composes_once_per_pair(r1, monkeypatch):
     assert len(images) == len(r.basis)
 
 
-def _reference_induce_map(ralg, u, FM, FN):
-    """induce_map through reference_bocs_compose."""
-    f = bocs_lift(ralg.bocs, u)
-    cols = [FN.space.coords(reference_bocs_compose(ralg.bocs, f, h).mat)
-            for h in FM.basis]
-    raw = (Matrix.from_columns(cols) if cols
-           else Matrix.zero(len(FN.basis), 0))
-    return FN.to_new @ raw @ FM.to_old
-
-
 def test_compose_matches_the_reference_at_every_pair(r0, r1, r2, r3,
                                                      corpus_bocses):
     # the composite read at the chosen pairs equals the composite over
     # every pair read back through sect: on every ordered pair of
-    # End(B) basis maps, and through induce_map where R is elementary
+    # End(B) basis maps, and through induction by Hom_bocs(B, -) where R
+    # is elementary
     ladder = [construct_bocs(auslander(n), list(range(n, 0, -1)),
                              "pdelta", r_max=3) for n in (2, 3)]
     bocses = ([b for _, b, _ in (r0, r1, r2, r3)]
@@ -130,13 +124,14 @@ def test_compose_matches_the_reference_at_every_pair(r0, r1, r2, r3,
         except ValueError as exc:
             assert "not elementary" in str(exc) and b is ladder[1]
             continue
+        hom = HomInduction(ralg)
         mods = [M for i in range(1, B.n + 1)
                 for M in (simple(B, i), projective(B, i))]
         for X, Y in product(mods, repeat=2):
-            FX, FY = induce(ralg, X), induce(ralg, Y)
+            FX, FY = hom.induce(X), hom.induce(Y)
             for u in hom_basis(X, Y):
-                assert induce_map(ralg, u, FX, FY).mat == \
-                    _reference_induce_map(ralg, u, FX, FY)
+                assert hom.induce_map(u, FX, FY).mat == hom.induce_map(
+                    u, FX, FY, compose=reference_bocs_compose).mat
                 induced += 1
     assert induced > 0
 
@@ -215,7 +210,7 @@ def test_right_basis_of_r_agrees_with_balanced_relations(fixture_bocses,
         simples = [simple(B, i) for i in range(1, B.n + 1)]
         mods = [r.XB] + simples + [projective(B, i)
                                    for i in range(1, B.n + 1)]
-        assert ([r.tensor_dim(X) for X in mods]
+        assert ([induce(r, X).total for X in mods]
                 == [_reference_tensor_dim(r, X) for X in mods])
         # R_B is projective when its top, read off R (x)_B S_v, spans
         # as much as R
@@ -232,9 +227,9 @@ def test_an_r_not_right_free_on_its_top_is_refused(r1):
     rad = b.B.radical_indices()
     bad.right_act = [Matrix.zero(m.rows, m.cols) if k in rad else m
                      for k, m in enumerate(r.right_act)]
-    bad.right = RightBasis("R", b.B, list(zip(r.R.btarget, r.R.bsource)),
-                           bad.right_act)
-    bad.induced = {}
+    bad.right = RightBasis("R", r.R, b.B,
+                           list(zip(r.R.btarget, r.R.bsource)),
+                           bad.right_act, r.right.lcols)
     report = borel_checks(bad)
     assert (report["right_projective"], report["ok"]) == (False, False)
     assert "induce_regular_iso" not in report
@@ -290,22 +285,25 @@ def test_dim_two_ways_refutes_a_doubled_multiplicity(r2, rv, monkeypatch):
 def test_induce_simple_gives_projective(r2):
     alg, b, r = r2
     FS = induce(r, simple(b.B, 2))
-    assert is_isomorphic(FS.module, projective(r.R, 2))
+    assert is_isomorphic(FS, projective(r.R, 2))
 
 
 def test_induce_functoriality(r2):
+    # induction through Hom_bocs(B, -), the reference for induce, is
+    # functorial on bocs morphisms
     alg, b, r = r2
     X = projective(b.B, 1)
     Y = projective(b.B, 2)
     Z = simple(b.B, 1)
-    FX, FY, FZ = (induce(r, M) for M in (X, Y, Z))
+    hom = HomInduction(r)
+    FX, FY, FZ = (hom.induce(M) for M in (X, Y, Z))
     for f in bocs_hom_basis(b, X, Y):
         for g in bocs_hom_basis(b, Y, Z):
-            lhs = induce_bocs_map(r, bocs_compose(b, g, f), FX, FZ)
-            rf = induce_bocs_map(r, f, FX, FY)
-            rg = induce_bocs_map(r, g, FY, FZ)
+            lhs = hom.induce_bocs_map(bocs_compose(b, g, f), FX, FZ)
+            rf = hom.induce_bocs_map(f, FX, FY)
+            rg = hom.induce_bocs_map(g, FY, FZ)
             assert lhs.mat == rg.mat @ rf.mat
-    idm = induce_bocs_map(r, bocs_identity(b, X), FX, FX)
+    idm = hom.induce_bocs_map(bocs_identity(b, X), FX, FX)
     assert idm.mat == Matrix.identity(FX.module.total)
 
 
@@ -313,10 +311,50 @@ def _copy(X):
     return FDModule(X.alg, X.dims, X.act)
 
 
+def test_induce_agrees_with_induction_through_hom_bocs(fixture_bocses,
+                                                      corpus_bocses):
+    # R (x)_B X read off R's right basis against Hom_bocs(B, X), on the
+    # simples, projectives and indecomposables of dimension at most 4 of
+    # B: isomorphic R-modules, and 1 (x) u a module map of the rank of
+    # the Hom image of u, the identity on 1 and functorial
+    bocses = list(fixture_bocses.values())
+    bocses += [b for _, _, b in corpus_bocses.values()]
+    bocses += [construct_bocs(auslander(2), [2, 1], mode=mode, r_max=3)
+               for mode in ("pdelta", "delta")]
+    maps = 0
+    for b in bocses:
+        B, r = b.B, right_algebra(b)
+        hom = HomInduction(r)
+        mods = [M for i in range(1, B.n + 1)
+                for M in (simple(B, i), projective(B, i))]
+        mods += indecomposables_up_to(B, 4)
+        induced = [induce(r, X) for X in mods]
+        refs = [hom.induce(X) for X in mods]
+        for X, FX, HX in zip(mods, induced, refs):
+            assert is_isomorphic(FX, HX.module)
+            one = ModuleMap(X, X, Matrix.identity(X.total))
+            assert induce_map(one, FX, FX).mat == Matrix.identity(FX.total)
+        pairs = list(product(zip(mods, induced, refs), repeat=2))
+        for (X, FX, HX), (Y, FY, HY) in pairs:
+            for u in hom_basis(X, Y):
+                got = induce_map(u, FX, FY)
+                check_intertwining(got)
+                assert got.mat.rank() == hom.induce_map(u, HX, HY).mat.rank()
+                maps += 1
+        for (X, FX, _), (Y, FY, _), (Z, FZ, _) in product(
+                zip(mods, induced, refs), repeat=3):
+            for u in hom_basis(X, Y):
+                for v in hom_basis(Y, Z):
+                    assert induce_map(v.compose(u), FX, FZ).mat == \
+                        induce_map(v, FY, FZ).mat @ \
+                        induce_map(u, FX, FY).mat
+    assert maps > 0
+
+
 def test_induce_is_stored_by_module_content(r0, r1, r2, r3):
     # an equal module gets the stored value; the oracle builds it again
-    # on a fresh right algebra.  S + S has the dimensions of P(i) on e1
-    # and e3, but not its action.
+    # on the right basis of a fresh right algebra.  S + S has the
+    # dimensions of P(i) on e1 and e3, but not its action.
     for alg, b, r in (r0, r1, r2, r3):
         B = b.B
         fresh = right_algebra(b)
@@ -330,13 +368,10 @@ def test_induce_is_stored_by_module_content(r0, r1, r2, r3):
             first = induce(r, X)
             Y = _copy(X)
             got = induce(r, Y)
-            assert got.module is first.module
-            want = burt_butler._induce(fresh, Y)
-            assert got.module.dims == want.module.dims
-            assert [a.data for a in got.module.act] == \
-                [a.data for a in want.module.act]
-            assert [h.mat for h in got.basis] == [h.mat for h in want.basis]
-            assert (got.to_new, got.to_old) == (want.to_new, want.to_old)
+            assert got is first
+            want = TensorModule(fresh.right, Y)
+            assert got.dims == want.dims and got.chosen == want.chosen
+            assert [a.data for a in got.act] == [a.data for a in want.act]
 
 
 def test_an_equal_module_shares_every_module_memo(r2, r3):
@@ -354,19 +389,20 @@ def test_an_equal_module_shares_every_module_memo(r2, r3):
 def test_roundtrip_induces_each_module_content_once(example, monkeypatch):
     bocs = construct_bocs(example(), mode="pdelta", r_max=3)
     built, calls = Counter(), [0]
-    real_induce, real_build = burt_butler.induce, burt_butler._induce
+    real_induce, real_build = burt_butler.induce, TensorModule.__init__
 
     def counted(ralg, X):
         calls[0] += 1
         return real_induce(ralg, X)
 
-    def build(ralg, X):
-        built[X] += 1
-        return real_build(ralg, X)
+    def build(self, basis, X):
+        if basis.name == "R":
+            built[X] += 1
+        real_build(self, basis, X)
 
     monkeypatch.setattr(burt_butler, "induce", counted)
     monkeypatch.setattr(pipeline, "induce", counted)
-    monkeypatch.setattr(burt_butler, "_induce", build)
+    monkeypatch.setattr(TensorModule, "__init__", build)
     roundtrip_bocs(bocs)
     assert set(built.values()) == {1}
     assert calls[0] > len(built)
@@ -383,7 +419,7 @@ def test_a_dropped_right_algebra_is_freed_without_the_cyclic_collector():
             assert sc["ok"]
             simples = [simple(bocs.B, i) for i in range(1, bocs.B.n + 1)]
             outs = homological_check(r, simples, simples)
-            assert all(out["ok"] for out in outs) and r.induced
+            assert all(out["ok"] for out in outs) and r.right.tensors
             # an equal copy hits the memo
             copies = [_copy(S) for S in simples]
             assert all(induce(r, C) is induce(r, S)
@@ -431,7 +467,7 @@ def test_homological_ext_r_matches_minimal_r_covers(r1, r3, r2, r0,
         for (X, Y, k), out in zip(product(simples, targets, (1, 2)), outs,
                                   strict=True):
             FX, FY = induce(r, X), induce(r, Y)
-            want = ext_dimension(FX.module, FY.module, k)
+            want = ext_dimension(FX, FY, k)
             assert out["ext_r"] == want, (X.dims, Y.dims, k, out)
             assert out["ext_b"] == ext_dimension(X, Y, k)
             assert out["image_rank"] <= min(out["ext_b"], out["ext_r"])
@@ -504,7 +540,7 @@ def test_module_from_action_reads_coordinates_at_the_pivots():
     alg = example_semisimple_pair()
     e1 = Matrix(2, 2, [[1, 1], [0, 0]])
     e2 = Matrix(2, 2, [[0, -1], [0, 1]])
-    M, to_new, to_old = burt_butler._module_from_action(alg, 2, [e1, e2])
+    M, to_new, to_old = module_from_action(alg, 2, [e1, e2])
     assert M.dims == (1, 1)
     assert to_new == to_old.inverse()
     assert M.act == [to_new @ e @ to_old for e in (e1, e2)]
@@ -522,4 +558,4 @@ def test_module_from_action_refuses_idempotents_that_do_not_decompose():
         [Matrix(2, 2, [[1, 1], [0, 0]]), Matrix(2, 2, [[0, 0], [0, 1]])]]
     for raw in cases:
         with pytest.raises(ValueError, match="do not decompose the space"):
-            burt_butler._module_from_action(alg, 2, raw)
+            module_from_action(alg, 2, raw)

@@ -10,7 +10,7 @@ from bocskit.cli import FIXTURES
 from bocskit.linalg import ONE, ZERO, Matrix, Span
 from bocskit.modules import (FDModule, ModuleMap, from_generators,
                              hom_basis, hom_from_projective, iso_defect,
-                             is_isomorphic, kernel, place_block, projective,
+                             is_isomorphic, place_block, projective,
                              projective_cover, quotient, radical_vectors,
                              simple, submodule, sum_of_projectives, syzygies)
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
@@ -20,7 +20,8 @@ from bocskit.resolution import N_MAX
 from bocskit.strata import standard_modules
 
 from helpers import (auslander, check_intertwining, dense_hom_basis,
-                     direct_sum, from_arrow_matrices, monomial_algebras,
+                     direct_sum, from_arrow_matrices, kernel,
+                     monomial_algebras,
                      radical_hom_basis, reference_hom_basis,
                      reference_syzygies, validate)
 

@@ -26,19 +26,19 @@ def test_resolution_dual_numbers_periodic():
     rsys = pdelta_system(example_dual_numbers())
     R = rsys.resolution(1)
     for l in range(R.depth + 1):
-        assert R.mult_list(l) == [1]
+        assert R.P(l).summands == [1]
         assert R.P(l).total == 2
     for l in range(1, R.depth + 1):
         assert R.diff(l).mat.rank() == 1
-    assert R.mult_list(2).count(1) == 1
+    assert R.P(2).summands.count(1) == 1
 
 
 def test_resolution_a2_standard():
     rsys = pdelta_system(example_a2())
     R = rsys.resolution(1)
-    assert R.mult_list(0) == [1]
-    assert R.mult_list(1) == [2]
-    assert R.mult_list(2) == []
+    assert R.P(0).summands == [1]
+    assert R.P(1).summands == [2]
+    assert R.P(2).summands == []
     assert [l for l in range(R.N_max + 1) if R.P(l).total] == [0, 1]
 
 
@@ -366,7 +366,7 @@ def test_pdelta_ext_seeds_are_the_summand_projections(mixed_algebras):
             R = rsys.resolution(i)
             for k in range(1, N_MAX + 1):
                 Pk = R.P(k)
-                positions = [p for p, v in enumerate(R.mult_list(k))
+                positions = [p for p, v in enumerate(Pk.summands)
                              if v == i]
                 classes = ext_basis(rsys, i, i, k)
                 assert len(classes) == len(positions)
