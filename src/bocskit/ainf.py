@@ -47,14 +47,18 @@ The recursion stays the reference: the tests compare every tabulated
 value with merkulov_lambda run per tuple.
 
 Tuples are stored in display order (a_r, ..., a_1): the rightmost entry
-acts first, matching the composition convention everywhere else.  One
-walk, _chains, enumerates the composable tuples, both for the table and
-for stasheff_check.  AInfTable.m_table then holds every product once,
-and AInfTable.bp_table the signed b' of each nonzero one: bprime (so
-stasheff_check and the twisted modules) and products_into (so the bocs)
-read their coefficients off it instead of enumerating tuples or signing
-products again.  A class is a named tuple (k, i, j, idx), so every table
-lookup hashes and compares in C.
+acts first, matching the composition convention everywhere else.  Which
+tuples are tabulated depends only on r and the counts c0 and c2 of
+degree-0 and degree-2 arguments (_tabulated), and the counts only grow
+as a tuple does; so _grow extends only the partial tuples with c0 <= 2
+and c2 <= 1, and the table harvests each level from them, never
+enumerating the composable tuples outside that range.  One walk, _chains,
+enumerates the composable tuples for stasheff_check.  AInfTable.m_table
+then holds every product once, and AInfTable.bp_table the signed b' of
+each nonzero one: bprime (so stasheff_check and the twisted modules) and
+products_into (so the bocs) read their coefficients off it instead of
+enumerating tuples or signing products again.  A class is a named tuple
+(k, i, j, idx), so every table lookup hashes and compares in C.
 """
 
 from __future__ import annotations
@@ -142,23 +146,24 @@ def merkulov_lambda(rsys: ResolvedSystem, maps, memo=None):
 def _tabulated(key):
     """Tuples whose transfer values stay in the stored Hodge range.
 
-    At most two degree-0 and at most one degree-2 argument: then every
-    contiguous subtuple has a lambda value of degree between 0 and 3, so
-    G is always available.  Excluded in-range tuples carry three or more
-    degree-0 arguments or two of degree 2; AInfTable.m takes them as zero
-    by the checked lemma (module docstring) when one argument is an
-    identity class, and refuses them otherwise.
+    With c0 and c2 the numbers of degree-0 and degree-2 arguments, the
+    degree sum minus r is c2 - c0, so the output degree is c2 - c0 + 2
+    and the tuple is in range (output degree 0..2, suspended degree
+    <= 0) when c2 <= c0 <= c2 + 2.  It is tabulated when it is in range,
+    r >= 2, c0 <= 2 and c2 <= 1: then every contiguous subtuple has a
+    lambda value of degree between 0 and 3, so G is always available.
+    Excluded in-range tuples carry three or more degree-0 arguments or
+    two of degree 2; AInfTable.m takes them as zero by the checked lemma
+    (module docstring) when one argument is an identity class, and
+    refuses them otherwise.
     """
-    r = len(key)
-    if r < 2:
-        return False
-    counts = [0, 0, 0]
+    c0 = c2 = 0
     for c in key:
-        counts[c.k] += 1
-    degsum = counts[1] + 2 * counts[2]
-    if degsum - r > 0 or not (0 <= degsum + 2 - r <= 2):
-        return False
-    return counts[0] <= 2 and counts[2] <= 1
+        if c.k == 0:
+            c0 += 1
+        elif c.k == 2:
+            c2 += 1
+    return len(key) >= 2 and c0 <= 2 and c2 <= 1 and c2 <= c0 <= c2 + 2
 
 
 def _chains(table, r, degrees):
@@ -175,6 +180,32 @@ def _chains(table, r, degrees):
                  for k in degrees for j in range(1, n + 1)
                  for cls in table.classes[(k, v, j)]]
     return [key for _, key in level]
+
+
+def _grow(table):
+    """The levels r = 1..r_max of composable display tuples (end vertex,
+    key, c0, c2) with c0 <= 2 and c2 <= 1, as (r, level).
+
+    Grown as _chains grows them, in the same order, but a partial tuple
+    with c0 > 2 or c2 > 1 is dropped as soon as it appears: the counts
+    only grow, so no extension of it is tabulated.
+    """
+    n = table.rsys.alg.n
+    starts = {v: [(k, [cls for j in range(1, n + 1)
+                       for cls in table.classes[(k, v, j)]])
+                  for k in range(3)]
+              for v in range(1, n + 1)}
+    level = [(i, (), 0, 0) for i in range(1, n + 1)]
+    for r in range(1, table.r_max + 1):
+        grown = []
+        for v, key, c0, c2 in level:
+            for k, classes in starts[v]:
+                d0, d2 = c0 + (k == 0), c2 + (k == 2)
+                if d0 <= 2 and d2 <= 1:
+                    grown += [(cls.j, (cls,) + key, d0, d2)
+                              for cls in classes]
+        level = grown
+        yield r, level
 
 
 class AInfTable:
@@ -209,9 +240,9 @@ class AInfTable:
         self.units = frozenset(self._checked_unit(i) for i in range(1, n + 1))
         self.m_table = {}
         memo = {}
-        for r in range(2, r_max + 1):
-            for key in _chains(self, r, (0, 1, 2)):
-                if not _tabulated(key):
+        for r, level in _grow(self):
+            for _, key, c0, c2 in level:
+                if r < 2 or not c2 <= c0 <= c2 + 2:  # _tabulated
                     continue
                 if self.units.isdisjoint(key):
                     self.m_table[key] = self._compute_m(key, memo)
@@ -353,25 +384,45 @@ def stasheff_check(table: AInfTable, k: int) -> bool:
     Evaluates sum of b'_{r+1+u}(id^r (x) b'_t (x) id^u) over r+t+u = k on
     every composable length-k tuple of Ext^{<=1} classes, with the Koszul
     sign from moving b'_t past the left factors.
+
+    The inner values are read off bp_table.  An inner slice mid has t
+    classes of degree <= 1, with t <= k <= r_max, so its c2 is 0 and its
+    degree sum minus t is -c0.  A 1-tuple has b' = 0.  For t >= 2, mid is
+    in range when 0 <= 2 - c0, that is c0 <= 2; then it is tabulated
+    (c2 = 0 <= c0 <= 2 = c2 + 2), so a key of m_table, and b'(mid) is
+    bp_table's entry or {} when m(mid) = 0.  Out of range, b'(mid) = 0.
+    So b'(mid) is bp_table.get(mid, {}) and never raises; the entries of
+    degree <= 1 are indexed by their first class, in increasing t, which
+    is the (left, t) order of the sum.  The outer values go through
+    bprime unless they are in bp_table, so an untabulated outer key
+    raises as bprime does.
     """
     if k > table.r_max:
         raise ValueError("k exceeds r_max")
+    bp = table.bp_table
+    starts = {}
+    for mid, inner in sorted(bp.items(), key=lambda item: len(item[0])):
+        if len(mid) <= k and all(c.k <= 1 for c in mid):
+            starts.setdefault(mid[0], []).append((len(mid), mid, inner))
     for key in _chains(table, k, (0, 1)):
         acc = {}
-        for left in range(0, k):
-            for t in range(1, k - left + 1):
-                mid = key[left:left + t]
-                right = key[left + t:]
-                inner = table.bprime(mid)
-                if not inner:
+        koszul = 0  # sum of |a| - 1 over key[:left]
+        for left, first in enumerate(key):
+            sign = -1 if koszul % 2 == 1 else 1
+            for t, mid, inner in starts.get(first, ()):
+                if t > k - left:
+                    break
+                if key[left:left + t] != mid:
                     continue
-                koszul = sum(c.k - 1 for c in key[:left])
-                sign = -1 if koszul % 2 == 1 else 1
+                head, right = key[:left], key[left + t:]
                 for cls, c in inner.items():
-                    new_key = key[:left] + (cls,) + right
-                    outer = table.bprime(new_key)
+                    new_key = head + (cls,) + right
+                    outer = bp.get(new_key)
+                    if outer is None:
+                        outer = table.bprime(new_key)
                     if outer:
                         _add_into(acc, outer, sign * c)
+            koszul += first.k - 1
         if acc:
             return False
     return True

@@ -178,15 +178,37 @@ class Bocs:
     def _sandwich(self, b, u, c):
         """b.u.c for a degree-1 word vector u between B elements b and c,
         multiplied through B's structure table."""
-        B = self.B
         out = [ZERO] * self.u1_dim
-        for idx, x in enumerate(u):
-            if x != 0:
-                p2, g, p1 = self.u1_basis[idx]
-                word = self._word(B.multiply(b, B.basis_vec(p2)), g,
-                                  B.multiply(B.basis_vec(p1), c))
-                out = [a + x * y for a, y in zip(out, word)]
+        self._add_sandwich(out, b, u, c)
         return tuple(out)
+
+    def _add_sandwich(self, out, b, u, c):
+        """Add b.u.c into the word vector out, over the nonzeros of b, u
+        and c: the word p2.g.p1 goes to (b p2).g.(p1 c), each side read
+        off B's sparse table once per p2 and per p1."""
+        table, index = self.B.table, self.u1_index
+        bs = [(i, x) for i, x in enumerate(b) if x != 0]
+        cs = [(j, y) for j, y in enumerate(c) if y != 0]
+        lefts, rights = {}, {}
+        for idx, x in enumerate(u):
+            if x == 0:
+                continue
+            p2, g, p1 = self.u1_basis[idx]
+            left = lefts.get(p2)
+            if left is None:
+                left = lefts[p2] = _sum_terms(
+                    (q2, bx * d) for i, bx in bs
+                    for q2, d in table[i][p2].items()).items()
+            right = rights.get(p1)
+            if right is None:
+                right = rights[p1] = _sum_terms(
+                    (q1, d * cy) for j, cy in cs
+                    for q1, d in table[p1][j].items()).items()
+            for q2, bx in left:
+                for q1, cy in right:
+                    k = index.get((q2, g, q1))
+                    if k is not None:
+                        out[k] += x * bx * cy
 
     def _b_elt(self, chunk, start_vertex):
         """Product in B of the dual arrows of a display-ordered chunk."""
@@ -227,8 +249,7 @@ class Bocs:
         for t, name in enumerate(names):
             pre = _path_vec(B, self.arrow_idx,
                             B.quiver.arrow_target(name), names[t + 1:])
-            mid = self._sandwich(pre, self.dprime_arrow[name], suffix)
-            vec = [a + b for a, b in zip(vec, mid)]
+            self._add_sandwich(vec, pre, self.dprime_arrow[name], suffix)
             suffix = B.multiply(B.basis_vec(self.arrow_idx[name]), suffix)
         out = tuple(vec)
         self._dpath_cache[k] = out

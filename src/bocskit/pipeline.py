@@ -214,7 +214,7 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
     run.stage("validate_coalgebra")
     run.require_coalgebra(bocs)
     for k in range(1, bocs.table.r_max + 1):
-        run.require(stasheff_check(bocs.table, k),
+        run.require(run.call(stasheff_check, bocs.table, k),
                     "higher-product identity failed", {"k": k})
 
     run.stage("classify_bocs")

@@ -18,8 +18,12 @@ those references run on (outer, kron_apply), the counit identities read
 through it on mu in the dense layout of its document, the dense
 associativity check that Algebra.check_associativity replaced, the trace
 form summed over every ordered pair, the Auslander algebras,
-null-homotopy by a homotopy solve against the radical criterion, and the
-Ext comparison of A with a factor algebra A/AeA (reduction_check).
+null-homotopy by a homotopy solve against the radical criterion, the
+Ext comparison of A with a factor algebra A/AeA (reduction_check), the
+A-infinity table keys enumerated over every composable tuple and the
+Stasheff check through bprime on every slice, which the growth of the
+tabulated tuples and the bp_table reads replaced, and the dense word
+sandwich b.u.c that the sparse one replaced.
 """
 
 from collections import namedtuple
@@ -28,7 +32,9 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from bocskit.bocs import (Bocs, TensorModule, _hom_source, bocs_compose,
+from bocskit.ainf import AInfTable, _add_into, _chains
+from bocskit.bocs import (Bocs, TensorModule, _hom_source, _path_vec,
+                          bocs_compose,
                           bocs_hom_basis, bocs_lift, pair_image,
                           tensor_module)
 from bocskit.io import mu_to_matrix
@@ -805,3 +811,86 @@ def reduction_check(alg: Algebra, order, i: int):
             "dims_A": dims_A,
             "dims_Aprime": dims_Q,
             "equal": dims_A == dims_Q}
+
+
+# -- A-infinity tables ------------------------------------------------------
+
+
+def _reference_tabulated(key):
+    """The range test of the table before it grew only the tabulated
+    tuples, on the degree sum."""
+    r = len(key)
+    if r < 2:
+        return False
+    counts = [0, 0, 0]
+    for c in key:
+        counts[c.k] += 1
+    degsum = counts[1] + 2 * counts[2]
+    if degsum - r > 0 or not (0 <= degsum + 2 - r <= 2):
+        return False
+    return counts[0] <= 2 and counts[2] <= 1
+
+
+def reference_tabulated_keys(table: AInfTable):
+    """The keys of m_table as the table enumerated them before it grew
+    only the tabulated tuples: every composable tuple of 2..r_max classes
+    in _chains order, filtered through the range test."""
+    return [key for r in range(2, table.r_max + 1)
+            for key in _chains(table, r, (0, 1, 2))
+            if _reference_tabulated(key)]
+
+
+def reference_stasheff_check(table: AInfTable, k: int) -> bool:
+    """stasheff_check as it was before it read the inner values off
+    bp_table: bprime on every (left, t) slice of every chain."""
+    if k > table.r_max:
+        raise ValueError("k exceeds r_max")
+    for key in _chains(table, k, (0, 1)):
+        acc = {}
+        for left in range(0, k):
+            for t in range(1, k - left + 1):
+                mid = key[left:left + t]
+                right = key[left + t:]
+                inner = table.bprime(mid)
+                if not inner:
+                    continue
+                koszul = sum(c.k - 1 for c in key[:left])
+                sign = -1 if koszul % 2 == 1 else 1
+                for cls, c in inner.items():
+                    new_key = key[:left] + (cls,) + right
+                    outer = table.bprime(new_key)
+                    if outer:
+                        _add_into(acc, outer, sign * c)
+        if acc:
+            return False
+    return True
+
+
+def reference_sandwich(bocs: Bocs, b, u, c):
+    """Bocs._sandwich as it was before it summed over the nonzeros: one
+    dense word per index of u, added into a rebuilt vector."""
+    B = bocs.B
+    out = [ZERO] * bocs.u1_dim
+    for idx, x in enumerate(u):
+        if x != 0:
+            p2, g, p1 = bocs.u1_basis[idx]
+            word = bocs._word(B.multiply(b, B.basis_vec(p2)), g,
+                              B.multiply(B.basis_vec(p1), c))
+            out = [a + x * y for a, y in zip(out, word)]
+    return tuple(out)
+
+
+def reference_dprime_path(bocs: Bocs, k: int):
+    """Bocs._dprime_path as it was before the sparse sandwich: d' of the
+    basis path k of B, one rebuilt vector per arrow of the path."""
+    B = bocs.B
+    source, names = B.paths[k]
+    vec = [ZERO] * bocs.u1_dim
+    suffix = B.idempotent(source)
+    for t, name in enumerate(names):
+        pre = _path_vec(B, bocs.arrow_idx,
+                        B.quiver.arrow_target(name), names[t + 1:])
+        mid = reference_sandwich(bocs, pre, bocs.dprime_arrow[name], suffix)
+        vec = [a + b for a, b in zip(vec, mid)]
+        suffix = B.multiply(B.basis_vec(bocs.arrow_idx[name]), suffix)
+    return tuple(vec)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,9 @@ from bocskit.resolution import (HodgeData, ResolvedSystem, differential,
                                 ext_basis, hodge_data)
 from bocskit.strata import classify_algebra, standard_modules
 
-from helpers import all_classes, is_null_homotopic, monomial_algebras
+from helpers import (all_classes, auslander, is_null_homotopic,
+                     monomial_algebras, reference_stasheff_check,
+                     reference_tabulated_keys)
 
 
 def pdelta_tables(alg, r_max=5):
@@ -477,3 +480,100 @@ def test_ext_classes_are_tuples_of_their_fields(e2):
         assert repr(cls) == f"H{cls.k}({cls.i}->{cls.j})#{cls.idx}"
     assert repr(ExtClass(1, 2, 3, 0)) == "H1(2->3)#0"
     assert ExtClass(1, 2, 3, 0) != ExtClass(1, 2, 3, 1)
+
+
+@pytest.fixture(scope="module")
+def differential_tables(mixed_algebras, qh2):
+    """Tables at r_max 4 to 6: e0-e3 in their filtered modes, qh2, the
+    mixed algebras in both modes, and the Auslander algebras of K[x]/(x^2)
+    and K[x]/(x^3) in both modes."""
+    systems = [standard_modules(alg, mode=mode)
+               for alg in mixed_algebras for mode in ("delta", "pdelta")]
+    systems += [standard_modules(auslander(n), list(range(n, 0, -1)),
+                                 mode=mode)
+                for n in (2, 3) for mode in ("delta", "pdelta")]
+    tables = [build_tables(ResolvedSystem(system), r_max=4 + n % 3)
+              for n, system in enumerate(systems)]
+    for alg, mode in ((example_semisimple_pair(), "pdelta"),
+                      (example_dual_numbers(), "pdelta"),
+                      (example_a2(), "delta"), (example_jordan3(), "pdelta")):
+        rsys = ResolvedSystem(standard_modules(alg, mode=mode))
+        tables.append(build_tables(rsys, r_max=6))
+    return tables + [qh2[0]]
+
+
+def test_grown_keys_are_the_reference_enumeration(differential_tables):
+    for tab in differential_tables:
+        assert list(tab.m_table) == reference_tabulated_keys(tab)
+
+
+def _same_verdicts(tab):
+    """stasheff_check and the reference agree for every k <= r_max, on
+    the verdict or the ValueError message; the verdicts, None on a raise."""
+    out = []
+    for k in range(1, tab.r_max + 2):
+        try:
+            want = reference_stasheff_check(tab, k)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                stasheff_check(tab, k)
+            assert str(got.value) == str(e)
+            out.append(None)
+            continue
+        assert stasheff_check(tab, k) == want
+        out.append(want)
+    return out
+
+
+def test_stasheff_check_is_the_reference(differential_tables):
+    # on every table, and on the table with one bp_table entry doubled
+    # or negated at a time; some such mutation fails the identity
+    failed = 0
+    for tab in differential_tables:
+        assert _same_verdicts(tab) == [True] * tab.r_max + [None]
+        for key, coeffs in list(tab.bp_table.items()):
+            for factor in (2, -1):
+                tab.bp_table[key] = {c: factor * v for c, v in coeffs.items()}
+                failed += False in _same_verdicts(tab)
+            tab.bp_table[key] = coeffs
+    assert failed
+
+
+def test_stasheff_check_raises_as_the_reference_on_a_deleted_outer_key(
+        differential_tables):
+    # a key holding a degree-2 class is never an inner slice, so the
+    # check can only read it as an outer value
+    raised = 0
+    for tab in differential_tables:
+        for key in [key for key in tab.bp_table if any(c.k == 2 for c in key)]:
+            m, bp = tab.m_table.pop(key), tab.bp_table.pop(key)
+            raised += None in _same_verdicts(tab)[:-1]
+            tab.m_table[key], tab.bp_table[key] = m, bp
+    assert raised
+
+
+def test_the_table_grows_only_the_tabulated_tuples(monkeypatch):
+    # e1 at r_max 6 has 258 partial tuples with c0 <= 2 and c2 <= 1 over
+    # levels 1-6, against 1,089 composable tuples of 2-6 classes; the
+    # table neither enumerates whole chains nor tests tuples one by one
+    calls, grown = Counter(), [0]
+    real_grow = ainf._grow
+
+    def counted_grow(table):
+        for r, level in real_grow(table):
+            grown[0] += len(level)
+            yield r, level
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(ainf, "_grow", counted_grow)
+    for name in ("_chains", "_tabulated"):
+        monkeypatch.setattr(ainf, name, counted(name, getattr(ainf, name)))
+    tab, _ = pdelta_tables(example_dual_numbers(), r_max=6)
+    assert grown[0] <= 258
+    assert calls == Counter()
+    assert len(tab.m_table) == 235

@@ -25,6 +25,7 @@ from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
 
 from helpers import (auslander, bocs_identity, cube_coassociativity,
                      dense_counit_identities, pair_layout,
+                     reference_dprime_path, reference_sandwich,
                      reference_tensor_module, reference_validate_coalgebra,
                      zero_module)
 
@@ -168,6 +169,29 @@ def test_right_basis_presentation_agrees_with_balanced_relations(
         assert got == reference_validate_coalgebra(b)
         assert got["coassociativity"] == cube_coassociativity(b)
         assert (got["coassociativity"] is None) == (b is not perturbed_jordan3)
+
+
+def test_sandwiches_are_the_dense_reference(fixture_bocses, corpus_bocses,
+                                            auslander_bocses):
+    # every sandwich that W's killed rows and bimodule action are built
+    # from, and d' of every basis path, as the dense per-word sum gives
+    # them, entry types included
+    bocses = list(fixture_bocses.values())
+    bocses += [b for _, _, b in corpus_bocses.values()]
+    for b in bocses + auslander_bocses:
+        B = b.B
+        basis = [B.basis_vec(k) for k in range(B.dim)]
+        unit, words = B.unit(), b.w_sect.columns()
+        triples = [(x, b.dprime_arrow[name], y)
+                   for name, _ in b.duals.q0 for x in basis for y in basis]
+        triples += [(x, u, unit) for x in basis for u in words]
+        triples += [(unit, u, y) for y in basis for u in words]
+        for x, u, y in triples:
+            got, want = b._sandwich(x, u, y), reference_sandwich(b, x, u, y)
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
+        for k in range(B.dim):
+            assert b._dprime_path(k) == reference_dprime_path(b, k)
 
 
 def test_a_perturbed_mu_fails_only_coassociativity_in_both_checks(

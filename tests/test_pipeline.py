@@ -8,6 +8,7 @@ import pytest
 
 from bocskit import bocs as bocs_module
 from bocskit import io as bio
+from bocskit.ainf import ExtClass
 from bocskit.bocs import construct_bocs
 from bocskit.pipeline import (PipelineError, indecomposables_up_to,
                               roundtrip_bocs, run_pipeline)
@@ -79,6 +80,27 @@ def test_a_failed_coalgebra_axiom_and_its_element_are_the_witness(
         assert exc.value.message == (
             "coalgebra axiom violated: counit-left at w0")
         assert exc.value.witness == {"axiom": "counit-left", "at": "w0"}
+
+
+def test_an_untabulated_product_fails_at_validate_coalgebra(monkeypatch):
+    # the Stasheff check of e1 at k = 3 reads b'(z, e) as the outer value
+    # of the chain (y, y, e), with b'(y, y) = z; without it in the table
+    # the lookup raises, inside the stage
+    import bocskit.pipeline as pipeline
+
+    e, z = ExtClass(0, 1, 1, 0), ExtClass(2, 1, 1, 0)
+
+    def untabulated(*args, **kwargs):
+        b = construct_bocs(*args, **kwargs)
+        del b.table.m_table[z, e], b.table.bp_table[z, e]
+        return b
+
+    monkeypatch.setattr(pipeline, "construct_bocs", untabulated)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(example_dual_numbers())
+    assert exc.value.stage == "validate_coalgebra"
+    assert exc.value.message == f"tuple not tabulated: {(z, e)}"
+    assert isinstance(exc.value.__cause__, ValueError)
 
 
 def test_a_fixture_pass_builds_one_tensor_module_per_module_content(
