@@ -33,8 +33,7 @@ from collections import namedtuple
 from operator import le, lt
 
 from .ainf import AInfTable, build_tables
-from .linalg import (Matrix, Span, ZERO, complement_pivots, frac, nonzeros,
-                     vec_is_zero)
+from .linalg import Matrix, Span, ZERO, complement_pivots, frac, vec_is_zero
 from .modules import FDModule, ModuleMap, hom_basis
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 from .resolution import ResolvedSystem
@@ -276,13 +275,27 @@ class Bocs:
             p2, gi, p1 = self.u1_basis[c]
             self.w_block.append((B.btarget[p2], B.bsource[p1]))
         # bimodule action on W
+        self._proj_cols = self.w_proj.nonzero_columns()
         words, unit = self.w_sect.columns(), B.unit()
-        self.WL = [Matrix.from_columns([
-            self.w_proj.apply(self._sandwich(b, u, unit)) for u in words])
-            for b in basis]
-        self.WR = [Matrix.from_columns([
-            self.w_proj.apply(self._sandwich(unit, u, c)) for u in words])
-            for c in basis]
+        self.WL = [self._on_w([self._sandwich(b, u, unit) for u in words])
+                   for b in basis]
+        self.WR = [self._on_w([self._sandwich(unit, u, c) for u in words])
+                   for c in basis]
+
+    def _project(self, u) -> dict:
+        """The nonzero coordinates {w: a} in W of a degree-1 word vector u:
+        the columns of w_proj at the nonzeros of u, summed."""
+        cols = self._proj_cols
+        return _sum_terms((w, x * a) for k, x in enumerate(u) if x
+                          for w, a in cols[k])
+
+    def _on_w(self, words) -> Matrix:
+        """The w_dim x len(words) matrix of the projections of words."""
+        data = [[ZERO] * len(words) for _ in range(self.w_dim)]
+        for j, u in enumerate(words):
+            for w, a in self._project(u).items():
+                data[w][j] = a
+        return Matrix(self.w_dim, len(words), data)
 
     # -- counit -----------------------------------------------------------
 
@@ -327,8 +340,8 @@ class Bocs:
                 terms.append((coeff * c2,
                               self._word(B.multiply(b2, lp), gl, mp),
                               self._word(unit, gr, B.multiply(rp, b1))))
-        sides = [(c, nonzeros(self.w_proj.apply(left)).items(),
-                  nonzeros(self.w_proj.apply(right)).items())
+        sides = [(c, self._project(left).items(),
+                  self._project(right).items())
                  for c, left, right in terms]
         return sorted(k + (frac(a),) for k, a in _sum_terms(
             ((w1, w2), c * a * b) for c, lhs, rhs in sides

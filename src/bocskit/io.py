@@ -4,6 +4,15 @@ Exact rationals travel as "p/q" strings; keys are emitted sorted so equal
 inputs produce byte-identical documents.  Bocs documents carry full
 structure constants and are re-ingestable without the originating
 algebra; only here is mu written in its dense layout (mu_to_matrix).
+
+emit writes a document in one recursive pass over its dicts (str keys),
+lists, tuples, strs, ints, bools and None, and its text is byte-identical
+to json.dumps(doc, sort_keys=True, indent=2) + "\n"; a document holding
+anything else (a float, a key that is not a str, a subclass) is handed
+whole to json.dumps.  The number tokens of a matrix row, a kernel_basis
+vector or a kernel_generators vector are read from a table of the
+canonical integers str(k), |k| <= _TABLE_BOUND; a row with any other
+token is read token by token through str_to_frac, with its pointers.
 """
 
 from __future__ import annotations
@@ -62,8 +71,25 @@ def str_to_frac(s, pointer: str) -> Scalar:
 
 
 def matrix_to_lists(m: Matrix):
-    return {"rows": m.rows, "cols": m.cols,
-            "data": [[frac_to_str(x) for x in row] for row in m.data]}
+    # an int is its own canonical scalar, so its token is str
+    data = ([list(map(str, row)) for row in m.data] if m.ints
+            else [[frac_to_str(x) for x in row] for row in m.data])
+    return {"rows": m.rows, "cols": m.cols, "data": data}
+
+
+# The canonical integer tokens and their values: most entries of a document
+_TABLE_BOUND = 1024
+_TOKENS = {str(k): k for k in range(-_TABLE_BOUND, _TABLE_BOUND + 1)}
+
+
+def _scalars(row: list, pointer: str) -> list:
+    """The scalars of a list of number tokens, entry c refused at
+    pointer/c.  A row of table tokens is read in one pass; any other
+    row goes through str_to_frac entry by entry."""
+    try:
+        return list(map(_TOKENS.__getitem__, row))
+    except (KeyError, TypeError):  # another token, or an unhashable entry
+        return [str_to_frac(x, f"{pointer}/{c}") for c, x in enumerate(row)]
 
 
 def lists_to_matrix(obj, pointer: str) -> Matrix:
@@ -71,15 +97,14 @@ def lists_to_matrix(obj, pointer: str) -> Matrix:
     _expect(_is_int(obj.get("rows")), pointer + "/rows")
     _expect(_is_int(obj.get("cols")), pointer + "/cols")
     data = obj.get("data")
-    _expect(isinstance(data, list) and len(data) == obj["rows"],
-            pointer + "/data")
+    rows, cols = obj["rows"], obj["cols"]
+    _expect(isinstance(data, list) and len(data) == rows, pointer + "/data")
     grid = []
     for r, row in enumerate(data):
-        _expect(isinstance(row, list) and len(row) == obj["cols"],
-                f"{pointer}/data/{r}")
-        grid.append([str_to_frac(x, f"{pointer}/data/{r}/{c}")
-                     for c, x in enumerate(row)])
-    return Matrix(obj["rows"], obj["cols"], grid)
+        if not (isinstance(row, list) and len(row) == cols):
+            _fail(f"{pointer}/data/{r}")
+        grid.append(_scalars(row, f"{pointer}/data/{r}"))
+    return Matrix(rows, cols, grid)
 
 
 def mu_to_matrix(mu) -> Matrix:
@@ -99,8 +124,68 @@ def matrix_to_mu(m: Matrix) -> list:
             for col in m.nonzero_columns()]
 
 
+_esc = json.encoder.encode_basestring_ascii
+_STR = frozenset((str,))
+
+
+class _Unwritable(Exception):
+    """A value _write leaves to json.dumps."""
+
+
+def _write(out: list, obj, nl: str):
+    """Append the pieces of obj as json.dumps(sort_keys=True, indent=2)
+    writes it, nl being the newline and indent of obj's own line;
+    _Unwritable on a value of another type."""
+    t = type(obj)
+    if t is str:
+        out.append(_esc(obj))
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is dict or t is list or t is tuple:
+        if not obj:
+            out.append("{}" if t is dict else "[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if t is dict:
+            if not _STR.issuperset(map(type, obj)):
+                raise _Unwritable
+            lead = "{" + inner
+            for k in sorted(obj):
+                out += lead, _esc(k), ": "
+                _write(out, obj[k], inner)
+                lead = sep
+            out += nl, "}"
+        elif _STR.issuperset(map(type, obj)):
+            out += "[", inner, sep.join(map(_esc, obj)), nl, "]"
+        else:
+            lead = "[" + inner
+            for x in obj:
+                out.append(lead)
+                _write(out, x, inner)
+                lead = sep
+            out += nl, "]"
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif obj is None:
+        out.append("null")
+    else:
+        raise _Unwritable
+
+
 def emit(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The canonical text of doc: json.dumps(doc, sort_keys=True,
+    indent=2) + "\n", written by _write unless doc holds a value only
+    json.dumps writes."""
+    out = []
+    try:
+        _write(out, doc, "\n")
+    except (_Unwritable, RecursionError):
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def algebra_digest(doc: dict) -> str:
@@ -334,9 +419,7 @@ def doc_to_bocs(doc: dict):
     for k, v in enumerate(kb):
         _expect(isinstance(v, list) and len(v) == w_dim,
                 f"/kernel_basis/{k}")
-        kernel_basis.append(tuple(
-            str_to_frac(x, f"/kernel_basis/{k}/{c}")
-            for c, x in enumerate(v)))
+        kernel_basis.append(tuple(_scalars(v, f"/kernel_basis/{k}")))
     kg = doc.get("kernel_generators")
     _expect(isinstance(kg, list), "/kernel_generators")
     kernel_generators = []
@@ -346,9 +429,7 @@ def doc_to_bocs(doc: dict):
         a, b, v = item
         _expect(is_vertex(a) and is_vertex(b), p)
         _expect(isinstance(v, list) and len(v) == w_dim, p)
-        kernel_generators.append(
-            (a, b, tuple(str_to_frac(x, f"{p}/{c}")
-                         for c, x in enumerate(v))))
+        kernel_generators.append((a, b, tuple(_scalars(v, p))))
     dd = doc.get("d")
     _expect(isinstance(dd, list), "/d")
     for k, item in enumerate(dd):

@@ -2,11 +2,16 @@
 
 Everything downstream (path algebras, module categories, Ext computations,
 bocs structure constants) reduces to row operations on matrices of exact
-scalars.  A scalar is a Python `int` when it is integral and a
-`fractions.Fraction` only when it is not: both are exact, and int
-arithmetic is much cheaper.  `frac` brings an input to that form
-and refuses floats; `qdiv` is the one division, since `int / int` would be
-a float.  Matrices are immutable; all operations return fresh objects.
+scalars.  A scalar is a Python `int` or a `fractions.Fraction`: both are
+exact, and int arithmetic is much cheaper.  `frac` brings a scalar to its
+canonical form, an `int` when it is integral and a `Fraction` only when it
+is not, and refuses floats; `qdiv` is the one division, since `int / int`
+would be a float.  Every `Matrix` entry is canonical.  The vectors the
+kernel returns outside a Matrix (the rows of `rref_rows` and so
+`Span.rows`, `kernel_basis`, `solve`, and `Matrix.apply`) are not: a
+difference or sum of Fractions stays a Fraction, so they may hold an
+integral `Fraction`, equal in value to its `int`.
+Matrices are immutable; all operations return fresh objects.
 A Matrix records whether all its entries are ints (`ints`), which its
 constructor's scan decides anyway, so a product of two all-int factors
 needs no scan: int products and sums stay ints.

@@ -153,7 +153,10 @@ def indecomposables_up_to(alg, bound):
 
     Every subquotient rad^a P(i) / rad^b P(i) of total dimension at most
     the bound is tested for indecomposability through its endomorphism
-    algebra.  For serial algebras this enumeration is complete.
+    algebra, except the quotients P(i) / rad^b P(i) (a = 0): their top is
+    the simple S(i), and a direct sum of two nonzero modules has a top of
+    dimension at least 2, so they are indecomposable (End is local, with
+    End / rad = K).  For serial algebras this enumeration is complete.
     """
     loewy = max(alg.bdegree) + 1
     found = []
@@ -170,7 +173,7 @@ def indecomposables_up_to(alg, bound):
                     cand, _ = submodule(Q, vecs)
                 if cand.total == 0 or cand.total > bound:
                     continue
-                if not _is_indecomposable(cand):
+                if a > 0 and not _is_indecomposable(cand):
                     continue
                 if any(is_isomorphic(cand, other) for other in found):
                     continue

@@ -179,17 +179,23 @@ class Classification:
 def classify_algebra(alg: Algebra, order=None) -> Classification:
     order = _normalize_order(alg, order)
     rank = {v: k for k, v in enumerate(order)}
-    systems = {}
-    certificates = {}
-    for mode in MODES:
-        system = standard_modules(alg, order, mode)
-        systems[mode] = system
-        certs = {}
-        for i in range(1, alg.n + 1):
-            allowed = [j for j in range(1, alg.n + 1)
-                       if rank[j] >= rank[i]]
-            certs[i] = theta_filtration(projective(alg, i), system, allowed)
-        certificates[mode] = certs
+
+    def certify(system):
+        return {i: theta_filtration(projective(alg, i), system,
+                                    [j for j in range(1, alg.n + 1)
+                                     if rank[j] >= rank[i]])
+                for i in range(1, alg.n + 1)}
+
+    delta = standard_modules(alg, order, "delta")
+    pdelta = standard_modules(alg, order, "pdelta")
+    systems = {"delta": delta, "pdelta": pdelta}
+    certificates = {"delta": certify(delta)}
+    # The search reads only the system's modules, their tops and the order,
+    # so when every standard module equals its proper one the pdelta
+    # certificates are the delta ones.
+    certificates["pdelta"] = (certificates["delta"]
+                              if pdelta.modules == delta.modules
+                              else certify(pdelta))
 
     cls = Classification(None, order, systems, certificates)
     delta_ok, pdelta_ok = cls.filtered("delta"), cls.filtered("pdelta")

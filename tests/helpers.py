@@ -22,10 +22,14 @@ null-homotopy by a homotopy solve against the radical criterion, the
 Ext comparison of A with a factor algebra A/AeA (reduction_check), the
 A-infinity table keys enumerated over every composable tuple and the
 Stasheff check through bprime on every slice, which the growth of the
-tabulated tuples and the bp_table reads replaced, and the dense word
-sandwich b.u.c that the sparse one replaced.
+tabulated tuples and the bp_table reads replaced, the dense word
+sandwich b.u.c that the sparse one replaced, the bimodule action and mu
+of a bocs through the dense projection onto W that the sparse columns
+replaced, and the enumeration of indecomposables that tested every
+candidate through its endomorphism algebra.
 """
 
+import copy
 from collections import namedtuple
 from types import SimpleNamespace
 from typing import Sequence
@@ -42,7 +46,9 @@ from bocskit.linalg import (ONE, ZERO, MapSpace, Matrix, Span, nonzeros,
                             vec_is_zero)
 from bocskit.modules import (FDModule, ModuleMap, _from_arrow_blocks,
                              _trace_pairing, from_generators, hom_basis,
-                             quotient, radical_vectors, submodule)
+                             is_isomorphic, projective, quotient,
+                             radical_vectors, submodule)
+from bocskit.pipeline import _is_indecomposable
 from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
                             build_algebra, from_structure_constants)
 from bocskit.resolution import (GradedMap, ResolvedSystem, _flatten_graded,
@@ -894,3 +900,49 @@ def reference_dprime_path(bocs: Bocs, k: int):
         vec = [a + b for a, b in zip(vec, mid)]
         suffix = B.multiply(B.basis_vec(bocs.arrow_idx[name]), suffix)
     return tuple(vec)
+
+
+def dense_projection_parts(bocs: Bocs):
+    """(WL, WR, mu) of a bocs built from words, each sandwich and each word
+    of d' projected onto W by the dense product w_proj.apply, as
+    Bocs._build_w and Bocs._dprime_terms did before the sparse columns."""
+    B = bocs.B
+    basis = [B.basis_vec(k) for k in range(B.dim)]
+    words, unit = bocs.w_sect.columns(), B.unit()
+    WL = [Matrix.from_columns([
+        bocs.w_proj.apply(bocs._sandwich(b, u, unit)) for u in words])
+        for b in basis]
+    WR = [Matrix.from_columns([
+        bocs.w_proj.apply(bocs._sandwich(unit, u, c)) for u in words])
+        for c in basis]
+    dense = copy.copy(bocs)
+    dense._project = lambda u: nonzeros(bocs.w_proj.apply(u))
+    return WL, WR, [dense._dprime_terms(u) for u in words]
+
+
+def reference_indecomposables(alg: Algebra, bound: int):
+    """pipeline.indecomposables_up_to as it was before the local
+    candidates P(i) / rad^b P(i) skipped End: every candidate through
+    _is_indecomposable."""
+    loewy = max(alg.bdegree) + 1
+    found = []
+    for i in range(1, alg.n + 1):
+        P = projective(alg, i)
+        for b in range(1, loewy + 1):
+            Q, proj, _ = quotient(P, radical_vectors(P, b))
+            for a in range(0, b):
+                if a == 0:
+                    cand = Q
+                else:
+                    vecs = [tuple(proj.mat.apply(v))
+                            for v in radical_vectors(P, a)]
+                    cand, _ = submodule(Q, vecs)
+                if cand.total == 0 or cand.total > bound:
+                    continue
+                if not _is_indecomposable(cand):
+                    continue
+                if any(is_isomorphic(cand, other) for other in found):
+                    continue
+                found.append(cand)
+    found.sort(key=lambda M: (M.total, M.dims))
+    return found

@@ -24,7 +24,8 @@ from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_jordan3, example_semisimple_pair)
 
 from helpers import (auslander, bocs_identity, cube_coassociativity,
-                     dense_counit_identities, pair_layout,
+                     dense_counit_identities, dense_projection_parts,
+                     pair_layout,
                      reference_dprime_path, reference_sandwich,
                      reference_tensor_module, reference_validate_coalgebra,
                      zero_module)
@@ -192,6 +193,21 @@ def test_sandwiches_are_the_dense_reference(fixture_bocses, corpus_bocses,
             assert list(map(type, got)) == list(map(type, want))
         for k in range(B.dim):
             assert b._dprime_path(k) == reference_dprime_path(b, k)
+
+
+def test_w_actions_and_mu_are_the_dense_projection(
+        fixture_bocses, corpus_bocses, auslander_bocses):
+    # WL, WR and mu read off the nonzero columns of w_proj equal, entry
+    # types included, what the dense product w_proj.apply gives
+    bocses = list(fixture_bocses.values())
+    bocses += [b for _, _, b in corpus_bocses.values()]
+    for b in bocses + auslander_bocses:
+        WL, WR, mu = dense_projection_parts(b)
+        assert (b.WL, b.WR, b.mu) == (WL, WR, mu)
+        for got, want in zip(b.WL + b.WR, WL + WR):
+            assert list(map(type, got.flat())) == list(map(type, want.flat()))
+        assert ([[type(c) for _, _, c in terms] for terms in b.mu]
+                == [[type(c) for _, _, c in terms] for terms in mu])
 
 
 def test_a_perturbed_mu_fails_only_coassociativity_in_both_checks(

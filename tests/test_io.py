@@ -1,14 +1,19 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bocskit import io as bio
 from bocskit.bocs import classify_bocs, construct_bocs
 from bocskit.burt_butler import right_algebra, standard_check
 from bocskit.linalg import frac
+from bocskit.pipeline import PipelineError, roundtrip_bocs, run_pipeline
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
+
+from helpers import auslander
 
 
 @pytest.fixture(scope="module")
@@ -300,13 +305,149 @@ def test_number_tokens_are_bounded():
             bio.str_to_frac(token, "/x")
 
 
+_CANONICAL_TOKENS = ["0", "-0", "+7", "007", "-12", "9" * 1000, "6/3",
+                     "-2/3", "+4/6", "0/5", "0.5", "-2.0", "1.25", "+3.000"]
+
+
 def test_number_tokens_parse_to_their_canonical_scalar():
     # integer tokens take the int path; p/q and decimals go through Fraction
-    for token in ["0", "-0", "+7", "007", "-12", "9" * 1000, "6/3", "-2/3",
-                  "+4/6", "0/5", "0.5", "-2.0", "1.25", "+3.000"]:
+    for token in _CANONICAL_TOKENS:
         want = frac(Fraction(token))
         got = bio.str_to_frac(token, "/x")
         assert got == want and type(got) is type(want), token
+
+
+def test_the_token_table_agrees_with_the_regex_path():
+    tokens = list(bio._TOKENS) + _CANONICAL_TOKENS
+    assert "1" in bio._TOKENS and "-0" not in bio._TOKENS
+    for token in tokens:
+        want = bio.str_to_frac(token, "/x")
+        got = bio._scalars([token], "/x")[0]
+        assert got == want and type(got) is type(want), token
+    # a row with one token off the table is read token by token
+    row = ["1", "-2", "+1", "2/4", "007", "0.5"]
+    got = bio._scalars(row, "/x")
+    assert got == [bio.str_to_frac(x, "/x") for x in row] \
+        == [1, -2, 1, Fraction(1, 2), 7, Fraction(1, 2)]
+    assert list(map(type, got)) == [int, int, int, Fraction, int, Fraction]
+
+
+def test_a_row_off_the_table_is_refused_at_its_entry():
+    for row, c in [(["1", "0", "1e5"], 2), (["1", 1, "0"], 1),
+                   (["1", True], 1), (["0", ["1"], "1"], 1),
+                   (["2", None], 1), (["1/0", "1"], 0)]:
+        with pytest.raises(ValueError, match=f"schema violation at /x/{c}$"):
+            bio._scalars(row, "/x")
+    m = {"rows": 2, "cols": 2, "data": [["1", "0"], ["0", "1.5e1"]]}
+    with pytest.raises(ValueError,
+                       match="schema violation at /m/data/1/1$"):
+        bio.lists_to_matrix(m, "/m")
+
+
+def _canonical_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _writes_without_fallback(doc):
+    out = []
+    bio._write(out, doc, "\n")
+    return "".join(out) + "\n"
+
+
+def test_emit_is_json_dumps_on_every_emitted_document(
+        fixture_algebras, fixture_bocses, corpus_bocses):
+    # the algebra, bocs and report documents of e0-e3 in both modes, of
+    # the corpus bocses and of the Auslander algebras of K[x]/(x^2) and
+    # K[x]/(x^3) in both modes, each written without the fallback
+    docs, bocses = [], list(fixture_bocses.values())
+    for alg, order in fixture_algebras.values():
+        docs.append(bio.algebra_to_doc(alg, order))
+        for mode in ("pdelta", "delta"):
+            try:
+                docs.append(run_pipeline(alg, order, mode=mode).doc)
+            except PipelineError as e:
+                docs.append(e.error_object())
+    for alg, order, b in corpus_bocses.values():
+        docs.append(bio.algebra_to_doc(alg, order))
+        bocses.append(b)
+    bocses += [construct_bocs(auslander(n), list(range(n, 0, -1)),
+                              mode=mode, r_max=3)
+               for n in (2, 3) for mode in ("pdelta", "delta")]
+    for b in bocses:
+        docs.append(bio.bocs_to_doc(b))
+        try:
+            docs.append(roundtrip_bocs(b).doc)
+        except PipelineError as e:
+            docs.append(e.error_object())
+    assert len(docs) == 4 * 3 + 19 + 31 * 2
+    for doc in docs:
+        want = _canonical_dumps(doc)
+        assert bio.emit(doc) == want
+        assert _writes_without_fallback(doc) == want
+
+
+_JSON_STRINGS = st.one_of(st.text(), st.sampled_from(
+    ["", "\"", "\\", "\n\t\x00\x1f\x7f", "\u00e9\u2603", "\U0001f600",
+     "\ud800", "</script>"]))
+_JSON_LEAVES = st.one_of(
+    _JSON_STRINGS, st.integers(), st.integers(min_value=2 ** 64),
+    st.integers(max_value=-(2 ** 64)), st.booleans(), st.none())
+
+
+def _json_trees(leaves, keys):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(keys, kids, max_size=4)), max_leaves=24)
+
+
+_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                     database=None)
+
+
+def _outcome(fn, doc):
+    try:
+        return fn(doc)
+    except Exception as e:  # both sides must refuse alike
+        return type(e), str(e)
+
+
+@_PROPERTY
+@given(_json_trees(_JSON_LEAVES, _JSON_STRINGS))
+def test_emit_is_json_dumps_on_json_trees(doc):
+    want = _canonical_dumps(doc)
+    assert bio.emit(doc) == want
+    assert _writes_without_fallback(doc) == want
+
+
+@_PROPERTY
+@given(_json_trees(st.one_of(_JSON_LEAVES, st.floats()),
+                   st.one_of(_JSON_STRINGS, st.integers())),
+       st.one_of(st.floats(), st.dictionaries(st.integers(), st.none(),
+                                              min_size=1)))
+def test_a_float_or_a_key_not_a_str_takes_the_fallback(doc, odd):
+    # odd is placed in the tree, so every tree holds one
+    tree = [doc, odd]
+    assert _outcome(bio.emit, tree) == _outcome(_canonical_dumps, tree)
+    with pytest.raises(bio._Unwritable):
+        bio._write([], tree, "\n")
+
+
+def test_subclasses_take_the_fallback():
+    class Key(str):
+        pass
+
+    class Count(int):
+        pass
+
+    for doc in [{Key("a"): 1}, {"a": Count(3)}, [Key("b")],
+                {"a": Fraction(1, 2)}, float("nan")]:
+        with pytest.raises(bio._Unwritable):
+            bio._write([], doc, "\n")
+    # json.dumps refuses a Fraction, and emit refuses it alike
+    for doc in [{Key("a"): 1}, {"a": Count(3)}, [Key("b")]]:
+        assert bio.emit(doc) == _canonical_dumps(doc)
+    with pytest.raises(TypeError):
+        bio.emit({"a": Fraction(1, 2)})
 
 
 def test_parse_builds_each_document_once(monkeypatch):

@@ -121,6 +121,22 @@ def test_scalars_are_ints_when_integral_and_floats_are_refused():
         Relation(q, [(0.5, 1, ("x", "x"))])
 
 
+def test_vectors_outside_a_matrix_may_hold_integral_fractions():
+    # only Matrix entries are canonical: a sum or difference of Fractions
+    # stays a Fraction, equal in value to its int
+    span = Span(2, [[Fraction(3, 2), Fraction(1, 2)],
+                    [Fraction(1, 2), Fraction(3, 2)]])
+    assert span.rows == [[1, 0], [0, 1]]
+    assert type(span.rows[0][0]) is Fraction
+    half = Matrix(1, 2, [[Fraction(1, 2), Fraction(1, 2)]])
+    got = half.apply((1, 1))
+    assert got == (1,) and type(got[0]) is Fraction
+    got = Matrix(2, 2, [[2, 1], [1, 1]]).solve((Fraction(3, 2),
+                                                Fraction(1, 2)))
+    assert got == (1, Fraction(-1, 2)) and type(got[0]) is Fraction
+    assert type(Matrix.from_columns([got]).data[0][0]) is int
+
+
 def test_no_true_division_in_the_package():
     """int / int is a float, so scalars are divided only by qdiv, which
     divides through Fraction(a, b) and needs no `/` either."""

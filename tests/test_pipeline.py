@@ -8,6 +8,7 @@ import pytest
 
 from bocskit import bocs as bocs_module
 from bocskit import io as bio
+from bocskit import pipeline
 from bocskit.ainf import ExtClass
 from bocskit.bocs import construct_bocs
 from bocskit.pipeline import (PipelineError, indecomposables_up_to,
@@ -15,6 +16,8 @@ from bocskit.pipeline import (PipelineError, indecomposables_up_to,
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
+
+from helpers import reference_indecomposables
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +258,27 @@ def test_indecomposables_enumeration():
     # the bound trims the list
     assert [list(M.dims) for M in
             indecomposables_up_to(example_jordan3(), 2)] == [[1], [2]]
+
+
+def test_local_candidates_skip_their_endomorphism_algebra(monkeypatch):
+    # P(i) / rad^b P(i) has a simple top, so only the candidates
+    # rad^a P(i) / rad^b P(i) with a > 0 build End; the modules found are
+    # those of testing every candidate
+    real, calls = pipeline._endo_algebra, []
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(pipeline, "_endo_algebra", counting)
+    for build, want in [(example_semisimple_pair, 0),
+                        (example_dual_numbers, 1), (example_a2, 1),
+                        (example_jordan3, 3)]:
+        alg = build()
+        calls.clear()
+        got = indecomposables_up_to(alg, 4)
+        assert len(calls) == want, build.__name__
+        assert got == reference_indecomposables(alg, 4)
 
 
 def test_roundtrip_bocs_reingested_identical():

@@ -1,5 +1,6 @@
 import pytest
 
+from bocskit import strata
 from bocskit.modules import (hom_basis, is_isomorphic, projective, quotient,
                              simple)
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
@@ -87,6 +88,40 @@ def test_classify_dual_numbers():
 def test_classify_jordan3():
     c = classify_algebra(example_jordan3())
     assert c.label == "delta-and-pdelta-filtered"
+
+
+def test_equal_standard_systems_are_searched_once(mixed_algebras,
+                                                  monkeypatch):
+    # when every standard module equals its proper one, the pdelta
+    # certificates are the delta ones, and they are those a search over
+    # the pdelta system finds
+    real, calls = strata.theta_filtration, []
+
+    def counting(M, system, allowed=None):
+        calls.append(system.mode)
+        return real(M, system, allowed)
+
+    shared = 0
+    for alg in mixed_algebras + [example_a2(), example_semisimple_pair()]:
+        monkeypatch.setattr(strata, "theta_filtration", counting)
+        calls.clear()
+        cls = classify_algebra(alg)
+        monkeypatch.undo()
+        systems, certs = cls.systems, cls.certificates
+        same = systems["pdelta"].modules == systems["delta"].modules
+        assert calls == ["delta"] * alg.n + ["pdelta"] * alg.n * (not same)
+        assert (certs["pdelta"] is certs["delta"]) == same
+        for i, cert in certs["pdelta"].items():
+            allowed = [j for j in cls.order
+                       if cls.order.index(j) >= cls.order.index(i)]
+            fresh = theta_filtration(projective(alg, i), systems["pdelta"],
+                                     allowed)
+            assert (cert is None) == (fresh is None)
+            if cert is not None:
+                assert cert.vertices() == fresh.vertices()
+                assert cert.verify(systems["pdelta"])
+        shared += same
+    assert shared >= 2
 
 
 def test_classify_order_dependence():
