@@ -618,8 +618,8 @@ def validate_coalgebra(bocs: Bocs):
     # grouplikes
     for i in range(1, B.n + 1):
         e = B.idempotent(i)
-        wvec = bocs.w_proj.apply(bocs._word(e, bocs.duals.omega_index(i), e))
-        nz = [(u, a) for u, a in enumerate(wvec) if a]
+        nz = list(bocs._project(
+            bocs._word(e, bocs.duals.omega_index(i), e)).items())
         ok = through(mu_ww, nz) == rho(((), u, v, a * b) for u, a in nz
                                        for v, b in nz)
         record("grouplike", ok, f"omega{i}")

@@ -71,14 +71,16 @@ def str_to_frac(s, pointer: str) -> Scalar:
 
 
 def matrix_to_lists(m: Matrix):
-    # an int is its own canonical scalar, so its token is str
-    data = ([list(map(str, row)) for row in m.data] if m.ints
-            else [[frac_to_str(x) for x in row] for row in m.data])
+    # a Matrix entry is canonical, an int or a non-integral Fraction, so
+    # its token is its str
+    data = [list(map(str, row)) for row in m.data]
     return {"rows": m.rows, "cols": m.cols, "data": data}
 
 
-# The canonical integer tokens and their values: most entries of a document
-_TABLE_BOUND = 1024
+# The canonical integer tokens and their values.  Every number token of the
+# e0-e3 and corpus bocs documents is -1, 0 or 1; the bound leaves room for
+# small coefficients at an import cost of a few microseconds.
+_TABLE_BOUND = 16
 _TOKENS = {str(k): k for k in range(-_TABLE_BOUND, _TABLE_BOUND + 1)}
 
 
