@@ -8,11 +8,16 @@ is the projected d'.  Words are handled with the package-wide convention
 that the rightmost factor acts first.
 
 Every word and every tensor product over B has one presentation.  A
-degree-1 word is a vector on the basis (p2, g, p1) of words p2.g.p1, and
-Bocs._word and Bocs._sandwich multiply words by elements of B through
-B's structure table; Bocs._split cuts a b' key into the B elements and
-generators of its words.  W, like R, is free as a right B-module on a
-lift of its top, w = sum t.c_t(w) with c_t(w) in e_v(t)B (RightBasis), so
+degree-1 word is its sparse terms {k: a} on the basis (p2, g, p1) of
+words p2.g.p1 (u1_basis), from d' to the projection onto W: gen[g] is the
+word e_j.g.e_i of a generator, Bocs._sandwich multiplies a word by
+elements of B through B's structure table, Bocs._split cuts a b' key into
+the B elements and gen words of its words, and Bocs._eps_word reads eps
+on words.  Only the killed sandwiches b.d'(a).c are made dense, as the
+rows of the one Span (sub_span) whose complement is W; a word is
+projected onto W through that Span's sparse columns (Bocs._project).
+W, like R, is free as a right B-module on a lift of its top,
+w = sum t.c_t(w) with c_t(w) in e_v(t)B (RightBasis), so
 one map rho(w (x) x) = (c_t(w).x)_t presents W (x)_B X and R (x)_B X, the
 induced module (TensorModule, one builder for both), W (x)_B W, where mu
 lands, and, again in each t block, (W (x)_B W) (x)_B W, where
@@ -33,7 +38,8 @@ from collections import namedtuple
 from operator import le, lt
 
 from .ainf import AInfTable, build_tables
-from .linalg import Matrix, Span, ZERO, complement_pivots, frac, vec_is_zero
+from .linalg import (ONE, ZERO, Matrix, Span, complement_pivots, frac,
+                     nonzeros, vec_is_zero)
 from .modules import FDModule, ModuleMap, hom_basis
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 from .resolution import ResolvedSystem
@@ -107,7 +113,7 @@ class Bocs:
         self._build_dprime()
         self._build_w()
         self._build_eps()
-        self.mu = [self._dprime_terms(u) for u in self.w_sect.columns()]
+        self.mu = [self._dprime_terms(u) for u in self.w_words]
         self._build_kernel()
         self.right = RightBasis("W", B, B, self.w_block, self.WR,
                                 [m.nonzero_columns() for m in self.WL])
@@ -149,7 +155,8 @@ class Bocs:
 
     def _build_u1(self):
         """The K-basis (p2, g, p1) of the degree-1 words p2.g.p1, with g
-        a generator of q1 in block (i, j), p2 in B e_j and p1 in e_i B."""
+        a generator of q1 in block (i, j), p2 in B e_j and p1 in e_i B, and
+        gen[g], the word e_j.g.e_i."""
         B = self.B
         self.u1_basis = [(p2, gi, p1)
                          for gi, (name, cls, ident) in enumerate(self.duals.q1)
@@ -159,39 +166,19 @@ class Bocs:
         self.u1_dim = len(self.u1_basis)
         self._gi_of_cls = {cls: gi for gi, (name, cls, ident)
                            in enumerate(self.duals.q1)}
+        e = B.unit_index
+        self.gen = [{self.u1_index[(e[cls.j - 1], gi, e[cls.i - 1])]: ONE}
+                    for gi, (name, cls, ident) in enumerate(self.duals.q1)]
 
-    def _word(self, b, g, c):
-        """The word b.g.c of the generator g between the B elements b and
-        c.  As g = e_j g e_i, only the parts of b in B e_j and of c in
-        e_i B survive."""
-        vec = [ZERO] * self.u1_dim
-        cs = [(p1, y) for p1, y in enumerate(c) if y != 0]
-        for p2, x in enumerate(b):
-            if x != 0:
-                for p1, y in cs:
-                    k = self.u1_index.get((p2, g, p1))
-                    if k is not None:
-                        vec[k] += x * y
-        return vec
-
-    def _sandwich(self, b, u, c):
-        """b.u.c for a degree-1 word vector u between B elements b and c,
-        multiplied through B's structure table."""
-        out = [ZERO] * self.u1_dim
-        self._add_sandwich(out, b, u, c)
-        return tuple(out)
-
-    def _add_sandwich(self, out, b, u, c):
-        """Add b.u.c into the word vector out, over the nonzeros of b, u
-        and c: the word p2.g.p1 goes to (b p2).g.(p1 c), each side read
-        off B's sparse table once per p2 and per p1."""
+    def _sandwich(self, b, u, c) -> dict:
+        """b.u.c for a degree-1 word u between B elements b and c, over the
+        nonzeros of b, u and c: the word p2.g.p1 goes to (b p2).g.(p1 c),
+        each side read off B's sparse table once per p2 and per p1."""
         table, index = self.B.table, self.u1_index
         bs = [(i, x) for i, x in enumerate(b) if x != 0]
         cs = [(j, y) for j, y in enumerate(c) if y != 0]
-        lefts, rights = {}, {}
-        for idx, x in enumerate(u):
-            if x == 0:
-                continue
+        lefts, rights, out = {}, {}, {}
+        for idx, x in u.items():
             p2, g, p1 = self.u1_basis[idx]
             left = lefts.get(p2)
             if left is None:
@@ -207,7 +194,8 @@ class Bocs:
                 for q1, cy in right:
                     k = index.get((q2, g, q1))
                     if k is not None:
-                        out[k] += x * bx * cy
+                        out[k] = out.get(k, ZERO) + x * bx * cy
+        return {k: a for k, a in out.items() if a}
 
     def _b_elt(self, chunk, start_vertex):
         """Product in B of the dual arrows of a display-ordered chunk."""
@@ -217,46 +205,47 @@ class Bocs:
 
     def _split(self, key):
         """A display-ordered b' key cut at its degree-0 classes: the B
-        elements between them, left to right, and the generators of q1
-        dual to those classes."""
+        elements between them, left to right, and the words gen[g] of the
+        generators g of q1 dual to those classes."""
         cuts = [p for p, c in enumerate(key) if c.k == 0]
         starts = [key[p].j for p in cuts] + [key[-1].i]
         elts = [self._b_elt(key[a + 1:b], s) for a, b, s
                 in zip([-1] + cuts, cuts + [len(key)], starts)]
-        return elts, [self._gi_of_cls[key[p]] for p in cuts]
+        return elts, [self.gen[self._gi_of_cls[key[p]]] for p in cuts]
 
     def _build_dprime(self):
-        """d' of each arrow of B as a degree-1 word vector."""
+        """d' of each arrow of B as a degree-1 word."""
         self.dprime_arrow = {}
         for name, cls in self.duals.q0:
-            vec = [ZERO] * self.u1_dim
+            terms = []
             for key, coeff in self.table.products_into(cls, 1, self.r_max):
                 (lp, rp), (g,) = self._split(key)
-                vec = [a + coeff * x
-                       for a, x in zip(vec, self._word(lp, g, rp))]
-            self.dprime_arrow[name] = tuple(vec)
+                terms += [(k, coeff * x)
+                          for k, x in self._sandwich(lp, g, rp).items()]
+            self.dprime_arrow[name] = _sum_terms(terms)
 
     def _dprime_path(self, k: int):
-        """d' of a basis path of B, as a degree-1 word vector."""
+        """d' of a basis path of B, as a degree-1 word."""
         got = self._dpath_cache.get(k)
         if got is not None:
             return got
         B = self.B
         source, names = B.paths[k]
-        vec = [ZERO] * self.u1_dim
+        terms = []
         suffix = B.idempotent(source)
         for t, name in enumerate(names):
             pre = _path_vec(B, self.arrow_idx,
                             B.quiver.arrow_target(name), names[t + 1:])
-            self._add_sandwich(vec, pre, self.dprime_arrow[name], suffix)
+            terms += self._sandwich(pre, self.dprime_arrow[name],
+                                    suffix).items()
             suffix = B.multiply(B.basis_vec(self.arrow_idx[name]), suffix)
-        out = tuple(vec)
-        self._dpath_cache[k] = out
+        out = self._dpath_cache[k] = _sum_terms(terms)
         return out
 
     def _build_w(self):
         """W, the degree-1 words modulo the sub-bimodule spanned by the
-        sandwiches b.d'(a).c of the arrows a, over basis elements b, c."""
+        sandwiches b.d'(a).c of the arrows a, over basis elements b, c;
+        its basis words w_words are the words of the complement."""
         B = self.B
         basis = [B.basis_vec(k) for k in range(B.dim)]
         killed = []
@@ -264,82 +253,79 @@ class Bocs:
             for b in basis:
                 for c in basis:
                     v = self._sandwich(b, self.dprime_arrow[name], c)
-                    if not vec_is_zero(v):
-                        killed.append(v)
+                    if v:
+                        killed.append([v.get(k, ZERO)
+                                       for k in range(self.u1_dim)])
         self.sub_span = Span(self.u1_dim, killed)
-        comp, self.w_proj, self.w_sect = self.sub_span.complement()
+        comp, proj, _ = self.sub_span.complement()
+        self._proj_cols = proj.nonzero_columns()
         self.w_dim = len(comp)
+        self.w_words = [{c: ONE} for c in comp]
         # Peirce block of each W basis element
         self.w_block = []
         for c in comp:
             p2, gi, p1 = self.u1_basis[c]
             self.w_block.append((B.btarget[p2], B.bsource[p1]))
         # bimodule action on W
-        self._proj_cols = self.w_proj.nonzero_columns()
-        words, unit = self.w_sect.columns(), B.unit()
-        self.WL = [self._on_w([self._sandwich(b, u, unit) for u in words])
+        unit, rows = B.unit(), range(self.w_dim)
+        self.WL = [_on_coords(rows, [self._project(self._sandwich(b, u, unit))
+                                     for u in self.w_words])
                    for b in basis]
-        self.WR = [self._on_w([self._sandwich(unit, u, c) for u in words])
+        self.WR = [_on_coords(rows, [self._project(self._sandwich(unit, u, c))
+                                     for u in self.w_words])
                    for c in basis]
 
     def _project(self, u) -> dict:
-        """The nonzero coordinates {w: a} in W of a degree-1 word vector u:
-        the columns of w_proj at the nonzeros of u, summed."""
+        """The nonzero coordinates {w: a} in W of a degree-1 word u: the
+        columns of the projection onto W at the terms of u, summed."""
         cols = self._proj_cols
-        return _sum_terms((w, x * a) for k, x in enumerate(u) if x
+        return _sum_terms((w, x * a) for k, x in u.items()
                           for w, a in cols[k])
-
-    def _on_w(self, words) -> Matrix:
-        """The w_dim x len(words) matrix of the projections of words."""
-        data = [[ZERO] * len(words) for _ in range(self.w_dim)]
-        for j, u in enumerate(words):
-            for w, a in self._project(u).items():
-                data[w][j] = a
-        return Matrix(self.w_dim, len(words), data)
 
     # -- counit -----------------------------------------------------------
 
+    def _eps_word(self, u) -> dict:
+        """eps of a degree-1 word u as {k: a} on B's basis: the word
+        p2.omega.p1 of a grouplike goes to p2.p1, read off B's table, and
+        a word of any other generator to zero."""
+        q1, table = self.duals.q1, self.B.table
+        terms = []
+        for idx, x in u.items():
+            p2, gi, p1 = self.u1_basis[idx]
+            if q1[gi][2]:
+                terms += [(k, x * a) for k, a in table[p2][p1].items()]
+        return _sum_terms(terms)
+
     def _build_eps(self):
-        B = self.B
-        cols = []
-        for (p2, gi, p1) in self.u1_basis:
-            name, cls, ident = self.duals.q1[gi]
-            if ident:
-                cols.append(list(B.multiply(B.basis_vec(p2),
-                                            B.basis_vec(p1))))
-            else:
-                cols.append([ZERO] * B.dim)
-        self.eps_u1 = (Matrix.from_columns(cols) if cols
-                       else Matrix.zero(B.dim, 0))
         for row in self.sub_span.rows:
-            if not vec_is_zero(self.eps_u1.apply(row)):
+            if self._eps_word(nonzeros(row)):
                 raise ValueError(
                     "coalgebra axiom violated: well-definedness of eps")
-        self.eps = self.eps_u1 @ self.w_sect
+        self.eps = _on_coords(range(self.B.dim),
+                              [self._eps_word(u) for u in self.w_words])
 
     # -- comultiplication -------------------------------------------------
 
-    def _dprime_terms(self, uvec):
-        """(pi (x) pi) d' of a degree-1 word vector, as the sorted nonzero
-        terms (w1, w2, c) of sum c w1 (x) w2: the word p2.g.p1 goes to
+    def _dprime_terms(self, u):
+        """(pi (x) pi) d' of a degree-1 word u, as the sorted nonzero terms
+        (w1, w2, c) of sum c w1 (x) w2: the word p2.g.p1 goes to
         d'(p2).g.p1 + p2.d'(g).p1 - p2.g.d'(p1)."""
         B = self.B
         unit = B.unit()
         terms = []
-        for idx, coeff in enumerate(uvec):
-            if coeff == 0:
-                continue
+        for idx, coeff in u.items():
             p2, gi, p1 = self.u1_basis[idx]
-            b2, b1 = B.basis_vec(p2), B.basis_vec(p1)
-            terms += [(coeff, self._dprime_path(p2), self._word(unit, gi, b1)),
-                      (-coeff, self._word(b2, gi, unit),
+            b2, b1, g = B.basis_vec(p2), B.basis_vec(p1), self.gen[gi]
+            terms += [(coeff, self._dprime_path(p2),
+                       self._sandwich(unit, g, b1)),
+                      (-coeff, self._sandwich(b2, g, unit),
                        self._dprime_path(p1))]
             for key, c2 in self.table.products_into(self.duals.q1[gi][1], 2,
                                                     self.r_max):
                 (lp, mp, rp), (gl, gr) = self._split(key)
                 terms.append((coeff * c2,
-                              self._word(B.multiply(b2, lp), gl, mp),
-                              self._word(unit, gr, B.multiply(rp, b1))))
+                              self._sandwich(B.multiply(b2, lp), gl, mp),
+                              self._sandwich(unit, gr, B.multiply(rp, b1))))
         sides = [(c, self._project(left).items(),
                   self._project(right).items())
                  for c, left, right in terms]
@@ -609,17 +595,14 @@ def validate_coalgebra(bocs: Bocs):
 
     # well-definedness on the quotient presentation
     for idx, row in enumerate(bocs.sub_span.rows):
-        ok = vec_is_zero(bocs.eps_u1.apply(row))
-        record("well-definedness", ok, f"eps-sub{idx}")
-        ok = not rho(((), w1, w2, c) for w1, w2, c
-                     in bocs._dprime_terms(row))
+        u = nonzeros(row)
+        record("well-definedness", not bocs._eps_word(u), f"eps-sub{idx}")
+        ok = not rho(((), w1, w2, c) for w1, w2, c in bocs._dprime_terms(u))
         record("well-definedness", ok, f"mu-sub{idx}")
 
     # grouplikes
     for i in range(1, B.n + 1):
-        e = B.idempotent(i)
-        nz = list(bocs._project(
-            bocs._word(e, bocs.duals.omega_index(i), e)).items())
+        nz = list(bocs._project(bocs.gen[bocs.duals.omega_index(i)]).items())
         ok = through(mu_ww, nz) == rho(((), u, v, a * b) for u, a in nz
                                        for v, b in nz)
         record("grouplike", ok, f"omega{i}")

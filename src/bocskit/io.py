@@ -225,19 +225,26 @@ def _validate_version(doc, pointer="/"):
 
 def doc_to_algebra(doc: dict):
     """(Algebra, order) from a validated algebra document."""
-    _validate_version(doc)
-    _expect(doc.get("schema") == ALGEBRA_SCHEMA, "/schema")
+    return _doc_to_algebra(doc, "")
+
+
+def _doc_to_algebra(doc, at: str):
+    """doc_to_algebra of an algebra document found at the pointer at of
+    the document read, so that every pointer it refuses is prefixed by
+    at."""
+    _validate_version(doc, at or "/")
+    _expect(doc.get("schema") == ALGEBRA_SCHEMA, at + "/schema")
     verts = doc.get("vertices")
     _expect(isinstance(verts, dict) and
             _is_int(verts.get("count")) and verts["count"] >= 1,
-            "/vertices/count")
+            at + "/vertices/count")
     n = verts["count"]
     arrows_doc = doc.get("arrows")
-    _expect(isinstance(arrows_doc, list), "/arrows")
+    _expect(isinstance(arrows_doc, list), at + "/arrows")
     arrows = []
     names = set()
     for k, a in enumerate(arrows_doc):
-        p = f"/arrows/{k}"
+        p = f"{at}/arrows/{k}"
         _expect(isinstance(a, dict), p)
         _expect(isinstance(a.get("name"), str) and a["name"], p + "/name")
         _expect(a["name"] not in names, p + "/name")
@@ -249,10 +256,10 @@ def doc_to_algebra(doc: dict):
     quiver = Quiver(n, arrows)
     by_name = {name: (s, t) for name, s, t in arrows}
     rels_doc = doc.get("relations")
-    _expect(isinstance(rels_doc, list), "/relations")
+    _expect(isinstance(rels_doc, list), at + "/relations")
     relations = []
     for rk, r in enumerate(rels_doc):
-        p = f"/relations/{rk}"
+        p = f"{at}/relations/{rk}"
         _expect(isinstance(r, dict) and isinstance(r.get("terms"), list)
                 and r["terms"], p + "/terms")
         terms = []
@@ -272,7 +279,7 @@ def doc_to_algebra(doc: dict):
         relations.append(Relation(quiver, terms))
     order = doc.get("order")
     _expect(isinstance(order, list) and all(_is_int(v) for v in order)
-            and sorted(order) == list(range(1, n + 1)), "/order")
+            and sorted(order) == list(range(1, n + 1)), at + "/order")
     alg = build_algebra(quiver, RelationSet(quiver, relations))
     return alg, list(order)
 
@@ -373,7 +380,7 @@ def doc_to_bocs(doc: dict):
     _expect(doc.get("schema") == BOCS_SCHEMA, "/schema")
     _expect(doc.get("mode") in ("delta", "pdelta"), "/mode")
     _expect(_is_int(doc.get("r_max")) and doc["r_max"] >= 2, "/r_max")
-    B, order = doc_to_algebra(doc.get("base"))
+    B, order = _doc_to_algebra(doc.get("base"), "/base")
 
     def is_vertex(x):
         return _is_int(x) and 1 <= x <= B.n

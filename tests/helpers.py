@@ -22,11 +22,13 @@ null-homotopy by a homotopy solve against the radical criterion, the
 Ext comparison of A with a factor algebra A/AeA (reduction_check), the
 A-infinity table keys enumerated over every composable tuple and the
 Stasheff check through bprime on every slice, which the growth of the
-tabulated tuples and the bp_table reads replaced, the dense word
-sandwich b.u.c that the sparse one replaced, the bimodule action and mu
-of a bocs through the dense projection onto W that the sparse columns
-replaced, and the enumeration of indecomposables that tested every
-candidate through its endomorphism algebra.
+tabulated tuples and the bp_table reads replaced, the dense word layer
+that the sparse words of a bocs replaced (a word b.g.c as a vector on
+the degree-1 word basis, the dense projection onto W and section of W,
+eps on every degree-1 word, and the sandwich b.u.c and d' of a path of
+B built from those vectors), the bimodule action and mu of a bocs
+through that dense projection, and the enumeration of indecomposables
+that tested every candidate through its endomorphism algebra.
 """
 
 import copy
@@ -573,7 +575,9 @@ class HomInduction:
 def reference_validate_coalgebra(bocs: Bocs):
     """validate_coalgebra with W (x)_B W and (W (x)_B W) (x)_B W presented
     as quotients by the balanced relations, the reference for the right
-    basis presentation; its dict has no "right-free" entry."""
+    basis presentation; its dict has no "right-free" entry.  It reads
+    well-definedness and the grouplikes through the dense word layer
+    (dense_word, dense_w_parts, dense_eps_u1)."""
     B = bocs.B
     report = {}
 
@@ -631,15 +635,17 @@ def reference_validate_coalgebra(bocs: Bocs):
                    f"mu-right-{B.labels[k]}-w{w}")
 
     record("surjectivity", bocs.eps.rank() == B.dim, "eps")
+    eps_u1 = dense_eps_u1(bocs)
+    w_proj, _ = dense_w_parts(bocs)
     for idx, row in enumerate(bocs.sub_span.rows):
-        ok = vec_is_zero(bocs.eps_u1.apply(row))
+        ok = vec_is_zero(eps_u1.apply(row))
         record("well-definedness", ok, f"eps-sub{idx}")
         ok = vec_is_zero(ww_proj.apply(
-            pair_vector(bocs._dprime_terms(row), wdim)))
+            pair_vector(bocs._dprime_terms(nonzeros(row)), wdim)))
         record("well-definedness", ok, f"mu-sub{idx}")
     for i in range(1, B.n + 1):
         e = B.idempotent(i)
-        wvec = bocs.w_proj.apply(bocs._word(e, bocs.duals.omega_index(i), e))
+        wvec = w_proj.apply(dense_word(bocs, e, bocs.duals.omega_index(i), e))
         diff = [a - b for a, b in zip(mu.apply(wvec), outer(wvec, wvec))]
         record("grouplike", vec_is_zero(ww_proj.apply(diff)), f"omega{i}")
     return report
@@ -872,23 +878,65 @@ def reference_stasheff_check(table: AInfTable, k: int) -> bool:
     return True
 
 
-def reference_sandwich(bocs: Bocs, b, u, c):
-    """Bocs._sandwich as it was before it summed over the nonzeros: one
-    dense word per index of u, added into a rebuilt vector."""
+def dense_vector(u: dict, dim: int) -> tuple:
+    """The dense vector of length dim of the sparse terms {k: a} of u."""
+    return tuple(u.get(k, ZERO) for k in range(dim))
+
+
+def dense_word(bocs: Bocs, b, g, c) -> tuple:
+    """The word b.g.c of the generator g between the B elements b and c as
+    a dense vector on bocs.u1_basis, as Bocs._word built it before words
+    were held as their terms.  As g = e_j g e_i, only the parts of b in
+    B e_j and of c in e_i B survive."""
+    vec = [ZERO] * bocs.u1_dim
+    cs = [(p1, y) for p1, y in enumerate(c) if y != 0]
+    for p2, x in enumerate(b):
+        if x != 0:
+            for p1, y in cs:
+                k = bocs.u1_index.get((p2, g, p1))
+                if k is not None:
+                    vec[k] += x * y
+    return tuple(vec)
+
+
+def dense_w_parts(bocs: Bocs):
+    """(w_proj, w_sect): the dense projection of the degree-1 words onto W
+    and the section of W into them, which the bocs held before it kept
+    only the sparse columns of the projection."""
+    _, w_proj, w_sect = bocs.sub_span.complement()
+    return w_proj, w_sect
+
+
+def dense_eps_u1(bocs: Bocs) -> Matrix:
+    """The B.dim x u1_dim matrix of eps on the degree-1 words: the word
+    p2.omega.p1 of a grouplike goes to p2.p1 and every other word to
+    zero, as the bocs held it before Bocs._eps_word."""
+    B = bocs.B
+    cols = [list(B.multiply(B.basis_vec(p2), B.basis_vec(p1)))
+            if bocs.duals.q1[gi][2] else [ZERO] * B.dim
+            for p2, gi, p1 in bocs.u1_basis]
+    return Matrix.from_columns(cols) if cols else Matrix.zero(B.dim, 0)
+
+
+def reference_sandwich(bocs: Bocs, b, u, c) -> tuple:
+    """Bocs._sandwich on a dense word vector u as it was before it summed
+    over the nonzeros: one dense word per index of u, added into a rebuilt
+    vector."""
     B = bocs.B
     out = [ZERO] * bocs.u1_dim
     for idx, x in enumerate(u):
         if x != 0:
             p2, g, p1 = bocs.u1_basis[idx]
-            word = bocs._word(B.multiply(b, B.basis_vec(p2)), g,
+            word = dense_word(bocs, B.multiply(b, B.basis_vec(p2)), g,
                               B.multiply(B.basis_vec(p1), c))
             out = [a + x * y for a, y in zip(out, word)]
     return tuple(out)
 
 
-def reference_dprime_path(bocs: Bocs, k: int):
+def reference_dprime_path(bocs: Bocs, k: int) -> tuple:
     """Bocs._dprime_path as it was before the sparse sandwich: d' of the
-    basis path k of B, one rebuilt vector per arrow of the path."""
+    basis path k of B as a dense vector, one rebuilt vector per arrow of
+    the path."""
     B = bocs.B
     source, names = B.paths[k]
     vec = [ZERO] * bocs.u1_dim
@@ -896,28 +944,33 @@ def reference_dprime_path(bocs: Bocs, k: int):
     for t, name in enumerate(names):
         pre = _path_vec(B, bocs.arrow_idx,
                         B.quiver.arrow_target(name), names[t + 1:])
-        mid = reference_sandwich(bocs, pre, bocs.dprime_arrow[name], suffix)
+        mid = reference_sandwich(
+            bocs, pre, dense_vector(bocs.dprime_arrow[name], bocs.u1_dim),
+            suffix)
         vec = [a + b for a, b in zip(vec, mid)]
         suffix = B.multiply(B.basis_vec(bocs.arrow_idx[name]), suffix)
     return tuple(vec)
 
 
 def dense_projection_parts(bocs: Bocs):
-    """(WL, WR, mu) of a bocs built from words, each sandwich and each word
-    of d' projected onto W by the dense product w_proj.apply, as
-    Bocs._build_w and Bocs._dprime_terms did before the sparse columns."""
+    """(WL, WR, mu) of a bocs built from words: each dense sandwich of a
+    section word and each word of d' projected onto W by the dense product
+    w_proj.apply, as Bocs._build_w and Bocs._dprime_terms did before the
+    sparse columns."""
     B = bocs.B
     basis = [B.basis_vec(k) for k in range(B.dim)]
-    words, unit = bocs.w_sect.columns(), B.unit()
+    w_proj, w_sect = dense_w_parts(bocs)
+    words, unit = w_sect.columns(), B.unit()
     WL = [Matrix.from_columns([
-        bocs.w_proj.apply(bocs._sandwich(b, u, unit)) for u in words])
+        w_proj.apply(reference_sandwich(bocs, b, u, unit)) for u in words])
         for b in basis]
     WR = [Matrix.from_columns([
-        bocs.w_proj.apply(bocs._sandwich(unit, u, c)) for u in words])
+        w_proj.apply(reference_sandwich(bocs, unit, u, c)) for u in words])
         for c in basis]
     dense = copy.copy(bocs)
-    dense._project = lambda u: nonzeros(bocs.w_proj.apply(u))
-    return WL, WR, [dense._dprime_terms(u) for u in words]
+    dense._project = lambda u: nonzeros(
+        w_proj.apply(dense_vector(u, bocs.u1_dim)))
+    return WL, WR, [dense._dprime_terms(nonzeros(u)) for u in words]
 
 
 def reference_indecomposables(alg: Algebra, bound: int):

@@ -15,7 +15,7 @@ from bocskit.bocs import (RightBasis, bocs_compose, bocs_hom_basis,
                           validate_coalgebra)
 from bocskit.burt_butler import right_algebra
 from bocskit.corpus import random_corpus
-from bocskit.linalg import Matrix
+from bocskit.linalg import Matrix, nonzeros
 from bocskit.modules import (FDModule, ModuleMap, hom_basis, projective,
                              simple, sum_of_projectives)
 from bocskit.pipeline import PipelineError, roundtrip_bocs
@@ -24,8 +24,9 @@ from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
                             example_jordan3, example_semisimple_pair)
 
 from helpers import (auslander, bocs_identity, cube_coassociativity,
-                     dense_counit_identities, dense_projection_parts,
-                     pair_layout,
+                     dense_counit_identities, dense_eps_u1,
+                     dense_projection_parts, dense_vector, dense_w_parts,
+                     dense_word, pair_layout,
                      reference_dprime_path, reference_sandwich,
                      reference_tensor_module, reference_validate_coalgebra,
                      zero_module)
@@ -172,33 +173,52 @@ def test_right_basis_presentation_agrees_with_balanced_relations(
         assert (got["coassociativity"] is None) == (b is not perturbed_jordan3)
 
 
+def _assert_word(got, dense):
+    """The sparse word got is nonzeros of the dense vector, entry types
+    included."""
+    want = nonzeros(dense)
+    assert got == want
+    assert ({k: type(a) for k, a in got.items()}
+            == {k: type(a) for k, a in want.items()})
+
+
 def test_sandwiches_are_the_dense_reference(fixture_bocses, corpus_bocses,
                                             auslander_bocses):
     # every sandwich that W's killed rows and bimodule action are built
-    # from, and d' of every basis path, as the dense per-word sum gives
-    # them, entry types included
+    # from, every word b.g.c of a generator, and d' of every basis path,
+    # as the dense per-word sum gives them, entry types included; W's
+    # basis words are the section's, and eps read on them is the dense
+    # eps of every degree-1 word through the section
     bocses = list(fixture_bocses.values())
     bocses += [b for _, _, b in corpus_bocses.values()]
     for b in bocses + auslander_bocses:
-        B = b.B
+        B, n = b.B, b.u1_dim
         basis = [B.basis_vec(k) for k in range(B.dim)]
-        unit, words = B.unit(), b.w_sect.columns()
+        _, w_sect = dense_w_parts(b)
+        unit, words = B.unit(), b.w_words
+        assert words == [nonzeros(u) for u in w_sect.columns()]
+        assert b.eps == dense_eps_u1(b) @ w_sect
         triples = [(x, b.dprime_arrow[name], y)
                    for name, _ in b.duals.q0 for x in basis for y in basis]
         triples += [(x, u, unit) for x in basis for u in words]
         triples += [(unit, u, y) for y in basis for u in words]
         for x, u, y in triples:
-            got, want = b._sandwich(x, u, y), reference_sandwich(b, x, u, y)
-            assert got == want
-            assert list(map(type, got)) == list(map(type, want))
+            _assert_word(b._sandwich(x, u, y),
+                         reference_sandwich(b, x, dense_vector(u, n), y))
+        for g, word in enumerate(b.gen):
+            for x in basis:
+                for y in basis:
+                    _assert_word(b._sandwich(x, word, y),
+                                 dense_word(b, x, g, y))
         for k in range(B.dim):
-            assert b._dprime_path(k) == reference_dprime_path(b, k)
+            _assert_word(b._dprime_path(k), reference_dprime_path(b, k))
 
 
 def test_w_actions_and_mu_are_the_dense_projection(
         fixture_bocses, corpus_bocses, auslander_bocses):
-    # WL, WR and mu read off the nonzero columns of w_proj equal, entry
-    # types included, what the dense product w_proj.apply gives
+    # WL, WR and mu read off the sparse columns of the projection onto W
+    # equal, entry types included, what the dense product w_proj.apply
+    # gives on the dense words
     bocses = list(fixture_bocses.values())
     bocses += [b for _, _, b in corpus_bocses.values()]
     for b in bocses + auslander_bocses:

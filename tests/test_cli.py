@@ -172,11 +172,19 @@ def test_bad_bocs_document_fails_at_the_boundary(fixture_dir, tmp_path):
                                   "--rmax", "3"])
     assert result.exit_code == 0, result.output
     good = json.loads(bpath.read_text())
+    base = good["base"]
+    term = {"coefficient": "1", "path": [["x"], "x"]}
     for field, value, pointer in [
             ("d", [[9, 1, 1]], "/d/0"),
             ("r_max", -3, "/r_max"),
             ("eps", dict(good["eps"], data=[["1e1000000", "0"],
-                                            ["0", "1"]]), "/eps/data/0/0")]:
+                                            ["0", "1"]]), "/eps/data/0/0"),
+            ("base", 5, "/base"),
+            ("base", dict(base, arrows=[{"name": "", "source": 1,
+                                         "target": 1}]),
+             "/base/arrows/0/name"),
+            ("base", dict(base, relations=[{"terms": [term]}]),
+             "/base/relations/0/terms/0/path/0")]:
         bpath.write_text(json.dumps(dict(good, **{field: value})))
         result = runner.invoke(main, ["burt-butler", str(bpath)])
         assert result.exit_code == 1

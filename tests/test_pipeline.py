@@ -11,6 +11,8 @@ from bocskit import io as bio
 from bocskit import pipeline
 from bocskit.ainf import ExtClass
 from bocskit.bocs import construct_bocs
+from bocskit.burt_butler import _endo_algebra
+from bocskit.corpus import random_corpus
 from bocskit.pipeline import (PipelineError, indecomposables_up_to,
                               roundtrip_bocs, run_pipeline)
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
@@ -279,6 +281,33 @@ def test_local_candidates_skip_their_endomorphism_algebra(monkeypatch):
         got = indecomposables_up_to(alg, 4)
         assert len(calls) == want, build.__name__
         assert got == reference_indecomposables(alg, 4)
+
+
+def test_candidate_endomorphism_algebras_are_local_or_raise(monkeypatch):
+    # _is_indecomposable counts no degree-0 elements: End(M) of every
+    # candidate rad^a P(i) / rad^b P(i), a > 0, either raises (corpus
+    # member c09) or has the unit as its one degree-0 basis element
+    outcomes = Counter()
+
+    def probe(M):
+        try:
+            E = _endo_algebra(M)
+        except ValueError:
+            outcomes["raise"] += 1
+        else:
+            outcomes[E.bdegree.count(0)] += 1
+        return True
+
+    monkeypatch.setattr(pipeline, "_is_indecomposable", probe)
+    algs = [build() for build in (example_semisimple_pair,
+                                  example_dual_numbers, example_a2,
+                                  example_jordan3)]
+    algs += [alg for alg, _, _ in random_corpus(
+        20260823, count=20, max_dim=5, require_bocs=False)]
+    for alg in algs:
+        indecomposables_up_to(alg, pipeline.DIM_BOUND)
+    assert outcomes.keys() == {1, "raise"}
+    assert outcomes["raise"] == 1
 
 
 def test_roundtrip_bocs_reingested_identical():
