@@ -40,7 +40,7 @@ from operator import le, lt
 from .ainf import AInfTable, build_tables
 from .linalg import (ONE, ZERO, Matrix, Span, complement_pivots, frac,
                      nonzeros, vec_is_zero)
-from .modules import FDModule, ModuleMap, hom_basis
+from .modules import FDModule, ModuleMap, _act, hom_basis
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 from .resolution import ResolvedSystem
 from .strata import classify_algebra
@@ -95,6 +95,12 @@ def _sum_terms(terms) -> dict:
     for key, c in terms:
         out[key] = out.get(key, ZERO) + c
     return {key: c for key, c in out.items() if c}
+
+
+def _apply_cols(cols, vec) -> dict:
+    """The nonzero entries {y: a} of m applied to the sparse vector vec
+    {j: b}, read off cols = m.nonzero_columns()."""
+    return _sum_terms((y, a * b) for j, b in vec.items() for y, a in cols[j])
 
 
 class Bocs:
@@ -336,17 +342,22 @@ class Bocs:
     # -- kernel of the counit ---------------------------------------------
 
     def _build_kernel(self):
+        """The basis of ker eps, and generators of it as a bimodule modulo
+        rad B.ker eps + ker eps.rad B, one Peirce block at a time; d counts
+        them per block.  The radical actions are read off their nonzero
+        columns at the nonzeros of each kernel vector."""
         B = self.B
         kvecs = self.eps.kernel_basis()
         self.kernel_basis = [tuple(v) for v in kvecs]
-        rad = B.radical_indices()
+        sides = [m.nonzero_columns() for k in B.radical_indices()
+                 for m in (self.WL[k], self.WR[k])]
         svecs = []
         for v in self.kernel_basis:
-            for k in rad:
-                for m in (self.WL[k], self.WR[k]):
-                    w = m.apply(v)
-                    if not vec_is_zero(w):
-                        svecs.append(tuple(w))
+            nz = nonzeros(v)
+            for cols in sides:
+                w = _apply_cols(cols, nz)
+                if w:
+                    svecs.append([w.get(y, ZERO) for y in range(self.w_dim)])
         span = Span(self.w_dim, svecs)
         self.d = {}
         self.kernel_generators = []
@@ -369,11 +380,14 @@ class Bocs:
             expect += mult * be_a * e_b_b
         if expect != len(self.kernel_basis):
             return False
-        # the sub-bimodule the generators span: every r(l(g))
-        lefts = [lm.apply(g) for (a, b, g) in self.kernel_generators
-                 for lm in self.WL]
-        span = Span(self.w_dim, [rm.apply(v) for v in lefts
-                                 if not vec_is_zero(v) for rm in self.WR])
+        # the sub-bimodule the generators span: every r(l(g)), read off
+        # the nonzero columns of the actions
+        lefts = [_apply_cols(m.nonzero_columns(), nonzeros(g))
+                 for (a, b, g) in self.kernel_generators for m in self.WL]
+        rights = [_apply_cols(m.nonzero_columns(), v)
+                  for v in lefts if v for m in self.WR]
+        span = Span(self.w_dim, [[w.get(y, ZERO) for y in range(self.w_dim)]
+                                 for w in rights if w])
         return len(span) == len(self.kernel_basis)
 
 
@@ -662,8 +676,9 @@ class TensorModule(FDModule):
 
     It is the sum of the e_v(t)X over the top t, on the coordinates
     (t, x), x in e_v(t)X, that chosen lists; (t, x) is the image of the
-    pair t (x) x.  k in alg acts by k.(t (x) x) = rho(k.t (x) x).  W (x)_B X
-    is the source of the bocs morphisms out of X; on it pair_image sets
+    pair t (x) x.  A radical k in alg acts by k.(t (x) x) = rho(k.t (x) x),
+    and each e_v by its projection (FDModule).  W (x)_B X is the source
+    of the bocs morphisms out of X; on it pair_image sets
     proj, rho from the pairs (w, x) of W (x) X, in the order of w and then
     x, and bocs_lift sets counit, the map w (x) x to eps(w) x, each the
     first time it is needed.  R (x)_B X is the induced module (induce).
@@ -680,10 +695,13 @@ class TensorModule(FDModule):
         dims = [sum(block[t][0] == i for t, _ in self.chosen)
                 for i in range(1, basis.alg.n + 1)]
         cols = [a.nonzero_columns() for a in X.act]
-        act = [_on_coords(self.chosen, [
-            basis.rho([((), u, x, c) for u, c in lc[t]], cols)
-            for t, x in self.chosen]) for lc in basis.lcols]
-        super().__init__(basis.alg, dims, act)
+
+        def left(k):
+            lc = basis.lcols[k]
+            return _on_coords(self.chosen, [
+                basis.rho([((), u, x, c) for u, c in lc[t]], cols)
+                for t, x in self.chosen])
+        super().__init__(basis.alg, dims, _act(basis.alg, left))
 
 
 def _on_coords(keys, columns) -> Matrix:

@@ -75,11 +75,17 @@ class RightAlgebra:
             raise AssertionError("regular module coordinates degenerate")
 
         # R is End(B) opposed: basis[i] * basis[j] is basis[j] after
-        # basis[i], one composition per ordered pair, through pair images
-        # formed once per basis map
+        # basis[i], through pair images formed once per basis map.  g
+        # after f is zero unless f lands in g's source summand, so only
+        # those pairs are composed.
+        summand = {c: s for s, (_, _, words) in enumerate(self.XB.proj_gens)
+                   for c, _ in words}
+        blocks = [_summands(h, summand) for h in self.basis]
         images = [pair_image(bocs, h) for h in self.basis]
         table = [[nonzeros(space.coords(bocs_compose(bocs, g, f).mat))
-                  for g in images] for f in images]
+                  if bf[1] == bg[0] else {}
+                  for g, bg in zip(images, blocks)]
+                 for f, bf in zip(images, blocks)]
         idems = [space.coords(self._phi_raw(B.idempotent(i)).mat)
                  for i in range(1, B.n + 1)]
         self.R = from_structure_constants(B.n, table, idems)
@@ -135,6 +141,22 @@ class RightAlgebra:
                                  self.embed(B.basis_vec(v)))
                 if tuple(lhs) != tuple(rhs):
                     raise AssertionError("embedding is not multiplicative")
+
+
+def _summands(h: ModuleMap, summand):
+    """(source, target) summands of XB = sum of the P_B(v) between which
+    the map h: W (x)_B XB -> XB is nonzero, summand[c] the summand of the
+    coordinate c of XB.  W (x)_B XB is the sum of the W (x)_B P_B(v), its
+    coordinate (t, x) in the one of x, and B acts on each summand, so the
+    hom space is the sum of its blocks and its reduced echelon basis lies
+    in them; a map on two blocks is an AssertionError."""
+    chosen = h.source.chosen
+    cols = h.mat.nonzero_columns()
+    source = {summand[chosen[p][1]] for p, col in enumerate(cols) if col}
+    target = {summand[y] for col in cols for y, _ in col}
+    if len(source) != 1 or len(target) != 1:
+        raise AssertionError("a basis map of R spans two blocks")
+    return source.pop(), target.pop()
 
 
 def right_algebra(bocs: Bocs) -> RightAlgebra:

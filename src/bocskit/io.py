@@ -413,8 +413,8 @@ def doc_to_bocs(doc: dict):
         e = B.unit_index[i - 1]
         for mats, end in ((WL, 0), (WR, 1)):
             _expect(mats[e].nonzero_columns()
-                    == [[(c, 1)] if w_block[c][end] == i else []
-                        for c in range(w_dim)], "/w_block")
+                    == tuple(((c, 1),) if w_block[c][end] == i else ()
+                             for c in range(w_dim)), "/w_block")
     _check_actions(B, w_block, WL, WR)
     eps = lists_to_matrix(doc.get("eps"), "/eps")
     _expect(eps.rows == B.dim and eps.cols == w_dim

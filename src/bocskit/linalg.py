@@ -14,7 +14,11 @@ integral `Fraction`, equal in value to its `int`.
 Matrices are immutable; all operations return fresh objects.
 A Matrix records whether all its entries are ints (`ints`), which its
 constructor's scan decides anyway, so a product of two all-int factors
-needs no scan: int products and sums stay ints.
+needs no scan: int products and sums stay ints.  It also keeps each form
+derived from its entries once computed: its hash, the sparse rows it
+contributes as the right factor of `@` and `nonzero_columns`, which is
+handed out as tuples, so no caller can alter it.  A matrix read many
+times, such as the idempotent actions modules share, pays for each once.
 This module alone knows how subspaces and spaces of maps are held in
 coordinates: a Span keeps a subspace as its reduced row echelon basis and
 gives the projection onto a complement, and a MapSpace solves for and
@@ -117,9 +121,12 @@ def complement_pivots(pivots: Sequence[int], ncols: int) -> list[int]:
 
 class Matrix:
     """Immutable dense matrix of exact scalars, row-major; ints is True
-    when every entry is an int."""
+    when every entry is an int.  Its derived forms, the hash, the sparse
+    rows it contributes as the right factor of @ and nonzero_columns, are
+    computed on first use and kept in the object."""
 
-    __slots__ = ("rows", "cols", "data", "ints")
+    __slots__ = ("rows", "cols", "data", "ints", "_hash", "_sparse",
+                 "_nzcols")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable]):
         data = tuple(map(tuple, data))
@@ -135,6 +142,7 @@ class Matrix:
         self.cols = cols
         self.data = data
         self.ints = ints
+        self._hash = self._sparse = self._nzcols = None
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -154,11 +162,15 @@ class Matrix:
         return cls(rows, cols, zip(*columns))
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+        return self is other or (
+            isinstance(other, Matrix) and self.rows == other.rows
+            and self.cols == other.cols and self.data == other.data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.rows, self.cols, self.data))
+        return h
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
@@ -181,7 +193,11 @@ class Matrix:
         all-int factors it is all-int, and built without the scan."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
+        sparse = other._sparse
+        if sparse is None:
+            sparse = other._sparse = tuple(
+                tuple((j, b) for j, b in enumerate(r) if b)
+                for r in other.data)
         out = []
         for r in self.data:
             row = [ZERO] * other.cols
@@ -195,6 +211,7 @@ class Matrix:
         m = object.__new__(Matrix)
         m.rows, m.cols, m.ints = self.rows, other.cols, True
         m.data = tuple(out)
+        m._hash = m._sparse = m._nzcols = None
         return m
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -217,18 +234,18 @@ class Matrix:
     def columns(self) -> list[tuple[Scalar, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
-    def nonzero_columns(self) -> list[list[tuple[int, Scalar]]]:
-        """Per column, its nonzero entries as (row, entry) pairs."""
-        cols = [[] for _ in range(self.cols)]
-        for i, r in enumerate(self.data):
-            for j, a in enumerate(r):
-                if a != 0:
-                    cols[j].append((i, a))
-        return cols
-
-    def trace(self) -> Scalar:
-        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))),
-                   ZERO)
+    def nonzero_columns(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+        """Per column, its nonzero entries as (row, entry) pairs; computed
+        once and shared, so a tuple of tuples."""
+        got = self._nzcols
+        if got is None:
+            cols = [[] for _ in range(self.cols)]
+            for i, r in enumerate(self.data):
+                for j, a in enumerate(r):
+                    if a != 0:
+                        cols[j].append((i, a))
+            got = self._nzcols = tuple(map(tuple, cols))
+        return got
 
     def rank(self) -> int:
         return len(rref_rows(self.data, self.cols)[0])

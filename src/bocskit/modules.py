@@ -1,22 +1,28 @@
 """Finite-dimensional left modules over an Algebra, and their maps.
 
-A module stores one global square matrix per algebra basis element, acting
-on coordinates grouped by vertex (all vertex-1 coordinates first, then
-vertex 2, and so on).  Module maps are global matrices that are block
-diagonal with respect to that grouping, since they commute with the
-idempotent actions; hom_basis solves for the entries of those vertex
-blocks alone, and an arrow s -> t constrains only the (t, s) block.
+A module is a representation of the algebra's quiver: its coordinates
+are grouped by vertex (all vertex-1 coordinates first, then vertex 2, and
+so on), and it stores one square matrix per basis element of the
+algebra.  The vertex idempotent e_v acts as the projection onto vertex
+v's coordinates, which the dimension vector fixes, so those matrices are
+never computed: each is one shared projection per (dims, v), kept in the
+store alg.vertex_projections, and the builders compute the radical
+actions alone.  Module maps are global matrices that are block diagonal
+with respect to the grouping, since they commute with the idempotent
+actions; hom_basis solves for the entries of those vertex blocks alone,
+and an arrow s -> t constrains only the (t, s) block.
 
 Three results are computed once per algebra and kept in stores on the
 Algebra the modules are over: each sum of projectives (keyed on its
 vertex tuple), each step of a syzygy walk (the projective cover of a
 module and its kernel) and each hom_basis solve (keyed on the contents
-of M and N).  A module is keyed on its content, (dims, *act), never on
-the FDModule, and a stored value is plain data: Matrix objects, dims,
-the vertex tuple and proj_gens.  So no stored value refers back to the
-algebra, and an algebra with its stores is freed by reference counting
-alone.  The public functions wrap the stored data in fresh FDModule and
-ModuleMap objects around the caller's own modules.
+of M and N).  A module is keyed on its content, the dims and the radical
+actions (the dims fix the rest), never on the FDModule, and a stored
+value is plain data: Matrix objects, dims, the vertex tuple and
+proj_gens.  So no stored value refers back to the algebra, and an
+algebra with its stores is freed by reference counting alone.  The
+public functions wrap the stored data in fresh FDModule and ModuleMap
+objects around the caller's own modules.
 """
 
 from __future__ import annotations
@@ -28,7 +34,13 @@ from .quiver import Algebra
 class FDModule:
     """A module is its content: modules with the same Algebra object, dims
     and action matrices are equal, and every module memo keys on that.
-    Nothing mutates a module; attributes set later are read by no memo."""
+    Nothing mutates a module; attributes set later are read by no memo.
+
+    act holds a matrix per algebra basis element.  At each e_v it may
+    hold None, and FDModule puts the shared projection onto vertex v's
+    coordinates there; any other matrix there that is not that projection
+    is refused.  The key is the dims and the radical actions, which fix
+    the idempotent ones."""
 
     def __init__(self, alg: Algebra, dims, act):
         self.alg = alg
@@ -41,11 +53,21 @@ class FDModule:
         for d in self.dims:
             self.offsets.append(off)
             off += d
-        self.act = list(act)  # one total x total Matrix per algebra basis elt
-        if len(self.act) != alg.dim:
+        act = list(act)
+        if len(act) != alg.dim:
             raise ValueError("need an action matrix per algebra basis element")
+        projs = _stored(alg.vertex_projections, self.dims,
+                        _vertex_projections, self.dims)
+        for v, (k, p) in enumerate(zip(alg.unit_index, projs), 1):
+            m = act[k]
+            if m is not p:
+                if m is not None and m != p:
+                    raise ValueError(f"e{v} does not act as the projection "
+                                     f"onto vertex {v}'s coordinates")
+                act[k] = p
+        self.act = act
         # the content every module memo and Algebra store keys on
-        self.key = (self.dims, *self.act)
+        self.key = (self.dims,) + tuple(map(act.__getitem__, alg.radical))
         self._hash = None
 
     def __eq__(self, other):
@@ -97,16 +119,35 @@ def projective(alg: Algebra, i: int) -> FDModule:
     return sum_of_projectives(alg, [i])
 
 
+def _vertex_projections(dims):
+    """The action of each e_v on modules with these dims: the projection
+    onto vertex v's coordinates, one Matrix per vertex."""
+    total = sum(dims)
+    zero = (ZERO,) * total
+    units = [zero[:c] + (ONE,) + zero[c + 1:] for c in range(total)]
+    out, off = [], 0
+    for d in dims:
+        out.append(Matrix(total, total,
+                          [units[c] if off <= c < off + d else zero
+                           for c in range(total)]))
+        off += d
+    return tuple(out)
+
+
+def _act(alg: Algebra, build):
+    """An action list for FDModule: build(k) at each radical basis
+    element k, and None at each e_v."""
+    act = [None] * alg.dim
+    for k in alg.radical:
+        act[k] = build(k)
+    return act
+
+
 def simple(alg: Algebra, i: int) -> FDModule:
     dims = [0] * alg.n
     dims[i - 1] = 1
-    act = []
-    for k in range(alg.dim):
-        if k == alg.unit_index[i - 1]:
-            act.append(Matrix.identity(1))
-        else:
-            act.append(Matrix.zero(1, 1))
-    return FDModule(alg, dims, act)
+    zero = Matrix.zero(1, 1)
+    return FDModule(alg, dims, _act(alg, lambda k: zero))
 
 
 def _from_arrow_blocks(alg: Algebra, dims, arrow_mats):
@@ -120,18 +161,13 @@ def _from_arrow_blocks(alg: Algebra, dims, arrow_mats):
             raise ValueError(f"arrow {aname}: block shape mismatch")
         by_arrow[aname] = place_block(dims, t, s, block)
 
-    act = []
-    for k in range(alg.dim):
-        source, names = alg.paths[k]
-        if not names:
-            block = Matrix.identity(dims[source - 1])
-            act.append(place_block(dims, source, source, block))
-        else:
-            m = Matrix.identity(sum(dims))
-            for aname in names:
-                m = by_arrow[aname] @ m
-            act.append(m)
-    return FDModule(alg, dims, act)
+    def path(k):
+        first, *rest = alg.paths[k][1]
+        m = by_arrow[first]
+        for aname in rest:
+            m = by_arrow[aname] @ m
+        return m
+    return FDModule(alg, dims, _act(alg, path))
 
 
 def place_block(dims, t: int, s: int, block: Matrix) -> Matrix:
@@ -197,10 +233,15 @@ def _hom_mats(M: FDModule, N: FDModule):
 
 def _trace_pairing(hom_mn, hom_nm) -> Matrix:
     """The pairing trace(g f), one row per g in Hom(N, M) and one column
-    per f in Hom(M, N)."""
-    return Matrix(len(hom_nm), len(hom_mn),
-                  [[(g.mat @ f.mat).trace() for f in hom_mn]
-                   for g in hom_nm])
+    per f in Hom(M, N): the sum of g[i][j] f[j][i] over the nonzero
+    entries of g, with no product formed."""
+    rows = []
+    for g in hom_nm:
+        nz = [(i, j, a) for i, row in enumerate(g.mat.data)
+              for j, a in enumerate(row) if a]
+        rows.append([sum([a * f.mat.data[j][i] for i, j, a in nz], ZERO)
+                     for f in hom_mn])
+    return Matrix(len(hom_nm), len(hom_mn), rows)
 
 
 def from_generators(P: FDModule, X: FDModule, images) -> ModuleMap:
@@ -254,7 +295,8 @@ def sum_of_projectives(alg: Algebra, vertices):
 
 
 def _sum_of_projectives(alg: Algebra, vertices):
-    """(dims, act, proj_gens) of the sum of the P(v), read off alg.table."""
+    """(dims, act, proj_gens) of the sum of the P(v), act[g] read off
+    alg.table for each radical g."""
     keys = sorted((alg.btarget[k], s, alg.bdegree[k], k)
                   for s, v in enumerate(vertices)
                   for k in range(alg.dim) if alg.bsource[k] == v)
@@ -263,13 +305,15 @@ def _sum_of_projectives(alg: Algebra, vertices):
     for t, _, _, _ in keys:
         dims[t - 1] += 1
     total = len(keys)
-    act = []
-    for row in alg.table:
+
+    def left(g):
         grid = [[ZERO] * total for _ in range(total)]
+        row = alg.table[g]
         for c, (_, s, _, k) in enumerate(keys):
             for m, x in row[k].items():
                 grid[pos[s, m]][c] = x
-        act.append(Matrix(total, total, grid))
+        return Matrix(total, total, grid)
+    act = _act(alg, left)
     words = [[] for _ in vertices]
     for c, (_, s, _, k) in enumerate(keys):
         words[s].append((c, k))
@@ -284,7 +328,8 @@ def submodule(M: FDModule, vectors):
     Returns (FDModule, inclusion ModuleMap).  The basis is the reduced
     echelon basis of the span, so a vector of the span has its
     coordinates at the pivots.  Raises when the span is not closed under
-    the action.
+    the action: vertex-purity is closure under each e_v, and each radical
+    action is checked.
     """
     span = Span(M.total, vectors)
     per_vertex = {i: [] for i in range(1, M.alg.n + 1)}
@@ -297,15 +342,15 @@ def submodule(M: FDModule, vectors):
     dims = [len(prs) for prs in per_vertex.values()]
     inc = (Matrix.from_columns([r for _, r in basis]) if basis
            else Matrix.zero(M.total, 0))
-    act = []
-    for a in M.act:
-        image = a @ inc
-        on_sub = Matrix(len(basis), len(basis),
-                        [image.data[p] for p, _ in basis])
-        if inc @ on_sub != image:
+
+    def on_sub(k):
+        image = M.act[k] @ inc
+        out = Matrix(len(basis), len(basis),
+                     [image.data[p] for p, _ in basis])
+        if inc @ out != image:
             raise ValueError("span is not closed under the action")
-        act.append(on_sub)
-    sub = FDModule(M.alg, dims, act)
+        return out
+    sub = FDModule(M.alg, dims, _act(M.alg, on_sub))
     return sub, ModuleMap(sub, M, inc)
 
 
@@ -322,11 +367,8 @@ def quotient(M: FDModule, vectors):
     for c in comp:
         dims[M.vertex_of_coord(c) - 1] += 1
     # sect selects the columns at comp, so a @ sect is read off a
-    act = ([pmat @ Matrix(M.total, len(comp), [[r[c] for c in comp]
-                                               for r in a.data])
-            for a in M.act] if comp
-           else [Matrix.zero(0, 0)] * len(M.act))
-    q = FDModule(M.alg, dims, act)
+    q = FDModule(M.alg, dims, _act(M.alg, lambda k: pmat @ Matrix(
+        M.total, len(comp), [[r[c] for c in comp] for r in M.act[k].data])))
     return q, ModuleMap(M, q, pmat), sect
 
 

@@ -26,15 +26,15 @@ from .linalg import Matrix, ONE, Span, ZERO, frac, nonzeros
 
 def table_product(table, u, v):
     """u * v for coefficient vectors over a basis with structure table
-    table[i][j] = {k: c} of basis[i] * basis[j]; v is applied first."""
+    table[i][j] = {k: c} of basis[i] * basis[j]; v is applied first.
+    Only the nonzero pairs of entries of u and v are visited."""
     out = [ZERO] * len(table)
+    vs = [(j, cv) for j, cv in enumerate(v) if cv != 0]
     for i, cu in enumerate(u):
         if cu == 0:
             continue
         row = table[i]
-        for j, cv in enumerate(v):
-            if cv == 0:
-                continue
+        for j, cv in vs:
             for k, c in row[j].items():
                 out[k] += cu * cv * c
     return tuple(out)
@@ -123,21 +123,29 @@ class Algebra:
         btarget     per basis element: vertex t with w = e_t * w
         bdegree     radical degree of each basis element
         unit_index  basis position of e_i, per vertex (0-based list, vertex-1)
+        radical     the basis positions of radical degree >= 1, ascending;
+                    the algebra being elementary, every position but the
+                    unit_index ones
         table       table[i][j] = coefficient dict of basis[i] * basis[j]
         arrows      list of (name, source, target, basis index) of the
                     distinguished radical generators
         paths       for quiver algebras: the path of each basis element as
                     (source, arrow-name tuple); None otherwise
+        vertex_projections
+                    modules' store of the idempotent actions: per
+                    dimension vector, the projection onto each vertex's
+                    coordinates, shared by every module with those dims
         projectives modules.sum_of_projectives's store: (dims, act,
-                    proj_gens) per vertex tuple
+                    proj_gens) per vertex tuple, act holding the radical
+                    actions and None at each e_v
         steps       modules' store of syzygy walk steps: per module
-                    content (dims, *act), its cover and kernel as
-                    (vertices, cover matrix, kernel dims, kernel act,
-                    inclusion matrix)
+                    content (dims and the radical actions), its cover and
+                    kernel as (vertices, cover matrix, kernel dims,
+                    kernel act, inclusion matrix)
         homs        modules.hom_basis's store: the basis matrices per
                     pair of module contents
 
-    The three stores hold plain data (matrices, dims, vertex tuples), never
+    The four stores hold plain data (matrices, dims, vertex tuples), never
     a module or map, so nothing in them refers back to the algebra.
     """
 
@@ -149,6 +157,8 @@ class Algebra:
         self.btarget = list(btarget)
         self.bdegree = list(bdegree)
         self.unit_index = list(unit_index)
+        self.radical = tuple(k for k in range(self.dim)
+                             if self.bdegree[k] >= 1)
         self.table = table
         self.arrows = list(arrows)
         self.labels = list(labels)
@@ -157,6 +167,7 @@ class Algebra:
         self.relations = relations
         self.old_to_new = None
         self.new_to_old = None
+        self.vertex_projections = {}
         self.projectives = {}
         self.steps = {}
         self.homs = {}
@@ -187,7 +198,7 @@ class Algebra:
                 if self.btarget[k] == target and self.bsource[k] == source]
 
     def radical_indices(self):
-        return [k for k in range(self.dim) if self.bdegree[k] >= 1]
+        return list(self.radical)
 
     def cartan_matrix(self):
         """Integer matrix with entry (i,j) = dim e_i A e_j = [P(j):S(i)]."""

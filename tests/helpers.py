@@ -6,6 +6,10 @@ not need: direct sums, modules from arrow blocks with the module axioms
 checked, the intertwining check of a map, the zero module and the kernel
 of a module map, the dense hom solve that hom_basis replaced, hom_basis,
 sum_of_projectives and syzygies as they were before the Algebra stores,
+the module builders (simple, from arrow blocks, sum of projectives,
+submodule, quotient and the tensor module over a right basis) as they
+were before the idempotent actions were filled in from the dimension
+vector, each computing every action matrix,
 the radical of a hom space, the bocs identity, the pairs of W (x) X with
 their projection and section, the composition over every pair of
 W (x) X read back through the section that bocs_compose replaced, the
@@ -48,8 +52,8 @@ from bocskit.linalg import (ONE, ZERO, MapSpace, Matrix, Span, nonzeros,
                             vec_is_zero)
 from bocskit.modules import (FDModule, ModuleMap, _from_arrow_blocks,
                              _trace_pairing, from_generators, hom_basis,
-                             is_isomorphic, projective, quotient,
-                             radical_vectors, submodule)
+                             is_isomorphic, place_block, projective,
+                             quotient, radical_vectors, submodule)
 from bocskit.pipeline import _is_indecomposable
 from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
                             build_algebra, from_structure_constants)
@@ -209,10 +213,11 @@ def reference_hom_basis(M: FDModule, N: FDModule):
     return out
 
 
-def reference_sum_of_projectives(alg: Algebra, vertices):
-    """sum_of_projectives as it was before the Algebra stores, with
-    proj_gens a list of (coordinate of e_v, v, [(coordinate, word k)])."""
-    vertices = list(vertices)
+def reference_projectives_action(alg: Algebra, vertices):
+    """(dims, act, keys) of the sum of the P(v) for v in vertices, with
+    every action matrix, the e_v's too, read off alg.table: the module
+    data sum_of_projectives built before it skipped the idempotents, and
+    keys[c] = (target, summand, degree, word) of coordinate c."""
     keys = sorted((alg.btarget[k], s, alg.bdegree[k], k)
                   for s, v in enumerate(vertices)
                   for k in range(alg.dim) if alg.bsource[k] == v)
@@ -228,6 +233,15 @@ def reference_sum_of_projectives(alg: Algebra, vertices):
             for m, x in row[k].items():
                 grid[pos[s, m]][c] = x
         act.append(Matrix(total, total, grid))
+    return dims, act, keys
+
+
+def reference_sum_of_projectives(alg: Algebra, vertices):
+    """sum_of_projectives as it was before the Algebra stores, with
+    proj_gens a list of (coordinate of e_v, v, [(coordinate, word k)])."""
+    vertices = list(vertices)
+    dims, act, keys = reference_projectives_action(alg, vertices)
+    pos = {(s, k): c for c, (_, s, _, k) in enumerate(keys)}
     out = FDModule(alg, dims, act)
     out.proj_gens = [(pos[s, alg.unit_index[v - 1]], v, [])
                      for s, v in enumerate(vertices)]
@@ -235,6 +249,93 @@ def reference_sum_of_projectives(alg: Algebra, vertices):
         out.proj_gens[s][2].append((c, k))
     out.summands = vertices
     return out
+
+
+# The module builders as they were before FDModule filled in the
+# idempotent actions: each returns (dims, act) with every action matrix
+# computed, the e_v's by the same products as the rest.
+
+
+def reference_simple(alg: Algebra, i: int):
+    dims = [0] * alg.n
+    dims[i - 1] = 1
+    return dims, [Matrix.identity(1) if k == alg.unit_index[i - 1]
+                  else Matrix.zero(1, 1) for k in range(alg.dim)]
+
+
+def reference_arrow_blocks(alg: Algebra, dims, arrow_mats):
+    """_from_arrow_blocks: each path acts as the product of its arrow
+    blocks, placed in the global matrix, and e_v as its vertex block."""
+    dims = tuple(dims)
+    by_arrow = {aname: place_block(dims, t, s, block)
+                for (aname, s, t, k), block in zip(alg.arrows, arrow_mats)}
+    act = []
+    for k in range(alg.dim):
+        source, names = alg.paths[k]
+        if not names:
+            block = Matrix.identity(dims[source - 1])
+            act.append(place_block(dims, source, source, block))
+        else:
+            m = Matrix.identity(sum(dims))
+            for aname in names:
+                m = by_arrow[aname] @ m
+            act.append(m)
+    return dims, act
+
+
+def reference_submodule(M: FDModule, vectors):
+    """submodule: every action restricted to the span, closure checked."""
+    span = Span(M.total, vectors)
+    per_vertex = {i: [] for i in range(1, M.alg.n + 1)}
+    for r, p in zip(span.rows, span.pivots):
+        verts = {M.vertex_of_coord(c) for c, x in enumerate(r) if x != 0}
+        if len(verts) > 1:
+            raise ValueError("submodule vectors must be vertex-pure")
+        per_vertex[verts.pop()].append((p, tuple(r)))
+    basis = [pr for prs in per_vertex.values() for pr in prs]
+    dims = [len(prs) for prs in per_vertex.values()]
+    inc = (Matrix.from_columns([r for _, r in basis]) if basis
+           else Matrix.zero(M.total, 0))
+    act = []
+    for a in M.act:
+        image = a @ inc
+        on_sub = Matrix(len(basis), len(basis),
+                        [image.data[p] for p, _ in basis])
+        if inc @ on_sub != image:
+            raise ValueError("span is not closed under the action")
+        act.append(on_sub)
+    return dims, act
+
+
+def reference_quotient(M: FDModule, vectors):
+    """quotient: every action read through the projection and section."""
+    comp, pmat, _ = Span(M.total, vectors).complement(key=M.vertex_of_coord)
+    dims = [0] * M.alg.n
+    for c in comp:
+        dims[M.vertex_of_coord(c) - 1] += 1
+    act = ([pmat @ Matrix(M.total, len(comp), [[r[c] for c in comp]
+                                               for r in a.data])
+            for a in M.act] if comp
+           else [Matrix.zero(0, 0)] * len(M.act))
+    return dims, act
+
+
+def reference_right_tensor(basis, X: FDModule):
+    """TensorModule(basis, X): every k of basis.alg, the e_v's too, acting
+    by rho(k.t (x) x) on the coordinates (t, x)."""
+    block = basis.block
+    chosen = [(t, x) for t in basis.top for x in X.vertex_range(block[t][1])]
+    dims = [sum(block[t][0] == i for t, _ in chosen)
+            for i in range(1, basis.alg.n + 1)]
+    cols = [a.nonzero_columns() for a in X.act]
+    act = []
+    for lc in basis.lcols:
+        images = [basis.rho([((), u, x, c) for u, c in lc[t]], cols)
+                  for t, x in chosen]
+        act.append(Matrix(len(chosen), len(chosen),
+                          [[col.get(key, ZERO) for col in images]
+                           for key in chosen]))
+    return dims, act
 
 
 def reference_syzygies(M: FDModule, depth: int):

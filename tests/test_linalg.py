@@ -676,3 +676,34 @@ def test_the_all_int_record_is_the_entries(rows, inner, cols, data):
     half = Matrix(1, 2, [[Fraction(1, 2), Fraction(3, 2)]])
     one = half @ Matrix(2, 1, [[2], [0]])
     assert one.data == ((1,),) and type(one.data[0][0]) is int and one.ints
+
+
+@_PROPERTY
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_kept_forms_are_those_of_a_fresh_copy(rows, inner, cols, data):
+    # a Matrix keeps its hash, its sparse rows as the right factor of @
+    # and its nonzero columns; each read, first or later, is what a fresh
+    # copy of the same entries computes
+    A = data.draw(_matrix(rows, inner))
+    B = data.draw(_matrix(inner, cols))
+    C = data.draw(_matrix(rows, inner))
+
+    def fresh(m):
+        return Matrix(m.rows, m.cols, [list(r) for r in m.data])
+
+    for _ in range(2):
+        assert hash(A) == hash(fresh(A)) and hash(B) == hash(fresh(B))
+        assert A @ B == fresh(A) @ fresh(B) == _dense_product(A, B)
+        assert C @ B == fresh(C) @ fresh(B) == _dense_product(C, B)
+        assert B.nonzero_columns() == fresh(B).nonzero_columns()
+    cols_b = B.nonzero_columns()
+    assert cols_b is B.nonzero_columns()
+    assert cols_b == tuple(tuple((i, a) for i, a in enumerate(c) if a != 0)
+                           for c in B.columns())
+    # what is handed out cannot be changed in place
+    with pytest.raises(TypeError):
+        cols_b[0] = ()
+    with pytest.raises(AttributeError):
+        cols_b[0].append((0, 1))
+    assert B.nonzero_columns() == fresh(B).nonzero_columns()
+    assert A @ B == _dense_product(A, B)

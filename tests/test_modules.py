@@ -8,7 +8,8 @@ from bocskit.bocs import construct_bocs, tensor_module
 from bocskit.burt_butler import right_algebra
 from bocskit.cli import FIXTURES
 from bocskit.linalg import ONE, ZERO, Matrix, Span
-from bocskit.modules import (FDModule, ModuleMap, from_generators,
+from bocskit.modules import (FDModule, ModuleMap, _from_arrow_blocks,
+                             from_generators,
                              hom_basis, hom_from_projective, iso_defect,
                              is_isomorphic, place_block, projective,
                              projective_cover, quotient, radical_vectors,
@@ -21,9 +22,11 @@ from bocskit.strata import standard_modules
 
 from helpers import (auslander, check_intertwining, dense_hom_basis,
                      direct_sum, from_arrow_matrices, kernel,
-                     monomial_algebras,
-                     radical_hom_basis, reference_hom_basis,
-                     reference_syzygies, validate)
+                     monomial_algebras, radical_hom_basis,
+                     reference_arrow_blocks, reference_hom_basis,
+                     reference_projectives_action, reference_quotient,
+                     reference_right_tensor, reference_simple,
+                     reference_submodule, reference_syzygies, validate)
 
 
 def test_projective_dims_a2():
@@ -551,3 +554,99 @@ def test_stores_return_what_the_computation_returns(corpus_bocses):
         assert set(alg.homs) == {(M.key, N.key) for M in mods for N in mods}
     assert (walks, pairs, nonzero) == (372, 3472, 1561)
 
+
+
+def _arrow_blocks(M: FDModule):
+    """The (t, s) block of the action of each arrow s -> t on M."""
+    return [Matrix(M.dims[t - 1], M.dims[s - 1],
+                   [M.act[k].data[r][M.offsets[s - 1]:
+                                     M.offsets[s - 1] + M.dims[s - 1]]
+                    for r in M.vertex_range(t)])
+            for _, s, t, k in M.alg.arrows]
+
+
+def _builds(M: FDModule, reference):
+    """M has the reference's dims and every one of its action matrices."""
+    dims, act = reference
+    assert M.dims == tuple(dims) and M.act == list(act)
+    return M
+
+
+def _modules_match_references(alg):
+    """Each builder over alg against its reference, on the simples, the
+    projectives, their sum, and the radical, top and first syzygy of
+    each of them; returns the modules."""
+    vertices = list(range(1, alg.n + 1))
+    mods = [_builds(simple(alg, i), reference_simple(alg, i))
+            for i in vertices]
+    for vs in [[i] for i in vertices] + [vertices]:
+        mods.append(_builds(sum_of_projectives(alg, vs),
+                            reference_projectives_action(alg, vs)[:2]))
+    for M in list(mods):
+        rad = Span(M.total, radical_vectors(M)).rows
+        _builds(quotient(M, rad)[0], reference_quotient(M, rad))
+        mods.append(_builds(submodule(M, rad)[0],
+                            reference_submodule(M, rad)))
+        for cover, omega, _ in syzygies(M, 1):
+            _builds(omega, reference_submodule(cover.source,
+                                               cover.mat.kernel_basis()))
+    if alg.paths is not None:
+        for M in mods:
+            blocks = _arrow_blocks(M)
+            _builds(_from_arrow_blocks(alg, M.dims, blocks),
+                    reference_arrow_blocks(alg, M.dims, blocks))
+    return mods
+
+
+def test_builders_compute_every_action_their_references_do(
+        fixture_bocses, corpus_bocses):
+    # every action matrix, the e_v's filled in from the dims included,
+    # equals the one the builder computed by products before, over A, B
+    # and R of e0-e3 in both modes, of the corpus and of Gamma_2 and
+    # Gamma_3 in both modes, and on W (x)_B X and R (x)_B X
+    bocses = list(fixture_bocses.values())
+    bocses += [b for _, _, b in corpus_bocses.values()]
+    bocses += [construct_bocs(auslander(n), list(range(n, 0, -1)),
+                              mode=mode, r_max=3)
+               for n in (2, 3) for mode in ("pdelta", "delta")]
+    tensors = rights = 0
+    for bocs in bocses:
+        _modules_match_references(bocs.alg)
+        bases = [bocs.right]
+        try:
+            ralg = right_algebra(bocs)
+        except ValueError as err:  # Gamma_3's R is not basic
+            assert "not elementary" in str(err)
+        else:
+            _modules_match_references(ralg.R)
+            bases.append(ralg.right)
+            rights += 1
+        for X in _modules_match_references(bocs.B):
+            for basis in bases:
+                if basis.coords is not None:
+                    _builds(basis.tensor(X), reference_right_tensor(basis, X))
+                    tensors += 1
+    assert (rights, tensors) == (29, 600)
+
+
+def test_idempotents_act_through_the_dimension_vector():
+    alg = example_a2()
+    P = sum_of_projectives(alg, [1, 2])
+    e1, e2 = alg.unit_index
+    # None at each e_v is filled with the stored projection, and a module
+    # equal to P is built whether the e_v are passed or not
+    none = [None if k in (e1, e2) else a for k, a in enumerate(P.act)]
+    Q = FDModule(alg, P.dims, none)
+    assert Q == P and Q.act == P.act
+    assert all(Q.act[k] is P.act[k] for k in (e1, e2))
+    assert alg.vertex_projections[P.dims] == (P.act[e1], P.act[e2])
+    assert P.key == (P.dims, *(P.act[k] for k in alg.radical))
+    # the e_1 and e_2 projections swapped are refused, naming the vertex
+    swapped = list(P.act)
+    swapped[e1], swapped[e2] = P.act[e2], P.act[e1]
+    with pytest.raises(ValueError, match="e1 does not act as the "
+                                         "projection onto vertex 1"):
+        FDModule(alg, P.dims, swapped)
+    swapped[e1] = P.act[e1]
+    with pytest.raises(ValueError, match="e2 does not act"):
+        FDModule(alg, P.dims, swapped)

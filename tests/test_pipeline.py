@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -8,11 +9,12 @@ import pytest
 
 from bocskit import bocs as bocs_module
 from bocskit import io as bio
-from bocskit import pipeline
+from bocskit import modules, pipeline
 from bocskit.ainf import ExtClass
 from bocskit.bocs import construct_bocs
 from bocskit.burt_butler import _endo_algebra
 from bocskit.corpus import random_corpus
+from bocskit.linalg import Matrix
 from bocskit.pipeline import (PipelineError, indecomposables_up_to,
                               roundtrip_bocs, run_pipeline)
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
@@ -342,6 +344,46 @@ def test_whole_runs_leave_no_cyclic_garbage():
         if enabled:
             gc.enable()
     assert left == []
+
+
+def test_builders_never_multiply_an_idempotent_projection(monkeypatch):
+    """Over an e1 and a c01 verify run, no product inside submodule,
+    quotient, _sum_of_projectives or TensorModule.__init__ has a stored
+    idempotent projection as a factor: those builders compute the
+    radical actions alone."""
+    # the ids of the stored projections, kept alive so no id is reused
+    stored, kept, products, bad = set(), [], [], []
+    build = modules._vertex_projections
+
+    def recorded(dims):
+        out = build(dims)
+        stored.update(map(id, out))
+        kept.extend(out)
+        return out
+
+    guarded = {f.__code__ for f in (
+        modules.submodule, modules.quotient, modules._sum_of_projectives,
+        bocs_module.TensorModule.__init__)}
+    product = Matrix.__matmul__
+
+    def watched(a, b):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in guarded:
+            frame = frame.f_back
+        if frame is not None:
+            products.append(frame.f_code.co_name)
+            if id(a) in stored or id(b) in stored:
+                bad.append(frame.f_code.co_name)
+        return product(a, b)
+
+    monkeypatch.setattr(modules, "_vertex_projections", recorded)
+    monkeypatch.setattr(Matrix, "__matmul__", watched)
+    run_pipeline(example_dual_numbers(), mode="pdelta")
+    alg, order, _ = random_corpus(20260823, count=2, max_dim=5,
+                                  require_bocs=False)[1]
+    run_pipeline(alg, order, mode="pdelta", config={"r_max": 3})
+    assert bad == []
+    assert stored and {"submodule", "quotient"} <= set(products)
 
 
 def test_roundtrip_bocs_hand_authored_shape():
