@@ -66,7 +66,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .linalg import ZERO
+from .linalg import _sum_terms
 from .resolution import (GradedMap, ResolvedSystem, ext_basis, hodge_data,
                          identity_graded_map)
 
@@ -371,13 +371,6 @@ def build_tables(rsys: ResolvedSystem, r_max: int = 6) -> AInfTable:
     return AInfTable(rsys, r_max)
 
 
-def _add_into(acc, coeffs, scalar):
-    for cls, c in coeffs.items():
-        acc[cls] = acc.get(cls, ZERO) + scalar * c
-        if acc[cls] == 0:
-            del acc[cls]
-
-
 def stasheff_check(table: AInfTable, k: int) -> bool:
     """Truncated Stasheff identity on all suspended-degree <= 0 tuples.
 
@@ -405,7 +398,7 @@ def stasheff_check(table: AInfTable, k: int) -> bool:
         if len(mid) <= k and all(c.k <= 1 for c in mid):
             starts.setdefault(mid[0], []).append((len(mid), mid, inner))
     for key in _chains(table, k, (0, 1)):
-        acc = {}
+        terms = []
         koszul = 0  # sum of |a| - 1 over key[:left]
         for left, first in enumerate(key):
             sign = -1 if koszul % 2 == 1 else 1
@@ -421,8 +414,9 @@ def stasheff_check(table: AInfTable, k: int) -> bool:
                     if outer is None:
                         outer = table.bprime(new_key)
                     if outer:
-                        _add_into(acc, outer, sign * c)
+                        terms.append((sign * c, outer))
             koszul += first.k - 1
-        if acc:
+        if terms and _sum_terms((cls, s * d) for s, outer in terms
+                                for cls, d in outer.items()):
             return False
     return True

@@ -38,9 +38,9 @@ from collections import namedtuple
 from operator import le, lt
 
 from .ainf import AInfTable, build_tables
-from .linalg import (ONE, ZERO, Matrix, Span, complement_pivots, frac,
+from .linalg import (ONE, ZERO, Matrix, Span, _apply_cols, _sum_terms, frac,
                      nonzeros, vec_is_zero)
-from .modules import FDModule, ModuleMap, _act, hom_basis
+from .modules import FDModule, ModuleMap, _act, _stored, hom_basis
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 from .resolution import ResolvedSystem
 from .strata import classify_algebra
@@ -87,20 +87,6 @@ def _path_vec(B: Algebra, arrow_idx, source, names):
     for name in names:
         vec = B.multiply(B.basis_vec(arrow_idx[name]), vec)
     return vec
-
-
-def _sum_terms(terms) -> dict:
-    """The nonzero sums {key: sum of c} over the terms (key, c)."""
-    out = {}
-    for key, c in terms:
-        out[key] = out.get(key, ZERO) + c
-    return {key: c for key, c in out.items() if c}
-
-
-def _apply_cols(cols, vec) -> dict:
-    """The nonzero entries {y: a} of m applied to the sparse vector vec
-    {j: b}, read off cols = m.nonzero_columns()."""
-    return _sum_terms((y, a * b) for j, b in vec.items() for y, a in cols[j])
 
 
 class Bocs:
@@ -183,7 +169,7 @@ class Bocs:
         table, index = self.B.table, self.u1_index
         bs = [(i, x) for i, x in enumerate(b) if x != 0]
         cs = [(j, y) for j, y in enumerate(c) if y != 0]
-        lefts, rights, out = {}, {}, {}
+        lefts, rights, terms = {}, {}, []
         for idx, x in u.items():
             p2, g, p1 = self.u1_basis[idx]
             left = lefts.get(p2)
@@ -200,8 +186,8 @@ class Bocs:
                 for q1, cy in right:
                     k = index.get((q2, g, q1))
                     if k is not None:
-                        out[k] = out.get(k, ZERO) + x * bx * cy
-        return {k: a for k, a in out.items() if a}
+                        terms.append((k, x * bx * cy))
+        return _sum_terms(terms)
 
     def _b_elt(self, chunk, start_vertex):
         """Product in B of the dual arrows of a display-ordered chunk."""
@@ -231,10 +217,10 @@ class Bocs:
             self.dprime_arrow[name] = _sum_terms(terms)
 
     def _dprime_path(self, k: int):
-        """d' of a basis path of B, as a degree-1 word."""
-        got = self._dpath_cache.get(k)
-        if got is not None:
-            return got
+        """d' of a basis path of B, as a degree-1 word, built once."""
+        return _stored(self._dpath_cache, k, self._dprime_word, k)
+
+    def _dprime_word(self, k: int):
         B = self.B
         source, names = B.paths[k]
         terms = []
@@ -245,8 +231,7 @@ class Bocs:
             terms += self._sandwich(pre, self.dprime_arrow[name],
                                     suffix).items()
             suffix = B.multiply(B.basis_vec(self.arrow_idx[name]), suffix)
-        out = self._dpath_cache[k] = _sum_terms(terms)
-        return out
+        return _sum_terms(terms)
 
     def _build_w(self):
         """W, the degree-1 words modulo the sub-bimodule spanned by the
@@ -284,9 +269,7 @@ class Bocs:
     def _project(self, u) -> dict:
         """The nonzero coordinates {w: a} in W of a degree-1 word u: the
         columns of the projection onto W at the terms of u, summed."""
-        cols = self._proj_cols
-        return _sum_terms((w, x * a) for k, x in u.items()
-                          for w, a in cols[k])
+        return _apply_cols(self._proj_cols, u.items())
 
     # -- counit -----------------------------------------------------------
 
@@ -353,7 +336,7 @@ class Bocs:
                  for m in (self.WL[k], self.WR[k])]
         svecs = []
         for v in self.kernel_basis:
-            nz = nonzeros(v)
+            nz = nonzeros(v).items()
             for cols in sides:
                 w = _apply_cols(cols, nz)
                 if w:
@@ -382,9 +365,9 @@ class Bocs:
             return False
         # the sub-bimodule the generators span: every r(l(g)), read off
         # the nonzero columns of the actions
-        lefts = [_apply_cols(m.nonzero_columns(), nonzeros(g))
+        lefts = [_apply_cols(m.nonzero_columns(), nonzeros(g).items())
                  for (a, b, g) in self.kernel_generators for m in self.WL]
-        rights = [_apply_cols(m.nonzero_columns(), v)
+        rights = [_apply_cols(m.nonzero_columns(), v.items())
                   for v in lefts if v for m in self.WR]
         span = Span(self.w_dim, [[w.get(y, ZERO) for y in range(self.w_dim)]
                                  for w in rights if w])
@@ -415,8 +398,7 @@ class RightBasis:
         self.rcols = [m.nonzero_columns() for m in right]
         rad = Span(dim, [col for k in B.radical_indices()
                          for col in right[k].columns()])
-        self.top = sorted(complement_pivots(rad.pivots, dim),
-                          key=lambda t: block[t][0])
+        self.top = rad.quotient_coords(key=lambda t: block[t][0])
         free = [(t, b) for t in self.top for b in range(B.dim)
                 if B.btarget[b] == block[t][1]]
         self.witness = f"dim {name} = {dim}, sum of dim e_v(t)B = {len(free)}"
@@ -446,10 +428,7 @@ class RightBasis:
 
     def tensor(self, X: FDModule) -> "TensorModule":
         """M (x)_B X, built once per module content and kept."""
-        got = self.tensors.get(X)
-        if got is None:
-            got = self.tensors[X] = TensorModule(self, X)
-        return got
+        return _stored(self.tensors, X, TensorModule, self, X)
 
 
 def _relations_from_pairings(table, duals, r_top):
@@ -562,20 +541,18 @@ def validate_coalgebra(bocs: Bocs):
 
     # rho with key () lands in W (x)_B W, with key (t,) in block t of
     # (W (x)_B W) (x)_B W
+    # eps and rho mu on W, and b.- and -.b on B, as sparse columns, which
+    # _apply_cols sums over the entries of a vector
     rho, lcols, rcols, mu = basis.rho, basis.lcols, basis.rcols, bocs.mu
-    eps = [dict(col) for col in bocs.eps.nonzero_columns()]
-    mu_ww = [rho(((), w1, w2, c) for w1, w2, c in terms) for terms in mu]
-
-    def through(images, vec):
-        """sum a images[u] over the entries (u, a) of vec."""
-        return _sum_terms((key, a * c) for u, a in vec
-                          for key, c in images[u].items())
+    eps = bocs.eps.nonzero_columns()
+    mu_ww = [rho(((), w1, w2, c) for w1, w2, c in terms).items()
+             for terms in mu]
 
     for w, terms in enumerate(mu):
         # (mu (x) 1) mu(w) through rho(mu(w1)), and (1 (x) mu) mu(w)
         # through w1 = sum t.c_t(w1)
         lhs = rho(((t,), y, w2, c * a) for w1, w2, c in terms
-                  for (t, y), a in mu_ww[w1].items())
+                  for (t, y), a in mu_ww[w1])
         rhs = rho(((t,), y, v2, c * a * e * f) for w1, w2, c in terms
                   for t, b, a in basis.coords[w1]
                   for v1, v2, e in mu[w2] for y, f in lcols[b][v1])
@@ -583,21 +560,22 @@ def validate_coalgebra(bocs: Bocs):
 
     # bilinearity of eps and mu
     for k in range(B.dim):
-        left_k, right_k = B.table[k], [row[k] for row in B.table]
+        left_k = [prod.items() for prod in B.table[k]]
+        right_k = [row[k].items() for row in B.table]
         for w in range(wdim):
-            ok = through(eps, lcols[k][w]) == through(left_k, eps[w].items())
+            ok = _apply_cols(eps, lcols[k][w]) == _apply_cols(left_k, eps[w])
             record("bilinearity", ok, f"eps-left-{B.labels[k]}-w{w}")
-            ok = through(eps, rcols[k][w]) == through(right_k, eps[w].items())
+            ok = _apply_cols(eps, rcols[k][w]) == _apply_cols(right_k, eps[w])
             record("bilinearity", ok, f"eps-right-{B.labels[k]}-w{w}")
 
         # mu(b.w) against (b (x) 1) mu(w), and mu(w.b) against
         # (1 (x) b) mu(w), in W (x)_B W
         for w in range(wdim):
-            ok = through(mu_ww, lcols[k][w]) == rho(
+            ok = _apply_cols(mu_ww, lcols[k][w]) == rho(
                 ((), y, w2, c * a) for w1, w2, c in mu[w]
                 for y, a in lcols[k][w1])
             record("bilinearity", ok, f"mu-left-{B.labels[k]}-w{w}")
-            ok = through(mu_ww, rcols[k][w]) == rho(
+            ok = _apply_cols(mu_ww, rcols[k][w]) == rho(
                 ((), w1, z, c * a) for w1, w2, c in mu[w]
                 for z, a in rcols[k][w2])
             record("bilinearity", ok, f"mu-right-{B.labels[k]}-w{w}")
@@ -617,8 +595,8 @@ def validate_coalgebra(bocs: Bocs):
     # grouplikes
     for i in range(1, B.n + 1):
         nz = list(bocs._project(bocs.gen[bocs.duals.omega_index(i)]).items())
-        ok = through(mu_ww, nz) == rho(((), u, v, a * b) for u, a in nz
-                                       for v, b in nz)
+        ok = _apply_cols(mu_ww, nz) == rho(((), u, v, a * b) for u, a in nz
+                                           for v, b in nz)
         record("grouplike", ok, f"omega{i}")
 
     return report

@@ -23,8 +23,8 @@ import os
 import re
 from itertools import product
 
-from .bocs import Bocs, _sum_terms, classify_bocs, counit_identities
-from .linalg import ZERO, Matrix, Scalar, frac
+from .bocs import Bocs, classify_bocs, counit_identities
+from .linalg import ZERO, Matrix, Scalar, _apply_cols, _compose_cols, frac
 from .quiver import (Algebra, Quiver, Relation, RelationSet, build_algebra)
 
 ALGEBRA_SCHEMA = "bocskit/algebra"
@@ -332,19 +332,12 @@ def _check_actions(B: Algebra, w_block, WL, WR):
     act as the projections onto the blocks, so a radical k in e_i B e_j
     must take e_j W e_y into e_i W e_y from the left and e_x W e_i into
     e_x W e_j from the right; then only the radical pairs a, b with the
-    source of a the target of b are left to multiply out."""
+    source of a the target of b are left to multiply out.  A product of
+    two actions is summed on their sparse columns (_compose_cols), and the
+    action of a sum of basis elements on their entries ((y, w), a)."""
     lcols, rcols = ([m.nonzero_columns() for m in mats] for mats in (WL, WR))
-
-    def times(f, g):
-        """The nonzero entries {(y, w): a} of f after g."""
-        return _sum_terms(((y, w), a * b) for w, col in enumerate(g)
-                          for x, b in col for y, a in f[x])
-
-    def acting(terms, cols):
-        """The nonzero entries of the action of sum c k, terms {k: c}."""
-        return _sum_terms(((y, w), c * a) for k, c in terms.items()
-                          for w, col in enumerate(cols[k]) for y, a in col)
-
+    lflat, rflat = ([[((y, w), a) for w, col in enumerate(m) for y, a in col]
+                     for m in cols] for cols in (lcols, rcols))
     rad = B.radical_indices()
     for k in rad:
         i, j = B.btarget[k], B.bsource[k]
@@ -356,11 +349,13 @@ def _check_actions(B: Algebra, w_block, WL, WR):
                 f"/wr/{k}")
     for a, b in product(rad, rad):
         if B.bsource[a] == B.btarget[b]:  # a.(b.w) = ab.w, (w.a).b = w.ab
-            ab = B.table[a][b]
-            _expect(times(lcols[a], lcols[b]) == acting(ab, lcols), f"/wl/{a}")
-            _expect(times(rcols[b], rcols[a]) == acting(ab, rcols), f"/wr/{a}")
-        _expect(times(lcols[a], rcols[b]) == times(rcols[b], lcols[a]),
-                f"/wr/{b}")
+            ab = B.table[a][b].items()
+            _expect(_compose_cols(lcols[a], lcols[b])
+                    == _apply_cols(lflat, ab), f"/wl/{a}")
+            _expect(_compose_cols(rcols[b], rcols[a])
+                    == _apply_cols(rflat, ab), f"/wr/{a}")
+        _expect(_compose_cols(lcols[a], rcols[b])
+                == _compose_cols(rcols[b], lcols[a]), f"/wr/{b}")
 
 
 def doc_to_bocs(doc: dict):

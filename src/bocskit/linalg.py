@@ -21,8 +21,12 @@ handed out as tuples, so no caller can alter it.  A matrix read many
 times, such as the idempotent actions modules share, pays for each once.
 This module alone knows how subspaces and spaces of maps are held in
 coordinates: a Span keeps a subspace as its reduced row echelon basis and
-gives the projection onto a complement, and a MapSpace solves for and
-combines coordinates of maps in a list of maps.  No tensor product is
+gives the coordinates of the quotient by it, the class of a vector there
+and the projection onto a complement, and a MapSpace solves for and
+combines coordinates of maps in a list of maps.  It also holds the one
+sparse sum of terms (_sum_terms, with _apply_cols and _compose_cols on
+it) that the package sums words, sparse columns and coefficient dicts
+with.  No tensor product is
 held here: one over an algebra is presented off a basis of a free
 module (bocs.RightBasis), its elements as sparse terms.
 """
@@ -114,9 +118,27 @@ def in_span(vec, rows, pivots) -> bool:
     return all(c == 0 for c in reduce_against(vec, rows, pivots))
 
 
-def complement_pivots(pivots: Sequence[int], ncols: int) -> list[int]:
-    pset = set(pivots)
-    return [j for j in range(ncols) if j not in pset]
+def _sum_terms(terms) -> dict:
+    """The nonzero sums {key: sum of c} over the terms (key, c)."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, ZERO) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _apply_cols(cols, vec) -> dict:
+    """The sparse sum of a * cols[u] over the entries (u, a) of vec, each
+    cols[u] a sparse column of pairs (key, c): its nonzero entries
+    {key: sum of a * c}.  With cols = m.nonzero_columns() it is m applied
+    to the sparse vector vec."""
+    return _sum_terms((key, a * c) for u, a in vec for key, c in cols[u])
+
+
+def _compose_cols(f, g) -> dict:
+    """f after g, each given by its sparse columns (as nonzero_columns
+    gives them): the nonzero entries {(y, w): c} of the product."""
+    return _sum_terms(((y, w), a * b) for w, col in enumerate(g)
+                      for x, b in col for y, a in f[x])
 
 
 class Matrix:
@@ -251,17 +273,10 @@ class Matrix:
         return len(rref_rows(self.data, self.cols)[0])
 
     def kernel_basis(self) -> list[tuple[Scalar, ...]]:
-        """Basis of the right null space, one column vector per free column."""
-        reduced, pivots = rref_rows(self.data, self.cols)
-        free = complement_pivots(pivots, self.cols)
-        basis = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for row, p in zip(reduced, pivots):
-                v[p] = -row[f]
-            basis.append(tuple(v))
-        return basis
+        """Basis of the right null space, one column vector per free column:
+        the rows of the projection of Span(cols, rows).complement()."""
+        span = Span(self.cols, self.data)
+        return [tuple(span._quotient_row(c)) for c in span.quotient_coords()]
 
     def solve(self, rhs: Sequence[Scalar]) -> Optional[tuple[Scalar, ...]]:
         """Some solution of self @ v = rhs, or None when inconsistent."""
@@ -359,26 +374,50 @@ class Span:
         self.pivots.insert(at, p)
         return True
 
+    def coordinates(self, vec):
+        """The coefficients of a vector of the span on rows: its entries at
+        the pivots.  On the rows of a matrix whose columns lie in the span
+        it gives the rows of their coefficient matrix."""
+        return [vec[p] for p in self.pivots]
+
+    def quotient_coords(self, key=None) -> list[int]:
+        """The coordinates of the quotient K^ncols / span: the non-pivot
+        columns, ascending or sorted by key."""
+        pset = set(self.pivots)
+        return sorted([j for j in range(self.ncols) if j not in pset],
+                      key=key)
+
+    def quotient_terms(self, vec, coords) -> dict:
+        """The class of vec in the quotient on coords (quotient_coords): the
+        nonzero entries {position in coords: entry} of its normal form
+        (reduce), in ascending position."""
+        v = self.reduce(vec)
+        return {k: v[c] for k, c in enumerate(coords) if v[c] != 0}
+
+    def _quotient_row(self, c: int) -> list[Scalar]:
+        """The unit vector at the non-pivot column c less the entries of
+        column c at the pivots: the projection's row at c, which vanishes
+        on the span, and so the null vector of the free column c."""
+        row = [ZERO] * self.ncols
+        row[c] = ONE
+        for rr, p in zip(self.rows, self.pivots):
+            if rr[c] != 0:
+                row[p] = -rr[c]
+        return row
+
     def complement(self, key=None):
         """(coords, projection, section) of the quotient K^ncols / span.
 
-        coords are the non-pivot columns, ascending or sorted by key.  The
-        projection reads the normal form of a vector at coords, and the
-        section embeds coords as unit vectors, so projection @ section is
-        the identity and the projection kills the span.
+        coords are quotient_coords(key).  The projection reads the normal
+        form of a vector at coords, and the section embeds coords as unit
+        vectors, so projection @ section is the identity and the projection
+        kills the span.
         """
         n = self.ncols
-        coords = sorted(complement_pivots(self.pivots, n), key=key)
-        proj = []
-        for c in coords:
-            row = [ZERO] * n
-            row[c] = ONE
-            for rr, p in zip(self.rows, self.pivots):
-                if rr[c] != 0:
-                    row[p] = -rr[c]
-            proj.append(row)
+        coords = self.quotient_coords(key)
         sect = [[ONE if j == c else ZERO for c in coords] for j in range(n)]
-        return (coords, Matrix(len(coords), n, proj),
+        return (coords,
+                Matrix(len(coords), n, map(self._quotient_row, coords)),
                 Matrix(n, len(coords), sect))
 
 

@@ -27,7 +27,7 @@ objects around the caller's own modules.
 
 from __future__ import annotations
 
-from .linalg import ONE, Matrix, Span, ZERO, complement_pivots
+from .linalg import ONE, Matrix, Span, ZERO
 from .quiver import Algebra
 
 
@@ -119,12 +119,17 @@ def projective(alg: Algebra, i: int) -> FDModule:
     return sum_of_projectives(alg, [i])
 
 
+def _unit(total: int, c: int) -> tuple:
+    """The unit vector of length total at c."""
+    return (ZERO,) * c + (ONE,) + (ZERO,) * (total - c - 1)
+
+
 def _vertex_projections(dims):
     """The action of each e_v on modules with these dims: the projection
     onto vertex v's coordinates, one Matrix per vertex."""
     total = sum(dims)
     zero = (ZERO,) * total
-    units = [zero[:c] + (ONE,) + zero[c + 1:] for c in range(total)]
+    units = [_unit(total, c) for c in range(total)]
     out, off = [], 0
     for d in dims:
         out.append(Matrix(total, total,
@@ -247,15 +252,20 @@ def _trace_pairing(hom_mn, hom_nm) -> Matrix:
 def from_generators(P: FDModule, X: FDModule, images) -> ModuleMap:
     """The map P -> X sending the generator of summand s to images[s].
 
-    P is built by sum_of_projectives, and images[s] is a vector of X at the
-    vertex of summand s; a summand absent from images goes to zero.  A map
-    out of A e_v is fixed by the image x of e_v, so the coordinate of word
-    k in summand s goes to act_X(k) x.
+    P is built by sum_of_projectives, and images[s] is a vector of e_v X
+    for v the vertex of summand s; a summand absent from images goes to
+    zero.  A map out of A e_v is fixed by the image x of e_v, so the
+    coordinate of word k in summand s goes to act_X(k) x, which is x itself
+    at k = e_v.  An image outside e_v X raises ValueError.
     """
     cols = [(ZERO,) * X.total] * P.total
     for s, x in images.items():
+        gen, v, _ = P.proj_gens[s]
+        at_v = X.vertex_range(v)
+        if any(x[:at_v.start]) or any(x[at_v.stop:]):
+            raise ValueError(f"image of summand {s} is not in e_{v} X")
         for coord, k in P.proj_gens[s][2]:
-            cols[coord] = X.act[k].apply(x)
+            cols[coord] = x if coord == gen else X.act[k].apply(x)
     return ModuleMap(P, X, Matrix(X.total, P.total, zip(*cols)) if cols
                      else Matrix.zero(X.total, 0))
 
@@ -270,8 +280,7 @@ def hom_from_projective(P: FDModule, X: FDModule):
     gens = getattr(P, "proj_gens", None)
     if gens is None:
         raise ValueError("module does not carry projective summand data")
-    unit = Matrix.identity(X.total)
-    return [from_generators(P, X, {s: unit.column(c)})
+    return [from_generators(P, X, {s: _unit(X.total, c)})
             for s, (_, v, _) in enumerate(gens) for c in X.vertex_range(v)]
 
 
@@ -333,20 +342,21 @@ def submodule(M: FDModule, vectors):
     """
     span = Span(M.total, vectors)
     per_vertex = {i: [] for i in range(1, M.alg.n + 1)}
-    for r, p in zip(span.rows, span.pivots):
+    for i, r in enumerate(span.rows):
         verts = {M.vertex_of_coord(c) for c, x in enumerate(r) if x != 0}
         if len(verts) > 1:
             raise ValueError("submodule vectors must be vertex-pure")
-        per_vertex[verts.pop()].append((p, tuple(r)))
-    basis = [pr for prs in per_vertex.values() for pr in prs]
-    dims = [len(prs) for prs in per_vertex.values()]
-    inc = (Matrix.from_columns([r for _, r in basis]) if basis
+        per_vertex[verts.pop()].append(i)
+    # the rows of the span, grouped by vertex
+    basis = [i for rows in per_vertex.values() for i in rows]
+    dims = [len(rows) for rows in per_vertex.values()]
+    inc = (Matrix.from_columns([span.rows[i] for i in basis]) if basis
            else Matrix.zero(M.total, 0))
 
     def on_sub(k):
         image = M.act[k] @ inc
-        out = Matrix(len(basis), len(basis),
-                     [image.data[p] for p, _ in basis])
+        coeffs = span.coordinates(image.data)
+        out = Matrix(len(basis), len(basis), [coeffs[i] for i in basis])
         if inc @ out != image:
             raise ValueError("span is not closed under the action")
         return out
@@ -411,18 +421,16 @@ def _cover_step(M: FDModule):
     M.alg.steps by its callers.
 
     The top of M is read off the span of rad M, with no quotient module
-    built: its coordinates are the non-pivot ones, sorted by vertex, and
-    the cover has one summand per top coordinate c, its generator sent
+    built: its coordinates are the quotient coordinates, sorted by vertex,
+    and the cover has one summand per top coordinate c, its generator sent
     to the unit vector at c.
     """
     rad = Span(M.total, radical_vectors(M))
-    top = sorted(complement_pivots(rad.pivots, M.total),
-                 key=M.vertex_of_coord)
+    top = rad.quotient_coords(key=M.vertex_of_coord)
     vertices = tuple(M.vertex_of_coord(c) for c in top)
     P = sum_of_projectives(M.alg, vertices)
-    cover = from_generators(P, M, {
-        s: tuple(ONE if j == c else ZERO for j in range(M.total))
-        for s, c in enumerate(top)}).mat
+    cover = from_generators(P, M, {s: _unit(M.total, c)
+                                   for s, c in enumerate(top)}).mat
     ker = cover.kernel_basis()
     if P.total - len(ker) != M.total:
         raise ValueError("projective cover construction failed to surject")

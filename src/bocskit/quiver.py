@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .linalg import Matrix, ONE, Span, ZERO, frac, nonzeros
+from .linalg import Matrix, ONE, Span, ZERO, _apply_cols, frac, nonzeros
 
 
 def table_product(table, u, v):
@@ -213,13 +213,16 @@ class Algebra:
         sides are summed over the sparse table, and a triple with b_i b_j
         and b_j b_k both zero is skipped, as both sides are zero there."""
         table = self.table
+        # by_left[i][m] and by_right[k][m] are the terms of b_i b_m, b_m b_k
+        by_left = [[prod.items() for prod in row] for row in table]
+        by_right = list(zip(*by_left))
         for i, row_i in enumerate(table):
             for j, ij in enumerate(row_i):
                 for k, jk in enumerate(table[j]):
                     if not ij and not jk:
                         continue
-                    lhs = _combine((c, table[m][k]) for m, c in ij.items())
-                    rhs = _combine((c, row_i[m]) for m, c in jk.items())
+                    lhs = _apply_cols(by_right[k], ij.items())
+                    rhs = _apply_cols(by_left[i], jk.items())
                     if lhs != rhs:
                         raise ValueError(
                             f"structure constants not associative at "
@@ -228,16 +231,6 @@ class Algebra:
     def radical_nilpotent(self) -> bool:
         rad = [self.basis_vec(k) for k in self.radical_indices()]
         return _powers(self.table, rad) is not None
-
-
-def _combine(terms):
-    """The sum of c * row over the pairs (c, row) of terms, each row a
-    sparse dict, as a dict without zero entries."""
-    out = {}
-    for c, row in terms:
-        for m, d in row.items():
-            out[m] = out.get(m, ZERO) + c * d
-    return {m: c for m, c in out.items() if c != 0}
 
 
 def _powers(table, rad):
@@ -320,49 +313,49 @@ def _finish_algebra(quiver, relations, basis_paths, nf):
     return alg
 
 
-def _graded_nf(path, basis, coords, red, memo):
+def _graded_nf(path, basis, degrees, memo):
     """Normal form of a path as a dict (degree, position in basis[degree])
-    -> coeff, reduced by the RREF data red over the coordinate words
-    coords of each degree; memo holds the forms already found."""
-    if path in memo:
-        return memo[path]
+    -> coeff.  degrees[ell] holds the index of degree ell's coordinate
+    words (arrow, position in basis[ell - 1]), the Span of the ideal over
+    them and its quotient coordinates, whose words are basis[ell]; memo
+    holds the forms already found."""
+    got = memo.get(path)
+    if got is not None:
+        return got
     source, names = path
     ell = len(names)
     if ell == 0:
-        pos = basis[0].index(path)
-        out = {(0, pos): ONE}
+        out = {(0, basis[0].index(path)): ONE}
     elif ell not in basis:
         out = {}
     else:
         last = names[-1]
-        inner = _graded_nf((source, names[:-1]), basis, coords, red, memo)
-        vec = [ZERO] * len(coords[ell])
-        cindex = {cw: p for p, cw in enumerate(coords[ell])}
+        index, ideal, free = degrees[ell]
+        inner = _graded_nf((source, names[:-1]), basis, degrees, memo)
+        vec = [ZERO] * len(index)
         for (deg, pos), c in inner.items():
             cw = (last, pos)
-            if cw in cindex:
-                vec[cindex[cw]] += c
+            if cw in index:
+                vec[index[cw]] += c
             # incompatible arrow start: the term dies structurally
-        vec = red[ell].reduce(vec)
-        out = {}
-        pivset = set(red[ell].pivots)
-        nonpiv = [k for k in range(len(coords[ell])) if k not in pivset]
-        for slot, k in enumerate(nonpiv):
-            if vec[k] != 0:
-                out[(ell, slot)] = vec[k]
+        out = {(ell, slot): c for slot, c
+               in ideal.quotient_terms(vec, free).items()}
     memo[path] = out
     return out
 
 
 def _build_graded(quiver, relations, length_bound):
     n = quiver.n
-    # per degree: list of basis paths, and RREF data over that degree's
-    # coordinate words (arrow, lower-basis-position)
+    # per degree: the basis paths, and (index of the coordinate words,
+    # Span of the ideal over them, its quotient coordinates) (_graded_nf)
     basis = {0: [(i, ()) for i in range(1, n + 1)]}
-    coords = {}     # degree -> list of (arrow name, lower basis position)
-    red = {}        # degree -> (rref rows, pivots)
+    degrees = {}
+    words = {}  # degree -> its coordinate words (arrow, lower position)
     rows_kept = {}  # degree -> raw ideal rows (over that degree's coords)
-    nf_memo = {}
+    memo = {}
+
+    def nf(path):
+        return _graded_nf(path, basis, degrees, memo)
 
     by_len = {}
     for r in relations.relations:
@@ -377,24 +370,22 @@ def _build_graded(quiver, relations, length_bound):
             for name, s, t in quiver.arrows:
                 if s == tgt:
                     cws.append((name, pos))
-        coords[ell] = cws
-        cindex = {cw: p for p, cw in enumerate(cws)}
+        words[ell] = cws
+        index = {cw: p for p, cw in enumerate(cws)}
         rows = []
         # genuine relations of this length
         for r in by_len.get(ell, []):
             vec = [ZERO] * len(cws)
             for coeff, src, names in r.terms:
                 last = names[-1]
-                inner = _graded_nf((src, names[:-1]), basis, coords, red,
-                                   nf_memo)
-                for (deg, pos), c in inner.items():
+                for (deg, pos), c in nf((src, names[:-1])).items():
                     cw = (last, pos)
-                    if cw in cindex:
-                        vec[cindex[cw]] += coeff * c
+                    if cw in index:
+                        vec[index[cw]] += coeff * c
             rows.append(vec)
         # propagate the lower ideal rows by right multiplication with arrows
         if ell - 1 in rows_kept:
-            lower_cws = coords[ell - 1]
+            lower_cws = words[ell - 1]
             lower_basis = basis[ell - 2]
             for row in rows_kept[ell - 1]:
                 for name, s, t in quiver.arrows:
@@ -406,22 +397,19 @@ def _build_graded(quiver, relations, length_bound):
                         lsrc, lnames = lower_basis[b_pos]
                         if lsrc != t:
                             continue
-                        inner = _graded_nf((s, (name,) + lnames), basis,
-                                           coords, red, nf_memo)
+                        inner = nf((s, (name,) + lnames))
                         for (deg, pos), cc in inner.items():
                             cw = (b_arrow, pos)
-                            if cw in cindex:
-                                vec[cindex[cw]] += c * cc
+                            if cw in index:
+                                vec[index[cw]] += c * cc
                     if any(x != 0 for x in vec):
                         rows.append(vec)
-        red[ell] = Span(len(cws), rows)
+        ideal = Span(len(cws), rows)
         rows_kept[ell] = [list(r) for r in rows]
-        pivset = set(red[ell].pivots)
-        alive = [cws[k] for k in range(len(cws)) if k not in pivset]
-        basis[ell] = [
-            (lower[pos][0], lower[pos][1] + (arrow,))
-            for arrow, pos in alive
-        ]
+        free = ideal.quotient_coords()
+        degrees[ell] = (index, ideal, free)
+        basis[ell] = [(lower[pos][0], lower[pos][1] + (arrow,))
+                      for arrow, pos in (cws[k] for k in free)]
         if not basis[ell]:
             top = ell
             break
@@ -434,12 +422,8 @@ def _build_graded(quiver, relations, length_bound):
     global_index = {p: k for k, p in enumerate(basis_paths)}
 
     def nf_global(path):
-        local = _graded_nf(path, basis, coords, red, nf_memo)
-        out = {}
-        for (deg, slot), c in local.items():
-            p = basis[deg][slot]
-            out[global_index[p]] = c
-        return out
+        return {global_index[basis[deg][slot]]: c
+                for (deg, slot), c in nf(path).items()}
 
     return _finish_algebra(quiver, relations, basis_paths, nf_global)
 
@@ -519,25 +503,17 @@ def _build_global(quiver, relations, length_bound):
             break
     ideal = Span(len(paths), pad_rows(2 * top - 1))
     col = {p: k for k, p in enumerate(paths)}
-    pivset = set(ideal.pivots)
-    basis_paths = [p for k, p in enumerate(paths)
-                   if k not in pivset and len(p[1]) < top]
-    # sanity: no surviving long paths
-    for k, p in enumerate(paths):
-        if k not in pivset and len(p[1]) >= top:
-            raise ValueError("not finite dimensional within bound")
-    bindex = {p: k for k, p in enumerate(basis_paths)}
+    # the quotient coordinates are the basis: no long path survives
+    free = ideal.quotient_coords()
+    if any(len(paths[k][1]) >= top for k in free):
+        raise ValueError("not finite dimensional within bound")
+    basis_paths = [paths[k] for k in free]
 
     def nf_global(path):
         if path not in col:
             return {}
         vec = [ONE if k == col[path] else ZERO for k in range(len(paths))]
-        vec = ideal.reduce(vec)
-        out = {}
-        for k, c in enumerate(vec):
-            if c != 0:
-                out[bindex[paths[k]]] = c
-        return out
+        return ideal.quotient_terms(vec, free)
 
     return _finish_algebra(quiver, relations, basis_paths, nf_global)
 

@@ -14,7 +14,7 @@ d(f)^(l) = d'_{l-k} f^(l) - (-1)^k f^(l-1) d_l.
 from __future__ import annotations
 
 from .linalg import ONE, ZERO, MapSpace, Matrix, Span
-from .modules import (FDModule, ModuleMap, hom_from_projective,
+from .modules import (FDModule, ModuleMap, _stored, hom_from_projective,
                       radical_vectors, syzygies)
 from .strata import StandardSystem
 
@@ -26,13 +26,12 @@ N_MAX = 4
 
 def _hom_space(R: Resolution, l: int, X: FDModule):
     """(basis, MapSpace of the basis) of Hom(P_l, X), stored on R."""
-    got = R.homs.get((l, X))
-    if got is None:
-        P = R.P(l)
-        basis = hom_from_projective(P, X) if P.total and X.total else []
-        space = MapSpace([f.mat for f in basis], X.total, P.total)
-        got = R.homs[l, X] = (basis, space)
-    return got
+    return _stored(R.homs, (l, X), _hom_and_space, R.P(l), X)
+
+
+def _hom_and_space(P: FDModule, X: FDModule):
+    basis = hom_from_projective(P, X) if P.total and X.total else []
+    return basis, MapSpace([f.mat for f in basis], X.total, P.total)
 
 
 class Resolution:
@@ -286,12 +285,12 @@ def ext_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
     P(i) summand's generator to the generator, so each representative
     lifts to its summand projection.
     """
-    key = (i, j, k)
-    got = rsys._ext_cache.get(key)
-    if got is not None:
-        return got
     if k < 0 or k > rsys.N_max:
         raise ValueError("degree out of the stored range")
+    return _stored(rsys._ext_cache, (i, j, k), _ext_basis, rsys, i, j, k)
+
+
+def _ext_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
     R = rsys.resolution(i)
     Rp = rsys.resolution(j)
     theta_j = rsys.system.module(j)
@@ -324,7 +323,6 @@ def ext_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
                                  "augmentation") from None
         seed = ModuleMap(R.P(k), Rp.aug.source, seeds.combine(x))
         out.append(lift_chain_map(R, Rp, k, seed))
-    rsys._ext_cache[key] = out
     return out
 
 
@@ -341,24 +339,25 @@ def _flatten_graded(f: GradedMap, hi: int) -> list:
     return out
 
 
-def _boundary_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
-    """(boundary, witness) pairs spanning B^k inside degree-k maps.
+def _graded_size(src: Resolution, tgt: Resolution, k: int, hi: int) -> int:
+    """The length of _flatten_graded of a degree-k map through level hi."""
+    return sum(tgt.P(l - k).total * src.P(l).total
+               for l in range(max(k, 0), hi + 1))
 
-    Witnesses are single-component maps of degree k - 1, preferring
-    levels >= k so that the bottom witness component vanishes.
+
+def _boundary_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
+    """(boundary, witness) pairs spanning B^k inside degree-k maps, for
+    k >= 0; HodgeData keeps them in rsys._boundary_cache.
+
+    Witnesses are single-component maps of degree k - 1, at the levels
+    k..N_max first, so that the bottom witness component vanishes, and
+    at level k - 1 last.
     """
-    key = (i, j, k)
-    got = rsys._boundary_cache.get(key)
-    if got is not None:
-        return got
     R = rsys.resolution(i)
     Rp = rsys.resolution(j)
     pairs = []
-    span = Span(len(_flatten_graded(zero_graded_map(R, Rp, k), rsys.N_max)))
-    ulo = max(k - 1, 0)
-    order = [l for l in range(max(k, ulo), rsys.N_max + 1)]
-    if k - 1 >= 0 and (k - 1) < max(k, ulo):
-        order.append(k - 1)
+    span = Span(_graded_size(R, Rp, k, rsys.N_max))
+    order = list(range(k, rsys.N_max + 1)) + ([k - 1] if k >= 1 else [])
     for l in order:
         basis, _ = _hom_space(R, l, Rp.P(l - k + 1))
         for h in basis:
@@ -366,7 +365,6 @@ def _boundary_basis(rsys: ResolvedSystem, i: int, j: int, k: int):
             b = differential(u)
             if span.add(_flatten_graded(b, rsys.N_max)):
                 pairs.append((b, u))
-    rsys._boundary_cache[key] = pairs
     return pairs
 
 
@@ -390,15 +388,16 @@ class HodgeData:
         self.R = rsys.resolution(i)
         self.Rp = rsys.resolution(j)
         self.H = ext_basis(rsys, i, j, k)
-        self.B_pairs = _boundary_basis(rsys, i, j, k)
+        self.B_pairs, lower = (
+            _stored(rsys._boundary_cache, (i, j, d), _boundary_basis,
+                    rsys, i, j, d) for d in (k, k + 1))
         self.B = [b for b, u in self.B_pairs]
         self.witnesses = [u for b, u in self.B_pairs]
-        self.L = [u for b, u in _boundary_basis(rsys, i, j, k + 1)]
+        self.L = [u for b, u in lower]
         self.ambient_dim = sum(
             len(_hom_space(self.R, l, self.Rp.P(l - k))[0])
             for l in range(max(k, 0), rsys.N_max + 1))
-        size = len(_flatten_graded(zero_graded_map(self.R, self.Rp, k),
-                                   rsys.N_max))
+        size = _graded_size(self.R, self.Rp, k, rsys.N_max)
         self.space = MapSpace(
             [Matrix(1, size, [_flatten_graded(f, rsys.N_max)])
              for f in self.H + self.B + self.L], 1, size)
@@ -449,10 +448,6 @@ class HodgeData:
 
 
 def hodge_data(rsys: ResolvedSystem, i: int, j: int, k: int) -> HodgeData:
-    key = (i, j, k)
-    got = rsys._hodge_cache.get(key)
-    if got is None:
-        got = HodgeData(rsys, i, j, k)
-        rsys._hodge_cache[key] = got
-    return got
+    """The HodgeData of (i, j, k), built once per ResolvedSystem."""
+    return _stored(rsys._hodge_cache, (i, j, k), HodgeData, rsys, i, j, k)
 

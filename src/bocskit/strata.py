@@ -8,7 +8,7 @@ position in the chosen order, not the raw vertex label.  Mode strings are
 from __future__ import annotations
 
 from .linalg import Span
-from .modules import (FDModule, hom_basis, projective, quotient,
+from .modules import (FDModule, _stored, hom_basis, projective, quotient,
                       radical_vectors, submodule)
 from .quiver import Algebra
 
@@ -30,12 +30,12 @@ class StandardSystem:
     def top(self, i: int):
         """The matrix of the projection of Theta(i) onto its top, built on
         first use."""
-        got = self._tops.get(i)
-        if got is None:
-            theta = self.module(i)
-            rad = Span(theta.total, radical_vectors(theta))
-            got = self._tops[i] = rad.complement(key=theta.vertex_of_coord)[1]
-        return got
+        return _stored(self._tops, i, _top_projection, self.module(i))
+
+
+def _top_projection(theta: FDModule):
+    rad = Span(theta.total, radical_vectors(theta))
+    return rad.complement(key=theta.vertex_of_coord)[1]
 
 
 class FiltrationLayer:

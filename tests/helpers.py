@@ -42,7 +42,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from bocskit.ainf import AInfTable, _add_into, _chains
+from bocskit.ainf import AInfTable, _chains
 from bocskit.bocs import (Bocs, TensorModule, _hom_source, _path_vec,
                           bocs_compose,
                           bocs_hom_basis, bocs_lift, pair_image,
@@ -951,6 +951,16 @@ def reference_tabulated_keys(table: AInfTable):
     return [key for r in range(2, table.r_max + 1)
             for key in _chains(table, r, (0, 1, 2))
             if _reference_tabulated(key)]
+
+
+def _add_into(acc, coeffs, scalar):
+    """acc += scalar * coeffs on sparse dicts, dropping the entries that
+    reach zero: the reference check's own sum, kept apart from the
+    package's."""
+    for cls, c in coeffs.items():
+        acc[cls] = acc.get(cls, ZERO) + scalar * c
+        if acc[cls] == 0:
+            del acc[cls]
 
 
 def reference_stasheff_check(table: AInfTable, k: int) -> bool:

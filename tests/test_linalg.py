@@ -7,8 +7,8 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import bocskit
-from bocskit.linalg import (MapSpace, Matrix, Span, frac, in_span, qdiv,
-                            rref_rows)
+from bocskit.linalg import (MapSpace, Matrix, Span, _apply_cols, frac,
+                            in_span, nonzeros, qdiv, rref_rows)
 from bocskit.quiver import Quiver, Relation
 
 from helpers import balanced_relations, kron_apply, outer
@@ -238,6 +238,58 @@ def test_span_is_the_rref_of_its_vectors(data, rnd):
         assert proj @ sect == Matrix.identity(len(coords))
         for v in vecs:
             assert not any(proj.apply(v))
+
+
+@_PROPERTY
+@given(_vectors(), st.lists(_entries, min_size=6, max_size=6))
+def test_quotient_coordinates_are_the_complement_and_the_normal_form(
+        data, entries):
+    """quotient_coords is complement's coords, and quotient_terms reads
+    reduce's normal form at them: the projection's image, sparse and in
+    ascending position, with reduce's own entries.  coordinates gives the
+    coefficients on rows of a vector of the span."""
+    ncols, vecs = data
+    span = Span(ncols, vecs)
+    vec = entries[:ncols]
+    for key in (None, lambda c: -c):
+        coords, proj, _ = span.complement(key=key)
+        assert span.quotient_coords(key) == coords
+        terms = span.quotient_terms(vec, coords)
+        assert list(terms) == sorted(terms)
+        assert terms == nonzeros(proj.apply(vec))
+        normal = [span.reduce(vec)[c] for c in coords]
+        assert all(a == normal[k] and type(a) is type(normal[k])
+                   for k, a in terms.items())
+    combo = [sum((c * r[j] for c, r in zip(entries, span.rows)), 0)
+             for j in range(ncols)]
+    assert span.coordinates(combo) == entries[:len(span)]
+
+
+def test_kernel_basis_is_the_projection_onto_the_row_space_complement():
+    """On 300 random matrices, kernel_basis and the projection rows of
+    Span(rows).complement() come from one free-column formula."""
+    rng = random.Random(20261020)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        m = _random_matrix(rng, rows, cols)
+        if rng.random() < 0.5:  # rank deficient: repeat a combination
+            m = Matrix(rows + 1, cols, m.data + (tuple(
+                2 * a - b for a, b in zip(m.data[0], m.data[-1])),))
+        _, proj, _ = Span(m.cols, m.data).complement()
+        kernel = m.kernel_basis()
+        assert kernel == [tuple(r) for r in proj.data]
+        assert all(not any(m.apply(v)) for v in kernel)
+
+
+@_PROPERTY
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_sparse_column_sums_are_the_dense_product(rows, cols, data):
+    """_apply_cols on the nonzero columns of m is m applied to the sparse
+    vector, with no zero entry."""
+    m = data.draw(_exact_matrix(rows, cols))
+    vec = data.draw(st.lists(_entries, min_size=cols, max_size=cols))
+    assert _apply_cols(m.nonzero_columns(), nonzeros(vec).items()) == \
+        nonzeros(m.apply(vec))
 
 
 @st.composite

@@ -333,6 +333,27 @@ def test_from_generators_sends_each_generator_to_its_image(mixed_algebras):
     assert checked > 100
 
 
+def test_from_generators_refuses_an_image_off_its_vertex(mixed_algebras):
+    """x is the generator's image as given, so an x outside e_v X, which
+    would give a matrix that is not a module map, raises."""
+    refused = 0
+    for alg in mixed_algebras:
+        for v in range(1, alg.n + 1):
+            P = sum_of_projectives(alg, [v])
+            for X in _targets(alg):
+                at_v = X.vertex_range(v)
+                for c in range(X.total):
+                    x = tuple(ONE if i == c else ZERO
+                              for i in range(X.total))
+                    if c in at_v:
+                        check_intertwining(from_generators(P, X, {0: x}))
+                    else:
+                        with pytest.raises(ValueError):
+                            from_generators(P, X, {0: x})
+                        refused += 1
+    assert refused > 0
+
+
 def test_hom_from_projective_and_cover_match_the_word_loops(mixed_algebras):
     for alg in mixed_algebras:
         n = alg.n

@@ -72,3 +72,40 @@ def test_every_public_function_has_a_caller_in_the_package():
                 unreached.append((module, name))
     assert [key for key in unreached if key not in ENTRY_POINTS] == []
     assert set(ENTRY_POINTS) <= defined
+
+
+def _sums_into_a_dict(node):
+    """Whether node is d[k] = d.get(k, ...) + term with a term that is not
+    a constant: a scalar summed into a sparse dict, as a counter of ones
+    is not."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+        return False
+    target, value = node.targets[0], node.value
+    return (isinstance(target, ast.Subscript)
+            and isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add)
+            and isinstance(value.left, ast.Call)
+            and isinstance(value.left.func, ast.Attribute)
+            and value.left.func.attr == "get"
+            and ast.dump(value.left.func.value) == ast.dump(target.value)
+            and not isinstance(value.right, ast.Constant))
+
+
+def test_only_linalg_reads_pivots_or_sums_sparse_terms():
+    """linalg is the one exact kernel: no other module reads a Span's
+    pivots, imports complement_pivots or sums terms into a sparse dict
+    itself; they ask Span for quotient coordinates and normal forms, and
+    sum through linalg._sum_terms and linalg._apply_cols."""
+    found = []
+    for module, tree in _package().items():
+        if module == "linalg":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "pivots":
+                found.append((module, node.lineno, "reads .pivots"))
+            elif isinstance(node, ast.ImportFrom) and any(
+                    alias.name.endswith("complement_pivots")
+                    for alias in node.names):
+                found.append((module, node.lineno, "complement_pivots"))
+            elif _sums_into_a_dict(node):
+                found.append((module, node.lineno, "sparse term sum"))
+    assert found == []

@@ -9,9 +9,9 @@ from bocskit.modules import ModuleMap, projective
 from bocskit.quiver import (example_a2, example_dual_numbers,
                             example_jordan3, example_semisimple_pair)
 from bocskit.resolution import (N_MAX, GradedMap, ResolvedSystem,
-                                differential, ext_basis, hodge_data,
-                                lift_chain_map, minimal_resolution,
-                                zero_graded_map)
+                                _flatten_graded, _graded_size, differential,
+                                ext_basis, hodge_data, lift_chain_map,
+                                minimal_resolution, zero_graded_map)
 from bocskit.strata import standard_modules
 
 from helpers import (ext_dim, is_null_homotopic, quotient_by_idempotents,
@@ -379,3 +379,19 @@ def test_pdelta_ext_seeds_are_the_summand_projections(mixed_algebras):
                     assert f.component(k).mat == want
                     seeds += 1
     assert seeds > 10
+
+
+@pytest.mark.parametrize("build", [example_semisimple_pair,
+                                   example_dual_numbers, example_a2,
+                                   example_jordan3])
+def test_graded_size_is_the_flattened_length(build):
+    """_graded_size sums the level shapes to the length _flatten_graded
+    gives a degree-k map, for every pair of resolutions, degree and
+    truncation."""
+    rsys = pdelta_system(build())
+    for R in rsys.resolutions.values():
+        for Rp in rsys.resolutions.values():
+            for k in range(-1, N_MAX + 1):
+                for hi in range(max(k, 0), N_MAX + 1):
+                    assert _graded_size(R, Rp, k, hi) == len(
+                        _flatten_graded(zero_graded_map(R, Rp, k), hi))
