@@ -46,6 +46,32 @@ degree >= 0, where 1 (G lambda(S')) keeps every level through N_max.
 The recursion stays the reference: the tests compare every tabulated
 value with merkulov_lambda run per tuple.
 
+Corollary for the Stasheff identity.  Write the chain (a_k, ..., a_1) in
+display order and S(l) for the sum of |c| - 1 over its first l entries;
+the term of the slice of length t at position l is
+(-1)^S(l) b'(key[:l] + b'(slice) + key[l+t:]).  By the lemma, b' on a
+tuple holding a unit 1 is b'(1, a) = a and b'(a, 1) = (-1)^|a| a (the
+suspension sign of the left argument) on length 2, and zero otherwise.
+So every chain holding a unit sums to zero, whatever b' is on unit-free
+tuples:
+
+  - A slice holding 1 contributes only at length 2, a collapse: the
+    outer tuple is the chain with one 1 removed.  A unit-free slice
+    leaves 1 in its outer tuple, which must have length 2: the chain is
+    (1, mid) or (mid, 1) and the slice is mid.
+  - One unit, inside: its collapses with the neighbours a (left) and c
+    reach the same outer tuple K, with signs (-1)^(S(l) + |a|) and
+    (-1)^S(l+1) = (-1)^(S(l) + |a| - 1); they cancel.
+  - (1, mid): the collapse gives +b'(mid), and the slice mid at l = 1
+    gives (-1)^(0 - 1) b'(1, b'(mid)) = -b'(mid).
+  - (mid, 1): every class x of b'(mid) has |x| = S(mid) + 2, so the
+    slice mid gives (-1)^S(mid) b'(mid); the collapse (a, 1) at the end
+    gives (-1)^(S(mid) - |a| + 1 + |a|) b'(mid).  They cancel.
+  - Two or more units: every outer tuple still holds one, so only a
+    length-3 chain survives, (1, 1, a), (a, 1, 1), (1, a, 1) or
+    (1, 1, 1); its two collapses land on one length-2 tuple with
+    opposite signs, by the same sums.
+
 Tuples are stored in display order (a_r, ..., a_1): the rightmost entry
 acts first, matching the composition convention everywhere else.  Which
 tuples are tabulated depends only on r and the counts c0 and c2 of
@@ -166,19 +192,21 @@ def _tabulated(key):
     return len(key) >= 2 and c0 <= 2 and c2 <= 1 and c2 <= c0 <= c2 + 2
 
 
-def _chains(table, r, degrees):
-    """Composable display tuples of r classes with degrees in degrees.
+def _chains(table, r, degrees, skip=frozenset()):
+    """Composable display tuples of r classes with degrees in degrees,
+    none of them in skip.
 
     Grown level by level from a_1, each tuple extended by the classes
     that start where it ends, in (degree, target, index) order; so the
-    tuples come out ordered by a_1 first, then a_2, and so on.
+    tuples come out ordered by a_1 first, then a_2, and so on, and those
+    avoiding skip in the order of all of them.
     """
     n = table.rsys.alg.n
     level = [(i, ()) for i in range(1, n + 1)]
     for _ in range(r):
         level = [(j, (cls,) + key) for v, key in level
                  for k in degrees for j in range(1, n + 1)
-                 for cls in table.classes[(k, v, j)]]
+                 for cls in table.classes[(k, v, j)] if cls not in skip]
     return [key for _, key in level]
 
 
@@ -378,6 +406,14 @@ def stasheff_check(table: AInfTable, k: int) -> bool:
     every composable length-k tuple of Ext^{<=1} classes, with the Koszul
     sign from moving b'_t past the left factors.
 
+    A chain holding an identity class sums to zero by the corollary in
+    the module docstring, whose premise is that bp_table's entries on
+    tuples holding one are the lemma's: b'(1, a) = a and
+    b'(a, 1) = (-1)^|a| a for every class a, and nothing longer.  That is
+    checked on each call, and then only the unit-free chains are
+    evaluated, in the order of all of them; otherwise every chain is.
+    Either way the verdict is that of evaluating every chain.
+
     The inner values are read off bp_table.  An inner slice mid has t
     classes of degree <= 1, with t <= k <= r_max, so its c2 is 0 and its
     degree sum minus t is -c0.  A 1-tuple has b' = 0.  For t >= 2, mid is
@@ -392,12 +428,19 @@ def stasheff_check(table: AInfTable, k: int) -> bool:
     """
     if k > table.r_max:
         raise ValueError("k exceeds r_max")
-    bp = table.bp_table
-    starts = {}
+    bp, units = table.bp_table, table.units
+    starts, held = {}, {}
     for mid, inner in sorted(bp.items(), key=lambda item: len(item[0])):
+        if not units.isdisjoint(mid):
+            held[mid] = inner
         if len(mid) <= k and all(c.k <= 1 for c in mid):
             starts.setdefault(mid[0], []).append((len(mid), mid, inner))
-    for key in _chains(table, k, (0, 1)):
+    lemma = {}
+    for a in table.gmaps:
+        lemma[table.identity_class(a.j), a] = {a: 1}
+        lemma[a, table.identity_class(a.i)] = {a: -1 if a.k % 2 else 1}
+    skip = units if held == lemma else frozenset()
+    for key in _chains(table, k, (0, 1), skip):
         terms = []
         koszul = 0  # sum of |a| - 1 over key[:left]
         for left, first in enumerate(key):

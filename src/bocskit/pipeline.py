@@ -25,8 +25,8 @@ from .bocs import (bocs_hom_basis, classify_bocs, construct_bocs,
 from .burt_butler import (_endo_algebra, borel_checks, homological_check,
                           induce, loop_subalgebra_check, morita_compare,
                           right_algebra, standard_check)
-from .modules import (hom_basis, is_isomorphic, projective, quotient,
-                      radical_vectors, simple, submodule)
+from .modules import (hom_basis, is_isomorphic, iso_defect, projective,
+                      quotient, radical_vectors, simple, submodule)
 from .strata import classify_algebra, theta_filtration
 from .twisted import hom_dim_compare
 
@@ -143,17 +143,19 @@ class _Run:
 def _is_indecomposable(M):
     """Whether the module M is nonzero and indecomposable, read off End(M).
 
-    _endo_algebra builds End(M) by from_structure_constants on one vertex,
-    which adds the unit as the one degree-0 basis element and then only
-    radical layers, and raises unless those span End(M).  So once it
-    returns, End(M) / rad = K: End(M) is local and M indecomposable.  A
-    non-local End surfaces only as that raise (the verify run of corpus
-    member c09), until End(M) is split into its idempotents (ROADMAP
-    item 2).
+    In characteristic 0 the radical of End(M) is the kernel of its trace
+    pairing (f, g) -> trace(g f) on M, so iso_defect(M, M), the rank of
+    that pairing, is dim End(M) / rad.  Rank 1 is End(M) / rad = K: End(M)
+    is local and M indecomposable.  Otherwise End(M) / rad is bigger than
+    K, and _endo_algebra, which builds End(M) by from_structure_constants
+    on one vertex, raises that it is not elementary (the verify run of
+    corpus member c09), until End(M) is split into its idempotents
+    (ROADMAP item 2).
     """
     if M.total == 0:
         return False
-    _endo_algebra(M)
+    if iso_defect(M, M) != 1:
+        _endo_algebra(M)
     return True
 
 

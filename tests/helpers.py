@@ -963,30 +963,34 @@ def _add_into(acc, coeffs, scalar):
             del acc[cls]
 
 
+def reference_stasheff_sum(table: AInfTable, key) -> dict:
+    """The Stasheff sum of one chain, as reference_stasheff_check forms
+    it: bprime on every (left, t) slice, as sparse coefficients."""
+    acc = {}
+    for left in range(0, len(key)):
+        for t in range(1, len(key) - left + 1):
+            mid = key[left:left + t]
+            right = key[left + t:]
+            inner = table.bprime(mid)
+            if not inner:
+                continue
+            koszul = sum(c.k - 1 for c in key[:left])
+            sign = -1 if koszul % 2 == 1 else 1
+            for cls, c in inner.items():
+                new_key = key[:left] + (cls,) + right
+                outer = table.bprime(new_key)
+                if outer:
+                    _add_into(acc, outer, sign * c)
+    return acc
+
+
 def reference_stasheff_check(table: AInfTable, k: int) -> bool:
     """stasheff_check as it was before it read the inner values off
     bp_table: bprime on every (left, t) slice of every chain."""
     if k > table.r_max:
         raise ValueError("k exceeds r_max")
-    for key in _chains(table, k, (0, 1)):
-        acc = {}
-        for left in range(0, k):
-            for t in range(1, k - left + 1):
-                mid = key[left:left + t]
-                right = key[left + t:]
-                inner = table.bprime(mid)
-                if not inner:
-                    continue
-                koszul = sum(c.k - 1 for c in key[:left])
-                sign = -1 if koszul % 2 == 1 else 1
-                for cls, c in inner.items():
-                    new_key = key[:left] + (cls,) + right
-                    outer = table.bprime(new_key)
-                    if outer:
-                        _add_into(acc, outer, sign * c)
-        if acc:
-            return False
-    return True
+    return not any(reference_stasheff_sum(table, key)
+                   for key in _chains(table, k, (0, 1)))
 
 
 def dense_vector(u: dict, dim: int) -> tuple:

@@ -2,7 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from bocskit import ainf
 from bocskit.ainf import (ExtClass, _chains, build_tables, merkulov_lambda,
@@ -16,7 +16,7 @@ from bocskit.strata import classify_algebra, standard_modules
 
 from helpers import (all_classes, auslander, is_null_homotopic,
                      monomial_algebras, reference_stasheff_check,
-                     reference_tabulated_keys)
+                     reference_stasheff_sum, reference_tabulated_keys)
 
 
 def pdelta_tables(alg, r_max=5):
@@ -550,6 +550,79 @@ def test_stasheff_check_raises_as_the_reference_on_a_deleted_outer_key(
             raised += None in _same_verdicts(tab)[:-1]
             tab.m_table[key], tab.bp_table[key] = m, bp
     assert raised
+
+
+def test_stasheff_check_evaluates_the_unit_free_chains_only(monkeypatch):
+    # e1 at r_max 6 has 126 chains of Ext^{<=1} classes over k = 1..6, and
+    # only y^k holds no identity class; once bp_table's entries holding
+    # the identity are not the unitality lemma's, every chain is evaluated
+    evaluated = [0]
+    real_chains = ainf._chains
+
+    def counted(*args):
+        out = real_chains(*args)
+        evaluated[0] += len(out)
+        return out
+
+    monkeypatch.setattr(ainf, "_chains", counted)
+    tab, _ = pdelta_tables(example_dual_numbers(), r_max=6)
+    assert all(stasheff_check(tab, k) for k in range(1, 7))
+    assert evaluated[0] == 6
+    y, e = ExtClass(1, 1, 1, 0), ExtClass(0, 1, 1, 0)
+    lemma = tab.bp_table[y, e]
+    for key, entry in [((y, e), {y: -2}), ((y, e), None),
+                       ((y, e, y), {y: 1})]:
+        saved = tab.bp_table.get(key)
+        if entry is None:
+            del tab.bp_table[key]
+        else:
+            tab.bp_table[key] = entry
+        evaluated[0] = 0
+        verdicts = [stasheff_check(tab, k) for k in range(1, 7)]
+        assert evaluated[0] == 126
+        assert verdicts == [reference_stasheff_check(tab, k)
+                            for k in range(1, 7)]
+        assert False in verdicts
+        if saved is None:
+            del tab.bp_table[key]
+        else:
+            tab.bp_table[key] = saved
+    assert tab.bp_table[y, e] is lemma and len(tab.bp_table) == 6
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_chains_holding_a_unit_sum_to_zero_whatever_the_unit_free_products(
+        differential_tables, rnd):
+    # the corollary of the module docstring: with b' replaced on every
+    # unit-free key of m_table by random coefficients on its output basis,
+    # each chain holding an identity class still sums to zero, and
+    # stasheff_check, which skips those chains, keeps the reference verdict
+    held = 0
+    for tab in differential_tables:
+        saved = tab.bp_table
+        tab.bp_table = {}
+        for key in tab.m_table:
+            if not tab.units.isdisjoint(key):
+                if key in saved:
+                    tab.bp_table[key] = saved[key]
+                continue
+            q = sum(c.k for c in key) + 2 - len(key)
+            coeffs = {cls: rnd.randint(-2, 2)
+                      for cls in tab.classes[(q, key[-1].i, key[0].j)]}
+            if any(coeffs.values()):
+                tab.bp_table[key] = {c: v for c, v in coeffs.items() if v}
+        try:
+            for k in range(1, tab.r_max + 1):
+                for key in _chains(tab, k, (0, 1)):
+                    if not tab.units.isdisjoint(key):
+                        held += 1
+                        assert reference_stasheff_sum(tab, key) == {}
+                assert stasheff_check(tab, k) == \
+                    reference_stasheff_check(tab, k)
+        finally:
+            tab.bp_table = saved
+    assert held > 1000
 
 
 def test_the_table_grows_only_the_tabulated_tuples(monkeypatch):

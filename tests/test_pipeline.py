@@ -15,13 +15,14 @@ from bocskit.bocs import construct_bocs
 from bocskit.burt_butler import _endo_algebra
 from bocskit.corpus import random_corpus
 from bocskit.linalg import Matrix
+from bocskit.modules import simple
 from bocskit.pipeline import (PipelineError, indecomposables_up_to,
                               roundtrip_bocs, run_pipeline)
 from bocskit.quiver import (Quiver, RelationSet, build_algebra, example_a2,
                             example_dual_numbers, example_jordan3,
                             example_semisimple_pair)
 
-from helpers import reference_indecomposables
+from helpers import auslander, direct_sum, reference_indecomposables
 
 
 @pytest.fixture(scope="module")
@@ -266,15 +267,15 @@ def test_indecomposables_enumeration():
 
 def test_local_candidates_skip_their_endomorphism_algebra(monkeypatch):
     # P(i) / rad^b P(i) has a simple top, so only the candidates
-    # rad^a P(i) / rad^b P(i) with a > 0 build End; the modules found are
-    # those of testing every candidate
-    real, calls = pipeline._endo_algebra, []
+    # rad^a P(i) / rad^b P(i) with a > 0 have End(M) tested; the modules
+    # found are those of testing every candidate
+    real, calls = pipeline._is_indecomposable, []
 
     def counting(M):
         calls.append(M)
         return real(M)
 
-    monkeypatch.setattr(pipeline, "_endo_algebra", counting)
+    monkeypatch.setattr(pipeline, "_is_indecomposable", counting)
     for build, want in [(example_semisimple_pair, 0),
                         (example_dual_numbers, 1), (example_a2, 1),
                         (example_jordan3, 3)]:
@@ -310,6 +311,53 @@ def test_candidate_endomorphism_algebras_are_local_or_raise(monkeypatch):
         indecomposables_up_to(alg, pipeline.DIM_BOUND)
     assert outcomes.keys() == {1, "raise"}
     assert outcomes["raise"] == 1
+
+
+def test_trace_rank_decides_as_the_endomorphism_algebra(monkeypatch):
+    # on every candidate whose End(M) is tested, over e0-e3, the corpus
+    # and the Auslander algebras of K[x]/(x^n), n = 2..4: the trace rank
+    # of End(M) is 1 exactly where _endo_algebra returns, and
+    # _is_indecomposable raises _endo_algebra's ValueError where it raises
+    real = pipeline._is_indecomposable
+    outcomes = Counter()
+
+    def probe(M):
+        try:
+            _endo_algebra(M)
+        except ValueError as e:
+            assert modules.iso_defect(M, M) != 1
+            with pytest.raises(ValueError) as got:
+                real(M)
+            assert str(got.value) == str(e)
+            outcomes["raise"] += 1
+        else:
+            assert modules.iso_defect(M, M) == 1 and real(M) is True
+            outcomes["local"] += 1
+        return True
+
+    monkeypatch.setattr(pipeline, "_is_indecomposable", probe)
+    algs = [build() for build in (example_semisimple_pair,
+                                  example_dual_numbers, example_a2,
+                                  example_jordan3)]
+    algs += [alg for alg, _, _ in random_corpus(
+        20260823, count=20, max_dim=5, require_bocs=False)]
+    algs += [auslander(n) for n in (2, 3, 4)]
+    for alg in algs:
+        indecomposables_up_to(alg, pipeline.DIM_BOUND)
+    # c09 raises once, and ten subquotients of the Auslander algebras
+    # split
+    assert outcomes == {"local": 105, "raise": 11}
+    # decomposable modules: End(S(1) + S(2)) = K x K has trace rank 2,
+    # End(S + S) = M_2(K) rank 4; both raise as _endo_algebra does
+    a2, dual = example_a2(), example_dual_numbers()
+    for M, rank in [(direct_sum([simple(a2, 1), simple(a2, 2)]), 2),
+                    (direct_sum([simple(dual, 1)] * 2), 4)]:
+        assert modules.iso_defect(M, M) == rank
+        with pytest.raises(ValueError) as want:
+            _endo_algebra(M)
+        with pytest.raises(ValueError) as got:
+            real(M)
+        assert str(got.value) == str(want.value)
 
 
 def test_roundtrip_bocs_reingested_identical():
