@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 from .bocs import (Bocs, RightBasis, TensorModule, _on_coords, bocs_compose,
                    bocs_hom_basis, bocs_lift, pair_image, radical_below,
                    tensor_module)
-from .linalg import MapSpace, Matrix, ONE, Span, ZERO, nonzeros, qdiv
+from .linalg import (MapSpace, Matrix, ONE, Span, ZERO, _apply_cols,
+                     _sum_terms, nonzeros, qdiv)
 from .modules import (FDModule, ModuleMap, hom_basis, is_isomorphic,
                       projective_cover, simple, sum_of_projectives, syzygies)
 from .quiver import Algebra, from_structure_constants
@@ -51,8 +53,9 @@ class RightAlgebra:
     """End of B in the bocs category, opposed, with the B-embedding.
 
     basis holds the chosen hom-space basis (maps W (x) B -> B); R is the
-    structure-constant algebra on it; emb maps B coordinates into R
-    coordinates; coord_of_basis identifies the regular module's
+    structure-constant algebra on it; emb_cols[k] is the image in R of
+    the k-th basis element of B, as a sparse column {R coordinate: c};
+    coord_of_basis identifies the regular module's
     coordinates with the basis of B; right_act[k] is the right action of
     the k-th basis element of B on R, and right is R's RightBasis, with
     R acting from the left through its table; its tensors keep the
@@ -86,22 +89,22 @@ class RightAlgebra:
                   if bf[1] == bg[0] else {}
                   for g, bg in zip(images, blocks)]
                  for f, bf in zip(images, blocks)]
-        idems = [space.coords(self._phi_raw(B.idempotent(i)).mat)
-                 for i in range(1, B.n + 1)]
-        self.R = from_structure_constants(B.n, table, idems)
-        emb_cols = []
-        for k in range(B.dim):
-            raw = space.coords(self._phi_raw(B.basis_vec(k)).mat)
-            emb_cols.append(list(self.R.old_to_new.apply(raw)))
-        self.emb = Matrix.from_columns(emb_cols)
+        # the images of B's basis elements in raw coordinates; e_i is the
+        # basis element at unit_index, so its image is read off them
+        raw = [space.coords(self._phi_raw(B.basis_vec(k)).mat)
+               for k in range(B.dim)]
+        R = self.R = from_structure_constants(
+            B.n, table, [raw[k] for k in B.unit_index])
+        to_new = R.old_to_new.nonzero_columns()
+        self.emb_cols = [_apply_cols(to_new, nonzeros(v).items())
+                         for v in raw]
         self._check_embedding()
-        self.right_act = []
-        for k in range(B.dim):
-            ev = self.embed(B.basis_vec(k))
-            self.right_act.append(Matrix.from_columns(
-                [self.R.multiply(self.R.basis_vec(j), ev)
-                 for j in range(self.R.dim)]))
-        R = self.R
+        # b_k acts on R from the right as right multiplication by its image
+        by_left = [[prod.items() for prod in row] for row in R.table]
+        self.right_act = [
+            _on_coords(range(R.dim),
+                       [_apply_cols(row, col.items()) for row in by_left])
+            for col in self.emb_cols]
         self.right = RightBasis(
             "R", R, B, list(zip(R.btarget, R.bsource)), self.right_act,
             [[list(rt.items()) for rt in row] for row in R.table])
@@ -118,28 +121,30 @@ class RightAlgebra:
         return bocs_lift(self.bocs,
                          ModuleMap(self.XB, self.XB, Matrix(n, n, right)))
 
-    def embed(self, bvec):
-        """B element to R coefficient vector."""
-        return self.emb.apply(bvec)
-
     def _check_embedding(self):
+        """AssertionError unless emb_cols, the images of B's basis in R,
+        are independent, sum to R's unit at B's idempotents, and multiply
+        as B's basis does; both products are read off the sparse tables."""
         B = self.bocs.B
         R = self.R
-        if self.emb.rank() != B.dim:
+        cols = self.emb_cols
+        if _on_coords(range(R.dim), cols).rank() != B.dim:
             raise AssertionError("embedding is not injective")
-        unit = [ZERO] * R.dim
-        for i in range(1, B.n + 1):
-            iv = self.embed(B.idempotent(i))
-            unit = [a + b for a, b in zip(unit, iv)]
-        if tuple(unit) != tuple(R.unit()):
+        unit = _sum_terms(chain.from_iterable(cols[k].items()
+                                              for k in B.unit_index))
+        if unit != nonzeros(R.unit()):
             raise AssertionError("embedding is not unital")
+        images = [col.items() for col in cols]
+        # by_right[m][a] are the terms of r_a r_m
+        by_right = list(zip(*([prod.items() for prod in row]
+                              for row in R.table)))
         for u in range(B.dim):
+            # left[m] are the terms of (image of b_u) r_m
+            left = [_apply_cols(by_right[m], images[u]).items()
+                    for m in range(R.dim)]
             for v in range(B.dim):
-                lhs = self.embed(B.multiply(B.basis_vec(u),
-                                            B.basis_vec(v)))
-                rhs = R.multiply(self.embed(B.basis_vec(u)),
-                                 self.embed(B.basis_vec(v)))
-                if tuple(lhs) != tuple(rhs):
+                lhs = _apply_cols(images, B.table[u][v].items())
+                if lhs != _apply_cols(left, images[v]):
                     raise AssertionError("embedding is not multiplicative")
 
 

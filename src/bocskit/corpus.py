@@ -8,6 +8,7 @@ and a filtration certificate in the requested mode.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from .quiver import Quiver, Relation, RelationSet, build_algebra
 from .strata import classify_algebra
@@ -54,10 +55,25 @@ def random_corpus(seed: int, count: int = 20, max_vertices: int = 3,
     the seed.  With require_bocs the dual construction is attempted at
     the given cutoff and failures are skipped, so every member carries
     its bocs; otherwise the third entry is None.
+
+    Each candidate kills every length-3 path and a random set of
+    length-2 paths, all of them monomial relations.  The basis of a
+    monomial algebra is the set of paths containing no relation, so here
+    the paths of length at most 2 that are not relations themselves:
+    dim = n + #arrows + #(length-2 paths not drawn), at least 1 as n is.
+    That count decides the dimension bound before the algebra is built,
+    and the build is checked against it (AssertionError).  A candidate
+    is rejected at the first of: oversize, build error, duplicate (the
+    signature of a kept member), classification error, not filtered,
+    bocs error.  Only the quiver, the relations and the order draw from
+    the generator, so rejecting a candidate before building or
+    classifying it keeps every later draw.  When fewer than count
+    members are found, the ValueError gives the rejections by reason.
     """
     rng = random.Random(seed)
     out = []
     seen = set()
+    rejected = Counter()
     for _ in range(max_attempts):
         if len(out) >= count:
             break
@@ -68,27 +84,40 @@ def random_corpus(seed: int, count: int = 20, max_vertices: int = 3,
         for p in _random_paths(rng, quiver, 3):
             src = quiver.arrow_source(p[0])
             relations.append(Relation(quiver, [(1, src, p)]))
+        alive = 0
         for p in _random_paths(rng, quiver, 2):
             if rng.random() < 0.7:
                 src = quiver.arrow_source(p[0])
                 relations.append(Relation(quiver, [(1, src, p)]))
+            else:
+                alive += 1
+        dim = quiver.n + len(quiver.arrows) + alive
+        if dim > max_dim:
+            rejected["oversize"] += 1
+            continue
         try:
             alg = build_algebra(quiver, RelationSet(quiver, relations),
                                 length_bound=6)
         except ValueError:
+            rejected["build error"] += 1
             continue
-        if alg.dim > max_dim or alg.dim < 1:
-            continue
+        if alg.dim != dim:
+            raise AssertionError(
+                f"monomial path count {dim} but the algebra has dimension "
+                f"{alg.dim}")
         order = list(range(1, alg.n + 1))
         rng.shuffle(order)
+        key = _signature(alg, order)
+        if key in seen:
+            rejected["duplicate"] += 1
+            continue
         try:
             cls = classify_algebra(alg, order)
         except ValueError:
+            rejected["classification error"] += 1
             continue
         if not cls.filtered(mode):
-            continue
-        key = _signature(alg, order)
-        if key in seen:
+            rejected["not filtered"] += 1
             continue
         bocs = None
         if require_bocs:
@@ -97,12 +126,16 @@ def random_corpus(seed: int, count: int = 20, max_vertices: int = 3,
                 bocs = construct_bocs(alg, order, mode=mode, r_max=r_max,
                                       classification=cls)
             except ValueError:
+                rejected["bocs error"] += 1
                 continue
         seen.add(key)
         out.append((alg, order, bocs))
     if len(out) < count:
+        reasons = ", ".join(f"{reason} {n}"
+                            for reason, n in rejected.items())
         raise ValueError(
-            f"corpus generation exhausted after {max_attempts} attempts")
+            f"corpus generation exhausted after {max_attempts} attempts "
+            f"with {len(out)} kept; rejected: {reasons}")
     return out
 
 

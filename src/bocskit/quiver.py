@@ -210,19 +210,20 @@ class Algebra:
     def check_associativity(self):
         """Raise ValueError at the first basis triple (i, j, k), in that
         loop order, where (b_i b_j) b_k differs from b_i (b_j b_k).  Both
-        sides are summed over the sparse table, and a triple with b_i b_j
-        and b_j b_k both zero is skipped, as both sides are zero there."""
+        sides are summed over the sparse table.  With after[x] the k with
+        b_x b_k nonzero, b_i (b_j b_k) is zero unless k is in after[j], and
+        (b_i b_j) b_k unless k is in after[m] for some m in b_i b_j; only
+        those k are visited, in ascending order."""
         table = self.table
         # by_left[i][m] and by_right[k][m] are the terms of b_i b_m, b_m b_k
         by_left = [[prod.items() for prod in row] for row in table]
         by_right = list(zip(*by_left))
-        for i, row_i in enumerate(table):
+        after = [{k for k, prod in enumerate(row) if prod} for row in table]
+        for i, row_i in enumerate(by_left):
             for j, ij in enumerate(row_i):
-                for k, jk in enumerate(table[j]):
-                    if not ij and not jk:
-                        continue
-                    lhs = _apply_cols(by_right[k], ij.items())
-                    rhs = _apply_cols(by_left[i], jk.items())
+                for k in sorted(after[j].union(*(after[m] for m, _ in ij))):
+                    lhs = _apply_cols(by_right[k], ij)
+                    rhs = _apply_cols(row_i, by_left[j][k])
                     if lhs != rhs:
                         raise ValueError(
                             f"structure constants not associative at "
@@ -622,10 +623,15 @@ def from_structure_constants(n, table, idempotents) -> Algebra:
 
     F = Matrix.from_columns(new_vecs)      # new coords -> old coords
     Finv = F.inverse()                     # old coords -> new coords
-    new_table = [
-        [nonzeros(Finv.apply(table_product(table, new_vecs[i], new_vecs[j])))
-         if bsource[i] == btarget[j] else {} for j in range(dim)]
-        for i in range(dim)]
+    to_new = Finv.nonzero_columns()
+
+    def product_in_new(i, j):
+        # through Finv's sparse columns, keys ascending as nonzeros has them
+        old = nonzeros(table_product(table, new_vecs[i], new_vecs[j]))
+        return dict(sorted(_apply_cols(to_new, old.items()).items()))
+
+    new_table = [[product_in_new(i, j) if bsource[i] == btarget[j] else {}
+                  for j in range(dim)] for i in range(dim)]
 
     # degree-1 layer elements are the radical generators
     arrows = [(new_labels[k], bsource[k], btarget[k], k)

@@ -32,10 +32,14 @@ the degree-1 word basis, the dense projection onto W and section of W,
 eps on every degree-1 word, and the sandwich b.u.c and d' of a path of
 B built from those vectors), the bimodule action and mu of a bocs
 through that dense projection, and the enumeration of indecomposables
-that tested every candidate through its endomorphism algebra.
+that tested every candidate through its endomorphism algebra, the
+random corpus loop that built every candidate and classified every one
+of admissible dimension, and the embedding check of the right algebra on
+the dense embedding matrix.
 """
 
 import copy
+import random
 from collections import namedtuple
 from types import SimpleNamespace
 from typing import Sequence
@@ -44,9 +48,10 @@ from hypothesis import strategies as st
 
 from bocskit.ainf import AInfTable, _chains
 from bocskit.bocs import (Bocs, TensorModule, _hom_source, _path_vec,
-                          bocs_compose,
+                          bocs_compose, construct_bocs,
                           bocs_hom_basis, bocs_lift, pair_image,
                           tensor_module)
+from bocskit.corpus import _random_paths, _random_quiver, _signature
 from bocskit.io import mu_to_matrix
 from bocskit.linalg import (ONE, ZERO, MapSpace, Matrix, Span, nonzeros,
                             vec_is_zero)
@@ -59,7 +64,8 @@ from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
                             build_algebra, from_structure_constants)
 from bocskit.resolution import (GradedMap, ResolvedSystem, _flatten_graded,
                                 _hom_space, differential, ext_basis)
-from bocskit.strata import _normalize_order, standard_modules
+from bocskit.strata import (_normalize_order, classify_algebra,
+                            standard_modules)
 
 
 def all_classes(table, degrees):
@@ -1114,3 +1120,79 @@ def reference_indecomposables(alg: Algebra, bound: int):
                 found.append(cand)
     found.sort(key=lambda M: (M.total, M.dims))
     return found
+
+
+def reference_random_corpus(seed: int, count: int = 20,
+                            max_vertices: int = 3, max_dim: int = 8,
+                            mode: str = "pdelta", max_attempts: int = 4000,
+                            require_bocs: bool = True, r_max: int = 3):
+    """random_corpus as it was before it counted the dimension ahead of
+    the build and rejected duplicates ahead of the classification: every
+    candidate is built, and every one of admissible dimension classified
+    before its signature is looked up."""
+    rng = random.Random(seed)
+    out = []
+    seen = set()
+    for _ in range(max_attempts):
+        if len(out) >= count:
+            break
+        quiver = _random_quiver(rng, max_vertices)
+        relations = []
+        for p in _random_paths(rng, quiver, 3):
+            src = quiver.arrow_source(p[0])
+            relations.append(Relation(quiver, [(1, src, p)]))
+        for p in _random_paths(rng, quiver, 2):
+            if rng.random() < 0.7:
+                src = quiver.arrow_source(p[0])
+                relations.append(Relation(quiver, [(1, src, p)]))
+        try:
+            alg = build_algebra(quiver, RelationSet(quiver, relations),
+                                length_bound=6)
+        except ValueError:
+            continue
+        if alg.dim > max_dim or alg.dim < 1:
+            continue
+        order = list(range(1, alg.n + 1))
+        rng.shuffle(order)
+        try:
+            cls = classify_algebra(alg, order)
+        except ValueError:
+            continue
+        if not cls.filtered(mode):
+            continue
+        key = _signature(alg, order)
+        if key in seen:
+            continue
+        bocs = None
+        if require_bocs:
+            try:
+                bocs = construct_bocs(alg, order, mode=mode, r_max=r_max,
+                                      classification=cls)
+            except ValueError:
+                continue
+        seen.add(key)
+        out.append((alg, order, bocs))
+    if len(out) < count:
+        raise ValueError(
+            f"corpus generation exhausted after {max_attempts} attempts")
+    return out
+
+
+def reference_check_embedding(B: Algebra, R: Algebra, emb: Matrix):
+    """RightAlgebra._check_embedding as it was on the dense matrix emb of
+    the embedding B -> R, applying emb to every product of B."""
+    if emb.rank() != B.dim:
+        raise AssertionError("embedding is not injective")
+    unit = [ZERO] * R.dim
+    for i in range(1, B.n + 1):
+        iv = emb.apply(B.idempotent(i))
+        unit = [a + b for a, b in zip(unit, iv)]
+    if tuple(unit) != tuple(R.unit()):
+        raise AssertionError("embedding is not unital")
+    for u in range(B.dim):
+        for v in range(B.dim):
+            lhs = emb.apply(B.multiply(B.basis_vec(u), B.basis_vec(v)))
+            rhs = R.multiply(emb.apply(B.basis_vec(u)),
+                             emb.apply(B.basis_vec(v)))
+            if tuple(lhs) != tuple(rhs):
+                raise AssertionError("embedding is not multiplicative")

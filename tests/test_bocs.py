@@ -439,13 +439,13 @@ def test_lift_reads_one_stored_counit(b0, b1, b2, b3, monkeypatch):
             for Y in mods:
                 lifts += [(b, u) for u in hom_basis(X, Y)]
         # the right algebra lifts the right multiplication on B by each
-        # idempotent and each basis element (_phi_raw)
+        # basis element once (_phi_raw), the idempotents among them
         before = len(lifts)
         with monkeypatch.context() as m:
             m.setattr(burt_butler, "bocs_lift",
                       lambda b, u: lifts.append((b, u)) or bocs_lift(b, u))
             right_algebra(b)
-        assert len(lifts) - before == B.n + B.dim
+        assert len(lifts) - before == B.dim
     for b, u in lifts:
         mat = _reference_lift(b, u)
         tx = tensor_module(b, u.source)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from bocskit import burt_butler, pipeline
-from bocskit.bocs import (RightBasis, TensorModule, bocs_compose,
+from bocskit.bocs import (RightBasis, TensorModule, _on_coords, bocs_compose,
                           bocs_hom_basis, construct_bocs, tensor_module)
 from bocskit.burt_butler import (borel_checks, ext_dimension,
                                  homological_check, induce, induce_map,
@@ -33,7 +33,8 @@ from bocskit.strata import standard_modules
 
 from helpers import (HomInduction, auslander, balanced_relations,
                      bocs_identity, check_intertwining, direct_sum,
-                     module_from_action, reference_bocs_compose)
+                     module_from_action, reference_bocs_compose,
+                     reference_check_embedding)
 
 
 @pytest.fixture(scope="module")
@@ -559,3 +560,41 @@ def test_module_from_action_refuses_idempotents_that_do_not_decompose():
     for raw in cases:
         with pytest.raises(ValueError, match="do not decompose the space"):
             module_from_action(alg, 2, raw)
+
+
+def _embedding_error(check, *args):
+    try:
+        check(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_embedding_check_raises_as_the_dense_reference(r0, r1, r2, r3, rv,
+                                                       corpus_ralgs):
+    # emb_cols with one entry raised by one, or one column repeated in
+    # place of another, fail the sparse and the dense check alike; the
+    # right action is right multiplication by the embedded basis
+    raised = Counter()
+    for r in [t[2] for t in (r0, r1, r2, r3, rv)] + corpus_ralgs:
+        B, R = r.bocs.B, r.R
+        emb = _on_coords(range(R.dim), r.emb_cols)
+        assert _embedding_error(reference_check_embedding, B, R, emb) is None
+        for k in range(B.dim):
+            ev = emb.column(k)
+            assert r.right_act[k] == Matrix.from_columns(
+                [R.multiply(R.basis_vec(j), ev) for j in range(R.dim)])
+        changes = [(k, {**r.emb_cols[k], x: r.emb_cols[k].get(x, 0) + 1})
+                   for k, x in product(range(B.dim), range(R.dim))]
+        changes += [(k, r.emb_cols[0]) for k in range(1, B.dim)]
+        for k, col in changes:
+            bad = copy.copy(r)
+            bad.emb_cols = [col if m == k else c
+                            for m, c in enumerate(r.emb_cols)]
+            got = _embedding_error(bad._check_embedding)
+            assert got == _embedding_error(
+                reference_check_embedding, B, R,
+                _on_coords(range(R.dim), bad.emb_cols))
+            raised[got] += 1
+    assert {"embedding is not injective", "embedding is not unital",
+            "embedding is not multiplicative"} <= set(raised)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bocskit.burt_butler import right_algebra
 from bocskit.linalg import ONE, ZERO, Matrix, nonzeros
 from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
                             _build_global, _build_graded, _trace_form,
@@ -202,6 +203,57 @@ def test_sparse_associativity_check_matches_the_dense_reference():
                                                bad)
             failures += got is not None
     assert failures > 0
+
+
+@pytest.fixture(scope="module")
+def associativity_algebras(fixture_bocses, corpus_bocses):
+    """e0-e3, the benchmark corpus and the right algebras of their
+    bocses."""
+    algs = [example_semisimple_pair(), example_dual_numbers(), example_a2(),
+            example_jordan3()]
+    algs += [alg for alg, _, _ in corpus_bocses.values()]
+    bocses = list(fixture_bocses.values())
+    bocses += [bocs for _, _, bocs in corpus_bocses.values()]
+    return algs + [right_algebra(bocs).R for bocs in bocses]
+
+
+def _perturbed(alg, i, j, m, delta):
+    """alg with the coefficient of b_m in b_i b_j moved by delta."""
+    table = [[dict(c) for c in row] for row in alg.table]
+    table[i][j][m] = table[i][j].get(m, 0) + delta
+    table[i][j] = {k: c for k, c in table[i][j].items() if c}
+    return Algebra(alg.n, alg.bsource, alg.btarget, alg.bdegree,
+                   alg.unit_index, table, alg.arrows, alg.labels)
+
+
+def _both_associativity_errors(alg):
+    return (_associativity_error(Algebra.check_associativity, alg),
+            _associativity_error(dense_check_associativity, alg))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_live_triples_decide_associativity_as_every_triple(
+        associativity_algebras, data):
+    # one coefficient of the table changed, or one product set where it
+    # was zero: the sparse check visits only the triples where a side
+    # can be nonzero, and fails at the same first triple as the dense one
+    alg = data.draw(st.sampled_from(associativity_algebras))
+    i, j, m = (data.draw(st.integers(0, alg.dim - 1)) for _ in range(3))
+    delta = data.draw(st.sampled_from([1, -1, 2]))
+    assert _both_associativity_errors(alg) == (None, None)
+    got, want = _both_associativity_errors(_perturbed(alg, i, j, m, delta))
+    assert got == want
+
+
+def test_live_triples_are_visited_in_ascending_order():
+    # in the Auslander algebra of K[x]/(x^3), e1 e1 raised at e1 fails
+    # at b1 and at a later k of 8 or more, which a set of the live k
+    # lists first
+    got, want = _both_associativity_errors(_perturbed(auslander(3), 0, 0,
+                                                      0, 1))
+    assert got == want == \
+        "structure constants not associative at (e1,e1,b1)"
 
 
 def test_from_structure_constants_roundtrip():
