@@ -460,14 +460,15 @@ def construct_bocs(alg: Algebra, order=None, mode: str = "pdelta",
     of B can be compared at cutoffs r_max and r_max + 1; a difference
     raises the stabilization error.  Relations of B have degree at least
     2, so r_max below 2 is rejected.  A caller that has classified alg
-    passes its Classification, whose standard system is then used; one
-    built on another algebra or order raises ValueError.
+    passes its Classification, whose standard system of the mode is then
+    used; one built on another algebra or order raises ValueError.
+    Either way this call builds no other mode's system or certificates.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     if classification is None:
         classification = classify_algebra(alg, order)
-    elif classification.systems[mode].alg is not alg:
+    elif classification.alg is not alg:
         raise ValueError("classification is of another algebra")
     elif order is not None and list(order) != classification.order:
         raise ValueError("classification is for another vertex order")

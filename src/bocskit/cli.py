@@ -97,10 +97,11 @@ def classify(ctx, source):
                        "an algebra document")
     try:
         cls = classify_algebra(alg, order)
+        label = cls.label
     except ValueError as e:
         _fail(ctx, e)
     _write(ctx, {"schema": "bocskit/classification", "version": bio.VERSION,
-                 "label": cls.label, "order": list(cls.order),
+                 "label": label, "order": list(cls.order),
                  "dim": alg.dim})
 
 

@@ -113,10 +113,11 @@ def random_corpus(seed: int, count: int = 20, max_vertices: int = 3,
             continue
         try:
             cls = classify_algebra(alg, order)
+            filtered = cls.filtered(mode)
         except ValueError:
             rejected["classification error"] += 1
             continue
-        if not cls.filtered(mode):
+        if not filtered:
             rejected["not filtered"] += 1
             continue
         bocs = None

@@ -218,9 +218,11 @@ def run_pipeline(alg, order=None, mode="pdelta", config=None):
 
     run.stage("classify")
     cls = run.call(classify_algebra, alg, order)
+    # the label builds both modes: a failure there belongs to this stage
+    label = run.call(lambda: cls.label)
     order = list(cls.order)
     run.require(cls.filtered(mode), "mode not admitted",
-                {"label": cls.label, "mode": mode})
+                {"label": label, "mode": mode})
 
     run.stage("construct_bocs")
     bocs = run.call(construct_bocs, alg, order, mode=mode, r_max=r_max,
@@ -321,8 +323,9 @@ def roundtrip_bocs(bocs):
 
     run.stage("classify")
     cls = run.call(classify_algebra, ralg.R, bocs.order)
+    label = run.call(lambda: cls.label)
     run.require(cls.filtered("pdelta"),
-                "right algebra is not properly filtered", {"label": cls.label})
+                "right algebra is not properly filtered", {"label": label})
     run.standard_stage(ralg)
 
     run.stage("hom_dim_compare")

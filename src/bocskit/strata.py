@@ -3,9 +3,23 @@
 Vertex orders are permutations of 1..n; "larger" always refers to the
 position in the chosen order, not the raw vertex label.  Mode strings are
 "delta" (standard modules) and "pdelta" (properly standard modules).
+
+classify_algebra checks the order and computes nothing else.  Its
+Classification builds a mode's standard system on the first access to
+systems[mode], searches the filtrations of that mode's projectives on
+the first access to certificates[mode] (or filtered(mode)), and derives
+the label, which reads both modes, on its first access.  A caller that
+asks about one mode, as random_corpus and construct_bocs do, so pays for
+that mode alone.  Nothing is kept on the Algebra: a Classification
+refers to its algebra (Classification.alg, StandardSystem.alg,
+FDModule.alg), so an algebra store holding one would be a reference
+cycle, and an algebra with its stores is freed by reference counting
+alone (see modules).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .linalg import Span
 from .modules import (FDModule, _stored, hom_basis, projective, quotient,
@@ -83,6 +97,23 @@ def _normalize_order(alg: Algebra, order):
 
 
 def standard_modules(alg: Algebra, order=None, mode="delta") -> StandardSystem:
+    """Delta(i) = P(i) / U(i) in mode "delta", properly standard
+    Delta-bar(i) = P(i) / U(i) in mode "pdelta", for each vertex i.
+
+    U(i) is the submodule generated by the coordinates of P(i) at the
+    vertices j above i and, in pdelta mode, those at i of radical degree
+    at least 1.  _assert_system_invariants cannot fail on the result:
+    - The algebra is elementary, so the only degree-0 coordinate of P(i)
+      is e_i, and every generator of U(i) has degree at least 1.  The
+      basis is adapted to the radical filtration, so U(i) lies in the
+      submodule rad P(i), which misses e_i: the top S(i) survives.
+    - Every coordinate of P(i) at a vertex j above i is a generator, so
+      e_j P(i) lies in U(i) and Theta(i) has no composition factor at j.
+    - In pdelta mode e_i P(i) is spanned by e_i and its coordinates of
+      degree at least 1; those lie in U(i) and e_i does not, so
+      Delta-bar(i) keeps exactly one copy of its top.
+    The check stays, as a guard on the algebra's basis conventions.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     order = _normalize_order(alg, order)
@@ -165,52 +196,81 @@ def theta_filtration(M: FDModule, system: StandardSystem, allowed=None):
     return FiltrationCertificate(M, layers)
 
 
-class Classification:
-    def __init__(self, label, order, systems, certificates):
-        self.label = label
+class _Systems(dict):
+    """mode -> the StandardSystem of the algebra at the order, built by
+    standard_modules on first access; an unknown mode raises its
+    ValueError and is not kept."""
+
+    def __init__(self, alg: Algebra, order):
+        super().__init__()
+        self.alg = alg
         self.order = order
-        self.systems = systems            # mode -> StandardSystem
-        self.certificates = certificates  # mode -> {vertex: certificate|None}
+
+    def __missing__(self, mode):
+        system = self[mode] = standard_modules(self.alg, self.order, mode)
+        return system
+
+
+class _Certificates(dict):
+    """mode -> {vertex i: certificate of P(i) or None}, searched on first
+    access among the Theta(j) with j at or above i in the order.
+
+    The search reads only the system's modules, their tops and the order,
+    so when the other mode is already certified and its modules are the
+    same, its certificates are handed out.  It refers to the systems, not
+    to the Classification, so no reference cycle passes through it."""
+
+    def __init__(self, systems: _Systems):
+        super().__init__()
+        self.systems = systems
+
+    def __missing__(self, mode):
+        system = self.systems[mode]
+        for other, certs in self.items():
+            if self.systems[other].modules == system.modules:
+                break
+        else:
+            alg, rank = system.alg, system.rank
+            certs = {i: theta_filtration(projective(alg, i), system,
+                                         [j for j in range(1, alg.n + 1)
+                                          if rank[j] >= rank[i]])
+                     for i in range(1, alg.n + 1)}
+        self[mode] = certs
+        return certs
+
+
+class Classification:
+    """The classification of alg at the order, computed at the cost of the
+    question: systems[mode] and certificates[mode] are built on their
+    first access and kept, filtered(mode) reads certificates[mode], and
+    label, which reads both modes, is derived on its first access."""
+
+    def __init__(self, alg: Algebra, order):
+        self.alg = alg
+        self.order = order
+        self.systems = _Systems(alg, order)        # mode -> StandardSystem
+        self.certificates = _Certificates(self.systems)
 
     def filtered(self, mode: str) -> bool:
         return all(c is not None for c in self.certificates[mode].values())
 
+    @cached_property
+    def label(self) -> str:
+        delta_ok, pdelta_ok = self.filtered("delta"), self.filtered("pdelta")
+        same = all(d.dims == p.dims for d, p in zip(
+            self.systems["delta"].modules, self.systems["pdelta"].modules))
+        if delta_ok and same:
+            return "quasi-hereditary"
+        if delta_ok and pdelta_ok:
+            return "delta-and-pdelta-filtered"
+        if delta_ok:
+            return "delta-filtered"
+        if pdelta_ok:
+            return "pdelta-filtered"
+        return "none"
+
 
 def classify_algebra(alg: Algebra, order=None) -> Classification:
-    order = _normalize_order(alg, order)
-    rank = {v: k for k, v in enumerate(order)}
-
-    def certify(system):
-        return {i: theta_filtration(projective(alg, i), system,
-                                    [j for j in range(1, alg.n + 1)
-                                     if rank[j] >= rank[i]])
-                for i in range(1, alg.n + 1)}
-
-    delta = standard_modules(alg, order, "delta")
-    pdelta = standard_modules(alg, order, "pdelta")
-    systems = {"delta": delta, "pdelta": pdelta}
-    certificates = {"delta": certify(delta)}
-    # The search reads only the system's modules, their tops and the order,
-    # so when every standard module equals its proper one the pdelta
-    # certificates are the delta ones.
-    certificates["pdelta"] = (certificates["delta"]
-                              if pdelta.modules == delta.modules
-                              else certify(pdelta))
-
-    cls = Classification(None, order, systems, certificates)
-    delta_ok, pdelta_ok = cls.filtered("delta"), cls.filtered("pdelta")
-    same = all(systems["delta"].module(i).dims ==
-               systems["pdelta"].module(i).dims
-               for i in range(1, alg.n + 1))
-    if delta_ok and same:
-        label = "quasi-hereditary"
-    elif delta_ok and pdelta_ok:
-        label = "delta-and-pdelta-filtered"
-    elif delta_ok:
-        label = "delta-filtered"
-    elif pdelta_ok:
-        label = "pdelta-filtered"
-    else:
-        label = "none"
-    cls.label = label
-    return cls
+    """The Classification of alg at the order (default 1..n), which is
+    checked here; every standard system and search waits for its reader."""
+    return Classification(alg, _normalize_order(alg, order))

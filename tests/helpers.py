@@ -65,7 +65,7 @@ from bocskit.quiver import (Algebra, Quiver, Relation, RelationSet,
 from bocskit.resolution import (GradedMap, ResolvedSystem, _flatten_graded,
                                 _hom_space, differential, ext_basis)
 from bocskit.strata import (_normalize_order, classify_algebra,
-                            standard_modules)
+                            standard_modules, theta_filtration)
 
 
 def all_classes(table, degrees):
@@ -1122,6 +1122,59 @@ def reference_indecomposables(alg: Algebra, bound: int):
     return found
 
 
+class ReferenceClassification:
+    """strata.Classification as reference_classify_algebra fills it in."""
+
+    def __init__(self, label, order, systems, certificates):
+        self.label = label
+        self.order = order
+        self.systems = systems            # mode -> StandardSystem
+        self.certificates = certificates  # mode -> {vertex: certificate|None}
+
+    def filtered(self, mode: str) -> bool:
+        return all(c is not None for c in self.certificates[mode].values())
+
+
+def reference_classify_algebra(alg: Algebra, order=None):
+    """classify_algebra as it was before it computed on first use: both
+    standard systems, the delta searches, the pdelta searches unless the
+    two systems' modules are equal, and the label, all up front."""
+    order = _normalize_order(alg, order)
+    rank = {v: k for k, v in enumerate(order)}
+
+    def certify(system):
+        return {i: theta_filtration(projective(alg, i), system,
+                                    [j for j in range(1, alg.n + 1)
+                                     if rank[j] >= rank[i]])
+                for i in range(1, alg.n + 1)}
+
+    delta = standard_modules(alg, order, "delta")
+    pdelta = standard_modules(alg, order, "pdelta")
+    systems = {"delta": delta, "pdelta": pdelta}
+    certificates = {"delta": certify(delta)}
+    certificates["pdelta"] = (certificates["delta"]
+                              if pdelta.modules == delta.modules
+                              else certify(pdelta))
+
+    cls = ReferenceClassification(None, order, systems, certificates)
+    delta_ok, pdelta_ok = cls.filtered("delta"), cls.filtered("pdelta")
+    same = all(systems["delta"].module(i).dims ==
+               systems["pdelta"].module(i).dims
+               for i in range(1, alg.n + 1))
+    if delta_ok and same:
+        label = "quasi-hereditary"
+    elif delta_ok and pdelta_ok:
+        label = "delta-and-pdelta-filtered"
+    elif delta_ok:
+        label = "delta-filtered"
+    elif pdelta_ok:
+        label = "pdelta-filtered"
+    else:
+        label = "none"
+    cls.label = label
+    return cls
+
+
 def reference_random_corpus(seed: int, count: int = 20,
                             max_vertices: int = 3, max_dim: int = 8,
                             mode: str = "pdelta", max_attempts: int = 4000,
@@ -1156,6 +1209,7 @@ def reference_random_corpus(seed: int, count: int = 20,
         rng.shuffle(order)
         try:
             cls = classify_algebra(alg, order)
+            cls.label   # both modes, as the eager classification built them
         except ValueError:
             continue
         if not cls.filtered(mode):

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -239,6 +240,34 @@ def test_inconclusive_isomorphism_fails_its_stage(monkeypatch, stage):
     assert exc.value.witness["note"] == "no image in searched grid"
 
 
+@pytest.mark.parametrize("direction, mode", [("verify", "pdelta"),
+                                             ("verify", "delta"),
+                                             ("roundtrip", "pdelta")])
+def test_the_other_modes_standard_system_fails_at_classify(monkeypatch,
+                                                           direction, mode):
+    # the report's label reads both modes, so a failure of the mode not
+    # asked for still belongs to the classify stage
+    from bocskit import strata
+
+    alg = example_dual_numbers()
+    b = construct_bocs(alg, mode="pdelta", r_max=3)
+    real = strata.standard_modules
+
+    def refusing(alg, order, asked):
+        if asked != mode:
+            raise ValueError("standard module at 1 lost its top")
+        return real(alg, order, asked)
+
+    monkeypatch.setattr(strata, "standard_modules", refusing)
+    with pytest.raises(PipelineError) as exc:
+        if direction == "verify":
+            run_pipeline(alg, mode=mode, config={"r_max": 3})
+        else:
+            roundtrip_bocs(b)
+    assert exc.value.stage == "classify"
+    assert exc.value.message == "standard module at 1 lost its top"
+
+
 def test_mode_not_admitted_fails_with_stage():
     # a two-cycle with rad^2 = 0 is not filtered in either mode
     from bocskit.quiver import Relation
@@ -392,6 +421,86 @@ def test_whole_runs_leave_no_cyclic_garbage():
         if enabled:
             gc.enable()
     assert left == []
+
+
+STORES = ("vertex_projections", "projectives", "steps", "homs")
+
+
+class _Marker:
+    """A value put in a store: it is freed when the store is."""
+
+
+def _verify(watch):
+    alg = example_dual_numbers()
+    watch(alg)
+    run_pipeline(alg, mode="pdelta", config={"r_max": 3})
+
+
+def _roundtrip(watch):
+    b = bocs_module.construct_bocs(example_dual_numbers(), mode="pdelta",
+                                   r_max=3)
+    rehydrated = bio.parse(bio.emit(bio.bocs_to_doc(b))).build()
+    watch(rehydrated)
+    roundtrip_bocs(rehydrated)
+
+
+def _construct(watch):
+    alg = example_a2()
+    watch(alg)
+    bocs_module.construct_bocs(alg, [2, 1], mode="delta", r_max=3)
+
+
+def _corpus(watch):
+    for alg, _, _ in random_corpus(20260823, count=4, max_dim=5):
+        watch(alg)
+
+
+@pytest.mark.parametrize("entry", [_verify, _roundtrip, _construct,
+                                   _corpus],
+                         ids=["run_pipeline", "roundtrip_bocs",
+                              "construct_bocs", "random_corpus"])
+def test_dropped_algebras_stores_and_bocses_are_freed_at_once(monkeypatch,
+                                                              entry):
+    """With the collector off, the algebras, their stores and the bocses
+    of an entry point are freed as soon as the caller drops them: nothing
+    the package keeps (a Classification on an Algebra, say) refers back
+    to them in a cycle.  The input algebra, every bocs built and its B,
+    and every right algebra R are watched."""
+    refs = []
+
+    def watch(obj):
+        refs.append(weakref.ref(obj))
+        alg = obj.B if isinstance(obj, bocs_module.Bocs) else obj
+        if alg is not obj:
+            refs.append(weakref.ref(alg))
+        for name in STORES:
+            marker = getattr(alg, name)["marker"] = _Marker()
+            refs.append(weakref.ref(marker))
+
+    def watched(fn, part=None):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            watch(out if part is None else getattr(out, part))
+            return out
+        return call
+
+    construct = watched(bocs_module.construct_bocs)
+    for module in (bocs_module, pipeline):
+        monkeypatch.setattr(module, "construct_bocs", construct)
+    monkeypatch.setattr(pipeline, "right_algebra",
+                        watched(pipeline.right_algebra, "R"))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        entry(watch)
+        alive = [type(ref()).__qualname__ for ref in refs
+                 if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(refs) > len(STORES) + 1
+    assert alive == []
 
 
 def test_builders_never_multiply_an_idempotent_projection(monkeypatch):

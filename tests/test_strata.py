@@ -1,6 +1,10 @@
+from itertools import permutations
+
 import pytest
 
 from bocskit import strata
+from bocskit.bocs import construct_bocs
+from bocskit.corpus import random_corpus
 from bocskit.modules import (hom_basis, is_isomorphic, projective, quotient,
                              simple)
 from bocskit.quiver import (Quiver, Relation, RelationSet, build_algebra,
@@ -10,7 +14,7 @@ from bocskit.strata import (StandardSystem, _assert_system_invariants,
                             classify_algebra, standard_modules,
                             theta_filtration)
 
-from helpers import radical_hom_basis
+from helpers import radical_hom_basis, reference_classify_algebra
 
 
 def test_standard_modules_a2():
@@ -92,9 +96,10 @@ def test_classify_jordan3():
 
 def test_equal_standard_systems_are_searched_once(mixed_algebras,
                                                   monkeypatch):
-    # when every standard module equals its proper one, the pdelta
-    # certificates are the delta ones, and they are those a search over
-    # the pdelta system finds
+    # forcing the label searches each mode at most once; when every
+    # standard module equals its proper one, the pdelta certificates are
+    # the delta ones, and they are those a search over the pdelta system
+    # finds
     real, calls = strata.theta_filtration, []
 
     def counting(M, system, allowed=None):
@@ -106,11 +111,17 @@ def test_equal_standard_systems_are_searched_once(mixed_algebras,
         monkeypatch.setattr(strata, "theta_filtration", counting)
         calls.clear()
         cls = classify_algebra(alg)
-        monkeypatch.undo()
+        assert calls == []
+        cls.label
         systems, certs = cls.systems, cls.certificates
         same = systems["pdelta"].modules == systems["delta"].modules
-        assert calls == ["delta"] * alg.n + ["pdelta"] * alg.n * (not same)
         assert (certs["pdelta"] is certs["delta"]) == same
+        # reading either mode again searches nothing more
+        cls.filtered("delta"), cls.filtered("pdelta")
+        monkeypatch.undo()
+        for mode in strata.MODES:
+            assert calls.count(mode) in (0, alg.n)
+        assert len(calls) == alg.n * (2 - same)
         for i, cert in certs["pdelta"].items():
             allowed = [j for j in cls.order
                        if cls.order.index(j) >= cls.order.index(i)]
@@ -184,3 +195,83 @@ def test_standard_modules_equal_the_hom_solve_route(mixed_algebras):
                     assert a.dims == b.dims and a.act == b.act
                 built += 1
     assert built > 0
+
+
+def _search_modes(monkeypatch):
+    """The mode of every standard system built and of every search run,
+    in order, as (function, mode) pairs."""
+    calls = []
+    real_system, real_search = strata.standard_modules, strata.theta_filtration
+
+    def system(alg, order=None, mode="delta"):
+        calls.append(("standard_modules", mode))
+        return real_system(alg, order, mode)
+
+    def search(M, system, allowed=None):
+        calls.append(("theta_filtration", system.mode))
+        return real_search(M, system, allowed)
+
+    monkeypatch.setattr(strata, "standard_modules", system)
+    monkeypatch.setattr(strata, "theta_filtration", search)
+    return calls
+
+
+def test_classification_agrees_with_the_eager_reference(mixed_algebras):
+    # whichever mode is asked first, the label, the verdicts and the
+    # certificates are those the eager classification gave, and the
+    # certificates are shared exactly when the two systems are equal
+    compared = 0
+    for alg in mixed_algebras:
+        for order in permutations(range(1, alg.n + 1)):
+            want = reference_classify_algebra(alg, order)
+            for first, second in (strata.MODES, strata.MODES[::-1]):
+                cls = classify_algebra(alg, order)
+                assert not cls.systems and not cls.certificates
+                cls.filtered(first)
+                assert set(cls.systems) == set(cls.certificates) == {first}
+                cls.filtered(second)
+                assert cls.label == want.label
+                for mode in strata.MODES:
+                    assert cls.filtered(mode) == want.filtered(mode)
+                    for i, cert in cls.certificates[mode].items():
+                        ref = want.certificates[mode][i]
+                        assert (cert is None) == (ref is None)
+                        if cert is not None:
+                            assert cert.vertices() == ref.vertices()
+                same = cls.systems["delta"].modules == \
+                    cls.systems["pdelta"].modules
+                certs = cls.certificates
+                assert (certs["delta"] is certs["pdelta"]) == same
+                compared += 1
+    assert compared >= 2 * len(mixed_algebras)
+
+
+def test_an_unknown_mode_raises_the_standard_modules_error():
+    cls = classify_algebra(example_dual_numbers())
+    for read in (lambda: cls.systems["gamma"],
+                 lambda: cls.certificates["gamma"],
+                 lambda: cls.filtered("gamma")):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            read()
+    assert not cls.systems and not cls.certificates
+    with pytest.raises(ValueError, match="mode must be one of"):
+        construct_bocs(example_dual_numbers(), mode="gamma", r_max=3)
+
+
+def test_the_benchmark_corpus_builds_and_searches_pdelta_only(monkeypatch):
+    calls = _search_modes(monkeypatch)
+    corpus = random_corpus(20260823, count=20, max_dim=5, require_bocs=False)
+    assert len(corpus) == 20
+    assert calls and {mode for _, mode in calls} == {"pdelta"}
+
+
+@pytest.mark.parametrize("mode", strata.MODES)
+def test_construct_bocs_builds_and_searches_its_mode_alone(monkeypatch,
+                                                          mode):
+    # Delta(1) = P(1) and Delta-bar(1) = S(1) differ here, so the other
+    # mode's certificates could not be the same ones
+    alg = example_dual_numbers()
+    calls = _search_modes(monkeypatch)
+    construct_bocs(alg, mode=mode, r_max=3)
+    assert calls == [("standard_modules", mode)] + \
+        [("theta_filtration", mode)] * alg.n
